@@ -197,6 +197,10 @@ def cmd_family(args, argv) -> int:
 
     if args.aggregate:
         try:
+            if families.family_kind(fam)[0] == "custom":
+                raise DomainError(
+                    f"aggregates are registered for the built-in families "
+                    f"only; {fam.name!r} is a custom config")
             agg = constants.aggregate_lower_order(fam.name)
         except DomainError as exc:
             print(f"error: {exc}", file=sys.stderr)

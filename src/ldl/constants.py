@@ -360,10 +360,6 @@ def _const(name: str, source: str, **kwargs) -> float:
 
 def _derived_lower_order(target: str,
                          threads: int | None) -> FamilyLowerOrder:
-    if target not in AGGREGATE_REFERENCE:
-        raise DomainError(
-            f"no aggregate registered for {target!r}; supported: "
-            f"{sorted(AGGREGATE_REFERENCE)}")
     # explicit_formula imports this module, so import it at call time
     from .explicit_formula import lower_order_limit
     limit = lower_order_limit(target, threads=threads)
@@ -398,6 +394,10 @@ def aggregate_lower_order(target: str, source: str = "catalog",
     """
     if source not in ("catalog", "computed", "derived"):
         raise DomainError("source must be 'catalog', 'computed' or 'derived'")
+    if target not in AGGREGATE_REFERENCE:
+        raise DomainError(
+            f"no aggregate registered for {target!r}; supported: "
+            f"{sorted(AGGREGATE_REFERENCE)}")
     if source == "derived":
         return _derived_lower_order(target, threads)
     if source == "computed" and not allow_mixed_truncations:
@@ -418,11 +418,10 @@ def aggregate_lower_order(target: str, source: str = "catalog",
         return FamilyLowerOrder("cusp_model", pieces, {},
                                 math.fsum(pieces.values()))
 
-    if target.startswith("cm_b"):
-        bb, kappa = int(target[4]), int(target[-1])
-        key = ("cm", bb, kappa) if kappa == 2 else ("cm", 1, 1)
+    kind = families.family_kind(target)
+    if kind[0] == "sextic":
         if source == "catalog":
-            at_main, at_sieve = ATILDE_REFERENCE[key]
+            at_main, at_sieve = ATILDE_REFERENCE[("cm",) + kind[1:]]
             sieve012 = -0.004288
         else:
             # the reference bracket uses the exponent-3 sieve weight for
@@ -444,21 +443,15 @@ def aggregate_lower_order(target: str, source: str = "catalog",
             target, pieces, sieve,
             math.fsum(pieces.values()) + math.fsum(sieve.values()))
 
-    if target == "noncm_3x12t":
-        pieces = {
-            "S_0": -(c("gamma_0_3") + c("gamma_23")) + 2 * c("gamma_pnt"),
-            "S_1": -c("gamma_1_3"),
-            "S_2": -(c("gamma_2_3") - 0.5 * c("gamma_23")
-                     + c("gamma_pnt")),
-            "S_Aprime": -c("gamma_aprime_3"),
-            "S_Atilde": -c("gamma_atilde_3"),
-        }
-        return FamilyLowerOrder(target, pieces, {},
-                                math.fsum(pieces.values()))
-
-    raise DomainError(
-        f"no aggregate registered for {target!r}; supported: "
-        f"{sorted(AGGREGATE_REFERENCE)}")
+    # the remaining target, noncm_3x12t
+    pieces = {
+        "S_0": -(c("gamma_0_3") + c("gamma_23")) + 2 * c("gamma_pnt"),
+        "S_1": -c("gamma_1_3"),
+        "S_2": -(c("gamma_2_3") - 0.5 * c("gamma_23") + c("gamma_pnt")),
+        "S_Aprime": -c("gamma_aprime_3"),
+        "S_Atilde": -c("gamma_atilde_3"),
+    }
+    return FamilyLowerOrder(target, pieces, {}, math.fsum(pieces.values()))
 
 
 # --------------------------------------------------------------------------

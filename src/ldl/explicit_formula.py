@@ -285,9 +285,9 @@ class _ModelMoments:
 
 class _FamilyMoments:
     def __init__(self, fam: families.FamilySpec, p_int, pf):
-        name = fam.name
-        self._noncm = name == "noncm_3x12t"
-        if name.startswith("cm_b"):
+        kind = families.family_kind(fam)
+        self._noncm = kind[0] == "noncm"
+        if kind[0] == "sextic":
             k = int(fam.k)
             self.A0 = pf - 1.0
             self.A1 = np.zeros_like(pf)
@@ -295,9 +295,9 @@ class _FamilyMoments:
             self.hs = 1.0 / (pf ** k - 1.0)
             self.has_bad = False
             self.lead = ((1.0, 0.0), (0.0, 0.0), (0.0, 2.0))
-        elif name in ("rank1_36t", "rank0_36t"):
+        elif kind[0] == "quartic":
             mask = p_int % 4 == 1
-            twist = _legendre_2_vec(p_int) if name == "rank0_36t" else 1.0
+            twist = _legendre_2_vec(p_int) if kind[1] == 4 else 1.0
             self.A0 = pf - 2.0
             self.A1 = np.where(mask, -2.0 * pf * twist, 0.0)
             a_sq = np.zeros_like(pf)
@@ -318,7 +318,7 @@ class _FamilyMoments:
             self.has_bad = True
             self.lead = ((1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
         else:
-            raise DomainError(f"no vectorized moments for {name!r}")
+            raise DomainError(f"no vectorized moments for {fam.name!r}")
 
     def bad_moment(self, m):
         if not self._noncm:
@@ -455,7 +455,8 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
         rank = 0
     else:
         fam_name = fam.name
-        rank = _BUILTIN_RANK.get(fam_name, 0)
+        rank = (_BUILTIN_RANK.get(fam_name, 0)
+                if families.family_kind(fam)[0] != "custom" else 0)
         try:
             mom = _FamilyMoments(fam, p_int, pf)
         except DomainError:

@@ -15,6 +15,25 @@ Built-in families:
 * ``noncm_3x12t``: y^2 = x^3 - 3x + 12T, globally minimal, no sieving (k
   infinite).
 
+A family is treated as built-in only when it equals the registered
+FamilySpec in every field; a config that merely borrows a built-in's name
+takes the brute-force paths.
+
+Atilde(p) is computed per family as follows:
+
+* CM built-ins, O(log p) per prime: the trace of each twist y^2 = x^3 + c
+  (resp. y^2 = x^3 - Dx) is read off the primary prime pi above p in Z[omega]
+  (resp. Z[i]), found by Cornacchia's algorithm, and the sextic (resp.
+  quartic) residue symbol of the twist (Ireland & Rosen, *A Classical
+  Introduction to Modern Number Theory*, ch. 18, Thms 18.4 and 18.5).  For
+  the quartic pair the number of t in each quartic class comes from the
+  Jacobi sum J(chi, chi) = -chi(-1) pi.
+* ``noncm_3x12t``: an FFT correlation, O(p log p) per prime.
+* any other family: brute-force point counts, O(p^2) per prime.
+
+Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
+simple, and a scan of t mod p^k otherwise.
+
 Every closed-form moment registered here is cross-checked against the brute
 O(p^2) sum in the test suite for all primes up to 300.
 """
@@ -179,32 +198,49 @@ def _check_factor_resultants(fam: FamilySpec) -> None:
                     f"{fam.name}: D factors {i},{j} share a prime >= 5")
 
 
-def _builtin_registry() -> dict:
-    reg = {}
+def _builtin_registry() -> tuple[dict, dict]:
+    """(name -> FamilySpec, name -> closed-form dispatch key)."""
+    reg, kinds = {}, {}
     for bb in (1, 2, 3, 6):
         for kappa in (1, 2):
+            name = f"cm_b{bb}_kappa{kappa}"
             b_poly = _poly_trim(_poly_scale(_poly_pow([1, 6], kappa), bb))
-            reg[f"cm_b{bb}_kappa{kappa}"] = FamilySpec(
-                name=f"cm_b{bb}_kappa{kappa}",
-                A_poly=(0,), B_poly=b_poly,
+            reg[name] = FamilySpec(
+                name=name, A_poly=(0,), B_poly=b_poly,
                 D_factors=((1, 6),), k=6 // kappa,
                 forced_zero_primes=frozenset({2, 3}))
+            kinds[name] = ("sextic", bb, kappa)
     for bb, name in ((1, "rank1_36t"), (4, "rank0_36t")):
         a_poly = _poly_trim(_poly_scale(_poly_mul([6, 36], [5, 36]), -bb))
         reg[name] = FamilySpec(
             name=name, A_poly=a_poly, B_poly=(0,),
             D_factors=((6, 36), (5, 36)), k=3,
             forced_zero_primes=frozenset({2, 3}))
+        kinds[name] = ("quartic", bb)
     reg["noncm_3x12t"] = FamilySpec(
         name="noncm_3x12t", A_poly=(-3,), B_poly=(0, 12),
         D_factors=((-1, 6), (1, 6)), k=INF,
         forced_zero_primes=frozenset({2, 3}))
+    kinds["noncm_3x12t"] = ("noncm",)
     for fam in reg.values():
         _check_factor_resultants(fam)
-    return reg
+    return reg, kinds
 
 
-BUILTIN_FAMILIES = _builtin_registry()
+BUILTIN_FAMILIES, _BUILTIN_KINDS = _builtin_registry()
+
+
+def family_kind(fam) -> tuple:
+    """The closed-form dispatch key of a family: ("sextic", bb, kappa),
+    ("quartic", bb) or ("noncm",) for a built-in -- a registered name, or
+    a FamilySpec equal to the registered one in every field -- and
+    ("custom",) for every other family, including a config that only
+    borrows a built-in's name."""
+    if isinstance(fam, str):
+        fam = BUILTIN_FAMILIES.get(fam)
+    if fam is not None and fam == BUILTIN_FAMILIES.get(fam.name):
+        return _BUILTIN_KINDS[fam.name]
+    return ("custom",)
 
 
 def get_family(name: str) -> FamilySpec:
@@ -252,8 +288,13 @@ def a_t_p(fam: FamilySpec, t: int, p: int) -> int:
     if p == 2:
         raise DomainError(
             "p = 2 requires a forced-zero designation for this family")
-    a = poly_eval_mod(fam.A_poly, t % p, p)
-    b = poly_eval_mod(fam.B_poly, t % p, p)
+    return _a_for_coefficients(poly_eval_mod(fam.A_poly, t % p, p),
+                               poly_eval_mod(fam.B_poly, t % p, p), p)
+
+
+def _a_for_coefficients(a: int, b: int, p: int) -> int:
+    """Trace of y^2 = x^3 + ax + b over F_p by an O(p) point count: the
+    brute-force oracle for the closed-form traces below."""
     x = np.arange(p, dtype=np.int64)
     vals = (x * x % p * x + a * x + b) % p
     return -int(legendre_symbols_vec(vals, p).sum())
@@ -315,38 +356,86 @@ def complete_moment(fam: FamilySpec, p: int, r: int, side: str = "good"):
 
 
 # --------------------------------------------------------------------------
-# closed-form moments for the built-ins
+# traces of the CM twists from the prime above p (Ireland & Rosen, ch. 18)
 
-def _a_ref_curve(p: int) -> int:
-    """a_p of y^2 = x^3 - x for p = 1 mod 4, via p = a^2 + b^2.
-
-    Decompose p with a odd and b even (Cornacchia with a square root of
-    -1); the trace is 2a with the sign fixed by a + b = 1 mod 4 for the
-    choice b >= 0, b even.
-    """
-    if p % 4 != 1:
-        return 0
-    # square root of -1 mod p from a quadratic non-residue
-    n = 2
-    while legendre_symbol(n, p) != -1:
-        n += 1
-    x = pow(n, (p - 1) // 4, p)
-    r0, r1 = p, x
+def _cornacchia(d: int, p: int, s: int) -> tuple:
+    """(x, y) with x^2 + d y^2 = p and x + ys = 0 mod p, from a root s of
+    s^2 = -d mod p (Cornacchia's algorithm)."""
+    r0, r1 = p, s
     bound = math.isqrt(p)
     while r1 > bound:
         r0, r1 = r1, r0 % r1
-    a, b = r1, math.isqrt(p - r1 * r1)
-    if a * a + b * b != p:
-        raise VerificationError(f"two-square decomposition failed for {p}")
-    if a % 2 == 0:
-        a, b = b, a
-    # sign convention: with b even and >= 0, pick a = 1 mod 4 when 4 | b
-    # and a = 3 mod 4 otherwise; checked against point counts in tests
-    want = 1 if b % 4 == 0 else 3
-    if a % 4 != want:
-        a = -a
-    return 2 * a
+    x = r1
+    y = math.isqrt((p - x * x) // d)
+    if x * x + d * y * y != p:
+        raise VerificationError(f"Cornacchia found no x^2 + {d}y^2 = {p}")
+    return (x, y) if (x + y * s) % p == 0 else (x, -y)
 
+
+def _gaussian_prime(p: int) -> tuple:
+    """(a, b, s) for p = 1 mod 4: s^2 = -1 mod p, and pi = a + bi the
+    primary prime above p (b even, a + b = 1 mod 4) with pi = 0 under
+    i -> s."""
+    n = 2
+    while legendre_symbol(n, p) != -1:
+        n += 1
+    s = pow(n, (p - 1) // 4, p)
+    a, b = _cornacchia(1, p, s)
+    if b % 2:
+        a, b = -b, a                          # times i
+    if (a + b) % 4 != 1:
+        a, b = -a, -b
+    return a, b, s
+
+
+def _quartic_index(n: int, p: int, s: int) -> int:
+    """m with (n/pi)_4 = i^m, i.e. n^((p-1)/4) = s^m mod p."""
+    return (1, s, p - 1, p - s).index(pow(n, (p - 1) // 4, p))
+
+
+def _a_ref_curve(p: int) -> int:
+    """a_p of y^2 = x^3 - x: 2a for the primary a + bi above p = 1 mod 4
+    (Ireland & Rosen, Thm 18.5 with D = 1); 0 for p = 3 mod 4."""
+    if p % 4 != 1:
+        return 0
+    return 2 * _gaussian_prime(p)[0]
+
+
+# the sixth roots of unity u + v*omega: 1, omega, omega^2, -1, -omega,
+# -omega^2
+_SIXTH_ROOTS = ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
+
+
+def _eisenstein_prime(p: int) -> tuple:
+    """(a, b, images) for p = 1 mod 3: pi = a + b*omega the primary prime
+    above p (pi = 2 mod 3) with pi = 0 under omega -> (-1 + s)/2, s^2 = -3
+    mod p, and the residues of _SIXTH_ROOTS under that map."""
+    s = _sqrt_mod_p(-3, p)
+    x, y = _cornacchia(3, p, s)
+    a, b = x + y, 2 * y                       # sqrt(-3) = 1 + 2 omega
+    w = (s - 1) * ((p + 1) // 2) % p
+    images = tuple((u + v * w) % p for u, v in _SIXTH_ROOTS)
+    for _ in range(6):
+        if a % 3 == 2 and b % 3 == 0:
+            return a, b, images
+        a, b = b, b - a                       # times -omega
+    raise VerificationError(f"no primary associate of {a} + {b}omega")
+
+
+def _a_sextic(c: int, p: int, pi: tuple) -> int:
+    """a_p of y^2 = x^3 + c, c != 0 mod p: -2 Re(conj(chi) pi) with chi =
+    (4c/pi)_6 (Ireland & Rosen, Thm 18.4)."""
+    a, b, images = pi
+    u, v = _SIXTH_ROOTS[images.index(pow(4 * c, (p - 1) // 6, p))]
+    cu, cv = u - v, -v                        # conj(u + v omega)
+    # (cu + cv omega)(a + b omega) = re + im omega; 2 Re = 2 re - im
+    re = cu * a - cv * b
+    im = cu * b + cv * a - cv * b
+    return im - 2 * re
+
+
+# --------------------------------------------------------------------------
+# closed-form moments for the built-ins
 
 def _closed_b1(bb: int, kappa: int, p: int, r: int, side: str):
     if side == "bad":
@@ -404,12 +493,12 @@ def closed_form_moment(fam, p: int, r: int, side: str = "good"):
     if side not in ("good", "bad"):
         raise DomainError("side must be 'good' or 'bad'")
     val = None
-    if name.startswith("cm_b"):
-        bb, kappa = int(name[4]), int(name[-1])
-        val = _closed_b1(bb, kappa, p, r, side)
-    elif name in ("rank1_36t", "rank0_36t"):
-        val = _closed_b2(1 if name == "rank1_36t" else 4, p, r, side)
-    elif name == "noncm_3x12t":
+    kind = family_kind(fam)
+    if kind[0] == "sextic":
+        val = _closed_b1(kind[1], kind[2], p, r, side)
+    elif kind[0] == "quartic":
+        val = _closed_b2(kind[1], p, r, side)
+    elif kind[0] == "noncm":
         val = _closed_b3(p, r, side)
     if val is None:
         raise DomainError(
@@ -444,21 +533,15 @@ def _find_generator(p: int) -> int:
     raise VerificationError(f"no generator found mod {p}")
 
 
-def _a_for_coefficients(a: int, b: int, p: int) -> int:
-    x = np.arange(p, dtype=np.int64)
-    vals = (x * x % p * x + a * x + b) % p
-    return -int(legendre_symbols_vec(vals, p).sum())
-
-
 def _a_tilde_b1(bb: int, kappa: int, p: int) -> float:
     # y^2 = x^3 + c with c = bb*(6t+1)^kappa: a depends only on the sextic
     # residue class of c, and 6t+1 covers each nonzero residue once
     if p % 3 != 1:
         return 0.0
     g = _find_generator(p)
-    reps = [bb * pow(g, i * kappa, p) % p for i in range(6)]
-    a_reps = np.array([_a_for_coefficients(0, c, p) for c in reps],
-                      dtype=np.int64)
+    pi = _eisenstein_prime(p)
+    a_reps = np.array([_a_sextic(bb * pow(g, i * kappa, p) % p, p, pi)
+                       for i in range(6)], dtype=np.int64)
     if kappa == 1:
         mult = (p - 1) // 6
         return mult * _lambda_cubed_weight(a_reps, p)
@@ -468,36 +551,40 @@ def _a_tilde_b1(bb: int, kappa: int, p: int) -> float:
     return (p - 1) // 3 * _lambda_cubed_weight(sub, p)
 
 
-def _np_powmod(base: np.ndarray, exp: int, p: int) -> np.ndarray:
-    """Vectorized pow(base, exp, p) by square-and-multiply (int64-safe)."""
-    result = np.ones_like(base)
-    cur = base % p
-    e = exp
-    while e:
-        if e & 1:
-            result = result * cur % p
-        cur = cur * cur % p
-        e >>= 1
-    return result
+def _quartic_class_data(bb: int, p: int) -> list:
+    """[(N_i, a_i)] for i = 0..3 and p = 1 mod 4, g the least generator
+    mod p: N_i counts the t mod p whose c = bb(36t+6)(36t+5) lies in the
+    class g^i (F_p^*)^4, and a_i is the trace of y^2 = x^3 - g^i x.
+
+    For D in the quartic class chi(D) = i^m the trace is 2 Re(i^-m pi).
+    With u = 36t+6, c = bb u(u-1), and sum_u chi(u(u-1)) = chi(-1) J(chi,
+    chi) = -pi gives N = ((p-2) + 2 Re(i^j (-pi)) - i^2j)/4 for the class
+    i^m, where i^j = i^-m chi(bb).
+    """
+    a, b, s = _gaussian_prime(p)
+    traces = (2 * a, 2 * b, -2 * a, -2 * b)       # 2 Re(i^-m pi)
+    re_minus_pi = (-2 * a, 2 * b, 2 * a, -2 * b)  # 2 Re(i^j (-pi))
+    m_bb = _quartic_index(bb, p, s)
+    g = _find_generator(p)
+    out = []
+    for i in range(4):
+        m = _quartic_index(pow(g, i, p), p, s)
+        j = (m_bb - m) % 4
+        count, rem = divmod(p - 2 + re_minus_pi[j] - (-1) ** j, 4)
+        if rem:
+            raise VerificationError(f"quartic class size not integral at {p}")
+        out.append((count, traces[m]))
+    return out
 
 
 def _a_tilde_b2(bb: int, p: int) -> float:
     # y^2 = x^3 - c x with c = bb*(36t+6)(36t+5): a depends only on the
-    # quartic residue class of c; classify all t with one vectorized powmod
+    # quartic residue class of c
     if p % 4 != 1:
         return 0.0
-    t = np.arange(p, dtype=np.int64)
-    c = bb * ((36 * t + 6) % p) % p * ((36 * t + 5) % p) % p
-    good = c != 0
-    chi = _np_powmod(c[good], (p - 1) // 4, p)
-    g = _find_generator(p)
-    reps = [pow(g, i, p) for i in range(4)]
-    a_reps = {pow(rep, (p - 1) // 4, p):
-              _a_for_coefficients((-rep) % p, 0, p) for rep in reps}
     total = 0.0
     sqrt_p = math.sqrt(p)
-    for chi_val, a in a_reps.items():
-        count = int(np.count_nonzero(chi == chi_val))
+    for count, a in _quartic_class_data(bb, p):
         lam = a / sqrt_p
         total += count * lam ** 3 / (p + 1 - a)
     return total
@@ -529,15 +616,22 @@ _FFT_SAFE_LIMIT = 60_000
 
 
 def a_tilde(fam: FamilySpec, p: int) -> float:
-    """Atilde(p) = sum over good t of lambda_t(p)^3 / (p+1 - lambda_t(p) sqrt p)."""
+    """Atilde(p) = sum over good t of lambda_t(p)^3 / (p+1 - lambda_t(p) sqrt p).
+
+    Built-in CM families: closed forms in O(log p), the traces of the
+    sextic and quartic twists read off the primary prime above p
+    (Ireland & Rosen, Thms 18.4 and 18.5).  ``noncm_3x12t``: an FFT
+    correlation up to _FFT_SAFE_LIMIT.  Every other family, and any config
+    that only borrows a built-in's name: brute-force point counts.
+    """
     if p < 5:
         raise DomainError("Atilde requires p >= 5")
-    name = fam.name
-    if name.startswith("cm_b"):
-        return _a_tilde_b1(int(name[4]), int(name[-1]), p)
-    if name in ("rank1_36t", "rank0_36t"):
-        return _a_tilde_b2(1 if name == "rank1_36t" else 4, p)
-    if name == "noncm_3x12t" and p <= _FFT_SAFE_LIMIT:
+    kind = family_kind(fam)
+    if kind[0] == "sextic":
+        return _a_tilde_b1(kind[1], kind[2], p)
+    if kind[0] == "quartic":
+        return _a_tilde_b2(kind[1], p)
+    if kind[0] == "noncm" and p <= _FFT_SAFE_LIMIT:
         return _a_tilde_b3(p)
     a_vals, good = _curve_data(fam, p)
     return _lambda_cubed_weight(a_vals[good], p)
@@ -629,26 +723,47 @@ def _sqrt_mod_p(n: int, p: int) -> int:
     return r
 
 
+def _scan_root_count(factors, d: int) -> int:
+    """#{t mod d : prod of factors(t) = 0 mod d} by scanning t mod d."""
+    t = np.arange(d, dtype=np.int64)
+    prod = np.ones(d, dtype=np.int64)
+    for fac in factors:
+        prod = prod * poly_eval_mod(fac, t, d) % d
+    return int(np.count_nonzero(prod == 0))
+
+
 def _nu_prime_power(fam: FamilySpec, p: int, e: int) -> int:
-    pe = p ** e
-    if pe <= _SCAN_LIMIT:
-        t = np.arange(pe, dtype=np.int64)
-        prod = np.ones(pe, dtype=np.int64)
-        for fac in fam.D_factors:
-            prod = prod * poly_eval_mod(fac, t, pe) % pe
-        return int(np.count_nonzero(prod == 0))
-    # Hensel lifting per factor; the load-time resultant check guarantees
-    # distinct factors never share a root mod p >= 5
-    total = 0
+    """nu_D(p^e) for a prime p.
+
+    Each D factor is p^c times a factor that does not vanish mod p, so
+    v_p(D(t)) = C + v_p(G(t)) with C the summed exponents c and G the
+    product of the reduced factors.  A simple root of G mod p lifts
+    uniquely to every p^j (Hensel), so when all roots are simple the count
+    is p^C times the number of roots mod p; otherwise G is scanned mod
+    p^(e-C), within _SCAN_LIMIT.
+    """
+    content, reduced = 0, []
     for fac in fam.D_factors:
-        for r in _factor_roots_mod_p(fac, p):
-            deriv = [i * c for i, c in enumerate(fac)][1:]
-            if poly_eval_mod(deriv, int(r), p) % p == 0:
-                raise ResourceError(
-                    f"non-simple root of D factor mod {p}: scan range "
-                    "exceeded")
-            total += 1   # a simple root lifts uniquely to every p^e
-    return total
+        if not any(fac):
+            return p ** e
+        while all(c % p == 0 for c in fac):
+            fac = tuple(c // p for c in fac)
+            content += 1
+        reduced.append(fac)
+    if e <= content:
+        return p ** e
+    e -= content
+    g_poly = [1]
+    for fac in reduced:
+        g_poly = _poly_mul(g_poly, fac)
+    deriv = [i * c for i, c in enumerate(g_poly)][1:]
+    roots = {int(r) for fac in reduced for r in _factor_roots_mod_p(fac, p)}
+    if all(poly_eval_mod(deriv, r, p) for r in roots):
+        return p ** content * len(roots)
+    if p ** e > _SCAN_LIMIT:
+        raise ResourceError(
+            f"non-simple root of D mod {p}: scan range exceeded")
+    return p ** content * _scan_root_count(reduced, p ** e)
 
 
 def nu_D(fam: FamilySpec, d: int) -> int:
@@ -658,11 +773,7 @@ def nu_D(fam: FamilySpec, d: int) -> int:
     if d == 1:
         return 1
     if d <= _SCAN_LIMIT:
-        t = np.arange(d, dtype=np.int64)
-        prod = np.ones(d, dtype=np.int64)
-        for fac in fam.D_factors:
-            prod = prod * poly_eval_mod(fac, t, d) % d
-        return int(np.count_nonzero(prod == 0))
+        return _scan_root_count(fam.D_factors, d)
     total = 1
     for p, e in _factorize(d).items():
         total *= _nu_prime_power(fam, p, e)
@@ -670,7 +781,8 @@ def nu_D(fam: FamilySpec, d: int) -> int:
 
 
 def h_factor(fam: FamilySpec, p: int, exponent: int | None = None):
-    """H_{D,k}(p) split as (main, sieve) = (1, (nu/p^k)/(1 - nu/p^k)).
+    """H_{D,k}(p) split as (main, sieve) = (1, (nu/p^k)/(1 - nu/p^k)), with
+    nu = nu_D(p^k) counted by Hensel lifting (O(log p) for the built-ins).
 
     `exponent` overrides the family's own sieve exponent k (used to
     reproduce reference tabulations computed under a different sieving
@@ -684,7 +796,9 @@ def h_factor(fam: FamilySpec, p: int, exponent: int | None = None):
         if exponent < 3:
             raise DomainError("sieve exponent override must be >= 3")
         k = int(exponent)
-    nu = nu_D(fam, p ** k)
+    if not is_prime(p):
+        raise DomainError("p must be prime")
+    nu = _nu_prime_power(fam, p, k)
     pk = p ** k
     if nu >= pk:
         raise DomainError(f"degenerate sieve: nu_D({p}^{k}) = {nu} >= p^k")
@@ -753,7 +867,7 @@ def sieve_density(fam: FamilySpec, prime_limit: int = 10 ** 3) -> float:
     k = int(fam.k)
     out = 1.0
     for p in get_table(prime_limit).primes:
-        out *= 1.0 - nu_D(fam, int(p) ** k) / int(p) ** k
+        out *= 1.0 - _nu_prime_power(fam, int(p), k) / int(p) ** k
     return out
 
 
@@ -821,7 +935,7 @@ def moment_table(fam: FamilySpec, p: int, r_max: int = 8) -> MomentTable:
     if fam.k == INF:
         nu, h = 0, (1.0, 0.0)
     else:
-        nu = nu_D(fam, p ** int(fam.k))
+        nu = _nu_prime_power(fam, p, int(fam.k))
         h = h_factor(fam, p)
     at = a_tilde(fam, p) if p >= 5 else 0.0
     return MomentTable(p=p, moments=moments, bad_moments=bad_moments,

@@ -30,6 +30,7 @@ def test_semicircle_constants():
     assert abs(st2.value - 1.1851820642) <= 1e-6
 
 
+@pytest.mark.slow
 def test_cubic_moment_constant_two_ways():
     direct = constants.compute_constant("gamma_st_atilde")
     assert abs(direct.value - 0.4160714430) <= 1e-7
@@ -207,6 +208,7 @@ def test_sextic_aggregates():
         assert abs(agg.aggregate - want) <= 0.05, name
 
 
+@pytest.mark.slow
 def test_noncm_aggregate_and_piece_sum():
     agg = constants.aggregate_lower_order("noncm_3x12t")
     # the printed total must match the sum of its cited pieces tightly...
@@ -237,6 +239,7 @@ def test_derived_pieces_match_cited_where_they_follow_the_expansion():
                 <= 2e-6, name
 
 
+@pytest.mark.slow
 def test_noncm_derived_vs_cited_pieces():
     # the printed non-CM total is not the limit of the decomposition: the
     # gap sits in the pieces built from gamma_0_3, gamma_1_3 and gamma_2_3
@@ -294,6 +297,7 @@ def recovery_errors():
     return out
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name", RECOVERY_TARGETS)
 def test_lower_order_coefficient_recovery(name, recovery_errors):
     errs = recovery_errors[name]

@@ -103,6 +103,17 @@ def test_family_config_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_family_aggregate_refuses_custom_config(capsys, tmp_path):
+    # a config that borrows a built-in's name has no aggregate
+    cfg = {"name": "cm_b1_kappa2", "A": [0], "B": [1, 6],
+           "D_factors": [[1, 6]], "k": 3, "forced_zero_primes": [2, 3]}
+    path = tmp_path / "impostor.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = run(capsys, "family", "--family", f"@{path}",
+                         "--aggregate")
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 def test_explicit_decomposition(capsys):
     doc = run_json(capsys, "explicit", "--family", "cusp_model",
                    "--phi", "indicator_smooth:0.18", "--logR", "25")

@@ -152,6 +152,15 @@ def test_aggregate_catalog_mode():
                                    "S_Atilde"}
 
 
+def test_aggregate_unregistered_target_raises_in_every_mode():
+    # cm_b2_kappa1 has no reference aggregate; it must not borrow the
+    # values of another curve
+    for source in ("catalog", "computed", "derived"):
+        with pytest.raises(DomainError):
+            constants.aggregate_lower_order(
+                "cm_b2_kappa1", source=source, allow_mixed_truncations=True)
+
+
 def test_aggregate_computed_mode_guard(monkeypatch):
     with pytest.raises(VerificationError):
         constants.aggregate_lower_order("cusp_model", source="computed")

@@ -210,6 +210,7 @@ def test_evaluate_s_zero_moments_give_pure_main_term(monkeypatch):
     assert dec.lower_order_coefficient == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.slow
 def test_evaluate_s_thread_count_independence():
     pair = ef.builtin_test_pair("indicator_smooth:0.18")
     one = ef.evaluate_S("noncm_3x12t", pair, math.exp(30.0), threads=1)

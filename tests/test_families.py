@@ -7,6 +7,7 @@ over t, and exact integer arithmetic throughout.
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,14 +136,79 @@ def test_quadratic_legendre_sum_matches_brute(p, a, b, c):
 # --------------------------------------------------------------------------
 # cubic-moment sums
 
+def _quartic_class_index(p: int, g: int) -> np.ndarray:
+    """i with n in g^i (F_p^*)^4 for every residue n (-1 at 0)."""
+    x = np.arange(1, p, dtype=np.int64)
+    fourth = np.unique((x * x % p) ** 2 % p)
+    cls = np.full(p, -1, dtype=np.int64)
+    for i in range(4):
+        cls[pow(g, i, p) * fourth % p] = i
+    return cls
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_a_tilde_fast_paths_match_brute_force(name):
+    """Atilde against point counts; for the CM built-ins also the closed-form
+    traces and class counts, and Atilde(p) bit for bit against the O(p)
+    construction from point counts, for every prime up to 10^4."""
     fam = families.get_family(name)
     clone = _clone_generic(fam)
     for p in (7, 13, 31, 37):
         fast = families.a_tilde(fam, p)
         brute = families.a_tilde(clone, p)
         assert fast == pytest.approx(brute, rel=1e-10, abs=1e-12)
+    kind = families.family_kind(fam)
+    trace = families._a_for_coefficients
+    for p in (int(q) for q in get_table(10 ** 4).primes if q >= 5):
+        if kind[0] == "sextic" and p % 3 == 1:
+            _, bb, kappa = kind
+            g = families._find_generator(p)
+            pi = families._eisenstein_prime(p)
+            reps = [bb * pow(g, i * kappa, p) % p for i in range(6)]
+            a_reps = np.array([trace(0, c, p) for c in reps])
+            assert [families._a_sextic(c, p, pi) for c in reps] == \
+                a_reps.tolist(), (name, p)
+            if kappa == 1:
+                want = (p - 1) // 6 * families._lambda_cubed_weight(a_reps, p)
+            else:
+                want = (p - 1) // 3 * families._lambda_cubed_weight(
+                    a_reps[[0, 2, 4]], p)
+            assert families.a_tilde(fam, p) == want, (name, p)
+        elif kind[0] == "quartic" and p % 4 == 1:
+            bb = kind[1]
+            g = families._find_generator(p)
+            t = np.arange(p, dtype=np.int64)
+            c = bb * ((36 * t + 6) % p) % p * ((36 * t + 5) % p) % p
+            counts = np.bincount(_quartic_class_index(p, g)[c[c != 0]],
+                                 minlength=4)
+            brute = [(int(n), trace(-pow(g, i, p) % p, 0, p))
+                     for i, n in enumerate(counts)]
+            assert families._quartic_class_data(bb, p) == brute, (name, p)
+            want = 0.0
+            for n, a in brute:
+                lam = a / math.sqrt(p)
+                want += n * lam ** 3 / (p + 1 - a)
+            assert families.a_tilde(fam, p) == want, (name, p)
+            assert families._a_ref_curve(p) == trace(p - 1, 0, p)
+
+
+def test_builtin_name_on_another_curve_takes_brute_force():
+    # named like the built-in, but the curve is y^2 = x^3 + (6T + 1)
+    fam = families.load_family({
+        "name": "cm_b1_kappa2", "A": [0], "B": [1, 6],
+        "D_factors": [[1, 6]], "k": 3, "forced_zero_primes": [2, 3]})
+    assert families.family_kind(fam) == ("custom",)
+    assert families.family_kind("cm_b1_kappa2") == ("sextic", 1, 2)
+    p = 13
+    want = 0.0
+    for t in range(p):
+        if (1 + 6 * t) % p:
+            a = p - _affine_point_count(0, 1 + 6 * t, p)
+            want += (a / math.sqrt(p)) ** 3 / (p + 1 - a)
+    assert families.a_tilde(fam, p) == pytest.approx(want, rel=1e-12)
+    assert families.a_tilde(fam, p) == pytest.approx(1.71288, abs=1e-5)
+    with pytest.raises(DomainError):
+        families.closed_form_moment(fam, p, 2)
 
 
 def test_a_tilde_domain():
@@ -159,6 +225,31 @@ def test_nu_d_matches_brute_root_count():
     for d in (5, 7, 25, 35, 49, 121):
         brute = sum(1 for t in range(d) if fam.d_product_at(t) % d == 0)
         assert families.nu_D(fam, d) == brute
+    # the Hensel count against the scan of t mod p^k (nu_D below the scan
+    # limit)
+    for fam in families.BUILTIN_FAMILIES.values():
+        for p in (int(q) for q in get_table(100).primes):
+            assert families._nu_prime_power(fam, p, 3) == \
+                families.nu_D(fam, p ** 3), (fam.name, p)
+        for p in (5, 7):
+            assert families._nu_prime_power(fam, p, 6) == \
+                families.nu_D(fam, p ** 6), (fam.name, p)
+
+
+def test_nu_d_counts_factors_divisible_by_p():
+    # D = 5(1 + 2t): 5^e | D(t) iff 5^(e-1) | 1 + 2t, five t mod 5^e
+    fam = families.load_family({"name": "content", "A": [0], "B": [1, 6],
+                                "D_factors": [[5, 10]], "k": 3})
+    for e in (1, 2, 8, 9, 12):
+        assert families.nu_D(fam, 5 ** e) == 5
+    assert families.h_factor(fam, 5, exponent=9)[1] == \
+        pytest.approx(5 / (5 ** 9 - 5), rel=1e-12)
+    # a factor with a double root mod p, beyond the scan range
+    double = families.load_family({"name": "double", "A": [0], "B": [1, 6],
+                                   "D_factors": [[1, 2, 1]], "k": 3})
+    assert families.nu_D(double, 13 ** 3) == 13
+    with pytest.raises(ResourceError):
+        families.h_factor(double, 101)
 
 
 def test_h_factor_values_and_overrides():
