@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,15 +46,3 @@ def chunked_sum(values: np.ndarray, threads: int = 1) -> float:
                 lambda s: float(np.sum(values[s:s + CHUNK])), starts))
     return math.fsum(partials)
 
-
-def fsum_terms(terms: Iterable[float]) -> float:
-    """Compensated sum for small/irregular term streams."""
-    return math.fsum(terms)
-
-
-def ordered_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Map preserving input order; parallel when threads > 1."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -77,6 +77,16 @@ def _c_p(p_int: np.ndarray) -> np.ndarray:
     return np.where(r == 1, 2.0, np.where(r == 5, -2.0, 0.0))
 
 
+def aprime_terms(a1, a2, pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
+    """sum_{m>=1} A'_m log p / p^(m+1) in closed form.
+
+    At a bad prime every a_t(p) is -1, 0 or 1, so A'_m = n_+ + (-1)^m n_-
+    and the m-sum is geometric: A'_2 log p/(p^3 - p) + A'_1 log p/(p^2 - 1).
+    The one expression behind gamma_aprime_3 and the S_A' piece of the
+    decomposition."""
+    return a2 * lp / (pf ** 3 - pf) + a1 * lp / (pf ** 2 - 1.0)
+
+
 def _catalog() -> dict:
     entries = [
         ConstantSpec(
@@ -125,11 +135,7 @@ def _catalog() -> dict:
             "2[sum_{p>=5} log p/(p^3-p) + sum_{1(12)} log p/(p^2-1) - "
             "sum_{5(12)} log p/(p^2-1)]", None, 5, 10 ** 6, -0.082971426,
             1e-7, "ref:gamma_aprime_3", 2, 4.0,
-            lambda pf, pi, lp: (
-                2.0 * lp / (pf ** 3 - pf)
-                + np.where(pi % 12 == 1, 2.0,
-                           np.where(pi % 12 == 5, -2.0, 0.0))
-                * lp / (pf ** 2 - 1.0))),
+            lambda pf, pi, lp: aprime_terms(_c_p(pi), 2.0, pf, lp)),
         ConstantSpec(
             "gamma_0_3", "sum_{p>=5} (2p-1) log p / (p^2(p+1)) "
             "(half the printed summand; see module notes)", None, 5,
@@ -320,12 +326,6 @@ ATILDE_REFERENCE = {
     ("cm", 2, 2): (0.5670, 0.000761),
     ("cm", 3, 2): (0.1413, 0.000125),
     ("cm", 6, 2): (0.2620, 0.000199),
-}
-
-# quartic-twist family constants (first 10^4 primes)
-ATILDE_REFERENCE_QUARTIC = {
-    "rank1_36t": (-0.1109, -0.0003),
-    "rank0_36t": (0.6279, 0.0013),
 }
 
 AGGREGATE_REFERENCE = {

@@ -34,7 +34,8 @@ import numpy as np
 
 from . import constants, families
 from ._sum import chunked_sum, thread_count
-from .errors import DomainError, IncompleteSumError, ResourceError
+from .errors import (DomainError, IncompleteSumError, ResourceError,
+                     VerificationError)
 from .primes import first_n_primes, gamma_pnt, gamma_pnt_ab, get_table
 
 #: hard cap on the automatically chosen prime truncation
@@ -263,7 +264,8 @@ def _legendre_m3_vec(p_int: np.ndarray) -> np.ndarray:
 # Each moment class carries `lead`: for the densities A_0/p^2, A_1/p^2 and
 # A_2/p^3 the pairs (a, b) with density = (a + b*[p = 1 mod 3])/p +
 # O(1/p^2), or None where the leading behaviour needs other progressions;
-# lower_order_limit splits on it.
+# lower_order_limit splits on it.  A class with bad primes (has_bad) also
+# carries the bad-prime moments A'_1 and A'_2, which fix every A'_m.
 
 class _ModelMoments:
     """Idealized constant-moment model for the weight-k cusp-form average:
@@ -279,14 +281,10 @@ class _ModelMoments:
         self.hs = np.zeros_like(pf)
         self.has_bad = False
 
-    def bad_moment(self, m):
-        return 0.0
-
 
 class _FamilyMoments:
     def __init__(self, fam: families.FamilySpec, p_int, pf):
         kind = families.family_kind(fam)
-        self._noncm = kind[0] == "noncm"
         if kind[0] == "sextic":
             k = int(fam.k)
             self.A0 = pf - 1.0
@@ -308,22 +306,21 @@ class _FamilyMoments:
             self.hs = 2.0 / (pf ** 3 - 2.0)
             self.has_bad = False
             self.lead = None    # A_1, A_2 live on p = 1 mod 4
-        elif self._noncm:
-            self._s3 = _legendre_3_vec(p_int)
-            self._sm3 = _legendre_m3_vec(p_int)
+        elif kind[0] == "noncm":
+            s3 = _legendre_3_vec(p_int)
+            sm3 = _legendre_m3_vec(p_int)
             self.A0 = pf - 2.0
-            self.A1 = -(self._s3 + self._sm3)
-            self.A2 = pf * pf - 2.0 * pf - 2.0 - pf * self._sm3
+            self.A1 = -(s3 + sm3)
+            self.A2 = pf * pf - 2.0 * pf - 2.0 - pf * sm3
             self.hs = np.zeros_like(pf)
             self.has_bad = True
+            # one bad t on each discriminant factor, with a_t(p) = (3/p)
+            # and (-3/p)
+            self.Aprime1 = s3 + sm3
+            self.Aprime2 = 2.0
             self.lead = ((1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
         else:
             raise DomainError(f"no vectorized moments for {fam.name!r}")
-
-    def bad_moment(self, m):
-        if not self._noncm:
-            return 0.0
-        return self._s3 ** m + self._sm3 ** m
 
 
 class _BruteMoments:
@@ -338,20 +335,22 @@ class _BruteMoments:
                 "brute-force moments for custom families are capped at "
                 f"prime_limit {self._CAP}; register closed forms or lower "
                 "the truncation")
-        rows = [[families.complete_moment(fam, int(p), r, "good")
-                 for r in (0, 1, 2)] for p in p_int]
-        arr = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
-        self.A0, self.A1, self.A2 = arr[:, 0], arr[:, 1], arr[:, 2]
-        self.hs = np.asarray(
-            [families.h_factor(fam, int(p))[1] for p in p_int])
+        rows = []
+        for p in (int(q) for q in p_int):
+            a_vals, good = families._curve_data(fam, p)
+            bad = a_vals[~good]
+            if np.any(np.abs(bad) > 1):
+                raise VerificationError(
+                    f"|a_t({p})| > 1 at a bad t of {fam.name!r}: the "
+                    "closed-form S_A' sum needs a_t(p) in {-1, 0, 1}")
+            rows.append([families.complete_moment(fam, p, r, "good")
+                         for r in (0, 1, 2)]
+                        + [int(bad.sum()), int((bad * bad).sum()),
+                           families.h_factor(fam, p)[1]])
+        arr = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
+        (self.A0, self.A1, self.A2, self.Aprime1, self.Aprime2,
+         self.hs) = arr.T
         self.has_bad = True
-        self._fam = fam
-        self._p = p_int
-
-    def bad_moment(self, m):
-        return np.asarray(
-            [families.complete_moment(self._fam, int(p), m, "bad")
-             for p in self._p], dtype=np.float64)
 
 
 @lru_cache(maxsize=64)
@@ -359,17 +358,11 @@ def _atilde_sums(fam: families.FamilySpec, prime_count: int):
     return constants._gamma_atilde_family(fam, prime_count)
 
 
-def _aprime_density(mom, pf: np.ndarray) -> np.ndarray:
-    """sum_m A'_m / p^(m+1): terms at bad reduction have |a_t| <= 1, so the
-    m-sum is truncated once the bound 2/p^(m+1) drops below 1e-18 at the
-    smallest prime."""
-    acc = np.zeros_like(pf)
-    m = 1
-    while 2.0 * 5.0 ** -(m + 1) >= 1e-18:
-        bm = mom.bad_moment(m)
-        acc = acc + bm / pf ** (m + 1)
-        m += 1
-    return acc
+def _aprime_density(mom, pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
+    """sum_m A'_m log p / p^(m+1) per prime, summed over m in closed form
+    from the moment class's A'_1 and A'_2 (every bad a_t(p) is -1, 0 or 1,
+    so the m-sum is geometric); the same expression as gamma_aprime_3."""
+    return constants.aprime_terms(mom.Aprime1, mom.Aprime2, pf, lp)
 
 
 def _model_atilde_terms(pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
@@ -421,10 +414,13 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     error, since the truncation would drop terms where phihat(2 log p /
     log R) is still nonzero.  The cubic-moment piece uses its own
     truncation (`atilde_primes`), following the reference tabulations.
+    A family without closed forms takes brute-force moments and Atilde,
+    capped at primes up to _BruteMoments._CAP in both truncations.
     """
     model = isinstance(fam, str) and fam == "cusp_model"
     if isinstance(fam, str) and not model:
         fam = families.get_family(fam)
+    custom = not model and families.family_kind(fam)[0] == "custom"
     L = math.log(R)
     if L <= 0:
         raise DomainError("need R > 1")
@@ -438,6 +434,13 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
             f"R^(sigma/2) = {required}")
     support_complete = prime_limit >= required
     nthreads = thread_count(threads)
+    if not model:
+        x_at = float(first_n_primes(atilde_primes).primes[-1])
+        if custom and x_at > _BruteMoments._CAP:
+            raise ResourceError(
+                "brute-force Atilde for custom families is capped at p <= "
+                f"{_BruteMoments._CAP}; the first {atilde_primes} primes "
+                f"reach {x_at:.0f}; lower atilde_primes")
 
     table = get_table(prime_limit)
     # family sums run over p >= 5 (additive reduction at 2 and 3 zeroes
@@ -455,12 +458,8 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
         rank = 0
     else:
         fam_name = fam.name
-        rank = (_BUILTIN_RANK.get(fam_name, 0)
-                if families.family_kind(fam)[0] != "custom" else 0)
-        try:
-            mom = _FamilyMoments(fam, p_int, pf)
-        except DomainError:
-            mom = _BruteMoments(fam, p_int, pf)
+        rank = 0 if custom else _BUILTIN_RANK.get(fam_name, 0)
+        mom = (_BruteMoments if custom else _FamilyMoments)(fam, p_int, pf)
     hs = mom.hs
 
     def pair(vec):
@@ -471,7 +470,7 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
 
     # S_A': -2 phihat(0) sum_p sum_m A'_m H log p / p^(m+1)
     if mom.has_bad:
-        sa = pair(_aprime_density(mom, pf) * lp)
+        sa = pair(_aprime_density(mom, pf, lp))
         pieces["S_Aprime"] = {k: -2.0 * ph0 * v / L for k, v in sa.items()}
     else:
         pieces["S_Aprime"] = {"main": 0.0, "sieve": 0.0}
@@ -502,7 +501,6 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
         x_at = float(p_int[-1]) if p_int.size else 5.0
     else:
         at_main, at_sieve = _atilde_sums(fam, atilde_primes)
-        x_at = float(first_n_primes(atilde_primes).primes[-1])
     pieces["S_Atilde"] = {"main": -2.0 * ph0 * at_main / L,
                           "sieve": -2.0 * ph0 * at_sieve / L}
 
@@ -551,9 +549,10 @@ def lower_order_limit(fam, threads: int | None = None) -> dict:
     a*gamma_23/2 that the family sums drop) + b*gamma_pnt_13/2.  The
     remainders Y_r - c_r (a + b*[...])/p and Z_r are O(log p/p^2); they
     and the prime-counting constants are summed to LIMIT_PRIME_LIMIT.  The
-    sieve parts converge absolutely.  S_A' is the bad-prime m-series of
-    evaluate_S, and S_Atilde the same cached cubic-moment sum over the
-    first ATILDE_PRIMES primes (the cusp model sums its closed form to
+    sieve parts converge absolutely.  S_A' is evaluate_S's closed-form
+    bad-prime sum (for noncm_3x12t, minus gamma_aprime_3 summed to
+    LIMIT_PRIME_LIMIT), and S_Atilde the same cached cubic-moment sum over
+    the first ATILDE_PRIMES primes (the cusp model sums its closed form to
     LIMIT_PRIME_LIMIT).
     """
     model = isinstance(fam, str) and fam == "cusp_model"
@@ -579,7 +578,7 @@ def lower_order_limit(fam, threads: int | None = None) -> dict:
 
     pieces = {}
     if mom.has_bad:
-        sa = _aprime_density(mom, pf) * lp
+        sa = _aprime_density(mom, pf, lp)
         pieces["S_Aprime"] = {"main": -chunked_sum(sa, nthreads),
                               "sieve": -chunked_sum(sa * mom.hs, nthreads)}
     else:

@@ -28,7 +28,8 @@ Atilde(p) is computed per family as follows:
   Introduction to Modern Number Theory*, ch. 18, Thms 18.4 and 18.5).  For
   the quartic pair the number of t in each quartic class comes from the
   Jacobi sum J(chi, chi) = -chi(-1) pi.
-* ``noncm_3x12t``: an FFT correlation, O(p log p) per prime.
+* ``noncm_3x12t``: an FFT correlation at a power-of-two length, O(p log p)
+  per prime.
 * any other family: brute-force point counts, O(p^2) per prime.
 
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
@@ -591,23 +592,32 @@ def _a_tilde_b2(bb: int, p: int) -> float:
 
 
 def _a_tilde_b3(p: int) -> float:
-    # a_t = -(chi * N)(12t) where N is the value histogram of x^3 - 3x and
-    # chi the Legendre table: a circular cross-correlation, done with FFTs
+    """Atilde(p) for noncm_3x12t in O(p log p).
+
+    a_t = -(chi * N)(12t), where N is the value histogram of x^3 - 3x and
+    chi the Legendre table: a circular cross-correlation of length p.  It
+    is taken as a linear correlation at the power-of-two length n >= 2p - 1,
+    the histogram zero-padded and chi tiled twice, because an FFT at a
+    prime length costs several times more.  The correlation values are
+    integers, so any rounding slack of 1/4 or more is an error.
+    """
     x = np.arange(p, dtype=np.int64)
     vals = (x * x % p * x - 3 * x) % p
     hist = np.bincount(vals, minlength=p).astype(np.float64)
-    chi = legendre_symbols_vec(np.arange(p, dtype=np.int64), p)
-    chi_f = chi.astype(np.float64)
-    # corr[s] = sum_v hist[v] * chi[(v + s) mod p]
-    corr = np.fft.irfft(np.conj(np.fft.rfft(hist)) * np.fft.rfft(chi_f), p)
-    a_all = -np.rint(corr).astype(np.int64)
-    if np.any(np.abs(a_all) > 2 * math.isqrt(p) + 2):
-        raise VerificationError(f"fft correlation out of Hasse range at {p}")
+    chi = legendre_symbols_vec(x, p).astype(np.float64)
+    n = 1 << (2 * p - 2).bit_length()
+    # corr[s] = sum_v hist[v] * chi[(v + s) mod p] for s < p; v + s < 2p
+    # never wraps around n
+    corr = np.fft.irfft(np.conj(np.fft.rfft(hist, n))
+                        * np.fft.rfft(np.tile(chi, 2), n), n)[:p]
+    rounded = np.rint(corr)
+    if np.max(np.abs(corr - rounded)) >= 0.25:
+        raise VerificationError(f"fft correlation not integral at {p}")
+    a_all = -rounded.astype(np.int64)
     # a_t corresponds to shift 12t; bad t are the roots of (6t-1)(6t+1)
-    shifts = 12 * np.arange(p, dtype=np.int64) % p
+    shifts = 12 * x % p
     a_vals = a_all[shifts]
-    disc = (6 * np.arange(p, dtype=np.int64) % p + 1) * \
-        (6 * np.arange(p, dtype=np.int64) % p - 1) % p
+    disc = (6 * x % p + 1) * (6 * x % p - 1) % p
     good = disc != 0
     return _lambda_cubed_weight(a_vals[good], p)
 
@@ -621,8 +631,9 @@ def a_tilde(fam: FamilySpec, p: int) -> float:
     Built-in CM families: closed forms in O(log p), the traces of the
     sextic and quartic twists read off the primary prime above p
     (Ireland & Rosen, Thms 18.4 and 18.5).  ``noncm_3x12t``: an FFT
-    correlation up to _FFT_SAFE_LIMIT.  Every other family, and any config
-    that only borrows a built-in's name: brute-force point counts.
+    correlation zero-padded to a power-of-two length (see _a_tilde_b3), up
+    to _FFT_SAFE_LIMIT.  Every other family, and any config that only
+    borrows a built-in's name: brute-force point counts, O(p^2).
     """
     if p < 5:
         raise DomainError("Atilde requires p >= 5")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _literals
 from ._sum import chunked_sum, thread_count
-from .errors import DomainError, IncompleteSumError, ResourceError
+from .errors import DomainError, ResourceError
 
 HARD_SIEVE_CAP = 10 ** 10
 _SEGMENT = 1 << 24
@@ -60,9 +60,6 @@ class PrimeTable:
         if key not in self._classes:
             self._classes[key] = self.primes[self.primes % b == key[0]]
         return self._classes[key]
-
-    def class_mask(self, a: int, b: int) -> np.ndarray:
-        return self.primes % b == a % b
 
     def __len__(self) -> int:
         return int(self.primes.size)
@@ -337,38 +334,3 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
         raise DomainError(f"unknown method {method!r}")
     return ConstantResult(name, value, kind, trunc, tail, method)
 
-
-# --------------------------------------------------------------------------
-# weighted prime sums against a test function
-
-def pnt_weighted_sum(phi, R: float, cls="all",
-                     prime_limit: int | None = None,
-                     table: PrimeTable | None = None,
-                     threads: int | None = None) -> float:
-    """sum over the class of (2 log p/(p log R)) phihat(2 log p/log R)."""
-    L = math.log(R)
-    required = math.exp(phi.sigma * L / 2.0)
-    if prime_limit is None:
-        prime_limit = int(required) + 1
-    if prime_limit < required - 1:
-        raise IncompleteSumError(
-            f"prime_limit {prime_limit} below support bound {required:.3g}")
-    if table is None or table.limit < prime_limit:
-        table = get_table(prime_limit)
-    primes = table.primes if cls == "all" else table.residue_class(*cls)
-    primes = primes[primes <= prime_limit]
-    pf = primes.astype(np.float64)
-    lp = np.log(pf)
-    w = phi.eval_phihat(2.0 * lp / L)
-    return chunked_sum(2.0 * lp / (pf * L) * w, thread_count(threads))
-
-
-def pnt_asymptotic(phi, R: float, cls="all") -> float:
-    """The asymptotic decomposition the weighted sum converges to."""
-    L = math.log(R)
-    if cls == "all":
-        g = gamma_pnt("closed_form", prime_limit=10 ** 7).value
-        return phi.phi0 / 2.0 + 2.0 * phi.phihat0 * g / L
-    a, b = cls
-    g = gamma_pnt_ab(a, b, "closed_form", prime_limit=10 ** 7).value
-    return phi.phi0 / 4.0 + phi.phihat0 * g / L

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldl import constants, explicit_formula as ef, families
-from ldl.errors import DomainError, IncompleteSumError
+from ldl.errors import (DomainError, IncompleteSumError, ResourceError,
+                        VerificationError)
+from ldl.primes import get_table, legendre_symbol
 
 PAIR_NAMES = ["fejer:0.6", "gaussian_truncated:0.6", "indicator_smooth:0.6"]
 
@@ -245,3 +247,89 @@ def test_evaluate_s_brute_path_matches_vectorized():
         for part in ("main", "sieve"):
             assert brute.pieces[key][part] == pytest.approx(
                 fast.pieces[key][part], rel=1e-9, abs=1e-12)
+
+
+def _clone(name):
+    """A built-in's curve under another name: a custom family."""
+    fam = families.get_family(name)
+    return families.load_family({
+        "name": "generic_clone", "A": list(fam.A_poly),
+        "B": list(fam.B_poly),
+        "D_factors": [list(f) for f in fam.D_factors],
+        "k": None if fam.k == families.INF else int(fam.k),
+        "forced_zero_primes": [2, 3]})
+
+
+def test_evaluate_s_custom_family_refuses_uncapped_atilde(monkeypatch):
+    # the default cubic-moment truncation reaches p = 48611, far past the
+    # brute-force cap; the refusal comes before the prime table is built
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    monkeypatch.setattr(ef, "get_table", no_work)
+    monkeypatch.setattr(ef, "_atilde_sums", no_work)
+    pair = ef.builtin_test_pair("fejer:0.4")
+    with pytest.raises(ResourceError):
+        ef.evaluate_S(_clone("cm_b1_kappa2"), pair, math.exp(25.0))
+
+
+# --------------------------------------------------------------------------
+# S_A': the bad-prime m-series in closed form
+
+def _aprime_m_series(bad_moment, pf, lp):
+    """sum_m A'_m log p / p^(m+1) term by term, to m = 25, where the bound
+    2/5^(m+1) on the terms has dropped below 1e-18."""
+    acc = np.zeros_like(pf)
+    for m in range(1, 26):
+        acc = acc + bad_moment(m) / pf ** (m + 1)
+    return acc * lp
+
+
+def _assert_aprime_matches_series(mom, bad_moment, p_int):
+    pf = p_int.astype(np.float64)
+    lp = np.log(pf)
+    closed = ef._aprime_density(mom, pf, lp)
+    series = _aprime_m_series(bad_moment, pf, lp)
+    assert np.all(series != 0.0)
+    assert np.max(np.abs(closed - series) / np.abs(series)) <= 1e-15
+
+
+def test_aprime_closed_form_matches_m_series():
+    p_int = get_table(10 ** 5).primes
+    p_int = p_int[p_int >= 5]
+    s3 = np.array([legendre_symbol(3, int(p)) for p in p_int])
+    sm3 = np.array([legendre_symbol(-3, int(p)) for p in p_int])
+    fam = families.get_family("noncm_3x12t")
+    mom = ef._FamilyMoments(fam, p_int, p_int.astype(np.float64))
+    _assert_aprime_matches_series(
+        mom, lambda m: (s3 ** m + sm3 ** m).astype(np.float64), p_int)
+    # the same curve as a custom family, through the brute-force moments
+    clone = _clone("noncm_3x12t")
+    p_int = p_int[p_int <= 200]
+    mom = ef._BruteMoments(clone, p_int, p_int.astype(np.float64))
+    _assert_aprime_matches_series(
+        mom, lambda m: np.array([families.complete_moment(
+            clone, int(p), m, "bad") for p in p_int], dtype=np.float64),
+        p_int)
+
+
+def test_lower_order_limit_aprime_is_the_catalog_constant(monkeypatch):
+    monkeypatch.setattr(ef, "_atilde_sums", lambda fam, n: (0.0, 0.0))
+    limit = ef.lower_order_limit("noncm_3x12t")
+    assert limit["S_Aprime"]["main"] == -constants.compute_constant(
+        "gamma_aprime_3", prime_limit=ef.LIMIT_PRIME_LIMIT).value
+
+
+def test_brute_moments_refuse_bad_trace_beyond_one(monkeypatch):
+    # the closed-form S_A' needs a_t(p) in {-1, 0, 1} at every bad t
+    curve_data = families._curve_data
+
+    def two_at_bad_t(fam, p):
+        a_vals, good = curve_data(fam, p)
+        return np.where(good, a_vals, 2), good
+
+    monkeypatch.setattr(families, "_curve_data", two_at_bad_t)
+    pair = ef.builtin_test_pair("fejer:0.4")
+    with pytest.raises(VerificationError):
+        ef.evaluate_S(_clone("noncm_3x12t"), pair, math.exp(25.0),
+                      atilde_primes=30)

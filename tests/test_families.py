@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ldl import families
 from ldl.errors import DomainError, ResourceError
-from ldl.primes import get_table
+from ldl.primes import get_table, legendre_symbols_vec
 
 BUILTINS = sorted(families.BUILTIN_FAMILIES)
 
@@ -190,6 +190,28 @@ def test_a_tilde_fast_paths_match_brute_force(name):
                 want += n * lam ** 3 / (p + 1 - a)
             assert families.a_tilde(fam, p) == want, (name, p)
             assert families._a_ref_curve(p) == trace(p - 1, 0, p)
+
+
+def _a_tilde_b3_prime_length(p: int) -> float:
+    """Atilde(p) of noncm_3x12t with the circular correlation transformed at
+    the prime length p itself."""
+    x = np.arange(p, dtype=np.int64)
+    hist = np.bincount((x * x % p * x - 3 * x) % p,
+                       minlength=p).astype(np.float64)
+    chi = legendre_symbols_vec(x, p).astype(np.float64)
+    corr = np.fft.irfft(np.conj(np.fft.rfft(hist)) * np.fft.rfft(chi), p)
+    a_vals = -np.rint(corr).astype(np.int64)[12 * x % p]
+    good = (6 * x % p + 1) * (6 * x % p - 1) % p != 0
+    return families._lambda_cubed_weight(a_vals[good], p)
+
+
+@pytest.mark.slow
+def test_a_tilde_b3_padded_fft_matches_prime_length():
+    # the padded length doubles at p = 2^j + 1, so the range covers primes
+    # on both sides of every doubling up to 2^13 + 1
+    primes = [int(q) for q in get_table(10 ** 4).primes if q >= 5]
+    for p in primes:
+        assert families._a_tilde_b3(p) == _a_tilde_b3_prime_length(p), p
 
 
 def test_builtin_name_on_another_curve_takes_brute_force():
