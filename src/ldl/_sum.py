@@ -6,6 +6,12 @@ independently (numpy pairwise summation -- single threaded and
 order-stable), and the chunk partials are combined with math.fsum.  Because
 the chunk boundaries are fixed, the result is bit-identical no matter how
 many worker threads computed the chunks.
+
+The package's one worker pool lives in ``block_sums``, on the loop over
+those fixed chunks.  A caller hands it a block function that builds its
+terms on one chunk of primes and reduces them there, so the elementwise
+work runs in the pool too and memory is bounded by the chunk, not by the
+prime table; ``chunked_sum`` is the case of one precomputed column.
 """
 
 from __future__ import annotations
@@ -31,18 +37,28 @@ def thread_count(requested: int | None = None) -> int:
     return n if n >= 1 else 1
 
 
+def block_sums(block_fn, n: int, threads: int = 1) -> dict:
+    """Reduce block_fn over the fixed CHUNK blocks of range(n).
+
+    block_fn(start, stop) returns a dict of the partial sums of one block
+    (np.sum over the block, the same keys for every block); the result maps
+    each key to math.fsum of its partials.  An empty range is one empty
+    block, so every column still comes back (as 0.0)."""
+    starts = range(0, max(n, 1), CHUNK)
+
+    def run(start):
+        return block_fn(start, min(start + CHUNK, n))
+
+    if threads <= 1 or n <= CHUNK:
+        rows = [run(s) for s in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(run, starts))
+    return {key: math.fsum(row[key] for row in rows) for key in rows[0]}
+
+
 def chunked_sum(values: np.ndarray, threads: int = 1) -> float:
     """Deterministic sum of a 1-d float array, stable across thread counts."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    n = values.size
-    if n == 0:
-        return 0.0
-    starts = range(0, n, CHUNK)
-    if threads <= 1 or n <= CHUNK:
-        partials = [float(np.sum(values[s:s + CHUNK])) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(
-                lambda s: float(np.sum(values[s:s + CHUNK])), starts))
-    return math.fsum(partials)
-
+    return block_sums(lambda start, stop: {0: np.sum(values[start:stop])},
+                      values.size, threads)[0]

@@ -157,22 +157,25 @@ def cmd_constants(args, argv) -> int:
 # family
 
 def _resolve_family(spec: str):
-    if spec.startswith("@"):
-        return families.load_family(spec[1:]), spec[1:]
-    return families.get_family(spec), None
+    """The family a --family argument names, a built-in or "@path" to a
+    JSON config, and the SHA-256 of that config ("" for a built-in)."""
+    if not spec.startswith("@"):
+        return families.get_family(spec), ""
+    fam = families.load_family(spec[1:])
+    with open(spec[1:], "rb") as fh:
+        return fam, hashlib.sha256(fh.read()).hexdigest()
+
+
+_FAMILY_LOAD_ERRORS = (DomainError, OSError, json.JSONDecodeError)
 
 
 def cmd_family(args, argv) -> int:
     t0 = time.time()
     try:
-        fam, cfg_path = _resolve_family(args.family)
-    except (DomainError, OSError, json.JSONDecodeError) as exc:
+        fam, digest = _resolve_family(args.family)
+    except _FAMILY_LOAD_ERRORS as exc:
         print(f"error: cannot load family: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    digest = ""
-    if cfg_path:
-        with open(cfg_path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
     prime_limit = args.prime_limit or 100
 
     if args.verify_closed_forms:
@@ -237,9 +240,16 @@ def cmd_explicit(args, argv) -> int:
     if args.logR <= 0:
         print("error: --logR must be positive", file=sys.stderr)
         return EXIT_USAGE
+    fam, digest = args.family, ""
+    if fam != "cusp_model":
+        try:
+            fam, digest = _resolve_family(fam)
+        except _FAMILY_LOAD_ERRORS as exc:
+            print(f"error: cannot load family: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         dec = explicit_formula.evaluate_S(
-            args.family, phi, math.exp(args.logR),
+            fam, phi, math.exp(args.logR),
             prime_limit=args.prime_limit, threads=args.threads)
     except IncompleteSumError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -247,8 +257,8 @@ def cmd_explicit(args, argv) -> int:
     except (DomainError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(dec.as_dict(), args, argv, t0,
-          truncations={"prime_limit": dec.prime_limit})
+    _emit(dec.as_dict(), args, argv, t0, digest,
+          {"prime_limit": dec.prime_limit})
     return EXIT_OK
 
 

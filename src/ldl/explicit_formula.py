@@ -28,12 +28,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import constants, families
-from ._sum import chunked_sum, thread_count
+from ._sum import block_sums, chunked_sum, thread_count
 from .errors import (DomainError, IncompleteSumError, ResourceError,
                      VerificationError)
 from .primes import first_n_primes, gamma_pnt, gamma_pnt_ab, get_table
@@ -327,14 +326,11 @@ class _BruteMoments:
     """Per-prime brute-force moments for user-supplied families (O(p^2)
     work per prime, so capped at small truncations)."""
 
+    #: largest prime_limit, and largest cubic-moment prime, that
+    #: evaluate_S accepts for a custom family
     _CAP = 5000
 
     def __init__(self, fam: families.FamilySpec, p_int, pf):
-        if p_int.size and int(p_int[-1]) > self._CAP:
-            raise ResourceError(
-                "brute-force moments for custom families are capped at "
-                f"prime_limit {self._CAP}; register closed forms or lower "
-                "the truncation")
         rows = []
         for p in (int(q) for q in p_int):
             a_vals, good = families._curve_data(fam, p)
@@ -351,11 +347,6 @@ class _BruteMoments:
         (self.A0, self.A1, self.A2, self.Aprime1, self.Aprime2,
          self.hs) = arr.T
         self.has_bad = True
-
-
-@lru_cache(maxsize=64)
-def _atilde_sums(fam: families.FamilySpec, prime_count: int):
-    return constants._gamma_atilde_family(fam, prime_count)
 
 
 def _aprime_density(mom, pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
@@ -410,12 +401,23 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
 
     The prime truncation defaults to ceil(R^{sigma/2}) (capped at 10^9, in
     which case support_complete is False and the dropped tail enters the
-    tail bound).  An explicitly passed prime_limit below R^{sigma/2} is an
-    error, since the truncation would drop terms where phihat(2 log p /
-    log R) is still nonzero.  The cubic-moment piece uses its own
-    truncation (`atilde_primes`), following the reference tabulations.
-    A family without closed forms takes brute-force moments and Atilde,
-    capped at primes up to _BruteMoments._CAP in both truncations.
+    tail bound).  That covers the support of phihat(2 log p / log R) in S_0
+    and S_2, but not that of phihat(log p / log R) in S_1, which reaches
+    R^sigma: by default the S_1 terms over (R^{sigma/2}, R^sigma] are
+    dropped and enter only the tail estimate, and support_complete refers
+    to R^{sigma/2}.  Pass prime_limit=ceil(R^sigma) to sum S_1 in full.
+    An explicitly passed prime_limit below R^{sigma/2} is an error, since
+    the truncation would drop terms where phihat(2 log p / log R) is still
+    nonzero.  The cubic-moment piece uses its own truncation
+    (`atilde_primes`), following the reference tabulations.  A family
+    without closed forms takes brute-force moments and Atilde, capped at
+    primes up to _BruteMoments._CAP in both truncations; a truncation past
+    the cap raises ResourceError before any prime table is built.
+
+    All prime sums share one pass over the table: each CHUNK block of
+    primes builds its moments and terms and reduces them there
+    (_sum.block_sums), so memory is bounded by the block, and every piece
+    is bit-identical to the chunked sum of its full-length term vector.
     """
     model = isinstance(fam, str) and fam == "cusp_model"
     if isinstance(fam, str) and not model:
@@ -434,73 +436,89 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
             f"R^(sigma/2) = {required}")
     support_complete = prime_limit >= required
     nthreads = thread_count(threads)
+    cap = _BruteMoments._CAP
+    if custom and prime_limit > cap:
+        raise ResourceError(
+            "brute-force moments for custom families are capped at "
+            f"prime_limit {cap}; register closed forms or lower the "
+            "truncation")
     if not model:
         x_at = float(first_n_primes(atilde_primes).primes[-1])
-        if custom and x_at > _BruteMoments._CAP:
+        if custom and x_at > cap:
             raise ResourceError(
                 "brute-force Atilde for custom families is capped at p <= "
-                f"{_BruteMoments._CAP}; the first {atilde_primes} primes "
-                f"reach {x_at:.0f}; lower atilde_primes")
+                f"{cap}; the first {atilde_primes} primes reach "
+                f"{x_at:.0f}; lower atilde_primes")
 
-    table = get_table(prime_limit)
+    primes = get_table(prime_limit).primes
     # family sums run over p >= 5 (additive reduction at 2 and 3 zeroes
     # every term); the idealized model keeps all primes
-    p_int = table.primes if model else table.primes[table.primes >= 5]
-    pf = p_int.astype(np.float64)
-    lp = np.log(pf)
+    lo = 0 if model else int(np.searchsorted(primes, 5))
+    n = primes.size - lo
     ph0 = phi.phihat0
-    phihat1 = np.asarray(phi.eval_phihat(lp / L), dtype=np.float64)
-    phihat2 = np.asarray(phi.eval_phihat(2.0 * lp / L), dtype=np.float64)
-
     if model:
-        mom = _ModelMoments(pf)
         fam_name = "cusp_model"
         rank = 0
     else:
         fam_name = fam.name
         rank = 0 if custom else _BUILTIN_RANK.get(fam_name, 0)
-        mom = (_BruteMoments if custom else _FamilyMoments)(fam, p_int, pf)
-    hs = mom.hs
+        moments = _BruteMoments if custom else _FamilyMoments
 
-    def pair(vec):
-        return {"main": chunked_sum(vec, nthreads),
-                "sieve": chunked_sum(vec * hs, nthreads)}
+    def block(start, stop):
+        """Partial sums of every term, main and H_sieve-weighted, over the
+        primes of one block."""
+        p_int = primes[lo + start:lo + stop]
+        pf = p_int.astype(np.float64)
+        lp = np.log(pf)
+        phihat1 = np.asarray(phi.eval_phihat(lp / L), dtype=np.float64)
+        phihat2 = np.asarray(phi.eval_phihat(2.0 * lp / L), dtype=np.float64)
+        mom = _ModelMoments(pf) if model else moments(fam, p_int, pf)
+        terms = {}
+        # S_A': -2 phihat(0) sum_p sum_m A'_m H log p / p^(m+1)
+        if mom.has_bad:
+            terms["S_Aprime"] = _aprime_density(mom, pf, lp)
+        # S_0: two sums, the second carrying phihat(2 log p / log R)
+        terms["S_0a"] = 2.0 * mom.A0 * lp / (pf * pf * (pf + 1.0))
+        terms["S_0b"] = 2.0 * mom.A0 * lp / (pf * pf) * phihat2
+        # S_1: phihat(log p / log R) sum plus the phihat(0) correction
+        terms["S_1a"] = mom.A1 * lp / (pf * pf) * phihat1
+        terms["S_1b"] = (mom.A1 * (3.0 * pf + 1.0) * lp
+                         / (pf * pf * (pf + 1.0) ** 2))
+        # S_2: phihat(2 log p / log R) sum plus the phihat(0) correction
+        terms["S_2a"] = mom.A2 * lp / pf ** 3 * phihat2
+        terms["S_2b"] = (mom.A2 * (4.0 * pf * pf + 3.0 * pf + 1.0) * lp
+                         / (pf ** 3 * (pf + 1.0) ** 3))
+        sums = {}
+        for name, vec in terms.items():
+            sums[name, "main"] = np.sum(vec)
+            sums[name, "sieve"] = np.sum(vec * mom.hs)
+        if model:
+            sums["S_Atilde", "main"] = np.sum(_model_atilde_terms(pf, lp))
+        return sums
 
+    sums = block_sums(block, n, nthreads)
+    parts = ("main", "sieve")
     pieces = {}
-
-    # S_A': -2 phihat(0) sum_p sum_m A'_m H log p / p^(m+1)
-    if mom.has_bad:
-        sa = pair(_aprime_density(mom, pf, lp))
-        pieces["S_Aprime"] = {k: -2.0 * ph0 * v / L for k, v in sa.items()}
+    if ("S_Aprime", "main") in sums:
+        pieces["S_Aprime"] = {k: -2.0 * ph0 * sums["S_Aprime", k] / L
+                              for k in parts}
     else:
         pieces["S_Aprime"] = {"main": 0.0, "sieve": 0.0}
-
-    # S_0: two sums, the second carrying phihat(2 log p / log R)
-    s0a = pair(2.0 * mom.A0 * lp / (pf * pf * (pf + 1.0)))
-    s0b = pair(2.0 * mom.A0 * lp / (pf * pf) * phihat2)
-    pieces["S_0"] = {k: (-2.0 * ph0 * s0a[k] + 2.0 * s0b[k]) / L
-                     for k in ("main", "sieve")}
-
-    # S_1: phihat(log p / log R) sum plus the phihat(0) correction
-    s1a = pair(mom.A1 * lp / (pf * pf) * phihat1)
-    s1b = pair(mom.A1 * (3.0 * pf + 1.0) * lp / (pf * pf * (pf + 1.0) ** 2))
-    pieces["S_1"] = {k: (-2.0 * s1a[k] + 2.0 * ph0 * s1b[k]) / L
-                     for k in ("main", "sieve")}
-
-    # S_2: phihat(2 log p / log R) sum plus the phihat(0) correction
-    s2a = pair(mom.A2 * lp / pf ** 3 * phihat2)
-    s2b = pair(mom.A2 * (4.0 * pf * pf + 3.0 * pf + 1.0) * lp
-               / (pf ** 3 * (pf + 1.0) ** 3))
-    pieces["S_2"] = {k: (-2.0 * s2a[k] + 2.0 * ph0 * s2b[k]) / L
-                     for k in ("main", "sieve")}
+    pieces["S_0"] = {k: (-2.0 * ph0 * sums["S_0a", k]
+                         + 2.0 * sums["S_0b", k]) / L for k in parts}
+    pieces["S_1"] = {k: (-2.0 * sums["S_1a", k]
+                         + 2.0 * ph0 * sums["S_1b", k]) / L for k in parts}
+    pieces["S_2"] = {k: (-2.0 * sums["S_2a", k]
+                         + 2.0 * ph0 * sums["S_2b", k]) / L for k in parts}
 
     # S_Atilde: numerically summed at its own truncation
+    x_last = float(primes[-1]) if n else 5.0
     if model:
-        at_main = chunked_sum(_model_atilde_terms(pf, lp), nthreads)
-        at_sieve = 0.0
-        x_at = float(p_int[-1]) if p_int.size else 5.0
+        at_main, at_sieve = sums["S_Atilde", "main"], 0.0
+        x_at = x_last
     else:
-        at_main, at_sieve = _atilde_sums(fam, atilde_primes)
+        at_main, at_sieve = constants._gamma_atilde_family(fam,
+                                                           atilde_primes)
     pieces["S_Atilde"] = {"main": -2.0 * ph0 * at_main / L,
                           "sieve": -2.0 * ph0 * at_sieve / L}
 
@@ -509,7 +527,6 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     # heuristic tail estimate: cubic-moment truncation (reference budget
     # 0.0367 at the 5000th prime, scaled by 1/sqrt growth) plus the
     # dropped part of the S_1/S_0 supports beyond the prime table
-    x_last = float(p_int[-1]) if p_int.size else 5.0
     tail = (2.0 * ph0 / L) * 0.0367 * math.sqrt(48611.0 / x_at)
     if x_last < math.exp(L * sigma) or not support_complete:
         tail += (2.0 / L) * 4.0 * math.log(x_last) / x_last
@@ -604,6 +621,7 @@ def lower_order_limit(fam, threads: int | None = None) -> dict:
         at_main = chunked_sum(_model_atilde_terms(pf, lp), nthreads)
         at_sieve = 0.0
     else:
-        at_main, at_sieve = _atilde_sums(fam, ATILDE_PRIMES)
+        at_main, at_sieve = constants._gamma_atilde_family(
+            fam, ATILDE_PRIMES)
     pieces["S_Atilde"] = {"main": -at_main, "sieve": -at_sieve}
     return pieces

@@ -1,12 +1,14 @@
 """CLI surface: schema envelope, exit codes, formats, determinism."""
 
 import copy
+import functools
 import hashlib
 import json
+import math
 
 import pytest
 
-from ldl import cli
+from ldl import cli, explicit_formula as ef, families
 
 
 def run(capsys, *argv):
@@ -137,6 +139,38 @@ def test_explicit_exit_codes(capsys):
     code, _, _ = run(capsys, "explicit", "--family", "no_such_family",
                      "--phi", "fejer:0.5", "--logR", "25")
     assert code == 2
+
+
+def test_explicit_custom_config(capsys, tmp_path, monkeypatch):
+    fam = families.get_family("cm_b1_kappa2")
+    cfg = {"name": "generic_clone", "A": list(fam.A_poly),
+           "B": list(fam.B_poly),
+           "D_factors": [list(f) for f in fam.D_factors], "k": int(fam.k),
+           "forced_zero_primes": [2, 3]}
+    path = tmp_path / "clone.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ("explicit", "--family", f"@{path}", "--phi", "fejer:0.4")
+    # the default cubic-moment truncation, the first 5000 primes, is past
+    # the brute-force cap of a custom family
+    code, out, err = run(capsys, *argv, "--logR", "25")
+    assert code == 2 and out == "" and "Traceback" not in err
+    evaluate_s = ef.evaluate_S
+    monkeypatch.setattr(ef, "evaluate_S",
+                        functools.partial(evaluate_s, atilde_primes=30))
+    doc = run_json(capsys, *argv, "--logR", "25")
+    want = evaluate_s(families.load_family(str(path)),
+                      ef.builtin_test_pair("fejer:0.4"), math.exp(25.0),
+                      atilde_primes=30)
+    assert doc["results"]["pieces"] == want.as_dict()["pieces"]
+    assert doc["manifest"]["config_digest"] == hashlib.sha256(
+        path.read_bytes()).hexdigest()
+    # a prime table past the brute-force moment cap
+    code, out, err = run(capsys, *argv, "--logR", "200")
+    assert code == 2 and out == "" and "Traceback" not in err
+    code, out, err = run(capsys, "explicit", "--family",
+                         f"@{tmp_path / 'missing.json'}", "--phi",
+                         "fejer:0.4", "--logR", "25")
+    assert code == 2 and out == "" and "Traceback" not in err
 
 
 def test_verify_fast_suites(capsys):

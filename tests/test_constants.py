@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ldl import constants, explicit_formula as ef, families
+from ldl import constants, families
 from ldl.errors import DomainError, VerificationError
 from ldl.primes import first_n_primes
 
@@ -171,7 +171,8 @@ def test_aggregate_computed_mode_guard(monkeypatch):
     # derived mode needs no truncation acknowledgement; the cubic-moment
     # sums are stubbed here (minutes of work), their values are covered by
     # the acceptance suite
-    monkeypatch.setattr(ef, "_atilde_sums", lambda fam, n: (0.0, 0.0))
+    monkeypatch.setattr(constants, "_gamma_atilde_family",
+                        lambda fam, n: (0.0, 0.0))
     for target in constants.AGGREGATE_REFERENCE:
         agg = constants.aggregate_lower_order(target, source="derived")
         assert set(agg.pieces) == {"S_0", "S_1", "S_2", "S_Aprime",

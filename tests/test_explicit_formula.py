@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldl import constants, explicit_formula as ef, families
+from ldl._sum import CHUNK
 from ldl.errors import (DomainError, IncompleteSumError, ResourceError,
                         VerificationError)
 from ldl.primes import get_table, legendre_symbol
@@ -204,7 +205,8 @@ def test_evaluate_s_zero_moments_give_pure_main_term(monkeypatch):
             return 0.0
 
     monkeypatch.setattr(ef, "_FamilyMoments", ZeroMoments)
-    monkeypatch.setattr(ef, "_atilde_sums", lambda fam, n: (0.0, 0.0))
+    monkeypatch.setattr(constants, "_gamma_atilde_family",
+                        lambda fam, n: (0.0, 0.0))
     pair = ef.builtin_test_pair("fejer:0.3")
     dec = ef.evaluate_S("cm_b1_kappa1", pair, math.exp(20.0))
     assert dec.total == 0.0
@@ -267,10 +269,100 @@ def test_evaluate_s_custom_family_refuses_uncapped_atilde(monkeypatch):
         raise AssertionError("work started before the cap check")
 
     monkeypatch.setattr(ef, "get_table", no_work)
-    monkeypatch.setattr(ef, "_atilde_sums", no_work)
+    monkeypatch.setattr(constants, "_gamma_atilde_family", no_work)
     pair = ef.builtin_test_pair("fejer:0.4")
     with pytest.raises(ResourceError):
         ef.evaluate_S(_clone("cm_b1_kappa2"), pair, math.exp(25.0))
+
+
+def test_evaluate_s_custom_family_refuses_prime_limit_past_cap(monkeypatch):
+    # the brute-force moment cap is checked before the prime table is built
+    def no_work(*args, **kwargs):
+        raise AssertionError("prime table built before the cap check")
+
+    monkeypatch.setattr(ef, "get_table", no_work)
+    clone = _clone("cm_b1_kappa2")
+    pair = ef.builtin_test_pair("indicator_smooth:0.18")
+    with pytest.raises(ResourceError):
+        ef.evaluate_S(clone, pair, math.exp(200.0), atilde_primes=30)
+    with pytest.raises(ResourceError):
+        ef.evaluate_S(clone, pair, math.exp(25.0), atilde_primes=30,
+                      prime_limit=ef._BruteMoments._CAP + 1)
+
+
+# --------------------------------------------------------------------------
+# the block pass against full-length term vectors
+
+def _full_array_decomposition(name, phi, R, atilde_primes):
+    """(pieces, total, prime count) of evaluate_S at its default
+    truncation, with every term built over the whole prime table and
+    summed in fixed CHUNK slices, the partials combined by math.fsum: the
+    term expressions evaluate_S forms on each block, in one full-length
+    pass per term."""
+    model = name == "cusp_model"
+    fam = None if model else families.get_family(name)
+    L = math.log(R)
+    table = get_table(math.ceil(math.exp(L * phi.sigma / 2.0)))
+    p_int = table.primes if model else table.primes[table.primes >= 5]
+    pf = p_int.astype(np.float64)
+    lp = np.log(pf)
+    ph0 = phi.phihat0
+    phihat1 = np.asarray(phi.eval_phihat(lp / L), dtype=np.float64)
+    phihat2 = np.asarray(phi.eval_phihat(2.0 * lp / L), dtype=np.float64)
+    mom = ef._ModelMoments(pf) if model else \
+        ef._FamilyMoments(fam, p_int, pf)
+
+    def chunked(vec):
+        return math.fsum(float(np.sum(vec[s:s + CHUNK]))
+                         for s in range(0, vec.size, CHUNK))
+
+    def pair(vec):
+        return {"main": chunked(vec), "sieve": chunked(vec * mom.hs)}
+
+    pieces = {}
+    if mom.has_bad:
+        sa = pair(ef._aprime_density(mom, pf, lp))
+        pieces["S_Aprime"] = {k: -2.0 * ph0 * v / L for k, v in sa.items()}
+    else:
+        pieces["S_Aprime"] = {"main": 0.0, "sieve": 0.0}
+    s0a = pair(2.0 * mom.A0 * lp / (pf * pf * (pf + 1.0)))
+    s0b = pair(2.0 * mom.A0 * lp / (pf * pf) * phihat2)
+    pieces["S_0"] = {k: (-2.0 * ph0 * s0a[k] + 2.0 * s0b[k]) / L
+                     for k in ("main", "sieve")}
+    s1a = pair(mom.A1 * lp / (pf * pf) * phihat1)
+    s1b = pair(mom.A1 * (3.0 * pf + 1.0) * lp / (pf * pf * (pf + 1.0) ** 2))
+    pieces["S_1"] = {k: (-2.0 * s1a[k] + 2.0 * ph0 * s1b[k]) / L
+                     for k in ("main", "sieve")}
+    s2a = pair(mom.A2 * lp / pf ** 3 * phihat2)
+    s2b = pair(mom.A2 * (4.0 * pf * pf + 3.0 * pf + 1.0) * lp
+               / (pf ** 3 * (pf + 1.0) ** 3))
+    pieces["S_2"] = {k: (-2.0 * s2a[k] + 2.0 * ph0 * s2b[k]) / L
+                     for k in ("main", "sieve")}
+    if model:
+        at_main = chunked(ef._model_atilde_terms(pf, lp))
+        at_sieve = 0.0
+    else:
+        at_main, at_sieve = constants._gamma_atilde_family(fam,
+                                                           atilde_primes)
+    pieces["S_Atilde"] = {"main": -2.0 * ph0 * at_main / L,
+                          "sieve": -2.0 * ph0 * at_sieve / L}
+    total = math.fsum(v["main"] + v["sieve"] for v in pieces.values())
+    return pieces, total, p_int.size
+
+
+@pytest.mark.parametrize("name", [
+    "cusp_model", "cm_b1_kappa1", "cm_b2_kappa2", "noncm_3x12t",
+    # the quartic A_2 is a per-prime loop over p = 1 mod 4 (6 s alone)
+    pytest.param("rank1_36t", marks=pytest.mark.slow)])
+def test_block_pass_is_bit_identical_to_full_array_sums(name):
+    pair = ef.builtin_test_pair("indicator_smooth:0.18")
+    R = math.exp(170.0)
+    pieces, total, count = _full_array_decomposition(name, pair, R, 30)
+    assert count > 2 * CHUNK     # at least three blocks
+    for threads in (1, 2, 3):
+        dec = ef.evaluate_S(name, pair, R, threads=threads, atilde_primes=30)
+        assert dec.pieces == pieces and dec.total == total
+        assert repr((dec.pieces, dec.total)) == repr((pieces, total))
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +406,8 @@ def test_aprime_closed_form_matches_m_series():
 
 
 def test_lower_order_limit_aprime_is_the_catalog_constant(monkeypatch):
-    monkeypatch.setattr(ef, "_atilde_sums", lambda fam, n: (0.0, 0.0))
+    monkeypatch.setattr(constants, "_gamma_atilde_family",
+                        lambda fam, n: (0.0, 0.0))
     limit = ef.lower_order_limit("noncm_3x12t")
     assert limit["S_Aprime"]["main"] == -constants.compute_constant(
         "gamma_aprime_3", prime_limit=ef.LIMIT_PRIME_LIMIT).value
