@@ -169,6 +169,26 @@ def _resolve_family(spec: str):
 _FAMILY_LOAD_ERRORS = (DomainError, OSError, json.JSONDecodeError)
 
 
+def _closed_form_failures(fam, prime_limit: int, checks: list) -> list:
+    """(p, r, side, brute, closed) wherever a built-in's closed-form moment
+    (r, side), for each of `checks` in turn, differs from the point count at
+    a prime 5 <= p <= prime_limit; none for a family without closed
+    forms."""
+    if families.builtin_entry(fam) is None:
+        return []
+    p_int = get_table(prime_limit).primes
+    p_int = p_int[p_int >= 5]
+    bad_max = max(r for r, side in checks if side == "bad")
+    table = families.closed_form_table(fam, p_int, bad_max)
+    out = []
+    for i, p in enumerate(p_int.tolist()):
+        for r, side in checks:
+            brute = families.complete_moment(fam, p, r, side)
+            if brute != table[r, side][i]:
+                out.append((p, r, side, brute, table[r, side][i]))
+    return out
+
+
 def cmd_family(args, argv) -> int:
     t0 = time.time()
     try:
@@ -179,19 +199,10 @@ def cmd_family(args, argv) -> int:
     prime_limit = args.prime_limit or 100
 
     if args.verify_closed_forms:
-        failures = []
-        for p in (int(q) for q in get_table(prime_limit).primes if q >= 5):
-            for r in range(3):
-                for side in ("good", "bad"):
-                    try:
-                        closed = families.closed_form_moment(fam, p, r, side)
-                    except DomainError:
-                        continue
-                    brute = families.complete_moment(fam, p, r, side)
-                    if brute != closed:
-                        failures.append(
-                            {"p": p, "r": r, "side": side,
-                             "brute": brute, "closed": closed})
+        checks = [(r, side) for r in range(3) for side in ("good", "bad")]
+        failures = [dict(zip(("p", "r", "side", "brute", "closed"), row))
+                    for row in _closed_form_failures(fam, prime_limit,
+                                                     checks)]
         payload = {"family": fam.name, "checked_up_to": prime_limit,
                    "failures": failures}
         _emit(payload, args, argv, t0, digest,
@@ -199,15 +210,11 @@ def cmd_family(args, argv) -> int:
         return EXIT_OK if not failures else EXIT_VERIFY
 
     if args.aggregate:
-        try:
-            if families.family_kind(fam)[0] == "custom":
-                raise DomainError(
-                    f"aggregates are registered for the built-in families "
-                    f"only; {fam.name!r} is a custom config")
-            agg = constants.aggregate_lower_order(fam.name)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        if families.builtin_entry(fam) is None:
+            raise DomainError(
+                f"aggregates are registered for the built-in families "
+                f"only; {fam.name!r} is a custom config")
+        agg = constants.aggregate_lower_order(fam.name)
         payload = {"family": agg.family, "pieces": agg.pieces,
                    "sieve_pieces": agg.sieve_pieces,
                    "aggregate": agg.aggregate,
@@ -232,11 +239,7 @@ def cmd_family(args, argv) -> int:
 
 def cmd_explicit(args, argv) -> int:
     t0 = time.time()
-    try:
-        phi = explicit_formula.builtin_test_pair(args.phi)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    phi = explicit_formula.builtin_test_pair(args.phi)
     if args.logR <= 0:
         print("error: --logR must be positive", file=sys.stderr)
         return EXIT_USAGE
@@ -254,9 +257,6 @@ def cmd_explicit(args, argv) -> int:
     except IncompleteSumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
-    except (DomainError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     _emit(dec.as_dict(), args, argv, t0, digest,
           {"prime_limit": dec.prime_limit})
     return EXIT_OK
@@ -308,21 +308,13 @@ def _suite_identities() -> list:
 def _suite_appendix_b(prime_limit: int) -> list:
     fails = []
     import random
-    for name in sorted(families.BUILTIN_FAMILIES):
-        fam = families.get_family(name)
-        bad_max = 6 if name == "noncm_3x12t" else 2
-        for p in (int(q) for q in get_table(prime_limit).primes if q >= 5):
-            checks = [(r, "good") for r in range(3)]
-            checks += [(m, "bad") for m in range(bad_max + 1)]
-            for r, side in checks:
-                try:
-                    closed = families.closed_form_moment(fam, p, r, side)
-                except DomainError:
-                    continue
-                brute = families.complete_moment(fam, p, r, side)
-                if brute != closed:
-                    fails.append({"check": "closed_form_moment",
-                                  "detail": f"{name}, p={p}, r={r}, {side}"})
+    for name, entry in sorted(families.REGISTRY.items()):
+        checks = [(r, "good") for r in range(3)]
+        checks += [(m, "bad") for m in range(7 if entry.has_bad else 3)]
+        for p, r, side, _, _ in _closed_form_failures(entry.spec, prime_limit,
+                                                      checks):
+            fails.append({"check": "closed_form_moment",
+                          "detail": f"{name}, p={p}, r={r}, {side}"})
     rng = random.Random(1187)
     primes = [int(q) for q in get_table(200).primes if q >= 3]
     for _ in range(500):

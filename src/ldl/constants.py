@@ -36,7 +36,8 @@ import numpy as np
 from . import _literals, families, primes
 from ._sum import chunked_sum, thread_count
 from .errors import DomainError, VerificationError
-from .primes import ConstantResult, first_n_primes, get_table
+from .primes import (CHI_3, CHI_M3, ConstantResult, first_n_primes,
+                     get_table, residue_character)
 
 
 # --------------------------------------------------------------------------
@@ -64,17 +65,6 @@ def _tail_bound(spec: ConstantSpec, x_last: float) -> float:
     lx = math.log(x_last)
     return c * (lx / ((d - 1) * x_last ** (d - 1))
                 + 1.0 / ((d - 1) ** 2 * x_last ** (d - 1)))
-
-
-def _chi_m3(pf: np.ndarray, p_int: np.ndarray) -> np.ndarray:
-    """(-3/p) as a float array: +1 iff p = 1 mod 3 (p >= 5)."""
-    return np.where(p_int % 3 == 1, 1.0, -1.0)
-
-
-def _c_p(p_int: np.ndarray) -> np.ndarray:
-    """(3/p) + (-3/p): 2, 0, 0, -2 for p = 1, 7, 11, 5 mod 12."""
-    r = p_int % 12
-    return np.where(r == 1, 2.0, np.where(r == 5, -2.0, 0.0))
 
 
 def aprime_terms(a1, a2, pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
@@ -135,7 +125,9 @@ def _catalog() -> dict:
             "2[sum_{p>=5} log p/(p^3-p) + sum_{1(12)} log p/(p^2-1) - "
             "sum_{5(12)} log p/(p^2-1)]", None, 5, 10 ** 6, -0.082971426,
             1e-7, "ref:gamma_aprime_3", 2, 4.0,
-            lambda pf, pi, lp: aprime_terms(_c_p(pi), 2.0, pf, lp)),
+            lambda pf, pi, lp: aprime_terms(
+                *families.REGISTRY["noncm_3x12t"].bad_moments(pi, pf), pf,
+                lp)),
         ConstantSpec(
             "gamma_0_3", "sum_{p>=5} (2p-1) log p / (p^2(p+1)) "
             "(half the printed summand; see module notes)", None, 5,
@@ -147,7 +139,8 @@ def _catalog() -> dict:
             "(p^2(p+1)^2)", None, 5, 10 ** 6, -0.013643784, 1e-8,
             "ref:gamma_1_3", 3, 2.0,
             lambda pf, pi, lp:
-                _c_p(pi) * (pf - 1) * lp / (pf ** 2 * (pf + 1.0) ** 2)),
+                (residue_character(CHI_3, pi) + residue_character(CHI_M3, pi))
+                * (pf - 1) * lp / (pf ** 2 * (pf + 1.0) ** 2)),
         ConstantSpec(
             "gamma_2_3", "sum_{p>=5} ((2-chi)p^4 - (13+7chi)p^3 - "
             "(25+6chi)p^2 - (16+2chi)p - 4) log p / (p^3(p+1)^3), "
@@ -190,7 +183,7 @@ def paper_reference(name: str) -> tuple:
 
 
 def _gamma_2_3_terms(pf, pi, lp):
-    chi = _chi_m3(pf, pi)
+    chi = residue_character(CHI_M3, pi)
     num = ((2 - chi) * pf ** 4 - (13 + 7 * chi) * pf ** 3
            - (25 + 6 * chi) * pf ** 2 - (16 + 2 * chi) * pf - 4)
     return num * lp / (pf ** 3 * (pf + 1.0) ** 3)
@@ -310,7 +303,6 @@ def family_constant_Atilde(fam, prime_count: int = 5000,
         fam = families.get_family(fam)
     if prime_count < 5000:
         raise DomainError("prime_count must be >= 5000")
-    nthreads = thread_count(threads)
     main, sieve = _gamma_atilde_family(fam, prime_count, sieve_exponent)
     return (main, sieve if with_sieve else 0.0)
 
@@ -321,11 +313,11 @@ def family_constant_Atilde(fam, prime_count: int = 5000,
 # reference values for the family cubic-moment constants (first 5000 primes,
 # error at most .0367) and their sieve companions (error <= 1e-15)
 ATILDE_REFERENCE = {
-    ("cm", 1, 1): (0.3437, 0.000446),
-    ("cm", 1, 2): (0.4203, 0.000699),
-    ("cm", 2, 2): (0.5670, 0.000761),
-    ("cm", 3, 2): (0.1413, 0.000125),
-    ("cm", 6, 2): (0.2620, 0.000199),
+    "cm_b1_kappa1": (0.3437, 0.000446),
+    "cm_b1_kappa2": (0.4203, 0.000699),
+    "cm_b2_kappa2": (0.5670, 0.000761),
+    "cm_b3_kappa2": (0.1413, 0.000125),
+    "cm_b6_kappa2": (0.2620, 0.000199),
 }
 
 AGGREGATE_REFERENCE = {
@@ -418,10 +410,9 @@ def aggregate_lower_order(target: str, source: str = "catalog",
         return FamilyLowerOrder("cusp_model", pieces, {},
                                 math.fsum(pieces.values()))
 
-    kind = families.family_kind(target)
-    if kind[0] == "sextic":
+    if families.REGISTRY[target].kind == "sextic":
         if source == "catalog":
-            at_main, at_sieve = ATILDE_REFERENCE[("cm",) + kind[1:]]
+            at_main, at_sieve = ATILDE_REFERENCE[target]
             sieve012 = -0.004288
         else:
             # the reference bracket uses the exponent-3 sieve weight for

@@ -43,12 +43,6 @@ DEFAULT_PRIME_CAP = 10 ** 9
 #: cubic-moment truncation (first primes) of the reference tabulations
 ATILDE_PRIMES = 5000
 
-#: preset scaling parameters R = e^L
-R_PRESETS = {L: math.exp(L) for L in (25, 50, 100, 200)}
-
-#: families with nonzero rank over Q(T) (main term phi(0)*(1/2 + rank))
-_BUILTIN_RANK = {"rank1_36t": 1}
-
 # flat-top fraction of the raised-cosine pair
 _RC_FLAT = 0.8
 
@@ -246,20 +240,6 @@ def rmt_prediction(symmetry: str, phi: TestFunctionPair) -> float:
 # --------------------------------------------------------------------------
 # vectorized per-family moment arrays
 
-def _legendre_2_vec(p_int: np.ndarray) -> np.ndarray:
-    r = p_int % 8
-    return np.where((r == 1) | (r == 7), 1.0, -1.0)
-
-
-def _legendre_3_vec(p_int: np.ndarray) -> np.ndarray:
-    r = p_int % 12
-    return np.where((r == 1) | (r == 11), 1.0, -1.0)
-
-
-def _legendre_m3_vec(p_int: np.ndarray) -> np.ndarray:
-    return np.where(p_int % 3 == 1, 1.0, -1.0)
-
-
 # Each moment class carries `lead`: for the densities A_0/p^2, A_1/p^2 and
 # A_2/p^3 the pairs (a, b) with density = (a + b*[p = 1 mod 3])/p +
 # O(1/p^2), or None where the leading behaviour needs other progressions;
@@ -282,53 +262,24 @@ class _ModelMoments:
 
 
 class _FamilyMoments:
+    """A built-in's moment arrays, read off its registry entry."""
+
     def __init__(self, fam: families.FamilySpec, p_int, pf):
-        kind = families.family_kind(fam)
-        if kind[0] == "sextic":
-            k = int(fam.k)
-            self.A0 = pf - 1.0
-            self.A1 = np.zeros_like(pf)
-            self.A2 = np.where(p_int % 3 == 1, 2 * pf * pf - 2 * pf, 0.0)
-            self.hs = 1.0 / (pf ** k - 1.0)
-            self.has_bad = False
-            self.lead = ((1.0, 0.0), (0.0, 0.0), (0.0, 2.0))
-        elif kind[0] == "quartic":
-            mask = p_int % 4 == 1
-            twist = _legendre_2_vec(p_int) if kind[1] == 4 else 1.0
-            self.A0 = pf - 2.0
-            self.A1 = np.where(mask, -2.0 * pf * twist, 0.0)
-            a_sq = np.zeros_like(pf)
-            idx = np.nonzero(mask)[0]
-            a_sq[idx] = [families._a_ref_curve(int(p_int[i])) ** 2
-                         for i in idx]
-            self.A2 = np.where(mask, 2 * pf * (pf - 1.0) - a_sq, 0.0)
-            self.hs = 2.0 / (pf ** 3 - 2.0)
-            self.has_bad = False
-            self.lead = None    # A_1, A_2 live on p = 1 mod 4
-        elif kind[0] == "noncm":
-            s3 = _legendre_3_vec(p_int)
-            sm3 = _legendre_m3_vec(p_int)
-            self.A0 = pf - 2.0
-            self.A1 = -(s3 + sm3)
-            self.A2 = pf * pf - 2.0 * pf - 2.0 - pf * sm3
-            self.hs = np.zeros_like(pf)
-            self.has_bad = True
-            # one bad t on each discriminant factor, with a_t(p) = (3/p)
-            # and (-3/p)
-            self.Aprime1 = s3 + sm3
-            self.Aprime2 = 2.0
-            self.lead = ((1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
-        else:
+        entry = families.builtin_entry(fam)
+        if entry is None:
             raise DomainError(f"no vectorized moments for {fam.name!r}")
+        self.A0 = entry.A0(p_int, pf)
+        self.A1 = entry.A1(p_int, pf)
+        self.A2 = entry.A2(p_int, pf)
+        self.hs = entry.h_sieve(pf)
+        self.has_bad, self.lead = entry.has_bad, entry.lead
+        if self.has_bad:
+            self.Aprime1, self.Aprime2 = entry.bad_moments(p_int, pf)
 
 
 class _BruteMoments:
     """Per-prime brute-force moments for user-supplied families (O(p^2)
-    work per prime, so capped at small truncations)."""
-
-    #: largest prime_limit, and largest cubic-moment prime, that
-    #: evaluate_S accepts for a custom family
-    _CAP = 5000
+    work per prime, so capped at families.BRUTE_FORCE_CAP)."""
 
     def __init__(self, fam: families.FamilySpec, p_int, pf):
         rows = []
@@ -411,8 +362,8 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     nonzero.  The cubic-moment piece uses its own truncation
     (`atilde_primes`), following the reference tabulations.  A family
     without closed forms takes brute-force moments and Atilde, capped at
-    primes up to _BruteMoments._CAP in both truncations; a truncation past
-    the cap raises ResourceError before any prime table is built.
+    primes up to families.BRUTE_FORCE_CAP in both truncations; a truncation
+    past the cap raises ResourceError before any prime table is built.
 
     All prime sums share one pass over the table: each CHUNK block of
     primes builds its moments and terms and reduces them there
@@ -422,7 +373,8 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     model = isinstance(fam, str) and fam == "cusp_model"
     if isinstance(fam, str) and not model:
         fam = families.get_family(fam)
-    custom = not model and families.family_kind(fam)[0] == "custom"
+    entry = None if model else families.builtin_entry(fam)
+    custom = not model and entry is None
     L = math.log(R)
     if L <= 0:
         raise DomainError("need R > 1")
@@ -436,7 +388,7 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
             f"R^(sigma/2) = {required}")
     support_complete = prime_limit >= required
     nthreads = thread_count(threads)
-    cap = _BruteMoments._CAP
+    cap = families.BRUTE_FORCE_CAP
     if custom and prime_limit > cap:
         raise ResourceError(
             "brute-force moments for custom families are capped at "
@@ -456,13 +408,9 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     lo = 0 if model else int(np.searchsorted(primes, 5))
     n = primes.size - lo
     ph0 = phi.phihat0
-    if model:
-        fam_name = "cusp_model"
-        rank = 0
-    else:
-        fam_name = fam.name
-        rank = 0 if custom else _BUILTIN_RANK.get(fam_name, 0)
-        moments = _BruteMoments if custom else _FamilyMoments
+    fam_name = "cusp_model" if model else fam.name
+    rank = entry.rank if entry else 0
+    moments = _BruteMoments if custom else _FamilyMoments
 
     def block(start, stop):
         """Partial sums of every term, main and H_sieve-weighted, over the

@@ -15,9 +15,14 @@ Built-in families:
 * ``noncm_3x12t``: y^2 = x^3 - 3x + 12T, globally minimal, no sieving (k
   infinite).
 
-A family is treated as built-in only when it equals the registered
-FamilySpec in every field; a config that merely borrows a built-in's name
-takes the brute-force paths.
+Each built-in has one entry in REGISTRY, of one of three kinds (sextic,
+quartic, non-CM).  The entry holds the FamilySpec, the rank, the Atilde
+method and the closed forms A_0, A_1, A_2, A'_1, A'_2 and H_sieve, written
+once as arrays over the primes.  evaluate_S sums those arrays, and
+closed_form_moment, closed_form_table and rank_bias read the same ones.
+builtin_entry finds the entry of a family.  A family counts as built-in only
+when it equals the registered FamilySpec in every field, so a config that
+merely borrows a built-in's name takes the brute-force paths.
 
 Atilde(p) is computed per family as follows:
 
@@ -35,7 +40,7 @@ Atilde(p) is computed per family as follows:
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
 simple, and a scan of t mod p^k otherwise.
 
-Every closed-form moment registered here is cross-checked against the brute
+Every closed form registered here is cross-checked against the brute
 O(p^2) sum in the test suite for all primes up to 300.
 """
 
@@ -46,14 +51,22 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import DomainError, ResourceError, VerificationError
-from .primes import (get_table, is_prime, legendre_symbol,
-                     legendre_symbols_vec)
+from .primes import (CHI_2, CHI_3, CHI_M3, get_table, is_prime,
+                     legendre_symbol, legendre_symbols_vec,
+                     residue_character)
+from .series import poly_mul
 
 _SCAN_LIMIT = 10 ** 6
+
+#: largest prime at which a family without closed forms is counted by brute
+#: force, O(p^2) per prime: the cap on evaluate_S's prime table and Atilde
+#: truncation, and on rank_bias's X
+BRUTE_FORCE_CAP = 5000
 
 
 # --------------------------------------------------------------------------
@@ -77,31 +90,6 @@ def poly_eval_mod(coeffs, t, m: int):
     for c in reversed(coeffs):
         acc = (acc * t + c) % m
     return acc
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_pow(a, n):
-    out = [1]
-    for _ in range(n):
-        out = _poly_mul(out, a)
-    return out
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)]
-
-
-def _poly_scale(a, c):
-    return [c * x for x in a]
 
 
 def _poly_trim(a):
@@ -167,10 +155,10 @@ class FamilySpec:
             raise DomainError("sieve exponent k must be >= 3 or infinite")
 
     def discriminant_poly(self) -> tuple:
-        a3 = _poly_pow(list(self.A_poly), 3)
-        b2 = _poly_pow(list(self.B_poly), 2)
-        return _poly_trim(_poly_scale(
-            _poly_add(_poly_scale(a3, 4), _poly_scale(b2, 27)), -16))
+        a3 = poly_mul(poly_mul(self.A_poly, self.A_poly), self.A_poly)
+        b2 = poly_mul(self.B_poly, self.B_poly)
+        return _poly_trim([-16 * (4 * a + 27 * b) for a, b in
+                           zip_longest(a3, b2, fillvalue=0)])
 
     def discriminant_at(self, t: int) -> int:
         return poly_eval(self.discriminant_poly(), t)
@@ -199,49 +187,152 @@ def _check_factor_resultants(fam: FamilySpec) -> None:
                     f"{fam.name}: D factors {i},{j} share a prime >= 5")
 
 
-def _builtin_registry() -> tuple[dict, dict]:
-    """(name -> FamilySpec, name -> closed-form dispatch key)."""
-    reg, kinds = {}, {}
-    for bb in (1, 2, 3, 6):
-        for kappa in (1, 2):
-            name = f"cm_b{bb}_kappa{kappa}"
-            b_poly = _poly_trim(_poly_scale(_poly_pow([1, 6], kappa), bb))
-            reg[name] = FamilySpec(
-                name=name, A_poly=(0,), B_poly=b_poly,
-                D_factors=((1, 6),), k=6 // kappa,
-                forced_zero_primes=frozenset({2, 3}))
-            kinds[name] = ("sextic", bb, kappa)
-    for bb, name in ((1, "rank1_36t"), (4, "rank0_36t")):
-        a_poly = _poly_trim(_poly_scale(_poly_mul([6, 36], [5, 36]), -bb))
-        reg[name] = FamilySpec(
-            name=name, A_poly=a_poly, B_poly=(0,),
-            D_factors=((6, 36), (5, 36)), k=3,
+# --------------------------------------------------------------------------
+# the built-in registry
+#
+# One entry per built-in holds its FamilySpec, rank, `lead` (see
+# explicit_formula.lower_order_limit), Atilde(p) method and closed forms,
+# each written once over primes p >= 5 (p_int, and pf in float64): A_0, A_1,
+# A_2 over the good t, the bad moments A'_1, A'_2 and H_sieve.
+
+class _Builtin:
+    rank = 0
+    has_bad = False       # some bad t has multiplicative reduction
+
+    def A0(self, p_int, pf):
+        return pf - self.n_bad          # n_bad t with p | Delta(t)
+
+    def bad_moments(self, p_int, pf):
+        return 0.0, 0.0                 # a_t(p) = 0 at an additive bad t
+
+    def h_sieve(self, pf):
+        # nu_D(p^k) = n_bad: the roots of D mod p are the bad t, each simple
+        if self.spec.k == INF:
+            return np.zeros_like(pf)
+        return self.n_bad / (pf ** int(self.spec.k) - self.n_bad)
+
+
+class _Sextic(_Builtin):
+    """y^2 = x^3 + bb(6T+1)^kappa, CM by Q(sqrt-3), k = 6/kappa: one
+    additive bad t, and the good a_t vanish off p = 1 mod 3."""
+    kind, n_bad = "sextic", 1
+    lead = ((1.0, 0.0), (0.0, 0.0), (0.0, 2.0))
+
+    def __init__(self, bb: int, kappa: int):
+        self.bb, self.kappa = bb, kappa
+        b_poly = [bb]
+        for _ in range(kappa):
+            b_poly = poly_mul(b_poly, [1, 6])
+        self.spec = FamilySpec(
+            name=f"cm_b{bb}_kappa{kappa}", A_poly=(0,), B_poly=tuple(b_poly),
+            D_factors=((1, 6),), k=6 // kappa,
             forced_zero_primes=frozenset({2, 3}))
-        kinds[name] = ("quartic", bb)
-    reg["noncm_3x12t"] = FamilySpec(
+
+    def A1(self, p_int, pf):
+        return np.zeros_like(pf)
+
+    def A2(self, p_int, pf):
+        return np.where(p_int % 3 == 1, 2 * pf * pf - 2 * pf, 0.0)
+
+    def a_tilde(self, p: int) -> float:
+        # y^2 = x^3 + c with c = bb*(6t+1)^kappa: a depends only on the
+        # sextic residue class of c, and 6t+1 covers each nonzero residue
+        # once
+        if p % 3 != 1:
+            return 0.0
+        g = _find_generator(p)
+        pi = _eisenstein_prime(p)
+        a_reps = np.array([_a_sextic(self.bb * pow(g, i * self.kappa, p) % p,
+                                     p, pi) for i in range(6)],
+                          dtype=np.int64)
+        if self.kappa == 1:
+            return (p - 1) // 6 * _lambda_cubed_weight(a_reps, p)
+        # kappa = 2: u^2 runs over the even indices, each class hit (p-1)/3
+        # times
+        return (p - 1) // 3 * _lambda_cubed_weight(a_reps[[0, 2, 4]], p)
+
+
+class _Quartic(_Builtin):
+    """y^2 = x^3 - d^2 (36T+6)(36T+5) x, CM by Q(i), k = 3: two additive bad
+    t, and the good a_t vanish off p = 1 mod 4; `twist` tabulates (d/p)."""
+    kind, n_bad = "quartic", 2
+    lead = None           # A_1 and A_2 live on p = 1 mod 4
+
+    def __init__(self, name: str, d: int, twist: tuple, rank: int):
+        self.bb, self.twist, self.rank = d * d, twist, rank
+        d_factors = ((6, 36), (5, 36))
+        self.spec = FamilySpec(
+            name=name, A_poly=tuple(poly_mul([-d * d], poly_mul(*d_factors))),
+            B_poly=(0,), D_factors=d_factors, k=3,
+            forced_zero_primes=frozenset({2, 3}))
+
+    def A1(self, p_int, pf):
+        return np.where(p_int % 4 == 1,
+                        -2.0 * pf * residue_character(self.twist, p_int), 0.0)
+
+    def A2(self, p_int, pf):
+        mask = p_int % 4 == 1
+        a_sq = np.zeros_like(pf)
+        a_sq[mask] = [_a_ref_curve(int(p)) ** 2 for p in p_int[mask]]
+        return np.where(mask, 2 * pf * (pf - 1.0) - a_sq, 0.0)
+
+    def a_tilde(self, p: int) -> float:
+        # y^2 = x^3 - c x with c = bb*(36t+6)(36t+5): a depends only on the
+        # quartic residue class of c
+        if p % 4 != 1:
+            return 0.0
+        total = 0.0
+        sqrt_p = math.sqrt(p)
+        for count, a in _quartic_class_data(self.bb, p):
+            lam = a / sqrt_p
+            total += count * lam ** 3 / (p + 1 - a)
+        return total
+
+
+class _NonCM(_Builtin):
+    """y^2 = x^3 - 3x + 12T, globally minimal, unsieved: its bad t, 6t = 1
+    and 6t = -1, are multiplicative with a_t(p) = (3/p) and (-3/p)."""
+    kind, n_bad, has_bad = "noncm", 2, True
+    lead = ((1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
+    spec = FamilySpec(
         name="noncm_3x12t", A_poly=(-3,), B_poly=(0, 12),
         D_factors=((-1, 6), (1, 6)), k=INF,
         forced_zero_primes=frozenset({2, 3}))
-    kinds["noncm_3x12t"] = ("noncm",)
-    for fam in reg.values():
-        _check_factor_resultants(fam)
-    return reg, kinds
+    # (3/p) + (-3/p), the sum of the two bad a_t(p), by p mod 12
+    bad_sum = tuple(CHI_3[r] + CHI_M3[r % 3] for r in range(12))
+
+    def bad_moments(self, p_int, pf):
+        return residue_character(self.bad_sum, p_int), 2.0
+
+    def A1(self, p_int, pf):
+        # 12t runs over every residue, so all the a_t(p) sum to 0
+        return -residue_character(self.bad_sum, p_int)
+
+    def A2(self, p_int, pf):
+        return (pf * pf - 2.0 * pf - 2.0
+                - pf * residue_character(CHI_M3, p_int))
+
+    def a_tilde(self, p: int) -> float:
+        return _a_tilde_b3(p)
 
 
-BUILTIN_FAMILIES, _BUILTIN_KINDS = _builtin_registry()
+REGISTRY = {e.spec.name: e for e in (
+    [_Sextic(bb, kappa) for bb in (1, 2, 3, 6) for kappa in (1, 2)]
+    + [_Quartic("rank1_36t", 1, (1,), 1), _Quartic("rank0_36t", 2, CHI_2, 0),
+       _NonCM()])}
+BUILTIN_FAMILIES = {name: e.spec for name, e in REGISTRY.items()}
+for _fam in BUILTIN_FAMILIES.values():
+    _check_factor_resultants(_fam)
 
 
-def family_kind(fam) -> tuple:
-    """The closed-form dispatch key of a family: ("sextic", bb, kappa),
-    ("quartic", bb) or ("noncm",) for a built-in -- a registered name, or
-    a FamilySpec equal to the registered one in every field -- and
-    ("custom",) for every other family, including a config that only
-    borrows a built-in's name."""
+def builtin_entry(fam):
+    """The registry entry of a registered name, or of a FamilySpec equal to
+    the registered one in every field; None for every other family,
+    including a config that only borrows a built-in's name."""
     if isinstance(fam, str):
-        fam = BUILTIN_FAMILIES.get(fam)
-    if fam is not None and fam == BUILTIN_FAMILIES.get(fam.name):
-        return _BUILTIN_KINDS[fam.name]
-    return ("custom",)
+        return REGISTRY.get(fam)
+    entry = REGISTRY.get(fam.name)
+    return entry if entry is not None and entry.spec == fam else None
 
 
 def get_family(name: str) -> FamilySpec:
@@ -438,73 +529,41 @@ def _a_sextic(c: int, p: int, pi: tuple) -> int:
 # --------------------------------------------------------------------------
 # closed-form moments for the built-ins
 
-def _closed_b1(bb: int, kappa: int, p: int, r: int, side: str):
-    if side == "bad":
-        return 1 if r == 0 else 0
-    if r == 0:
-        return p - 1
-    if r == 1:
-        return 0
-    if r == 2:
-        return 2 * p * p - 2 * p if p % 3 == 1 else 0
-    return None
-
-
-def _closed_b2(bb: int, p: int, r: int, side: str):
-    if side == "bad":
-        return 2 if r == 0 else 0
-    if r == 0:
-        return p - 2
-    if p % 4 != 1:
-        return 0 if r in (1, 2) else None
-    if r == 1:
-        # the rank-0 member is the quadratic twist by 2 of the rank-1 one,
-        # so its coefficient sums carry an extra (2/p)
-        return -2 * p * (legendre_symbol(2, p) if bb == 4 else 1)
-    if r == 2:
-        return 2 * p * (p - 1) - _a_ref_curve(p) ** 2
-    return None
-
-
-def _closed_b3(p: int, r: int, side: str):
-    s3 = legendre_symbol(3, p)
-    sm3 = legendre_symbol(-3, p)
-    if side == "bad":
-        # one bad t on each discriminant factor, with a_t(p) = (3/p) and
-        # (-3/p) respectively
-        return s3 ** r + sm3 ** r
-    if r == 0:
-        return p - 2
-    if r == 1:
-        return -(s3 + sm3)
-    if r == 2:
-        return p * p - 2 * p - 2 - p * sm3
-    return None
-
-
-def closed_form_moment(fam, p: int, r: int, side: str = "good"):
-    """Closed-form moment for a built-in family, p >= 5.
-
-    Raises DomainError when no closed form is registered for (family, r,
-    side); callers fall back to complete_moment.
+def closed_form_table(fam, primes, bad_max: int = 2) -> dict:
+    """{(r, "good"): A_r for r <= 2, (m, "bad"): A'_m for m <= bad_max} of
+    a built-in at ascending primes p >= 5, as lists of exact ints read off
+    its registry arrays.  A'_0 counts the bad t; every bad a_t(p) is -1, 0
+    or 1, so A'_m = A'_1 or A'_2 by the parity of m > 0.  DomainError for
+    other families, and past p^2 = 2^53, where float64 is no longer exact.
     """
-    name = fam if isinstance(fam, str) else fam.name
+    entry = builtin_entry(fam)
+    if entry is None:
+        raise DomainError(f"no closed form registered for "
+                          f"{getattr(fam, 'name', fam)!r}")
+    if len(primes) and int(primes[-1]) ** 2 >= 2 ** 53:
+        raise DomainError("closed forms are exact only while p^2 < 2^53")
+    p_int = np.asarray(primes, dtype=np.int64)
+    pf = p_int.astype(np.float64)
+    cols = {(0, "good"): entry.A0(p_int, pf), (1, "good"): entry.A1(p_int, pf),
+            (2, "good"): entry.A2(p_int, pf), (0, "bad"): entry.n_bad}
+    bad = entry.bad_moments(p_int, pf)
+    for m in range(1, bad_max + 1):
+        cols[m, "bad"] = bad[1 - m % 2]
+    return {key: np.broadcast_to(col, pf.shape).astype(np.int64).tolist()
+            for key, col in cols.items()}
+
+
+def closed_form_moment(fam, p: int, r: int, side: str = "good") -> int:
+    """A_r (side "good", r <= 2) or A'_r (side "bad") of a built-in at one
+    prime p >= 5: a one-prime closed_form_table.  DomainError otherwise;
+    callers fall back to complete_moment."""
     if p < 5 or not is_prime(p):
         raise DomainError("closed forms are registered for primes p >= 5")
     if side not in ("good", "bad"):
         raise DomainError("side must be 'good' or 'bad'")
-    val = None
-    kind = family_kind(fam)
-    if kind[0] == "sextic":
-        val = _closed_b1(kind[1], kind[2], p, r, side)
-    elif kind[0] == "quartic":
-        val = _closed_b2(kind[1], p, r, side)
-    elif kind[0] == "noncm":
-        val = _closed_b3(p, r, side)
-    if val is None:
-        raise DomainError(
-            f"no closed form registered for {name}, r={r}, side={side}")
-    return val
+    if r < 0 or (side == "good" and r > 2):
+        raise DomainError(f"no closed form registered for r={r}, {side}")
+    return closed_form_table(fam, [p], r if side == "bad" else 0)[r, side][0]
 
 
 # --------------------------------------------------------------------------
@@ -534,24 +593,6 @@ def _find_generator(p: int) -> int:
     raise VerificationError(f"no generator found mod {p}")
 
 
-def _a_tilde_b1(bb: int, kappa: int, p: int) -> float:
-    # y^2 = x^3 + c with c = bb*(6t+1)^kappa: a depends only on the sextic
-    # residue class of c, and 6t+1 covers each nonzero residue once
-    if p % 3 != 1:
-        return 0.0
-    g = _find_generator(p)
-    pi = _eisenstein_prime(p)
-    a_reps = np.array([_a_sextic(bb * pow(g, i * kappa, p) % p, p, pi)
-                       for i in range(6)], dtype=np.int64)
-    if kappa == 1:
-        mult = (p - 1) // 6
-        return mult * _lambda_cubed_weight(a_reps, p)
-    # kappa = 2: u^2 runs over indices 2i mod 6; each class hit (p-1)/3 times
-    classes = sorted({(2 * i) % 6 for i in range(6)})
-    sub = a_reps[classes]
-    return (p - 1) // 3 * _lambda_cubed_weight(sub, p)
-
-
 def _quartic_class_data(bb: int, p: int) -> list:
     """[(N_i, a_i)] for i = 0..3 and p = 1 mod 4, g the least generator
     mod p: N_i counts the t mod p whose c = bb(36t+6)(36t+5) lies in the
@@ -576,19 +617,6 @@ def _quartic_class_data(bb: int, p: int) -> list:
             raise VerificationError(f"quartic class size not integral at {p}")
         out.append((count, traces[m]))
     return out
-
-
-def _a_tilde_b2(bb: int, p: int) -> float:
-    # y^2 = x^3 - c x with c = bb*(36t+6)(36t+5): a depends only on the
-    # quartic residue class of c
-    if p % 4 != 1:
-        return 0.0
-    total = 0.0
-    sqrt_p = math.sqrt(p)
-    for count, a in _quartic_class_data(bb, p):
-        lam = a / sqrt_p
-        total += count * lam ** 3 / (p + 1 - a)
-    return total
 
 
 def _a_tilde_b3(p: int) -> float:
@@ -622,28 +650,22 @@ def _a_tilde_b3(p: int) -> float:
     return _lambda_cubed_weight(a_vals[good], p)
 
 
-_FFT_SAFE_LIMIT = 60_000
-
-
 def a_tilde(fam: FamilySpec, p: int) -> float:
     """Atilde(p) = sum over good t of lambda_t(p)^3 / (p+1 - lambda_t(p) sqrt p).
 
-    Built-in CM families: closed forms in O(log p), the traces of the
-    sextic and quartic twists read off the primary prime above p
-    (Ireland & Rosen, Thms 18.4 and 18.5).  ``noncm_3x12t``: an FFT
-    correlation zero-padded to a power-of-two length (see _a_tilde_b3), up
-    to _FFT_SAFE_LIMIT.  Every other family, and any config that only
-    borrows a built-in's name: brute-force point counts, O(p^2).
+    A built-in takes the method of its registry entry: for the CM families
+    closed forms in O(log p), the traces of the sextic and quartic twists
+    read off the primary prime above p (Ireland & Rosen, Thms 18.4 and
+    18.5); for ``noncm_3x12t`` an FFT correlation zero-padded to a
+    power-of-two length (see _a_tilde_b3).  Every other family, and any
+    config that only borrows a built-in's name: brute-force point counts,
+    O(p^2).
     """
     if p < 5:
         raise DomainError("Atilde requires p >= 5")
-    kind = family_kind(fam)
-    if kind[0] == "sextic":
-        return _a_tilde_b1(kind[1], kind[2], p)
-    if kind[0] == "quartic":
-        return _a_tilde_b2(kind[1], p)
-    if kind[0] == "noncm" and p <= _FFT_SAFE_LIMIT:
-        return _a_tilde_b3(p)
+    entry = builtin_entry(fam)
+    if entry is not None:
+        return entry.a_tilde(p)
     a_vals, good = _curve_data(fam, p)
     return _lambda_cubed_weight(a_vals[good], p)
 
@@ -766,7 +788,7 @@ def _nu_prime_power(fam: FamilySpec, p: int, e: int) -> int:
     e -= content
     g_poly = [1]
     for fac in reduced:
-        g_poly = _poly_mul(g_poly, fac)
+        g_poly = poly_mul(g_poly, fac)
     deriv = [i * c for i, c in enumerate(g_poly)][1:]
     roots = {int(r) for fac in reduced for r in _factor_roots_mod_p(fac, p)}
     if all(poly_eval_mod(deriv, r, p) for r in roots):
@@ -905,21 +927,31 @@ def quadratic_legendre_sum_brute(a: int, b: int, c: int, p: int) -> int:
     return int(legendre_symbols_vec(vals, p).sum())
 
 
-def rank_bias(fam: FamilySpec, X: float) -> float:
-    """(1/X) sum_{p <= X} -(first moment / p) log p; tends to the rank."""
+def rank_bias(fam, X: float) -> float:
+    """(1/X) sum_{p <= X} -(A_1(p) / p) log p; tends to the rank.
+
+    A built-in reads A_1 off its registry entry; every other family counts
+    points, O(p^2) per prime, so its X may not pass BRUTE_FORCE_CAP.
+    """
     if X < 10 ** 3:
         raise DomainError("X must be >= 1e3")
+    if isinstance(fam, str):
+        fam = get_family(fam)
+    entry = builtin_entry(fam)
+    if entry is None and X > BRUTE_FORCE_CAP:
+        raise ResourceError(
+            f"brute-force rank bias for custom families is capped at X = "
+            f"{BRUTE_FORCE_CAP}")
+    p_int = get_table(int(X)).primes
+    p_int = p_int[p_int >= 5]
+    if entry is not None:
+        m1 = entry.A1(p_int, p_int.astype(np.float64)).tolist()
+    else:
+        m1 = [complete_moment(fam, p, 1) for p in p_int.tolist()]
     total = 0.0
-    for p in get_table(int(X)).primes:
-        p = int(p)
-        if p < 5:
-            continue
-        try:
-            m1 = closed_form_moment(fam, p, 1)
-        except DomainError:
-            m1 = complete_moment(fam, p, 1)
-        if m1:
-            total -= m1 / p * math.log(p)
+    for p, m in zip(p_int.tolist(), m1):
+        if m:
+            total -= m / p * math.log(p)
     return total / X
 
 
@@ -937,11 +969,8 @@ class MomentTable:
 
 
 def moment_table(fam: FamilySpec, p: int, r_max: int = 8) -> MomentTable:
-    a_vals, good = _curve_data(fam, p)
-    bad = ~good
-    moments = tuple(sum(int(a) ** r for a in a_vals[good])
-                    for r in range(r_max + 1))
-    bad_moments = tuple(sum(int(a) ** m for a in a_vals[bad])
+    moments = tuple(complete_moment(fam, p, r) for r in range(r_max + 1))
+    bad_moments = tuple(complete_moment(fam, p, m, "bad")
                         for m in range(r_max + 1))
     if fam.k == INF:
         nu, h = 0, (1.0, 0.0)

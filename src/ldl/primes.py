@@ -191,6 +191,19 @@ def legendre_symbols_vec(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+#: real characters as tables indexed by p mod q: (2/p) mod 8, (3/p) mod 12
+#: and (-3/p) mod 3
+CHI_2 = (0, 1, 0, -1, 0, -1, 0, 1)
+CHI_3 = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
+CHI_M3 = (0, 1, -1)
+
+
+def residue_character(table, p_int: np.ndarray) -> np.ndarray:
+    """table[p mod q] for each prime, q = len(table), as float64: a
+    character, or any other function of the class of p mod q."""
+    return np.asarray(table, dtype=np.float64)[p_int % len(table)]
+
+
 def totient(b: int) -> int:
     result, n, p = b, b, 2
     while p * p <= n:

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -219,3 +220,54 @@ def test_thread_count_independence(capsys):
     assert one["results"] == eight["results"]
     assert one["manifest"]["output_checksum"] == \
         eight["manifest"]["output_checksum"]
+
+
+# --------------------------------------------------------------------------
+# golden envelopes: the full output checksums of built-in commands
+
+IMPOSTOR = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+               / "impostor_cm_b1_kappa2.json")
+
+GOLDEN = [
+    (("family", "--family", "cm_b1_kappa2", "--prime-limit", "60"),
+     "97fc257c3ae10b6aa56cdda65718a6ef0492b5a3b48a48ef9502b6075faa960f"),
+    (("family", "--family", "cm_b6_kappa1", "--prime-limit", "60"),
+     "b6875c80feca7c9ea337dfd307f076b22947007c2baa85e5f44da59d8f55dd54"),
+    (("family", "--family", "rank1_36t", "--prime-limit", "60"),
+     "5f0107244342c8432d1217f5efddfeb6d8ddb98c3fba9c7acf0f267a1298c11a"),
+    (("family", "--family", "rank0_36t", "--prime-limit", "60"),
+     "aa06621aec61e3fe426697a3c18a0f1a809ebc4c7ce290a98632e9f0c8e0e8bb"),
+    (("family", "--family", "noncm_3x12t", "--prime-limit", "60"),
+     "f4e3229afbb8f7b268d82acd64bf4afad31ed90db5af56499840efbf066a5365"),
+    (("family", "--family", "cm_b2_kappa2", "--aggregate"),
+     "d14253e2201ac6042270dd75c1a542aeaeb6f9dfedec7b08e3333b01d8779a6a"),
+    (("family", "--family", "noncm_3x12t", "--aggregate"),
+     "451a1c52f9df0e6f8d840a04f12eb1aec54bebb0ca52e18b2921ea5c193a357f"),
+    (("family", "--family", "rank1_36t", "--verify-closed-forms",
+      "--prime-limit", "300"),
+     "5584fc7019cb62f653af6da36af56f37d6e1d3a0f3984842c337cc19de680908"),
+    (("explicit", "--family", "cm_b1_kappa1", "--phi",
+      "indicator_smooth:0.18", "--logR", "50"),
+     "414ecdd7a809753f4df4729c23f8f6e653df5f6537f45973aa1e7000928672f6"),
+    (("explicit", "--family", "rank1_36t", "--phi", "indicator_smooth:0.18",
+      "--logR", "50"),
+     "1854ec0a1bf3f25b6fcaaeedf3d93793f46270cce5adaa2638e62e968a5caeda"),
+    (("explicit", "--family", "rank0_36t", "--phi", "indicator_smooth:0.18",
+      "--logR", "50"),
+     "77d6742bbf0dce97ca4ba2c5041e7226d65cd6bb87901b35c9e78ba3218d9818"),
+    (("explicit", "--family", "cm_b2_kappa2", "--phi", "fejer:0.9",
+      "--logR", "25"),
+     "b7d561f9aab0d1a97f7fa5b161ce06088f7acba194989bd33223a677d4713fb3"),
+    (("verify", "--suite", "appendixB"),
+     "a488ad5dc81cfc8cc272f79d2ff276f487913510b8c4a5f636cfd623f33beb50"),
+    (("family", "--family", "@" + IMPOSTOR, "--prime-limit", "13"),
+     "b3121e67c2edf7aee76943f54762a757036d249d90f4af26b162b603345b24e9"),
+]
+
+
+@pytest.mark.parametrize("argv,checksum", GOLDEN,
+                         ids=[" ".join(a).replace(IMPOSTOR, "impostor")
+                              for a, _ in GOLDEN])
+def test_golden_envelope(capsys, argv, checksum):
+    doc = run_json(capsys, *argv)
+    assert doc["manifest"]["output_checksum"] == checksum

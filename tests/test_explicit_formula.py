@@ -287,7 +287,26 @@ def test_evaluate_s_custom_family_refuses_prime_limit_past_cap(monkeypatch):
         ef.evaluate_S(clone, pair, math.exp(200.0), atilde_primes=30)
     with pytest.raises(ResourceError):
         ef.evaluate_S(clone, pair, math.exp(25.0), atilde_primes=30,
-                      prime_limit=ef._BruteMoments._CAP + 1)
+                      prime_limit=families.BRUTE_FORCE_CAP + 1)
+
+
+@pytest.mark.parametrize("name", sorted(families.BUILTIN_FAMILIES))
+def test_registry_moment_arrays_match_brute_force(name):
+    # the arrays evaluate_S sums, against point counts of a renamed clone
+    p_int = get_table(300).primes
+    p_int = p_int[p_int >= 5]
+    pf = p_int.astype(np.float64)
+    fast = ef._FamilyMoments(families.get_family(name), p_int, pf)
+    brute = ef._BruteMoments(_clone(name), p_int, pf)
+    attrs = ["A0", "A1", "A2"]
+    if fast.has_bad:
+        attrs += ["Aprime1", "Aprime2"]
+    for attr in attrs:
+        want = getattr(brute, attr)
+        got = np.broadcast_to(getattr(fast, attr), want.shape)
+        assert np.array_equal(got, want), attr
+    assert np.all(np.abs(fast.hs - brute.hs)
+                  <= 2 * np.spacing(np.maximum(fast.hs, brute.hs)))
 
 
 # --------------------------------------------------------------------------

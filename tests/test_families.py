@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ldl import families
 from ldl.errors import DomainError, ResourceError
-from ldl.primes import get_table, legendre_symbols_vec
+from ldl.primes import get_table, legendre_symbol, legendre_symbols_vec
 
 BUILTINS = sorted(families.BUILTIN_FAMILIES)
 
@@ -91,6 +91,30 @@ def test_closed_form_moments_match_brute_force(name):
                 assert brute == closed, (name, p, r, side)
 
 
+def test_closed_forms_exact_up_to_the_float64_boundary():
+    # 94906249 is the last prime with p^2 < 2^53, 94906297 the next; both
+    # are 1 mod 12, where every A_1 and A_2 is nonzero
+    p, q = 94906249, 94906297
+    assert p * p < 2 ** 53 <= q * q
+    a_ref = families._a_ref_curve(p)
+    want = {
+        ("cm_b1_kappa2", 2): 2 * p * p - 2 * p,
+        ("rank1_36t", 1): -2 * p,
+        ("rank0_36t", 1): -2 * p * legendre_symbol(2, p),
+        ("rank0_36t", 2): 2 * p * (p - 1) - a_ref ** 2,
+        ("noncm_3x12t", 1): -(legendre_symbol(3, p) + legendre_symbol(-3, p)),
+        ("noncm_3x12t", 2): p * p - 2 * p - 2 - p * legendre_symbol(-3, p),
+    }
+    for (name, r), value in want.items():
+        got = families.closed_form_moment(name, p, r)
+        assert type(got) is int and got == value, (name, r)
+        with pytest.raises(DomainError):
+            families.closed_form_moment(name, q, r)
+    assert families.closed_form_moment("noncm_3x12t", p, 0, "bad") == 2
+    with pytest.raises(DomainError):
+        families.closed_form_moment("noncm_3x12t", q, 0, "bad")
+
+
 def test_complete_moment_domain():
     fam = families.get_family("cm_b1_kappa1")
     with pytest.raises(DomainError):
@@ -157,11 +181,11 @@ def test_a_tilde_fast_paths_match_brute_force(name):
         fast = families.a_tilde(fam, p)
         brute = families.a_tilde(clone, p)
         assert fast == pytest.approx(brute, rel=1e-10, abs=1e-12)
-    kind = families.family_kind(fam)
+    entry = families.builtin_entry(fam)
     trace = families._a_for_coefficients
     for p in (int(q) for q in get_table(10 ** 4).primes if q >= 5):
-        if kind[0] == "sextic" and p % 3 == 1:
-            _, bb, kappa = kind
+        if entry.kind == "sextic" and p % 3 == 1:
+            bb, kappa = entry.bb, entry.kappa
             g = families._find_generator(p)
             pi = families._eisenstein_prime(p)
             reps = [bb * pow(g, i * kappa, p) % p for i in range(6)]
@@ -174,8 +198,8 @@ def test_a_tilde_fast_paths_match_brute_force(name):
                 want = (p - 1) // 3 * families._lambda_cubed_weight(
                     a_reps[[0, 2, 4]], p)
             assert families.a_tilde(fam, p) == want, (name, p)
-        elif kind[0] == "quartic" and p % 4 == 1:
-            bb = kind[1]
+        elif entry.kind == "quartic" and p % 4 == 1:
+            bb = entry.bb
             g = families._find_generator(p)
             t = np.arange(p, dtype=np.int64)
             c = bb * ((36 * t + 6) % p) % p * ((36 * t + 5) % p) % p
@@ -214,13 +238,24 @@ def test_a_tilde_b3_padded_fft_matches_prime_length():
         assert families._a_tilde_b3(p) == _a_tilde_b3_prime_length(p), p
 
 
+def test_a_tilde_b3_takes_the_padded_fft_at_every_prime(monkeypatch):
+    # past 2^16 the padded length is 2^18; no point count may run
+    def no_point_count(fam, p):
+        raise AssertionError("brute-force point count")
+
+    monkeypatch.setattr(families, "_curve_data", no_point_count)
+    fam = families.get_family("noncm_3x12t")
+    assert families.a_tilde(fam, 65537) == _a_tilde_b3_prime_length(65537)
+
+
 def test_builtin_name_on_another_curve_takes_brute_force():
     # named like the built-in, but the curve is y^2 = x^3 + (6T + 1)
     fam = families.load_family({
         "name": "cm_b1_kappa2", "A": [0], "B": [1, 6],
         "D_factors": [[1, 6]], "k": 3, "forced_zero_primes": [2, 3]})
-    assert families.family_kind(fam) == ("custom",)
-    assert families.family_kind("cm_b1_kappa2") == ("sextic", 1, 2)
+    assert families.builtin_entry(fam) is None
+    entry = families.builtin_entry("cm_b1_kappa2")
+    assert (entry.kind, entry.bb, entry.kappa) == ("sextic", 1, 2)
     p = 13
     want = 0.0
     for t in range(p):
@@ -322,6 +357,23 @@ def test_rank_bias_targets():
         == pytest.approx(0.0, abs=0.2)
     with pytest.raises(DomainError):
         families.rank_bias(families.get_family("rank0_36t"), 100)
+
+
+def test_rank_bias_custom_family_takes_the_point_counts():
+    clone = _clone_generic(families.get_family("rank1_36t"))
+    assert families.rank_bias(clone, 1000) == \
+        families.rank_bias("rank1_36t", 1000)
+
+
+def test_rank_bias_refuses_custom_family_past_the_cap(monkeypatch):
+    # the refusal comes before any point count
+    def no_point_count(fam, p):
+        raise AssertionError("brute-force point count")
+
+    clone = _clone_generic(families.get_family("rank1_36t"))
+    monkeypatch.setattr(families, "_curve_data", no_point_count)
+    with pytest.raises(ResourceError):
+        families.rank_bias(clone, 10 ** 5)
 
 
 # --------------------------------------------------------------------------
