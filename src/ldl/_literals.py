@@ -37,7 +37,6 @@ LOG_2PI = float(LITERALS_30["log_2pi"])
 LOG_3 = float(LITERALS_30["log_3"])
 GAMMA_ONE_THIRD = float(LITERALS_30["gamma_one_third"])
 GAMMA_ONE_FOURTH = float(LITERALS_30["gamma_one_fourth"])
-PI = float(LITERALS_30["pi"])
 
 _PRECISION = 36
 _SELFTEST_DIGITS = Decimal("1e-20")

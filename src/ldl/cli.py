@@ -134,10 +134,6 @@ def _constant_rows(name: str, args) -> list:
 
 def cmd_constants(args, argv) -> int:
     t0 = time.time()
-    if args.prime_limit is not None and args.first_primes is not None:
-        print("error: --prime-limit and --first-primes are mutually "
-              "exclusive", file=sys.stderr)
-        return EXIT_USAGE
     names = constants.catalog_names() if args.name == "all" else [args.name]
     rows = []
     try:
@@ -161,12 +157,8 @@ def _resolve_family(spec: str):
     JSON config, and the SHA-256 of that config ("" for a built-in)."""
     if not spec.startswith("@"):
         return families.get_family(spec), ""
-    fam = families.load_family(spec[1:])
-    with open(spec[1:], "rb") as fh:
-        return fam, hashlib.sha256(fh.read()).hexdigest()
-
-
-_FAMILY_LOAD_ERRORS = (DomainError, OSError, json.JSONDecodeError)
+    data = families.read_config(spec[1:])
+    return families.load_family(data), hashlib.sha256(data).hexdigest()
 
 
 def _closed_form_failures(fam, prime_limit: int, checks: list) -> list:
@@ -191,11 +183,7 @@ def _closed_form_failures(fam, prime_limit: int, checks: list) -> list:
 
 def cmd_family(args, argv) -> int:
     t0 = time.time()
-    try:
-        fam, digest = _resolve_family(args.family)
-    except _FAMILY_LOAD_ERRORS as exc:
-        print(f"error: cannot load family: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fam, digest = _resolve_family(args.family)
     prime_limit = args.prime_limit or 100
 
     if args.verify_closed_forms:
@@ -240,23 +228,18 @@ def cmd_family(args, argv) -> int:
 def cmd_explicit(args, argv) -> int:
     t0 = time.time()
     phi = explicit_formula.builtin_test_pair(args.phi)
-    if args.logR <= 0:
-        print("error: --logR must be positive", file=sys.stderr)
+    # R = e^logR must be a finite float above 1
+    max_logR = explicit_formula._LOG_FLOAT_MAX
+    if not 0 < args.logR < max_logR:
+        print(f"error: --logR must lie in (0, {max_logR:.2f})",
+              file=sys.stderr)
         return EXIT_USAGE
     fam, digest = args.family, ""
     if fam != "cusp_model":
-        try:
-            fam, digest = _resolve_family(fam)
-        except _FAMILY_LOAD_ERRORS as exc:
-            print(f"error: cannot load family: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        dec = explicit_formula.evaluate_S(
-            fam, phi, math.exp(args.logR),
-            prime_limit=args.prime_limit, threads=args.threads)
-    except IncompleteSumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+        fam, digest = _resolve_family(fam)
+    dec = explicit_formula.evaluate_S(fam, phi, math.exp(args.logR),
+                                      prime_limit=args.prime_limit,
+                                      threads=args.threads)
     _emit(dec.as_dict(), args, argv, t0, digest,
           {"prime_limit": dec.prime_limit})
     return EXIT_OK

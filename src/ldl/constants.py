@@ -77,6 +77,13 @@ def aprime_terms(a1, a2, pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
     return a2 * lp / (pf ** 3 - pf) + a1 * lp / (pf ** 2 - 1.0)
 
 
+def _gamma_2_3_terms(pf, pi, lp):
+    chi = residue_character(CHI_M3, pi)
+    num = ((2 - chi) * pf ** 4 - (13 + 7 * chi) * pf ** 3
+           - (25 + 6 * chi) * pf ** 2 - (16 + 2 * chi) * pf - 4)
+    return num * lp / (pf ** 3 * (pf + 1.0) ** 3)
+
+
 def _catalog() -> dict:
     entries = [
         ConstantSpec(
@@ -145,7 +152,7 @@ def _catalog() -> dict:
             "gamma_2_3", "sum_{p>=5} ((2-chi)p^4 - (13+7chi)p^3 - "
             "(25+6chi)p^2 - (16+2chi)p - 4) log p / (p^3(p+1)^3), "
             "chi = (-3/p)", None, 5, 10 ** 6, 0.085627, 1e-5,
-            "ref:gamma_2_3", 2, 3.0, None),
+            "ref:gamma_2_3", 2, 3.0, _gamma_2_3_terms),
         ConstantSpec(
             "gamma_atilde_3", "sum_p Atilde(p) p^(3/2)(p-1) log p / "
             "(p(p+1)^3) for the non-CM family", None, 5, 5000, 0.3369,
@@ -180,13 +187,6 @@ def paper_reference(name: str) -> tuple:
         _, val, tol, cite = _PNT_NAMES[name]
         return val, tol, cite
     raise DomainError(f"unknown constant {name!r}")
-
-
-def _gamma_2_3_terms(pf, pi, lp):
-    chi = residue_character(CHI_M3, pi)
-    num = ((2 - chi) * pf ** 4 - (13 + 7 * chi) * pf ** 3
-           - (25 + 6 * chi) * pf ** 2 - (16 + 2 * chi) * pf - 4)
-    return num * lp / (pf ** 3 * (pf + 1.0) ** 3)
 
 
 def _gamma_sieve012_value(prime_count: int, threads: int) -> float:
@@ -233,6 +233,8 @@ def compute_constant(name: str, prime_limit: int | None = None,
                      first_primes: int | None = None,
                      threads: int | None = None) -> ConstantResult:
     """Compute a catalog constant, carrying truncation provenance."""
+    if prime_limit is not None and first_primes is not None:
+        raise DomainError("specify prime_limit or first_primes, not both")
     if name in _PNT_NAMES:
         fn = _PNT_NAMES[name][0]
         return fn(prime_limit=prime_limit, first_primes=first_primes,
@@ -248,8 +250,6 @@ def compute_constant(name: str, prime_limit: int | None = None,
         return ConstantResult(name, value, "prime_count", 2, 0.0,
                               "closed_form")
 
-    if prime_limit is not None and first_primes is not None:
-        raise DomainError("specify prime_limit or first_primes, not both")
     if first_primes is None and prime_limit is None:
         first_primes = spec.default_first_primes
 
@@ -282,8 +282,7 @@ def compute_constant(name: str, prime_limit: int | None = None,
         p_int = p_int[p_int >= spec.p_min]
     pf = p_int.astype(np.float64)
     lp = np.log(pf)
-    term_fn = _gamma_2_3_terms if name == "gamma_2_3" else spec.term
-    value = chunked_sum(term_fn(pf, p_int, lp), nthreads)
+    value = chunked_sum(spec.term(pf, p_int, lp), nthreads)
     x_last = float(table.primes[-1])
     return ConstantResult(name, value, kind, trunc,
                           _tail_bound(spec, x_last), "direct_sum")
@@ -291,7 +290,6 @@ def compute_constant(name: str, prime_limit: int | None = None,
 
 def family_constant_Atilde(fam, prime_count: int = 5000,
                            with_sieve: bool = True,
-                           threads: int | None = None,
                            sieve_exponent: int | None = None) -> tuple:
     """(main, sieve) cubic-moment family constants at the given truncation.
 
@@ -413,15 +411,11 @@ def aggregate_lower_order(target: str, source: str = "catalog",
     if families.REGISTRY[target].kind == "sextic":
         if source == "catalog":
             at_main, at_sieve = ATILDE_REFERENCE[target]
-            sieve012 = -0.004288
         else:
             # the reference bracket uses the exponent-3 sieve weight for
             # every member, including kappa = 1 (see module notes)
             at_main, at_sieve = family_constant_Atilde(target,
-                                                       threads=threads,
                                                        sieve_exponent=3)
-            sieve012 = compute_constant("gamma_sieve012",
-                                        threads=threads).value
         pieces = {
             "S_0": 2 * c("gamma_pnt") - c("gamma_cm0_ge5") - c("gamma_23"),
             "S_1": 0.0,
@@ -429,7 +423,8 @@ def aggregate_lower_order(target: str, source: str = "catalog",
             "S_Aprime": 0.0,
             "S_Atilde": -at_main,
         }
-        sieve = {"S_012_sieve": -sieve012, "S_Atilde_sieve": -at_sieve}
+        sieve = {"S_012_sieve": -c("gamma_sieve012"),
+                 "S_Atilde_sieve": -at_sieve}
         return FamilyLowerOrder(
             target, pieces, sieve,
             math.fsum(pieces.values()) + math.fsum(sieve.values()))

@@ -21,11 +21,16 @@ agree with those assembled from the cited constants; for the non-CM family
 it is about -2.542, while the printed total -2.703 is off by the gap in the
 S_0, S_1 and S_2 pieces built from gamma_0_3, gamma_1_3 and gamma_2_3 (see
 the constants module notes).
+
+Both read everything about the family off one entry: families.entry_of's
+for a family, CUSP_MODEL (the idealized cusp-form average) for the name
+"cusp_model".  An entry answers with its moments, `lead`, `rank` and `cap`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,8 +38,7 @@ import numpy as np
 
 from . import constants, families
 from ._sum import block_sums, chunked_sum, thread_count
-from .errors import (DomainError, IncompleteSumError, ResourceError,
-                     VerificationError)
+from .errors import DomainError, IncompleteSumError
 from .primes import first_n_primes, gamma_pnt, gamma_pnt_ab, get_table
 
 #: hard cap on the automatically chosen prime truncation
@@ -42,6 +46,8 @@ DEFAULT_PRIME_CAP = 10 ** 9
 
 #: cubic-moment truncation (first primes) of the reference tabulations
 ATILDE_PRIMES = 5000
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)      # e^x overflows past it
 
 # flat-top fraction of the raised-cosine pair
 _RC_FLAT = 0.8
@@ -238,78 +244,36 @@ def rmt_prediction(symmetry: str, phi: TestFunctionPair) -> float:
 
 
 # --------------------------------------------------------------------------
-# vectorized per-family moment arrays
+# the cusp-form model
 
-# Each moment class carries `lead`: for the densities A_0/p^2, A_1/p^2 and
-# A_2/p^3 the pairs (a, b) with density = (a + b*[p = 1 mod 3])/p +
-# O(1/p^2), or None where the leading behaviour needs other progressions;
-# lower_order_limit splits on it.  A class with bad primes (has_bad) also
-# carries the bad-prime moments A'_1 and A'_2, which fix every A'_m.
+# Every entry carries `lead`: for the densities A_0/p^2, A_1/p^2 and A_2/p^3
+# the pairs (a, b) with density = (a + b*[p = 1 mod 3])/p + O(1/p^2), or
+# None where the leading behaviour needs other progressions;
+# lower_order_limit splits on it.
 
-class _ModelMoments:
+class _CuspModel:
     """Idealized constant-moment model for the weight-k cusp-form average:
     A_0 = p (all residues good), A_1 = 0, A_2 = p^2 (unit second moment),
-    Atilde*p^{3/2} = 2p+1, no bad primes, no sieving."""
+    Atilde*p^{3/2} = 2p+1, no bad primes, no sieving.  Its sums run over
+    every prime."""
 
+    name, rank, cap = "cusp_model", 0, math.inf
     lead = ((1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
 
-    def __init__(self, pf):
-        self.A0 = pf
-        self.A1 = np.zeros_like(pf)
-        self.A2 = pf * pf
-        self.hs = np.zeros_like(pf)
-        self.has_bad = False
+    def moments(self, p_int, pf):
+        return pf, np.zeros_like(pf), pf * pf, None, np.zeros_like(pf)
+
+    def atilde_terms(self, pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
+        """Atilde p^{3/2} (p-1) log p / (p(p+1)^3)."""
+        return (2.0 * pf + 1.0) * (pf - 1.0) * lp / (pf * (pf + 1.0) ** 3)
 
 
-class _FamilyMoments:
-    """A built-in's moment arrays, read off its registry entry."""
-
-    def __init__(self, fam: families.FamilySpec, p_int, pf):
-        entry = families.builtin_entry(fam)
-        if entry is None:
-            raise DomainError(f"no vectorized moments for {fam.name!r}")
-        self.A0 = entry.A0(p_int, pf)
-        self.A1 = entry.A1(p_int, pf)
-        self.A2 = entry.A2(p_int, pf)
-        self.hs = entry.h_sieve(pf)
-        self.has_bad, self.lead = entry.has_bad, entry.lead
-        if self.has_bad:
-            self.Aprime1, self.Aprime2 = entry.bad_moments(p_int, pf)
+CUSP_MODEL = _CuspModel()
 
 
-class _BruteMoments:
-    """Per-prime brute-force moments for user-supplied families (O(p^2)
-    work per prime, so capped at families.BRUTE_FORCE_CAP)."""
-
-    def __init__(self, fam: families.FamilySpec, p_int, pf):
-        rows = []
-        for p in (int(q) for q in p_int):
-            a_vals, good = families._curve_data(fam, p)
-            bad = a_vals[~good]
-            if np.any(np.abs(bad) > 1):
-                raise VerificationError(
-                    f"|a_t({p})| > 1 at a bad t of {fam.name!r}: the "
-                    "closed-form S_A' sum needs a_t(p) in {-1, 0, 1}")
-            rows.append([families.complete_moment(fam, p, r, "good")
-                         for r in (0, 1, 2)]
-                        + [int(bad.sum()), int((bad * bad).sum()),
-                           families.h_factor(fam, p)[1]])
-        arr = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
-        (self.A0, self.A1, self.A2, self.Aprime1, self.Aprime2,
-         self.hs) = arr.T
-        self.has_bad = True
-
-
-def _aprime_density(mom, pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
-    """sum_m A'_m log p / p^(m+1) per prime, summed over m in closed form
-    from the moment class's A'_1 and A'_2 (every bad a_t(p) is -1, 0 or 1,
-    so the m-sum is geometric); the same expression as gamma_aprime_3."""
-    return constants.aprime_terms(mom.Aprime1, mom.Aprime2, pf, lp)
-
-
-def _model_atilde_terms(pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
-    """Atilde p^{3/2} (p-1) log p / (p(p+1)^3) for the cusp model."""
-    return (2.0 * pf + 1.0) * (pf - 1.0) * lp / (pf * (pf + 1.0) ** 3)
+def _entry(fam):
+    """The entry of a family, a built-in's name, or "cusp_model"."""
+    return CUSP_MODEL if fam == "cusp_model" else families.entry_of(fam)
 
 
 # --------------------------------------------------------------------------
@@ -348,7 +312,7 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
                threads: int | None = None,
                atilde_primes: int = ATILDE_PRIMES) -> SDecomposition:
     """Evaluate the five prime-sum pieces for a family (or the string
-    "cusp_model" for the idealized cusp-form average) with scaling R.
+    "cusp_model" for the idealized cusp-form average) with finite R > 1.
 
     The prime truncation defaults to ceil(R^{sigma/2}) (capped at 10^9, in
     which case support_complete is False and the dropped tail enters the
@@ -370,16 +334,13 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     (_sum.block_sums), so memory is bounded by the block, and every piece
     is bit-identical to the chunked sum of its full-length term vector.
     """
-    model = isinstance(fam, str) and fam == "cusp_model"
-    if isinstance(fam, str) and not model:
-        fam = families.get_family(fam)
-    entry = None if model else families.builtin_entry(fam)
-    custom = not model and entry is None
+    entry = _entry(fam)
+    model = entry is CUSP_MODEL
+    if not 1.0 < R < math.inf:
+        raise DomainError("need a finite R > 1")
     L = math.log(R)
-    if L <= 0:
-        raise DomainError("need R > 1")
     sigma = phi.sigma
-    required = math.ceil(math.exp(L * sigma / 2.0))
+    required = _ceil_exp(L * sigma / 2.0)         # R^(sigma/2)
     if prime_limit is None:
         prime_limit = min(required, DEFAULT_PRIME_CAP)
     elif prime_limit < required:
@@ -388,19 +349,10 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
             f"R^(sigma/2) = {required}")
     support_complete = prime_limit >= required
     nthreads = thread_count(threads)
-    cap = families.BRUTE_FORCE_CAP
-    if custom and prime_limit > cap:
-        raise ResourceError(
-            "brute-force moments for custom families are capped at "
-            f"prime_limit {cap}; register closed forms or lower the "
-            "truncation")
+    families.check_cap(entry, prime_limit, "prime_limit")
     if not model:
         x_at = float(first_n_primes(atilde_primes).primes[-1])
-        if custom and x_at > cap:
-            raise ResourceError(
-                "brute-force Atilde for custom families is capped at p <= "
-                f"{cap}; the first {atilde_primes} primes reach "
-                f"{x_at:.0f}; lower atilde_primes")
+        families.check_cap(entry, x_at, "largest Atilde prime")
 
     primes = get_table(prime_limit).primes
     # family sums run over p >= 5 (additive reduction at 2 and 3 zeroes
@@ -408,9 +360,6 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     lo = 0 if model else int(np.searchsorted(primes, 5))
     n = primes.size - lo
     ph0 = phi.phihat0
-    fam_name = "cusp_model" if model else fam.name
-    rank = entry.rank if entry else 0
-    moments = _BruteMoments if custom else _FamilyMoments
 
     def block(start, stop):
         """Partial sums of every term, main and H_sieve-weighted, over the
@@ -420,28 +369,28 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
         lp = np.log(pf)
         phihat1 = np.asarray(phi.eval_phihat(lp / L), dtype=np.float64)
         phihat2 = np.asarray(phi.eval_phihat(2.0 * lp / L), dtype=np.float64)
-        mom = _ModelMoments(pf) if model else moments(fam, p_int, pf)
+        A0, A1, A2, aprime, hs = entry.moments(p_int, pf)
         terms = {}
         # S_A': -2 phihat(0) sum_p sum_m A'_m H log p / p^(m+1)
-        if mom.has_bad:
-            terms["S_Aprime"] = _aprime_density(mom, pf, lp)
+        if aprime is not None:
+            terms["S_Aprime"] = constants.aprime_terms(*aprime, pf, lp)
         # S_0: two sums, the second carrying phihat(2 log p / log R)
-        terms["S_0a"] = 2.0 * mom.A0 * lp / (pf * pf * (pf + 1.0))
-        terms["S_0b"] = 2.0 * mom.A0 * lp / (pf * pf) * phihat2
+        terms["S_0a"] = 2.0 * A0 * lp / (pf * pf * (pf + 1.0))
+        terms["S_0b"] = 2.0 * A0 * lp / (pf * pf) * phihat2
         # S_1: phihat(log p / log R) sum plus the phihat(0) correction
-        terms["S_1a"] = mom.A1 * lp / (pf * pf) * phihat1
-        terms["S_1b"] = (mom.A1 * (3.0 * pf + 1.0) * lp
+        terms["S_1a"] = A1 * lp / (pf * pf) * phihat1
+        terms["S_1b"] = (A1 * (3.0 * pf + 1.0) * lp
                          / (pf * pf * (pf + 1.0) ** 2))
         # S_2: phihat(2 log p / log R) sum plus the phihat(0) correction
-        terms["S_2a"] = mom.A2 * lp / pf ** 3 * phihat2
-        terms["S_2b"] = (mom.A2 * (4.0 * pf * pf + 3.0 * pf + 1.0) * lp
+        terms["S_2a"] = A2 * lp / pf ** 3 * phihat2
+        terms["S_2b"] = (A2 * (4.0 * pf * pf + 3.0 * pf + 1.0) * lp
                          / (pf ** 3 * (pf + 1.0) ** 3))
         sums = {}
         for name, vec in terms.items():
             sums[name, "main"] = np.sum(vec)
-            sums[name, "sieve"] = np.sum(vec * mom.hs)
+            sums[name, "sieve"] = np.sum(vec * hs)
         if model:
-            sums["S_Atilde", "main"] = np.sum(_model_atilde_terms(pf, lp))
+            sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(pf, lp))
         return sums
 
     sums = block_sums(block, n, nthreads)
@@ -465,7 +414,7 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
         at_main, at_sieve = sums["S_Atilde", "main"], 0.0
         x_at = x_last
     else:
-        at_main, at_sieve = constants._gamma_atilde_family(fam,
+        at_main, at_sieve = constants._gamma_atilde_family(entry.spec,
                                                            atilde_primes)
     pieces["S_Atilde"] = {"main": -2.0 * ph0 * at_main / L,
                           "sieve": -2.0 * ph0 * at_sieve / L}
@@ -476,20 +425,25 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     # 0.0367 at the 5000th prime, scaled by 1/sqrt growth) plus the
     # dropped part of the S_1/S_0 supports beyond the prime table
     tail = (2.0 * ph0 / L) * 0.0367 * math.sqrt(48611.0 / x_at)
-    if x_last < math.exp(L * sigma) or not support_complete:
+    if x_last < _ceil_exp(L * sigma) or not support_complete:
         tail += (2.0 / L) * 4.0 * math.log(x_last) / x_last
         # for positive-rank families A_1 ~ -rank*p, so the S_1 integrand
         # decays only like log p / p and the dropped window [x_last, R^sigma]
         # carries O(1) mass
-        tail += 4.0 * rank * max(0.0, sigma - math.log(x_last) / L)
+        tail += 4.0 * entry.rank * max(0.0, sigma - math.log(x_last) / L)
 
-    main_est = phi.phi0 * (0.5 + rank)
+    main_est = phi.phi0 * (0.5 + entry.rank)
     coeff = (total - main_est) * L / (2.0 * ph0)
     return SDecomposition(
-        family=fam_name, phi_name=phi.name, R=R, prime_limit=prime_limit,
+        family=entry.name, phi_name=phi.name, R=R, prime_limit=prime_limit,
         support_complete=support_complete, pieces=pieces, total=total,
         tail_bound=tail, main_term_estimate=main_est,
         lower_order_coefficient=coeff)
+
+
+def _ceil_exp(x: float):
+    """ceil(e^x), or inf past the float range."""
+    return math.ceil(math.exp(x)) if x < _LOG_FLOAT_MAX else math.inf
 
 
 # --------------------------------------------------------------------------
@@ -508,31 +462,29 @@ def lower_order_limit(fam, threads: int | None = None) -> dict:
     2 sum_p Y_r(p) log p phihat(k_r log p/log R) - 2 phihat(0) sum_p
     Z_r(p) log p, with Y_0 = 2A_0/p^2, Y_1 = A_1/p^2, Y_2 = A_2/p^3, Z_r
     the phihat(0) corrections of evaluate_S, k = (2, 1, 2) and eps = (+1,
-    -1, -1).  The moment class's `lead` writes Y_r = c_r (a + b*[p = 1
-    mod 3])/p + O(1/p^2) (c = 2, 1, 1); the phihat-weighted a/p and b/p
-    sums contribute the main term and a*gamma_pnt (less the p = 2, 3 terms
-    a*gamma_23/2 that the family sums drop) + b*gamma_pnt_13/2.  The
-    remainders Y_r - c_r (a + b*[...])/p and Z_r are O(log p/p^2); they
-    and the prime-counting constants are summed to LIMIT_PRIME_LIMIT.  The
-    sieve parts converge absolutely.  S_A' is evaluate_S's closed-form
-    bad-prime sum (for noncm_3x12t, minus gamma_aprime_3 summed to
-    LIMIT_PRIME_LIMIT), and S_Atilde the same cached cubic-moment sum over
-    the first ATILDE_PRIMES primes (the cusp model sums its closed form to
-    LIMIT_PRIME_LIMIT).
+    -1, -1).  The entry's `lead` writes Y_r = c_r (a + b*[p = 1 mod 3])/p
+    + O(1/p^2) (c = 2, 1, 1), or is None (DomainError before any array is
+    built); the phihat-weighted a/p and b/p sums contribute the main term
+    and a*gamma_pnt (less the p = 2, 3 terms a*gamma_23/2 that the family
+    sums drop) + b*gamma_pnt_13/2.  The remainders Y_r - c_r (a +
+    b*[...])/p and Z_r are O(log p/p^2); they and the prime-counting
+    constants are summed to LIMIT_PRIME_LIMIT.  The sieve parts converge
+    absolutely.  S_A' is evaluate_S's closed-form bad-prime sum (for
+    noncm_3x12t, minus gamma_aprime_3 summed to LIMIT_PRIME_LIMIT), and
+    S_Atilde the same cached cubic-moment sum over the first ATILDE_PRIMES
+    primes (the cusp model sums its closed form to LIMIT_PRIME_LIMIT).
     """
-    model = isinstance(fam, str) and fam == "cusp_model"
-    if isinstance(fam, str) and not model:
-        fam = families.get_family(fam)
+    entry = _entry(fam)
+    if entry.lead is None:
+        raise DomainError(f"no prime-number-theorem split for the moments "
+                          f"of {entry.name!r}")
+    model = entry is CUSP_MODEL
     nthreads = thread_count(threads)
     table = get_table(LIMIT_PRIME_LIMIT)
     p_int = table.primes if model else table.primes[table.primes >= 5]
     pf = p_int.astype(np.float64)
     lp = np.log(pf)
-    mom = _ModelMoments(pf) if model else _FamilyMoments(fam, p_int, pf)
-    if mom.lead is None:
-        raise DomainError(
-            f"no prime-number-theorem split for the moments of "
-            f"{'cusp_model' if model else fam.name!r}")
+    A0, A1, A2, aprime, hs = entry.moments(p_int, pf)
 
     pnt = gamma_pnt(prime_limit=LIMIT_PRIME_LIMIT, threads=nthreads).value
     pnt13 = gamma_pnt_ab(1, 3, prime_limit=LIMIT_PRIME_LIMIT,
@@ -542,34 +494,33 @@ def lower_order_limit(fam, threads: int | None = None) -> dict:
     on13 = (p_int % 3 == 1).astype(np.float64)
 
     pieces = {}
-    if mom.has_bad:
-        sa = _aprime_density(mom, pf, lp)
+    if aprime is not None:
+        sa = constants.aprime_terms(*aprime, pf, lp)
         pieces["S_Aprime"] = {"main": -chunked_sum(sa, nthreads),
-                              "sieve": -chunked_sum(sa * mom.hs, nthreads)}
+                              "sieve": -chunked_sum(sa * hs, nthreads)}
     else:
         pieces["S_Aprime"] = {"main": 0.0, "sieve": 0.0}
 
     # (piece, eps, c, A_r, d with Y_r = c A_r/p^d, Z_r/Y_r)
-    rows = (("S_0", 1.0, 2.0, mom.A0, 2, 1.0 / (pf + 1.0)),
-            ("S_1", -1.0, 1.0, mom.A1, 2,
-             (3.0 * pf + 1.0) / (pf + 1.0) ** 2),
-            ("S_2", -1.0, 1.0, mom.A2, 3,
+    rows = (("S_0", 1.0, 2.0, A0, 2, 1.0 / (pf + 1.0)),
+            ("S_1", -1.0, 1.0, A1, 2, (3.0 * pf + 1.0) / (pf + 1.0) ** 2),
+            ("S_2", -1.0, 1.0, A2, 3,
              (4.0 * pf * pf + 3.0 * pf + 1.0) / (pf + 1.0) ** 3))
-    for (name, eps, c, A, d, z_over_y), (a, b) in zip(rows, mom.lead):
+    for (name, eps, c, A, d, z_over_y), (a, b) in zip(rows, entry.lead):
         y = c * A / pf ** d
         # the numerator is exact in float64 while p^2 < 2^53
         rem = c * (A - (a + b * on13) * pf ** (d - 1)) / pf ** d
         corr = y * z_over_y
         main = (c * (a * (pnt - dropped) + b * pnt13 / 2.0)
                 + chunked_sum((rem - corr) * lp, nthreads))
-        sieve = chunked_sum((y - corr) * lp * mom.hs, nthreads)
+        sieve = chunked_sum((y - corr) * lp * hs, nthreads)
         pieces[name] = {"main": eps * main, "sieve": eps * sieve}
 
     if model:
-        at_main = chunked_sum(_model_atilde_terms(pf, lp), nthreads)
+        at_main = chunked_sum(entry.atilde_terms(pf, lp), nthreads)
         at_sieve = 0.0
     else:
         at_main, at_sieve = constants._gamma_atilde_family(
-            fam, ATILDE_PRIMES)
+            entry.spec, ATILDE_PRIMES)
     pieces["S_Atilde"] = {"main": -at_main, "sieve": -at_sieve}
     return pieces

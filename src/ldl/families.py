@@ -15,14 +15,14 @@ Built-in families:
 * ``noncm_3x12t``: y^2 = x^3 - 3x + 12T, globally minimal, no sieving (k
   infinite).
 
-Each built-in has one entry in REGISTRY, of one of three kinds (sextic,
-quartic, non-CM).  The entry holds the FamilySpec, the rank, the Atilde
-method and the closed forms A_0, A_1, A_2, A'_1, A'_2 and H_sieve, written
-once as arrays over the primes.  evaluate_S sums those arrays, and
-closed_form_moment, closed_form_table and rank_bias read the same ones.
-builtin_entry finds the entry of a family.  A family counts as built-in only
+Every family has one entry, found by entry_of.  A built-in's is in
+REGISTRY, of one of three kinds (sextic, quartic, non-CM): it holds the
+FamilySpec, the rank, the Atilde method and the closed forms A_0, A_1, A_2,
+A'_1, A'_2 and H_sieve, written once as arrays over the primes.  Any other
+family gets a brute-force entry, capped at BRUTE_FORCE_CAP.  evaluate_S,
+a_tilde and rank_bias read the entry.  A family counts as built-in only
 when it equals the registered FamilySpec in every field, so a config that
-merely borrows a built-in's name takes the brute-force paths.
+borrows a built-in's name takes the brute-force entry.
 
 Atilde(p) is computed per family as follows:
 
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -64,8 +65,8 @@ from .series import poly_mul
 _SCAN_LIMIT = 10 ** 6
 
 #: largest prime at which a family without closed forms is counted by brute
-#: force, O(p^2) per prime: the cap on evaluate_S's prime table and Atilde
-#: truncation, and on rank_bias's X
+#: force, O(p^2) per prime: the `cap` of its entry, which bounds evaluate_S's
+#: prime table and Atilde truncation, and rank_bias's X
 BRUTE_FORCE_CAP = 5000
 
 
@@ -198,6 +199,16 @@ def _check_factor_resultants(fam: FamilySpec) -> None:
 class _Builtin:
     rank = 0
     has_bad = False       # some bad t has multiplicative reduction
+    cap = INF             # closed forms hold at every prime
+
+    name = property(lambda self: self.spec.name)
+
+    def moments(self, p_int, pf):
+        """(A_0, A_1, A_2, (A'_1, A'_2) or None without a multiplicative
+        bad t, H_sieve) over the primes."""
+        return (self.A0(p_int, pf), self.A1(p_int, pf), self.A2(p_int, pf),
+                self.bad_moments(p_int, pf) if self.has_bad else None,
+                self.h_sieve(pf))
 
     def A0(self, p_int, pf):
         return pf - self.n_bad          # n_bad t with p | Delta(t)
@@ -335,6 +346,59 @@ def builtin_entry(fam):
     return entry if entry is not None and entry.spec == fam else None
 
 
+class _BruteForce:
+    """The entry of any family without closed forms: point counts, O(p^2)
+    per prime, so no prime it is asked about may pass its cap."""
+    rank, lead, cap = 0, None, BRUTE_FORCE_CAP
+
+    def __init__(self, spec: FamilySpec):
+        self.spec, self.name = spec, spec.name
+
+    def moments(self, p_int, pf):
+        # one pass per prime: _curve_data caches fewer primes than the cap
+        # admits, so a second pass would count every prime again
+        rows = []
+        for p in (int(q) for q in p_int):
+            a_vals, good = _curve_data(self.spec, p)
+            bad = a_vals[~good]
+            if np.any(np.abs(bad) > 1):
+                raise VerificationError(
+                    f"|a_t({p})| > 1 at a bad t of {self.name!r}: the "
+                    "closed-form S_A' sum needs a_t(p) in {-1, 0, 1}")
+            rows.append([complete_moment(self.spec, p, r, "good")
+                         for r in (0, 1, 2)]
+                        + [int(bad.sum()), int((bad * bad).sum()),
+                           h_factor(self.spec, p)[1]])
+        A0, A1, A2, aprime1, aprime2, hs = np.asarray(
+            rows, dtype=np.float64).reshape(-1, 6).T
+        return A0, A1, A2, (aprime1, aprime2), hs
+
+    def A1(self, p_int, pf):
+        return np.array([complete_moment(self.spec, p, 1)
+                         for p in p_int.tolist()], dtype=np.float64)
+
+    def a_tilde(self, p: int) -> float:
+        a_vals, good = _curve_data(self.spec, p)
+        return _lambda_cubed_weight(a_vals[good], p)
+
+
+def entry_of(fam):
+    """The entry that answers for a family (a FamilySpec, or a built-in's
+    name): builtin_entry(fam), or a brute-force entry for every other
+    family."""
+    if isinstance(fam, str):
+        fam = get_family(fam)
+    return builtin_entry(fam) or _BruteForce(fam)
+
+
+def check_cap(entry, x, what: str) -> None:
+    """ResourceError when `what`, at x, passes the entry's cap."""
+    if x > entry.cap:
+        raise ResourceError(f"{what} {x:.0f} is past the brute-force cap "
+                            f"{entry.cap} of the custom family "
+                            f"{entry.name!r}; lower it")
+
+
 def get_family(name: str) -> FamilySpec:
     try:
         return BUILTIN_FAMILIES[name]
@@ -343,31 +407,49 @@ def get_family(name: str) -> FamilySpec:
                           f"{sorted(BUILTIN_FAMILIES)}") from None
 
 
+def _json_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"invalid family config: {value!r} is no integer")
+    return value
+
+
 def load_family(source) -> FamilySpec:
-    """Build a FamilySpec from a JSON file path, JSON text, or dict."""
+    """Build a FamilySpec from a JSON file path, JSON text or bytes, or a
+    dict.  Coefficients, k and the forced-zero primes must be JSON integers
+    (k may also be "inf" or null); an unreadable file, malformed JSON or any
+    other value raises DomainError."""
     if isinstance(source, dict):
         cfg = source
     else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            cfg = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
+        if not isinstance(source, bytes):
+            source = str(source)
+            if not source.lstrip().startswith("{"):
+                source = read_config(source)
+        try:
+            cfg = json.loads(source)
+        except ValueError as exc:
+            raise DomainError(f"invalid family config: {exc}") from None
     try:
         k = cfg["k"]
-        k = INF if k in ("inf", None) else int(k)
         return FamilySpec(
             name=str(cfg["name"]),
-            A_poly=_poly_trim([int(c) for c in cfg["A"]]),
-            B_poly=_poly_trim([int(c) for c in cfg["B"]]),
-            D_factors=tuple(_poly_trim([int(c) for c in f])
+            A_poly=_poly_trim([_json_int(c) for c in cfg["A"]]),
+            B_poly=_poly_trim([_json_int(c) for c in cfg["B"]]),
+            D_factors=tuple(_poly_trim([_json_int(c) for c in f])
                             for f in cfg["D_factors"]),
-            k=k,
+            k=INF if k in ("inf", None) else _json_int(k),
             forced_zero_primes=frozenset(
-                int(p) for p in cfg.get("forced_zero_primes", ())))
-    except (KeyError, TypeError, ValueError) as exc:
+                _json_int(p) for p in cfg.get("forced_zero_primes", ())))
+    except (KeyError, TypeError, AttributeError) as exc:
         raise DomainError(f"invalid family config: {exc}") from exc
+
+
+def read_config(path) -> bytes:
+    """The bytes of a family config file; DomainError if unreadable."""
+    try:
+        return pathlib.Path(path).read_bytes()
+    except OSError as exc:
+        raise DomainError(f"cannot read family config: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -663,11 +745,7 @@ def a_tilde(fam: FamilySpec, p: int) -> float:
     """
     if p < 5:
         raise DomainError("Atilde requires p >= 5")
-    entry = builtin_entry(fam)
-    if entry is not None:
-        return entry.a_tilde(p)
-    a_vals, good = _curve_data(fam, p)
-    return _lambda_cubed_weight(a_vals[good], p)
+    return entry_of(fam).a_tilde(p)
 
 
 # --------------------------------------------------------------------------
@@ -844,7 +922,6 @@ class SieveWindow:
     N: int
     good_t: np.ndarray        # bool mask over t = N..2N inclusive
     W: int
-    logR: float
 
 
 def _mark_linear_progression(mask: np.ndarray, start: int, a: int, b: int,
@@ -859,7 +936,7 @@ def _mark_linear_progression(mask: np.ndarray, start: int, a: int, b: int,
     mask[first::mm] = False
 
 
-def sieve_window(fam: FamilySpec, N: int, logR: float = 0.0) -> SieveWindow:
+def sieve_window(fam: FamilySpec, N: int) -> SieveWindow:
     """Mark t in [N, 2N] whose every D factor is k-power free."""
     if N < 1:
         raise DomainError("N must be >= 1")
@@ -868,7 +945,7 @@ def sieve_window(fam: FamilySpec, N: int, logR: float = 0.0) -> SieveWindow:
     size = N + 1
     good = np.ones(size, dtype=bool)
     if fam.k == INF:
-        return SieveWindow(N=N, good_t=good, W=size, logR=logR)
+        return SieveWindow(N=N, good_t=good, W=size)
     k = int(fam.k)
     for fac in fam.D_factors:
         deg = len(fac) - 1
@@ -889,8 +966,7 @@ def sieve_window(fam: FamilySpec, N: int, logR: float = 0.0) -> SieveWindow:
                         good[i] = False
                         break
                     d += 1
-    return SieveWindow(N=N, good_t=good, W=int(np.count_nonzero(good)),
-                       logR=logR)
+    return SieveWindow(N=N, good_t=good, W=int(np.count_nonzero(good)))
 
 
 def sieve_density(fam: FamilySpec, prime_limit: int = 10 ** 3) -> float:
@@ -930,26 +1006,18 @@ def quadratic_legendre_sum_brute(a: int, b: int, c: int, p: int) -> int:
 def rank_bias(fam, X: float) -> float:
     """(1/X) sum_{p <= X} -(A_1(p) / p) log p; tends to the rank.
 
-    A built-in reads A_1 off its registry entry; every other family counts
-    points, O(p^2) per prime, so its X may not pass BRUTE_FORCE_CAP.
+    A_1 is the family's entry's: a built-in's registry array, or point
+    counts, O(p^2) per prime, whose X may not pass BRUTE_FORCE_CAP.
     """
     if X < 10 ** 3:
         raise DomainError("X must be >= 1e3")
-    if isinstance(fam, str):
-        fam = get_family(fam)
-    entry = builtin_entry(fam)
-    if entry is None and X > BRUTE_FORCE_CAP:
-        raise ResourceError(
-            f"brute-force rank bias for custom families is capped at X = "
-            f"{BRUTE_FORCE_CAP}")
+    entry = entry_of(fam)
+    check_cap(entry, X, "rank-bias X")
     p_int = get_table(int(X)).primes
     p_int = p_int[p_int >= 5]
-    if entry is not None:
-        m1 = entry.A1(p_int, p_int.astype(np.float64)).tolist()
-    else:
-        m1 = [complete_moment(fam, p, 1) for p in p_int.tolist()]
     total = 0.0
-    for p, m in zip(p_int.tolist(), m1):
+    for p, m in zip(p_int.tolist(),
+                    entry.A1(p_int, p_int.astype(np.float64)).tolist()):
         if m:
             total -= m / p * math.log(p)
     return total / X

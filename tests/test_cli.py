@@ -134,9 +134,11 @@ def test_explicit_exit_codes(capsys):
     code, _, _ = run(capsys, "explicit", "--family", "cusp_model",
                      "--phi", "mystery:0.5", "--logR", "25")
     assert code == 2
-    code, _, _ = run(capsys, "explicit", "--family", "cusp_model",
-                     "--phi", "fejer:0.5", "--logR", "-3")
-    assert code == 2
+    # R = e^logR at most 1, past the float range or not a number
+    for logR in ("-3", "1000", "nan", "inf"):
+        code, out, err = run(capsys, "explicit", "--family", "cusp_model",
+                             "--phi", "fejer:0.5", "--logR", logR)
+        assert code == 2 and out == "" and "Traceback" not in err
     code, _, _ = run(capsys, "explicit", "--family", "no_such_family",
                      "--phi", "fejer:0.5", "--logR", "25")
     assert code == 2
@@ -258,6 +260,12 @@ GOLDEN = [
     (("explicit", "--family", "cm_b2_kappa2", "--phi", "fejer:0.9",
       "--logR", "25"),
      "b7d561f9aab0d1a97f7fa5b161ce06088f7acba194989bd33223a677d4713fb3"),
+    (("explicit", "--family", "cusp_model", "--phi", "indicator_smooth:0.18",
+      "--logR", "50"),
+     "fc0e69d4c1361118e2a5be43af6597579c5b892ad82ad9fd9b54b0a9299eec0f"),
+    (("explicit", "--family", "noncm_3x12t", "--phi",
+      "indicator_smooth:0.18", "--logR", "50"),
+     "fc969c85c230c728715a24a67abcc867787956421b4b7a1410437049549e4efc"),
     (("verify", "--suite", "appendixB"),
      "a488ad5dc81cfc8cc272f79d2ff276f487913510b8c4a5f636cfd623f33beb50"),
     (("family", "--family", "@" + IMPOSTOR, "--prime-limit", "13"),

@@ -128,9 +128,11 @@ def test_catalog_names_and_references():
 def test_compute_constant_argument_errors():
     with pytest.raises(DomainError):
         constants.compute_constant("gamma_nope")
-    with pytest.raises(DomainError):
-        constants.compute_constant("gamma_st_0", prime_limit=100,
-                                   first_primes=100)
+    # both truncations, refused before every per-name branch
+    for name in ("gamma_st_0", "gamma_23"):
+        with pytest.raises(DomainError):
+            constants.compute_constant(name, prime_limit=100,
+                                       first_primes=100)
 
 
 def test_exact_cancellation_and_negative_control():

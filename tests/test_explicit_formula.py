@@ -5,7 +5,10 @@ direct power-sum recurrence for the geometric remainder, and a synthetic
 zero-moment family for the decomposition plumbing.
 """
 
+import hashlib
+import json
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -190,21 +193,22 @@ def test_evaluate_s_truncation_guards():
     pair = ef.builtin_test_pair("fejer:2.0")
     with pytest.raises(IncompleteSumError):
         ef.evaluate_S("cusp_model", pair, math.exp(50.0), prime_limit=1000)
-    with pytest.raises(DomainError):
-        ef.evaluate_S("cusp_model", pair, 0.5)
+    for R in (0.5, 1.0, 0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ef.evaluate_S("cusp_model", pair, R)
+    # R^(sigma/2) = e^1400 is past the float range; no truncation reaches it
+    with pytest.raises(IncompleteSumError):
+        ef.evaluate_S("cusp_model", ef.builtin_test_pair("fejer:4"),
+                      math.exp(700.0), prime_limit=1000)
 
 
 def test_evaluate_s_zero_moments_give_pure_main_term(monkeypatch):
-    class ZeroMoments:
-        def __init__(self, fam, p_int, pf):
-            z = np.zeros_like(pf)
-            self.A0, self.A1, self.A2, self.hs = z, z, z, z
-            self.has_bad = False
+    def zero_moments(p_int, pf):
+        z = np.zeros_like(pf)
+        return z, z, z, None, z
 
-        def bad_moment(self, m):
-            return 0.0
-
-    monkeypatch.setattr(ef, "_FamilyMoments", ZeroMoments)
+    monkeypatch.setattr(families.REGISTRY["cm_b1_kappa1"], "moments",
+                        zero_moments)
     monkeypatch.setattr(constants, "_gamma_atilde_family",
                         lambda fam, n: (0.0, 0.0))
     pair = ef.builtin_test_pair("fejer:0.3")
@@ -223,9 +227,14 @@ def test_evaluate_s_thread_count_independence():
     assert one.pieces == eight.pieces
 
 
-def test_lower_order_limit_needs_a_prime_number_theorem_split():
+def test_lower_order_limit_needs_a_prime_number_theorem_split(monkeypatch):
     # the quartic pair's A_1 and A_2 live on p = 1 mod 4, which the split
-    # into all primes and p = 1 mod 3 does not cover
+    # into all primes and p = 1 mod 3 does not cover; the entry's lead says
+    # so before any prime table is built
+    def no_work(*args, **kwargs):
+        raise AssertionError("prime table built before the lead check")
+
+    monkeypatch.setattr(ef, "get_table", no_work)
     with pytest.raises(DomainError):
         ef.lower_order_limit("rank1_36t")
 
@@ -251,6 +260,14 @@ def test_evaluate_s_brute_path_matches_vectorized():
                 fast.pieces[key][part], rel=1e-9, abs=1e-12)
 
 
+def _moments(entry, p_int, pf):
+    """An entry's moments by name, with has_bad for its bad moments."""
+    A0, A1, A2, aprime, hs = entry.moments(p_int, pf)
+    Aprime1, Aprime2 = aprime or (None, None)
+    return SimpleNamespace(A0=A0, A1=A1, A2=A2, Aprime1=Aprime1,
+                           Aprime2=Aprime2, hs=hs, has_bad=aprime is not None)
+
+
 def _clone(name):
     """A built-in's curve under another name: a custom family."""
     fam = families.get_family(name)
@@ -260,6 +277,16 @@ def _clone(name):
         "D_factors": [list(f) for f in fam.D_factors],
         "k": None if fam.k == families.INF else int(fam.k),
         "forced_zero_primes": [2, 3]})
+
+
+def test_evaluate_s_custom_family_golden():
+    # the SHA-256 of a custom clone's decomposition, canonical JSON
+    dec = ef.evaluate_S(_clone("cm_b1_kappa2"),
+                        ef.builtin_test_pair("fejer:0.4"), math.exp(25.0),
+                        atilde_primes=30)
+    canon = json.dumps(dec.as_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == (
+        "0f1e6760f43e1020965a584c379d1cd4949a33623b7936369e7b81fdf0f37366")
 
 
 def test_evaluate_s_custom_family_refuses_uncapped_atilde(monkeypatch):
@@ -296,8 +323,8 @@ def test_registry_moment_arrays_match_brute_force(name):
     p_int = get_table(300).primes
     p_int = p_int[p_int >= 5]
     pf = p_int.astype(np.float64)
-    fast = ef._FamilyMoments(families.get_family(name), p_int, pf)
-    brute = ef._BruteMoments(_clone(name), p_int, pf)
+    fast = _moments(families.entry_of(name), p_int, pf)
+    brute = _moments(families.entry_of(_clone(name)), p_int, pf)
     attrs = ["A0", "A1", "A2"]
     if fast.has_bad:
         attrs += ["Aprime1", "Aprime2"]
@@ -328,8 +355,8 @@ def _full_array_decomposition(name, phi, R, atilde_primes):
     ph0 = phi.phihat0
     phihat1 = np.asarray(phi.eval_phihat(lp / L), dtype=np.float64)
     phihat2 = np.asarray(phi.eval_phihat(2.0 * lp / L), dtype=np.float64)
-    mom = ef._ModelMoments(pf) if model else \
-        ef._FamilyMoments(fam, p_int, pf)
+    entry = ef.CUSP_MODEL if model else families.entry_of(fam)
+    mom = _moments(entry, p_int, pf)
 
     def chunked(vec):
         return math.fsum(float(np.sum(vec[s:s + CHUNK]))
@@ -340,7 +367,7 @@ def _full_array_decomposition(name, phi, R, atilde_primes):
 
     pieces = {}
     if mom.has_bad:
-        sa = pair(ef._aprime_density(mom, pf, lp))
+        sa = pair(constants.aprime_terms(mom.Aprime1, mom.Aprime2, pf, lp))
         pieces["S_Aprime"] = {k: -2.0 * ph0 * v / L for k, v in sa.items()}
     else:
         pieces["S_Aprime"] = {"main": 0.0, "sieve": 0.0}
@@ -358,7 +385,7 @@ def _full_array_decomposition(name, phi, R, atilde_primes):
     pieces["S_2"] = {k: (-2.0 * s2a[k] + 2.0 * ph0 * s2b[k]) / L
                      for k in ("main", "sieve")}
     if model:
-        at_main = chunked(ef._model_atilde_terms(pf, lp))
+        at_main = chunked(ef.CUSP_MODEL.atilde_terms(pf, lp))
         at_sieve = 0.0
     else:
         at_main, at_sieve = constants._gamma_atilde_family(fam,
@@ -399,7 +426,7 @@ def _aprime_m_series(bad_moment, pf, lp):
 def _assert_aprime_matches_series(mom, bad_moment, p_int):
     pf = p_int.astype(np.float64)
     lp = np.log(pf)
-    closed = ef._aprime_density(mom, pf, lp)
+    closed = constants.aprime_terms(mom.Aprime1, mom.Aprime2, pf, lp)
     series = _aprime_m_series(bad_moment, pf, lp)
     assert np.all(series != 0.0)
     assert np.max(np.abs(closed - series) / np.abs(series)) <= 1e-15
@@ -411,13 +438,14 @@ def test_aprime_closed_form_matches_m_series():
     s3 = np.array([legendre_symbol(3, int(p)) for p in p_int])
     sm3 = np.array([legendre_symbol(-3, int(p)) for p in p_int])
     fam = families.get_family("noncm_3x12t")
-    mom = ef._FamilyMoments(fam, p_int, p_int.astype(np.float64))
+    mom = _moments(families.entry_of(fam), p_int, p_int.astype(np.float64))
     _assert_aprime_matches_series(
         mom, lambda m: (s3 ** m + sm3 ** m).astype(np.float64), p_int)
     # the same curve as a custom family, through the brute-force moments
     clone = _clone("noncm_3x12t")
     p_int = p_int[p_int <= 200]
-    mom = ef._BruteMoments(clone, p_int, p_int.astype(np.float64))
+    mom = _moments(families.entry_of(clone), p_int,
+                   p_int.astype(np.float64))
     _assert_aprime_matches_series(
         mom, lambda m: np.array([families.complete_moment(
             clone, int(p), m, "bad") for p in p_int], dtype=np.float64),

@@ -404,6 +404,37 @@ def test_load_family_invalid():
                               "D_factors": [[1]], "k": 3})
 
 
+_GOOD_CONFIG = {"name": "custom", "A": [0], "B": [2, 6],
+                "D_factors": [[1, 6]], "k": 6}
+
+
+@pytest.mark.parametrize("source", [
+    {**_GOOD_CONFIG, "A": [1.5]},
+    {**_GOOD_CONFIG, "B": ["2", 6]},
+    {**_GOOD_CONFIG, "D_factors": [[1, True]]},
+    {**_GOOD_CONFIG, "k": 3.7},
+    {**_GOOD_CONFIG, "k": 6.0},
+    {**_GOOD_CONFIG, "forced_zero_primes": [2.5]},
+    "missing.json",
+    "malformed.json",
+    "list.json",
+], ids=["A float", "B string", "D bool", "k fraction", "k float",
+        "forced float", "missing file", "malformed JSON", "JSON list"])
+def test_load_family_accepts_only_integer_configs(tmp_path, source):
+    # a config that would load as a different curve, or no config at all,
+    # is a DomainError from load_family itself
+    (tmp_path / "malformed.json").write_text('{"name": "x", "A": [0',
+                                             encoding="utf-8")
+    (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    if isinstance(source, str):
+        source = str(tmp_path / source)
+    with pytest.raises(DomainError):
+        families.load_family(source)
+    if isinstance(source, dict):
+        with pytest.raises(DomainError):
+            families.load_family(json.dumps(source))
+
+
 def test_family_spec_validation():
     with pytest.raises(DomainError):
         families.FamilySpec(name="degenerate", A_poly=(0,), B_poly=(0,),
