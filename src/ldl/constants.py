@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _literals, families, primes
-from ._sum import chunked_sum, thread_count
+from ._sum import term_sum, thread_count
 from .errors import DomainError, VerificationError
 from .primes import (CHI_3, CHI_M3, ConstantResult, first_n_primes,
                      get_table, residue_character)
@@ -189,19 +189,21 @@ def paper_reference(name: str) -> tuple:
     raise DomainError(f"unknown constant {name!r}")
 
 
-def _gamma_sieve012_value(prime_count: int, threads: int) -> float:
+def _gamma_sieve012_value(primes: np.ndarray, threads: int) -> float:
     """Sieve-weighted r in {0,1,2} contribution for the k=3 sieve with one
     root per prime (nu = 1 for p >= 5): the S_0 pieces add
     2(p-1)/(p(p+1)) per prime, the S_2 pieces subtract 2(p-1)^2/(p+1)^3
     on p = 1 mod 3, everything weighted by H_sieve = 1/(p^3 - 1)."""
-    table = first_n_primes(prime_count)
-    p_int = table.primes[table.primes >= 5]
-    pf = p_int.astype(np.float64)
-    lp = np.log(pf)
-    h_sieve = 1.0 / (pf ** 3 - 1.0)
-    s0 = 2 * (pf - 1) / (pf * (pf + 1.0))
-    s2 = np.where(p_int % 3 == 1, 2 * (pf - 1) ** 2 / (pf + 1.0) ** 3, 0.0)
-    return -chunked_sum(h_sieve * lp * (s0 - s2), threads)
+    def term(p_int):
+        pf = p_int.astype(np.float64)
+        lp = np.log(pf)
+        h_sieve = 1.0 / (pf ** 3 - 1.0)
+        s0 = 2 * (pf - 1) / (pf * (pf + 1.0))
+        s2 = np.where(p_int % 3 == 1, 2 * (pf - 1) ** 2 / (pf + 1.0) ** 3,
+                      0.0)
+        return h_sieve * lp * (s0 - s2)
+
+    return -term_sum(term, primes[int(np.searchsorted(primes, 5)):], threads)
 
 
 @lru_cache(maxsize=256)
@@ -252,38 +254,34 @@ def compute_constant(name: str, prime_limit: int | None = None,
 
     if first_primes is None and prime_limit is None:
         first_primes = spec.default_first_primes
-
-    if name == "gamma_sieve012":
-        count = first_primes if first_primes is not None else 10 ** 4
-        value = _gamma_sieve012_value(count, nthreads)
-        return ConstantResult(name, value, "prime_count", count, 1e-12,
-                              "direct_sum")
-
-    if name == "gamma_atilde_3":
-        count = first_primes if first_primes is not None else 5000
-        fam = families.get_family("noncm_3x12t")
-        value, _ = _gamma_atilde_family(fam, count)
-        x_last = float(first_n_primes(count).primes[-1])
-        return ConstantResult(name, value, "prime_count", count,
-                              _tail_bound(spec, x_last), "direct_sum")
-
     if first_primes is not None:
         table = first_n_primes(first_primes)
         kind, trunc = "prime_count", first_primes
     else:
         table = get_table(prime_limit)
         kind, trunc = "prime_limit", prime_limit
+    x_last = float(table.primes[-1])
+
+    if name == "gamma_sieve012":
+        value = _gamma_sieve012_value(table.primes, nthreads)
+        return ConstantResult(name, value, kind, trunc, 1e-12, "direct_sum")
+
+    if name == "gamma_atilde_3":
+        fam = families.get_family("noncm_3x12t")
+        value, _ = _gamma_atilde_family(fam, len(table))
+        return ConstantResult(name, value, kind, trunc,
+                              _tail_bound(spec, x_last), "direct_sum")
 
     p_int = table.primes
     if spec.residue_class is not None:
-        a, b = spec.residue_class
-        p_int = table.residue_class(a, b)
-    if spec.p_min > 2:
-        p_int = p_int[p_int >= spec.p_min]
-    pf = p_int.astype(np.float64)
-    lp = np.log(pf)
-    value = chunked_sum(spec.term(pf, p_int, lp), nthreads)
-    x_last = float(table.primes[-1])
+        p_int = table.residue_class(*spec.residue_class)
+    p_int = p_int[int(np.searchsorted(p_int, spec.p_min)):]
+
+    def term(block):
+        pf = block.astype(np.float64)
+        return spec.term(pf, block, np.log(pf))
+
+    value = term_sum(term, p_int, nthreads)
     return ConstantResult(name, value, kind, trunc,
                           _tail_bound(spec, x_last), "direct_sum")
 

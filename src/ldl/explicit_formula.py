@@ -113,8 +113,12 @@ def _indicator_pair(s: float) -> TestFunctionPair:
 
     def phihat(u):
         u = np.abs(np.asarray(u, dtype=np.float64))
-        roll = 0.5 * (1.0 + np.cos(math.pi * (u - a * s) / ((1 - a) * s)))
-        return np.where(u <= a * s, 1.0, np.where(u < s, roll, 0.0))
+        out = np.where(u <= a * s, 1.0, 0.0)
+        # the cosine only on the roll-off band a s < |u| < s
+        band = (u > a * s) & (u < s)
+        out[band] = 0.5 * (1.0 + np.cos(math.pi * (u[band] - a * s)
+                                        / ((1 - a) * s)))
+        return out
 
     def phi(x):
         x = np.asarray(x, dtype=np.float64)

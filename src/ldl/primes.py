@@ -20,11 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _literals
-from ._sum import chunked_sum, thread_count
+from ._sum import term_sum, thread_count
 from .errors import DomainError, ResourceError
 
 HARD_SIEVE_CAP = 10 ** 10
-_SEGMENT = 1 << 24
+#: tables up to this limit come from the plain sieve
+_SMALL_LIMIT = 1 << 16
+#: the wheel sieve's mask, one byte per odd number: 2^24 bytes (fewer for
+#: a shorter range), allocated once per call (see the allocator note in _sum)
+_MASK_BYTES = 1 << 24
+#: the wheel primes; their multiples are cleared by copying the pattern
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_SPAN = math.prod(_WHEEL_PRIMES)
 
 
 # --------------------------------------------------------------------------
@@ -45,14 +52,7 @@ class PrimeTable:
 
     limit: int
     primes: np.ndarray
-    _log: np.ndarray | None = field(default=None, repr=False)
     _classes: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def log_primes(self) -> np.ndarray:
-        if self._log is None:
-            self._log = np.log(self.primes.astype(np.float64))
-        return self._log
 
     def residue_class(self, a: int, b: int) -> np.ndarray:
         """Primes p <= limit with p = a mod b."""
@@ -65,29 +65,65 @@ class PrimeTable:
         return int(self.primes.size)
 
 
+def _wheel_sieve(limit: int) -> np.ndarray:
+    """Primes <= limit by an odd-only segmented sieve of Eratosthenes with
+    a 3*5*7*11*13 wheel (Bays & Hudson, BIT 17, 1977).
+
+    Mask index j stands for the odd number 2j + 1.  Each segment starts as
+    the wheel pattern, which is periodic in j with period _WHEEL_SPAN, so it
+    is filled from a two-span pattern by doubling slice copies; the base
+    primes q > 13 then clear their odd multiples from q^2 on, each resuming
+    at the multiple saved from the previous segment.  Every segment's
+    primes go straight into one table sized by Rosser-Schoenfeld,
+    pi(x) < 1.25506 x / log x, which is returned as a slice."""
+    odds = (limit + 1) // 2                   # the odd numbers 1 .. limit
+    table = np.empty(int(1.25506 * limit / math.log(limit)) + 2,
+                     dtype=np.int64)
+    table[0] = 2
+    count = 1
+    pattern = np.gcd(np.arange(1, 4 * _WHEEL_SPAN, 2), _WHEEL_SPAN) == 1
+    base = [int(q) for q in _simple_sieve(math.isqrt(limit))
+            if q > _WHEEL_PRIMES[-1]]
+    nxt = [(q * q) // 2 for q in base]        # index of q^2
+    mask = np.empty(min(odds, _MASK_BYTES), dtype=bool)
+    for lo in range(0, odds, mask.size):
+        seg = mask[:min(mask.size, odds - lo)]
+        hi = lo + seg.size
+        first = min(_WHEEL_SPAN, seg.size)
+        offset = lo % _WHEEL_SPAN
+        seg[:first] = pattern[offset:offset + first]
+        filled = first
+        while filled < seg.size:
+            step = min(filled, seg.size - filled)
+            seg[filled:filled + step] = seg[:step]
+            filled += step
+        if lo == 0:
+            seg[0] = False                    # 1
+            seg[[q // 2 for q in _WHEEL_PRIMES]] = True
+        for i, q in enumerate(base):
+            j = nxt[i]
+            if j < hi:
+                seg[j - lo::q] = False
+                nxt[i] = j - (j - hi) // q * q   # the first multiple >= hi
+        idx = np.flatnonzero(seg)
+        out = table[count:count + idx.size]
+        np.multiply(idx, 2, out=out)
+        out += 2 * lo + 1
+        count += idx.size
+    return table[:count]
+
+
 def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= limit, segmented so memory stays bounded."""
+    """All primes <= limit; past 2^16 by the segmented wheel sieve, so the
+    memory beyond the table itself stays bounded."""
     if limit < 2:
         raise DomainError(f"sieve limit {limit} yields an empty table")
     if limit > HARD_SIEVE_CAP:
         raise ResourceError(
             f"sieve limit {limit} exceeds the configured cap {HARD_SIEVE_CAP}")
-    if limit <= _SEGMENT:
+    if limit <= _SMALL_LIMIT:
         return PrimeTable(limit, _simple_sieve(limit))
-    root = math.isqrt(limit)
-    base = _simple_sieve(root)
-    out = [base]
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + _SEGMENT - 1, limit)
-        mask = np.ones(hi - lo + 1, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = ((lo + p - 1) // p) * p
-            mask[start - lo::p] = False
-        out.append(np.nonzero(mask)[0].astype(np.int64) + lo)
-        lo = hi + 1
-    return PrimeTable(limit, np.concatenate(out))
+    return PrimeTable(limit, _wheel_sieve(limit))
 
 
 _TABLE_CACHE: PrimeTable | None = None
@@ -231,21 +267,24 @@ def theta_error_integral(cls, upper_limit: float,
     """
     if upper_limit < 2:
         raise DomainError("upper_limit must be >= 2")
+    top = math.floor(upper_limit)             # the primes <= X are <= floor X
     if table is None:
-        table = get_table(int(upper_limit))
-    if table.limit < upper_limit - 1e-9:
+        table = get_table(top)
+    if table.limit < top:
         raise DomainError(
             f"prime table (limit {table.limit}) does not cover X={upper_limit}")
-    nthreads = thread_count(threads)
     if cls == "all":
         primes, phib = table.primes, 1
     else:
         a, b = cls
         primes, phib = table.residue_class(a, b), totient(b)
-    primes = primes[primes <= upper_limit]
-    pf = primes.astype(np.float64)
-    lp = np.log(pf)
-    s = chunked_sum(lp * (1.0 / pf - 1.0 / upper_limit), nthreads)
+    primes = primes[:int(np.searchsorted(primes, top, side="right"))]
+
+    def term(p_int):
+        pf = p_int.astype(np.float64)
+        return np.log(pf) * (1.0 / pf - 1.0 / upper_limit)
+
+    s = term_sum(term, primes, thread_count(threads))
     return s - math.log(upper_limit) / phib
 
 
@@ -291,9 +330,11 @@ def gamma_pnt(method: str = "closed_form", prime_limit: int | None = None,
     nthreads = thread_count(threads)
     X = float(table.primes[-1])
     if method == "closed_form":
-        pf = table.primes.astype(np.float64)
-        value = -_literals.EULER_GAMMA - chunked_sum(
-            table.log_primes / (pf * pf - pf), nthreads)
+        def term(p_int):
+            pf = p_int.astype(np.float64)
+            return np.log(pf) / (pf * pf - pf)
+
+        value = -_literals.EULER_GAMMA - term_sum(term, table.primes, nthreads)
         tail = math.log(X) / X
     elif method in ("direct", "integral"):
         value = 1.0 + theta_error_integral("all", X, table, threads)
@@ -328,16 +369,17 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
     X = float(table.primes[-1])
     name = f"gamma_pnt_{a}{b}"
     if method == "closed_form":
-        # transcendental part minus 2 sum over the two nonprincipal classes
-        # of log p/(p^2 - p^delta), delta = 1 iff p = 1 mod b
-        primes = table.primes[table.primes % b != 0]
-        if b == 4:
-            primes = primes[primes != 2]
-        pf = primes.astype(np.float64)
-        lp = np.log(pf)
-        delta1 = (primes % b) == 1
-        denom = np.where(delta1, pf * pf - pf, pf * pf - 1.0)
-        value = _AB_CLOSED[(a, b)]() - 2.0 * chunked_sum(lp / denom, nthreads)
+        # transcendental part minus 2 sum over the primes prime to b of
+        # log p/(p^2 - p^delta), delta = 1 iff p = 1 mod b
+        small = table.primes[:int(np.searchsorted(table.primes, b, "right"))]
+        primes = np.delete(table.primes, np.flatnonzero(b % small == 0))
+
+        def term(p_int):
+            pf = p_int.astype(np.float64)
+            denom = np.where(p_int % b == 1, pf * pf - pf, pf * pf - 1.0)
+            return np.log(pf) / denom
+
+        value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(term, primes, nthreads)
         tail = 2 * math.log(X) / X
     elif method in ("direct", "integral"):
         value = 1.0 + 2.0 * theta_error_integral((a, b), X, table, threads)

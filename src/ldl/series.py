@@ -169,11 +169,17 @@ def p_ell_sum(ell: int, table, cls="all", threads: int | None = None) -> float:
     if ell < 2:
         raise DomainError("ell must be >= 2")
     primes = table.primes if cls == "all" else table.residue_class(*cls)
-    pf = primes.astype(np.float64)
-    lp = np.log(pf)
+    # x < 1/p, so x**ell is exactly 0 (below half the least subnormal) for
+    # p > e^(746/ell): only the primes up to there are evaluated, which
+    # skips the long tail of subnormal powers, and the terms keep their
+    # bits (e^40 is past any sieve limit and still fits an int64)
+    k = int(np.searchsorted(primes, int(math.exp(min(746.0 / ell, 40.0))),
+                            "right"))
+    pf = primes[:k].astype(np.float64)
     x = pf / (pf + 1.0) ** 2
-    return chunked_sum((pf - 1.0) * lp / (pf + 1.0) * x ** ell,
-                       thread_count(threads))
+    terms = np.zeros(primes.size)
+    terms[:k] = (pf - 1.0) * np.log(pf) / (pf + 1.0) * x ** ell
+    return chunked_sum(terms, thread_count(threads))
 
 
 # --------------------------------------------------------------------------

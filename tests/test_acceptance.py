@@ -30,7 +30,6 @@ def test_semicircle_constants():
     assert abs(st2.value - 1.1851820642) <= 1e-6
 
 
-@pytest.mark.slow
 def test_cubic_moment_constant_two_ways():
     direct = constants.compute_constant("gamma_st_atilde")
     assert abs(direct.value - 0.4160714430) <= 1e-7

@@ -68,6 +68,16 @@ def test_constants_method_both(capsys):
     assert methods == {"closed_form", "integral"}
 
 
+@pytest.mark.parametrize("name", ["gamma_sieve012", "gamma_atilde_3"])
+def test_constants_prime_limit_reaches_the_first_prime_sums(capsys, name):
+    by_limit = run_json(capsys, "constants", "--name", name,
+                        "--prime-limit", "100")["results"]["rows"][0]
+    by_count = run_json(capsys, "constants", "--name", name,
+                        "--first-primes", "25")["results"]["rows"][0]
+    assert by_limit["truncation"] == "prime_limit:100"
+    assert by_limit["value"] == by_count["value"]
+
+
 def test_family_aggregate(capsys):
     doc = run_json(capsys, "family", "--family", "cm_b1_kappa2",
                    "--aggregate")

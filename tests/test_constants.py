@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ldl import constants, families
+from ldl import constants, families, primes
 from ldl.errors import DomainError, VerificationError
 from ldl.primes import first_n_primes
 
@@ -182,3 +182,123 @@ def test_aggregate_computed_mode_guard(monkeypatch):
         assert agg.piece_sum() == pytest.approx(agg.aggregate, abs=1e-12)
     with pytest.raises(DomainError):
         constants.aggregate_lower_order("rank1_36t", source="derived")
+
+
+def test_prime_limit_truncates_the_first_prime_sums():
+    # pi(100) = 25: a prime limit selects the primes up to it, and is
+    # reported as such
+    for name in ("gamma_sieve012", "gamma_atilde_3"):
+        by_limit = constants.compute_constant(name, prime_limit=100)
+        by_count = constants.compute_constant(name, first_primes=25)
+        assert by_limit.value == by_count.value
+        assert (by_limit.truncation_kind, by_limit.truncation) == \
+            ("prime_limit", 100)
+        assert by_limit.tail_bound == by_count.tail_bound
+    default = constants.compute_constant("gamma_sieve012")
+    assert constants.compute_constant(
+        "gamma_sieve012", prime_limit=100).value != default.value
+
+
+# the repr of every catalog result at its reference truncation, frozen
+# from the implementation that built each sum as one full-length column
+CATALOG_GOLDEN = {
+    ("gamma_0_3", "catalog"):
+        "ConstantResult(name='gamma_0_3', value=0.33470305231682257, "
+        "truncation_kind='prime_count', truncation=1000000, "
+        "tail_bound=2.2672857303709102e-06, method='direct_sum')",
+    ("gamma_1_3", "catalog"):
+        "ConstantResult(name='gamma_1_3', value=-0.013643783905808645, "
+        "truncation_kind='prime_count', truncation=1000000, "
+        "tail_bound=7.11200500982462e-14, method='direct_sum')",
+    ("gamma_23", "catalog"):
+        "ConstantResult(name='gamma_23', value=1.4255553730053518, "
+        "truncation_kind='prime_count', truncation=2, tail_bound=0.0, "
+        "method='closed_form')",
+    ("gamma_2_3", "catalog"):
+        "ConstantResult(name='gamma_2_3', value=0.0856256397702363, "
+        "truncation_kind='prime_count', truncation=1000000, "
+        "tail_bound=3.4009285955563655e-06, method='direct_sum')",
+    ("gamma_aprime_3", "catalog"):
+        "ConstantResult(name='gamma_aprime_3', value=-0.082971426074337, "
+        "truncation_kind='prime_count', truncation=1000000, "
+        "tail_bound=4.5345714607418204e-06, method='direct_sum')",
+    ("gamma_atilde_3", "catalog"):
+        "ConstantResult(name='gamma_atilde_3', value=0.33837280625076943, "
+        "truncation_kind='prime_count', truncation=5000, "
+        "tail_bound=0.001940565735611559, method='direct_sum')",
+    ("gamma_cm0_ge5", "catalog"):
+        "ConstantResult(name='gamma_cm0_ge5', value=0.709919026525973, "
+        "truncation_kind='prime_count', truncation=1000000, "
+        "tail_bound=4.5345714607418204e-06, method='direct_sum')",
+    ("gamma_cm2_13", "catalog"):
+        "ConstantResult(name='gamma_cm2_13', value=0.6412884390306441, "
+        "truncation_kind='prime_count', truncation=4000000, "
+        "tail_bound=2.8044268239104403e-06, method='direct_sum')",
+    ("gamma_cm_13", "catalog"):
+        "ConstantResult(name='gamma_cm_13', value=0.38184489086887957, "
+        "truncation_kind='prime_count', truncation=1000000, "
+        "tail_bound=6.801857191112731e-06, method='direct_sum')",
+    ("gamma_cm_14", "catalog"):
+        "ConstantResult(name='gamma_cm_14', value=0.4663306101718448, "
+        "truncation_kind='prime_count', truncation=1000000, "
+        "tail_bound=6.801857191112731e-06, method='direct_sum')",
+    ("gamma_pnt", "catalog"):
+        "ConstantResult(name='gamma_pnt', value=-1.332582265733365, "
+        "truncation_kind='prime_limit', truncation=100000000, "
+        "tail_bound=1.842068266022745e-07, method='closed_form')",
+    ("gamma_pnt", "integral"):
+        "ConstantResult(name='gamma_pnt', value=-1.3323760648725198, "
+        "truncation_kind='prime_limit', truncation=100000000, "
+        "tail_bound=0.13572859747230007, method='integral')",
+    ("gamma_pnt_13", "catalog"):
+        "ConstantResult(name='gamma_pnt_13', value=-2.375494490353519, "
+        "truncation_kind='prime_limit', truncation=67867979, "
+        "tail_bound=5.314162925264282e-07, method='closed_form')",
+    ("gamma_pnt_13", "integral"):
+        "ConstantResult(name='gamma_pnt_13', value=-2.374998611462212, "
+        "truncation_kind='prime_limit', truncation=67867979, "
+        "tail_bound=0.3157890750490303, method='integral')",
+    ("gamma_pnt_14", "catalog"):
+        "ConstantResult(name='gamma_pnt_14', value=-2.2248371093412653, "
+        "truncation_kind='prime_limit', truncation=67867979, "
+        "tail_bound=5.314162925264282e-07, method='closed_form')",
+    ("gamma_pnt_14", "integral"):
+        "ConstantResult(name='gamma_pnt_14', value=-2.2243478068148956, "
+        "truncation_kind='prime_limit', truncation=67867979, "
+        "tail_bound=0.3157890750490303, method='integral')",
+    ("gamma_sieve012", "catalog"):
+        "ConstantResult(name='gamma_sieve012', "
+        "value=-0.004288323615284336, truncation_kind='prime_count', "
+        "truncation=10000, tail_bound=1e-12, method='direct_sum')",
+    ("gamma_st_0", "catalog"):
+        "ConstantResult(name='gamma_st_0', value=0.769110621560987, "
+        "truncation_kind='prime_count', truncation=1000000, "
+        "tail_bound=2.2672857303709102e-06, method='direct_sum')",
+    ("gamma_st_2", "catalog"):
+        "ConstantResult(name='gamma_st_2', value=1.1851822635665985, "
+        "truncation_kind='prime_count', truncation=4000000, "
+        "tail_bound=1.121770729564176e-06, method='direct_sum')",
+    ("gamma_st_atilde", "catalog"):
+        "ConstantResult(name='gamma_st_atilde', value=0.4160714426322126, "
+        "truncation_kind='prime_count', truncation=1000000, "
+        "tail_bound=2.2672857303709102e-06, method='direct_sum')",
+}
+
+
+_INTEGRAL = {
+    "gamma_pnt": lambda: primes.gamma_pnt(method="integral"),
+    "gamma_pnt_13": lambda: primes.gamma_pnt_ab(1, 3, method="integral"),
+    "gamma_pnt_14": lambda: primes.gamma_pnt_ab(1, 4, method="integral"),
+}
+
+
+@pytest.mark.parametrize("name,method", [
+    pytest.param(*key, marks=pytest.mark.slow)
+    if key[0] == "gamma_atilde_3" else key for key in CATALOG_GOLDEN],
+    ids=[f"{name}-{method}" for name, method in CATALOG_GOLDEN])
+def test_catalog_results_keep_their_bits(name, method):
+    if method == "integral":
+        res = _INTEGRAL[name]()
+    else:
+        res = constants.compute_constant(name)
+    assert repr(res) == CATALOG_GOLDEN[name, method]

@@ -39,6 +39,34 @@ def test_pair_support_and_normalization(name):
         pytest.approx(pair.phi0, rel=1e-12)
 
 
+def _raised_cosine(u, s, a=ef._RC_FLAT):
+    """The indicator pair's phihat with the cosine taken everywhere."""
+    u = np.abs(np.asarray(u, dtype=np.float64))
+    roll = 0.5 * (1.0 + np.cos(math.pi * (u - a * s) / ((1 - a) * s)))
+    return np.where(u <= a * s, 1.0, np.where(u < s, roll, 0.0))
+
+
+def test_indicator_phihat_is_the_raised_cosine_bit_for_bit():
+    # the cosine is evaluated on the roll-off band only; every value,
+    # flat part, band and its edges, must be the full-grid formula's
+    pair = ef.builtin_test_pair("indicator_smooth:0.18")
+    s, a = 0.18, ef._RC_FLAT
+    grid = np.concatenate([np.linspace(-0.3, 0.3, 60001),
+                           [a * s, np.nextafter(a * s, 1.0), s,
+                            np.nextafter(s, 0.0), -a * s, -s]])
+    assert np.asarray(pair.eval_phihat(grid)).tobytes() == \
+        _raised_cosine(grid, s).tobytes()
+    for u in (0.0, 0.15, 0.17, -0.16, 0.18, 0.2):
+        assert np.asarray(pair.eval_phihat(u)).tobytes() == \
+            _raised_cosine(u, s).tobytes()
+    # the arguments evaluate_S builds, on its largest default table
+    lp = np.log(get_table(math.ceil(math.exp(18))).primes.astype(np.float64))
+    for L in (50.0, 100.0, 200.0):
+        for u in (lp / L, 2.0 * lp / L):
+            assert np.asarray(pair.eval_phihat(u)).tobytes() == \
+                _raised_cosine(u, s).tobytes()
+
+
 @pytest.mark.parametrize("name", PAIR_NAMES)
 def test_pair_evenness(name):
     pair = ef.builtin_test_pair(name)

@@ -27,9 +27,10 @@ def test_sieve_matches_known_primes():
 
 
 def test_prime_counting_checkpoints():
-    # pi(10^4) = 1229 and pi(10^6) = 78498
+    # pi(10^4) = 1229, pi(10^6) = 78498 and pi(10^8) = 5761455
     assert primes.sieve_primes(10 ** 4).primes.size == 1229
     assert primes.sieve_primes(10 ** 6).primes.size == 78498
+    assert primes.sieve_primes(10 ** 8).primes.size == 5761455
 
 
 def test_first_n_primes():
@@ -119,3 +120,59 @@ def test_invalid_inputs_raise():
         primes.gamma_pnt(method="nonsense", prime_limit=10 ** 6)
     with pytest.raises(DomainError):
         primes.legendre_symbol(2, 4, validate=True)
+
+
+def _plain_eratosthenes(n):
+    """Primes <= n by the textbook sieve over every integer."""
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for i in range(2, math.isqrt(n) + 1):
+        if mask[i]:
+            mask[i * i::i] = False
+    return np.flatnonzero(mask)
+
+
+def test_sieve_matches_plain_eratosthenes_below_300():
+    for n in range(2, 300):
+        assert np.array_equal(primes.sieve_primes(n).primes,
+                              _plain_eratosthenes(n)), n
+
+
+SPAN = 3 * 5 * 7 * 11 * 13       # the wheel's period
+SEGMENT = 1 << 25                # the integers one wheel-sieve segment spans
+
+
+@pytest.fixture(scope="module")
+def reference_primes():
+    return _plain_eratosthenes(2 * SEGMENT + 1)
+
+
+def _edges():
+    out = [(1 << 16) + d for d in (-1, 0, 1)]          # the plain-sieve cutoff
+    out += [k * SPAN + d for k in (1, 4, 5, 7, 4469) for d in (-1, 0, 1)]
+    out += [k * SEGMENT + d for k in (1, 2) for d in (-1, 0, 1)]
+    # q^2 starts the marking of each base prime q > 13
+    out += [q * q + d for q in (257, 4099, 5791, 8191) for d in (-1, 0, 1)]
+    return out
+
+
+@pytest.mark.parametrize("n", _edges())
+def test_sieve_matches_plain_eratosthenes_at_the_edges(n, reference_primes):
+    want = reference_primes[:np.searchsorted(reference_primes, n, "right")]
+    table = primes.sieve_primes(n)
+    assert table.limit == n
+    assert np.array_equal(table.primes, want)
+
+
+def test_theta_error_integral_at_a_non_integer_x():
+    # the primes <= 10^6 + 1/2 are those <= 10^6, so the table to 10^6
+    # covers X; the closed form is sum_{p<=X} log p (1/p - 1/X) - log X
+    X = 10 ** 6 + 0.5
+    table = primes.get_table(10 ** 6)
+    got = primes.theta_error_integral("all", X)
+    assert got == primes.theta_error_integral("all", X, table)
+    want = math.fsum(math.log(p) * (1.0 / p - 1.0 / X)
+                     for p in table.primes.tolist()) - math.log(X)
+    assert got == pytest.approx(want, abs=1e-9)
+    with pytest.raises(DomainError):
+        primes.theta_error_integral("all", 10 ** 6 + 1, table)

@@ -8,11 +8,13 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldl import series
+from ldl._sum import chunked_sum
 from ldl.errors import DomainError
 from ldl.primes import get_table
 
@@ -133,6 +135,23 @@ def test_p_ell_sum_residue_classes_split():
              + series.p_ell_sum(3, table, cls=(3, 4))
              + (2.0 - 1.0) * math.log(2.0) / 3.0 * (2.0 / 9.0) ** 3)
     assert parts == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("ell", [2, 20, 46, 47, 100, 340])
+def test_p_ell_sum_equals_the_full_column_sum(ell):
+    # the terms past the underflow cut are exact zeros, so the sum has the
+    # bits of the chunked sum of the whole column (ell = 46 and 47 put the
+    # cut just past and just inside the table of primes up to 10^7)
+    table = get_table(10 ** 7)
+    pf = table.primes.astype(np.float64)
+    x = pf / (pf + 1.0) ** 2
+    column = (pf - 1.0) * np.log(pf) / (pf + 1.0) * x ** ell
+    assert series.p_ell_sum(ell, table) == chunked_sum(column)
+    for cls in ((1, 3), (2, 3)):
+        p = table.residue_class(*cls).astype(np.float64)
+        x = p / (p + 1.0) ** 2
+        column = (p - 1.0) * np.log(p) / (p + 1.0) * x ** ell
+        assert series.p_ell_sum(ell, table, cls=cls) == chunked_sum(column)
 
 
 def test_hecke_power_expansion_reconstructs_powers():
