@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, families
-from ._sum import block_sums, chunked_sum, thread_count
+from ._sum import block_sums, thread_count
 from .errors import DomainError, IncompleteSumError
 from .primes import first_n_primes, gamma_pnt, gamma_pnt_ab, get_table
 
@@ -477,6 +477,8 @@ def lower_order_limit(fam, threads: int | None = None) -> dict:
     noncm_3x12t, minus gamma_aprime_3 summed to LIMIT_PRIME_LIMIT), and
     S_Atilde the same cached cubic-moment sum over the first ATILDE_PRIMES
     primes (the cusp model sums its closed form to LIMIT_PRIME_LIMIT).
+    As in evaluate_S, the convergent sums share one pass over the table,
+    block by block (_sum.block_sums), so memory is bounded by the block.
     """
     entry = _entry(fam)
     if entry.lead is None:
@@ -484,45 +486,60 @@ def lower_order_limit(fam, threads: int | None = None) -> dict:
                           f"of {entry.name!r}")
     model = entry is CUSP_MODEL
     nthreads = thread_count(threads)
-    table = get_table(LIMIT_PRIME_LIMIT)
-    p_int = table.primes if model else table.primes[table.primes >= 5]
-    pf = p_int.astype(np.float64)
-    lp = np.log(pf)
-    A0, A1, A2, aprime, hs = entry.moments(p_int, pf)
+    primes = get_table(LIMIT_PRIME_LIMIT).primes
+    lo = 0 if model else int(np.searchsorted(primes, 5))
 
     pnt = gamma_pnt(prime_limit=LIMIT_PRIME_LIMIT, threads=nthreads).value
     pnt13 = gamma_pnt_ab(1, 3, prime_limit=LIMIT_PRIME_LIMIT,
                          threads=nthreads).value
     dropped = 0.0 if model else \
         0.5 * constants.compute_constant("gamma_23").value
-    on13 = (p_int % 3 == 1).astype(np.float64)
 
+    # (piece, eps, c, d with Y_r = c A_r/p^d, Z_r/Y_r)
+    rows = (("S_0", 1.0, 2.0, 2, lambda pf: 1.0 / (pf + 1.0)),
+            ("S_1", -1.0, 1.0, 2,
+             lambda pf: (3.0 * pf + 1.0) / (pf + 1.0) ** 2),
+            ("S_2", -1.0, 1.0, 3,
+             lambda pf: (4.0 * pf * pf + 3.0 * pf + 1.0) / (pf + 1.0) ** 3))
+
+    def block(start, stop):
+        """Partial sums of every convergent term over one block of primes."""
+        p_int = primes[lo + start:lo + stop]
+        pf = p_int.astype(np.float64)
+        lp = np.log(pf)
+        A0, A1, A2, aprime, hs = entry.moments(p_int, pf)
+        on13 = (p_int % 3 == 1).astype(np.float64)
+        sums = {}
+        if aprime is not None:
+            sa = constants.aprime_terms(*aprime, pf, lp)
+            sums["S_Aprime", "main"] = np.sum(sa)
+            sums["S_Aprime", "sieve"] = np.sum(sa * hs)
+        for (name, _, c, d, z_over_y), A, (a, b) in zip(rows, (A0, A1, A2),
+                                                         entry.lead):
+            y = c * A / pf ** d
+            # the numerator is exact in float64 while p^2 < 2^53
+            rem = c * (A - (a + b * on13) * pf ** (d - 1)) / pf ** d
+            corr = y * z_over_y(pf)
+            sums[name, "main"] = np.sum((rem - corr) * lp)
+            sums[name, "sieve"] = np.sum((y - corr) * lp * hs)
+        if model:
+            sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(pf, lp))
+        return sums
+
+    sums = block_sums(block, primes.size - lo, nthreads)
     pieces = {}
-    if aprime is not None:
-        sa = constants.aprime_terms(*aprime, pf, lp)
-        pieces["S_Aprime"] = {"main": -chunked_sum(sa, nthreads),
-                              "sieve": -chunked_sum(sa * hs, nthreads)}
+    if ("S_Aprime", "main") in sums:
+        pieces["S_Aprime"] = {k: -sums["S_Aprime", k]
+                              for k in ("main", "sieve")}
     else:
         pieces["S_Aprime"] = {"main": 0.0, "sieve": 0.0}
-
-    # (piece, eps, c, A_r, d with Y_r = c A_r/p^d, Z_r/Y_r)
-    rows = (("S_0", 1.0, 2.0, A0, 2, 1.0 / (pf + 1.0)),
-            ("S_1", -1.0, 1.0, A1, 2, (3.0 * pf + 1.0) / (pf + 1.0) ** 2),
-            ("S_2", -1.0, 1.0, A2, 3,
-             (4.0 * pf * pf + 3.0 * pf + 1.0) / (pf + 1.0) ** 3))
-    for (name, eps, c, A, d, z_over_y), (a, b) in zip(rows, entry.lead):
-        y = c * A / pf ** d
-        # the numerator is exact in float64 while p^2 < 2^53
-        rem = c * (A - (a + b * on13) * pf ** (d - 1)) / pf ** d
-        corr = y * z_over_y
+    for (name, eps, c, _, _), (a, b) in zip(rows, entry.lead):
         main = (c * (a * (pnt - dropped) + b * pnt13 / 2.0)
-                + chunked_sum((rem - corr) * lp, nthreads))
-        sieve = chunked_sum((y - corr) * lp * hs, nthreads)
-        pieces[name] = {"main": eps * main, "sieve": eps * sieve}
+                + sums[name, "main"])
+        pieces[name] = {"main": eps * main, "sieve": eps * sums[name, "sieve"]}
 
     if model:
-        at_main = chunked_sum(entry.atilde_terms(pf, lp), nthreads)
-        at_sieve = 0.0
+        at_main, at_sieve = sums["S_Atilde", "main"], 0.0
     else:
         at_main, at_sieve = constants._gamma_atilde_family(
             entry.spec, ATILDE_PRIMES)

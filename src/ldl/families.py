@@ -33,8 +33,9 @@ Atilde(p) is computed per family as follows:
   Introduction to Modern Number Theory*, ch. 18, Thms 18.4 and 18.5).  For
   the quartic pair the number of t in each quartic class comes from the
   Jacobi sum J(chi, chi) = -chi(-1) pi.
-* ``noncm_3x12t``: an FFT correlation at a power-of-two length, O(p log p)
-  per prime.
+* ``noncm_3x12t``: an FFT correlation at the least 5-smooth length n >=
+  2p - 1, O(p log p) per prime, with the weights lambda^3/(p + 1 - a)
+  taken from a table over the Hasse range |a| <= 2 sqrt p.
 * any other family: brute-force point counts, O(p^2) per prime.
 
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
@@ -651,9 +652,14 @@ def closed_form_moment(fam, p: int, r: int, side: str = "good") -> int:
 # --------------------------------------------------------------------------
 # the cubic-moment quantity Atilde
 
-def _lambda_cubed_weight(a_vals: np.ndarray, p: int) -> float:
+def _lambda_cubed_terms(a_vals: np.ndarray, p: int) -> np.ndarray:
+    """lambda^3 / (p + 1 - a) elementwise, lambda = a / sqrt(p)."""
     lam = a_vals / math.sqrt(p)
-    return float(np.sum(lam ** 3 / (p + 1 - a_vals)))
+    return lam ** 3 / (p + 1 - a_vals)
+
+
+def _lambda_cubed_weight(a_vals: np.ndarray, p: int) -> float:
+    return float(np.sum(_lambda_cubed_terms(a_vals, p)))
 
 
 def _find_generator(p: int) -> int:
@@ -701,35 +707,70 @@ def _quartic_class_data(bb: int, p: int) -> list:
     return out
 
 
+def _smooth_length(m: int) -> int:
+    """The least 5-smooth n = 2^i 3^j 5^k >= m, a length that numpy's FFT
+    factors into radix-2, -3 and -5 passes."""
+    best = 1 << max(m - 1, 0).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            n = odd
+            while n < m:
+                n *= 2
+            best = min(best, n)
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _b3_correlation(p: int) -> np.ndarray:
+    """corr[s] = sum_v N[v] chi[(v + s) mod p] for s < p, N the value
+    histogram of x^3 - 3x mod p and chi the Legendre symbol mod p.
+
+    The circular correlation of length p is taken as a linear one at the
+    5-smooth length n >= 2p - 1 (an FFT at a prime length costs several
+    times more, and a power of two pads up to twice as much), with N
+    zero-padded and chi tiled twice: v + s < 2p never wraps around n.  The
+    tiled chi is built directly, -1 off the squares x^2 and x^2 + p."""
+    x = np.arange(p, dtype=np.int64)
+    hist = np.bincount((x * x % p * x - 3 * x) % p, minlength=p)
+    squares = x[1:(p + 1) // 2] ** 2 % p
+    chi2 = np.full(2 * p, -1.0)
+    chi2[squares] = 1.0
+    chi2[squares + p] = 1.0
+    chi2[0] = chi2[p] = 0.0
+    n = _smooth_length(2 * p - 1)
+    return np.fft.irfft(np.conj(np.fft.rfft(hist.astype(np.float64), n))
+                        * np.fft.rfft(chi2, n), n)[:p]
+
+
 def _a_tilde_b3(p: int) -> float:
     """Atilde(p) for noncm_3x12t in O(p log p).
 
-    a_t = -(chi * N)(12t), where N is the value histogram of x^3 - 3x and
-    chi the Legendre table: a circular cross-correlation of length p.  It
-    is taken as a linear correlation at the power-of-two length n >= 2p - 1,
-    the histogram zero-padded and chi tiled twice, because an FFT at a
-    prime length costs several times more.  The correlation values are
-    integers, so any rounding slack of 1/4 or more is an error.
+    a_t = -(chi * N)(12t): one correlation (_b3_correlation) gives the
+    trace at every shift.  Its values are integers, so any rounding slack
+    of 1/4 or more is an error, and so is a trace outside the Hasse range
+    |a| <= h = floor(2 sqrt p).  The weight lambda^3 / (p + 1 - a) is
+    computed once per integer a in [-h, h] and gathered at the good t in
+    t order, so every term and the pairwise sum are those of
+    _lambda_cubed_weight over the a_t.
     """
-    x = np.arange(p, dtype=np.int64)
-    vals = (x * x % p * x - 3 * x) % p
-    hist = np.bincount(vals, minlength=p).astype(np.float64)
-    chi = legendre_symbols_vec(x, p).astype(np.float64)
-    n = 1 << (2 * p - 2).bit_length()
-    # corr[s] = sum_v hist[v] * chi[(v + s) mod p] for s < p; v + s < 2p
-    # never wraps around n
-    corr = np.fft.irfft(np.conj(np.fft.rfft(hist, n))
-                        * np.fft.rfft(np.tile(chi, 2), n), n)[:p]
+    corr = _b3_correlation(p)
     rounded = np.rint(corr)
     if np.max(np.abs(corr - rounded)) >= 0.25:
         raise VerificationError(f"fft correlation not integral at {p}")
-    a_all = -rounded.astype(np.int64)
-    # a_t corresponds to shift 12t; bad t are the roots of (6t-1)(6t+1)
-    shifts = 12 * x % p
-    a_vals = a_all[shifts]
-    disc = (6 * x % p + 1) * (6 * x % p - 1) % p
-    good = disc != 0
-    return _lambda_cubed_weight(a_vals[good], p)
+    h = math.isqrt(4 * p)
+    if np.max(np.abs(rounded)) > h:
+        raise VerificationError(f"fft trace outside the Hasse range at {p}")
+    weights = _lambda_cubed_terms(np.arange(-h, h + 1, dtype=np.int64), p)
+    # a_t = -rounded[12t] sits at weights[h + a_t]; the bad t are the
+    # roots of (6t - 1)(6t + 1)
+    index = (h - rounded).astype(np.intp)[np.arange(0, 12 * p, 12) % p]
+    good = np.ones(p, dtype=bool)
+    inv6 = pow(6, -1, p)
+    good[[inv6, p - inv6]] = False
+    return float(np.sum(weights[index[good]]))
 
 
 def a_tilde(fam: FamilySpec, p: int) -> float:
@@ -738,8 +779,9 @@ def a_tilde(fam: FamilySpec, p: int) -> float:
     A built-in takes the method of its registry entry: for the CM families
     closed forms in O(log p), the traces of the sextic and quartic twists
     read off the primary prime above p (Ireland & Rosen, Thms 18.4 and
-    18.5); for ``noncm_3x12t`` an FFT correlation zero-padded to a
-    power-of-two length (see _a_tilde_b3).  Every other family, and any
+    18.5); for ``noncm_3x12t`` an FFT correlation zero-padded to the
+    least 5-smooth length n >= 2p - 1, its weights gathered from a table
+    over the Hasse range (see _a_tilde_b3).  Every other family, and any
     config that only borrows a built-in's name: brute-force point counts,
     O(p^2).
     """

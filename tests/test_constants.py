@@ -302,3 +302,9 @@ def test_catalog_results_keep_their_bits(name, method):
     else:
         res = constants.compute_constant(name)
     assert repr(res) == CATALOG_GOLDEN[name, method]
+
+
+def test_gamma_atilde_3_keeps_its_bits_at_1000_primes():
+    # the fast stand-in for the slow 5000-prime golden above
+    res = constants.compute_constant("gamma_atilde_3", first_primes=1000)
+    assert res.value == 0.33816082480404813

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldl import families
-from ldl.errors import DomainError, ResourceError
+from ldl.errors import DomainError, ResourceError, VerificationError
 from ldl.primes import get_table, legendre_symbol, legendre_symbols_vec
 
 BUILTINS = sorted(families.BUILTIN_FAMILIES)
@@ -231,15 +231,51 @@ def _a_tilde_b3_prime_length(p: int) -> float:
 
 @pytest.mark.slow
 def test_a_tilde_b3_padded_fft_matches_prime_length():
-    # the padded length doubles at p = 2^j + 1, so the range covers primes
-    # on both sides of every doubling up to 2^13 + 1
+    # the padded length is the least 5-smooth n >= 2p - 1; a power of two
+    # would double at p = 2^j + 1, so the range covers primes on both sides
+    # of every such step up to 2^13 + 1, and every 5-smooth step between
     primes = [int(q) for q in get_table(10 ** 4).primes if q >= 5]
     for p in primes:
         assert families._a_tilde_b3(p) == _a_tilde_b3_prime_length(p), p
 
 
+def test_a_tilde_b3_unpadded_where_2p_minus_1_is_5_smooth():
+    # there the 5-smooth length is 2p - 1 itself: no padding slack
+    primes = [p for p in map(int, get_table(10 ** 5).primes)
+              if p >= 5 and families._smooth_length(2 * p - 1) == 2 * p - 1]
+    assert primes[:5] == [5, 13, 23, 41, 113]
+    fam = families.get_family("noncm_3x12t")
+    for p in primes:
+        assert families.a_tilde(fam, p) == _a_tilde_b3_prime_length(p), p
+
+
+def test_smooth_length_is_the_least_5_smooth_bound():
+    def smooth(n):
+        for q in (2, 3, 5):
+            while n % q == 0:
+                n //= q
+        return n == 1
+
+    want = [next(n for n in range(m, 2 * m + 1) if smooth(n))
+            for m in range(1, 3000)]
+    assert [families._smooth_length(m) for m in range(1, 3000)] == want
+
+
+@pytest.mark.parametrize("shift,match", [(0.5, "not integral"),
+                                         (1.0, "Hasse range")])
+def test_a_tilde_b3_checks_its_correlation(monkeypatch, shift, match):
+    # a non-integral correlation, then an integral one just outside the
+    # Hasse range |a| <= floor(2 sqrt p)
+    p = 101
+    h = math.isqrt(4 * p)
+    monkeypatch.setattr(families, "_b3_correlation",
+                        lambda p: np.full(p, h + shift))
+    with pytest.raises(VerificationError, match=match):
+        families._a_tilde_b3(p)
+
+
 def test_a_tilde_b3_takes_the_padded_fft_at_every_prime(monkeypatch):
-    # past 2^16 the padded length is 2^18; no point count may run
+    # past 2^16 (padded length 131220 = 2^2 3^8 5); no point count may run
     def no_point_count(fam, p):
         raise AssertionError("brute-force point count")
 
