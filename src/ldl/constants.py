@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _literals, families, primes
-from ._sum import term_sum, thread_count
+from ._sum import CHUNK, term_sum, thread_count
 from .errors import DomainError, VerificationError
 from .primes import (CHI_3, CHI_M3, ConstantResult, first_n_primes,
                      get_table, residue_character)
@@ -207,28 +207,44 @@ def _gamma_sieve012_value(primes: np.ndarray, threads: int) -> float:
 
 
 @lru_cache(maxsize=256)
+def _atilde_main_terms(fam: families.FamilySpec, prime_count: int) -> tuple:
+    """(primes, terms) over the first prime_count primes at which
+    Atilde(p) != 0: the terms Atilde(p) p^(3/2) (p-1) log p / (p(p+1)^3) of
+    the cubic-moment main sum.  The one cache of the Atilde layer; every
+    H_sieve weight is applied afterwards.
+
+    Atilde comes from the family's entry per CHUNK block of primes.  The
+    weight is Python float arithmetic per prime: numpy's p ** 1.5 and
+    log p differ from Python's in the last bit at some primes, and
+    p(p+1)^3 passes 2^63 once p > 55000."""
+    p_int = first_n_primes(prime_count).primes
+    p_int = p_int[int(np.searchsorted(p_int, 5)):]
+    entry = families.entry_of(fam)
+    at = np.zeros(p_int.size)
+    for i in range(0, p_int.size, CHUNK):
+        at[i:i + CHUNK] = entry.a_tildes(p_int[i:i + CHUNK])
+    on = np.flatnonzero(at)
+    ps = p_int[on].tolist()
+    terms = np.array([a * p ** 1.5 * (p - 1) * math.log(p) / (p * (p + 1) ** 3)
+                      for p, a in zip(ps, at[on].tolist())])
+    terms.setflags(write=False)
+    return tuple(ps), terms
+
+
 def _gamma_atilde_family(fam: families.FamilySpec, prime_count: int,
                          sieve_exponent: int | None = None
                          ) -> tuple[float, float]:
     """(main, sieve) cubic-moment constants over the first prime_count
     primes: sum_p Atilde(p) p^(3/2) (p-1) log p / (p(p+1)^3), and the same
-    with the extra H_sieve weight."""
-    table = first_n_primes(prime_count)
-    main_terms = []
-    sieve_terms = []
-    for p in table.primes:
-        p = int(p)
-        if p < 5:
-            continue
-        at = families.a_tilde(fam, p)
-        if at == 0.0:
-            continue
-        w = at * p ** 1.5 * (p - 1) * math.log(p) / (p * (p + 1) ** 3)
-        main_terms.append(w)
-        if fam.k != families.INF or sieve_exponent is not None:
-            _, hs = families.h_factor(fam, p, exponent=sieve_exponent)
-            sieve_terms.append(w * hs)
-    return (math.fsum(main_terms), math.fsum(sieve_terms))
+    with the extra H_sieve weight, under the family's own sieve exponent or
+    `sieve_exponent`.  Both are math.fsum, exact before the one rounding,
+    so the order of the terms does not matter."""
+    ps, terms = _atilde_main_terms(fam, prime_count)
+    k = families.sieve_exponent(fam, sieve_exponent)
+    if k is None:
+        return math.fsum(terms), 0.0
+    return math.fsum(terms), math.fsum(
+        terms * np.array(families.sieve_weights(fam, ps, k)))
 
 
 def compute_constant(name: str, prime_limit: int | None = None,

@@ -26,20 +26,24 @@ borrows a built-in's name takes the brute-force entry.
 
 Atilde(p) is computed per family as follows:
 
-* CM built-ins, O(log p) per prime: the trace of each twist y^2 = x^3 + c
-  (resp. y^2 = x^3 - Dx) is read off the primary prime pi above p in Z[omega]
-  (resp. Z[i]), found by Cornacchia's algorithm, and the sextic (resp.
-  quartic) residue symbol of the twist (Ireland & Rosen, *A Classical
-  Introduction to Modern Number Theory*, ch. 18, Thms 18.4 and 18.5).  For
-  the quartic pair the number of t in each quartic class comes from the
-  Jacobi sum J(chi, chi) = -chi(-1) pi.
+* CM built-ins, O(log p) per prime as int64 array code over a block of
+  primes: the trace of each twist y^2 = x^3 + c (resp. y^2 = x^3 - Dx) is
+  read off the primary prime pi above p in Z[omega] (resp. Z[i]), found by
+  Cornacchia's algorithm, and the sextic (resp. quartic) residue symbol of
+  the twist (Ireland & Rosen, *A Classical Introduction to Modern Number
+  Theory*, ch. 18, Thms 18.4 and 18.5), all from the least generator of
+  each prime.  For the quartic pair the number of t in each quartic class
+  comes from the Jacobi sum J(chi, chi) = -chi(-1) pi.  The kernels are
+  exact up to INT64_PRIME_LIMIT and raise ResourceError past it; one
+  prime is a block of one.
 * ``noncm_3x12t``: an FFT correlation at the least 5-smooth length n >=
   2p - 1, O(p log p) per prime, with the weights lambda^3/(p + 1 - a)
   taken from a table over the Hasse range |a| <= 2 sqrt p.
 * any other family: brute-force point counts, O(p^2) per prime.
 
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
-simple, and a scan of t mod p^k otherwise.
+simple, and a scan of t mod p^k otherwise; a built-in's sieve weights read
+nu_D(p^k) = n_bad off its entry at every p >= 5.
 
 Every closed form registered here is cross-checked against the brute
 O(p^2) sum in the test suite for all primes up to 300.
@@ -197,7 +201,18 @@ def _check_factor_resultants(fam: FamilySpec) -> None:
 # each written once over primes p >= 5 (p_int, and pf in float64): A_0, A_1,
 # A_2 over the good t, the bad moments A'_1, A'_2 and H_sieve.
 
-class _Builtin:
+class _Entry:
+    """What every entry shares: Atilde over a block from its one-prime
+    a_tilde, unless the entry has array kernels of its own."""
+
+    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
+        """Atilde(p) at each prime p >= 5 of an ascending int64 block, one
+        prime at a time."""
+        return np.array([self.a_tilde(p) for p in p_int.tolist()],
+                        dtype=np.float64)
+
+
+class _Builtin(_Entry):
     rank = 0
     has_bad = False       # some bad t has multiplicative reduction
     cap = INF             # closed forms hold at every prime
@@ -224,7 +239,15 @@ class _Builtin:
         return self.n_bad / (pf ** int(self.spec.k) - self.n_bad)
 
 
-class _Sextic(_Builtin):
+class _CM(_Builtin):
+    """A CM built-in: Atilde from the int64 kernels over a block of primes,
+    and one prime as a block of one."""
+
+    def a_tilde(self, p: int) -> float:
+        return float(self.a_tildes(np.array([p], dtype=np.int64))[0])
+
+
+class _Sextic(_CM):
     """y^2 = x^3 + bb(6T+1)^kappa, CM by Q(sqrt-3), k = 6/kappa: one
     additive bad t, and the good a_t vanish off p = 1 mod 3."""
     kind, n_bad = "sextic", 1
@@ -246,25 +269,29 @@ class _Sextic(_Builtin):
     def A2(self, p_int, pf):
         return np.where(p_int % 3 == 1, 2 * pf * pf - 2 * pf, 0.0)
 
-    def a_tilde(self, p: int) -> float:
+    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
         # y^2 = x^3 + c with c = bb*(6t+1)^kappa: a depends only on the
         # sextic residue class of c, and 6t+1 covers each nonzero residue
-        # once
-        if p % 3 != 1:
-            return 0.0
-        g = _find_generator(p)
-        pi = _eisenstein_prime(p)
-        a_reps = np.array([_a_sextic(self.bb * pow(g, i * self.kappa, p) % p,
-                                     p, pi) for i in range(6)],
-                          dtype=np.int64)
-        if self.kappa == 1:
-            return (p - 1) // 6 * _lambda_cubed_weight(a_reps, p)
-        # kappa = 2: u^2 runs over the even indices, each class hit (p-1)/3
-        # times
-        return (p - 1) // 3 * _lambda_cubed_weight(a_reps[[0, 2, 4]], p)
+        # once, so c runs over the classes of bb g^(i kappa), i = 0, kappa,
+        # .., 6 - kappa, each (p-1)/(6/kappa) times.  The terms are added
+        # left to right in that order, which is how np.sum adds fewer than
+        # eight (the sum of _lambda_cubed_weight)
+        _check_int64(p_int)
+        out = np.zeros(p_int.shape)
+        on = p_int % 3 == 1
+        p = p_int[on]
+        powers = [i * self.kappa for i in range(0, 6, self.kappa)]
+        terms = _lambda_cubed_terms(
+            _sextic_traces(self.bb, p, _least_generators(p), powers),
+            p[:, None])
+        total = terms[:, 0]
+        for col in terms.T[1:]:
+            total = total + col
+        out[on] = (p - 1) // (6 // self.kappa) * total
+        return out
 
 
-class _Quartic(_Builtin):
+class _Quartic(_CM):
     """y^2 = x^3 - d^2 (36T+6)(36T+5) x, CM by Q(i), k = 3: two additive bad
     t, and the good a_t vanish off p = 1 mod 4; `twist` tabulates (d/p)."""
     kind, n_bad = "quartic", 2
@@ -285,20 +312,28 @@ class _Quartic(_Builtin):
     def A2(self, p_int, pf):
         mask = p_int % 4 == 1
         a_sq = np.zeros_like(pf)
-        a_sq[mask] = [_a_ref_curve(int(p)) ** 2 for p in p_int[mask]]
+        a_sq[mask] = _a_ref_curves(p_int[mask]) ** 2
         return np.where(mask, 2 * pf * (pf - 1.0) - a_sq, 0.0)
 
-    def a_tilde(self, p: int) -> float:
+    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
         # y^2 = x^3 - c x with c = bb*(36t+6)(36t+5): a depends only on the
-        # quartic residue class of c
-        if p % 4 != 1:
-            return 0.0
-        total = 0.0
-        sqrt_p = math.sqrt(p)
-        for count, a in _quartic_class_data(self.bb, p):
-            lam = a / sqrt_p
-            total += count * lam ** 3 / (p + 1 - a)
-        return total
+        # quartic residue class of c.  The terms are added from 0.0 in
+        # class order, and lam^3 is Python's power: numpy's differs from it
+        # in the last bit for a few per cent of doubles
+        _check_int64(p_int)
+        out = np.zeros(p_int.shape)
+        on = p_int % 4 == 1
+        p = p_int[on]
+        counts, traces = _quartic_classes(self.bb, p)
+        lam = traces / np.sqrt(p.astype(np.float64))[:, None]
+        cubes = np.array([x ** 3 for x in lam.ravel().tolist()],
+                         dtype=np.float64).reshape(lam.shape)
+        terms = counts * cubes / (p[:, None] + 1 - traces)
+        total = np.zeros(p.shape)
+        for col in terms.T:
+            total = total + col
+        out[on] = total
+        return out
 
 
 class _NonCM(_Builtin):
@@ -347,7 +382,7 @@ def builtin_entry(fam):
     return entry if entry is not None and entry.spec == fam else None
 
 
-class _BruteForce:
+class _BruteForce(_Entry):
     """The entry of any family without closed forms: point counts, O(p^2)
     per prime, so no prime it is asked about may pass its cap."""
     rank, lead, cap = 0, None, BRUTE_FORCE_CAP
@@ -531,78 +566,214 @@ def complete_moment(fam: FamilySpec, p: int, r: int, side: str = "good"):
 
 
 # --------------------------------------------------------------------------
-# traces of the CM twists from the prime above p (Ireland & Rosen, ch. 18)
+# traces of the CM twists from the prime above p (Ireland & Rosen, ch. 18),
+# as int64 array kernels over an ascending block of primes
 
-def _cornacchia(d: int, p: int, s: int) -> tuple:
-    """(x, y) with x^2 + d y^2 = p and x + ys = 0 mod p, from a root s of
-    s^2 = -d mod p (Cornacchia's algorithm)."""
-    r0, r1 = p, s
-    bound = math.isqrt(p)
-    while r1 > bound:
-        r0, r1 = r1, r0 % r1
-    x = r1
-    y = math.isqrt((p - x * x) // d)
-    if x * x + d * y * y != p:
-        raise VerificationError(f"Cornacchia found no x^2 + {d}y^2 = {p}")
-    return (x, y) if (x + y * s) % p == 0 else (x, -y)
+#: the largest p at which the int64 kernels below are exact: a product of
+#: two residues, at most (p - 1)^2, stays below 2^63
+INT64_PRIME_LIMIT = math.isqrt(2 ** 63 - 1) + 1
 
 
-def _gaussian_prime(p: int) -> tuple:
-    """(a, b, s) for p = 1 mod 4: s^2 = -1 mod p, and pi = a + bi the
-    primary prime above p (b even, a + b = 1 mod 4) with pi = 0 under
-    i -> s."""
+def _check_int64(p: np.ndarray) -> None:
+    if p.size and int(p.max()) > INT64_PRIME_LIMIT:
+        raise ResourceError(
+            f"p = {int(p.max())} is past {INT64_PRIME_LIMIT}, where the "
+            "int64 residue arithmetic of the CM traces overflows")
+
+
+_PYPOW = np.frompyfunc(pow, 3, 1)
+
+
+def _powmod(base, exp, p):
+    """base^exp mod p elementwise (broadcast), by square and multiply; on
+    fewer than 64 elements, where numpy's per-call cost dominates, by
+    Python's pow on each."""
+    base = np.asarray(base, dtype=np.int64) % p
+    exp = np.asarray(exp, dtype=np.int64)
+    shape = np.broadcast_shapes(base.shape, exp.shape, np.shape(p))
+    if math.prod(shape) < 64:
+        return _PYPOW(base, exp, p).astype(np.int64).reshape(shape)
+    out = np.ones(shape, dtype=np.int64)
+    while True:
+        out = np.where(exp & 1, out * base % p, out)
+        exp = exp >> 1
+        if not exp.any():
+            return out
+        base = base * base % p
+
+
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) elementwise, for 0 <= n < 2^52."""
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    r -= r * r > n
+    return r + ((r + 1) * (r + 1) <= n)
+
+
+def _prime_factors(m: np.ndarray) -> np.ndarray:
+    """The distinct prime factors of each m > 1, one row each, padded with
+    the row's first factor: trial division by the primes up to sqrt(max m),
+    so the scratch memory is O(sqrt(max m)) beside the block."""
+    rest = m.copy()
+    factors = np.zeros((m.size, 10), dtype=np.int64)   # 2*3*...*29 > 2^32
+    count = np.zeros(m.size, dtype=np.int64)
+    top = int(m.max(initial=4))
+    for q in get_table(math.isqrt(top)).primes.tolist():
+        if q * q > int(rest.max(initial=1)):
+            break                  # what is left of each m is 1 or a prime
+        hit = np.flatnonzero(rest % q == 0)
+        if hit.size:
+            factors[hit, count[hit]] = q
+            count[hit] += 1
+        while hit.size:
+            rest[hit] //= q
+            hit = hit[rest[hit] % q == 0]
+    hit = np.flatnonzero(rest > 1)
+    factors[hit, count[hit]] = rest[hit]
+    count[hit] += 1
+    factors = factors[:, :int(count.max(initial=1))]
+    return np.where(factors == 0, factors[:, :1], factors)
+
+
+def _least_generators(p: np.ndarray) -> np.ndarray:
+    """The least generator of (Z/p)^* for each odd prime p of a block: the
+    least g = 2, 3, ... with g^((p-1)/q) != 1 for every prime q | p - 1,
+    each candidate tried only on the primes not yet settled.  The Atilde
+    terms are summed in the order of the powers of g, so the bits depend
+    on taking the least one."""
+    exps = (p - 1)[:, None] // _prime_factors(p - 1)
+    gen = np.zeros_like(p)
+    todo = np.arange(p.size)
+    g = 1
+    while todo.size:
+        g += 1
+        ok = np.all(_powmod(g, exps[todo], p[todo, None]) != 1, axis=1)
+        gen[todo[ok]] = g
+        todo = todo[~ok]
+    return gen
+
+
+def _sqrt_minus_one(p: np.ndarray) -> np.ndarray:
+    """s with s^2 = -1 mod p for each p = 1 mod 4: n^((p-1)/4) with n the
+    least quadratic non-residue, a prime.  For p = 1 mod 4 quadratic
+    reciprocity gives (n/p) = (p/n) for odd primes n, and (2/p) = -1 iff
+    p = 5 mod 8, so n is found from p mod n alone, on the primes not yet
+    settled, with no modular power and no factoring."""
+    nonres = np.where(p % 8 == 5, 2, 0)
+    todo = np.flatnonzero(nonres == 0)
     n = 2
-    while legendre_symbol(n, p) != -1:
+    while todo.size:
         n += 1
-    s = pow(n, (p - 1) // 4, p)
+        if not is_prime(n):
+            continue
+        square = np.zeros(n, dtype=bool)
+        square[np.arange(n) ** 2 % n] = True
+        hit = ~square[p[todo] % n]
+        nonres[todo[hit]] = n
+        todo = todo[~hit]
+    return _powmod(nonres, (p - 1) // 4, p)
+
+
+def _cornacchia(d: int, p: np.ndarray, s: np.ndarray) -> tuple:
+    """(x, y) with x^2 + d y^2 = p and x + ys = 0 mod p, from a root s of
+    s^2 = -d mod p (Cornacchia's algorithm), the Euclidean steps masked to
+    the primes whose remainder is still above sqrt(p)."""
+    r0, r1 = p, s % p
+    bound = _isqrt(p)
+    run = r1 > bound
+    while run.any():
+        r0, r1 = (np.where(run, r1, r0),
+                  np.where(run, r0 % np.where(run, r1, 1), r1))
+        run = r1 > bound
+    x = r1
+    y = _isqrt((p - x * x) // d)
+    if np.any(x * x + d * y * y != p):
+        raise VerificationError(f"Cornacchia found no x^2 + {d}y^2 = p")
+    return x, np.where((x + y * s) % p == 0, y, -y)
+
+
+def _gaussian_primes(p: np.ndarray, s: np.ndarray) -> tuple:
+    """(a, b) for p = 1 mod 4: pi = a + bi the primary prime above p (b
+    even, a + b = 1 mod 4) with pi = 0 under i -> s, s^2 = -1 mod p."""
     a, b = _cornacchia(1, p, s)
-    if b % 2:
-        a, b = -b, a                          # times i
-    if (a + b) % 4 != 1:
-        a, b = -a, -b
-    return a, b, s
+    odd = b % 2 == 1
+    a, b = np.where(odd, -b, a), np.where(odd, a, b)       # times i
+    sign = np.where((a + b) % 4 == 1, 1, -1)
+    return sign * a, sign * b
 
 
-def _quartic_index(n: int, p: int, s: int) -> int:
-    """m with (n/pi)_4 = i^m, i.e. n^((p-1)/4) = s^m mod p."""
-    return (1, s, p - 1, p - s).index(pow(n, (p - 1) // 4, p))
+def _a_ref_curves(p: np.ndarray) -> np.ndarray:
+    """a_p of y^2 = x^3 - x for primes p = 1 mod 4: 2a for the primary
+    a + bi above p (Ireland & Rosen, Thm 18.5 with D = 1).  Any root of -1
+    serves: the conjugate prime has the same real part."""
+    _check_int64(p)
+    return 2 * _gaussian_primes(p, _sqrt_minus_one(p))[0]
 
 
-def _a_ref_curve(p: int) -> int:
-    """a_p of y^2 = x^3 - x: 2a for the primary a + bi above p = 1 mod 4
-    (Ireland & Rosen, Thm 18.5 with D = 1); 0 for p = 3 mod 4."""
-    if p % 4 != 1:
-        return 0
-    return 2 * _gaussian_prime(p)[0]
+def _quartic_classes(bb: int, p: np.ndarray) -> tuple:
+    """(N, a), two (n, 4) arrays over primes p = 1 mod 4, g the least
+    generator mod p: N[:, i] counts the t mod p whose c = bb(36t+6)(36t+5)
+    lies in the class g^i (F_p^*)^4, and a[:, i] is the trace of
+    y^2 = x^3 - g^i x.
+
+    With s = g^((p-1)/4) as the root of -1, g^i has quartic index i.  For
+    D with chi(D) = i^m the trace is 2 Re(i^-m pi).  With u = 36t+6,
+    c = bb u(u-1), and sum_u chi(u(u-1)) = chi(-1) J(chi, chi) = -pi gives
+    N = ((p-2) + 2 Re(i^j (-pi)) - i^2j)/4 for the class i^m, where
+    i^j = i^-m chi(bb).
+    """
+    s = _powmod(_least_generators(p), (p - 1) // 4, p)
+    a, b = _gaussian_primes(p, s)
+    traces = np.stack((2 * a, 2 * b, -2 * a, -2 * b), axis=1)
+    re_minus_pi = np.stack((-2 * a, 2 * b, 2 * a, -2 * b), axis=1)
+    roots = np.stack((np.ones_like(p), s, p - 1, p - s), axis=1)
+    hit = roots == _powmod(bb, (p - 1) // 4, p)[:, None]
+    if not hit.any(axis=1).all():
+        raise VerificationError(f"{bb} has no quartic residue index")
+    j = (hit.argmax(axis=1)[:, None] - np.arange(4)) % 4
+    num = (p[:, None] - 2 + np.take_along_axis(re_minus_pi, j, axis=1)
+           - (1 - 2 * (j % 2)))
+    if np.any(num % 4):
+        raise VerificationError("quartic class size not integral")
+    return num // 4, traces
 
 
 # the sixth roots of unity u + v*omega: 1, omega, omega^2, -1, -omega,
 # -omega^2
-_SIXTH_ROOTS = ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
+_SIXTH_U = np.array((1, 0, -1, -1, 0, 1), dtype=np.int64)
+_SIXTH_V = np.array((0, 1, -1, 0, -1, 1), dtype=np.int64)
 
 
-def _eisenstein_prime(p: int) -> tuple:
-    """(a, b, images) for p = 1 mod 3: pi = a + b*omega the primary prime
-    above p (pi = 2 mod 3) with pi = 0 under omega -> (-1 + s)/2, s^2 = -3
-    mod p, and the residues of _SIXTH_ROOTS under that map."""
-    s = _sqrt_mod_p(-3, p)
+def _sextic_traces(bb: int, p: np.ndarray, g: np.ndarray,
+                   powers) -> np.ndarray:
+    """a_p of y^2 = x^3 + bb g^e for e in `powers`, an (n, len(powers))
+    array over primes p = 1 mod 3 with generators g: -2 Re(conj(chi) pi)
+    with chi = (4c/pi)_6 and pi = a + b omega the primary prime above p
+    (pi = 2 mod 3) (Ireland & Rosen, Thm 18.4).
+
+    s = 2 g^((p-1)/3) + 1 is a root of -3; pi = 0 under omega ->
+    (-1 + s)/2, under which the sixth roots of unity have the residues
+    `images`, and chi is read off (4c)^((p-1)/6) among them."""
+    s = (2 * _powmod(g, (p - 1) // 3, p) + 1) % p
     x, y = _cornacchia(3, p, s)
     a, b = x + y, 2 * y                       # sqrt(-3) = 1 + 2 omega
-    w = (s - 1) * ((p + 1) // 2) % p
-    images = tuple((u + v * w) % p for u, v in _SIXTH_ROOTS)
     for _ in range(6):
-        if a % 3 == 2 and b % 3 == 0:
-            return a, b, images
-        a, b = b, b - a                       # times -omega
-    raise VerificationError(f"no primary associate of {a} + {b}omega")
-
-
-def _a_sextic(c: int, p: int, pi: tuple) -> int:
-    """a_p of y^2 = x^3 + c, c != 0 mod p: -2 Re(conj(chi) pi) with chi =
-    (4c/pi)_6 (Ireland & Rosen, Thm 18.4)."""
-    a, b, images = pi
-    u, v = _SIXTH_ROOTS[images.index(pow(4 * c, (p - 1) // 6, p))]
+        turn = (a % 3 != 2) | (b % 3 != 0)
+        a, b = np.where(turn, b, a), np.where(turn, b - a, b)  # -omega
+    if np.any((a % 3 != 2) | (b % 3 != 0)):
+        raise VerificationError("no primary associate above p")
+    w = (s - 1) * ((p + 1) // 2) % p
+    images = (_SIXTH_U + _SIXTH_V * w[:, None]) % p[:, None]
+    sixth = (p - 1) // 6
+    chi = (_powmod(4 * bb, sixth, p)[:, None]
+           * _powmod(_powmod(g, sixth, p)[:, None], np.asarray(powers),
+                     p[:, None]) % p[:, None])
+    hit = chi[:, :, None] == images[:, None, :]
+    if not hit.any(axis=2).all():
+        raise VerificationError("sextic residue symbol not a sixth root")
+    idx = hit.argmax(axis=2)
+    u, v = _SIXTH_U[idx], _SIXTH_V[idx]
     cu, cv = u - v, -v                        # conj(u + v omega)
+    a, b = a[:, None], b[:, None]
     # (cu + cv omega)(a + b omega) = re + im omega; 2 Re = 2 re - im
     re = cu * a - cv * b
     im = cu * b + cv * a - cv * b
@@ -653,58 +824,14 @@ def closed_form_moment(fam, p: int, r: int, side: str = "good") -> int:
 # the cubic-moment quantity Atilde
 
 def _lambda_cubed_terms(a_vals: np.ndarray, p: int) -> np.ndarray:
-    """lambda^3 / (p + 1 - a) elementwise, lambda = a / sqrt(p)."""
-    lam = a_vals / math.sqrt(p)
+    """lambda^3 / (p + 1 - a) elementwise, lambda = a / sqrt(p); p may be
+    an int or an int64 array that broadcasts against a_vals."""
+    lam = a_vals / np.sqrt(p)
     return lam ** 3 / (p + 1 - a_vals)
 
 
 def _lambda_cubed_weight(a_vals: np.ndarray, p: int) -> float:
     return float(np.sum(_lambda_cubed_terms(a_vals, p)))
-
-
-def _find_generator(p: int) -> int:
-    """A generator of (Z/p)^*; p - 1 is small enough to factor directly."""
-    fac = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise VerificationError(f"no generator found mod {p}")
-
-
-def _quartic_class_data(bb: int, p: int) -> list:
-    """[(N_i, a_i)] for i = 0..3 and p = 1 mod 4, g the least generator
-    mod p: N_i counts the t mod p whose c = bb(36t+6)(36t+5) lies in the
-    class g^i (F_p^*)^4, and a_i is the trace of y^2 = x^3 - g^i x.
-
-    For D in the quartic class chi(D) = i^m the trace is 2 Re(i^-m pi).
-    With u = 36t+6, c = bb u(u-1), and sum_u chi(u(u-1)) = chi(-1) J(chi,
-    chi) = -pi gives N = ((p-2) + 2 Re(i^j (-pi)) - i^2j)/4 for the class
-    i^m, where i^j = i^-m chi(bb).
-    """
-    a, b, s = _gaussian_prime(p)
-    traces = (2 * a, 2 * b, -2 * a, -2 * b)       # 2 Re(i^-m pi)
-    re_minus_pi = (-2 * a, 2 * b, 2 * a, -2 * b)  # 2 Re(i^j (-pi))
-    m_bb = _quartic_index(bb, p, s)
-    g = _find_generator(p)
-    out = []
-    for i in range(4):
-        m = _quartic_index(pow(g, i, p), p, s)
-        j = (m_bb - m) % 4
-        count, rem = divmod(p - 2 + re_minus_pi[j] - (-1) ** j, 4)
-        if rem:
-            raise VerificationError(f"quartic class size not integral at {p}")
-        out.append((count, traces[m]))
-    return out
 
 
 def _smooth_length(m: int) -> int:
@@ -779,7 +906,8 @@ def a_tilde(fam: FamilySpec, p: int) -> float:
     A built-in takes the method of its registry entry: for the CM families
     closed forms in O(log p), the traces of the sextic and quartic twists
     read off the primary prime above p (Ireland & Rosen, Thms 18.4 and
-    18.5); for ``noncm_3x12t`` an FFT correlation zero-padded to the
+    18.5), computed as a block of one prime by the int64 kernels (entry
+    .a_tildes takes a whole block); for ``noncm_3x12t`` an FFT correlation zero-padded to the
     least 5-smooth length n >= 2p - 1, its weights gathered from a table
     over the Hasse range (see _a_tilde_b3).  Every other family, and any
     config that only borrows a built-in's name: brute-force point counts,
@@ -933,30 +1061,49 @@ def nu_D(fam: FamilySpec, d: int) -> int:
     return total
 
 
-def h_factor(fam: FamilySpec, p: int, exponent: int | None = None):
-    """H_{D,k}(p) split as (main, sieve) = (1, (nu/p^k)/(1 - nu/p^k)), with
-    nu = nu_D(p^k) counted by Hensel lifting (O(log p) for the built-ins).
-
-    `exponent` overrides the family's own sieve exponent k (used to
-    reproduce reference tabulations computed under a different sieving
-    convention); the default is the family's k.
-    """
+def sieve_exponent(fam: FamilySpec, exponent: int | None = None):
+    """The sieve exponent k of H_{D,k}: `exponent` when given (>= 3; it
+    overrides the family's own, to reproduce reference tabulations
+    computed under a different sieving convention), else the family's k;
+    None for an unsieved family."""
     if exponent is None:
-        if fam.k == INF:
-            return (1.0, 0.0)
-        k = int(fam.k)
-    else:
-        if exponent < 3:
-            raise DomainError("sieve exponent override must be >= 3")
-        k = int(exponent)
+        return None if fam.k == INF else int(fam.k)
+    if exponent < 3:
+        raise DomainError("sieve exponent override must be >= 3")
+    return int(exponent)
+
+
+def sieve_weights(fam: FamilySpec, p_list, k: int) -> list:
+    """(nu/p^k)/(1 - nu/p^k), the sieve part of H_{D,k}(p), at each prime
+    of p_list (Python ints), nu = nu_D(p^k).
+
+    A built-in's nu at p >= 5 is its entry's n_bad: the roots of D mod p
+    are its bad t, each simple, so each lifts to exactly one root mod p^k
+    (Hensel).  Every other nu is counted by _nu_prime_power.  The ratio is
+    Python's int division, correctly rounded at any p."""
+    entry = builtin_entry(fam)
+    out = []
+    for p in p_list:
+        nu = (entry.n_bad if entry is not None and p >= 5
+              else _nu_prime_power(fam, p, k))
+        pk = p ** k
+        if nu >= pk:
+            raise DomainError(
+                f"degenerate sieve: nu_D({p}^{k}) = {nu} >= p^k")
+        ratio = nu / pk
+        out.append(ratio / (1.0 - ratio))
+    return out
+
+
+def h_factor(fam: FamilySpec, p: int, exponent: int | None = None):
+    """H_{D,k}(p) split as (main, sieve) = (1, (nu/p^k)/(1 - nu/p^k)), nu =
+    nu_D(p^k) (see sieve_weights), k = sieve_exponent(fam, exponent)."""
+    k = sieve_exponent(fam, exponent)
+    if k is None:
+        return (1.0, 0.0)
     if not is_prime(p):
         raise DomainError("p must be prime")
-    nu = _nu_prime_power(fam, p, k)
-    pk = p ** k
-    if nu >= pk:
-        raise DomainError(f"degenerate sieve: nu_D({p}^{k}) = {nu} >= p^k")
-    ratio = nu / pk
-    return (1.0, ratio / (1.0 - ratio))
+    return (1.0, sieve_weights(fam, [p], k)[0])
 
 
 @dataclass(frozen=True)

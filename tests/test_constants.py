@@ -145,6 +145,71 @@ def test_family_constant_atilde_guards():
         constants.family_constant_Atilde("cm_b1_kappa1", prime_count=100)
 
 
+# family_constant_Atilde at the reference truncation, and the quartic pair
+# also at 10^4 primes, where p(p+1)^3 > 2^63: the values of the scalar
+# per-prime Python path, which the array kernels must keep
+ATILDE_GOLDEN = {
+    ("cm_b1_kappa1", None, 5000):
+        (0.3437308351161087, 1.1989627305232607e-06),
+    ("cm_b1_kappa1", 3, 5000):
+        (0.3437308351161087, 0.0004456994795144405),
+    ("cm_b1_kappa2", None, 5000):
+        (0.4202793119520593, 0.0006985550282537705),
+    ("cm_b1_kappa2", 3, 5000):
+        (0.4202793119520593, 0.0006985550282537705),
+    ("cm_b2_kappa1", None, 5000):
+        (0.34373083511610864, 1.1989627305232607e-06),
+    ("cm_b2_kappa1", 3, 5000):
+        (0.34373083511610864, 0.0004456994795144405),
+    ("cm_b2_kappa2", None, 5000):
+        (0.5670012015813256, 0.0007609531948510235),
+    ("cm_b2_kappa2", 3, 5000):
+        (0.5670012015813256, 0.0007609531948510235),
+    ("cm_b3_kappa1", None, 5000):
+        (0.34373083511610864, 1.1989627305232607e-06),
+    ("cm_b3_kappa1", 3, 5000):
+        (0.34373083511610864, 0.0004456994795144405),
+    ("cm_b3_kappa2", None, 5000):
+        (0.14125609533244968, 0.00012454042981463288),
+    ("cm_b3_kappa2", 3, 5000):
+        (0.14125609533244968, 0.00012454042981463288),
+    ("cm_b6_kappa1", None, 5000):
+        (0.34373083511610864, 1.1989627305232607e-06),
+    ("cm_b6_kappa1", 3, 5000):
+        (0.34373083511610864, 0.0004456994795144405),
+    ("cm_b6_kappa2", None, 5000):
+        (0.26200241686052456, 0.00019885237167886383),
+    ("cm_b6_kappa2", 3, 5000):
+        (0.26200241686052456, 0.00019885237167886383),
+    ("rank1_36t", None, 5000):
+        (-0.11108445983666038, -0.0013546932132616116),
+    ("rank1_36t", None, 10000):
+        (-0.11108446132604977, -0.0013546932132616116),
+    ("rank0_36t", None, 5000):
+        (0.6278389316004817, 0.0064904025105431435),
+    ("rank0_36t", None, 10000):
+        (0.627871580542122, 0.0064904025105431435),
+}
+
+
+@pytest.mark.parametrize("name,exponent,count", ATILDE_GOLDEN)
+def test_family_constant_atilde_keeps_its_bits(name, exponent, count):
+    got = constants.family_constant_Atilde(name, prime_count=count,
+                                           sieve_exponent=exponent)
+    assert repr(got) == repr(ATILDE_GOLDEN[name, exponent, count])
+
+
+def test_sieve_conventions_share_one_atilde_pass(monkeypatch):
+    # exponents 6 and 3 of cm_b1_kappa1 weight the same cached main terms:
+    # the second call never reaches the entry's Atilde
+    own = constants.family_constant_Atilde("cm_b1_kappa1", prime_count=5001)
+    monkeypatch.setattr(families.REGISTRY["cm_b1_kappa1"], "a_tildes",
+                        None)
+    exp3 = constants.family_constant_Atilde("cm_b1_kappa1", prime_count=5001,
+                                            sieve_exponent=3)
+    assert own[0] == exp3[0] and own[1] < exp3[1]
+
+
 def test_aggregate_catalog_mode():
     for target, want in constants.AGGREGATE_REFERENCE.items():
         agg = constants.aggregate_lower_order(target)

@@ -425,9 +425,7 @@ def _full_array_decomposition(name, phi, R, atilde_primes):
 
 
 @pytest.mark.parametrize("name", [
-    "cusp_model", "cm_b1_kappa1", "cm_b2_kappa2", "noncm_3x12t",
-    # the quartic A_2 is a per-prime loop over p = 1 mod 4 (6 s alone)
-    pytest.param("rank1_36t", marks=pytest.mark.slow)])
+    "cusp_model", "cm_b1_kappa1", "cm_b2_kappa2", "noncm_3x12t", "rank1_36t"])
 def test_block_pass_is_bit_identical_to_full_array_sums(name):
     pair = ef.builtin_test_pair("indicator_smooth:0.18")
     R = math.exp(170.0)
@@ -437,6 +435,61 @@ def test_block_pass_is_bit_identical_to_full_array_sums(name):
         dec = ef.evaluate_S(name, pair, R, threads=threads, atilde_primes=30)
         assert dec.pieces == pieces and dec.total == total
         assert repr((dec.pieces, dec.total)) == repr((pieces, total))
+
+
+# the quartic pair at log R 75 over the whole support of S_1: the values of
+# the scalar per-prime A_2 and Atilde, which the array kernels must keep
+QUARTIC_GOLDEN = {
+    "rank1_36t": {
+        "pieces": {
+            "S_0": {"main": 0.1898375114887609,
+                    "sieve": 0.00022224947831717284},
+            "S_1": {"main": 0.2508111513768356,
+                    "sieve": 0.00016665522566033586},
+            "S_2": {"main": -0.0821686959686685,
+                    "sieve": -0.00010233720045472509},
+            "S_Aprime": {"main": 0.0,
+                         "sieve": 0.0},
+            "S_Atilde": {"main": 0.0029622522623109432,
+                         "sieve": 3.612515235364298e-05},
+        },
+        "total": 0.36176491181511533,
+        "tail_bound": 0.000980887252675951,
+        "main_term_estimate": 0.486,
+        "lower_order_coefficient": -4.658815806933174,
+    },
+    "rank0_36t": {
+        "pieces": {
+            "S_0": {"main": 0.1898375114887609,
+                    "sieve": 0.00022224947831717284},
+            "S_1": {"main": -0.024222785611803525,
+                    "sieve": -0.00016024888057840657},
+            "S_2": {"main": -0.0821686959686685,
+                    "sieve": -0.00010233720045472509},
+            "S_Aprime": {"main": 0.0,
+                         "sieve": 0.0},
+            "S_Atilde": {"main": -0.01674237150934618,
+                         "sieve": -0.00017307740028115048},
+        },
+        "total": 0.06649024439594559,
+        "tail_bound": 0.000980640856196065,
+        "main_term_estimate": 0.162,
+        "lower_order_coefficient": -3.5816158351520406,
+    },
+}
+
+
+@pytest.mark.parametrize("name", QUARTIC_GOLDEN)
+def test_quartic_decomposition_at_r_sigma_keeps_its_bits(name):
+    pair = ef.builtin_test_pair("indicator_smooth:0.18")
+    R = math.exp(75.0)
+    x = math.ceil(R ** pair.sigma)
+    assert x == 729417
+    want = {"family": name, "phi": "indicator:0.18", "R": R,
+            "prime_limit": x, "support_complete": True,
+            **QUARTIC_GOLDEN[name]}
+    dec = ef.evaluate_S(name, pair, R, prime_limit=x)
+    assert repr(dec.as_dict()) == repr(want)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from ldl import families
 from ldl.errors import DomainError, ResourceError, VerificationError
-from ldl.primes import get_table, legendre_symbol, legendre_symbols_vec
+from ldl.primes import (get_table, is_prime, legendre_symbol,
+                        legendre_symbols_vec)
 
 BUILTINS = sorted(families.BUILTIN_FAMILIES)
 
@@ -96,7 +97,7 @@ def test_closed_forms_exact_up_to_the_float64_boundary():
     # are 1 mod 12, where every A_1 and A_2 is nonzero
     p, q = 94906249, 94906297
     assert p * p < 2 ** 53 <= q * q
-    a_ref = families._a_ref_curve(p)
+    a_ref = int(families._a_ref_curves(np.array([p]))[0])
     want = {
         ("cm_b1_kappa2", 2): 2 * p * p - 2 * p,
         ("rank1_36t", 1): -2 * p,
@@ -172,9 +173,10 @@ def _quartic_class_index(p: int, g: int) -> np.ndarray:
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_a_tilde_fast_paths_match_brute_force(name):
-    """Atilde against point counts; for the CM built-ins also the closed-form
-    traces and class counts, and Atilde(p) bit for bit against the O(p)
-    construction from point counts, for every prime up to 10^4."""
+    """Atilde against point counts; for the CM built-ins also the traces
+    and class counts of the array kernels, and Atilde(p) bit for bit
+    against the O(p) construction from point counts, through the block
+    path and the one-prime path, for every prime up to 10^4."""
     fam = families.get_family(name)
     clone = _clone_generic(fam)
     for p in (7, 13, 31, 37):
@@ -182,38 +184,126 @@ def test_a_tilde_fast_paths_match_brute_force(name):
         brute = families.a_tilde(clone, p)
         assert fast == pytest.approx(brute, rel=1e-10, abs=1e-12)
     entry = families.builtin_entry(fam)
+    if entry.kind == "noncm":
+        return
     trace = families._a_for_coefficients
-    for p in (int(q) for q in get_table(10 ** 4).primes if q >= 5):
-        if entry.kind == "sextic" and p % 3 == 1:
-            bb, kappa = entry.bb, entry.kappa
-            g = families._find_generator(p)
-            pi = families._eisenstein_prime(p)
-            reps = [bb * pow(g, i * kappa, p) % p for i in range(6)]
+    p_all = get_table(10 ** 4).primes
+    p_all = p_all[p_all >= 5]
+    block = dict(zip(p_all.tolist(), entry.a_tildes(p_all).tolist()))
+    modulus = 3 if entry.kind == "sextic" else 4
+    p_on = p_all[p_all % modulus == 1]
+    assert all(block[p] == 0.0 for p in p_all[p_all % modulus != 1].tolist())
+    gens = families._least_generators(p_on).tolist()
+    if entry.kind == "sextic":
+        bb, kappa = entry.bb, entry.kappa
+        powers = [i * kappa for i in range(6)]
+        rows = families._sextic_traces(bb, p_on, np.array(gens), powers)
+        for p, g, row in zip(p_on.tolist(), gens, rows.tolist()):
+            reps = [bb * pow(g, e, p) % p for e in powers]
             a_reps = np.array([trace(0, c, p) for c in reps])
-            assert [families._a_sextic(c, p, pi) for c in reps] == \
-                a_reps.tolist(), (name, p)
+            assert row == a_reps.tolist(), (name, p)
             if kappa == 1:
                 want = (p - 1) // 6 * families._lambda_cubed_weight(a_reps, p)
             else:
                 want = (p - 1) // 3 * families._lambda_cubed_weight(
                     a_reps[[0, 2, 4]], p)
+            assert block[p] == want, (name, p)
             assert families.a_tilde(fam, p) == want, (name, p)
-        elif entry.kind == "quartic" and p % 4 == 1:
-            bb = entry.bb
-            g = families._find_generator(p)
+    else:
+        bb = entry.bb
+        counts, traces = families._quartic_classes(bb, p_on)
+        a_ref = families._a_ref_curves(p_on).tolist()
+        for p, g, n_row, a_row, a1 in zip(p_on.tolist(), gens,
+                                          counts.tolist(), traces.tolist(),
+                                          a_ref):
             t = np.arange(p, dtype=np.int64)
             c = bb * ((36 * t + 6) % p) % p * ((36 * t + 5) % p) % p
-            counts = np.bincount(_quartic_class_index(p, g)[c[c != 0]],
-                                 minlength=4)
+            n_brute = np.bincount(_quartic_class_index(p, g)[c[c != 0]],
+                                  minlength=4)
             brute = [(int(n), trace(-pow(g, i, p) % p, 0, p))
-                     for i, n in enumerate(counts)]
-            assert families._quartic_class_data(bb, p) == brute, (name, p)
+                     for i, n in enumerate(n_brute)]
+            assert list(zip(n_row, a_row)) == brute, (name, p)
             want = 0.0
             for n, a in brute:
                 lam = a / math.sqrt(p)
                 want += n * lam ** 3 / (p + 1 - a)
+            assert block[p] == want, (name, p)
             assert families.a_tilde(fam, p) == want, (name, p)
-            assert families._a_ref_curve(p) == trace(p - 1, 0, p)
+            assert a1 == trace(p - 1, 0, p)
+
+
+def _least_generator(p: int) -> int:
+    """The least generator mod p by trial division of p - 1."""
+    fac, m, d = [], p - 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            fac.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        fac.append(m)
+    return next(g for g in range(2, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in fac))
+
+
+def _primes_below_int64_limit(count: int) -> list:
+    p, out = families.INT64_PRIME_LIMIT, []
+    while len(out) < count:
+        if is_prime(p):
+            out.append(p)
+        p -= 1
+    return out
+
+
+def test_least_generators_match_a_scalar_search():
+    # every odd prime below 10^4 in one block, and the largest primes the
+    # int64 kernels admit, where p - 1 has factors up to about 1.5e9
+    p = get_table(10 ** 4).primes[1:]
+    assert families._least_generators(p).tolist() == \
+        [_least_generator(q) for q in p.tolist()]
+    top = np.array(sorted(_primes_below_int64_limit(3)), dtype=np.int64)
+    assert families._least_generators(top).tolist() == \
+        [_least_generator(q) for q in top.tolist()]
+
+
+def test_powmod_is_exact_up_to_the_int64_limit():
+    # the square-and-multiply path (>= 64 elements) and the per-element
+    # pow path, against Python's pow, with (p - 1)^2 just below 2^63
+    rng = np.random.default_rng(3)
+    p = np.array(_primes_below_int64_limit(2) * 50 + [5, 7, 13] * 10,
+                 dtype=np.int64)
+    base = rng.integers(0, p)
+    exp = rng.integers(0, p)
+    want = [pow(b, e, m) for b, e, m in zip(base.tolist(), exp.tolist(),
+                                            p.tolist())]
+    assert families._powmod(base, exp, p).tolist() == want
+    assert families._powmod(base[:9], exp[:9], p[:9]).tolist() == want[:9]
+
+
+def test_cm_kernels_refuse_primes_past_the_int64_limit(monkeypatch):
+    # the first prime = 1 mod 12 past the limit, where every CM trace is
+    # nonzero; found by a primality test, and nothing may sieve up to it
+    p = next(q for q in range(families.INT64_PRIME_LIMIT + 1,
+                              families.INT64_PRIME_LIMIT + 10 ** 4)
+             if q % 12 == 1 and is_prime(q))
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve to {limit}")
+
+    monkeypatch.setattr(families, "get_table", no_sieve)
+    for entry in families.REGISTRY.values():
+        if entry.kind in ("sextic", "quartic"):
+            with pytest.raises(ResourceError, match="int64"):
+                families.a_tilde(entry.spec, p)
+        if entry.kind == "quartic":
+            with pytest.raises(ResourceError, match="int64"):
+                entry.A2(np.array([p]), np.array([float(p)]))
+        # H_sieve stays Python-int arithmetic, correct at any p
+        for k in (3, 6):
+            ratio = entry.n_bad / p ** k
+            assert families.h_factor(entry.spec, p, exponent=k) == \
+                (1.0, ratio / (1.0 - ratio))
 
 
 def _a_tilde_b3_prime_length(p: int) -> float:
@@ -327,6 +417,16 @@ def test_nu_d_matches_brute_root_count():
         for p in (5, 7):
             assert families._nu_prime_power(fam, p, 6) == \
                 families.nu_D(fam, p ** 6), (fam.name, p)
+
+
+def test_registry_n_bad_is_nu_at_every_prime_from_5():
+    # sieve_weights reads nu_D(p^k) off the entry for p >= 5
+    p_all = [p for p in get_table(10 ** 4).primes.tolist() if p >= 5]
+    for entry in families.REGISTRY.values():
+        for p in p_all:
+            for k in (3, 6):
+                assert families._nu_prime_power(entry.spec, p, k) == \
+                    entry.n_bad, (entry.name, p, k)
 
 
 def test_nu_d_counts_factors_divisible_by_p():
