@@ -181,10 +181,17 @@ def _closed_form_failures(fam, prime_limit: int, checks: list) -> list:
     return out
 
 
+def _prime_limit(args, default: int) -> int:
+    """--prime-limit, or `default` when it is absent; DomainError below 2."""
+    if args.prime_limit is not None and args.prime_limit < 2:
+        raise DomainError("--prime-limit must be >= 2")
+    return default if args.prime_limit is None else args.prime_limit
+
+
 def cmd_family(args, argv) -> int:
     t0 = time.time()
+    prime_limit = _prime_limit(args, 100)
     fam, digest = _resolve_family(args.family)
-    prime_limit = args.prime_limit or 100
 
     if args.verify_closed_forms:
         checks = [(r, side) for r in range(3) for side in ("good", "bad")]
@@ -210,13 +217,12 @@ def cmd_family(args, argv) -> int:
         _emit(payload, args, argv, t0, digest, {})
         return EXIT_OK
 
-    rows = []
-    for p in (int(q) for q in get_table(prime_limit).primes if q >= 5):
-        mt = families.moment_table(fam, p, r_max=args.moments)
-        rows.append({"p": p, "moments": list(mt.moments),
-                     "bad_moments": list(mt.bad_moments),
-                     "a_tilde": mt.a_tilde, "nu": mt.nu,
-                     "h_sieve": mt.h[1]})
+    primes = get_table(prime_limit).primes
+    rows = [{"p": mt.p, "moments": list(mt.moments),
+             "bad_moments": list(mt.bad_moments), "a_tilde": mt.a_tilde,
+             "nu": mt.nu, "h_sieve": mt.h[1]}
+            for mt in families.moment_table(fam, primes[primes >= 5],
+                                            r_max=args.moments)]
     _emit({"family": fam.name, "rows": rows}, args, argv, t0, digest,
           {"prime_limit": prime_limit})
     return EXIT_OK
@@ -336,7 +342,7 @@ def _suite_bias() -> list:
 
 def cmd_verify(args, argv) -> int:
     t0 = time.time()
-    prime_limit = args.prime_limit or 300
+    prime_limit = _prime_limit(args, 300)
     suites = {
         "identities": _suite_identities,
         "appendixB": lambda: _suite_appendix_b(prime_limit),

@@ -303,7 +303,6 @@ def compute_constant(name: str, prime_limit: int | None = None,
 
 
 def family_constant_Atilde(fam, prime_count: int = 5000,
-                           with_sieve: bool = True,
                            sieve_exponent: int | None = None) -> tuple:
     """(main, sieve) cubic-moment family constants at the given truncation.
 
@@ -315,8 +314,7 @@ def family_constant_Atilde(fam, prime_count: int = 5000,
         fam = families.get_family(fam)
     if prime_count < 5000:
         raise DomainError("prime_count must be >= 5000")
-    main, sieve = _gamma_atilde_family(fam, prime_count, sieve_exponent)
-    return (main, sieve if with_sieve else 0.0)
+    return _gamma_atilde_family(fam, prime_count, sieve_exponent)
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,9 @@ a_tilde and rank_bias read the entry.  A family counts as built-in only
 when it equals the registered FamilySpec in every field, so a config that
 borrows a built-in's name takes the brute-force entry.
 
-Atilde(p) is computed per family as follows:
+Each per-prime quantity is written once, over an ascending block of
+primes; a_tilde, h_factor and closed_form_moment are views of one prime.
+Atilde(p) is each entry's a_tildes:
 
 * CM built-ins, O(log p) per prime as int64 array code over a block of
   primes: the trace of each twist y^2 = x^3 + c (resp. y^2 = x^3 - Dx) is
@@ -34,16 +36,15 @@ Atilde(p) is computed per family as follows:
   Theory*, ch. 18, Thms 18.4 and 18.5), all from the least generator of
   each prime.  For the quartic pair the number of t in each quartic class
   comes from the Jacobi sum J(chi, chi) = -chi(-1) pi.  The kernels are
-  exact up to INT64_PRIME_LIMIT and raise ResourceError past it; one
-  prime is a block of one.
+  exact up to INT64_PRIME_LIMIT and raise ResourceError past it.
 * ``noncm_3x12t``: an FFT correlation at the least 5-smooth length n >=
   2p - 1, O(p log p) per prime, with the weights lambda^3/(p + 1 - a)
   taken from a table over the Hasse range |a| <= 2 sqrt p.
 * any other family: brute-force point counts, O(p^2) per prime.
 
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
-simple, and a scan of t mod p^k otherwise; a built-in's sieve weights read
-nu_D(p^k) = n_bad off its entry at every p >= 5.
+simple, and a scan of t mod p^k otherwise; nu_D(d) is their product over
+the prime powers of d, and _sieve_nus reads a built-in's n_bad instead.
 
 Every closed form registered here is cross-checked against the brute
 O(p^2) sum in the test suite for all primes up to 300.
@@ -201,18 +202,7 @@ def _check_factor_resultants(fam: FamilySpec) -> None:
 # each written once over primes p >= 5 (p_int, and pf in float64): A_0, A_1,
 # A_2 over the good t, the bad moments A'_1, A'_2 and H_sieve.
 
-class _Entry:
-    """What every entry shares: Atilde over a block from its one-prime
-    a_tilde, unless the entry has array kernels of its own."""
-
-    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
-        """Atilde(p) at each prime p >= 5 of an ascending int64 block, one
-        prime at a time."""
-        return np.array([self.a_tilde(p) for p in p_int.tolist()],
-                        dtype=np.float64)
-
-
-class _Builtin(_Entry):
+class _Builtin:
     rank = 0
     has_bad = False       # some bad t has multiplicative reduction
     cap = INF             # closed forms hold at every prime
@@ -239,15 +229,7 @@ class _Builtin(_Entry):
         return self.n_bad / (pf ** int(self.spec.k) - self.n_bad)
 
 
-class _CM(_Builtin):
-    """A CM built-in: Atilde from the int64 kernels over a block of primes,
-    and one prime as a block of one."""
-
-    def a_tilde(self, p: int) -> float:
-        return float(self.a_tildes(np.array([p], dtype=np.int64))[0])
-
-
-class _Sextic(_CM):
+class _Sextic(_Builtin):
     """y^2 = x^3 + bb(6T+1)^kappa, CM by Q(sqrt-3), k = 6/kappa: one
     additive bad t, and the good a_t vanish off p = 1 mod 3."""
     kind, n_bad = "sextic", 1
@@ -291,7 +273,7 @@ class _Sextic(_CM):
         return out
 
 
-class _Quartic(_CM):
+class _Quartic(_Builtin):
     """y^2 = x^3 - d^2 (36T+6)(36T+5) x, CM by Q(i), k = 3: two additive bad
     t, and the good a_t vanish off p = 1 mod 4; `twist` tabulates (d/p)."""
     kind, n_bad = "quartic", 2
@@ -359,8 +341,8 @@ class _NonCM(_Builtin):
         return (pf * pf - 2.0 * pf - 2.0
                 - pf * residue_character(CHI_M3, p_int))
 
-    def a_tilde(self, p: int) -> float:
-        return _a_tilde_b3(p)
+    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
+        return np.array([_a_tilde_b3(p) for p in p_int.tolist()])
 
 
 REGISTRY = {e.spec.name: e for e in (
@@ -382,7 +364,7 @@ def builtin_entry(fam):
     return entry if entry is not None and entry.spec == fam else None
 
 
-class _BruteForce(_Entry):
+class _BruteForce:
     """The entry of any family without closed forms: point counts, O(p^2)
     per prime, so no prime it is asked about may pass its cap."""
     rank, lead, cap = 0, None, BRUTE_FORCE_CAP
@@ -393,8 +375,9 @@ class _BruteForce(_Entry):
     def moments(self, p_int, pf):
         # one pass per prime: _curve_data caches fewer primes than the cap
         # admits, so a second pass would count every prime again
+        ps = p_int.tolist()
         rows = []
-        for p in (int(q) for q in p_int):
+        for p in ps:
             a_vals, good = _curve_data(self.spec, p)
             bad = a_vals[~good]
             if np.any(np.abs(bad) > 1):
@@ -403,19 +386,24 @@ class _BruteForce(_Entry):
                     "closed-form S_A' sum needs a_t(p) in {-1, 0, 1}")
             rows.append([complete_moment(self.spec, p, r, "good")
                          for r in (0, 1, 2)]
-                        + [int(bad.sum()), int((bad * bad).sum()),
-                           h_factor(self.spec, p)[1]])
-        A0, A1, A2, aprime1, aprime2, hs = np.asarray(
-            rows, dtype=np.float64).reshape(-1, 6).T
+                        + [int(bad.sum()), int((bad * bad).sum())])
+        A0, A1, A2, aprime1, aprime2 = np.asarray(
+            rows, dtype=np.float64).reshape(-1, 5).T
+        k = sieve_exponent(self.spec)
+        hs = np.zeros_like(pf) if k is None else np.array(
+            sieve_weights(self.spec, ps, k))
         return A0, A1, A2, (aprime1, aprime2), hs
 
     def A1(self, p_int, pf):
         return np.array([complete_moment(self.spec, p, 1)
                          for p in p_int.tolist()], dtype=np.float64)
 
-    def a_tilde(self, p: int) -> float:
-        a_vals, good = _curve_data(self.spec, p)
-        return _lambda_cubed_weight(a_vals[good], p)
+    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
+        out = []
+        for p in p_int.tolist():
+            a_vals, good = _curve_data(self.spec, p)
+            out.append(_lambda_cubed_weight(a_vals[good], p))
+        return np.array(out, dtype=np.float64)
 
 
 def entry_of(fam):
@@ -901,29 +889,20 @@ def _a_tilde_b3(p: int) -> float:
 
 
 def a_tilde(fam: FamilySpec, p: int) -> float:
-    """Atilde(p) = sum over good t of lambda_t(p)^3 / (p+1 - lambda_t(p) sqrt p).
-
-    A built-in takes the method of its registry entry: for the CM families
-    closed forms in O(log p), the traces of the sextic and quartic twists
-    read off the primary prime above p (Ireland & Rosen, Thms 18.4 and
-    18.5), computed as a block of one prime by the int64 kernels (entry
-    .a_tildes takes a whole block); for ``noncm_3x12t`` an FFT correlation zero-padded to the
-    least 5-smooth length n >= 2p - 1, its weights gathered from a table
-    over the Hasse range (see _a_tilde_b3).  Every other family, and any
-    config that only borrows a built-in's name: brute-force point counts,
-    O(p^2).
-    """
+    """Atilde(p) = sum over good t of lambda_t(p)^3 / (p+1 - lambda_t(p)
+    sqrt p): the family's entry's a_tildes on a block of one prime p >= 5
+    (see the module docstring for each entry's method)."""
     if p < 5:
         raise DomainError("Atilde requires p >= 5")
-    return entry_of(fam).a_tilde(p)
+    return float(entry_of(fam).a_tildes(np.array([p], dtype=np.int64))[0])
 
 
 # --------------------------------------------------------------------------
 # nu_D, H_{D,k}, and power-free sieving
 
 def _factorize(d: int) -> dict:
-    """Prime factorization for the post-scan range; handles numbers whose
-    cofactor after small trial division is a prime power."""
+    """Prime factorization by trial division up to 10^5; past that, the
+    cofactor must be a prime power."""
     out = {}
     m = d
     for q in (2, 3, 5, 7, 11, 13):
@@ -1048,13 +1027,11 @@ def _nu_prime_power(fam: FamilySpec, p: int, e: int) -> int:
 
 
 def nu_D(fam: FamilySpec, d: int) -> int:
-    """#{t mod d : D(t) = 0 mod d} for D the product of the D factors."""
+    """#{t mod d : D(t) = 0 mod d} for D the product of the D factors: by
+    the Chinese remainder theorem, the product of _nu_prime_power over the
+    prime powers of d."""
     if d < 1:
         raise DomainError("d must be >= 1")
-    if d == 1:
-        return 1
-    if d <= _SCAN_LIMIT:
-        return _scan_root_count(fam.D_factors, d)
     total = 1
     for p, e in _factorize(d).items():
         total *= _nu_prime_power(fam, p, e)
@@ -1073,19 +1050,20 @@ def sieve_exponent(fam: FamilySpec, exponent: int | None = None):
     return int(exponent)
 
 
-def sieve_weights(fam: FamilySpec, p_list, k: int) -> list:
-    """(nu/p^k)/(1 - nu/p^k), the sieve part of H_{D,k}(p), at each prime
-    of p_list (Python ints), nu = nu_D(p^k).
-
-    A built-in's nu at p >= 5 is its entry's n_bad: the roots of D mod p
-    are its bad t, each simple, so each lifts to exactly one root mod p^k
-    (Hensel).  Every other nu is counted by _nu_prime_power.  The ratio is
-    Python's int division, correctly rounded at any p."""
+def _sieve_nus(fam: FamilySpec, p_list, k: int) -> list:
+    """nu_D(p^k) at each prime of p_list (Python ints): a built-in's n_bad
+    at p >= 5, where the roots of D mod p are its bad t, each simple, so
+    each lifts to one root mod p^k (Hensel); else _nu_prime_power."""
     entry = builtin_entry(fam)
+    return [entry.n_bad if entry is not None and p >= 5
+            else _nu_prime_power(fam, p, k) for p in p_list]
+
+
+def _sieve_ratios(p_list, nus, k: int) -> list:
+    """(nu/p^k)/(1 - nu/p^k) at each prime of p_list with its nu, by
+    Python's int division, correctly rounded at any p."""
     out = []
-    for p in p_list:
-        nu = (entry.n_bad if entry is not None and p >= 5
-              else _nu_prime_power(fam, p, k))
+    for p, nu in zip(p_list, nus):
         pk = p ** k
         if nu >= pk:
             raise DomainError(
@@ -1093,6 +1071,11 @@ def sieve_weights(fam: FamilySpec, p_list, k: int) -> list:
         ratio = nu / pk
         out.append(ratio / (1.0 - ratio))
     return out
+
+
+def sieve_weights(fam: FamilySpec, p_list, k: int) -> list:
+    """The sieve part of H_{D,k}(p) at each prime of p_list (Python ints)."""
+    return _sieve_ratios(p_list, _sieve_nus(fam, p_list, k), k)
 
 
 def h_factor(fam: FamilySpec, p: int, exponent: int | None = None):
@@ -1225,15 +1208,26 @@ class MomentTable:
     h: tuple                  # (main, sieve) parts of H_{D,k}(p)
 
 
-def moment_table(fam: FamilySpec, p: int, r_max: int = 8) -> MomentTable:
-    moments = tuple(complete_moment(fam, p, r) for r in range(r_max + 1))
-    bad_moments = tuple(complete_moment(fam, p, m, "bad")
-                        for m in range(r_max + 1))
-    if fam.k == INF:
-        nu, h = 0, (1.0, 0.0)
-    else:
-        nu = _nu_prime_power(fam, p, int(fam.k))
-        h = h_factor(fam, p)
-    at = a_tilde(fam, p) if p >= 5 else 0.0
-    return MomentTable(p=p, moments=moments, bad_moments=bad_moments,
-                       a_tilde=at, nu=nu, h=h)
+def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
+    """One MomentTable per prime of an ascending block: Atilde from one
+    a_tildes call over the primes >= 5 (0.0 below), nu and H_sieve from one
+    pass, the moments from complete_moment."""
+    if r_max < 0:
+        raise DomainError("r_max must be >= 0")
+    p_int = np.asarray(primes, dtype=np.int64)
+    if (p_int.ndim != 1 or np.any(np.diff(p_int) <= 0)
+            or not all(map(is_prime, p_int.tolist()))):
+        raise DomainError("moment_table needs an ascending block of primes")
+    ps = p_int.tolist()
+    first = int(np.searchsorted(p_int, 5))
+    at = [0.0] * first + entry_of(fam).a_tildes(p_int[first:]).tolist()
+    k = sieve_exponent(fam)
+    nus = [0] * len(ps) if k is None else _sieve_nus(fam, ps, k)
+    hs = [0.0] * len(ps) if k is None else _sieve_ratios(ps, nus, k)
+    return [MomentTable(
+        p=p, moments=tuple(complete_moment(fam, p, r)
+                           for r in range(r_max + 1)),
+        bad_moments=tuple(complete_moment(fam, p, m, "bad")
+                          for m in range(r_max + 1)),
+        a_tilde=a, nu=nu, h=(1.0, h))
+        for p, a, nu, h in zip(ps, at, nus, hs)]

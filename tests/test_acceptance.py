@@ -174,9 +174,8 @@ def test_sieve_combined_constant():
 def quartic_mains():
     out = {}
     for name in ("rank1_36t", "rank0_36t"):
-        main, _ = constants.family_constant_Atilde(
-            name, prime_count=10 ** 4, with_sieve=False)
-        out[name] = main
+        out[name] = constants.family_constant_Atilde(
+            name, prime_count=10 ** 4)[0]
     return out
 
 

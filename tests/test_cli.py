@@ -194,6 +194,22 @@ def test_verify_fast_suites(capsys):
         assert doc["results"]["suites"][suite] == "pass"
 
 
+@pytest.mark.parametrize("argv", [
+    ("family", "--family", "cm_b1_kappa2", "--prime-limit", "0"),
+    ("family", "--family", "cm_b1_kappa2", "--prime-limit", "1"),
+    ("family", "--family", "cm_b1_kappa2", "--aggregate",
+     "--prime-limit", "-5"),
+    ("family", "--family", "cm_b1_kappa2", "--moments", "-1"),
+    ("verify", "--suite", "identities", "--prime-limit", "0"),
+    ("verify", "--suite", "appendixB", "--prime-limit", "1"),
+], ids=" ".join)
+def test_out_of_range_limits_are_refused(capsys, argv):
+    # a given --prime-limit below 2 is refused, not replaced by the
+    # default, even by the commands that never read it
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 def test_usage_exit_code(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()

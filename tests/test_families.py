@@ -134,13 +134,61 @@ def test_closed_form_unregistered_family_raises():
 
 def test_moment_table_consistent_with_complete_moment():
     fam = families.get_family("noncm_3x12t")
-    mt = families.moment_table(fam, 13, r_max=4)
+    [mt] = families.moment_table(fam, [13], r_max=4)
     for r in range(5):
         assert mt.moments[r] == families.complete_moment(fam, 13, r, "good")
         assert mt.bad_moments[r] == families.complete_moment(
             fam, 13, r, "bad")
     assert mt.h == (1.0, 0.0)  # no sieving for this family
     assert mt.nu == 0
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["clone_k3"])
+def test_moment_table_block_matches_one_prime_at_a_time(name):
+    # the block read against complete_moment, a_tilde, _nu_prime_power and
+    # h_factor called one prime at a time; the clone of cm_b1_kappa2 (k = 3)
+    # takes the brute-force entry
+    fam = (_clone_generic(families.get_family("cm_b1_kappa2"))
+           if name == "clone_k3" else families.get_family(name))
+    primes = get_table(300).primes
+    rows = families.moment_table(fam, primes, r_max=3)
+    assert [mt.p for mt in rows] == primes.tolist()
+    for mt in rows:
+        p = mt.p
+        assert mt.moments == tuple(families.complete_moment(fam, p, r)
+                                   for r in range(4)), (name, p)
+        assert mt.bad_moments == tuple(
+            families.complete_moment(fam, p, m, "bad")
+            for m in range(4)), (name, p)
+        assert mt.a_tilde == (families.a_tilde(fam, p) if p >= 5 else 0.0)
+        if fam.k == families.INF:
+            assert (mt.nu, mt.h) == (0, (1.0, 0.0))
+        else:
+            assert mt.nu == families._nu_prime_power(fam, p, int(fam.k))
+            assert mt.h == families.h_factor(fam, p), (name, p)
+
+
+def test_moment_table_refusals():
+    fam = families.get_family("cm_b1_kappa2")
+    with pytest.raises(DomainError):
+        families.moment_table(fam, [5, 7], r_max=-1)
+    for primes in ([7, 5], [5, 9], 13):
+        with pytest.raises(DomainError):
+            families.moment_table(fam, primes)
+    assert families.moment_table(fam, []) == []
+
+
+@pytest.mark.parametrize("name", ["noncm_3x12t", "clone"])
+def test_a_tildes_block_is_a_tilde_bit_for_bit(name):
+    fam = families.get_family("noncm_3x12t")
+    if name == "clone":
+        fam = _clone_generic(fam)
+    p_int = get_table(300).primes
+    p_int = p_int[p_int >= 5]
+    block = families.entry_of(fam).a_tildes(p_int)
+    assert block.dtype == np.float64
+    assert block.tolist() == [families.a_tilde(fam, p)
+                              for p in p_int.tolist()]
 
 
 # --------------------------------------------------------------------------
@@ -408,15 +456,18 @@ def test_nu_d_matches_brute_root_count():
     for d in (5, 7, 25, 35, 49, 121):
         brute = sum(1 for t in range(d) if fam.d_product_at(t) % d == 0)
         assert families.nu_D(fam, d) == brute
-    # the Hensel count against the scan of t mod p^k (nu_D below the scan
-    # limit)
+    # the Hensel count against the scan of t mod p^k, and nu_D past 10^6
+    # against the scan of t mod d
+    scan = families._scan_root_count
+    d = 5 ** 3 * 7 ** 2 * 13 ** 2
     for fam in families.BUILTIN_FAMILIES.values():
         for p in (int(q) for q in get_table(100).primes):
             assert families._nu_prime_power(fam, p, 3) == \
-                families.nu_D(fam, p ** 3), (fam.name, p)
+                scan(fam.D_factors, p ** 3), (fam.name, p)
         for p in (5, 7):
             assert families._nu_prime_power(fam, p, 6) == \
-                families.nu_D(fam, p ** 6), (fam.name, p)
+                scan(fam.D_factors, p ** 6), (fam.name, p)
+        assert families.nu_D(fam, d) == scan(fam.D_factors, d), fam.name
 
 
 def test_registry_n_bad_is_nu_at_every_prime_from_5():
