@@ -49,14 +49,16 @@ def thread_count(requested: int | None = None) -> int:
     return n if n >= 1 else 1
 
 
-def block_sums(block_fn, n: int, threads: int = 1) -> dict:
-    """Reduce block_fn over the fixed CHUNK blocks of range(n).
+def block_sums(block_fn, n: int, threads: int | None = None) -> dict:
+    """Reduce block_fn over the fixed CHUNK blocks of range(n), on
+    thread_count(threads) workers.
 
     block_fn(start, stop) returns a dict of the partial sums of one block
     (np.sum over the block, the same keys for every block); the result maps
     each key to math.fsum of its partials.  An empty range is one empty
     block, so every column still comes back (as 0.0)."""
     starts = range(0, max(n, 1), CHUNK)
+    threads = thread_count(threads)
 
     def run(start):
         return block_fn(start, min(start + CHUNK, n))
@@ -69,14 +71,14 @@ def block_sums(block_fn, n: int, threads: int = 1) -> dict:
     return {key: math.fsum(row[key] for row in rows) for key in rows[0]}
 
 
-def chunked_sum(values: np.ndarray, threads: int = 1) -> float:
+def chunked_sum(values: np.ndarray, threads: int | None = None) -> float:
     """Deterministic sum of a 1-d float array, stable across thread counts."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     return block_sums(lambda start, stop: {0: np.sum(values[start:stop])},
                       values.size, threads)[0]
 
 
-def term_sum(term, p_int: np.ndarray, threads: int = 1) -> float:
+def term_sum(term, p_int: np.ndarray, threads: int | None = None) -> float:
     """chunked_sum(term(p_int)) without the full-length column: term maps
     a CHUNK slice of the int64 primes to its float64 terms, so the sum
     has the same bits while memory is bounded by the block."""

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _literals, families, primes
-from ._sum import CHUNK, term_sum, thread_count
+from ._sum import CHUNK, term_sum
 from .errors import DomainError, VerificationError
 from .primes import (CHI_3, CHI_M3, ConstantResult, first_n_primes,
                      get_table, residue_character)
@@ -77,6 +77,12 @@ def aprime_terms(a1, a2, pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
     return a2 * lp / (pf ** 3 - pf) + a1 * lp / (pf ** 2 - 1.0)
 
 
+def st_atilde_terms(pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
+    """The cubic-moment term at Atilde p^(3/2) = 2p + 1, (2p+1)(p-1) log p
+    / (p(p+1)^3): gamma_st_atilde's summand and the cusp model's."""
+    return (2.0 * pf + 1.0) * (pf - 1.0) * lp / (pf * (pf + 1.0) ** 3)
+
+
 def _gamma_2_3_terms(pf, pi, lp):
     chi = residue_character(CHI_M3, pi)
     num = ((2 - chi) * pf ** 4 - (13 + 7 * chi) * pf ** 3
@@ -98,9 +104,7 @@ def _catalog() -> dict:
         ConstantSpec(
             "gamma_st_atilde", "sum_p (2p+1)(p-1) log p / (p(p+1)^3)",
             None, 2, 10 ** 6, 0.4160714430, 1e-8, "ref:gamma_st_atilde",
-            2, 2.0,
-            lambda pf, pi, lp:
-                (2 * pf + 1) * (pf - 1) * lp / (pf * (pf + 1.0) ** 3)),
+            2, 2.0, lambda pf, pi, lp: st_atilde_terms(pf, lp)),
         ConstantSpec(
             "gamma_cm_13", "sum_{p=1(3)} 2(3p+1) log p / (p+1)^3",
             (1, 3), 2, 10 ** 6, 0.38184489, 1e-7, "ref:gamma_cm_13", 2, 6.0,
@@ -186,10 +190,11 @@ def paper_reference(name: str) -> tuple:
     if name in _PNT_NAMES:
         _, val, tol, cite = _PNT_NAMES[name]
         return val, tol, cite
-    raise DomainError(f"unknown constant {name!r}")
+    raise DomainError(f"unknown constant {name!r}; known constants: "
+                      + ", ".join(catalog_names()))
 
 
-def _gamma_sieve012_value(primes: np.ndarray, threads: int) -> float:
+def _gamma_sieve012_value(primes: np.ndarray, threads: int | None) -> float:
     """Sieve-weighted r in {0,1,2} contribution for the k=3 sieve with one
     root per prime (nu = 1 for p >= 5): the S_0 pieces add
     2(p-1)/(p(p+1)) per prime, the S_2 pieces subtract 2(p-1)^2/(p+1)^3
@@ -208,27 +213,29 @@ def _gamma_sieve012_value(primes: np.ndarray, threads: int) -> float:
 
 @lru_cache(maxsize=256)
 def _atilde_main_terms(fam: families.FamilySpec, prime_count: int) -> tuple:
-    """(primes, terms) over the first prime_count primes at which
-    Atilde(p) != 0: the terms Atilde(p) p^(3/2) (p-1) log p / (p(p+1)^3) of
-    the cubic-moment main sum.  The one cache of the Atilde layer; every
-    H_sieve weight is applied afterwards.
+    """(primes, terms), two read-only arrays (int64 and float64) over the
+    first prime_count primes at which Atilde(p) != 0: the terms Atilde(p)
+    p^(3/2) (p-1) log p / (p(p+1)^3) of the cubic-moment main sum.  The one
+    cache of the Atilde layer; every H_sieve weight is applied afterwards.
 
-    Atilde comes from the family's entry per CHUNK block of primes.  The
-    weight is Python float arithmetic per prime: numpy's p ** 1.5 and
-    log p differ from Python's in the last bit at some primes, and
-    p(p+1)^3 passes 2^63 once p > 55000."""
+    Atilde and the terms are built one CHUNK block of primes at a time.
+    The weight is Python float arithmetic per prime, on lists of one block:
+    numpy's p ** 1.5 and log p differ from Python's in the last bit at
+    some primes, and p(p+1)^3 passes 2^63 once p > 55000."""
     p_int = first_n_primes(prime_count).primes
     p_int = p_int[int(np.searchsorted(p_int, 5)):]
     entry = families.entry_of(fam)
-    at = np.zeros(p_int.size)
+    ps, terms = [p_int[:0]], [np.zeros(0)]
     for i in range(0, p_int.size, CHUNK):
-        at[i:i + CHUNK] = entry.a_tildes(p_int[i:i + CHUNK])
-    on = np.flatnonzero(at)
-    ps = p_int[on].tolist()
-    terms = np.array([a * p ** 1.5 * (p - 1) * math.log(p) / (p * (p + 1) ** 3)
-                      for p, a in zip(ps, at[on].tolist())])
+        at = entry.a_tildes(p_int[i:i + CHUNK])
+        ps.append(p_int[i:i + CHUNK][at != 0])
+        terms.append(np.array(
+            [a * p ** 1.5 * (p - 1) * math.log(p) / (p * (p + 1) ** 3)
+             for p, a in zip(ps[-1].tolist(), at[at != 0].tolist())]))
+    ps, terms = np.concatenate(ps), np.concatenate(terms)
+    ps.setflags(write=False)
     terms.setflags(write=False)
-    return tuple(ps), terms
+    return ps, terms
 
 
 def _gamma_atilde_family(fam: families.FamilySpec, prime_count: int,
@@ -236,15 +243,14 @@ def _gamma_atilde_family(fam: families.FamilySpec, prime_count: int,
                          ) -> tuple[float, float]:
     """(main, sieve) cubic-moment constants over the first prime_count
     primes: sum_p Atilde(p) p^(3/2) (p-1) log p / (p(p+1)^3), and the same
-    with the extra H_sieve weight, under the family's own sieve exponent or
-    `sieve_exponent`.  Both are math.fsum, exact before the one rounding,
-    so the order of the terms does not matter."""
+    with the extra H_sieve weight (families.sieve_weights), under the
+    family's own sieve exponent or `sieve_exponent`.  Both are math.fsum,
+    exact before the one rounding, so the order of the terms does not
+    matter."""
     ps, terms = _atilde_main_terms(fam, prime_count)
     k = families.sieve_exponent(fam, sieve_exponent)
-    if k is None:
-        return math.fsum(terms), 0.0
     return math.fsum(terms), math.fsum(
-        terms * np.array(families.sieve_weights(fam, ps, k)))
+        terms * families.sieve_weights(fam, ps, k))
 
 
 def compute_constant(name: str, prime_limit: int | None = None,
@@ -257,11 +263,8 @@ def compute_constant(name: str, prime_limit: int | None = None,
         fn = _PNT_NAMES[name][0]
         return fn(prime_limit=prime_limit, first_primes=first_primes,
                   threads=threads)
-    if name not in CATALOG:
-        raise DomainError(
-            f"unknown constant {name!r}; catalog: {catalog_names()}")
+    paper_reference(name)             # DomainError for an unknown name
     spec = CATALOG[name]
-    nthreads = thread_count(threads)
 
     if name == "gamma_23":
         value = math.log(2.0) + 2.0 * _literals.LOG_3 / 3.0
@@ -270,16 +273,11 @@ def compute_constant(name: str, prime_limit: int | None = None,
 
     if first_primes is None and prime_limit is None:
         first_primes = spec.default_first_primes
-    if first_primes is not None:
-        table = first_n_primes(first_primes)
-        kind, trunc = "prime_count", first_primes
-    else:
-        table = get_table(prime_limit)
-        kind, trunc = "prime_limit", prime_limit
+    table, kind, trunc = primes._resolve_truncation(prime_limit, first_primes)
     x_last = float(table.primes[-1])
 
     if name == "gamma_sieve012":
-        value = _gamma_sieve012_value(table.primes, nthreads)
+        value = _gamma_sieve012_value(table.primes, threads)
         return ConstantResult(name, value, kind, trunc, 1e-12, "direct_sum")
 
     if name == "gamma_atilde_3":
@@ -297,7 +295,7 @@ def compute_constant(name: str, prime_limit: int | None = None,
         pf = block.astype(np.float64)
         return spec.term(pf, block, np.log(pf))
 
-    value = term_sum(term, p_int, nthreads)
+    value = term_sum(term, p_int, threads)
     return ConstantResult(name, value, kind, trunc,
                           _tail_bound(spec, x_last), "direct_sum")
 

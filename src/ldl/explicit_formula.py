@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, families
-from ._sum import block_sums, thread_count
+from ._sum import block_sums
 from .errors import DomainError, IncompleteSumError
 from .primes import first_n_primes, gamma_pnt, gamma_pnt_ab, get_table
 
@@ -264,12 +264,10 @@ class _CuspModel:
     name, rank, cap = "cusp_model", 0, math.inf
     lead = ((1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
 
+    atilde_terms = staticmethod(constants.st_atilde_terms)
+
     def moments(self, p_int, pf):
         return pf, np.zeros_like(pf), pf * pf, None, np.zeros_like(pf)
-
-    def atilde_terms(self, pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
-        """Atilde p^{3/2} (p-1) log p / (p(p+1)^3)."""
-        return (2.0 * pf + 1.0) * (pf - 1.0) * lp / (pf * (pf + 1.0) ** 3)
 
 
 CUSP_MODEL = _CuspModel()
@@ -352,7 +350,6 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
             f"prime_limit {prime_limit} is below the support bound "
             f"R^(sigma/2) = {required}")
     support_complete = prime_limit >= required
-    nthreads = thread_count(threads)
     families.check_cap(entry, prime_limit, "prime_limit")
     if not model:
         x_at = float(first_n_primes(atilde_primes).primes[-1])
@@ -397,7 +394,7 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
             sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(pf, lp))
         return sums
 
-    sums = block_sums(block, n, nthreads)
+    sums = block_sums(block, n, threads)
     parts = ("main", "sieve")
     pieces = {}
     if ("S_Aprime", "main") in sums:
@@ -485,13 +482,12 @@ def lower_order_limit(fam, threads: int | None = None) -> dict:
         raise DomainError(f"no prime-number-theorem split for the moments "
                           f"of {entry.name!r}")
     model = entry is CUSP_MODEL
-    nthreads = thread_count(threads)
     primes = get_table(LIMIT_PRIME_LIMIT).primes
     lo = 0 if model else int(np.searchsorted(primes, 5))
 
-    pnt = gamma_pnt(prime_limit=LIMIT_PRIME_LIMIT, threads=nthreads).value
+    pnt = gamma_pnt(prime_limit=LIMIT_PRIME_LIMIT, threads=threads).value
     pnt13 = gamma_pnt_ab(1, 3, prime_limit=LIMIT_PRIME_LIMIT,
-                         threads=nthreads).value
+                         threads=threads).value
     dropped = 0.0 if model else \
         0.5 * constants.compute_constant("gamma_23").value
 
@@ -526,7 +522,7 @@ def lower_order_limit(fam, threads: int | None = None) -> dict:
             sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(pf, lp))
         return sums
 
-    sums = block_sums(block, primes.size - lo, nthreads)
+    sums = block_sums(block, primes.size - lo, threads)
     pieces = {}
     if ("S_Aprime", "main") in sums:
         pieces["S_Aprime"] = {k: -sums["S_Aprime", k]

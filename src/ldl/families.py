@@ -17,12 +17,13 @@ Built-in families:
 
 Every family has one entry, found by entry_of.  A built-in's is in
 REGISTRY, of one of three kinds (sextic, quartic, non-CM): it holds the
-FamilySpec, the rank, the Atilde method and the closed forms A_0, A_1, A_2,
-A'_1, A'_2 and H_sieve, written once as arrays over the primes.  Any other
-family gets a brute-force entry, capped at BRUTE_FORCE_CAP.  evaluate_S,
-a_tilde and rank_bias read the entry.  A family counts as built-in only
-when it equals the registered FamilySpec in every field, so a config that
-borrows a built-in's name takes the brute-force entry.
+FamilySpec, the rank, the Atilde method, the closed forms A_0, A_1, A_2,
+A'_1 and A'_2, written once as arrays over the primes, and n_bad, its
+nu_D(p^k) at every p >= 5.  Any other family gets a brute-force entry,
+capped at BRUTE_FORCE_CAP.  evaluate_S, a_tilde and rank_bias read the
+entry.  A family counts as built-in only when it equals the registered
+FamilySpec in every field, so a config that borrows a built-in's name
+takes the brute-force entry.
 
 Each per-prime quantity is written once, over an ascending block of
 primes; a_tilde, h_factor and closed_form_moment are views of one prime.
@@ -45,6 +46,8 @@ Atilde(p) is each entry's a_tildes:
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
 simple, and a scan of t mod p^k otherwise; nu_D(d) is their product over
 the prime powers of d, and _sieve_nus reads a built-in's n_bad instead.
+The sieve part of H_{D,k}(p) is sieve_weights, the float64 nu/(p^k - nu)
+over a block of primes, and every consumer reads it.
 
 Every closed form registered here is cross-checked against the brute
 O(p^2) sum in the test suite for all primes up to 300.
@@ -200,7 +203,8 @@ def _check_factor_resultants(fam: FamilySpec) -> None:
 # One entry per built-in holds its FamilySpec, rank, `lead` (see
 # explicit_formula.lower_order_limit), Atilde(p) method and closed forms,
 # each written once over primes p >= 5 (p_int, and pf in float64): A_0, A_1,
-# A_2 over the good t, the bad moments A'_1, A'_2 and H_sieve.
+# A_2 over the good t and the bad moments A'_1, A'_2.  Its n_bad is nu_D(p^k)
+# at p >= 5, which sieve_weights turns into H_sieve.
 
 class _Builtin:
     rank = 0
@@ -214,19 +218,13 @@ class _Builtin:
         bad t, H_sieve) over the primes."""
         return (self.A0(p_int, pf), self.A1(p_int, pf), self.A2(p_int, pf),
                 self.bad_moments(p_int, pf) if self.has_bad else None,
-                self.h_sieve(pf))
+                sieve_weights(self.spec, p_int, sieve_exponent(self.spec)))
 
     def A0(self, p_int, pf):
         return pf - self.n_bad          # n_bad t with p | Delta(t)
 
     def bad_moments(self, p_int, pf):
         return 0.0, 0.0                 # a_t(p) = 0 at an additive bad t
-
-    def h_sieve(self, pf):
-        # nu_D(p^k) = n_bad: the roots of D mod p are the bad t, each simple
-        if self.spec.k == INF:
-            return np.zeros_like(pf)
-        return self.n_bad / (pf ** int(self.spec.k) - self.n_bad)
 
 
 class _Sextic(_Builtin):
@@ -389,10 +387,8 @@ class _BruteForce:
                         + [int(bad.sum()), int((bad * bad).sum())])
         A0, A1, A2, aprime1, aprime2 = np.asarray(
             rows, dtype=np.float64).reshape(-1, 5).T
-        k = sieve_exponent(self.spec)
-        hs = np.zeros_like(pf) if k is None else np.array(
-            sieve_weights(self.spec, ps, k))
-        return A0, A1, A2, (aprime1, aprime2), hs
+        return (A0, A1, A2, (aprime1, aprime2),
+                sieve_weights(self.spec, p_int, sieve_exponent(self.spec)))
 
     def A1(self, p_int, pf):
         return np.array([complete_moment(self.spec, p, 1)
@@ -1050,43 +1046,42 @@ def sieve_exponent(fam: FamilySpec, exponent: int | None = None):
     return int(exponent)
 
 
-def _sieve_nus(fam: FamilySpec, p_list, k: int) -> list:
-    """nu_D(p^k) at each prime of p_list (Python ints): a built-in's n_bad
-    at p >= 5, where the roots of D mod p are its bad t, each simple, so
-    each lifts to one root mod p^k (Hensel); else _nu_prime_power."""
+def _sieve_nus(fam: FamilySpec, p_int: np.ndarray, k: int) -> np.ndarray:
+    """nu_D(p^k) over an ascending int64 block of primes: a built-in's
+    n_bad at p >= 5 (its bad t, simple roots that lift by Hensel), else
+    _nu_prime_power.  DomainError where nu >= p^k: no t is k-power free."""
     entry = builtin_entry(fam)
-    return [entry.n_bad if entry is not None and p >= 5
-            else _nu_prime_power(fam, p, k) for p in p_list]
-
-
-def _sieve_ratios(p_list, nus, k: int) -> list:
-    """(nu/p^k)/(1 - nu/p^k) at each prime of p_list with its nu, by
-    Python's int division, correctly rounded at any p."""
-    out = []
-    for p, nu in zip(p_list, nus):
-        pk = p ** k
-        if nu >= pk:
+    first = p_int.size if entry is None else int(np.searchsorted(p_int, 5))
+    nus = np.full(p_int.shape, entry.n_bad if entry else 0, dtype=np.int64)
+    for i, p in enumerate(p_int[:first].tolist()):
+        nu = _nu_prime_power(fam, p, k)
+        if nu >= p ** k:
             raise DomainError(
                 f"degenerate sieve: nu_D({p}^{k}) = {nu} >= p^k")
-        ratio = nu / pk
-        out.append(ratio / (1.0 - ratio))
-    return out
+        nus[i] = nu
+    return nus
 
 
-def sieve_weights(fam: FamilySpec, p_list, k: int) -> list:
-    """The sieve part of H_{D,k}(p) at each prime of p_list (Python ints)."""
-    return _sieve_ratios(p_list, _sieve_nus(fam, p_list, k), k)
+def sieve_weights(fam: FamilySpec, p_int: np.ndarray, k: int | None
+                  ) -> np.ndarray:
+    """The sieve part nu/(p^k - nu) of H_{D,k}(p), nu = nu_D(p^k), as
+    float64 over an ascending int64 block of primes (0.0 for k None):
+    correctly rounded while p^k < 2^53, within one ulp past that."""
+    if k is None:
+        return np.zeros(p_int.shape)
+    nu = _sieve_nus(fam, p_int, k).astype(np.float64)
+    return nu / (p_int.astype(np.float64) ** k - nu)
 
 
 def h_factor(fam: FamilySpec, p: int, exponent: int | None = None):
-    """H_{D,k}(p) split as (main, sieve) = (1, (nu/p^k)/(1 - nu/p^k)), nu =
-    nu_D(p^k) (see sieve_weights), k = sieve_exponent(fam, exponent)."""
+    """H_{D,k}(p) split as (main, sieve) = (1, nu/(p^k - nu)), k =
+    sieve_exponent(fam, exponent): sieve_weights on a block of one prime."""
     k = sieve_exponent(fam, exponent)
     if k is None:
         return (1.0, 0.0)
     if not is_prime(p):
         raise DomainError("p must be prime")
-    return (1.0, sieve_weights(fam, [p], k)[0])
+    return 1.0, float(sieve_weights(fam, np.array([p]), k)[0])
 
 
 @dataclass(frozen=True)
@@ -1210,8 +1205,9 @@ class MomentTable:
 
 def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
     """One MomentTable per prime of an ascending block: Atilde from one
-    a_tildes call over the primes >= 5 (0.0 below), nu and H_sieve from one
-    pass, the moments from complete_moment."""
+    a_tildes call over the primes >= 5 (0.0 below), nu from _sieve_nus and
+    H_sieve from sieve_weights over the block, the moments from
+    complete_moment."""
     if r_max < 0:
         raise DomainError("r_max must be >= 0")
     p_int = np.asarray(primes, dtype=np.int64)
@@ -1222,8 +1218,8 @@ def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
     first = int(np.searchsorted(p_int, 5))
     at = [0.0] * first + entry_of(fam).a_tildes(p_int[first:]).tolist()
     k = sieve_exponent(fam)
-    nus = [0] * len(ps) if k is None else _sieve_nus(fam, ps, k)
-    hs = [0.0] * len(ps) if k is None else _sieve_ratios(ps, nus, k)
+    nus = [0] * len(ps) if k is None else _sieve_nus(fam, p_int, k).tolist()
+    hs = sieve_weights(fam, p_int, k).tolist()
     return [MomentTable(
         p=p, moments=tuple(complete_moment(fam, p, r)
                            for r in range(r_max + 1)),

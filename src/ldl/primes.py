@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _literals
-from ._sum import term_sum, thread_count
+from ._sum import term_sum
 from .errors import DomainError, ResourceError
 
 HARD_SIEVE_CAP = 10 ** 10
@@ -150,6 +150,9 @@ def nth_prime_limit(n: int) -> int:
 
 
 def first_n_primes(n: int) -> PrimeTable:
+    """The first n primes; DomainError for n < 1."""
+    if n < 1:
+        raise DomainError(f"the prime count must be >= 1, got {n}")
     table = get_table(nth_prime_limit(n))
     if len(table) < n:  # bound is proven, this is belt and braces
         table = get_table(2 * table.limit)
@@ -284,7 +287,7 @@ def theta_error_integral(cls, upper_limit: float,
         pf = p_int.astype(np.float64)
         return np.log(pf) * (1.0 / pf - 1.0 / upper_limit)
 
-    s = term_sum(term, primes, thread_count(threads))
+    s = term_sum(term, primes, threads)
     return s - math.log(upper_limit) / phib
 
 
@@ -309,7 +312,9 @@ class ConstantResult:
 
 
 def _resolve_truncation(prime_limit: int | None, first_primes: int | None,
-                        default_limit: int) -> tuple[PrimeTable, str, int]:
+                        default_limit: int | None = None) -> tuple:
+    """(table, kind, truncation): the first first_primes primes, or those
+    up to prime_limit, else up to default_limit."""
     if prime_limit is not None and first_primes is not None:
         raise DomainError("specify prime_limit or first_primes, not both")
     if first_primes is not None:
@@ -327,14 +332,13 @@ def gamma_pnt(method: str = "closed_form", prime_limit: int | None = None,
     table, kind, trunc = _resolve_truncation(prime_limit, first_primes, 10 ** 8)
     if len(table) < 10 ** 4:
         raise DomainError("truncation must cover at least 1e4 primes")
-    nthreads = thread_count(threads)
     X = float(table.primes[-1])
     if method == "closed_form":
         def term(p_int):
             pf = p_int.astype(np.float64)
             return np.log(pf) / (pf * pf - pf)
 
-        value = -_literals.EULER_GAMMA - term_sum(term, table.primes, nthreads)
+        value = -_literals.EULER_GAMMA - term_sum(term, table.primes, threads)
         tail = math.log(X) / X
     elif method in ("direct", "integral"):
         value = 1.0 + theta_error_integral("all", X, table, threads)
@@ -365,7 +369,6 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
         raise DomainError(f"unsupported progression ({a},{b})")
     table, kind, trunc = _resolve_truncation(
         prime_limit, first_primes, 67_867_979)  # the four-millionth prime
-    nthreads = thread_count(threads)
     X = float(table.primes[-1])
     name = f"gamma_pnt_{a}{b}"
     if method == "closed_form":
@@ -379,7 +382,7 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
             denom = np.where(p_int % b == 1, pf * pf - pf, pf * pf - 1.0)
             return np.log(pf) / denom
 
-        value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(term, primes, nthreads)
+        value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(term, primes, threads)
         tail = 2 * math.log(X) / X
     elif method in ("direct", "integral"):
         value = 1.0 + 2.0 * theta_error_integral((a, b), X, table, threads)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._sum import chunked_sum, thread_count
+from ._sum import chunked_sum
 from .errors import DomainError
 
 # --------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def p_ell_sum(ell: int, table, cls="all", threads: int | None = None) -> float:
     x = pf / (pf + 1.0) ** 2
     terms = np.zeros(primes.size)
     terms[:k] = (pf - 1.0) * np.log(pf) / (pf + 1.0) * x ** ell
-    return chunked_sum(terms, thread_count(threads))
+    return chunked_sum(terms, threads)
 
 
 # --------------------------------------------------------------------------

@@ -61,6 +61,36 @@ def test_constants_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name,count", [
+    ("gamma_cm_13", "0"), ("gamma_pnt", "0"), ("gamma_atilde_3", "0"),
+    ("all", "0"), ("gamma_cm_13", "-3")])
+def test_constants_refuse_a_prime_count_below_one(capsys, name, count):
+    code, out, err = run(capsys, "constants", "--name", name,
+                         "--first-primes", count)
+    assert code == 2 and out == ""
+    assert "prime count" in err and "Traceback" not in err
+
+
+def test_constants_truncation_error_omits_the_catalog(capsys):
+    code, out, err = run(capsys, "constants", "--name", "gamma_pnt",
+                         "--prime-limit", "0")
+    assert code == 2 and out == ""
+    # the sieve's message, or gamma_pnt's once a table is cached
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "known constants" not in err
+
+
+def test_family_refuses_a_sieve_with_no_power_free_t(capsys, tmp_path):
+    # D = 125(1 + t): nu_D(5^3) = 125 = 5^3
+    cfg = tmp_path / "all_bad.json"
+    cfg.write_text(json.dumps({"name": "all_bad", "A": [0], "B": [1, 6],
+                               "D_factors": [[125, 125]], "k": 3}))
+    code, out, err = run(capsys, "family", "--family", f"@{cfg}",
+                         "--prime-limit", "10")
+    assert code == 2 and out == ""
+    assert "nu_D(5^3) = 125" in err
+
+
 def test_constants_method_both(capsys):
     doc = run_json(capsys, "constants", "--name", "gamma_pnt",
                    "--method", "both", "--prime-limit", "1000000")
@@ -258,13 +288,13 @@ IMPOSTOR = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 GOLDEN = [
     (("family", "--family", "cm_b1_kappa2", "--prime-limit", "60"),
-     "97fc257c3ae10b6aa56cdda65718a6ef0492b5a3b48a48ef9502b6075faa960f"),
+     "ee07ac47edd2f03c32fedd53acaa4c69e8b0bf2c9b063f237ff630f440ea0c73"),
     (("family", "--family", "cm_b6_kappa1", "--prime-limit", "60"),
-     "b6875c80feca7c9ea337dfd307f076b22947007c2baa85e5f44da59d8f55dd54"),
+     "bb3f7f1b2d92ec30c115bc839a011d528cf62c7959189c018feaee9da4649434"),
     (("family", "--family", "rank1_36t", "--prime-limit", "60"),
-     "5f0107244342c8432d1217f5efddfeb6d8ddb98c3fba9c7acf0f267a1298c11a"),
+     "712ac86cc125b534ac7e3763bee2c02cd557a3963ef9db84e7249a14b33286bf"),
     (("family", "--family", "rank0_36t", "--prime-limit", "60"),
-     "aa06621aec61e3fe426697a3c18a0f1a809ebc4c7ce290a98632e9f0c8e0e8bb"),
+     "7b1fcbd17b0dd890b2170e003fcb594770fa93dd604bc0da34425961452603e6"),
     (("family", "--family", "noncm_3x12t", "--prime-limit", "60"),
      "f4e3229afbb8f7b268d82acd64bf4afad31ed90db5af56499840efbf066a5365"),
     (("family", "--family", "cm_b2_kappa2", "--aggregate"),
@@ -295,7 +325,7 @@ GOLDEN = [
     (("verify", "--suite", "appendixB"),
      "a488ad5dc81cfc8cc272f79d2ff276f487913510b8c4a5f636cfd623f33beb50"),
     (("family", "--family", "@" + IMPOSTOR, "--prime-limit", "13"),
-     "b3121e67c2edf7aee76943f54762a757036d249d90f4af26b162b603345b24e9"),
+     "271cf81046505e3b3a198dcf8ca671fd10ceb52fbe6ea0c398a97051452c4ba0"),
 ]
 
 

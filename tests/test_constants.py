@@ -9,6 +9,7 @@ sums through the generic family path.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -197,6 +198,16 @@ def test_family_constant_atilde_keeps_its_bits(name, exponent, count):
     got = constants.family_constant_Atilde(name, prime_count=count,
                                            sieve_exponent=exponent)
     assert repr(got) == repr(ATILDE_GOLDEN[name, exponent, count])
+
+
+def test_atilde_main_terms_are_read_only_arrays():
+    fam = families.get_family("cm_b1_kappa2")
+    ps, terms = constants._atilde_main_terms(fam, 200)
+    assert ps.dtype == np.int64 and terms.dtype == np.float64
+    assert ps.shape == terms.shape and ps.size > 0
+    assert not ps.flags.writeable and not terms.flags.writeable
+    # Atilde vanishes off p = 1 mod 3 for the sextic twists
+    assert np.all(ps % 3 == 1) and np.all(terms != 0.0)
 
 
 def test_sieve_conventions_share_one_atilde_pass(monkeypatch):

@@ -317,6 +317,14 @@ def test_evaluate_s_custom_family_golden():
         "0f1e6760f43e1020965a584c379d1cd4949a33623b7936369e7b81fdf0f37366")
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_evaluate_s_refuses_an_atilde_truncation_below_one(count):
+    pair = ef.builtin_test_pair("fejer:0.4")
+    with pytest.raises(DomainError, match="prime count"):
+        ef.evaluate_S("cm_b1_kappa2", pair, math.exp(25.0),
+                      atilde_primes=count)
+
+
 def test_evaluate_s_custom_family_refuses_uncapped_atilde(monkeypatch):
     # the default cubic-moment truncation reaches p = 48611, far past the
     # brute-force cap; the refusal comes before the prime table is built
@@ -360,8 +368,7 @@ def test_registry_moment_arrays_match_brute_force(name):
         want = getattr(brute, attr)
         got = np.broadcast_to(getattr(fast, attr), want.shape)
         assert np.array_equal(got, want), attr
-    assert np.all(np.abs(fast.hs - brute.hs)
-                  <= 2 * np.spacing(np.maximum(fast.hs, brute.hs)))
+    assert np.array_equal(fast.hs, brute.hs)
 
 
 # --------------------------------------------------------------------------

@@ -347,7 +347,8 @@ def test_cm_kernels_refuse_primes_past_the_int64_limit(monkeypatch):
         if entry.kind == "quartic":
             with pytest.raises(ResourceError, match="int64"):
                 entry.A2(np.array([p]), np.array([float(p)]))
-        # H_sieve stays Python-int arithmetic, correct at any p
+        # H_sieve needs no int64 residue arithmetic: its float64
+        # nu/(p^k - nu) meets the correctly rounded ratio here
         for k in (3, 6):
             ratio = entry.n_bad / p ** k
             assert families.h_factor(entry.spec, p, exponent=k) == \
@@ -478,6 +479,31 @@ def test_registry_n_bad_is_nu_at_every_prime_from_5():
             for k in (3, 6):
                 assert families._nu_prime_power(entry.spec, p, k) == \
                     entry.n_bad, (entry.name, p, k)
+
+
+def test_sieve_weights_are_the_correctly_rounded_ratio():
+    # float64 nu/(p^k - nu) is correctly rounded while p^k < 2^53: 449^6 <
+    # 2^53 < 457^6
+    for k, top in ((3, 10 ** 4), (6, 449)):
+        p_int = get_table(top).primes
+        for fam in families.BUILTIN_FAMILIES.values():
+            want = []
+            for p in p_int.tolist():
+                nu = families._nu_prime_power(fam, p, k)
+                want.append(nu / (p ** k - nu))
+            got = families.sieve_weights(fam, p_int, k)
+            assert got.dtype == np.float64
+            assert got.tolist() == want, (fam.name, k)
+
+
+def test_sieve_refuses_nu_equal_to_p_to_the_k():
+    # D = 125(1 + t) vanishes mod 5^3 at every t: nu_D(5^3) = 125 = 5^3
+    fam = families.load_family({"name": "all_bad", "A": [0], "B": [1, 6],
+                                "D_factors": [[125, 125]], "k": 3})
+    with pytest.raises(DomainError, match=r"nu_D\(5\^3\) = 125"):
+        families.h_factor(fam, 5)
+    with pytest.raises(DomainError, match=r"nu_D\(5\^3\) = 125"):
+        families.sieve_weights(fam, np.array([2, 3, 5, 7]), 3)
 
 
 def test_nu_d_counts_factors_divisible_by_p():

@@ -40,6 +40,14 @@ def test_first_n_primes():
     assert int(primes.first_n_primes(1).primes[0]) == 2
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_first_n_primes_refuses_fewer_than_one(n):
+    with pytest.raises(DomainError, match="prime count"):
+        primes.first_n_primes(n)
+    with pytest.raises(DomainError):
+        primes.gamma_pnt(first_primes=n)
+
+
 def test_get_table_is_grow_only():
     big = primes.get_table(10 ** 4)
     small = primes.get_table(100)
