@@ -155,19 +155,20 @@ def _resolve_family(spec: str):
 
 def _closed_form_failures(fam, prime_limit: int, checks: list) -> list:
     """(p, r, side, brute, closed) wherever a built-in's closed-form moment
-    (r, side), for each of `checks` in turn, differs from the point count at
-    a prime 5 <= p <= prime_limit; none for a family without closed
-    forms."""
+    (r, side), for each of `checks` in turn, differs from the power sum of
+    the traces at a prime 5 <= p <= prime_limit, one _power_sums row per
+    prime; none for a family without closed forms."""
     if families.builtin_entry(fam) is None:
         return []
     p_int = get_table(prime_limit).primes
     p_int = p_int[p_int >= 5]
-    bad_max = max(r for r, side in checks if side == "bad")
-    table = families.closed_form_table(fam, p_int, bad_max)
+    r_max = max(r for r, side in checks)
+    table = families.closed_form_table(fam, p_int, r_max)
     out = []
     for i, p in enumerate(p_int.tolist()):
+        sums = families._power_sums(fam, p, r_max)
         for r, side in checks:
-            brute = families.complete_moment(fam, p, r, side)
+            brute = sums[side == "bad"][r]
             if brute != table[r, side][i]:
                 out.append((p, r, side, brute, table[r, side][i]))
     return out
@@ -229,9 +230,7 @@ def cmd_explicit(args, argv) -> int:
     # R = e^logR must be a finite float above 1
     max_logR = explicit_formula._LOG_FLOAT_MAX
     if not 0 < args.logR < max_logR:
-        print(f"error: --logR must lie in (0, {max_logR:.2f})",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError(f"--logR must lie in (0, {max_logR:.2f})")
     fam, digest = args.family, ""
     if fam != "cusp_model":
         fam, digest = _resolve_family(fam)

@@ -327,7 +327,7 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     the truncation would drop terms where phihat(2 log p / log R) is still
     nonzero.  The cubic-moment piece uses its own truncation
     (`atilde_primes`), following the reference tabulations.  A family
-    without closed forms takes brute-force moments and Atilde, capped at
+    without closed forms reads its moments and Atilde off its traces, capped at
     primes up to families.BRUTE_FORCE_CAP in both truncations; a truncation
     past the cap raises ResourceError before any prime table is built.
 

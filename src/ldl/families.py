@@ -38,19 +38,19 @@ Atilde(p) is each entry's a_tildes:
   each prime.  For the quartic pair the number of t in each quartic class
   comes from the Jacobi sum J(chi, chi) = -chi(-1) pi.  The kernels are
   exact up to INT64_PRIME_LIMIT and raise ResourceError past it.
-* ``noncm_3x12t``: an FFT correlation at the least 5-smooth length n >=
-  2p - 1, O(p log p) per prime, with the weights lambda^3/(p + 1 - a)
-  taken from a table over the Hasse range |a| <= 2 sqrt p.
-* any other family: brute-force point counts, O(p^2) per prime.
+* ``noncm_3x12t``: an FFT correlation (_correlation), O(p log p) per prime,
+  with the weights lambda^3/(p + 1 - a) from a table over |a| <= 2 sqrt p.
+* any other family: its traces at every t (_curve_data) from at most five
+  such correlations; its moments are their power sums (_power_sums).
 
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
 simple, and a scan of t mod p^k otherwise; nu_D(d) is their product over
-the prime powers of d, and _sieve_nus reads a built-in's n_bad instead.
+the prime powers of d, and _sieve_block reads a built-in's n_bad instead.
 The sieve part of H_{D,k}(p) is sieve_weights, the float64 nu/(p^k - nu)
 over a block of primes, and every consumer reads it.
 
-Every closed form registered here is cross-checked against the brute
-O(p^2) sum in the test suite for all primes up to 300.
+Every closed form registered here is cross-checked against those power
+sums, and the traces against point counts, for all primes up to 300.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ import math
 import pathlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -73,9 +72,8 @@ from .series import poly_mul
 
 _SCAN_LIMIT = 10 ** 6
 
-#: largest prime at which a family without closed forms is counted by brute
-#: force, O(p^2) per prime: the `cap` of its entry, which bounds evaluate_S's
-#: prime table and Atilde truncation, and rank_bias's X
+#: the `cap` of a family without closed forms: the largest prime of its
+#: tables, evaluate_S's primes and Atilde truncation and rank_bias's X
 BRUTE_FORCE_CAP = 5000
 
 
@@ -363,36 +361,27 @@ def builtin_entry(fam):
 
 
 class _BruteForce:
-    """The entry of any family without closed forms: point counts, O(p^2)
-    per prime, so no prime it is asked about may pass its cap."""
+    """The entry of any family without closed forms: its traces at every
+    t, so no prime it is asked about may pass its cap."""
     rank, lead, cap = 0, None, BRUTE_FORCE_CAP
 
     def __init__(self, spec: FamilySpec):
         self.spec, self.name = spec, spec.name
 
     def moments(self, p_int, pf):
-        # one pass per prime: _curve_data caches fewer primes than the cap
-        # admits, so a second pass would count every prime again
-        ps = p_int.tolist()
         rows = []
-        for p in ps:
-            a_vals, good = _curve_data(self.spec, p)
-            bad = a_vals[~good]
-            if np.any(np.abs(bad) > 1):
+        for p in p_int.tolist():
+            good, bad = _power_sums(self.spec, p, 4)
+            # sum a^4 = sum a^2 over the bad t iff each a is -1, 0 or 1
+            if bad[4] != bad[2]:
                 raise VerificationError(
                     f"|a_t({p})| > 1 at a bad t of {self.name!r}: the "
                     "closed-form S_A' sum needs a_t(p) in {-1, 0, 1}")
-            rows.append([complete_moment(self.spec, p, r, "good")
-                         for r in (0, 1, 2)]
-                        + [int(bad.sum()), int((bad * bad).sum())])
+            rows.append(good[:3] + bad[1:3])
         A0, A1, A2, aprime1, aprime2 = np.asarray(
             rows, dtype=np.float64).reshape(-1, 5).T
         return (A0, A1, A2, (aprime1, aprime2),
                 sieve_weights(self.spec, p_int, sieve_exponent(self.spec)))
-
-    def A1(self, p_int, pf):
-        return np.array([complete_moment(self.spec, p, 1)
-                         for p in p_int.tolist()], dtype=np.float64)
 
     def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
         out = []
@@ -511,12 +500,13 @@ def reduction_type(fam: FamilySpec, t: int, p: int) -> str:
         f"a_t(p) = {a} at a bad prime: equation not minimal at t={t}, p={p}")
 
 
-@lru_cache(maxsize=512)
 def _curve_data(fam: FamilySpec, p: int):
-    """(a_values[t], good_mask[t]) for t = 0..p-1; one O(p^2) pass."""
+    """(a_values[t], good_mask[t]) for t = 0..p-1: each A(t) = g^k != 0,
+    g the least generator, is g^i u^4 with i = k mod e, e = gcd(4, p - 1),
+    u = g^j, 4j = k - i mod p - 1, and (A, B) ~ (A/u^4, B/u^6), so a_t =
+    _correlation(p, g^i)[B/u^6]; A(t) = 0 reads _correlation(p, 0)."""
     t = np.arange(p, dtype=np.int64)
-    disc = poly_eval_mod(fam.discriminant_poly(), t, p)
-    good = disc != 0
+    good = poly_eval_mod(fam.discriminant_poly(), t, p) != 0
     a_vals = np.zeros(p, dtype=np.int64)
     if p not in fam.forced_zero_primes:
         if p == 2:
@@ -524,29 +514,44 @@ def _curve_data(fam: FamilySpec, p: int):
                 "p = 2 requires a forced-zero designation for this family")
         a_coef = poly_eval_mod(fam.A_poly, t, p)
         b_coef = poly_eval_mod(fam.B_poly, t, p)
-        x = np.arange(p, dtype=np.int64)
-        cubes = x * x % p * x % p
-        table = legendre_symbols_vec(np.arange(p, dtype=np.int64), p)
-        for ti in range(p):
-            vals = (cubes + a_coef[ti] * x + b_coef[ti]) % p
-            a_vals[ti] = -int(table[vals].sum())
-    a_vals.setflags(write=False)
-    good.setflags(write=False)
+        e = math.gcd(4, p - 1)
+        powers = _powmod(_least_generators(np.array([p])), t[:-1], p)
+        log = np.zeros(p, dtype=np.int64)
+        log[powers] = t[:-1]
+        k = log[a_coef]
+        j = k // e * pow(4 // e, -1, (p - 1) // e) % ((p - 1) // e)
+        c = b_coef * powers[-6 * j % (p - 1)] % p
+        cls = np.where(a_coef == 0, e, k % e)
+        for i in np.flatnonzero(np.bincount(cls)).tolist():
+            on = cls == i
+            a_vals[on] = _correlation(p, powers[i] if i < e else 0)[c[on]]
     return a_vals, good
+
+
+def _power_sums(fam: FamilySpec, p: int, r_max: int) -> tuple:
+    """(good, bad): the exact sums of a_t(p)^r over the good and the bad t
+    mod p for r <= r_max from one _curve_data table, n a^r summed as Python
+    ints over the distinct traces a and their counts n."""
+    a_vals, good = _curve_data(fam, p)
+    out = []
+    for mask in (good, ~good):
+        vals, counts = np.unique(a_vals[mask], return_counts=True)
+        pairs = list(zip(vals.tolist(), counts.tolist()))
+        out.append(tuple(sum(n * a ** r for a, n in pairs)
+                         for r in range(r_max + 1)))
+    return tuple(out)
 
 
 def complete_moment(fam: FamilySpec, p: int, r: int, side: str = "good"):
     """Exact integer sum of a_t(p)^r over t mod p with p good (p not
-    dividing Delta(t)) or bad (p | Delta(t))."""
-    if not is_prime(p) or p < 2:
+    dividing Delta(t)) or bad (p | Delta(t)): a view of _power_sums."""
+    if not is_prime(p):
         raise DomainError("p must be prime")
     if r < 0:
         raise DomainError("r must be >= 0")
     if side not in ("good", "bad"):
         raise DomainError("side must be 'good' or 'bad'")
-    a_vals, good = _curve_data(fam, p)
-    mask = good if side == "good" else ~good
-    return sum(int(a) ** r for a in a_vals[mask])
+    return _power_sums(fam, p, r)[side == "bad"][r]
 
 
 # --------------------------------------------------------------------------
@@ -835,53 +840,54 @@ def _smooth_length(m: int) -> int:
     return best
 
 
-def _b3_correlation(p: int) -> np.ndarray:
-    """corr[s] = sum_v N[v] chi[(v + s) mod p] for s < p, N the value
-    histogram of x^3 - 3x mod p and chi the Legendre symbol mod p.
+def _correlation(p: int, a: int) -> np.ndarray:
+    """The trace of y^2 = x^3 + ax + s at every s < p, as int64 in
+    O(p log p): -corr[s], corr[s] = sum_v N[v] chi[(v + s) mod p], N the
+    value histogram of x^3 + ax mod p and chi the Legendre symbol mod p.
 
     The circular correlation of length p is taken as a linear one at the
     5-smooth length n >= 2p - 1 (an FFT at a prime length costs several
     times more, and a power of two pads up to twice as much), with N
     zero-padded and chi tiled twice: v + s < 2p never wraps around n.  The
-    tiled chi is built directly, -1 off the squares x^2 and x^2 + p."""
+    tiled chi is built directly, -1 off the squares x^2 and x^2 + p.  The
+    values are integers, so any rounding slack of 1/4 or more is an
+    error."""
     x = np.arange(p, dtype=np.int64)
-    hist = np.bincount((x * x % p * x - 3 * x) % p, minlength=p)
+    hist = np.bincount((x * x % p * x + a % p * x) % p, minlength=p)
     squares = x[1:(p + 1) // 2] ** 2 % p
     chi2 = np.full(2 * p, -1.0)
     chi2[squares] = 1.0
     chi2[squares + p] = 1.0
     chi2[0] = chi2[p] = 0.0
     n = _smooth_length(2 * p - 1)
-    return np.fft.irfft(np.conj(np.fft.rfft(hist.astype(np.float64), n))
+    corr = np.fft.irfft(np.conj(np.fft.rfft(hist.astype(np.float64), n))
                         * np.fft.rfft(chi2, n), n)[:p]
+    rounded = np.rint(corr)
+    if np.max(np.abs(corr - rounded)) >= 0.25:
+        raise VerificationError(f"fft correlation not integral at {p}")
+    return -rounded.astype(np.int64)
 
 
 def _a_tilde_b3(p: int) -> float:
     """Atilde(p) for noncm_3x12t in O(p log p).
 
-    a_t = -(chi * N)(12t): one correlation (_b3_correlation) gives the
-    trace at every shift.  Its values are integers, so any rounding slack
-    of 1/4 or more is an error, and so is a trace outside the Hasse range
-    |a| <= h = floor(2 sqrt p).  The weight lambda^3 / (p + 1 - a) is
-    computed once per integer a in [-h, h] and gathered at the good t in
-    t order, so every term and the pairwise sum are those of
-    _lambda_cubed_weight over the a_t.
+    a_t = _correlation(p, -3)[12t]: one correlation gives the trace at
+    every t.  A trace outside the Hasse range |a| <= h = floor(2 sqrt p)
+    is an error.  The weight lambda^3 / (p + 1 - a) is computed once per
+    integer a in [-h, h] and gathered at the good t in t order, so every
+    term and the pairwise sum are those of _lambda_cubed_weight over the
+    a_t.
     """
-    corr = _b3_correlation(p)
-    rounded = np.rint(corr)
-    if np.max(np.abs(corr - rounded)) >= 0.25:
-        raise VerificationError(f"fft correlation not integral at {p}")
+    traces = _correlation(p, -3)
     h = math.isqrt(4 * p)
-    if np.max(np.abs(rounded)) > h:
+    if np.max(np.abs(traces)) > h:
         raise VerificationError(f"fft trace outside the Hasse range at {p}")
     weights = _lambda_cubed_terms(np.arange(-h, h + 1, dtype=np.int64), p)
-    # a_t = -rounded[12t] sits at weights[h + a_t]; the bad t are the
-    # roots of (6t - 1)(6t + 1)
-    index = (h - rounded).astype(np.intp)[np.arange(0, 12 * p, 12) % p]
-    good = np.ones(p, dtype=bool)
+    # a_t = traces[12t] sits at weights[h + a_t]; the bad t are the roots
+    # of (6t - 1)(6t + 1)
+    index = (h + traces)[np.arange(0, 12 * p, 12) % p]
     inv6 = pow(6, -1, p)
-    good[[inv6, p - inv6]] = False
-    return float(np.sum(weights[index[good]]))
+    return float(np.sum(weights[np.delete(index, [inv6, p - inv6])]))
 
 
 def a_tilde(fam: FamilySpec, p: int) -> float:
@@ -1046,10 +1052,13 @@ def sieve_exponent(fam: FamilySpec, exponent: int | None = None):
     return int(exponent)
 
 
-def _sieve_nus(fam: FamilySpec, p_int: np.ndarray, k: int) -> np.ndarray:
-    """nu_D(p^k) over an ascending int64 block of primes: a built-in's
-    n_bad at p >= 5 (its bad t, simple roots that lift by Hensel), else
-    _nu_prime_power.  DomainError where nu >= p^k: no t is k-power free."""
+def _sieve_block(fam: FamilySpec, p_int: np.ndarray, k) -> tuple:
+    """(nu, nu/(p^k - nu)) over an ascending int64 block of primes, (0, 0.0)
+    for k None: nu = nu_D(p^k), a built-in's n_bad at p >= 5 (its bad t,
+    simple roots that lift by Hensel), else _nu_prime_power.  DomainError
+    where nu >= p^k: no t is k-power free."""
+    if k is None:
+        return np.zeros(p_int.shape, dtype=np.int64), np.zeros(p_int.shape)
     entry = builtin_entry(fam)
     first = p_int.size if entry is None else int(np.searchsorted(p_int, 5))
     nus = np.full(p_int.shape, entry.n_bad if entry else 0, dtype=np.int64)
@@ -1059,7 +1068,8 @@ def _sieve_nus(fam: FamilySpec, p_int: np.ndarray, k: int) -> np.ndarray:
             raise DomainError(
                 f"degenerate sieve: nu_D({p}^{k}) = {nu} >= p^k")
         nus[i] = nu
-    return nus
+    nu = nus.astype(np.float64)
+    return nus, nu / (p_int.astype(np.float64) ** k - nu)
 
 
 def sieve_weights(fam: FamilySpec, p_int: np.ndarray, k: int | None
@@ -1067,10 +1077,7 @@ def sieve_weights(fam: FamilySpec, p_int: np.ndarray, k: int | None
     """The sieve part nu/(p^k - nu) of H_{D,k}(p), nu = nu_D(p^k), as
     float64 over an ascending int64 block of primes (0.0 for k None):
     correctly rounded while p^k < 2^53, within one ulp past that."""
-    if k is None:
-        return np.zeros(p_int.shape)
-    nu = _sieve_nus(fam, p_int, k).astype(np.float64)
-    return nu / (p_int.astype(np.float64) ** k - nu)
+    return _sieve_block(fam, p_int, k)[1]
 
 
 def h_factor(fam: FamilySpec, p: int, exponent: int | None = None):
@@ -1173,8 +1180,8 @@ def quadratic_legendre_sum_brute(a: int, b: int, c: int, p: int) -> int:
 def rank_bias(fam, X: float) -> float:
     """(1/X) sum_{p <= X} -(A_1(p) / p) log p; tends to the rank.
 
-    A_1 is the family's entry's: a built-in's registry array, or point
-    counts, O(p^2) per prime, whose X may not pass BRUTE_FORCE_CAP.
+    A_1 is the family's entry's: a built-in's registry array, or the power
+    sum of the traces, whose X may not pass BRUTE_FORCE_CAP.
     """
     if X < 10 ** 3:
         raise DomainError("X must be >= 1e3")
@@ -1182,9 +1189,9 @@ def rank_bias(fam, X: float) -> float:
     check_cap(entry, X, "rank-bias X")
     p_int = get_table(int(X)).primes
     p_int = p_int[p_int >= 5]
+    a1 = entry.moments(p_int, p_int.astype(np.float64))[1]
     total = 0.0
-    for p, m in zip(p_int.tolist(),
-                    entry.A1(p_int, p_int.astype(np.float64)).tolist()):
+    for p, m in zip(p_int.tolist(), a1.tolist()):
         if m:
             total -= m / p * math.log(p)
     return total / X
@@ -1205,9 +1212,9 @@ class MomentTable:
 
 def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
     """One MomentTable per prime of an ascending block: Atilde from one
-    a_tildes call over the primes >= 5 (0.0 below), nu from _sieve_nus and
-    H_sieve from sieve_weights over the block, the moments from
-    complete_moment."""
+    a_tildes call over the primes >= 5 (0.0 below), nu and H_sieve from one
+    _sieve_block over the block, the moments from one _power_sums row per
+    prime."""
     if r_max < 0:
         raise DomainError("r_max must be >= 0")
     p_int = np.asarray(primes, dtype=np.int64)
@@ -1217,13 +1224,9 @@ def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
     ps = p_int.tolist()
     first = int(np.searchsorted(p_int, 5))
     at = [0.0] * first + entry_of(fam).a_tildes(p_int[first:]).tolist()
-    k = sieve_exponent(fam)
-    nus = [0] * len(ps) if k is None else _sieve_nus(fam, p_int, k).tolist()
-    hs = sieve_weights(fam, p_int, k).tolist()
-    return [MomentTable(
-        p=p, moments=tuple(complete_moment(fam, p, r)
-                           for r in range(r_max + 1)),
-        bad_moments=tuple(complete_moment(fam, p, m, "bad")
-                          for m in range(r_max + 1)),
-        a_tilde=a, nu=nu, h=(1.0, h))
-        for p, a, nu, h in zip(ps, at, nus, hs)]
+    nus, hs = (col.tolist() for col in
+               _sieve_block(fam, p_int, sieve_exponent(fam)))
+    return [MomentTable(p=p, moments=good, bad_moments=bad, a_tilde=a,
+                        nu=nu, h=(1.0, h))
+            for p, (good, bad), a, nu, h in zip(
+                ps, (_power_sums(fam, p, r_max) for p in ps), at, nus, hs)]

@@ -130,9 +130,9 @@ _TABLE_CACHE: PrimeTable | None = None
 
 
 def get_table(limit: int) -> PrimeTable:
-    """Grow-only cached table; reuses the largest sieve built so far."""
+    """Grow-only cached table, reusing the largest sieve; limit >= 2."""
     global _TABLE_CACHE
-    if _TABLE_CACHE is None or _TABLE_CACHE.limit < limit:
+    if _TABLE_CACHE is None or not 2 <= limit <= _TABLE_CACHE.limit:
         _TABLE_CACHE = sieve_primes(limit)
     if _TABLE_CACHE.limit == limit:
         return _TABLE_CACHE
@@ -189,12 +189,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def legendre_symbol(a: int, p: int, validate: bool = False) -> int:
+def legendre_symbol(a: int, p: int) -> int:
     """(a/p) for odd prime p: 0 if p|a, +1 for nonzero squares, -1 otherwise."""
     if p == 2 or p < 2:
         raise DomainError(f"legendre_symbol needs an odd prime, got {p}")
-    if validate and not is_prime(p):
-        raise DomainError(f"legendre_symbol needs a prime modulus, got {p}")
     a %= p
     if a == 0:
         return 0

@@ -278,8 +278,8 @@ def test_evaluate_s_brute_path_matches_vectorized():
         "forced_zero_primes": [2, 3]})
     pair = ef.builtin_test_pair("fejer:0.4")
     R = math.exp(25.0)
-    # a tiny cubic-moment truncation keeps the clone's O(p^2) brute path
-    # affordable; both sides use the same truncation
+    # a tiny cubic-moment truncation keeps the clone's trace tables few;
+    # both sides use the same truncation
     fast = ef.evaluate_S(fam, pair, R, atilde_primes=30)
     brute = ef.evaluate_S(clone, pair, R, atilde_primes=30)
     for key in fast.pieces:

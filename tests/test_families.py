@@ -9,13 +9,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ldl import families
 from ldl.errors import DomainError, ResourceError, VerificationError
 from ldl.primes import (get_table, is_prime, legendre_symbol,
                         legendre_symbols_vec)
+from ldl.series import poly_mul
 
 BUILTINS = sorted(families.BUILTIN_FAMILIES)
 
@@ -69,6 +70,69 @@ def test_reduction_type_tracks_discriminant():
             rt = families.reduction_type(fam, t, p)
             good = fam.discriminant_at(t) % p != 0
             assert (rt == "good") == good
+
+
+def _assert_traces_are_point_counts(fam, p):
+    """_curve_data at p against an O(p) point count at every t."""
+    a_vals, good = families._curve_data(fam, p)
+    want = [families._a_for_coefficients(
+        families.poly_eval_mod(fam.A_poly, t, p),
+        families.poly_eval_mod(fam.B_poly, t, p), p) for t in range(p)]
+    assert a_vals.dtype == np.int64
+    assert a_vals.tolist() == want, (fam, p)
+    disc = fam.discriminant_poly()
+    assert good.tolist() == [families.poly_eval_mod(disc, t, p) != 0
+                             for t in range(p)]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_curve_data_is_the_point_count_at_every_t(name):
+    fam = families.get_family(name)
+    for p in (int(q) for q in get_table(300).primes if q >= 5):
+        _assert_traces_are_point_counts(fam, p)
+
+
+@pytest.mark.parametrize("name,p", [("rank1_36t", 1009),
+                                    ("rank0_36t", 1999),
+                                    ("noncm_3x12t", 1997)])
+def test_curve_data_is_the_point_count_past_a_thousand(name, p):
+    # 1009 and 1997 = 1 mod 4 (four quartic classes), 1999 = 3 mod 4 (two)
+    _assert_traces_are_point_counts(families.get_family(name), p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13, 29, 37, 41, 43, 97, 103]),
+       st.integers(-40, 40), st.booleans(),
+       st.lists(st.integers(-40, 40), min_size=1, max_size=3),
+       st.lists(st.integers(-40, 40), min_size=1, max_size=3))
+def test_curve_data_is_the_point_count_on_drawn_configs(p, root, vanish,
+                                                        a_poly, b_poly):
+    # A = (T - root) a_poly(T) when `vanish`, so A(t) = 0 at t = root mod
+    # p; p = 3 has no forced zero here, and p runs over both classes mod 4
+    if vanish:
+        a_poly = poly_mul((-root, 1), a_poly)
+    try:
+        fam = families.FamilySpec(
+            name="drawn", A_poly=tuple(a_poly), B_poly=tuple(b_poly),
+            D_factors=((1, 1),), k=families.INF)
+    except DomainError:
+        assume(False)
+    _assert_traces_are_point_counts(fam, p)
+
+
+@pytest.mark.parametrize("name", ["cm_b1_kappa2", "noncm_3x12t"])
+def test_moment_table_reads_one_trace_table_per_prime(monkeypatch, name):
+    calls = []
+    curve_data = families._curve_data
+
+    def counted(fam, p):
+        calls.append(p)
+        return curve_data(fam, p)
+
+    monkeypatch.setattr(families, "_curve_data", counted)
+    primes = get_table(300).primes
+    families.moment_table(families.get_family(name), primes)
+    assert calls == primes.tolist()
 
 
 # --------------------------------------------------------------------------
@@ -403,14 +467,19 @@ def test_smooth_length_is_the_least_5_smooth_bound():
 @pytest.mark.parametrize("shift,match", [(0.5, "not integral"),
                                          (1.0, "Hasse range")])
 def test_a_tilde_b3_checks_its_correlation(monkeypatch, shift, match):
-    # a non-integral correlation, then an integral one just outside the
-    # Hasse range |a| <= floor(2 sqrt p)
+    # a non-integral FFT output, which _correlation refuses, then an
+    # integral one whose trace lies just outside the Hasse range
+    # |a| <= floor(2 sqrt p), which _a_tilde_b3 refuses
     p = 101
     h = math.isqrt(4 * p)
-    monkeypatch.setattr(families, "_b3_correlation",
-                        lambda p: np.full(p, h + shift))
+    monkeypatch.setattr(np.fft, "irfft",
+                        lambda spectrum, n: np.full(n, -(h + shift)))
     with pytest.raises(VerificationError, match=match):
         families._a_tilde_b3(p)
+    if match == "not integral":
+        # the kernel behind every trace table refuses it for any curve
+        with pytest.raises(VerificationError, match=match):
+            families._correlation(p, 0)
 
 
 def test_a_tilde_b3_takes_the_padded_fft_at_every_prime(monkeypatch):

@@ -123,11 +123,18 @@ def test_constant_result_carries_provenance():
     assert row["tail_bound"] >= 0.0
 
 
+def test_get_table_refuses_a_limit_below_two_with_a_table_cached():
+    primes.get_table(100)
+    for limit in (1, 0, -3):
+        with pytest.raises(DomainError, match="empty table"):
+            primes.get_table(limit)
+
+
 def test_invalid_inputs_raise():
     with pytest.raises(DomainError):
         primes.gamma_pnt(method="nonsense", prime_limit=10 ** 6)
     with pytest.raises(DomainError):
-        primes.legendre_symbol(2, 4, validate=True)
+        primes.legendre_symbol(2, 2)
 
 
 def _plain_eratosthenes(n):
