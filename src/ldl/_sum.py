@@ -7,12 +7,21 @@ order-stable), and the chunk partials are combined with math.fsum.  Because
 the chunk boundaries are fixed, the result is bit-identical no matter how
 many worker threads computed the chunks.
 
-The package's one worker pool lives in ``block_sums``, on the loop over
-those fixed chunks.  A caller hands it a block function that builds its
-terms on one chunk of primes and reduces them there, so the elementwise
-work runs in the pool too and memory is bounded by the chunk, not by the
-prime table; ``chunked_sum`` is the case of one precomputed column, and
-``term_sum`` the case of one column built per block.
+The package's one worker pool lives in ``ordered_map``: it maps a
+function over a list of independent tasks and returns the results in
+task order, so no result depends on which thread computed it.
+``block_sums`` maps it over those fixed chunks.  A caller hands it a
+block function that builds its terms on one chunk of primes and reduces
+them there, so the elementwise work runs in the pool too and memory is
+bounded by the chunk, not by the prime table; ``chunked_sum`` is the case
+of one precomputed column, and ``term_sum`` the case of one column built
+per block.  The non-CM Atilde maps its sub-blocks of primes the same way
+(families._NonCM.a_tildes).  A task that itself calls ``ordered_map``
+runs that inner map inline, so no pool is opened inside a pool worker.
+
+The worker count is thread_count(threads): an explicit count, else
+LDL_THREADS, else the number of CPUs this process may run on.  Bits do
+not depend on it; LDL_THREADS=1 gives a serial run.
 
 Allocator coupling: a block's float64 temporaries are CHUNK * 8 = 512 KiB
 each, above glibc's default mmap threshold of 128 KiB, so by default
@@ -30,44 +39,71 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .errors import DomainError
 
 CHUNK = 1 << 16
 
 
 def thread_count(requested: int | None = None) -> int:
-    """Resolve the worker count: explicit arg, then LDL_THREADS, then 1."""
-    if requested is not None and requested >= 1:
+    """Resolve the worker count: the explicit argument, then LDL_THREADS,
+    then the number of CPUs this process may use.  DomainError for an
+    explicit count below 1, or for an LDL_THREADS that is set but is not
+    an integer >= 1."""
+    if requested is not None:
+        if requested < 1:
+            raise DomainError(f"thread count must be >= 1, got {requested}")
         return requested
-    env = os.environ.get("LDL_THREADS", "")
+    env = os.environ.get("LDL_THREADS")
+    if env is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         n = int(env)
     except ValueError:
         n = 0
-    return n if n >= 1 else 1
+    if n < 1:
+        raise DomainError(
+            f"LDL_THREADS must be an integer >= 1, got {env!r}")
+    return n
+
+
+_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _worker.active = True
+
+
+def ordered_map(fn, items, threads: int | None = None) -> list:
+    """[fn(x) for x in items], in order, on thread_count(threads) workers.
+
+    Inline for one worker, for at most one item, and inside a worker of
+    this pool; an exception raised by fn reaches the caller."""
+    items = list(items)
+    threads = thread_count(threads)
+    if threads <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items)),
+                            initializer=_mark_worker) as pool:
+        return list(pool.map(fn, items))
 
 
 def block_sums(block_fn, n: int, threads: int | None = None) -> dict:
-    """Reduce block_fn over the fixed CHUNK blocks of range(n), on
-    thread_count(threads) workers.
+    """Reduce block_fn over the fixed CHUNK blocks of range(n), through
+    ordered_map.
 
     block_fn(start, stop) returns a dict of the partial sums of one block
     (np.sum over the block, the same keys for every block); the result maps
     each key to math.fsum of its partials.  An empty range is one empty
     block, so every column still comes back (as 0.0)."""
-    starts = range(0, max(n, 1), CHUNK)
-    threads = thread_count(threads)
-
-    def run(start):
-        return block_fn(start, min(start + CHUNK, n))
-
-    if threads <= 1 or n <= CHUNK:
-        rows = [run(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, starts))
+    rows = ordered_map(lambda start: block_fn(start, min(start + CHUNK, n)),
+                       range(0, max(n, 1), CHUNK), threads)
     return {key: math.fsum(row[key] for row in rows) for key in rows[0]}
 
 

@@ -414,6 +414,8 @@ def main(argv: list | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # a bad --threads or LDL_THREADS is refused before any work
+        thread_count(getattr(args, "threads", None))
         return args.func(args, argv)
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -38,8 +38,11 @@ Atilde(p) is each entry's a_tildes:
   each prime.  For the quartic pair the number of t in each quartic class
   comes from the Jacobi sum J(chi, chi) = -chi(-1) pi.  The kernels are
   exact up to INT64_PRIME_LIMIT and raise ResourceError past it.
-* ``noncm_3x12t``: an FFT correlation (_correlation), O(p log p) per prime,
-  with the weights lambda^3/(p + 1 - a) from a table over |a| <= 2 sqrt p.
+* ``noncm_3x12t``: an FFT correlation (_correlations), O(p log p) per
+  prime, with the weights lambda^3/(p + 1 - a) from a table over
+  |a| <= 2 sqrt p.  Consecutive primes are transformed together, one row
+  each, in sub-blocks of at most _CORRELATION_BUDGET elements, and the
+  sub-blocks run on the package's pool (_sum.ordered_map) in prime order.
 * any other family: its traces at every t (_curve_data) from at most five
   such correlations; its moments are their power sums (_power_sums).
 
@@ -64,6 +67,7 @@ from itertools import zip_longest
 
 import numpy as np
 
+from ._sum import ordered_map
 from .errors import DomainError, ResourceError, VerificationError
 from .primes import (CHI_2, CHI_3, CHI_M3, get_table, is_prime,
                      legendre_symbol, legendre_symbols_vec,
@@ -338,7 +342,9 @@ class _NonCM(_Builtin):
                 - pf * residue_character(CHI_M3, p_int))
 
     def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
-        return np.array([_a_tilde_b3(p) for p in p_int.tolist()])
+        # the sub-blocks are independent: map them on the package's pool
+        rows = ordered_map(_a_tildes_b3, _correlation_blocks(p_int.tolist()))
+        return np.array([a for row in rows for a in row], dtype=np.float64)
 
 
 REGISTRY = {e.spec.name: e for e in (
@@ -831,63 +837,143 @@ def _smooth_length(m: int) -> int:
     while odd5 < best:
         odd = odd5
         while odd < best:
-            n = odd
-            while n < m:
-                n *= 2
-            best = min(best, n)
+            # the least odd * 2^i >= m
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
             odd *= 3
         odd5 *= 5
     return best
 
 
-def _correlation(p: int, a: int) -> np.ndarray:
-    """The trace of y^2 = x^3 + ax + s at every s < p, as int64 in
-    O(p log p): -corr[s], corr[s] = sum_v N[v] chi[(v + s) mod p], N the
-    value histogram of x^3 + ax mod p and chi the Legendre symbol mod p.
+#: the float64 elements (rows x FFT length) of one sub-block of primes in
+#: _NonCM.a_tildes: the size of each batched transform
+_CORRELATION_BUDGET = 1 << 16
+
+
+def _correlations(ps: list, a: int) -> np.ndarray:
+    """The trace of y^2 = x^3 + ax + s at every s < p in O(p log p), for
+    each p of an ascending list of primes: an int64 array with one row per
+    prime, row r holding -corr[s] at s < p_r and 0 after, where
+    corr[s] = sum_v N[v] chi[(v + s) mod p], N the value histogram of
+    x^3 + ax mod p and chi the Legendre symbol mod p.
 
     The circular correlation of length p is taken as a linear one at the
-    5-smooth length n >= 2p - 1 (an FFT at a prime length costs several
-    times more, and a power of two pads up to twice as much), with N
-    zero-padded and chi tiled twice: v + s < 2p never wraps around n.  The
-    tiled chi is built directly, -1 off the squares x^2 and x^2 + p.  The
-    values are integers, so any rounding slack of 1/4 or more is an
-    error."""
-    x = np.arange(p, dtype=np.int64)
-    hist = np.bincount((x * x % p * x + a % p * x) % p, minlength=p)
-    squares = x[1:(p + 1) // 2] ** 2 % p
-    chi2 = np.full(2 * p, -1.0)
-    chi2[squares] = 1.0
-    chi2[squares + p] = 1.0
-    chi2[0] = chi2[p] = 0.0
-    n = _smooth_length(2 * p - 1)
-    corr = np.fft.irfft(np.conj(np.fft.rfft(hist.astype(np.float64), n))
-                        * np.fft.rfft(chi2, n), n)[:p]
-    rounded = np.rint(corr)
-    if np.max(np.abs(corr - rounded)) >= 0.25:
-        raise VerificationError(f"fft correlation not integral at {p}")
-    return -rounded.astype(np.int64)
+    5-smooth length n >= 2 max(ps) - 1 (an FFT at a prime length costs
+    several times more, and a power of two pads up to twice as much), with
+    N zero-padded and chi tiled twice: v + s < 2p never wraps around n.
+    Each prime is one row, and one rfft per array and one irfft along the
+    rows transform the whole list, so numpy releases the GIL for the whole
+    batch.  The tiled chi is built directly, -1 off the squares x^2 and
+    x^2 + p.  The values are integers at any n >= 2p - 1, so any rounding
+    slack of 1/4 or more is an error."""
+    rows, top = len(ps), ps[-1]
+    n = _smooth_length(2 * top - 1)
+    p = np.array(ps, dtype=np.int64)[:, None]
+    x = np.arange(top, dtype=np.int64)
+    on = np.arange(rows)[:, None]
+    # row r takes x < p_r; a column x >= p_r repeats a residue, so it is
+    # counted in a spare last bin of the histogram, and the square it
+    # marks in chi is a square already (or 0 and p_r, reset to 0 below)
+    past = x >= p
+    x2 = np.multiply(x, x, out=np.empty((rows, top), dtype=np.int64))
+    x2 %= p
+    value = x2 + a % p
+    value *= x
+    value %= p
+    value += top * on
+    value[past] = rows * top
+    hist = np.zeros((rows, n))
+    hist[:, :top] = np.bincount(value.ravel(), minlength=rows * top + 1
+                                )[:-1].reshape(rows, top)
+    chi2 = np.zeros((rows, max(n, 2 * top)))
+    for row, q in enumerate(ps):
+        chi2[row, 1:2 * q] = -1.0
+    squares = x2[:, 1:(top + 1) // 2]
+    squares += chi2.shape[1] * on
+    chi2.ravel()[squares] = 1.0
+    squares += p
+    chi2.ravel()[squares] = 1.0
+    chi2[:, 0] = 0.0
+    chi2[on[:, 0], ps] = 0.0
+    spectrum = np.fft.rfft(hist, axis=1)
+    np.conjugate(spectrum, out=spectrum)
+    spectrum *= np.fft.rfft(chi2, n, axis=1)
+    corr = np.fft.irfft(spectrum, n, axis=1)[:, :top]
+    corr[past] = 0.0
+    traces = np.rint(corr)
+    corr -= traces
+    bad = np.flatnonzero(np.max(np.abs(corr, out=corr), axis=1) >= 0.25)
+    if bad.size:
+        raise VerificationError(
+            f"fft correlation not integral at {ps[bad[0]]}")
+    return np.negative(traces, out=traces).astype(np.int64)
+
+
+def _correlation(p: int, a: int) -> np.ndarray:
+    """_correlations on a list of one prime."""
+    return _correlations([p], a)[0]
+
+
+def _correlation_blocks(ps: list) -> list:
+    """An ascending list of primes cut into consecutive sub-blocks of at
+    most _CORRELATION_BUDGET float64 elements, rows x
+    _smooth_length(2 max - 1); a prime whose length alone exceeds the
+    budget is a sub-block of its own."""
+    blocks, n = [], 0
+    for p in ps:
+        if 2 * p - 1 > n:       # else n is still the least length for p
+            n = _smooth_length(2 * p - 1)
+        if blocks and (len(blocks[-1]) + 1) * n <= _CORRELATION_BUDGET:
+            blocks[-1].append(p)
+        else:
+            blocks.append([p])
+    return blocks
+
+
+def _a_tildes_from_traces(ps: list, traces: np.ndarray) -> list:
+    """Atilde(p) for noncm_3x12t at each prime of an ascending list, from
+    the traces _correlations(ps, -3) gives.
+
+    a_t = traces[r, 12t mod p] for the prime p of row r: one correlation
+    gives the trace at every t.  A trace outside the Hasse range |a| <= h =
+    floor(2 sqrt p) is an error.  The weight lambda^3 / (p + 1 - a) is
+    computed once per integer a in [-h, h] (every row's table in one
+    array) and gathered at the good t in t order; each prime's terms are
+    one contiguous run, so every term and the pairwise sum of each run
+    are those of _lambda_cubed_weight over the a_t.
+    """
+    p = np.array(ps, dtype=np.int64)
+    h = np.array([math.isqrt(4 * q) for q in ps], dtype=np.int64)
+    bad = np.flatnonzero(np.max(np.abs(traces), axis=1) > h)
+    if bad.size:
+        raise VerificationError(
+            f"fft trace outside the Hasse range at {ps[bad[0]]}")
+    # row r's table holds a = -h_r..h_r from zero[r] = its entry for a = 0
+    width = 2 * h + 1
+    zero = np.cumsum(width) - width + h
+    weights = _lambda_cubed_terms(
+        np.arange(width.sum()) - np.repeat(zero, width), np.repeat(p, width))
+    # t = 0..p_r - 1 in each row in turn; the bad t are the roots of
+    # (6t - 1)(6t + 1), t = 1/6 and -1/6 mod p_r
+    t = np.arange(p.sum()) - np.repeat(np.cumsum(p) - p, p)
+    pt = np.repeat(p, p)
+    index = np.repeat(zero, p) + traces.ravel()[
+        np.repeat(np.arange(len(ps)) * traces.shape[1], p) + 12 * t % pt]
+    inv6 = np.repeat([pow(6, -1, q) for q in ps], p)
+    terms = weights[index[(t != inv6) & (t != pt - inv6)]]
+    ends = np.cumsum(p - 2).tolist()
+    return [float(np.sum(terms[end - q + 2:end]))
+            for q, end in zip(ps, ends)]
+
+
+def _a_tildes_b3(ps: list) -> list:
+    """Atilde(p) for noncm_3x12t at each prime of one sub-block, in
+    O(p log p) each from one batched _correlations."""
+    return _a_tildes_from_traces(ps, _correlations(ps, -3))
 
 
 def _a_tilde_b3(p: int) -> float:
-    """Atilde(p) for noncm_3x12t in O(p log p).
-
-    a_t = _correlation(p, -3)[12t]: one correlation gives the trace at
-    every t.  A trace outside the Hasse range |a| <= h = floor(2 sqrt p)
-    is an error.  The weight lambda^3 / (p + 1 - a) is computed once per
-    integer a in [-h, h] and gathered at the good t in t order, so every
-    term and the pairwise sum are those of _lambda_cubed_weight over the
-    a_t.
-    """
-    traces = _correlation(p, -3)
-    h = math.isqrt(4 * p)
-    if np.max(np.abs(traces)) > h:
-        raise VerificationError(f"fft trace outside the Hasse range at {p}")
-    weights = _lambda_cubed_terms(np.arange(-h, h + 1, dtype=np.int64), p)
-    # a_t = traces[12t] sits at weights[h + a_t]; the bad t are the roots
-    # of (6t - 1)(6t + 1)
-    index = (h + traces)[np.arange(0, 12 * p, 12) % p]
-    inv6 = pow(6, -1, p)
-    return float(np.sum(weights[np.delete(index, [inv6, p - inv6])]))
+    """_a_tildes_b3 on a block of one prime."""
+    return _a_tildes_b3([p])[0]
 
 
 def a_tilde(fam: FamilySpec, p: int) -> float:
@@ -1068,7 +1154,8 @@ def _sieve_block(fam: FamilySpec, p_int: np.ndarray, k) -> tuple:
             raise DomainError(
                 f"degenerate sieve: nu_D({p}^{k}) = {nu} >= p^k")
         nus[i] = nu
-    nu = nus.astype(np.float64)
+    # a built-in's nu is the scalar n_bad on a block of primes >= 5
+    nu = entry.n_bad if entry and first == 0 else nus.astype(np.float64)
     return nus, nu / (p_int.astype(np.float64) ** k - nu)
 
 
@@ -1084,10 +1171,10 @@ def h_factor(fam: FamilySpec, p: int, exponent: int | None = None):
     """H_{D,k}(p) split as (main, sieve) = (1, nu/(p^k - nu)), k =
     sieve_exponent(fam, exponent): sieve_weights on a block of one prime."""
     k = sieve_exponent(fam, exponent)
-    if k is None:
-        return (1.0, 0.0)
     if not is_prime(p):
         raise DomainError("p must be prime")
+    if k is None:
+        return (1.0, 0.0)
     return 1.0, float(sieve_weights(fam, np.array([p]), k)[0])
 
 

@@ -279,6 +279,22 @@ def test_thread_count_independence(capsys):
         eight["manifest"]["output_checksum"]
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_thread_count_below_one_is_a_usage_error(capsys, threads):
+    code, out, err = run(capsys, "constants", "--name", "gamma_st_0",
+                         "--threads", threads)
+    assert code == 2 and out == ""
+    assert "thread count must be >= 1" in err
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "2.5", ""])
+def test_ldl_threads_must_be_a_positive_integer(capsys, monkeypatch, env):
+    monkeypatch.setenv("LDL_THREADS", env)
+    code, out, err = run(capsys, "constants", "--name", "gamma_23")
+    assert code == 2 and out == ""
+    assert "LDL_THREADS" in err
+
+
 # --------------------------------------------------------------------------
 # golden envelopes: the full output checksums of built-in commands
 

@@ -472,14 +472,87 @@ def test_a_tilde_b3_checks_its_correlation(monkeypatch, shift, match):
     # |a| <= floor(2 sqrt p), which _a_tilde_b3 refuses
     p = 101
     h = math.isqrt(4 * p)
-    monkeypatch.setattr(np.fft, "irfft",
-                        lambda spectrum, n: np.full(n, -(h + shift)))
+    monkeypatch.setattr(
+        np.fft, "irfft",
+        lambda spectrum, n, axis: np.full((len(spectrum), n), -(h + shift)))
     with pytest.raises(VerificationError, match=match):
         families._a_tilde_b3(p)
     if match == "not integral":
         # the kernel behind every trace table refuses it for any curve
         with pytest.raises(VerificationError, match=match):
             families._correlation(p, 0)
+
+
+def _a_tilde_b3_one_prime(p: int) -> float:
+    """Atilde(p) of noncm_3x12t one prime at a time: one correlation at
+    the prime's own length, the weight table over the Hasse range, the
+    gather in t order, np.delete of the two bad t and one np.sum."""
+    traces = families._correlation(p, -3)
+    h = math.isqrt(4 * p)
+    assert np.max(np.abs(traces)) <= h
+    weights = families._lambda_cubed_terms(
+        np.arange(-h, h + 1, dtype=np.int64), p)
+    index = (h + traces)[np.arange(0, 12 * p, 12) % p]
+    inv6 = pow(6, -1, p)
+    return float(np.sum(weights[np.delete(index, [inv6, p - inv6])]))
+
+
+def test_a_sub_block_names_the_prime_that_fails_a_check(monkeypatch):
+    # one bad value in the row of 103, then one trace past the Hasse range
+    # in the row of 107: each check names its prime, not the block's first
+    ps = [101, 103, 107]
+    real = np.fft.irfft
+
+    def spoiled(row, col, value):
+        def irfft(spectrum, n, axis):
+            out = real(spectrum, n, axis=axis)
+            out[row, col] = value
+            return out
+        return irfft
+
+    monkeypatch.setattr(np.fft, "irfft", spoiled(1, 5, 0.5))
+    with pytest.raises(VerificationError, match="not integral at 103"):
+        families._a_tildes_b3(ps)
+    monkeypatch.setattr(np.fft, "irfft",
+                        spoiled(2, 7, -(math.isqrt(4 * 107) + 1.0)))
+    with pytest.raises(VerificationError, match="Hasse range at 107"):
+        families._a_tildes_b3(ps)
+
+
+@pytest.fixture(scope="module")
+def noncm_per_prime():
+    """The first 1000 primes from 5 on, and their Atilde one prime at a
+    time."""
+    p_int = get_table(7919).primes[2:]
+    return p_int, [_a_tilde_b3_one_prime(p) for p in p_int.tolist()]
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_noncm_a_tildes_match_one_correlation_per_prime(
+        monkeypatch, noncm_per_prime, threads):
+    # the sub-blocks transform at the length of their largest prime; every
+    # Atilde keeps the bits of one transform per prime at its own length
+    monkeypatch.setenv("LDL_THREADS", threads)
+    p_int, want = noncm_per_prime
+    assert p_int.size == 998
+    got = families.REGISTRY["noncm_3x12t"].a_tildes(p_int)
+    assert got.dtype == np.float64 and got.tolist() == want
+
+
+def test_correlation_blocks_cover_the_primes_within_the_budget():
+    budget = families._CORRELATION_BUDGET
+    ps = [int(q) for q in get_table(4 * 10 ** 4).primes if q >= 5]
+    blocks = families._correlation_blocks(ps)
+    assert [p for block in blocks for p in block] == ps
+    for block in blocks:
+        n = families._smooth_length(2 * block[-1] - 1)
+        assert len(block) * n <= budget or len(block) == 1
+    # a prime whose length alone passes the budget is a block of its own
+    alone = [block for block in blocks
+             if families._smooth_length(2 * block[0] - 1) > budget]
+    assert alone and all(len(block) == 1 for block in alone)
+    assert len(blocks[0]) > 1
+    assert families._correlation_blocks([]) == []
 
 
 def test_a_tilde_b3_takes_the_padded_fft_at_every_prime(monkeypatch):
@@ -606,6 +679,12 @@ def test_h_factor_values_and_overrides():
     # unsieved family: no sieve part unless an exponent is forced
     noncm = families.get_family("noncm_3x12t")
     assert families.h_factor(noncm, p) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["noncm_3x12t", "cm_b1_kappa2"])
+def test_h_factor_refuses_a_composite_for_every_family(name):
+    with pytest.raises(DomainError, match="p must be prime"):
+        families.h_factor(families.get_family(name), 4)
 
 
 def test_sieve_window_invariants():

@@ -1,11 +1,15 @@
 """The fixed-chunk summation contract of ldl._sum."""
 
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from ldl import _sum
+from ldl.errors import DomainError, VerificationError
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -27,3 +31,67 @@ def test_block_sums_of_an_empty_range():
         lambda start, stop: {"a": np.sum(np.ones(stop - start)), "b": 0.0}, 0)
     assert cols == {"a": 0.0, "b": 0.0}
     assert _sum.chunked_sum(np.array([])) == 0.0
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_ordered_map_keeps_the_order_of_its_items(threads):
+    # later items finish first on a pool, and still come back in place
+    def slow_first(i):
+        time.sleep(0.0005 * (20 - i))
+        return i * i
+
+    assert _sum.ordered_map(slow_first, range(20), threads) == \
+        [i * i for i in range(20)]
+    assert _sum.ordered_map(slow_first, [], threads) == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ordered_map_raises_a_worker_error_in_the_caller(threads):
+    def check(i):
+        if i == 5:
+            raise VerificationError(f"bad item {i}")
+        return i
+
+    with pytest.raises(VerificationError, match="bad item 5"):
+        _sum.ordered_map(check, range(8), threads)
+
+
+def test_ordered_map_opens_no_pool_inside_a_worker(monkeypatch):
+    seen = []
+    real = _sum.ThreadPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        seen.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_sum, "ThreadPoolExecutor", counting_pool)
+    rows = _sum.ordered_map(
+        lambda i: _sum.ordered_map(lambda j: (i, j), range(3), 2),
+        range(4), 2)
+    assert rows == [[(i, j) for j in range(3)] for i in range(4)]
+    assert seen == [threading.main_thread().name]
+
+
+def test_thread_count_defaults_to_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("LDL_THREADS", raising=False)
+    want = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    assert _sum.thread_count() == want
+    monkeypatch.setenv("LDL_THREADS", "3")
+    assert _sum.thread_count() == 3
+    assert _sum.thread_count(1) == 1
+
+
+@pytest.mark.parametrize("requested", [0, -4])
+def test_thread_count_refuses_a_count_below_one(requested):
+    with pytest.raises(DomainError, match="thread count must be >= 1"):
+        _sum.thread_count(requested)
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "-1", "2.5", ""])
+def test_thread_count_refuses_a_bad_environment_value(monkeypatch, env):
+    monkeypatch.setenv("LDL_THREADS", env)
+    with pytest.raises(DomainError, match="LDL_THREADS"):
+        _sum.thread_count()
+    # an explicit count still takes precedence
+    assert _sum.thread_count(2) == 2
