@@ -15,7 +15,8 @@ block function that builds its terms on one chunk of primes and reduces
 them there, so the elementwise work runs in the pool too and memory is
 bounded by the chunk, not by the prime table; ``chunked_sum`` is the case
 of one precomputed column, and ``term_sum`` the case of one column built
-per block.  The non-CM Atilde maps its sub-blocks of primes the same way
+per block.  A ``Block`` holds what the terms of one chunk share, each
+formed once.  The non-CM Atilde maps its sub-blocks of primes the same way
 (families._NonCM.a_tildes).  A task that itself calls ``ordered_map``
 runs that inner map inline, so no pool is opened inside a pool worker.
 
@@ -28,11 +29,10 @@ each, above glibc's default mmap threshold of 128 KiB, so by default
 every one of them is mmapped and page-faulted afresh in every block.
 glibc raises its dynamic mmap threshold (and its trim threshold with it)
 when a larger mmapped buffer is freed; the prime sieve's 16 MiB mask does
-that, and from then on the temporaries are reused from the heap.  The
-block passes are fast only because of it: with a 1 MiB sieve mask,
-evaluate_S on the cusp model at log R 200 took 0.58-0.83 s against
-0.40 s (2 cores, CPython 3.11, numpy 2.4).  The package sets no malloc
-option; keep the sieve mask at 2^24 bytes.
+that, and from then on the temporaries are reused from the heap.  With a
+1 MiB sieve mask, evaluate_S on the cusp model at log R 200 took 0.39-0.45
+s against 0.25-0.27 s (2 cores, CPython 3.11, numpy 2.4).  The package
+sets no malloc option; keep the sieve mask at 2^24 bytes.
 """
 
 from __future__ import annotations
@@ -107,6 +107,41 @@ def block_sums(block_fn, n: int, threads: int | None = None) -> dict:
     return {key: math.fsum(row[key] for row in rows) for key in rows[0]}
 
 
+class Block:
+    """An ascending int64 block of primes, p_int, and the read-only float64
+    quantities its terms share, each formed on first use: pf, lp = log pf,
+    pp = pf * pf, q = pf + 1.0, q3 = q ** 3, power(k) = pf ** k (numpy's
+    pow; pf * pf * pf rounds differently at one prime in twelve), mod(n) =
+    p mod n and character(table) = table[p mod len(table)]."""
+
+    def __init__(self, p_int: np.ndarray):
+        self.p_int, self._memo = p_int, {}
+
+    def _once(self, key, form):
+        if key not in self._memo:
+            self._memo[key] = value = form()
+            value.flags.writeable = False
+        return self._memo[key]
+
+    pf = property(lambda b: b._once("pf", lambda: b.p_int.astype(float)))
+    lp = property(lambda b: b._once("lp", lambda: np.log(b.pf)))
+    pp = property(lambda b: b._once("pp", lambda: b.pf * b.pf))
+    q = property(lambda b: b._once("q", lambda: b.pf + 1.0))
+    q3 = property(lambda b: b._once("q3", lambda: b.q ** 3))
+
+    def power(self, k: int) -> np.ndarray:
+        return self._once(("power", k), lambda: self.pf ** k)
+
+    def mod(self, n: int) -> np.ndarray:
+        # numpy divides an int64 array by a scalar several times faster
+        # than it takes the remainder
+        return self._once(n, lambda: self.p_int - n * (self.p_int // n))
+
+    def character(self, table: tuple) -> np.ndarray:
+        return self._once(table, lambda: np.asarray(
+            table, dtype=np.float64)[self.mod(len(table))])
+
+
 def chunked_sum(values: np.ndarray, threads: int | None = None) -> float:
     """Deterministic sum of a 1-d float array, stable across thread counts."""
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -115,8 +150,8 @@ def chunked_sum(values: np.ndarray, threads: int | None = None) -> float:
 
 
 def term_sum(term, p_int: np.ndarray, threads: int | None = None) -> float:
-    """chunked_sum(term(p_int)) without the full-length column: term maps
-    a CHUNK slice of the int64 primes to its float64 terms, so the sum
-    has the same bits while memory is bounded by the block."""
-    return block_sums(lambda start, stop: {0: np.sum(term(p_int[start:stop]))},
-                      p_int.size, threads)[0]
+    """The chunked sum of term over the int64 primes without a full-length
+    column: term maps the Block of each CHUNK slice to its float64 terms,
+    so the sum has the same bits while memory is bounded by the block."""
+    return block_sums(lambda start, stop: {
+        0: np.sum(term(Block(p_int[start:stop])))}, p_int.size, threads)[0]

@@ -166,7 +166,7 @@ def _closed_form_failures(fam, prime_limit: int, checks: list) -> list:
     table = families.closed_form_table(fam, p_int, r_max)
     out = []
     for i, p in enumerate(p_int.tolist()):
-        sums = families._power_sums(fam, p, r_max)
+        sums = families._power_sums(families._curve_data(fam, p), r_max)
         for r, side in checks:
             brute = sums[side == "bad"][r]
             if brute != table[r, side][i]:

@@ -37,7 +37,7 @@ from . import _literals, families, primes
 from ._sum import CHUNK, term_sum
 from .errors import DomainError, VerificationError
 from .primes import (CHI_3, CHI_M3, ConstantResult, first_n_primes,
-                     get_table, residue_character)
+                     get_table)
 
 
 # --------------------------------------------------------------------------
@@ -55,6 +55,7 @@ class ConstantSpec:
     paper_citation: str
     decay_power: int                  # summand = O(log p / p^decay_power)
     decay_coeff: float
+    # maps a _sum.Block of primes to their float64 terms
     term: object = field(default=None, repr=False, compare=False)
 
 
@@ -67,27 +68,28 @@ def _tail_bound(spec: ConstantSpec, x_last: float) -> float:
                 + 1.0 / ((d - 1) ** 2 * x_last ** (d - 1)))
 
 
-def aprime_terms(a1, a2, pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
-    """sum_{m>=1} A'_m log p / p^(m+1) in closed form.
+def aprime_terms(a1, a2, b) -> np.ndarray:
+    """sum_{m>=1} A'_m log p / p^(m+1) in closed form over a _sum.Block.
 
     At a bad prime every a_t(p) is -1, 0 or 1, so A'_m = n_+ + (-1)^m n_-
     and the m-sum is geometric: A'_2 log p/(p^3 - p) + A'_1 log p/(p^2 - 1).
     The one expression behind gamma_aprime_3 and the S_A' piece of the
     decomposition."""
-    return a2 * lp / (pf ** 3 - pf) + a1 * lp / (pf ** 2 - 1.0)
+    return a2 * b.lp / (b.power(3) - b.pf) + a1 * b.lp / (b.pp - 1.0)
 
 
-def st_atilde_terms(pf: np.ndarray, lp: np.ndarray) -> np.ndarray:
+def st_atilde_terms(b) -> np.ndarray:
     """The cubic-moment term at Atilde p^(3/2) = 2p + 1, (2p+1)(p-1) log p
-    / (p(p+1)^3): gamma_st_atilde's summand and the cusp model's."""
-    return (2.0 * pf + 1.0) * (pf - 1.0) * lp / (pf * (pf + 1.0) ** 3)
+    / (p(p+1)^3), over a _sum.Block: gamma_st_atilde's summand and the
+    cusp model's."""
+    return (2.0 * b.pf + 1.0) * (b.pf - 1.0) * b.lp / (b.pf * b.q3)
 
 
-def _gamma_2_3_terms(pf, pi, lp):
-    chi = residue_character(CHI_M3, pi)
-    num = ((2 - chi) * pf ** 4 - (13 + 7 * chi) * pf ** 3
-           - (25 + 6 * chi) * pf ** 2 - (16 + 2 * chi) * pf - 4)
-    return num * lp / (pf ** 3 * (pf + 1.0) ** 3)
+def _gamma_2_3_terms(b):
+    pf, p3, chi = b.pf, b.power(3), b.character(CHI_M3)
+    num = ((2 - chi) * b.power(4) - (13 + 7 * chi) * p3
+           - (25 + 6 * chi) * b.pp - (16 + 2 * chi) * pf - 4)
+    return num * b.lp / (p3 * b.q3)
 
 
 def _catalog() -> dict:
@@ -95,28 +97,27 @@ def _catalog() -> dict:
         ConstantSpec(
             "gamma_st_0", "sum_p 2 log p / (p(p+1))", None, 2, 10 ** 6,
             0.7691106216, 1e-8, "ref:gamma_st_0", 2, 2.0,
-            lambda pf, pi, lp: 2.0 * lp / (pf * (pf + 1.0))),
+            lambda b: 2.0 * b.lp / (b.pf * b.q)),
         ConstantSpec(
             "gamma_st_2", "sum_p (4p^2+3p+1) log p / (p(p+1)^3)", None, 2,
             4 * 10 ** 6, 1.1851820642, 1e-6, "ref:gamma_st_2", 2, 4.0,
-            lambda pf, pi, lp:
-                (4 * pf ** 2 + 3 * pf + 1) * lp / (pf * (pf + 1.0) ** 3)),
+            lambda b: (4 * b.pp + 3 * b.pf + 1) * b.lp / (b.pf * b.q3)),
         ConstantSpec(
             "gamma_st_atilde", "sum_p (2p+1)(p-1) log p / (p(p+1)^3)",
             None, 2, 10 ** 6, 0.4160714430, 1e-8, "ref:gamma_st_atilde",
-            2, 2.0, lambda pf, pi, lp: st_atilde_terms(pf, lp)),
+            2, 2.0, st_atilde_terms),
         ConstantSpec(
             "gamma_cm_13", "sum_{p=1(3)} 2(3p+1) log p / (p+1)^3",
             (1, 3), 2, 10 ** 6, 0.38184489, 1e-7, "ref:gamma_cm_13", 2, 6.0,
-            lambda pf, pi, lp: 2 * (3 * pf + 1) * lp / (pf + 1.0) ** 3),
+            lambda b: 2 * (3 * b.pf + 1) * b.lp / b.q3),
         ConstantSpec(
             "gamma_cm_14", "sum_{p=1(4)} 2(3p+1) log p / (p+1)^3",
             (1, 4), 2, 10 ** 6, 0.46633061, 1e-7, "ref:gamma_cm_14", 2, 6.0,
-            lambda pf, pi, lp: 2 * (3 * pf + 1) * lp / (pf + 1.0) ** 3),
+            lambda b: 2 * (3 * b.pf + 1) * b.lp / b.q3),
         ConstantSpec(
             "gamma_cm0_ge5", "sum_{p>=5} 4 log p / (p(p+1))", None, 5,
             10 ** 6, 0.709919, 1e-6, "ref:gamma_cm0_ge5", 2, 4.0,
-            lambda pf, pi, lp: 4.0 * lp / (pf * (pf + 1.0))),
+            lambda b: 4.0 * b.lp / (b.pf * b.q)),
         ConstantSpec(
             "gamma_23", "2 log 2 / 2 + 2 log 3 / 3 (the dropped p=2,3 "
             "terms)", None, 2, 2, 1.4255554, 1e-6, "ref:gamma_23", 99, 0.0,
@@ -125,8 +126,7 @@ def _catalog() -> dict:
             "gamma_cm2_13", "sum_{p=1(3)} 2(5p^2+2p+1) log p / (p(p+1)^3)",
             (1, 3), 2, 4 * 10 ** 6, 0.6412881898, 1e-6, "ref:gamma_cm2_13",
             2, 10.0,
-            lambda pf, pi, lp:
-                2 * (5 * pf ** 2 + 2 * pf + 1) * lp / (pf * (pf + 1.0) ** 3)),
+            lambda b: 2 * (5 * b.pp + 2 * b.pf + 1) * b.lp / (b.pf * b.q3)),
         ConstantSpec(
             "gamma_sieve012", "r<=2 sieve terms of the k=3 once-ramified "
             "quadratic-twist sieve", None, 5, 10 ** 4, -0.004288, 2e-6,
@@ -136,22 +136,19 @@ def _catalog() -> dict:
             "2[sum_{p>=5} log p/(p^3-p) + sum_{1(12)} log p/(p^2-1) - "
             "sum_{5(12)} log p/(p^2-1)]", None, 5, 10 ** 6, -0.082971426,
             1e-7, "ref:gamma_aprime_3", 2, 4.0,
-            lambda pf, pi, lp: aprime_terms(
-                *families.REGISTRY["noncm_3x12t"].bad_moments(pi, pf), pf,
-                lp)),
+            lambda b: aprime_terms(
+                *families.REGISTRY["noncm_3x12t"].bad_moments(b), b)),
         ConstantSpec(
             "gamma_0_3", "sum_{p>=5} (2p-1) log p / (p^2(p+1)) "
             "(half the printed summand; see module notes)", None, 5,
             10 ** 6, 0.331539448, 4e-3, "ref:gamma_0_3", 2, 2.0,
-            lambda pf, pi, lp:
-                (2 * pf - 1) * lp / (pf ** 2 * (pf + 1.0))),
+            lambda b: (2 * b.pf - 1) * b.lp / (b.pp * b.q)),
         ConstantSpec(
             "gamma_1_3", "sum_{p>=5} [(3/p)+(-3/p)] (p-1) log p / "
             "(p^2(p+1)^2)", None, 5, 10 ** 6, -0.013643784, 1e-8,
             "ref:gamma_1_3", 3, 2.0,
-            lambda pf, pi, lp:
-                (residue_character(CHI_3, pi) + residue_character(CHI_M3, pi))
-                * (pf - 1) * lp / (pf ** 2 * (pf + 1.0) ** 2)),
+            lambda b: (b.character(CHI_3) + b.character(CHI_M3))
+                * (b.pf - 1) * b.lp / (b.pp * b.q ** 2)),
         ConstantSpec(
             "gamma_2_3", "sum_{p>=5} ((2-chi)p^4 - (13+7chi)p^3 - "
             "(25+6chi)p^2 - (16+2chi)p - 4) log p / (p^3(p+1)^3), "
@@ -199,14 +196,12 @@ def _gamma_sieve012_value(primes: np.ndarray, threads: int | None) -> float:
     root per prime (nu = 1 for p >= 5): the S_0 pieces add
     2(p-1)/(p(p+1)) per prime, the S_2 pieces subtract 2(p-1)^2/(p+1)^3
     on p = 1 mod 3, everything weighted by H_sieve = 1/(p^3 - 1)."""
-    def term(p_int):
-        pf = p_int.astype(np.float64)
-        lp = np.log(pf)
-        h_sieve = 1.0 / (pf ** 3 - 1.0)
-        s0 = 2 * (pf - 1) / (pf * (pf + 1.0))
-        s2 = np.where(p_int % 3 == 1, 2 * (pf - 1) ** 2 / (pf + 1.0) ** 3,
-                      0.0)
-        return h_sieve * lp * (s0 - s2)
+    def term(blk):
+        pf = blk.pf
+        h_sieve = 1.0 / (blk.power(3) - 1.0)
+        s0 = 2 * (pf - 1) / (pf * blk.q)
+        s2 = np.where(blk.mod(3) == 1, 2 * (pf - 1) ** 2 / blk.q3, 0.0)
+        return h_sieve * blk.lp * (s0 - s2)
 
     return -term_sum(term, primes[int(np.searchsorted(primes, 5)):], threads)
 
@@ -291,11 +286,7 @@ def compute_constant(name: str, prime_limit: int | None = None,
         p_int = table.residue_class(*spec.residue_class)
     p_int = p_int[int(np.searchsorted(p_int, spec.p_min)):]
 
-    def term(block):
-        pf = block.astype(np.float64)
-        return spec.term(pf, block, np.log(pf))
-
-    value = term_sum(term, p_int, threads)
+    value = term_sum(spec.term, p_int, threads)
     return ConstantResult(name, value, kind, trunc,
                           _tail_bound(spec, x_last), "direct_sum")
 

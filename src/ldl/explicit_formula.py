@@ -32,12 +32,13 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import constants, families
-from ._sum import block_sums
+from ._sum import Block, block_sums
 from .errors import DomainError, IncompleteSumError
 from .primes import first_n_primes, gamma_pnt, gamma_pnt_ab, get_table
 
@@ -114,8 +115,12 @@ def _indicator_pair(s: float) -> TestFunctionPair:
     def phihat(u):
         u = np.abs(np.asarray(u, dtype=np.float64))
         out = np.where(u <= a * s, 1.0, 0.0)
-        # the cosine only on the roll-off band a s < |u| < s
+        # the cosine only on the roll-off band a s < |u| < s, as a slice
+        # where the band is one run (as over ascending primes)
         band = (u > a * s) & (u < s)
+        run = np.flatnonzero(band)
+        if u.ndim == 1 and run.size and run[-1] - run[0] < run.size:
+            band = slice(run[0], run[-1] + 1)
         out[band] = 0.5 * (1.0 + np.cos(math.pi * (u[band] - a * s)
                                         / ((1 - a) * s)))
         return out
@@ -266,8 +271,8 @@ class _CuspModel:
 
     atilde_terms = staticmethod(constants.st_atilde_terms)
 
-    def moments(self, p_int, pf):
-        return pf, np.zeros_like(pf), pf * pf, None, np.zeros_like(pf)
+    def moments(self, blk):
+        return blk.pf, None, blk.pp, None, None
 
 
 CUSP_MODEL = _CuspModel()
@@ -331,10 +336,13 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     primes up to families.BRUTE_FORCE_CAP in both truncations; a truncation
     past the cap raises ResourceError before any prime table is built.
 
-    All prime sums share one pass over the table: each CHUNK block of
-    primes builds its moments and terms and reduces them there
-    (_sum.block_sums), so memory is bounded by the block, and every piece
-    is bit-identical to the chunked sum of its full-length term vector.
+    All prime sums share one pass over the table (_sum.block_sums): each
+    CHUNK block is a _sum.Block, whose shared quantities its moments, sieve
+    weight and terms read, and its terms are reduced there.  A column the
+    entry reports as None (the sextic A_1; H_sieve of an unsieved family or
+    the cusp model) forms no terms, which sum to 0.0 as zeros would; each
+    term keeps its operation order, so every piece is bit-identical to the
+    chunked sum of its full-length term vector.
     """
     entry = _entry(fam)
     model = entry is CUSP_MODEL
@@ -364,50 +372,50 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
 
     def block(start, stop):
         """Partial sums of every term, main and H_sieve-weighted, over the
-        primes of one block."""
-        p_int = primes[lo + start:lo + stop]
-        pf = p_int.astype(np.float64)
-        lp = np.log(pf)
-        phihat1 = np.asarray(phi.eval_phihat(lp / L), dtype=np.float64)
-        phihat2 = np.asarray(phi.eval_phihat(2.0 * lp / L), dtype=np.float64)
-        A0, A1, A2, aprime, hs = entry.moments(p_int, pf)
-        terms = {}
+        primes of one block; a zero column's terms are not formed."""
+        blk = Block(primes[lo + start:lo + stop])
+        pf, lp, pp, q, p3 = blk.pf, blk.lp, blk.pp, blk.q, blk.power(3)
+        A0, A1, A2, aprime, hs = entry.moments(blk)
+        u = lp / L
+        phihat1 = np.asarray(phi.eval_phihat(u), dtype=np.float64)
+        # 2 log p / log R: scaling by 2 commutes with rounding
+        phihat2 = np.asarray(phi.eval_phihat(2.0 * u), dtype=np.float64)
+        sums = {}
+
+        def add(name, vec):         # vec is the term's own array
+            sums[name, "main"] = np.sum(vec)
+            if hs is not None:
+                vec *= hs
+                sums[name, "sieve"] = np.sum(vec)
+
         # S_A': -2 phihat(0) sum_p sum_m A'_m H log p / p^(m+1)
         if aprime is not None:
-            terms["S_Aprime"] = constants.aprime_terms(*aprime, pf, lp)
+            add("S_Aprime", constants.aprime_terms(*aprime, blk))
         # S_0: two sums, the second carrying phihat(2 log p / log R)
-        terms["S_0a"] = 2.0 * A0 * lp / (pf * pf * (pf + 1.0))
-        terms["S_0b"] = 2.0 * A0 * lp / (pf * pf) * phihat2
+        t = 2.0 * A0 * lp
+        add("S_0a", t / (pp * q))
+        add("S_0b", t / pp * phihat2)
         # S_1: phihat(log p / log R) sum plus the phihat(0) correction
-        terms["S_1a"] = A1 * lp / (pf * pf) * phihat1
-        terms["S_1b"] = (A1 * (3.0 * pf + 1.0) * lp
-                         / (pf * pf * (pf + 1.0) ** 2))
+        if A1 is not None:
+            add("S_1a", A1 * lp / pp * phihat1)
+            add("S_1b", A1 * (3.0 * pf + 1.0) * lp / (pp * (q * q)))
         # S_2: phihat(2 log p / log R) sum plus the phihat(0) correction
-        terms["S_2a"] = A2 * lp / pf ** 3 * phihat2
-        terms["S_2b"] = (A2 * (4.0 * pf * pf + 3.0 * pf + 1.0) * lp
-                         / (pf ** 3 * (pf + 1.0) ** 3))
-        sums = {}
-        for name, vec in terms.items():
-            sums[name, "main"] = np.sum(vec)
-            sums[name, "sieve"] = np.sum(vec * hs)
+        add("S_2a", A2 * lp / p3 * phihat2)
+        add("S_2b", A2 * (4.0 * pp + 3.0 * pf + 1.0) * lp / (p3 * blk.q3))
         if model:
-            sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(pf, lp))
+            sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(blk))
         return sums
 
-    sums = block_sums(block, n, threads)
+    # a term that was not formed sums to 0.0, as its zeros would
+    sums = defaultdict(float, block_sums(block, n, threads))
     parts = ("main", "sieve")
-    pieces = {}
-    if ("S_Aprime", "main") in sums:
-        pieces["S_Aprime"] = {k: -2.0 * ph0 * sums["S_Aprime", k] / L
-                              for k in parts}
-    else:
-        pieces["S_Aprime"] = {"main": 0.0, "sieve": 0.0}
-    pieces["S_0"] = {k: (-2.0 * ph0 * sums["S_0a", k]
-                         + 2.0 * sums["S_0b", k]) / L for k in parts}
-    pieces["S_1"] = {k: (-2.0 * sums["S_1a", k]
-                         + 2.0 * ph0 * sums["S_1b", k]) / L for k in parts}
-    pieces["S_2"] = {k: (-2.0 * sums["S_2a", k]
-                         + 2.0 * ph0 * sums["S_2b", k]) / L for k in parts}
+    has_aprime = ("S_Aprime", "main") in sums
+    pieces = {"S_Aprime": {k: -2.0 * ph0 * sums["S_Aprime", k] / L
+                           if has_aprime else 0.0 for k in parts}}
+    for name, wa, wb in (("S_0", -2.0 * ph0, 2.0), ("S_1", -2.0, 2.0 * ph0),
+                         ("S_2", -2.0, 2.0 * ph0)):
+        pieces[name] = {k: (wa * sums[name + "a", k]
+                            + wb * sums[name + "b", k]) / L for k in parts}
 
     # S_Atilde: numerically summed at its own truncation
     x_last = float(primes[-1]) if n else 5.0
@@ -492,43 +500,44 @@ def lower_order_limit(fam, threads: int | None = None) -> dict:
         0.5 * constants.compute_constant("gamma_23").value
 
     # (piece, eps, c, d with Y_r = c A_r/p^d, Z_r/Y_r)
-    rows = (("S_0", 1.0, 2.0, 2, lambda pf: 1.0 / (pf + 1.0)),
-            ("S_1", -1.0, 1.0, 2,
-             lambda pf: (3.0 * pf + 1.0) / (pf + 1.0) ** 2),
+    rows = (("S_0", 1.0, 2.0, 2, lambda b: 1.0 / b.q),
+            ("S_1", -1.0, 1.0, 2, lambda b: (3.0 * b.pf + 1.0) / b.q ** 2),
             ("S_2", -1.0, 1.0, 3,
-             lambda pf: (4.0 * pf * pf + 3.0 * pf + 1.0) / (pf + 1.0) ** 3))
+             lambda b: (4.0 * b.pp + 3.0 * b.pf + 1.0) / b.q3))
 
     def block(start, stop):
-        """Partial sums of every convergent term over one block of primes."""
-        p_int = primes[lo + start:lo + stop]
-        pf = p_int.astype(np.float64)
-        lp = np.log(pf)
-        A0, A1, A2, aprime, hs = entry.moments(p_int, pf)
-        on13 = (p_int % 3 == 1).astype(np.float64)
+        """Partial sums of every convergent term over one block of primes;
+        a zero column's terms are not formed."""
+        blk = Block(primes[lo + start:lo + stop])
+        lp = blk.lp
+        A0, A1, A2, aprime, hs = entry.moments(blk)
+        on13 = (blk.mod(3) == 1).astype(np.float64)
         sums = {}
         if aprime is not None:
-            sa = constants.aprime_terms(*aprime, pf, lp)
+            sa = constants.aprime_terms(*aprime, blk)
             sums["S_Aprime", "main"] = np.sum(sa)
-            sums["S_Aprime", "sieve"] = np.sum(sa * hs)
+            if hs is not None:
+                sums["S_Aprime", "sieve"] = np.sum(sa * hs)
         for (name, _, c, d, z_over_y), A, (a, b) in zip(rows, (A0, A1, A2),
                                                          entry.lead):
-            y = c * A / pf ** d
+            if A is None:           # a zero column, whose lead is (0, 0)
+                continue
+            y = c * A / blk.power(d)
             # the numerator is exact in float64 while p^2 < 2^53
-            rem = c * (A - (a + b * on13) * pf ** (d - 1)) / pf ** d
-            corr = y * z_over_y(pf)
+            rem = c * (A - (a + b * on13) * blk.power(d - 1)) / blk.power(d)
+            corr = y * z_over_y(blk)
             sums[name, "main"] = np.sum((rem - corr) * lp)
-            sums[name, "sieve"] = np.sum((y - corr) * lp * hs)
+            if hs is not None:
+                sums[name, "sieve"] = np.sum((y - corr) * lp * hs)
         if model:
-            sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(pf, lp))
+            sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(blk))
         return sums
 
-    sums = block_sums(block, primes.size - lo, threads)
-    pieces = {}
-    if ("S_Aprime", "main") in sums:
-        pieces["S_Aprime"] = {k: -sums["S_Aprime", k]
-                              for k in ("main", "sieve")}
-    else:
-        pieces["S_Aprime"] = {"main": 0.0, "sieve": 0.0}
+    # a term that was not formed sums to 0.0, as its zeros would
+    sums = defaultdict(float, block_sums(block, primes.size - lo, threads))
+    has_aprime = ("S_Aprime", "main") in sums
+    pieces = {"S_Aprime": {k: -sums["S_Aprime", k] if has_aprime else 0.0
+                           for k in ("main", "sieve")}}
     for (name, eps, c, _, _), (a, b) in zip(rows, entry.lead):
         main = (c * (a * (pnt - dropped) + b * pnt13 / 2.0)
                 + sums[name, "main"])

@@ -49,8 +49,8 @@ Atilde(p) is each entry's a_tildes:
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
 simple, and a scan of t mod p^k otherwise; nu_D(d) is their product over
 the prime powers of d, and _sieve_block reads a built-in's n_bad instead.
-The sieve part of H_{D,k}(p) is sieve_weights, the float64 nu/(p^k - nu)
-over a block of primes, and every consumer reads it.
+The sieve part of H_{D,k}(p) is _sieve_block's float64 nu/(p^k - nu) over
+a _sum.Block of primes; sieve_weights and every consumer read it.
 
 Every closed form registered here is cross-checked against those power
 sums, and the traces against point counts, for all primes up to 300.
@@ -67,11 +67,10 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ._sum import ordered_map
+from ._sum import Block, ordered_map
 from .errors import DomainError, ResourceError, VerificationError
 from .primes import (CHI_2, CHI_3, CHI_M3, get_table, is_prime,
-                     legendre_symbol, legendre_symbols_vec,
-                     residue_character)
+                     legendre_symbol, legendre_symbols_vec)
 from .series import poly_mul
 
 _SCAN_LIMIT = 10 ** 6
@@ -172,15 +171,6 @@ class FamilySpec:
         return _poly_trim([-16 * (4 * a + 27 * b) for a, b in
                            zip_longest(a3, b2, fillvalue=0)])
 
-    def discriminant_at(self, t: int) -> int:
-        return poly_eval(self.discriminant_poly(), t)
-
-    def d_product_at(self, t: int) -> int:
-        v = 1
-        for fac in self.D_factors:
-            v *= poly_eval(fac, t)
-        return v
-
 
 def _check_factor_resultants(fam: FamilySpec) -> None:
     """No prime >= 5 may divide the resultant of two distinct D factors."""
@@ -204,9 +194,9 @@ def _check_factor_resultants(fam: FamilySpec) -> None:
 #
 # One entry per built-in holds its FamilySpec, rank, `lead` (see
 # explicit_formula.lower_order_limit), Atilde(p) method and closed forms,
-# each written once over primes p >= 5 (p_int, and pf in float64): A_0, A_1,
-# A_2 over the good t and the bad moments A'_1, A'_2.  Its n_bad is nu_D(p^k)
-# at p >= 5, which sieve_weights turns into H_sieve.
+# each written once over a _sum.Block of primes p >= 5: A_0, A_1, A_2 over
+# the good t and the bad moments A'_1, A'_2.  Its n_bad is nu_D(p^k) at
+# p >= 5, which _sieve_block turns into H_sieve.
 
 class _Builtin:
     rank = 0
@@ -215,17 +205,19 @@ class _Builtin:
 
     name = property(lambda self: self.spec.name)
 
-    def moments(self, p_int, pf):
+    def moments(self, blk):
         """(A_0, A_1, A_2, (A'_1, A'_2) or None without a multiplicative
-        bad t, H_sieve) over the primes."""
-        return (self.A0(p_int, pf), self.A1(p_int, pf), self.A2(p_int, pf),
-                self.bad_moments(p_int, pf) if self.has_bad else None,
-                sieve_weights(self.spec, p_int, sieve_exponent(self.spec)))
+        bad t, H_sieve) over a Block; None for a column that is identically
+        zero (A_1 of the sextic twists, with `lead` (0, 0), and H_sieve of
+        an unsieved family)."""
+        return (self.A0(blk), self.A1(blk), self.A2(blk),
+                self.bad_moments(blk) if self.has_bad else None,
+                _sieve_block(self.spec, blk, sieve_exponent(self.spec))[1])
 
-    def A0(self, p_int, pf):
-        return pf - self.n_bad          # n_bad t with p | Delta(t)
+    def A0(self, blk):
+        return blk.pf - self.n_bad      # n_bad t with p | Delta(t)
 
-    def bad_moments(self, p_int, pf):
+    def bad_moments(self, blk):
         return 0.0, 0.0                 # a_t(p) = 0 at an additive bad t
 
 
@@ -245,11 +237,12 @@ class _Sextic(_Builtin):
             D_factors=((1, 6),), k=6 // kappa,
             forced_zero_primes=frozenset({2, 3}))
 
-    def A1(self, p_int, pf):
-        return np.zeros_like(pf)
+    def A1(self, blk):
+        return None
 
-    def A2(self, p_int, pf):
-        return np.where(p_int % 3 == 1, 2 * pf * pf - 2 * pf, 0.0)
+    def A2(self, blk):
+        # 2p^2 - 2p on p = 1 mod 3, else 0 (scaling by 2 is exact)
+        return 2.0 * (blk.pp - blk.pf) * (blk.mod(3) == 1)
 
     def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
         # y^2 = x^3 + c with c = bb*(6t+1)^kappa: a depends only on the
@@ -287,15 +280,15 @@ class _Quartic(_Builtin):
             B_poly=(0,), D_factors=d_factors, k=3,
             forced_zero_primes=frozenset({2, 3}))
 
-    def A1(self, p_int, pf):
-        return np.where(p_int % 4 == 1,
-                        -2.0 * pf * residue_character(self.twist, p_int), 0.0)
+    def A1(self, blk):
+        return np.where(blk.mod(4) == 1,
+                        -2.0 * blk.pf * blk.character(self.twist), 0.0)
 
-    def A2(self, p_int, pf):
-        mask = p_int % 4 == 1
-        a_sq = np.zeros_like(pf)
-        a_sq[mask] = _a_ref_curves(p_int[mask]) ** 2
-        return np.where(mask, 2 * pf * (pf - 1.0) - a_sq, 0.0)
+    def A2(self, blk):
+        mask = blk.mod(4) == 1
+        a_sq = np.zeros(mask.shape)
+        a_sq[mask] = _a_ref_curves(blk.p_int[mask]) ** 2
+        return np.where(mask, 2 * blk.pf * (blk.pf - 1.0) - a_sq, 0.0)
 
     def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
         # y^2 = x^3 - c x with c = bb*(36t+6)(36t+5): a depends only on the
@@ -327,19 +320,20 @@ class _NonCM(_Builtin):
         name="noncm_3x12t", A_poly=(-3,), B_poly=(0, 12),
         D_factors=((-1, 6), (1, 6)), k=INF,
         forced_zero_primes=frozenset({2, 3}))
-    # (3/p) + (-3/p), the sum of the two bad a_t(p), by p mod 12
+    # (3/p) + (-3/p), the sum of the two bad a_t(p), and (-3/p), by p mod 12
     bad_sum = tuple(CHI_3[r] + CHI_M3[r % 3] for r in range(12))
+    chi_m3 = tuple(CHI_M3[r % 3] for r in range(12))
 
-    def bad_moments(self, p_int, pf):
-        return residue_character(self.bad_sum, p_int), 2.0
+    def bad_moments(self, blk):
+        return blk.character(self.bad_sum), 2.0
 
-    def A1(self, p_int, pf):
+    def A1(self, blk):
         # 12t runs over every residue, so all the a_t(p) sum to 0
-        return -residue_character(self.bad_sum, p_int)
+        return -blk.character(self.bad_sum)
 
-    def A2(self, p_int, pf):
-        return (pf * pf - 2.0 * pf - 2.0
-                - pf * residue_character(CHI_M3, p_int))
+    def A2(self, blk):
+        return (blk.pp - 2.0 * blk.pf - 2.0
+                - blk.pf * blk.character(self.chi_m3))
 
     def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
         # the sub-blocks are independent: map them on the package's pool
@@ -374,10 +368,10 @@ class _BruteForce:
     def __init__(self, spec: FamilySpec):
         self.spec, self.name = spec, spec.name
 
-    def moments(self, p_int, pf):
+    def moments(self, blk):
         rows = []
-        for p in p_int.tolist():
-            good, bad = _power_sums(self.spec, p, 4)
+        for p in blk.p_int.tolist():
+            good, bad = _power_sums(_curve_data(self.spec, p), 4)
             # sum a^4 = sum a^2 over the bad t iff each a is -1, 0 or 1
             if bad[4] != bad[2]:
                 raise VerificationError(
@@ -387,14 +381,11 @@ class _BruteForce:
         A0, A1, A2, aprime1, aprime2 = np.asarray(
             rows, dtype=np.float64).reshape(-1, 5).T
         return (A0, A1, A2, (aprime1, aprime2),
-                sieve_weights(self.spec, p_int, sieve_exponent(self.spec)))
+                _sieve_block(self.spec, blk, sieve_exponent(self.spec))[1])
 
     def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
-        out = []
-        for p in p_int.tolist():
-            a_vals, good = _curve_data(self.spec, p)
-            out.append(_lambda_cubed_weight(a_vals[good], p))
-        return np.array(out, dtype=np.float64)
+        return np.array([_table_a_tilde(p, _curve_data(self.spec, p))
+                         for p in p_int.tolist()], dtype=np.float64)
 
 
 def entry_of(fam):
@@ -534,11 +525,11 @@ def _curve_data(fam: FamilySpec, p: int):
     return a_vals, good
 
 
-def _power_sums(fam: FamilySpec, p: int, r_max: int) -> tuple:
+def _power_sums(table, r_max: int) -> tuple:
     """(good, bad): the exact sums of a_t(p)^r over the good and the bad t
     mod p for r <= r_max from one _curve_data table, n a^r summed as Python
     ints over the distinct traces a and their counts n."""
-    a_vals, good = _curve_data(fam, p)
+    a_vals, good = table
     out = []
     for mask in (good, ~good):
         vals, counts = np.unique(a_vals[mask], return_counts=True)
@@ -557,7 +548,7 @@ def complete_moment(fam: FamilySpec, p: int, r: int, side: str = "good"):
         raise DomainError("r must be >= 0")
     if side not in ("good", "bad"):
         raise DomainError("side must be 'good' or 'bad'")
-    return _power_sums(fam, p, r)[side == "bad"][r]
+    return _power_sums(_curve_data(fam, p), r)[side == "bad"][r]
 
 
 # --------------------------------------------------------------------------
@@ -791,15 +782,14 @@ def closed_form_table(fam, primes, bad_max: int = 2) -> dict:
                           f"{getattr(fam, 'name', fam)!r}")
     if len(primes) and int(primes[-1]) ** 2 >= 2 ** 53:
         raise DomainError("closed forms are exact only while p^2 < 2^53")
-    p_int = np.asarray(primes, dtype=np.int64)
-    pf = p_int.astype(np.float64)
-    cols = {(0, "good"): entry.A0(p_int, pf), (1, "good"): entry.A1(p_int, pf),
-            (2, "good"): entry.A2(p_int, pf), (0, "bad"): entry.n_bad}
-    bad = entry.bad_moments(p_int, pf)
+    blk = Block(np.asarray(primes, dtype=np.int64))
+    cols = {(0, "good"): entry.A0(blk), (1, "good"): entry.A1(blk),
+            (2, "good"): entry.A2(blk), (0, "bad"): entry.n_bad}
+    bad = entry.bad_moments(blk)
     for m in range(1, bad_max + 1):
         cols[m, "bad"] = bad[1 - m % 2]
-    return {key: np.broadcast_to(col, pf.shape).astype(np.int64).tolist()
-            for key, col in cols.items()}
+    return {key: np.broadcast_to(0 if col is None else col, blk.p_int.shape)
+            .astype(np.int64).tolist() for key, col in cols.items()}
 
 
 def closed_form_moment(fam, p: int, r: int, side: str = "good") -> int:
@@ -827,6 +817,11 @@ def _lambda_cubed_terms(a_vals: np.ndarray, p: int) -> np.ndarray:
 
 def _lambda_cubed_weight(a_vals: np.ndarray, p: int) -> float:
     return float(np.sum(_lambda_cubed_terms(a_vals, p)))
+
+
+def _table_a_tilde(p: int, table) -> float:
+    """Atilde(p) from a _curve_data table: the good t in t order."""
+    return _lambda_cubed_weight(table[0][table[1]], p)
 
 
 def _smooth_length(m: int) -> int:
@@ -969,11 +964,6 @@ def _a_tildes_b3(ps: list) -> list:
     """Atilde(p) for noncm_3x12t at each prime of one sub-block, in
     O(p log p) each from one batched _correlations."""
     return _a_tildes_from_traces(ps, _correlations(ps, -3))
-
-
-def _a_tilde_b3(p: int) -> float:
-    """_a_tildes_b3 on a block of one prime."""
-    return _a_tildes_b3([p])[0]
 
 
 def a_tilde(fam: FamilySpec, p: int) -> float:
@@ -1138,25 +1128,26 @@ def sieve_exponent(fam: FamilySpec, exponent: int | None = None):
     return int(exponent)
 
 
-def _sieve_block(fam: FamilySpec, p_int: np.ndarray, k) -> tuple:
-    """(nu, nu/(p^k - nu)) over an ascending int64 block of primes, (0, 0.0)
-    for k None: nu = nu_D(p^k), a built-in's n_bad at p >= 5 (its bad t,
-    simple roots that lift by Hensel), else _nu_prime_power.  DomainError
-    where nu >= p^k: no t is k-power free."""
+def _sieve_block(fam: FamilySpec, blk: Block, k) -> tuple:
+    """(nu, nu/(p^k - nu)) over a Block, (0, None) for k None: nu =
+    nu_D(p^k), a built-in's n_bad at p >= 5 (its bad t, simple roots that
+    lift by Hensel; a scalar on a block of primes >= 5), else
+    _nu_prime_power.  DomainError where nu >= p^k: no t is k-power free."""
     if k is None:
-        return np.zeros(p_int.shape, dtype=np.int64), np.zeros(p_int.shape)
-    entry = builtin_entry(fam)
+        return 0, None
+    p_int, entry = blk.p_int, builtin_entry(fam)
     first = p_int.size if entry is None else int(np.searchsorted(p_int, 5))
-    nus = np.full(p_int.shape, entry.n_bad if entry else 0, dtype=np.int64)
-    for i, p in enumerate(p_int[:first].tolist()):
-        nu = _nu_prime_power(fam, p, k)
-        if nu >= p ** k:
-            raise DomainError(
-                f"degenerate sieve: nu_D({p}^{k}) = {nu} >= p^k")
-        nus[i] = nu
-    # a built-in's nu is the scalar n_bad on a block of primes >= 5
-    nu = entry.n_bad if entry and first == 0 else nus.astype(np.float64)
-    return nus, nu / (p_int.astype(np.float64) ** k - nu)
+    nu = entry.n_bad if entry else 0
+    if first:
+        nu = np.full(p_int.shape, nu, dtype=np.int64)
+        for i, p in enumerate(p_int[:first].tolist()):
+            nu_p = _nu_prime_power(fam, p, k)
+            if nu_p >= p ** k:
+                raise DomainError(
+                    f"degenerate sieve: nu_D({p}^{k}) = {nu_p} >= p^k")
+            nu[i] = nu_p
+    weight = blk.power(k) - nu
+    return nu, np.divide(nu, weight, out=weight)
 
 
 def sieve_weights(fam: FamilySpec, p_int: np.ndarray, k: int | None
@@ -1164,7 +1155,8 @@ def sieve_weights(fam: FamilySpec, p_int: np.ndarray, k: int | None
     """The sieve part nu/(p^k - nu) of H_{D,k}(p), nu = nu_D(p^k), as
     float64 over an ascending int64 block of primes (0.0 for k None):
     correctly rounded while p^k < 2^53, within one ulp past that."""
-    return _sieve_block(fam, p_int, k)[1]
+    h = _sieve_block(fam, Block(p_int), k)[1]
+    return np.zeros(p_int.shape) if h is None else h
 
 
 def h_factor(fam: FamilySpec, p: int, exponent: int | None = None):
@@ -1276,9 +1268,9 @@ def rank_bias(fam, X: float) -> float:
     check_cap(entry, X, "rank-bias X")
     p_int = get_table(int(X)).primes
     p_int = p_int[p_int >= 5]
-    a1 = entry.moments(p_int, p_int.astype(np.float64))[1]
+    a1 = entry.moments(Block(p_int))[1]
     total = 0.0
-    for p, m in zip(p_int.tolist(), a1.tolist()):
+    for p, m in zip(p_int.tolist(), [] if a1 is None else a1.tolist()):
         if m:
             total -= m / p * math.log(p)
     return total / X
@@ -1298,22 +1290,28 @@ class MomentTable:
 
 
 def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
-    """One MomentTable per prime of an ascending block: Atilde from one
-    a_tildes call over the primes >= 5 (0.0 below), nu and H_sieve from one
-    _sieve_block over the block, the moments from one _power_sums row per
-    prime."""
+    """One MomentTable per prime of an ascending block: nu and H_sieve from
+    one _sieve_block over the block, the moments from one _curve_data table
+    per prime, and Atilde (0.0 below p = 5) from a built-in's one a_tildes
+    call over the primes >= 5, or else from that same table."""
     if r_max < 0:
         raise DomainError("r_max must be >= 0")
     p_int = np.asarray(primes, dtype=np.int64)
     if (p_int.ndim != 1 or np.any(np.diff(p_int) <= 0)
             or not all(map(is_prime, p_int.tolist()))):
         raise DomainError("moment_table needs an ascending block of primes")
-    ps = p_int.tolist()
     first = int(np.searchsorted(p_int, 5))
-    at = [0.0] * first + entry_of(fam).a_tildes(p_int[first:]).tolist()
-    nus, hs = (col.tolist() for col in
-               _sieve_block(fam, p_int, sieve_exponent(fam)))
-    return [MomentTable(p=p, moments=good, bad_moments=bad, a_tilde=a,
-                        nu=nu, h=(1.0, h))
-            for p, (good, bad), a, nu, h in zip(
-                ps, (_power_sums(fam, p, r_max) for p in ps), at, nus, hs)]
+    entry = builtin_entry(fam)
+    at = entry.a_tildes(p_int[first:]).tolist() if entry else None
+    nus, hs = _sieve_block(fam, Block(p_int), sieve_exponent(fam))
+    nus = np.broadcast_to(nus, p_int.shape).tolist()
+    hs = [0.0] * len(nus) if hs is None else hs.tolist()
+    rows = []
+    for i, p in enumerate(p_int.tolist()):
+        table = _curve_data(fam, p)
+        good, bad = _power_sums(table, r_max)
+        a = 0.0 if i < first else (
+            at[i - first] if entry else _table_a_tilde(p, table))
+        rows.append(MomentTable(p=p, moments=good, bad_moments=bad,
+                                a_tilde=a, nu=nus[i], h=(1.0, hs[i])))
+    return rows

@@ -235,12 +235,6 @@ CHI_3 = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
 CHI_M3 = (0, 1, -1)
 
 
-def residue_character(table, p_int: np.ndarray) -> np.ndarray:
-    """table[p mod q] for each prime, q = len(table), as float64: a
-    character, or any other function of the class of p mod q."""
-    return np.asarray(table, dtype=np.float64)[p_int % len(table)]
-
-
 def totient(b: int) -> int:
     result, n, p = b, b, 2
     while p * p <= n:
@@ -281,9 +275,8 @@ def theta_error_integral(cls, upper_limit: float,
         primes, phib = table.residue_class(a, b), totient(b)
     primes = primes[:int(np.searchsorted(primes, top, side="right"))]
 
-    def term(p_int):
-        pf = p_int.astype(np.float64)
-        return np.log(pf) * (1.0 / pf - 1.0 / upper_limit)
+    def term(blk):
+        return blk.lp * (1.0 / blk.pf - 1.0 / upper_limit)
 
     s = term_sum(term, primes, threads)
     return s - math.log(upper_limit) / phib
@@ -332,9 +325,8 @@ def gamma_pnt(method: str = "closed_form", prime_limit: int | None = None,
         raise DomainError("truncation must cover at least 1e4 primes")
     X = float(table.primes[-1])
     if method == "closed_form":
-        def term(p_int):
-            pf = p_int.astype(np.float64)
-            return np.log(pf) / (pf * pf - pf)
+        def term(blk):
+            return blk.lp / (blk.pp - blk.pf)
 
         value = -_literals.EULER_GAMMA - term_sum(term, table.primes, threads)
         tail = math.log(X) / X
@@ -375,10 +367,9 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
         small = table.primes[:int(np.searchsorted(table.primes, b, "right"))]
         primes = np.delete(table.primes, np.flatnonzero(b % small == 0))
 
-        def term(p_int):
-            pf = p_int.astype(np.float64)
-            denom = np.where(p_int % b == 1, pf * pf - pf, pf * pf - 1.0)
-            return np.log(pf) / denom
+        def term(blk):
+            return blk.lp / np.where(blk.mod(b) == 1, blk.pp - blk.pf,
+                                     blk.pp - 1.0)
 
         value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(term, primes, threads)
         tail = 2 * math.log(X) / X

@@ -157,12 +157,6 @@ def g_moment(kind: str, x):
     raise DomainError(f"unknown kind {kind!r}")
 
 
-def g_moment_series(kind: str, x: float, terms: int = 60) -> float:
-    """Truncated series sum_{l>=2} M_l x^l (oracle companion)."""
-    return float(sum(moment_sequence(kind, l) * x ** l
-                     for l in range(2, terms + 1)))
-
-
 def p_ell_sum(ell: int, table, cls="all", threads: int | None = None) -> float:
     """P(ell) = sum_p ((p-1) log p/(p+1)) (p/(p+1)^2)^ell, optionally
     restricted to a residue class; p runs over the supplied table."""

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldl import constants, explicit_formula as ef, families
-from ldl._sum import CHUNK
+from ldl._sum import CHUNK, Block
 from ldl.errors import (DomainError, IncompleteSumError, ResourceError,
                         VerificationError)
 from ldl.primes import get_table, legendre_symbol
@@ -231,8 +231,8 @@ def test_evaluate_s_truncation_guards():
 
 
 def test_evaluate_s_zero_moments_give_pure_main_term(monkeypatch):
-    def zero_moments(p_int, pf):
-        z = np.zeros_like(pf)
+    def zero_moments(blk):
+        z = np.zeros_like(blk.pf)
         return z, z, z, None, z
 
     monkeypatch.setattr(families.REGISTRY["cm_b1_kappa1"], "moments",
@@ -253,6 +253,42 @@ def test_evaluate_s_thread_count_independence():
     eight = ef.evaluate_S("noncm_3x12t", pair, math.exp(30.0), threads=8)
     assert one.total == eight.total
     assert one.pieces == eight.pieces
+
+
+# SHA-256 of evaluate_S(...).as_dict() as canonical JSON over many blocks:
+# indicator_smooth:0.18 at log R 200 (60 blocks of CHUNK primes), and
+# rank1_36t at log R 75 with S_1 summed to R^sigma; cubic-moment
+# truncation 500
+MULTI_BLOCK_PINS = {
+    "cusp_model":
+        "6decf4c67ee833d42711dd82033239183e32f93d6f01c9c1408c9db97a01e41a",
+    "cm_b1_kappa1":
+        "142ac0343aee2384b8e6e60e08e4d350394d23449e128d1462a5b0f71b6572c4",
+    "cm_b1_kappa2":
+        "d4d2f38a62e5aab6ee57545cbd37e292ee274a2ed32bb486b7bd075e5fbf16c6",
+    "noncm_3x12t":
+        "fd3ed4298c2dd5e2e388db113b16ce8efa185528d1e68b54ffdde8713958f5cf",
+    "rank1_36t":
+        "13e9535305949a39fe9b00f15ccec4e0b6282346aca48a22bf623a8d20294119",
+}
+
+
+@pytest.mark.parametrize("name", MULTI_BLOCK_PINS)
+def test_evaluate_s_multi_block_pins(name):
+    pair = ef.builtin_test_pair("indicator_smooth:0.18")
+    if name == "rank1_36t":
+        R = math.exp(75.0)
+        kwargs = {"prime_limit": math.ceil(R ** pair.sigma)}
+    else:
+        R, kwargs = math.exp(200.0), {}
+    decs = [ef.evaluate_S(name, pair, R, threads=threads,
+                          atilde_primes=500, **kwargs)
+            for threads in (1, 2)]
+    canon = [json.dumps(dec.as_dict(), sort_keys=True,
+                        separators=(",", ":")) for dec in decs]
+    assert canon[0] == canon[1]
+    assert hashlib.sha256(canon[0].encode()).hexdigest() == \
+        MULTI_BLOCK_PINS[name]
 
 
 def test_lower_order_limit_needs_a_prime_number_theorem_split(monkeypatch):
@@ -289,11 +325,15 @@ def test_evaluate_s_brute_path_matches_vectorized():
 
 
 def _moments(entry, p_int, pf):
-    """An entry's moments by name, with has_bad for its bad moments."""
-    A0, A1, A2, aprime, hs = entry.moments(p_int, pf)
+    """An entry's moments by name, with has_bad for its bad moments; a
+    column the entry reports as identically zero (None) as zeros."""
+    A0, A1, A2, aprime, hs = entry.moments(Block(p_int))
+    zero = np.zeros_like(pf)
     Aprime1, Aprime2 = aprime or (None, None)
-    return SimpleNamespace(A0=A0, A1=A1, A2=A2, Aprime1=Aprime1,
-                           Aprime2=Aprime2, hs=hs, has_bad=aprime is not None)
+    return SimpleNamespace(A0=A0, A1=zero if A1 is None else A1, A2=A2,
+                           Aprime1=Aprime1, Aprime2=Aprime2,
+                           hs=zero if hs is None else hs,
+                           has_bad=aprime is not None)
 
 
 def _clone(name):
@@ -402,7 +442,8 @@ def _full_array_decomposition(name, phi, R, atilde_primes):
 
     pieces = {}
     if mom.has_bad:
-        sa = pair(constants.aprime_terms(mom.Aprime1, mom.Aprime2, pf, lp))
+        sa = pair(constants.aprime_terms(mom.Aprime1, mom.Aprime2,
+                                         Block(p_int)))
         pieces["S_Aprime"] = {k: -2.0 * ph0 * v / L for k, v in sa.items()}
     else:
         pieces["S_Aprime"] = {"main": 0.0, "sieve": 0.0}
@@ -420,7 +461,7 @@ def _full_array_decomposition(name, phi, R, atilde_primes):
     pieces["S_2"] = {k: (-2.0 * s2a[k] + 2.0 * ph0 * s2b[k]) / L
                      for k in ("main", "sieve")}
     if model:
-        at_main = chunked(ef.CUSP_MODEL.atilde_terms(pf, lp))
+        at_main = chunked(ef.CUSP_MODEL.atilde_terms(Block(p_int)))
         at_sieve = 0.0
     else:
         at_main, at_sieve = constants._gamma_atilde_family(fam,
@@ -514,7 +555,7 @@ def _aprime_m_series(bad_moment, pf, lp):
 def _assert_aprime_matches_series(mom, bad_moment, p_int):
     pf = p_int.astype(np.float64)
     lp = np.log(pf)
-    closed = constants.aprime_terms(mom.Aprime1, mom.Aprime2, pf, lp)
+    closed = constants.aprime_terms(mom.Aprime1, mom.Aprime2, Block(p_int))
     series = _aprime_m_series(bad_moment, pf, lp)
     assert np.all(series != 0.0)
     assert np.max(np.abs(closed - series) / np.abs(series)) <= 1e-15

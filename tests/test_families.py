@@ -6,6 +6,7 @@ over t, and exact integer arithmetic throughout.
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ldl import families
+from ldl._sum import Block
 from ldl.errors import DomainError, ResourceError, VerificationError
 from ldl.primes import (get_table, is_prime, legendre_symbol,
                         legendre_symbols_vec)
@@ -68,7 +70,7 @@ def test_reduction_type_tracks_discriminant():
     for p in SMALL_PRIMES:
         for t in range(p):
             rt = families.reduction_type(fam, t, p)
-            good = fam.discriminant_at(t) % p != 0
+            good = families.poly_eval(fam.discriminant_poly(), t) % p != 0
             assert (rt == "good") == good
 
 
@@ -120,8 +122,19 @@ def test_curve_data_is_the_point_count_on_drawn_configs(p, root, vanish,
     _assert_traces_are_point_counts(fam, p)
 
 
-@pytest.mark.parametrize("name", ["cm_b1_kappa2", "noncm_3x12t"])
+IMPOSTOR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+    "impostor_cm_b1_kappa2.json"
+
+
+@pytest.mark.parametrize("name", ["cm_b1_kappa2", "noncm_3x12t", "impostor"])
 def test_moment_table_reads_one_trace_table_per_prime(monkeypatch, name):
+    # the impostor config borrows cm_b1_kappa2's name, so it takes the
+    # brute-force entry, whose moments and Atilde read the same table
+    if name == "impostor":
+        fam = families.load_family(json.loads(IMPOSTOR.read_text()))
+        primes = [5, 7, 11, 13]
+    else:
+        fam, primes = families.get_family(name), get_table(300).primes
     calls = []
     curve_data = families._curve_data
 
@@ -130,9 +143,8 @@ def test_moment_table_reads_one_trace_table_per_prime(monkeypatch, name):
         return curve_data(fam, p)
 
     monkeypatch.setattr(families, "_curve_data", counted)
-    primes = get_table(300).primes
-    families.moment_table(families.get_family(name), primes)
-    assert calls == primes.tolist()
+    families.moment_table(fam, primes)
+    assert calls == list(primes)
 
 
 # --------------------------------------------------------------------------
@@ -410,13 +422,19 @@ def test_cm_kernels_refuse_primes_past_the_int64_limit(monkeypatch):
                 families.a_tilde(entry.spec, p)
         if entry.kind == "quartic":
             with pytest.raises(ResourceError, match="int64"):
-                entry.A2(np.array([p]), np.array([float(p)]))
+                entry.A2(Block(np.array([p])))
         # H_sieve needs no int64 residue arithmetic: its float64
         # nu/(p^k - nu) meets the correctly rounded ratio here
         for k in (3, 6):
             ratio = entry.n_bad / p ** k
             assert families.h_factor(entry.spec, p, exponent=k) == \
                 (1.0, ratio / (1.0 - ratio))
+
+
+def _a_tilde_b3(p: int) -> float:
+    """Atilde(p) of noncm_3x12t: the batched kernel on a block of one
+    prime."""
+    return families._a_tildes_b3([p])[0]
 
 
 def _a_tilde_b3_prime_length(p: int) -> float:
@@ -439,7 +457,7 @@ def test_a_tilde_b3_padded_fft_matches_prime_length():
     # of every such step up to 2^13 + 1, and every 5-smooth step between
     primes = [int(q) for q in get_table(10 ** 4).primes if q >= 5]
     for p in primes:
-        assert families._a_tilde_b3(p) == _a_tilde_b3_prime_length(p), p
+        assert _a_tilde_b3(p) == _a_tilde_b3_prime_length(p), p
 
 
 def test_a_tilde_b3_unpadded_where_2p_minus_1_is_5_smooth():
@@ -476,7 +494,7 @@ def test_a_tilde_b3_checks_its_correlation(monkeypatch, shift, match):
         np.fft, "irfft",
         lambda spectrum, n, axis: np.full((len(spectrum), n), -(h + shift)))
     with pytest.raises(VerificationError, match=match):
-        families._a_tilde_b3(p)
+        _a_tilde_b3(p)
     if match == "not integral":
         # the kernel behind every trace table refuses it for any curve
         with pytest.raises(VerificationError, match=match):
@@ -597,7 +615,8 @@ def test_a_tilde_domain():
 def test_nu_d_matches_brute_root_count():
     fam = families.get_family("rank1_36t")
     for d in (5, 7, 25, 35, 49, 121):
-        brute = sum(1 for t in range(d) if fam.d_product_at(t) % d == 0)
+        brute = sum(1 for t in range(d) if math.prod(
+            families.poly_eval(fac, t) for fac in fam.D_factors) % d == 0)
         assert families.nu_D(fam, d) == brute
     # the Hensel count against the scan of t mod p^k, and nu_D past 10^6
     # against the scan of t mod d
