@@ -1,28 +1,25 @@
 """Deterministic summation and the shared worker-pool contract.
 
-Every prime sum in this package is accumulated the same way: terms in
-ascending prime order are cut into fixed-size chunks, each chunk is reduced
-independently (numpy pairwise summation -- single threaded and
-order-stable), and the chunk partials are combined with math.fsum.  Because
-the chunk boundaries are fixed, the result is bit-identical no matter how
-many worker threads computed the chunks.
+A chunked prime sum cuts its terms, in ascending prime order, into fixed
+CHUNK-size blocks, reduces each block (numpy pairwise summation, single
+threaded and order-stable) and combines the partials with math.fsum, so
+its bits do not depend on which thread reduced which block.
+``chunked_sum`` (one precomputed column) and ``term_sum`` (one column
+built per ``Block``, which holds what a chunk's terms share) reduce their
+blocks inline: the catalog constants' terms are too light to gain from a
+second core.  families.rank_bias (a sequential loop) and the Atilde main
+sum (one math.fsum of cached terms) are not chunked sums.
 
-The package's one worker pool lives in ``ordered_map``: it maps a
-function over a list of independent tasks and returns the results in
-task order, so no result depends on which thread computed it.
-``block_sums`` maps it over those fixed chunks.  A caller hands it a
-block function that builds its terms on one chunk of primes and reduces
-them there, so the elementwise work runs in the pool too and memory is
-bounded by the chunk, not by the prime table; ``chunked_sum`` is the case
-of one precomputed column, and ``term_sum`` the case of one column built
-per block.  A ``Block`` holds what the terms of one chunk share, each
-formed once.  The non-CM Atilde maps its sub-blocks of primes the same way
-(families._NonCM.a_tildes).  A task that itself calls ``ordered_map``
-runs that inner map inline, so no pool is opened inside a pool worker.
-
-The worker count is thread_count(threads): an explicit count, else
-LDL_THREADS, else the number of CPUs this process may run on.  Bits do
-not depend on it; LDL_THREADS=1 gives a serial run.
+The package's one worker pool lives in ``ordered_map``, which returns
+[fn(x) for x in items] in order.  ``block_sums`` maps a caller's block
+function (terms built and reduced on one chunk, for several columns) over
+the chunks with it.  Three passes use the pool: the evaluate_S and
+lower_order_limit blocks on thread_count(threads) workers, and the non-CM
+Atilde sub-blocks (families._NonCM.a_tildes) on thread_count(None), so
+LDL_THREADS and not a caller's `threads` sets those, as the Atilde
+main-sum cache is shared across calls.  A task that itself calls
+``ordered_map`` runs that map inline, so no pool opens inside a pool.
+LDL_THREADS=1 gives a serial run.
 
 Allocator coupling: a block's float64 temporaries are CHUNK * 8 = 512 KiB
 each, above glibc's default mmap threshold of 128 KiB, so by default
@@ -142,16 +139,16 @@ class Block:
             table, dtype=np.float64)[self.mod(len(table))])
 
 
-def chunked_sum(values: np.ndarray, threads: int | None = None) -> float:
-    """Deterministic sum of a 1-d float array, stable across thread counts."""
+def chunked_sum(values: np.ndarray) -> float:
+    """Deterministic sum of a 1-d float array over fixed CHUNK blocks."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    return block_sums(lambda start, stop: {0: np.sum(values[start:stop])},
-                      values.size, threads)[0]
+    return math.fsum(np.sum(values[i:i + CHUNK])
+                     for i in range(0, values.size, CHUNK))
 
 
-def term_sum(term, p_int: np.ndarray, threads: int | None = None) -> float:
+def term_sum(term, p_int: np.ndarray) -> float:
     """The chunked sum of term over the int64 primes without a full-length
     column: term maps the Block of each CHUNK slice to its float64 terms,
     so the sum has the same bits while memory is bounded by the block."""
-    return block_sums(lambda start, stop: {
-        0: np.sum(term(Block(p_int[start:stop])))}, p_int.size, threads)[0]
+    return math.fsum(np.sum(term(Block(p_int[i:i + CHUNK])))
+                     for i in range(0, p_int.size, CHUNK))

@@ -110,7 +110,7 @@ def _to_text(payload: dict) -> str:
 def _constant_rows(name: str, args) -> list:
     paper_value, _, citation = constants.paper_reference(name)
     kwargs = {"prime_limit": args.prime_limit,
-              "first_primes": args.first_primes, "threads": args.threads}
+              "first_primes": args.first_primes}
     results = []
     if name in ("gamma_pnt",):
         methods = {"direct": ["integral"], "closed": ["closed_form"],
@@ -211,6 +211,13 @@ def cmd_family(args, argv) -> int:
         return EXIT_OK
 
     primes = get_table(prime_limit).primes
+    # |A_r| <= p (2 sqrt p)^r by Hasse: refuse moments that could pass
+    # Python's int-to-str digit limit (0, or none before 3.10.7: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and primes.size and math.log10(primes[-1]) * (
+            1 + args.moments / 2) + args.moments * math.log10(2) >= limit:
+        raise DomainError(f"--moments {args.moments} at p = {primes[-1]} "
+                          f"could print over {limit} digits; lower it")
     rows = [{"p": mt.p, "moments": list(mt.moments),
              "bad_moments": list(mt.bad_moments), "a_tilde": mt.a_tilde,
              "nu": mt.nu, "h_sieve": mt.h[1]}

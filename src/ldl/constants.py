@@ -191,7 +191,7 @@ def paper_reference(name: str) -> tuple:
                       + ", ".join(catalog_names()))
 
 
-def _gamma_sieve012_value(primes: np.ndarray, threads: int | None) -> float:
+def _gamma_sieve012_value(primes: np.ndarray) -> float:
     """Sieve-weighted r in {0,1,2} contribution for the k=3 sieve with one
     root per prime (nu = 1 for p >= 5): the S_0 pieces add
     2(p-1)/(p(p+1)) per prime, the S_2 pieces subtract 2(p-1)^2/(p+1)^3
@@ -203,7 +203,7 @@ def _gamma_sieve012_value(primes: np.ndarray, threads: int | None) -> float:
         s2 = np.where(blk.mod(3) == 1, 2 * (pf - 1) ** 2 / blk.q3, 0.0)
         return h_sieve * blk.lp * (s0 - s2)
 
-    return -term_sum(term, primes[int(np.searchsorted(primes, 5)):], threads)
+    return -term_sum(term, primes[int(np.searchsorted(primes, 5)):])
 
 
 @lru_cache(maxsize=256)
@@ -249,15 +249,13 @@ def _gamma_atilde_family(fam: families.FamilySpec, prime_count: int,
 
 
 def compute_constant(name: str, prime_limit: int | None = None,
-                     first_primes: int | None = None,
-                     threads: int | None = None) -> ConstantResult:
+                     first_primes: int | None = None) -> ConstantResult:
     """Compute a catalog constant, carrying truncation provenance."""
     if prime_limit is not None and first_primes is not None:
         raise DomainError("specify prime_limit or first_primes, not both")
     if name in _PNT_NAMES:
         fn = _PNT_NAMES[name][0]
-        return fn(prime_limit=prime_limit, first_primes=first_primes,
-                  threads=threads)
+        return fn(prime_limit=prime_limit, first_primes=first_primes)
     paper_reference(name)             # DomainError for an unknown name
     spec = CATALOG[name]
 
@@ -272,7 +270,7 @@ def compute_constant(name: str, prime_limit: int | None = None,
     x_last = float(table.primes[-1])
 
     if name == "gamma_sieve012":
-        value = _gamma_sieve012_value(table.primes, threads)
+        value = _gamma_sieve012_value(table.primes)
         return ConstantResult(name, value, kind, trunc, 1e-12, "direct_sum")
 
     if name == "gamma_atilde_3":
@@ -286,7 +284,7 @@ def compute_constant(name: str, prime_limit: int | None = None,
         p_int = table.residue_class(*spec.residue_class)
     p_int = p_int[int(np.searchsorted(p_int, spec.p_min)):]
 
-    value = term_sum(spec.term, p_int, threads)
+    value = term_sum(spec.term, p_int)
     return ConstantResult(name, value, kind, trunc,
                           _tail_bound(spec, x_last), "direct_sum")
 
@@ -342,13 +340,6 @@ class FamilyLowerOrder:
                 + math.fsum(self.sieve_pieces.values()))
 
 
-def _const(name: str, source: str, **kwargs) -> float:
-    if source == "catalog":
-        val, _, _ = paper_reference(name)
-        return val
-    return compute_constant(name, **kwargs).value
-
-
 def _derived_lower_order(target: str,
                          threads: int | None) -> FamilyLowerOrder:
     # explicit_formula imports this module, so import it at call time
@@ -382,6 +373,8 @@ def aggregate_lower_order(target: str, source: str = "catalog",
     noncm_3x12t the S_0, S_1 and S_2 pieces built from gamma_0_3,
     gamma_1_3 and gamma_2_3 differ, and the derived aggregate is about
     -2.542 against the printed -2.703.
+
+    `threads` sets the workers of the derived mode's block pass only.
     """
     if source not in ("catalog", "computed", "derived"):
         raise DomainError("source must be 'catalog', 'computed' or 'derived'")
@@ -395,8 +388,11 @@ def aggregate_lower_order(target: str, source: str = "catalog",
         raise VerificationError(
             "computed mode mixes the reference truncations (1e6 / 4e6 / "
             "5000 primes); pass allow_mixed_truncations=True to accept")
-    kw = {"threads": threads}
-    c = lambda name: _const(name, source, **kw)  # noqa: E731
+
+    def c(name):
+        if source == "catalog":
+            return paper_reference(name)[0]
+        return compute_constant(name).value
 
     if target == "cusp_model":
         pieces = {

@@ -493,9 +493,8 @@ def lower_order_limit(fam, threads: int | None = None) -> dict:
     primes = get_table(LIMIT_PRIME_LIMIT).primes
     lo = 0 if model else int(np.searchsorted(primes, 5))
 
-    pnt = gamma_pnt(prime_limit=LIMIT_PRIME_LIMIT, threads=threads).value
-    pnt13 = gamma_pnt_ab(1, 3, prime_limit=LIMIT_PRIME_LIMIT,
-                         threads=threads).value
+    pnt = gamma_pnt(prime_limit=LIMIT_PRIME_LIMIT).value
+    pnt13 = gamma_pnt_ab(1, 3, prime_limit=LIMIT_PRIME_LIMIT).value
     dropped = 0.0 if model else \
         0.5 * constants.compute_constant("gamma_23").value
 

@@ -383,6 +383,9 @@ class _BruteForce:
         return (A0, A1, A2, (aprime1, aprime2),
                 _sieve_block(self.spec, blk, sieve_exponent(self.spec))[1])
 
+    def A1(self, blk):
+        return self.moments(blk)[1]
+
     def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
         return np.array([_table_a_tilde(p, _curve_data(self.spec, p))
                          for p in p_int.tolist()], dtype=np.float64)
@@ -1259,8 +1262,8 @@ def quadratic_legendre_sum_brute(a: int, b: int, c: int, p: int) -> int:
 def rank_bias(fam, X: float) -> float:
     """(1/X) sum_{p <= X} -(A_1(p) / p) log p; tends to the rank.
 
-    A_1 is the family's entry's: a built-in's registry array, or the power
-    sum of the traces, whose X may not pass BRUTE_FORCE_CAP.
+    A_1 is the family's entry's A1 column alone: a built-in's closed form,
+    or the power sum of the traces, whose X may not pass BRUTE_FORCE_CAP.
     """
     if X < 10 ** 3:
         raise DomainError("X must be >= 1e3")
@@ -1268,7 +1271,7 @@ def rank_bias(fam, X: float) -> float:
     check_cap(entry, X, "rank-bias X")
     p_int = get_table(int(X)).primes
     p_int = p_int[p_int >= 5]
-    a1 = entry.moments(Block(p_int))[1]
+    a1 = entry.A1(Block(p_int))
     total = 0.0
     for p, m in zip(p_int.tolist(), [] if a1 is None else a1.tolist()):
         if m:

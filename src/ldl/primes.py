@@ -252,8 +252,7 @@ def totient(b: int) -> int:
 # theta error integrals
 
 def theta_error_integral(cls, upper_limit: float,
-                         table: PrimeTable | None = None,
-                         threads: int | None = None) -> float:
+                         table: PrimeTable | None = None) -> float:
     """int_1^X E(t)/t^2 dt, exactly, for E = theta - t or its AP analogue.
 
     theta is a step function, so integrating by parts over each step gives
@@ -278,7 +277,7 @@ def theta_error_integral(cls, upper_limit: float,
     def term(blk):
         return blk.lp * (1.0 / blk.pf - 1.0 / upper_limit)
 
-    s = term_sum(term, primes, threads)
+    s = term_sum(term, primes)
     return s - math.log(upper_limit) / phib
 
 
@@ -316,8 +315,7 @@ def _resolve_truncation(prime_limit: int | None, first_primes: int | None,
 
 
 def gamma_pnt(method: str = "closed_form", prime_limit: int | None = None,
-              first_primes: int | None = None,
-              threads: int | None = None) -> ConstantResult:
+              first_primes: int | None = None) -> ConstantResult:
     """The constant gamma_PNT = 1 + int_1^inf E(t)/t^2 dt = -gamma_Euler -
     sum_p log p/(p^2 - p)."""
     table, kind, trunc = _resolve_truncation(prime_limit, first_primes, 10 ** 8)
@@ -328,10 +326,10 @@ def gamma_pnt(method: str = "closed_form", prime_limit: int | None = None,
         def term(blk):
             return blk.lp / (blk.pp - blk.pf)
 
-        value = -_literals.EULER_GAMMA - term_sum(term, table.primes, threads)
+        value = -_literals.EULER_GAMMA - term_sum(term, table.primes)
         tail = math.log(X) / X
     elif method in ("direct", "integral"):
-        value = 1.0 + theta_error_integral("all", X, table, threads)
+        value = 1.0 + theta_error_integral("all", X, table)
         # unconditional-ish fluctuation estimate for the dropped tail
         tail = 4.0 * math.log(X) ** 2 / math.sqrt(X)
         method = "integral"
@@ -351,8 +349,7 @@ _AB_CLOSED = {
 
 def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
                  prime_limit: int | None = None,
-                 first_primes: int | None = None,
-                 threads: int | None = None) -> ConstantResult:
+                 first_primes: int | None = None) -> ConstantResult:
     """gamma_PNT;a,b = 1 + int_1^inf 2 E_{a,b}(t)/t^2 dt for the progression
     p = a mod b, with the transcendental closed form for (1,3) and (1,4)."""
     if (a, b) not in _AB_CLOSED:
@@ -371,10 +368,10 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
             return blk.lp / np.where(blk.mod(b) == 1, blk.pp - blk.pf,
                                      blk.pp - 1.0)
 
-        value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(term, primes, threads)
+        value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(term, primes)
         tail = 2 * math.log(X) / X
     elif method in ("direct", "integral"):
-        value = 1.0 + 2.0 * theta_error_integral((a, b), X, table, threads)
+        value = 1.0 + 2.0 * theta_error_integral((a, b), X, table)
         tail = 8.0 * math.log(X) ** 2 / math.sqrt(X)
         method = "integral"
     else:

@@ -157,7 +157,7 @@ def g_moment(kind: str, x):
     raise DomainError(f"unknown kind {kind!r}")
 
 
-def p_ell_sum(ell: int, table, cls="all", threads: int | None = None) -> float:
+def p_ell_sum(ell: int, table, cls="all") -> float:
     """P(ell) = sum_p ((p-1) log p/(p+1)) (p/(p+1)^2)^ell, optionally
     restricted to a residue class; p runs over the supplied table."""
     if ell < 2:
@@ -173,7 +173,7 @@ def p_ell_sum(ell: int, table, cls="all", threads: int | None = None) -> float:
     x = pf / (pf + 1.0) ** 2
     terms = np.zeros(primes.size)
     terms[:k] = (pf - 1.0) * np.log(pf) / (pf + 1.0) * x ** ell
-    return chunked_sum(terms, threads)
+    return chunked_sum(terms)
 
 
 # --------------------------------------------------------------------------

@@ -315,10 +315,15 @@ def test_rank_bias_limits():
 # 7. determinism
 
 
-def test_constant_determinism_across_threads_and_runs():
-    runs = [constants.compute_constant("gamma_st_2", first_primes=10 ** 5,
-                                       threads=t).value
-            for t in (1, 8, None, 1)]
+def test_constant_determinism_across_threads_and_runs(monkeypatch):
+    runs = []
+    for env in ("1", "8", None, "1"):
+        if env is None:
+            monkeypatch.delenv("LDL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LDL_THREADS", env)
+        runs.append(constants.compute_constant(
+            "gamma_st_2", first_primes=10 ** 5).value)
     assert len(set(runs)) == 1
 
 

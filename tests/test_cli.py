@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import pathlib
+import sys
 
 import pytest
 
@@ -237,6 +238,31 @@ def test_out_of_range_limits_are_refused(capsys, argv):
     # default, even by the commands that never read it
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "Traceback" not in err
+
+
+MOMENTS_ARGV = ("family", "--family", "cm_b1_kappa2", "--prime-limit", "100",
+                "--moments")
+
+
+def test_family_refuses_moments_past_the_digit_limit(capsys, monkeypatch):
+    # p (2 sqrt p)^8000 at p = 97 has about 10 000 digits, past the
+    # default limit of 4300; the refusal comes before any moment
+    def no_moments(*args, **kwargs):
+        raise AssertionError("moment_table ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(families, "moment_table", no_moments)
+        code, out, err = run(capsys, *MOMENTS_ARGV, "8000")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "--moments 8000" in err
+        # a limit of 0 is no limit
+        m.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        m.setattr(families, "moment_table", lambda *args, **kwargs: [])
+        assert run_json(capsys, *MOMENTS_ARGV, "8000")["results"]["rows"] \
+            == []
+    doc = run_json(capsys, *MOMENTS_ARGV, "200")
+    assert doc["manifest"]["output_checksum"] == \
+        "72f1625466ea6f33923a6552088070c8fb1e4b562f28b82d97a8d445fe9a488a"
 
 
 def test_usage_exit_code(capsys):

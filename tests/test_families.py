@@ -739,6 +739,16 @@ def test_rank_bias_targets():
         families.rank_bias(families.get_family("rank0_36t"), 100)
 
 
+def test_rank_bias_reads_a1_alone(monkeypatch):
+    # the quartic A_2 needs the reference curves' traces; A_1 does not
+    def no_reference_curves(p):
+        raise AssertionError("A_2 was formed")
+
+    monkeypatch.setattr(families, "_a_ref_curves", no_reference_curves)
+    assert families.rank_bias("rank1_36t", 10 ** 5) == 0.9947938949688959
+    assert families.rank_bias("rank0_36t", 10 ** 5) == -0.0016372568133086113
+
+
 def test_rank_bias_custom_family_takes_the_point_counts():
     clone = _clone_generic(families.get_family("rank1_36t"))
     assert families.rank_bias(clone, 1000) == \

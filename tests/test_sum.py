@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from ldl import _sum
+from ldl import _sum, constants, explicit_formula as ef, primes
 from ldl.errors import DomainError, VerificationError
 
 
@@ -21,7 +21,7 @@ def test_chunked_sum_is_the_one_column_block_sum(threads):
         lambda start, stop: {"x": np.sum(values[start:stop]),
                              "x3": np.sum(3.0 * values[start:stop])},
         values.size, threads)
-    assert _sum.chunked_sum(values, threads) == cols["x"] == want
+    assert _sum.chunked_sum(values) == cols["x"] == want
     assert cols["x3"] == math.fsum(
         float(np.sum(3.0 * values[s:s + _sum.CHUNK])) for s in cuts)
 
@@ -95,3 +95,32 @@ def test_thread_count_refuses_a_bad_environment_value(monkeypatch, env):
         _sum.thread_count()
     # an explicit count still takes precedence
     assert _sum.thread_count(2) == 2
+
+
+def test_the_catalog_sums_open_no_pool(monkeypatch):
+    # each sum below spans two CHUNK blocks, which block_sums would map on
+    # a pool of LDL_THREADS workers
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was opened")
+
+    monkeypatch.setenv("LDL_THREADS", "8")
+    monkeypatch.setattr(_sum, "ThreadPoolExecutor", no_pool)
+    constants.compute_constant("gamma_st_2", first_primes=10 ** 5)
+    primes.gamma_pnt(prime_limit=10 ** 6)
+    primes.gamma_pnt_ab(1, 3, prime_limit=10 ** 6)
+    primes.theta_error_integral("all", 10 ** 6)
+
+
+def test_evaluate_s_opens_a_pool_over_several_blocks(monkeypatch):
+    opened = []
+    real = _sum.ThreadPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        opened.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_sum, "ThreadPoolExecutor", counting_pool)
+    pair = ef.builtin_test_pair("indicator_smooth:0.18")
+    ef.evaluate_S("cusp_model", pair, math.exp(50.0), threads=2,
+                  prime_limit=10 ** 6)
+    assert opened == [2]
