@@ -19,7 +19,8 @@ Atilde sub-blocks (families._NonCM.a_tildes) on thread_count(None), so
 LDL_THREADS and not a caller's `threads` sets those, as the Atilde
 main-sum cache is shared across calls.  A task that itself calls
 ``ordered_map`` runs that map inline, so no pool opens inside a pool.
-LDL_THREADS=1 gives a serial run.
+LDL_THREADS=1 gives a serial run.  ``pool_peak`` is the most workers one
+pool ran since a caller set it to 1 (the CLI manifest's ``threads``).
 
 Allocator coupling: a block's float64 temporaries are CHUNK * 8 = 512 KiB
 each, above glibc's default mmap threshold of 128 KiB, so by default
@@ -71,6 +72,7 @@ def thread_count(requested: int | None = None) -> int:
 
 
 _worker = threading.local()
+pool_peak = 1
 
 
 def _mark_worker() -> None:
@@ -82,11 +84,14 @@ def ordered_map(fn, items, threads: int | None = None) -> list:
 
     Inline for one worker, for at most one item, and inside a worker of
     this pool; an exception raised by fn reaches the caller."""
+    global pool_peak
     items = list(items)
     threads = thread_count(threads)
     if threads <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items)),
+    workers = min(threads, len(items))
+    pool_peak = max(pool_peak, workers)
+    with ThreadPoolExecutor(max_workers=workers,
                             initializer=_mark_worker) as pool:
         return list(pool.map(fn, items))
 

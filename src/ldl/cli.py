@@ -18,8 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from . import __version__, constants, explicit_formula, families, series
-from ._sum import thread_count
+from . import __version__, _sum, constants, explicit_formula, families, series
 from .errors import (DomainError, IncompleteSumError, ResourceError,
                      VerificationError)
 from .primes import get_table
@@ -58,7 +57,7 @@ def _emit(payload: dict, args, argv: list, t0: float,
     manifest = RunManifest(
         command=argv, config_digest=config_digest,
         prime_truncations=truncations or {},
-        threads=thread_count(getattr(args, "threads", None)),
+        threads=_sum.pool_peak,
         wall_time_s=round(time.time() - t0, 3), version=__version__,
         output_checksum=checksum)
     doc = {"schema": SCHEMA, "manifest": asdict(manifest),
@@ -80,9 +79,7 @@ def _emit(payload: dict, args, argv: list, t0: float,
 
 def _rows_of(payload: dict) -> list:
     rows = payload.get("rows")
-    if rows is None:
-        rows = [payload]
-    return rows
+    return [payload] if rows is None else rows
 
 
 def _to_csv(payload: dict) -> str:
@@ -92,16 +89,13 @@ def _to_csv(payload: dict) -> str:
         else sorted({k for r in rows for k in r})
     writer = csv.DictWriter(buf, fieldnames=cols, extrasaction="ignore")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
 def _to_text(payload: dict) -> str:
-    lines = []
-    for row in _rows_of(payload):
-        lines.append("  ".join(f"{k}={row[k]}" for k in sorted(row)))
-    return "\n".join(lines) + "\n"
+    return "\n".join("  ".join(f"{k}={row[k]}" for k in sorted(row))
+                     for row in _rows_of(payload)) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -111,7 +105,6 @@ def _constant_rows(name: str, args) -> list:
     paper_value, _, citation = constants.paper_reference(name)
     kwargs = {"prime_limit": args.prime_limit,
               "first_primes": args.first_primes}
-    results = []
     if name in ("gamma_pnt",):
         methods = {"direct": ["integral"], "closed": ["closed_form"],
                    "both": ["closed_form", "integral"]}[args.method]
@@ -124,8 +117,7 @@ def _constant_rows(name: str, args) -> list:
         row = res.as_dict()
         row["truncation"] = f"{res.truncation_kind}:{res.truncation}"
         row.pop("truncation_kind", None)
-        row["paper_value"] = paper_value
-        row["paper_citation"] = citation
+        row["paper_value"], row["paper_citation"] = paper_value, citation
         if paper_value is not None:
             row["delta_vs_paper"] = res.value - paper_value
         rows.append(row)
@@ -211,17 +203,19 @@ def cmd_family(args, argv) -> int:
         return EXIT_OK
 
     primes = get_table(prime_limit).primes
-    # |A_r| <= p (2 sqrt p)^r by Hasse: refuse moments that could pass
-    # Python's int-to-str digit limit (0, or none before 3.10.7: no limit)
+    primes = primes[primes >= 5]
+    # |A_r| <= p isqrt(4p)^r (Hasse): refuse moments that could pass the
+    # int-to-str digit limit (0, or none before 3.10.7: no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and primes.size and math.log10(primes[-1]) * (
-            1 + args.moments / 2) + args.moments * math.log10(2) >= limit:
-        raise DomainError(f"--moments {args.moments} at p = {primes[-1]} "
+    p = int(primes[-1]) if primes.size else 0
+    if limit and p and math.log10(p) + args.moments * math.log10(
+            math.isqrt(4 * p)) >= limit:
+        raise DomainError(f"--moments {args.moments} at p = {p} "
                           f"could print over {limit} digits; lower it")
     rows = [{"p": mt.p, "moments": list(mt.moments),
              "bad_moments": list(mt.bad_moments), "a_tilde": mt.a_tilde,
              "nu": mt.nu, "h_sieve": mt.h[1]}
-            for mt in families.moment_table(fam, primes[primes >= 5],
+            for mt in families.moment_table(fam, primes,
                                             r_max=args.moments)]
     _emit({"family": fam.name, "rows": rows}, args, argv, t0, digest,
           {"prime_limit": prime_limit})
@@ -371,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--format", choices=["json", "csv", "text"],
                        default="json")
         p.add_argument("--out", default=None)
@@ -400,6 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="test-function pair as name:sigma, e.g. fejer:0.9")
     pe.add_argument("--logR", type=float, required=True)
     pe.add_argument("--prime-limit", type=int, default=None)
+    pe.add_argument("--threads", type=int, default=None)
     common(pe)
     pe.set_defaults(func=cmd_explicit)
 
@@ -422,7 +416,8 @@ def main(argv: list | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         # a bad --threads or LDL_THREADS is refused before any work
-        thread_count(getattr(args, "threads", None))
+        _sum.thread_count(getattr(args, "threads", None))
+        _sum.pool_peak = 1
         return args.func(args, argv)
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

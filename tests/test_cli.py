@@ -245,7 +245,7 @@ MOMENTS_ARGV = ("family", "--family", "cm_b1_kappa2", "--prime-limit", "100",
 
 
 def test_family_refuses_moments_past_the_digit_limit(capsys, monkeypatch):
-    # p (2 sqrt p)^8000 at p = 97 has about 10 000 digits, past the
+    # 97 * 19^8000, the bound at p = 97, has over 10 000 digits, past the
     # default limit of 4300; the refusal comes before any moment
     def no_moments(*args, **kwargs):
         raise AssertionError("moment_table ran")
@@ -260,6 +260,10 @@ def test_family_refuses_moments_past_the_digit_limit(capsys, monkeypatch):
         m.setattr(families, "moment_table", lambda *args, **kwargs: [])
         assert run_json(capsys, *MOMENTS_ARGV, "8000")["results"]["rows"] \
             == []
+    # no prime >= 5, so no row to bound
+    doc = run_json(capsys, "family", "--family", "cm_b1_kappa2",
+                   "--prime-limit", "3", "--moments", "8000")
+    assert doc["results"]["rows"] == []
     doc = run_json(capsys, *MOMENTS_ARGV, "200")
     assert doc["manifest"]["output_checksum"] == \
         "72f1625466ea6f33923a6552088070c8fb1e4b562f28b82d97a8d445fe9a488a"
@@ -295,20 +299,39 @@ def test_json_output_deterministic(capsys):
     assert first == second
 
 
+# three blocks of primes up to 1 794 075: evaluate_S's pass uses the pool
+EXPLICIT_ARGV = ("explicit", "--family", "cusp_model", "--phi", "fejer:0.9",
+                 "--logR", "32")
+
+
 def test_thread_count_independence(capsys):
-    base = ("constants", "--name", "gamma_cm2_13", "--first-primes",
-            "50000")
-    one = _strip_wall_time(run_json(capsys, *base, "--threads", "1"))
-    eight = _strip_wall_time(run_json(capsys, *base, "--threads", "8"))
-    assert one["results"] == eight["results"]
+    one = _strip_wall_time(run_json(capsys, *EXPLICIT_ARGV, "--threads", "1"))
+    two = _strip_wall_time(run_json(capsys, *EXPLICIT_ARGV, "--threads", "2"))
+    assert one["results"] == two["results"]
     assert one["manifest"]["output_checksum"] == \
-        eight["manifest"]["output_checksum"]
+        two["manifest"]["output_checksum"]
+    assert (one["manifest"]["threads"], two["manifest"]["threads"]) == (1, 2)
+
+
+def test_manifest_threads_is_the_pool_that_ran(capsys, monkeypatch):
+    # the catalog sums are serial whatever LDL_THREADS says; the non-CM
+    # Atilde sub-blocks run on LDL_THREADS workers
+    monkeypatch.setenv("LDL_THREADS", "8")
+    doc = run_json(capsys, "constants", "--name", "gamma_pnt")
+    assert doc["manifest"]["threads"] == 1
+    monkeypatch.setenv("LDL_THREADS", "2")
+    doc = run_json(capsys, "constants", "--name", "gamma_atilde_3",
+                   "--first-primes", "300")
+    assert doc["manifest"]["threads"] == 2
+    # --threads belongs to explicit, the one command whose pass takes it
+    code, out, _ = run(capsys, "constants", "--name", "gamma_pnt",
+                       "--threads", "2")
+    assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
 def test_thread_count_below_one_is_a_usage_error(capsys, threads):
-    code, out, err = run(capsys, "constants", "--name", "gamma_st_0",
-                         "--threads", threads)
+    code, out, err = run(capsys, *EXPLICIT_ARGV, "--threads", threads)
     assert code == 2 and out == ""
     assert "thread count must be >= 1" in err
 
