@@ -30,7 +30,9 @@ when a larger mmapped buffer is freed; the prime sieve's 16 MiB mask does
 that, and from then on the temporaries are reused from the heap.  With a
 1 MiB sieve mask, evaluate_S on the cusp model at log R 200 took 0.39-0.45
 s against 0.25-0.27 s (2 cores, CPython 3.11, numpy 2.4).  The package
-sets no malloc option; keep the sieve mask at 2^24 bytes.
+sets no malloc option; keep the sieve mask at 2^24 bytes.  The sieve
+clears and collects that mask in 1 MiB windows, but the windows are
+slices of the one mask, which is still allocated and freed whole.
 """
 
 from __future__ import annotations
@@ -112,9 +114,14 @@ def block_sums(block_fn, n: int, threads: int | None = None) -> dict:
 class Block:
     """An ascending int64 block of primes, p_int, and the read-only float64
     quantities its terms share, each formed on first use: pf, lp = log pf,
-    pp = pf * pf, q = pf + 1.0, q3 = q ** 3, power(k) = pf ** k (numpy's
-    pow; pf * pf * pf rounds differently at one prime in twelve), mod(n) =
-    p mod n and character(table) = table[p mod len(table)]."""
+    pp = pf * pf, q = pf + 1.0, q3 = q ** 3, power(k) = pf ** k, mod(n) =
+    p mod n and character(table) = table[p mod len(table)].
+
+    power and q3 are numpy's pow, which is not correctly rounded: below
+    10^7, pf ** 3 misses the correctly rounded p^3 at 35,520 of the 664,579
+    primes, while pf * pf * pf, whose p^2 is exact below 9.49e7, misses at
+    none.  The bit pins are those of the pow, so they hold for the numpy
+    build whose SIMD pow they were taken with (README, Determinism)."""
 
     def __init__(self, p_int: np.ndarray):
         self.p_int, self._memo = p_int, {}

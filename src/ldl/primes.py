@@ -14,13 +14,14 @@ evaluated exactly (theta is a step function), never by quadrature.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _literals
-from ._sum import term_sum
+from ._sum import CHUNK, Block, term_sum
 from .errors import DomainError, ResourceError
 
 HARD_SIEVE_CAP = 10 ** 10
@@ -29,6 +30,13 @@ _SMALL_LIMIT = 1 << 16
 #: the wheel sieve's mask, one byte per odd number: 2^24 bytes (fewer for
 #: a shorter range), allocated once per call (see the allocator note in _sum)
 _MASK_BYTES = 1 << 24
+#: the mask is cleared and collected in windows of this many odd numbers,
+#: 1 MiB of it, so a window stays in a 2 MiB L2 cache
+_WINDOW = 1 << 20
+#: base primes below this, with more than 128 multiples in a window, clear
+#: them window by window; the larger ones once per segment, which bounds
+#: the Python loop at the sieve cap (7.4e6 passes at 10^10, 2.9e6 unwindowed)
+_WINDOWED_BELOW = _WINDOW >> 7
 #: the wheel primes; their multiples are cleared by copying the pattern
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL_SPAN = math.prod(_WHEEL_PRIMES)
@@ -58,24 +66,50 @@ class PrimeTable:
         """Primes p <= limit with p = a mod b."""
         key = (a % b, b)
         if key not in self._classes:
-            self._classes[key] = self.primes[self.primes % b == key[0]]
+            # one bool mask, filled a CHUNK at a time through Block.mod
+            # (a full-length primes % b is numpy's slow int64 remainder)
+            on = np.empty(self.primes.size, dtype=bool)
+            for i in range(0, on.size, CHUNK):
+                np.equal(Block(self.primes[i:i + CHUNK]).mod(b), key[0],
+                         out=on[i:i + CHUNK])
+            self._classes[key] = self.primes[on]
         return self._classes[key]
 
     def __len__(self) -> int:
         return int(self.primes.size)
 
 
+def _clear(seg: np.ndarray, lo: int, base: list, nxt: list,
+           start: int, stop: int) -> None:
+    """Clear from seg, the mask indices lo .. lo + seg.size - 1, the odd
+    multiples of base[start:stop], each from its saved index in nxt, and
+    advance each saved index to its first multiple past seg."""
+    hi = lo + seg.size
+    for i in range(start, stop):
+        j = nxt[i]
+        if j < hi:
+            q = base[i]
+            seg[j - lo::q] = False
+            nxt[i] = j - (j - hi) // q * q    # the first multiple >= hi
+
+
 def _wheel_sieve(limit: int) -> np.ndarray:
     """Primes <= limit by an odd-only segmented sieve of Eratosthenes with
     a 3*5*7*11*13 wheel (Bays & Hudson, BIT 17, 1977).
 
-    Mask index j stands for the odd number 2j + 1.  Each segment starts as
-    the wheel pattern, which is periodic in j with period _WHEEL_SPAN, so it
-    is filled from a two-span pattern by doubling slice copies; the base
+    Mask index j stands for the odd number 2j + 1.  The one mask holds a
+    segment of up to _MASK_BYTES odd numbers.  Each segment starts as the
+    wheel pattern, which is periodic in j with period _WHEEL_SPAN, so it
+    is filled from a two-span pattern by doubling slice copies.  The base
     primes q > 13 then clear their odd multiples from q^2 on, each resuming
-    at the multiple saved from the previous segment.  Every segment's
-    primes go straight into one table sized by Rosser-Schoenfeld,
-    pi(x) < 1.25506 x / log x, which is returned as a slice."""
+    at the multiple saved from the previous pass: those from
+    _WINDOWED_BELOW on once over the whole segment, then the smaller ones
+    window by window.  A window is _WINDOW odd numbers, a cache-sized
+    slice of the mask, and is collected right after it is cleared, while
+    it is still in cache, so no segment-wide index array is formed.  The
+    primes of each window go straight into one table sized by
+    Rosser-Schoenfeld, pi(x) < 1.25506 x / log x, which is returned as a
+    slice.  The mask stays 2^24 bytes (see the allocator note in _sum)."""
     odds = (limit + 1) // 2                   # the odd numbers 1 .. limit
     table = np.empty(int(1.25506 * limit / math.log(limit)) + 2,
                      dtype=np.int64)
@@ -85,10 +119,10 @@ def _wheel_sieve(limit: int) -> np.ndarray:
     base = [int(q) for q in _simple_sieve(math.isqrt(limit))
             if q > _WHEEL_PRIMES[-1]]
     nxt = [(q * q) // 2 for q in base]        # index of q^2
+    small = bisect.bisect_left(base, _WINDOWED_BELOW)
     mask = np.empty(min(odds, _MASK_BYTES), dtype=bool)
     for lo in range(0, odds, mask.size):
         seg = mask[:min(mask.size, odds - lo)]
-        hi = lo + seg.size
         first = min(_WHEEL_SPAN, seg.size)
         offset = lo % _WHEEL_SPAN
         seg[:first] = pattern[offset:offset + first]
@@ -100,16 +134,15 @@ def _wheel_sieve(limit: int) -> np.ndarray:
         if lo == 0:
             seg[0] = False                    # 1
             seg[[q // 2 for q in _WHEEL_PRIMES]] = True
-        for i, q in enumerate(base):
-            j = nxt[i]
-            if j < hi:
-                seg[j - lo::q] = False
-                nxt[i] = j - (j - hi) // q * q   # the first multiple >= hi
-        idx = np.flatnonzero(seg)
-        out = table[count:count + idx.size]
-        np.multiply(idx, 2, out=out)
-        out += 2 * lo + 1
-        count += idx.size
+        _clear(seg, lo, base, nxt, small, len(base))
+        for w in range(0, seg.size, _WINDOW):
+            win = seg[w:w + _WINDOW]
+            _clear(win, lo + w, base, nxt, 0, small)
+            idx = np.flatnonzero(win)
+            out = table[count:count + idx.size]
+            np.multiply(idx, 2, out=out)
+            out += 2 * (lo + w) + 1
+            count += idx.size
     return table[:count]
 
 
@@ -142,11 +175,14 @@ def get_table(limit: int) -> PrimeTable:
 
 
 def nth_prime_limit(n: int) -> int:
-    """An upper bound for the n-th prime (Rosser-Schoenfeld for n >= 6)."""
+    """An upper bound for the n-th prime: p_n < n (log n + log log n) for
+    n >= 6 (Rosser-Schoenfeld), tightened by 0.9484 n for n >= 39017
+    (Dusart, Math. Comp. 68, 1999)."""
     if n < 6:
         return 13
     x = float(n)
-    return int(x * (math.log(x) + math.log(math.log(x)))) + 10
+    shift = 0.9484 if n >= 39017 else 0.0
+    return int(x * (math.log(x) + math.log(math.log(x)) - shift)) + 10
 
 
 def first_n_primes(n: int) -> PrimeTable:
@@ -355,7 +391,7 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
     if (a, b) not in _AB_CLOSED:
         raise DomainError(f"unsupported progression ({a},{b})")
     table, kind, trunc = _resolve_truncation(
-        prime_limit, first_primes, 67_867_979)  # the four-millionth prime
+        prime_limit, first_primes, 67_867_979)  # the 4,000,001st prime
     X = float(table.primes[-1])
     name = f"gamma_pnt_{a}{b}"
     if method == "closed_form":

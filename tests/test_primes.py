@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldl import primes
+from ldl._sum import CHUNK
 from ldl.errors import DomainError
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
@@ -54,6 +55,35 @@ def test_get_table_is_grow_only():
     assert int(small.primes[-1]) <= 100
     assert int(big.primes[-1]) <= 10 ** 4
     assert small.primes.size == len(PRIMES_BELOW_100)
+
+
+@pytest.mark.parametrize("a, b", [(1, 3), (2, 3), (1, 4), (3, 4), (5, 12)])
+def test_residue_class_matches_the_remainder(a, b):
+    table = primes.sieve_primes(10 ** 6)          # 78498 primes, two CHUNKs
+    assert table.primes.size > CHUNK
+    assert np.array_equal(table.residue_class(a, b),
+                          table.primes[table.primes % b == a % b])
+
+
+@pytest.mark.parametrize("n", [39016, 39017, 10 ** 5, 10 ** 6, 4 * 10 ** 6])
+def test_nth_prime_limit_bounds_the_nth_prime(n):
+    # Rosser-Schoenfeld below 39017, Dusart's tighter bound from there on
+    assert primes.nth_prime_limit(n) >= sympy.prime(n)
+
+
+def test_first_n_primes_sieves_once(monkeypatch):
+    calls = []
+
+    def counted(limit):
+        calls.append(limit)
+        return sieve(limit)
+
+    sieve = primes.sieve_primes
+    monkeypatch.setattr(primes, "_TABLE_CACHE", None)
+    monkeypatch.setattr(primes, "sieve_primes", counted)
+    table = primes.first_n_primes(10 ** 6)
+    assert calls == [primes.nth_prime_limit(10 ** 6)]
+    assert table.primes.size == 10 ** 6 and int(table.primes[-1]) == 15485863
 
 
 def test_residue_class_partition():
@@ -155,6 +185,7 @@ def test_sieve_matches_plain_eratosthenes_below_300():
 
 SPAN = 3 * 5 * 7 * 11 * 13       # the wheel's period
 SEGMENT = 1 << 25                # the integers one wheel-sieve segment spans
+WINDOW = 1 << 21                 # the integers one window of a segment spans
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +197,9 @@ def _edges():
     out = [(1 << 16) + d for d in (-1, 0, 1)]          # the plain-sieve cutoff
     out += [k * SPAN + d for k in (1, 4, 5, 7, 4469) for d in (-1, 0, 1)]
     out += [k * SEGMENT + d for k in (1, 2) for d in (-1, 0, 1)]
+    # the first window, the last of the first segment and the first of the
+    # second; 16 * WINDOW +- 1 are the segment edges above
+    out += [k * WINDOW + d for k in (1, 15, 17) for d in (-1, 1)]
     # q^2 starts the marking of each base prime q > 13
     out += [q * q + d for q in (257, 4099, 5791, 8191) for d in (-1, 0, 1)]
     return out
@@ -177,6 +211,16 @@ def test_sieve_matches_plain_eratosthenes_at_the_edges(n, reference_primes):
     table = primes.sieve_primes(n)
     assert table.limit == n
     assert np.array_equal(table.primes, want)
+
+
+@pytest.mark.parametrize("n", [257 ** 2 + 1, 17 * WINDOW + 1, 2 * SEGMENT + 1])
+def test_sieve_clears_large_base_primes_per_segment(n, reference_primes,
+                                                    monkeypatch):
+    # the base primes from 8192 on square past the reference range, so the
+    # segment-wide clearing is checked with the cutoff lowered to 257
+    monkeypatch.setattr(primes, "_WINDOWED_BELOW", 257)
+    want = reference_primes[:np.searchsorted(reference_primes, n, "right")]
+    assert np.array_equal(primes.sieve_primes(n).primes, want)
 
 
 def test_theta_error_integral_at_a_non_integer_x():
