@@ -72,13 +72,12 @@ def test_nth_prime_limit_bounds_the_nth_prime(n):
 
 
 def test_first_n_primes_sieves_once(monkeypatch):
-    calls = []
+    sieve, calls = primes.sieve_primes, []
 
     def counted(limit):
         calls.append(limit)
         return sieve(limit)
 
-    sieve = primes.sieve_primes
     monkeypatch.setattr(primes, "_TABLE_CACHE", None)
     monkeypatch.setattr(primes, "sieve_primes", counted)
     table = primes.first_n_primes(10 ** 6)
