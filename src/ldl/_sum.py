@@ -158,9 +158,19 @@ def chunked_sum(values: np.ndarray) -> float:
                      for i in range(0, values.size, CHUNK))
 
 
-def term_sum(term, p_int: np.ndarray) -> float:
+def term_sum(term, p_int: np.ndarray, head: np.ndarray | None = None
+             ) -> float:
     """The chunked sum of term over the int64 primes without a full-length
     column: term maps the Block of each CHUNK slice to its float64 terms,
-    so the sum has the same bits while memory is bounded by the block."""
-    return math.fsum(np.sum(term(Block(p_int[i:i + CHUNK])))
-                     for i in range(0, p_int.size, CHUNK))
+    so the sum has the same bits while memory is bounded by the block.
+
+    With a head of at most CHUNK primes, the sum runs over head followed
+    by p_int without joining them: the first block is head topped up from
+    p_int, and every later block is a view of p_int."""
+    if head is None:
+        blocks = (p_int[i:i + CHUNK] for i in range(0, p_int.size, CHUNK))
+    else:
+        top = CHUNK - head.size
+        blocks = [np.concatenate((head, p_int[:top]))]
+        blocks += [p_int[i:i + CHUNK] for i in range(top, p_int.size, CHUNK)]
+    return math.fsum(np.sum(term(Block(blk))) for blk in blocks if blk.size)

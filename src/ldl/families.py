@@ -70,7 +70,7 @@ import numpy as np
 from ._sum import Block, ordered_map
 from .errors import DomainError, ResourceError, VerificationError
 from .primes import (CHI_2, CHI_3, CHI_M3, get_table, is_prime,
-                     legendre_symbol, legendre_symbols_vec)
+                     jacobi_symbol, legendre_symbol, legendre_symbols_vec)
 from .series import poly_mul
 
 _SCAN_LIMIT = 10 ** 6
@@ -515,7 +515,14 @@ def _curve_data(fam: FamilySpec, p: int):
         a_coef = poly_eval_mod(fam.A_poly, t, p)
         b_coef = poly_eval_mod(fam.B_poly, t, p)
         e = math.gcd(4, p - 1)
-        powers = _powmod(_least_generators(np.array([p])), t[:-1], p)
+        # g^t for t < p - 1, doubling the filled run each pass
+        g = int(_least_generators(np.array([p]))[0])
+        powers = np.ones(p - 1, dtype=np.int64)
+        n = 1
+        while n < p - 1:
+            step = min(n, p - 1 - n)
+            powers[n:n + step] = powers[:step] * pow(g, n, p) % p
+            n *= 2
         log = np.zeros(p, dtype=np.int64)
         log[powers] = t[:-1]
         k = log[a_coef]
@@ -583,12 +590,11 @@ def _powmod(base, exp, p):
     if math.prod(shape) < 64:
         return _PYPOW(base, exp, p).astype(np.int64).reshape(shape)
     out = np.ones(shape, dtype=np.int64)
-    while True:
-        out = np.where(exp & 1, out * base % p, out)
-        exp = exp >> 1
-        if not exp.any():
-            return out
-        base = base * base % p
+    for bit in range(int(exp.max(initial=0)).bit_length()):
+        if bit:
+            base = base * base % p
+        out = np.where(exp >> bit & 1, out * base % p, out)
+    return out
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -599,14 +605,15 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
 
 
 def _prime_factors(m: np.ndarray) -> np.ndarray:
-    """The distinct prime factors of each m > 1, one row each, padded with
-    the row's first factor: trial division by the primes up to sqrt(max m),
-    so the scratch memory is O(sqrt(max m)) beside the block."""
-    rest = m.copy()
-    factors = np.zeros((m.size, 10), dtype=np.int64)   # 2*3*...*29 > 2^32
+    """The distinct odd prime factors of each m >= 1, one row each in
+    ascending order, padded with 0: trial division of the odd part of m by
+    the odd primes up to its square root, so the scratch memory is
+    O(sqrt(max m)) beside the block."""
+    rest = m // (m & -m)                           # the odd part
+    factors = np.zeros((m.size, 10), dtype=np.int64)   # 3*5*...*31 > 2^32
     count = np.zeros(m.size, dtype=np.int64)
-    top = int(m.max(initial=4))
-    for q in get_table(math.isqrt(top)).primes.tolist():
+    top = int(rest.max(initial=4))
+    for q in get_table(math.isqrt(top)).primes[1:].tolist():
         if q * q > int(rest.max(initial=1)):
             break                  # what is left of each m is 1 or a prime
         hit = np.flatnonzero(rest % q == 0)
@@ -619,46 +626,58 @@ def _prime_factors(m: np.ndarray) -> np.ndarray:
     hit = np.flatnonzero(rest > 1)
     factors[hit, count[hit]] = rest[hit]
     count[hit] += 1
-    factors = factors[:, :int(count.max(initial=1))]
-    return np.where(factors == 0, factors[:, :1], factors)
+    return factors[:, :int(count.max(initial=0))]
+
+
+def _residue_symbol(n: int, p: np.ndarray) -> np.ndarray:
+    """The Legendre symbol (n/p) for n >= 1 at each odd prime p not
+    dividing n, read off p mod 4n with no modular power: by quadratic
+    reciprocity the Jacobi symbol (n/r) of odd r > 0 is periodic mod 4n
+    (Ireland & Rosen, ch. 5), and it is (n/p) at a prime."""
+    table = np.array([jacobi_symbol(n, r) if r % 2 else 0
+                      for r in range(4 * n)], dtype=np.int64)
+    return table[p % (4 * n)]
 
 
 def _least_generators(p: np.ndarray) -> np.ndarray:
-    """The least generator of (Z/p)^* for each odd prime p of a block: the
-    least g = 2, 3, ... with g^((p-1)/q) != 1 for every prime q | p - 1,
-    each candidate tried only on the primes not yet settled.  The Atilde
-    terms are summed in the order of the powers of g, so the bits depend
-    on taking the least one."""
-    exps = (p - 1)[:, None] // _prime_factors(p - 1)
+    """The least generator of (Z/p)^* for each odd prime p of a block.  g
+    is a generator iff it is a quadratic non-residue and g^((p-1)/q) != 1
+    for every odd prime q | p - 1 (_prime_factors): g = 2, 3, ... is tried
+    on the primes not yet settled, (g/p) is read off p mod 4g
+    (_residue_symbol), and only the non-residues are raised to the powers
+    (p-1)/q, every odd q of every such prime in one _powmod call.  The
+    Atilde terms are summed in the order of the powers of g, so the bits
+    depend on taking the least one."""
+    factors = _prime_factors(p - 1)
+    on = factors > 0
+    exps = (p - 1)[:, None] // np.where(on, factors, 1)
+    modulus = np.broadcast_to(p[:, None], on.shape)
     gen = np.zeros_like(p)
     todo = np.arange(p.size)
     g = 1
     while todo.size:
         g += 1
-        ok = np.all(_powmod(g, exps[todo], p[todo, None]) != 1, axis=1)
-        gen[todo[ok]] = g
-        todo = todo[~ok]
+        cand = todo[_residue_symbol(g, p[todo]) == -1]
+        hit = on[cand]
+        hit[hit] = _powmod(g, exps[cand][hit], modulus[cand][hit]) == 1
+        gen[cand[~hit.any(axis=1)]] = g
+        todo = todo[gen[todo] == 0]
     return gen
 
 
 def _sqrt_minus_one(p: np.ndarray) -> np.ndarray:
     """s with s^2 = -1 mod p for each p = 1 mod 4: n^((p-1)/4) with n the
-    least quadratic non-residue, a prime.  For p = 1 mod 4 quadratic
-    reciprocity gives (n/p) = (p/n) for odd primes n, and (2/p) = -1 iff
-    p = 5 mod 8, so n is found from p mod n alone, on the primes not yet
-    settled, with no modular power and no factoring."""
-    nonres = np.where(p % 8 == 5, 2, 0)
-    todo = np.flatnonzero(nonres == 0)
-    n = 2
+    least quadratic non-residue, a prime, found by _residue_symbol on the
+    primes not yet settled, with no modular power and no factoring."""
+    nonres = np.zeros_like(p)
+    todo = np.arange(p.size)
+    n = 1
     while todo.size:
         n += 1
-        if not is_prime(n):
-            continue
-        square = np.zeros(n, dtype=bool)
-        square[np.arange(n) ** 2 % n] = True
-        hit = ~square[p[todo] % n]
-        nonres[todo[hit]] = n
-        todo = todo[~hit]
+        if is_prime(n):
+            hit = _residue_symbol(n, p[todo]) == -1
+            nonres[todo[hit]] = n
+            todo = todo[~hit]
     return _powmod(nonres, (p - 1) // 4, p)
 
 
@@ -739,10 +758,12 @@ def _sextic_traces(bb: int, p: np.ndarray, g: np.ndarray,
     with chi = (4c/pi)_6 and pi = a + b omega the primary prime above p
     (pi = 2 mod 3) (Ireland & Rosen, Thm 18.4).
 
-    s = 2 g^((p-1)/3) + 1 is a root of -3; pi = 0 under omega ->
-    (-1 + s)/2, under which the sixth roots of unity have the residues
-    `images`, and chi is read off (4c)^((p-1)/6) among them."""
-    s = (2 * _powmod(g, (p - 1) // 3, p) + 1) % p
+    With h = g^((p-1)/6), s = 2 h^2 + 1 is a root of -3; pi = 0 under
+    omega -> (-1 + s)/2, under which the sixth roots of unity have the
+    residues `images`, and chi is read off (4c)^((p-1)/6) among them."""
+    sixth = (p - 1) // 6
+    h = _powmod(g, sixth, p)
+    s = (2 * (h * h % p) + 1) % p
     x, y = _cornacchia(3, p, s)
     a, b = x + y, 2 * y                       # sqrt(-3) = 1 + 2 omega
     for _ in range(6):
@@ -752,10 +773,9 @@ def _sextic_traces(bb: int, p: np.ndarray, g: np.ndarray,
         raise VerificationError("no primary associate above p")
     w = (s - 1) * ((p + 1) // 2) % p
     images = (_SIXTH_U + _SIXTH_V * w[:, None]) % p[:, None]
-    sixth = (p - 1) // 6
     chi = (_powmod(4 * bb, sixth, p)[:, None]
-           * _powmod(_powmod(g, sixth, p)[:, None], np.asarray(powers),
-                     p[:, None]) % p[:, None])
+           * _powmod(h[:, None], np.asarray(powers), p[:, None])
+           % p[:, None])
     hit = chi[:, :, None] == images[:, None, :]
     if not hit.any(axis=2).all():
         raise VerificationError("sextic residue symbol not a sixth root")
@@ -972,9 +992,10 @@ def _a_tildes_b3(ps: list) -> list:
 def a_tilde(fam: FamilySpec, p: int) -> float:
     """Atilde(p) = sum over good t of lambda_t(p)^3 / (p+1 - lambda_t(p)
     sqrt p): the family's entry's a_tildes on a block of one prime p >= 5
-    (see the module docstring for each entry's method)."""
-    if p < 5:
-        raise DomainError("Atilde requires p >= 5")
+    (see the module docstring for each entry's method); DomainError for
+    any other p, as the CM kernels hold only at primes."""
+    if p < 5 or not is_prime(p):
+        raise DomainError("Atilde requires a prime p >= 5")
     return float(entry_of(fam).a_tildes(np.array([p], dtype=np.int64))[0])
 
 

@@ -397,14 +397,17 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
     if method == "closed_form":
         # transcendental part minus 2 sum over the primes prime to b of
         # log p/(p^2 - p^delta), delta = 1 iff p = 1 mod b
-        small = table.primes[:int(np.searchsorted(table.primes, b, "right"))]
-        primes = np.delete(table.primes, np.flatnonzero(b % small == 0))
+        # the primes dividing b are at most b: the others up to b are the
+        # head of the sum, followed by the table past b as it is
+        cut = int(np.searchsorted(table.primes, b, "right"))
+        small = table.primes[:cut]
 
         def term(blk):
             return blk.lp / np.where(blk.mod(b) == 1, blk.pp - blk.pf,
                                      blk.pp - 1.0)
 
-        value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(term, primes)
+        value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(
+            term, table.primes[cut:], head=small[b % small != 0])
         tail = 2 * math.log(X) / X
     elif method in ("direct", "integral"):
         value = 1.0 + 2.0 * theta_error_integral((a, b), X, table)

@@ -4,6 +4,7 @@ Oracles: direct affine point counts over F_p, brute-force enumerations
 over t, and exact integer arithmetic throughout.
 """
 
+import hashlib
 import json
 import math
 import pathlib
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from ldl import families
 from ldl._sum import Block
 from ldl.errors import DomainError, ResourceError, VerificationError
-from ldl.primes import (get_table, is_prime, legendre_symbol,
+from ldl.primes import (first_n_primes, get_table, is_prime, legendre_symbol,
                         legendre_symbols_vec)
 from ldl.series import poly_mul
 
@@ -381,14 +382,34 @@ def _primes_below_int64_limit(count: int) -> list:
 
 
 def test_least_generators_match_a_scalar_search():
-    # every odd prime below 10^4 in one block, and the largest primes the
-    # int64 kernels admit, where p - 1 has factors up to about 1.5e9
+    # every odd prime below 10^4 in one block; the blocks the sextic and
+    # quartic kernels pass it; a block under 64 primes, on the per-element
+    # pow path; one Fermat prime, where p - 1 has no odd factor; no prime;
+    # and the largest primes the int64 kernels admit, where p - 1 has
+    # factors up to about 1.5e9
     p = get_table(10 ** 4).primes[1:]
-    assert families._least_generators(p).tolist() == \
-        [_least_generator(q) for q in p.tolist()]
     top = np.array(sorted(_primes_below_int64_limit(3)), dtype=np.int64)
-    assert families._least_generators(top).tolist() == \
-        [_least_generator(q) for q in top.tolist()]
+    for block in (p, p[p % 3 == 1], p[p % 4 == 1], p[500:540],
+                  np.array([65537]), p[:0], top):
+        assert families._least_generators(block).tolist() == \
+            [_least_generator(q) for q in block.tolist()]
+
+
+def test_residue_symbol_is_the_legendre_symbol():
+    # (n/p) read off p mod 4n, at every odd prime p < 3000 prime to n
+    p = get_table(3000).primes[1:]
+    for n in range(1, 100):
+        on = p[p % n != 0]
+        assert families._residue_symbol(n, on).tolist() == \
+            [legendre_symbol(n, q) for q in on.tolist()], n
+
+
+def test_prime_factors_are_the_distinct_odd_ones():
+    m = np.arange(1, 5000, dtype=np.int64)
+    rows = families._prime_factors(m).tolist()
+    for k, row in zip(m.tolist(), rows):
+        want = [q for q in range(3, k + 1, 2) if k % q == 0 and is_prime(q)]
+        assert row == want + [0] * (len(row) - len(want)), k
 
 
 def test_powmod_is_exact_up_to_the_int64_limit():
@@ -607,6 +628,50 @@ def test_a_tilde_domain():
     fam = families.get_family("cm_b1_kappa1")
     with pytest.raises(DomainError):
         families.a_tilde(fam, 3)
+
+
+@pytest.mark.parametrize("name", ["cm_b1_kappa2", "rank1_36t", "noncm_3x12t"])
+def test_a_tilde_refuses_a_composite_p(name):
+    # none of these is a prime: the CM kernels read residue symbols off p
+    # by quadratic reciprocity, which holds only at primes
+    fam = families.get_family(name)
+    for n in (10, 25, 49, 91, 121):
+        with pytest.raises(DomainError, match="prime"):
+            families.a_tilde(fam, n)
+
+
+#: SHA-256 of the float64 bytes of entry.a_tildes over the primes p >= 5
+#: among the first 5000, so that a change of one term by one ulp shows
+A_TILDE_PINS = {
+    "cm_b1_kappa1":
+        "ed442f8db4a7e86cc0c3ee6bd87b4d65ec0cb500fe735e9ab807c5051b1b14d8",
+    "cm_b1_kappa2":
+        "4f0f70255a0090d4ee92ae60887a6f204c55848e09eefbafe6316a547f2dc142",
+    "cm_b2_kappa1":
+        "436ded0ea99d00890f3d920f7a634443c50476657a0a2c16d787418ed3fc5d5b",
+    "cm_b2_kappa2":
+        "d413275746154721a7b7723e78763f7b0f643355c61f51fd6b7c94006da56172",
+    "cm_b3_kappa1":
+        "183c505c7d609825c66f5f6d4bb2fb3b409426a2a8737d6479bf6b0273540709",
+    "cm_b3_kappa2":
+        "305e3ca6f1892217fb2f3248cd28574484de083dcbb5d19bcf9a61e6c5ca3479",
+    "cm_b6_kappa1":
+        "659a8c6b4872da967a91902da5f812feee62dc0a3bae0043fcd558c9aa8a63f7",
+    "cm_b6_kappa2":
+        "2095e8b6c073c62fbd8321a7e98366c5aceed539388de3c0e1bb468f0bbc694f",
+    "rank1_36t":
+        "8ab84a4aaa76686c4ccf6adc31e6288065c5359f82b11fef1869273824a867d9",
+    "rank0_36t":
+        "a1d99182abe536126b4ed35dec0f734f201fbd869e5384ae05f0ad03b0f7f2aa",
+}
+
+
+@pytest.mark.parametrize("name", A_TILDE_PINS)
+def test_cm_a_tildes_keep_every_bit(name):
+    p = first_n_primes(5000).primes
+    at = families.REGISTRY[name].a_tildes(p[p >= 5])
+    assert hashlib.sha256(at.astype("<f8").tobytes()).hexdigest() == \
+        A_TILDE_PINS[name]
 
 
 # --------------------------------------------------------------------------
