@@ -63,6 +63,7 @@ import math
 import pathlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -612,11 +613,14 @@ def _prime_factors(m: np.ndarray) -> np.ndarray:
     rest = m // (m & -m)                           # the odd part
     factors = np.zeros((m.size, 10), dtype=np.int64)   # 3*5*...*31 > 2^32
     count = np.zeros(m.size, dtype=np.int64)
+    live = np.arange(m.size)
     top = int(rest.max(initial=4))
     for q in get_table(math.isqrt(top)).primes[1:].tolist():
-        if q * q > int(rest.max(initial=1)):
-            break                  # what is left of each m is 1 or a prime
-        hit = np.flatnonzero(rest % q == 0)
+        # a rest below q^2 has no factor below q left: it is 1 or a prime
+        live = live[rest[live] >= q * q]
+        if not live.size:
+            break
+        hit = live[rest[live] % q == 0]
         if hit.size:
             factors[hit, count[hit]] = q
             count[hit] += 1
@@ -629,14 +633,22 @@ def _prime_factors(m: np.ndarray) -> np.ndarray:
     return factors[:, :int(count.max(initial=0))]
 
 
+@lru_cache(maxsize=None)
+def _symbol_table(n: int) -> np.ndarray:
+    """The Jacobi symbol (n/r) at r = 0..4n - 1 (0 at even r), built once
+    per process: the blocks of one call share it."""
+    table = np.array([jacobi_symbol(n, r) if r % 2 else 0
+                      for r in range(4 * n)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def _residue_symbol(n: int, p: np.ndarray) -> np.ndarray:
     """The Legendre symbol (n/p) for n >= 1 at each odd prime p not
     dividing n, read off p mod 4n with no modular power: by quadratic
     reciprocity the Jacobi symbol (n/r) of odd r > 0 is periodic mod 4n
     (Ireland & Rosen, ch. 5), and it is (n/p) at a prime."""
-    table = np.array([jacobi_symbol(n, r) if r % 2 else 0
-                      for r in range(4 * n)], dtype=np.int64)
-    return table[p % (4 * n)]
+    return _symbol_table(n)[p % (4 * n)]
 
 
 def _least_generators(p: np.ndarray) -> np.ndarray:

@@ -1,31 +1,26 @@
 """Alternating parent/change pairs of the perfbench workloads, one BENCH file.
 
     python3 tools/bench_pairs.py PARENT [--change REV] --out BENCH_<n>.json \
-        [--seeds 21-30] [--workloads tabulate,sweep,cli] [--seconds 1] \
-        [--claim WORKLOAD:METRIC] [--description TEXT] [--work DIR] \
-        [--no-tier1]
+        [--seeds 21-30] [--claim WORKLOAD:METRIC] [--description TEXT]
 
 Run from the root of a git checkout.  Each of the two commits is exported
-with `git archive` into its own directory under the work directory, so
-both trees hold exactly their committed files, as the benchmark's own
-checkout does, and the repository gets no extra worktree.  Each seed is
-one pair: `perfbench/run.py --workload W --seed S --seconds T --trace 0`
-runs on both trees for every workload in turn, the parent first at odd
-seeds and the change first at even ones, with PYTHONDONTWRITEBYTECODE=1
-and LDL_THREADS unset.  Halfway through the seeds the two directories
-swap names, so a bias of the directory falls on both sides alike.
+with `git archive` into its own directory of a temporary work directory,
+so both trees hold exactly their committed files, as the benchmark's own
+checkout does, and the repository gets no extra worktree.  The workloads,
+the end-to-end metrics, their bounds and the run length come from the
+change's BENCHMARK.json.  Each seed is one pair: `perfbench/run.py
+--workload W --seed S --seconds T --trace 0` runs on both trees for every
+workload in turn, the parent first at odd seeds and the change first at
+even ones, with PYTHONDONTWRITEBYTECODE=1 and LDL_THREADS unset.  Halfway
+through the seeds the two directories swap names, so a bias of the
+directory falls on both sides alike.  Last, Tier-1 runs once in each tree.
 
 The JSON written has the schema of the BENCH files: the machine (nproc,
-Python, numpy, platform), per workload every run and a summary per
-metric (medians, the parent's quartiles, the pairs the change won, the
-change in per cent), the claim judged by the rule below, notes that
-compare every median with its BENCHMARK.json bound, and, unless
---no-tier1, the Tier-1 pass count and wall time of each tree.
-
-A claim is met when the change is better in at least 9 of 10 pairs (the
-same share of any other count) and its median differs from the parent's
-by more than the parent's interquartile range.  Quartiles are the
-inclusive ones (numpy's linear percentiles).
+Python, numpy, platform); per workload every run and, per metric, the
+medians, the parent's quartiles, the pairs the change won and the change
+in per cent; the claim, judged by RULE; notes that hold every median
+against its bound; and the Tier-1 pass count and wall time of each tree.
+Quartiles are the inclusive ones (numpy's linear percentiles).
 """
 
 from __future__ import annotations
@@ -45,8 +40,8 @@ from pathlib import Path
 
 RULE = ("change better in at least 9 of 10 pairs, and the median gap "
         "larger than the parent's interquartile range")
-TIER1 = [sys.executable, "-m", "pytest", "-q",
-         "--continue-on-collection-errors"]
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+SIDES = ("parent", "change")
 
 
 def git(*args: str) -> str:
@@ -55,15 +50,15 @@ def git(*args: str) -> str:
 
 
 def export(rev: str, dest: Path) -> None:
-    """The committed files of rev in dest, by git archive."""
-    dest.mkdir(parents=True)
+    """The committed files of rev in dest."""
+    dest.mkdir()
     archive = subprocess.run(["git", "archive", "--format=tar", rev],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def child_env() -> dict:
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+def child_env(**extra: str) -> dict:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **extra)
     env.pop("LDL_THREADS", None)
     return env
 
@@ -82,9 +77,26 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def quartiles(values: list) -> list:
-    q = statistics.quantiles(values, n=4, method="inclusive")
-    return [q[0], q[2]]
+def run_pairs(work: Path, seeds: list, workloads: list,
+              seconds: float) -> tuple:
+    """({workload: {side: [run, ...]}}, {side: directory name} at the
+    end), the trees being work/dA (parent) and work/dB (change) at first."""
+    where = {"parent": "dA", "change": "dB"}
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
+    for i, seed in enumerate(seeds):
+        if i == len(seeds) // 2:
+            (work / "dA").rename(work / "swap")
+            (work / "dB").rename(work / "dA")
+            (work / "swap").rename(work / "dB")
+            where = {"parent": "dB", "change": "dA"}
+        for w in workloads:
+            for side in SIDES if seed % 2 else SIDES[::-1]:
+                run = run_once(work / where[side], w, seed, seconds)
+                runs[w][side].append({**run, "seed": seed,
+                                      "dir": where[side]})
+                print(f"seed {seed} {w} {side}: "
+                      f"{json.dumps(run['metrics'])[:160]}", file=sys.stderr)
+    return runs, where
 
 
 def summarize(parent: list, change: list, lower_better: bool) -> dict:
@@ -92,7 +104,8 @@ def summarize(parent: list, change: list, lower_better: bool) -> dict:
     won = sum((c < p) if lower_better else (c > p)
               for p, c in zip(parent, change))
     pm, cm = statistics.median(parent), statistics.median(change)
-    return {"parent_median": pm, "parent_quartiles": quartiles(parent),
+    q = statistics.quantiles(parent, n=4, method="inclusive")
+    return {"parent_median": pm, "parent_quartiles": [q[0], q[2]],
             "change_median": cm, "change_better_pairs": won,
             "pairs": len(parent),
             "change_vs_parent_pct": round(100.0 * (cm - pm) / pm, 2)}
@@ -105,15 +118,29 @@ def claim_met(row: dict, lower_better: bool) -> bool:
             and (gap if lower_better else -gap) > q3 - q1)
 
 
+def bound_note(name: str, row: dict, metric: dict) -> str:
+    """The medians, the pairs won, and the change's median held against
+    the parent's by the metric's bound."""
+    sign = 1 if metric["better"] == "lower" else -1
+    worse = sign * row["change_vs_parent_pct"] / 100.0 > metric["bound"]
+    return (f"{name} {row['parent_median']:.4g} -> "
+            f"{row['change_median']:.4g} {metric['unit']} "
+            f"({row['change_vs_parent_pct']:+.1f} %), "
+            f"{row['change_better_pairs']} of {row['pairs']} pairs better, "
+            f"{'worse than' if worse else 'within'} its bound "
+            f"({metric['bound']:.0%})")
+
+
 def tier1(tree: Path) -> dict:
     t0 = time.perf_counter()
-    res = subprocess.run(TIER1, cwd=tree, capture_output=True, text=True,
-                         env=dict(child_env(), PYTHONPATH="src"))
+    res = subprocess.run([sys.executable, *TIER1], cwd=tree,
+                         capture_output=True, text=True,
+                         env=child_env(PYTHONPATH="src"))
     seconds = time.perf_counter() - t0
-    tail = res.stdout.strip().splitlines()[-1:] or [""]
+    tail = (res.stdout.strip().splitlines() or [""])[-1]
     counts = {key: int(n) for n, key in
-              re.findall(r"(\d+) (passed|failed|error)", tail[0])}
-    return {**counts, "pytest_s": round(seconds, 2), "summary": tail[0]}
+              re.findall(r"(\d+) (passed|failed|error)", tail)}
+    return {**counts, "pytest_s": round(seconds, 2), "summary": tail}
 
 
 def machine() -> dict:
@@ -135,106 +162,63 @@ def main() -> int:
     parser.add_argument("--change", default="HEAD", help="the change commit")
     parser.add_argument("--out", required=True, help="the BENCH file")
     parser.add_argument("--seeds", default="21-30", type=seed_range)
-    parser.add_argument("--workloads", default="tabulate,sweep,cli")
-    parser.add_argument("--seconds", type=float, default=1.0)
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims")
-    parser.add_argument("--description", default="")
-    parser.add_argument("--work", help="the directory of the two trees "
-                        "(a new temporary one by default; removed after)")
-    parser.add_argument("--no-tier1", action="store_true")
+    parser.add_argument("--description", default="",
+                        help="what the change does, put before the method")
     args = parser.parse_args()
 
-    revs = {"parent": git("rev-parse", "--short", args.parent),
-            "change": git("rev-parse", "--short", args.change)}
+    revs = {side: git("rev-parse", "--short", rev)
+            for side, rev in zip(SIDES, (args.parent, args.change))}
     spec = json.loads(git("show", f"{revs['change']}:BENCHMARK.json"))
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    workloads = args.workloads.split(",")
-    work = Path(args.work or tempfile.mkdtemp(prefix="bench_pairs-"))
-    dirs = {"dA": work / "dA", "dB": work / "dB"}
+    workloads = [w["name"] for w in spec["workloads"]]
+    work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        export(revs["parent"], dirs["dA"])
-        export(revs["change"], dirs["dB"])
-        where = {"parent": "dA", "change": "dB"}
-        runs = {w: {"parent": [], "change": []} for w in workloads}
-        half = len(args.seeds) // 2
-        for i, seed in enumerate(args.seeds):
-            if i == half:             # swap the directories' names
-                dirs["dA"].rename(work / "swap")
-                dirs["dB"].rename(dirs["dA"])
-                (work / "swap").rename(dirs["dB"])
-                where = {"parent": "dB", "change": "dA"}
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for w in workloads:
-                for side in order:
-                    run = run_once(dirs[where[side]], w, seed, args.seconds)
-                    runs[w][side].append({**run, "seed": seed,
-                                          "dir": where[side]})
-                    print(f"seed {seed} {w} {side} {where[side]}: "
-                          f"{json.dumps(run.get('metrics', {}))[:200]}",
-                          file=sys.stderr)
-        doc = {"description": args.description or (
-                   f"perfbench end-to-end metrics, {len(args.seeds)} "
-                   "parent/change pairs per workload (python3 "
-                   "perfbench/run.py --workload W --seed S --seconds "
-                   f"{args.seconds:g} --trace 0; seeds {args.seeds[0]}-"
-                   f"{args.seeds[-1]}, the parent first in odd seeds, the "
-                   "workloads interleaved within each pair), written by "
-                   "tools/bench_pairs.py"),
-               "parent": revs["parent"], "change": revs["change"],
-               "machine": machine()}
-        doc["workloads"], notes = {}, {}
-        for w in workloads:
-            summary = {}
-            for name, m in metrics.items():
-                series = [[r["metrics"][name]["value"] for r in runs[w][side]
-                           if name in r["metrics"]]
-                          for side in ("parent", "change")]
-                if len(series[0]) == len(series[1]) == len(args.seeds):
-                    summary[name] = summarize(*series,
-                                              m["better"] == "lower")
-            doc["workloads"][w] = {
-                "summary": summary,
-                "correct": all(r["correct"] for side in runs[w].values()
-                               for r in side),
-                "failed": {side: [r["failed"] for r in rs]
-                           for side, rs in runs[w].items()},
-                "runs": runs[w]}
-            notes[w] = [bound_note(name, row, metrics[name])
-                        for name, row in summary.items()]
-        if args.claim:
-            w, _, name = args.claim.partition(":")
-            row = doc["workloads"][w]["summary"][name]
-            doc["claim"] = {"workload": w, "metric": name, "rule": RULE,
-                            **{k: row[k] for k in (
-                                "parent_median", "parent_quartiles",
-                                "change_median", "change_better_pairs")},
-                            "met": claim_met(row, metrics[name]["better"]
-                                             == "lower")}
-        doc["notes"] = notes
-        if not args.no_tier1:
-            doc["tier1"] = {"command": "PYTHONPATH=src " + " ".join(
-                ["python"] + TIER1[1:]), "note": "one run per tree, "
-                "parent first", **{side: tier1(dirs[where[side]])
-                                   for side in ("parent", "change")}}
+        export(revs["parent"], work / "dA")
+        export(revs["change"], work / "dB")
+        runs, where = run_pairs(work, args.seeds, workloads,
+                                spec["run_seconds"])
+        tier1_rows = {side: tier1(work / where[side]) for side in SIDES}
     finally:
-        if not args.work:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
+
+    seeds = args.seeds
+    doc = {"description": " ".join(filter(None, [args.description, (
+               f"Method: {len(seeds)} parent/change pairs per workload "
+               "(python3 perfbench/run.py --workload W --seed S --seconds "
+               f"{spec['run_seconds']} --trace 0; seeds {seeds[0]}-"
+               f"{seeds[-1]}, the parent first in odd seeds, the workloads "
+               "interleaved within each pair; the trees swap directories "
+               "halfway), written by tools/bench_pairs.py.")])),
+           **revs, "machine": machine(), "workloads": {}, "notes": {}}
+    for w in workloads:
+        summary = {}
+        for name, m in metrics.items():
+            series = [[r["metrics"][name]["value"] for r in runs[w][side]
+                       if name in r["metrics"]] for side in SIDES]
+            if len(series[0]) == len(series[1]) == len(seeds):
+                summary[name] = summarize(*series, m["better"] == "lower")
+        doc["workloads"][w] = {
+            "summary": summary,
+            "correct": all(r["correct"] for side in SIDES
+                           for r in runs[w][side]),
+            "failed": {side: [r["failed"] for r in runs[w][side]]
+                       for side in SIDES},
+            "runs": runs[w]}
+        doc["notes"][w] = [bound_note(name, row, metrics[name])
+                           for name, row in summary.items()]
+    if args.claim:
+        w, _, name = args.claim.partition(":")
+        row = doc["workloads"][w]["summary"][name]
+        doc["claim"] = {
+            "workload": w, "metric": name, "rule": RULE,
+            **{k: row[k] for k in ("parent_median", "parent_quartiles",
+                                   "change_median", "change_better_pairs")},
+            "met": claim_met(row, metrics[name]["better"] == "lower")}
+    doc["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
+                    "note": "one run per tree, parent first", **tier1_rows}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
-
-
-def bound_note(name: str, row: dict, metric: dict) -> str:
-    """One line: the medians, the pairs won, and the BENCHMARK.json bound
-    on the change's median against the parent's."""
-    sign = 1 if metric["better"] == "lower" else -1
-    worse = sign * row["change_vs_parent_pct"] / 100.0
-    verdict = ("worse than its bound" if worse > metric["bound"]
-               else "within its bound")
-    return (f"{name} {row['parent_median']:.4g} -> "
-            f"{row['change_median']:.4g} {metric['unit']} "
-            f"({row['change_vs_parent_pct']:+.1f} %), "
-            f"{row['change_better_pairs']} of {row['pairs']} pairs better, "
-            f"{verdict} ({metric['bound']:.0%})")
 
 
 if __name__ == "__main__":
