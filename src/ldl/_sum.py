@@ -167,10 +167,8 @@ def term_sum(term, p_int: np.ndarray, head: np.ndarray | None = None
     With a head of at most CHUNK primes, the sum runs over head followed
     by p_int without joining them: the first block is head topped up from
     p_int, and every later block is a view of p_int."""
-    if head is None:
-        blocks = (p_int[i:i + CHUNK] for i in range(0, p_int.size, CHUNK))
-    else:
-        top = CHUNK - head.size
-        blocks = [np.concatenate((head, p_int[:top]))]
-        blocks += [p_int[i:i + CHUNK] for i in range(top, p_int.size, CHUNK)]
+    head = p_int[:0] if head is None else head
+    top = CHUNK - head.size
+    blocks = [np.concatenate((head, p_int[:top]))]
+    blocks += [p_int[i:i + CHUNK] for i in range(top, p_int.size, CHUNK)]
     return math.fsum(np.sum(term(Block(blk))) for blk in blocks if blk.size)
