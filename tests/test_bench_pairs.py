@@ -1,5 +1,5 @@
-"""The summary and the claim rule of tools/bench_pairs.py, against a BENCH
-file it did not write."""
+"""The summary, the claim rule and the bound notes of tools/bench_pairs.py:
+against a BENCH file it did not write, and on made-up runs."""
 
 import importlib.util
 import json
@@ -24,5 +24,80 @@ def test_summaries_and_claim_reproduce_bench_19():
             assert bench_pairs.summarize(*series, True) == row
     claim = doc["claim"]
     tabulate = doc["workloads"]["tabulate"]["summary"]
-    assert bench_pairs.claim_met(tabulate[claim["metric"]], True) is True
-    assert bench_pairs.claim_met(tabulate["cm_s"], True) is False
+    failed = doc["workloads"]["tabulate"]["failed"]
+    assert bench_pairs.claim_met(tabulate[claim["metric"]], True,
+                                 failed) is True
+    assert bench_pairs.claim_met(tabulate["cm_s"], True, failed) is False
+
+
+METRICS = {"cm_s": {"name": "cm_s", "unit": "s", "better": "lower",
+                    "bound": 0.25}}
+
+
+def _runs(parent: list, change: list, failed=(0, 0)) -> dict:
+    """A doc holding one workload's runs of cm_s, before judging; a value
+    of None is a run that crashed."""
+    def run(value, n_failed):
+        if value is None:
+            return {"correct": False, "attempted": 0, "failed": None,
+                    "metrics": {}}
+        return {"correct": True, "attempted": 4, "failed": n_failed,
+                "metrics": {"cm_s": {"value": value, "unit": "s"}}}
+    runs = {"parent": [run(v, failed[0]) for v in parent],
+            "change": [run(v, failed[1]) for v in change]}
+    return {"workloads": {"tabulate": {
+                "summary": {}, "correct": True,
+                "failed": {side: [r["failed"] for r in rs]
+                           for side, rs in runs.items()},
+                "runs": runs}},
+            "notes": {"tabulate": []}}
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+CHANGE = [0.60, 0.61, 0.59, 0.62, 0.60, 0.58, 0.61, 0.60, 0.59, 0.60]
+
+
+def test_a_clear_gain_is_met_and_within_its_bound():
+    doc = _runs(PARENT, CHANGE)
+    bench_pairs.judge(doc, METRICS, "tabulate:cm_s")
+    assert doc["claim"]["met"] is True
+    assert doc["claim"]["failed_ops"] == {"parent": 0, "change": 0}
+    assert doc["notes"]["tabulate"][0].endswith("within its bound (25%)")
+
+
+def test_a_failed_run_leaves_the_metric_unsummarized_and_the_claim_unmet():
+    doc = _runs(PARENT, CHANGE[:-1] + [None])
+    bench_pairs.judge(doc, METRICS, "tabulate:cm_s")
+    block = doc["workloads"]["tabulate"]
+    assert block["summary"] == {} and doc["notes"]["tabulate"] == []
+    assert doc["claim"]["met"] is False
+    assert doc["claim"]["failed_ops"]["change"] is None
+    assert "change_median" not in doc["claim"]
+    assert len(block["runs"]["change"]) == len(bench_pairs.SEEDS)
+
+
+def test_a_gain_that_fails_more_operations_is_not_met():
+    doc = _runs(PARENT, CHANGE, failed=(0, 1))
+    bench_pairs.judge(doc, METRICS, "tabulate:cm_s")
+    assert doc["workloads"]["tabulate"]["summary"]["cm_s"][
+        "change_better_pairs"] == 10
+    assert doc["claim"]["met"] is False
+
+
+def test_fewer_than_ten_pairs_meet_no_claim():
+    # two pairs, both won by far more than the parent's spread
+    row = bench_pairs.summarize([1.0, 1.01], [0.5, 0.5], True)
+    assert bench_pairs.claim_met(
+        row, True, {"parent": [0, 0], "change": [0, 0]}) is False
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # parent quartiles 0.7 and 1.3 about a median of 1.0: a 60 % spread
+    wide = [0.5, 0.7, 0.7, 0.7, 1.0, 1.0, 1.3, 1.3, 1.3, 1.5]
+    doc = _runs(wide, [v * 1.01 for v in wide])
+    bench_pairs.judge(doc, METRICS, None)
+    assert "unresolved against its bound" in doc["notes"]["tabulate"][0]
+    # unless every change run beats every parent run
+    doc = _runs(wide, [v / 10 for v in wide])
+    bench_pairs.judge(doc, METRICS, None)
+    assert doc["notes"]["tabulate"][0].endswith("within its bound (25%)")

@@ -1,14 +1,14 @@
 """Alternating parent/change pairs of the perfbench workloads, one BENCH file.
 
     python3 tools/bench_pairs.py PARENT [--change REV] --out BENCH_<n>.json \
-        [--seeds 21-30] [--claim WORKLOAD:METRIC] [--description TEXT]
+        [--claim WORKLOAD:METRIC] [--description TEXT]
 
 Run from the root of a git checkout.  Each of the two commits is exported
 with `git archive` into its own directory of a temporary work directory,
 so both trees hold exactly their committed files, as the benchmark's own
 checkout does, and the repository gets no extra worktree.  The workloads,
 the end-to-end metrics, their bounds and the run length come from the
-change's BENCHMARK.json.  Each seed is one pair: `perfbench/run.py
+change's BENCHMARK.json.  Each of the ten SEEDS is one pair: `perfbench/run.py
 --workload W --seed S --seconds T --trace 0` runs on both trees for every
 workload in turn, the parent first at odd seeds and the change first at
 even ones, with PYTHONDONTWRITEBYTECODE=1 and LDL_THREADS unset.  Halfway
@@ -20,7 +20,10 @@ Python, numpy, platform); per workload every run and, per metric, the
 medians, the parent's quartiles, the pairs the change won and the change
 in per cent; the claim, judged by RULE; notes that hold every median
 against its bound; and the Tier-1 pass count and wall time of each tree.
-Quartiles are the inclusive ones (numpy's linear percentiles).
+Quartiles are the inclusive ones (numpy's linear percentiles).  The runs
+are written out before anything is judged, and a metric missing from a
+failed run has no summary: a claim on it is not met, as is one whose
+change failed more operations than its parent.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ RULE = ("change better in at least 9 of 10 pairs, and the median gap "
         "larger than the parent's interquartile range")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 SIDES = ("parent", "change")
+SEEDS = range(21, 31)
+MIN_PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -77,7 +82,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def run_pairs(work: Path, seeds: list, workloads: list,
+def run_pairs(work: Path, seeds: range, workloads: list,
               seconds: float) -> tuple:
     """({workload: {side: [run, ...]}}, {side: directory name} at the
     end), the trees being work/dA (parent) and work/dB (change) at first."""
@@ -111,24 +116,49 @@ def summarize(parent: list, change: list, lower_better: bool) -> dict:
             "change_vs_parent_pct": round(100.0 * (cm - pm) / pm, 2)}
 
 
-def claim_met(row: dict, lower_better: bool) -> bool:
+def failed_ops(failed: dict) -> dict:
+    """The operations each side failed over its runs; None for a side
+    with a run that gave no count (it crashed)."""
+    return {side: None if None in counts else sum(counts)
+            for side, counts in failed.items()}
+
+
+def claim_met(row: dict | None, lower_better: bool, failed: dict) -> bool:
+    """RULE over at least MIN_PAIRS pairs, with the change failing no more
+    operations than the parent; not met for a metric without a summary."""
+    ops = failed_ops(failed)
+    if (row is None or row["pairs"] < MIN_PAIRS or None in ops.values()
+            or ops["change"] > ops["parent"]):
+        return False
     q1, q3 = row["parent_quartiles"]
     gap = row["parent_median"] - row["change_median"]
     return (10 * row["change_better_pairs"] >= 9 * row["pairs"]
             and (gap if lower_better else -gap) > q3 - q1)
 
 
-def bound_note(name: str, row: dict, metric: dict) -> str:
+def bound_note(name: str, row: dict, metric: dict, parent: list,
+               change: list) -> str:
     """The medians, the pairs won, and the change's median held against
-    the parent's by the metric's bound."""
-    sign = 1 if metric["better"] == "lower" else -1
-    worse = sign * row["change_vs_parent_pct"] / 100.0 > metric["bound"]
+    the parent's by the metric's bound: unresolved when the parent's
+    interquartile range, relative to its median, is wider than the bound,
+    unless every change run is better than every parent run."""
+    lower = metric["better"] == "lower"
+    q1, q3 = row["parent_quartiles"]
+    separated = (max(change) < min(parent) if lower
+                 else min(change) > max(parent))
+    if (q3 - q1) / abs(row["parent_median"]) > metric["bound"] \
+            and not separated:
+        verdict = "unresolved against"
+    elif (1 if lower else -1) * row["change_vs_parent_pct"] / 100.0 \
+            > metric["bound"]:
+        verdict = "worse than"
+    else:
+        verdict = "within"
     return (f"{name} {row['parent_median']:.4g} -> "
             f"{row['change_median']:.4g} {metric['unit']} "
             f"({row['change_vs_parent_pct']:+.1f} %), "
             f"{row['change_better_pairs']} of {row['pairs']} pairs better, "
-            f"{'worse than' if worse else 'within'} its bound "
-            f"({metric['bound']:.0%})")
+            f"{verdict} its bound ({metric['bound']:.0%})")
 
 
 def tier1(tree: Path) -> dict:
@@ -151,9 +181,30 @@ def machine() -> dict:
             "numpy": numpy.__version__, "platform": platform.platform()}
 
 
-def seed_range(text: str) -> list:
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+def judge(doc: dict, metrics: dict, claim: str | None) -> None:
+    """Add to a doc holding the runs, per workload, the summaries of the
+    metrics every run measured and their notes, and the claim."""
+    for w, block in doc["workloads"].items():
+        for name, m in metrics.items():
+            series = [[r["metrics"][name]["value"] for r in block["runs"][side]
+                       if name in r["metrics"]] for side in SIDES]
+            if len(series[0]) == len(series[1]) == len(SEEDS):
+                block["summary"][name] = summarize(*series,
+                                                   m["better"] == "lower")
+                doc["notes"][w].append(bound_note(
+                    name, block["summary"][name], m, *series))
+    if claim:
+        w, _, name = claim.partition(":")
+        block = doc["workloads"][w]
+        row = block["summary"].get(name)
+        doc["claim"] = {
+            "workload": w, "metric": name, "rule": RULE,
+            **{k: row[k] for k in ("parent_median", "parent_quartiles",
+                                   "change_median", "change_better_pairs")
+               if row},
+            "failed_ops": failed_ops(block["failed"]),
+            "met": claim_met(row, metrics[name]["better"] == "lower",
+                             block["failed"])}
 
 
 def main() -> int:
@@ -161,7 +212,6 @@ def main() -> int:
     parser.add_argument("parent", help="the parent commit")
     parser.add_argument("--change", default="HEAD", help="the change commit")
     parser.add_argument("--out", required=True, help="the BENCH file")
-    parser.add_argument("--seeds", default="21-30", type=seed_range)
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims")
     parser.add_argument("--description", default="",
                         help="what the change does, put before the method")
@@ -172,52 +222,42 @@ def main() -> int:
     spec = json.loads(git("show", f"{revs['change']}:BENCHMARK.json"))
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
+    if args.claim:
+        w, _, name = args.claim.partition(":")
+        if w not in workloads or name not in metrics:
+            parser.error(f"--claim {args.claim}: no such workload:metric")
+    out = Path(args.out)
+    doc = {"description": " ".join(filter(None, [args.description, (
+               f"Method: {len(SEEDS)} parent/change pairs per workload "
+               "(python3 perfbench/run.py --workload W --seed S --seconds "
+               f"{spec['run_seconds']} --trace 0; seeds {SEEDS[0]}-"
+               f"{SEEDS[-1]}, the parent first in odd seeds, the workloads "
+               "interleaved within each pair; the trees swap directories "
+               "halfway), written by tools/bench_pairs.py.")])),
+           **revs, "machine": machine(), "workloads": {}, "notes": {}}
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         export(revs["parent"], work / "dA")
         export(revs["change"], work / "dB")
-        runs, where = run_pairs(work, args.seeds, workloads,
-                                spec["run_seconds"])
+        runs, where = run_pairs(work, SEEDS, workloads, spec["run_seconds"])
+        for w in workloads:
+            doc["workloads"][w] = {
+                "summary": {},
+                "correct": all(r["correct"] for side in SIDES
+                               for r in runs[w][side]),
+                "failed": {side: [r["failed"] for r in runs[w][side]]
+                           for side in SIDES},
+                "runs": runs[w]}
+            doc["notes"][w] = []
         tier1_rows = {side: tier1(work / where[side]) for side in SIDES}
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    seeds = args.seeds
-    doc = {"description": " ".join(filter(None, [args.description, (
-               f"Method: {len(seeds)} parent/change pairs per workload "
-               "(python3 perfbench/run.py --workload W --seed S --seconds "
-               f"{spec['run_seconds']} --trace 0; seeds {seeds[0]}-"
-               f"{seeds[-1]}, the parent first in odd seeds, the workloads "
-               "interleaved within each pair; the trees swap directories "
-               "halfway), written by tools/bench_pairs.py.")])),
-           **revs, "machine": machine(), "workloads": {}, "notes": {}}
-    for w in workloads:
-        summary = {}
-        for name, m in metrics.items():
-            series = [[r["metrics"][name]["value"] for r in runs[w][side]
-                       if name in r["metrics"]] for side in SIDES]
-            if len(series[0]) == len(series[1]) == len(seeds):
-                summary[name] = summarize(*series, m["better"] == "lower")
-        doc["workloads"][w] = {
-            "summary": summary,
-            "correct": all(r["correct"] for side in SIDES
-                           for r in runs[w][side]),
-            "failed": {side: [r["failed"] for r in runs[w][side]]
-                       for side in SIDES},
-            "runs": runs[w]}
-        doc["notes"][w] = [bound_note(name, row, metrics[name])
-                           for name, row in summary.items()]
-    if args.claim:
-        w, _, name = args.claim.partition(":")
-        row = doc["workloads"][w]["summary"][name]
-        doc["claim"] = {
-            "workload": w, "metric": name, "rule": RULE,
-            **{k: row[k] for k in ("parent_median", "parent_quartiles",
-                                   "change_median", "change_better_pairs")},
-            "met": claim_met(row, metrics[name]["better"] == "lower")}
     doc["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
                     "note": "one run per tree, parent first", **tier1_rows}
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    judge(doc, metrics, args.claim)
+    out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
