@@ -291,6 +291,107 @@ def test_evaluate_s_multi_block_pins(name):
         MULTI_BLOCK_PINS[name]
 
 
+# The first of two blocks, indicator_smooth:0.18 at log R 155: SHA-256 of
+# its sorted partial sums (exact float.hex), and of the sorted SHA-256s of
+# the term arrays they were summed from.  The sums absorb most ulp-sized
+# term moves (pf * pf * pf for the block's p^3 leaves them unchanged); the
+# arrays do not.  The keys are left out, so that a renamed column keeps
+# its pin.
+FIRST_BLOCK_PINS = {
+    "cusp_model": (
+        "63bd246c7f343c6b578ded76c41d8fd5bcdce91fd2dd2f8670f57985c8afe2a0",
+        "1814e805fadf631bb456a505161682e8168096540bcb950575212b7ad5176e82"),
+    "cm_b1_kappa1": (
+        "1699dedcf48ee7dc2ab7368dc79405f34a44a6de3f3569db9abf6d124e7d6d25",
+        "c145e7324db694a4ccc4c11f4787d174452b8beeb8f4a8f8d677036894dd96ae"),
+    "rank1_36t": (
+        "01bb3140694379c8b8afabafffaaed15b97e49ce56af3f992c0a75c1503aedf4",
+        "16007fe92dd601c445fd88eab466ae137eab4543033e77192dede805d694ca1b"),
+    "noncm_3x12t": (
+        "20527216e01560bae4c110fc25e49e4e2c08c303aa3b65d7fb41c2066de2b876",
+        "884314b2e6e38449dda86e55cd23ac1b09d539e42cfdfc56b436dca9625b4713"),
+}
+
+
+class _SumSpy:
+    """numpy, except that sum records the SHA-256 of the array it sums."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sum(self, vec):
+        self.seen.append(hashlib.sha256(vec.tobytes()).hexdigest())
+        return np.sum(vec)
+
+
+@pytest.mark.parametrize("name", FIRST_BLOCK_PINS)
+def test_evaluate_s_first_block_pins(monkeypatch, name):
+    first, terms, block_sums = [], _SumSpy(), ef.block_sums
+
+    def spy(block_fn, n, threads):
+        assert CHUNK < n <= 2 * CHUNK
+
+        def recorded(start, stop):
+            if start:
+                return block_fn(start, stop)
+            with monkeypatch.context() as m:
+                m.setattr(ef, "np", terms)
+                first.append(block_fn(start, stop))
+            return first[-1]
+        return block_sums(recorded, n, threads)
+
+    monkeypatch.setattr(ef, "block_sums", spy)
+    ef.evaluate_S(name, ef.builtin_test_pair("indicator_smooth:0.18"),
+                  math.exp(155.0), threads=1, atilde_primes=30)
+    (sums,) = first
+    assert len(terms.seen) == len(sums)
+    digests = tuple(hashlib.sha256("\n".join(sorted(rows)).encode()
+                                   ).hexdigest()
+                    for rows in ([float(v).hex() for v in sums.values()],
+                                 terms.seen))
+    assert digests == FIRST_BLOCK_PINS[name]
+
+
+# repr of lower_order_limit with the family cubic-moment sum stubbed to
+# zero: every bit of every piece, signed zeros included
+LOWER_ORDER_LIMIT_PINS = {
+    "cusp_model": (
+        "{'S_Aprime': {'main': 0.0, 'sieve': 0.0}, "
+        "'S_0': {'main': -3.434274902170102, 'sieve': 0.0}, "
+        "'S_1': {'main': -0.0, 'sieve': -0.0}, "
+        "'S_2': {'main': 2.5177640982201175, 'sieve': -0.0}, "
+        "'S_Atilde': {'main': -0.41607137178045794, 'sieve': -0.0}}"),
+    "cm_b1_kappa2": (
+        "{'S_Aprime': {'main': 0.0, 'sieve': 0.0}, "
+        "'S_0': {'main': -4.800638609288671, 'sieve': 0.005259312130091782}, "
+        "'S_1': {'main': -0.0, 'sieve': -0.0}, "
+        "'S_2': {'main': 3.016782332578896, 'sieve': -0.000970988514807159}, "
+        "'S_Atilde': {'main': -0.0, 'sieve': -0.0}}"),
+    "cm_b6_kappa1": (
+        "{'S_Aprime': {'main': 0.0, 'sieve': 0.0}, "
+        "'S_0': {'main': -4.800638609288671, 'sieve': 3.130962087235294e-05}, "
+        "'S_1': {'main': -0.0, 'sieve': -0.0}, "
+        "'S_2': {'main': 3.016782332578896, 'sieve': -2.3871038237642346e-06}, "
+        "'S_Atilde': {'main': -0.0, 'sieve': -0.0}}"),
+    "noncm_3x12t": (
+        "{'S_Aprime': {'main': 0.08297142603970759, 'sieve': -0.0}, "
+        "'S_0': {'main': -5.155598051699888, 'sieve': 0.0}, "
+        "'S_1': {'main': -0.07102976213823635, 'sieve': -0.0}, "
+        "'S_2': {'main': 2.9403111360696976, 'sieve': -0.0}, "
+        "'S_Atilde': {'main': -0.0, 'sieve': -0.0}}"),
+}
+
+
+@pytest.mark.parametrize("name", LOWER_ORDER_LIMIT_PINS)
+def test_lower_order_limit_pins(monkeypatch, name):
+    monkeypatch.setattr(constants, "_gamma_atilde_family",
+                        lambda fam, n: (0.0, 0.0))
+    assert repr(ef.lower_order_limit(name)) == LOWER_ORDER_LIMIT_PINS[name]
+
+
 def test_lower_order_limit_needs_a_prime_number_theorem_split(monkeypatch):
     # the quartic pair's A_1 and A_2 live on p = 1 mod 4, which the split
     # into all primes and p = 1 mod 3 does not cover; the entry's lead says
