@@ -340,11 +340,10 @@ class FamilyLowerOrder:
                 + math.fsum(self.sieve_pieces.values()))
 
 
-def _derived_lower_order(target: str,
-                         threads: int | None) -> FamilyLowerOrder:
+def _derived_lower_order(target: str) -> FamilyLowerOrder:
     # explicit_formula imports this module, so import it at call time
     from .explicit_formula import lower_order_limit
-    limit = lower_order_limit(target, threads=threads)
+    limit = lower_order_limit(target)
     pieces = {k: v["main"] for k, v in limit.items()}
     sieve = {f"{k}_sieve": v["sieve"] for k, v in limit.items()}
     return FamilyLowerOrder(
@@ -353,8 +352,8 @@ def _derived_lower_order(target: str,
 
 
 def aggregate_lower_order(target: str, source: str = "catalog",
-                          allow_mixed_truncations: bool = False,
-                          threads: int | None = None) -> FamilyLowerOrder:
+                          allow_mixed_truncations: bool = False
+                          ) -> FamilyLowerOrder:
     """Lower-order coefficient of 2*phihat(0)/log R for a built-in family
     or the cusp-form model, with the per-piece breakdown retained.
 
@@ -372,9 +371,8 @@ def aggregate_lower_order(target: str, source: str = "catalog",
     with the catalog pieces to the rounding of the cited constants; for
     noncm_3x12t the S_0, S_1 and S_2 pieces built from gamma_0_3,
     gamma_1_3 and gamma_2_3 differ, and the derived aggregate is about
-    -2.542 against the printed -2.703.
-
-    `threads` sets the workers of the derived mode's block pass only.
+    -2.542 against the printed -2.703.  Its block pass runs on
+    LDL_THREADS workers, else one per CPU.
     """
     if source not in ("catalog", "computed", "derived"):
         raise DomainError("source must be 'catalog', 'computed' or 'derived'")
@@ -383,7 +381,7 @@ def aggregate_lower_order(target: str, source: str = "catalog",
             f"no aggregate registered for {target!r}; supported: "
             f"{sorted(AGGREGATE_REFERENCE)}")
     if source == "derived":
-        return _derived_lower_order(target, threads)
+        return _derived_lower_order(target)
     if source == "computed" and not allow_mixed_truncations:
         raise VerificationError(
             "computed mode mixes the reference truncations (1e6 / 4e6 / "

@@ -11,7 +11,7 @@ sieve part (H_sieve weight).  As log R grows the total approaches
 phi(0)*(1/2 + rank) plus c * 2*phihat(0)/log R; the residual decays like
 log^-2 R for smooth test functions with vanishing phihat'(0+).
 
-``lower_order_limit`` derives c piece by piece from the same moment arrays,
+``lower_order_limit`` derives c piece by piece from the same moment terms,
 without evaluating S: each phihat-weighted density splits into a
 prime-number-theorem part, which contributes gamma_pnt (or gamma_pnt_13),
 and an absolutely convergent remainder.  That limit is the *derived*
@@ -22,9 +22,10 @@ it is about -2.542, while the printed total -2.703 is off by the gap in the
 S_0, S_1 and S_2 pieces built from gamma_0_3, gamma_1_3 and gamma_2_3 (see
 the constants module notes).
 
-Both read everything about the family off one entry: families.entry_of's
-for a family, CUSP_MODEL (the idealized cusp-form average) for the name
-"cusp_model".  An entry answers with its moments, `lead`, `rank` and `cap`.
+Both take their prime sums from one pass, _prime_pass, and read everything
+about the family off one entry: families.entry_of's for a family,
+CUSP_MODEL (the idealized cusp-form average) for the name "cusp_model".
+An entry answers with its moments, `lead`, `rank` and `cap`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections import defaultdict
+import operator
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,6 +288,102 @@ def _entry(fam):
 # --------------------------------------------------------------------------
 # the decomposition
 
+#: The moment pieces r = 0, 1, 2 of S.  Piece r is (eps/log R) times
+#: 2 sum_p Y(p) log p phihat(k log p/log R) - 2 phihat(0) sum_p Z(p) log p,
+#: with the density Y = c A_r/p^d and its phihat(0) correction
+#: Z = Y num/den (a num of None is 1).
+_Piece = namedtuple("_Piece", "name c d num den k eps")
+_PIECES = (
+    _Piece("S_0", 2.0, 2, None, lambda b: b.q, 2, 1.0),
+    _Piece("S_1", 1.0, 2, lambda b: 3.0 * b.pf + 1.0, lambda b: b.q * b.q,
+           1, -1.0),
+    _Piece("S_2", 1.0, 3, lambda b: 4.0 * b.pp + 3.0 * b.pf + 1.0,
+           lambda b: b.q3, 2, -1.0),
+)
+_PARTS = ("main", "sieve")
+
+
+def _times(c, x):
+    """c * x, and x itself for c = 1."""
+    return x if c == 1.0 else c * x
+
+
+def _prime_pass(entry, prime_limit, terms, piece, scale, threads=None,
+                atilde_primes=ATILDE_PRIMES):
+    """The pieces of S for an entry from one pass over its primes up to
+    prime_limit: p >= 5 for a family (additive reduction at 2 and 3 zeroes
+    every term), every prime for the cusp model.
+
+    Each fixed CHUNK block of _sum.block_sums is a _sum.Block, whose shared
+    quantities the moments, sieve weight and terms read.  A block forms
+    y = Y log p and z = Z log p of each moment piece once (_PIECES) and
+    hands the rows (piece, A_r, y, z) to terms(add, blk, rows), which sums
+    its terms by add(key, vec, sieve=vec): vec, and sieve weighted in place
+    by H_sieve.  A column the entry reports as None (the sextic A_1;
+    H_sieve of an unsieved family or the cusp model) forms no terms, which
+    sum to 0.0 as zeros would; each term keeps its operation order, so
+    each sum is bit-identical to the chunked sum of its full-length term.
+
+    piece(row, sums, below) assembles S_r from the sums and the primes
+    below the range; S_A' (0.0 without a multiplicative bad t) and S_Atilde
+    (the cusp model's closed form over the same primes, or the family's
+    cached sum over its first atilde_primes primes) are scale of their
+    sums.  Returns (pieces, the largest prime summed or 5.0, the largest
+    Atilde prime); a truncation past the entry's cap raises ResourceError
+    before any prime table is built."""
+    model = entry is CUSP_MODEL
+    families.check_cap(entry, prime_limit, "prime_limit")
+    if not model:
+        x_at = float(first_n_primes(atilde_primes).primes[-1])
+        families.check_cap(entry, x_at, "largest Atilde prime")
+    primes = get_table(prime_limit).primes
+    lo = 0 if model else int(np.searchsorted(primes, 5))
+
+    def block(start, stop):
+        blk = Block(primes[lo + start:lo + stop])
+        *moments, aprime, hs = entry.moments(blk)
+        sums, rows = {}, []
+
+        def add(key, vec, sieve=None):
+            sums[key, "main"] = np.sum(vec)
+            if hs is not None:
+                sieve = vec if sieve is None else sieve
+                sieve *= hs
+                sums[key, "sieve"] = np.sum(sieve)
+
+        # S_A': sum_p sum_m A'_m H log p / p^(m+1)
+        if aprime is not None:
+            add("S_Aprime", constants.aprime_terms(*aprime, blk))
+        for row, A in zip(_PIECES, moments):
+            if A is not None:
+                pd = blk.power(row.d)
+                y = _times(row.c, A) * blk.lp
+                z = (y if row.num is None else
+                     _times(row.c, A) * row.num(blk) * blk.lp) \
+                    / (pd * row.den(blk))
+                y /= pd
+                rows.append((row, A, y, z))
+        terms(add, blk, rows)
+        if model:
+            sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(blk))
+        return sums
+
+    # a term that was not formed sums to 0.0, as its zeros would
+    sums = defaultdict(float, block_sums(block, primes.size - lo, threads))
+    x_last = float(primes[-1]) if primes.size > lo else 5.0
+    pieces = {"S_Aprime": {k: scale(sums["S_Aprime", k])
+                           if ("S_Aprime", "main") in sums else 0.0
+                           for k in _PARTS}}
+    for row in _PIECES:
+        pieces[row.name] = piece(row, sums, primes[:lo])
+    if model:
+        atilde, x_at = (sums["S_Atilde", "main"], 0.0), x_last
+    else:
+        atilde = constants._gamma_atilde_family(entry.spec, atilde_primes)
+    pieces["S_Atilde"] = dict(zip(_PARTS, map(scale, atilde)))
+    return pieces, x_last, x_at
+
+
 @dataclass(frozen=True)
 class SDecomposition:
     family: str
@@ -335,17 +433,10 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     without closed forms reads its moments and Atilde off its traces, capped at
     primes up to families.BRUTE_FORCE_CAP in both truncations; a truncation
     past the cap raises ResourceError before any prime table is built.
-
-    All prime sums share one pass over the table (_sum.block_sums): each
-    CHUNK block is a _sum.Block, whose shared quantities its moments, sieve
-    weight and terms read, and its terms are reduced there.  A column the
-    entry reports as None (the sextic A_1; H_sieve of an unsieved family or
-    the cusp model) forms no terms, which sum to 0.0 as zeros would; each
-    term keeps its operation order, so every piece is bit-identical to the
-    chunked sum of its full-length term vector.
+    Every prime sum comes from one pass over the table (_prime_pass) on
+    `threads` workers.
     """
     entry = _entry(fam)
-    model = entry is CUSP_MODEL
     if not 1.0 < R < math.inf:
         raise DomainError("need a finite R > 1")
     L = math.log(R)
@@ -358,76 +449,27 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
             f"prime_limit {prime_limit} is below the support bound "
             f"R^(sigma/2) = {required}")
     support_complete = prime_limit >= required
-    families.check_cap(entry, prime_limit, "prime_limit")
-    if not model:
-        x_at = float(first_n_primes(atilde_primes).primes[-1])
-        families.check_cap(entry, x_at, "largest Atilde prime")
-
-    primes = get_table(prime_limit).primes
-    # family sums run over p >= 5 (additive reduction at 2 and 3 zeroes
-    # every term); the idealized model keeps all primes
-    lo = 0 if model else int(np.searchsorted(primes, 5))
-    n = primes.size - lo
     ph0 = phi.phihat0
 
-    def block(start, stop):
-        """Partial sums of every term, main and H_sieve-weighted, over the
-        primes of one block; a zero column's terms are not formed."""
-        blk = Block(primes[lo + start:lo + stop])
-        pf, lp, pp, q, p3 = blk.pf, blk.lp, blk.pp, blk.q, blk.power(3)
-        A0, A1, A2, aprime, hs = entry.moments(blk)
-        u = lp / L
-        phihat1 = np.asarray(phi.eval_phihat(u), dtype=np.float64)
-        # 2 log p / log R: scaling by 2 commutes with rounding
-        phihat2 = np.asarray(phi.eval_phihat(2.0 * u), dtype=np.float64)
-        sums = {}
+    def terms(add, blk, rows):
+        u, phihat = blk.lp / L, {}
+        for row, _, y, z in rows:
+            if row.k not in phihat:
+                # k log p / log R: scaling by 2 commutes with rounding
+                phihat[row.k] = np.asarray(phi.eval_phihat(
+                    u if row.k == 1 else row.k * u), dtype=np.float64)
+            y *= phihat[row.k]
+            add(row.name + "Y", y)
+            add(row.name + "Z", z)
 
-        def add(name, vec):         # vec is the term's own array
-            sums[name, "main"] = np.sum(vec)
-            if hs is not None:
-                vec *= hs
-                sums[name, "sieve"] = np.sum(vec)
+    def piece(row, sums, _):
+        w = 2.0 * row.eps
+        return {k: (w * sums[row.name + "Y", k]
+                    - w * ph0 * sums[row.name + "Z", k]) / L for k in _PARTS}
 
-        # S_A': -2 phihat(0) sum_p sum_m A'_m H log p / p^(m+1)
-        if aprime is not None:
-            add("S_Aprime", constants.aprime_terms(*aprime, blk))
-        # S_0: two sums, the second carrying phihat(2 log p / log R)
-        t = 2.0 * A0 * lp
-        add("S_0a", t / (pp * q))
-        add("S_0b", t / pp * phihat2)
-        # S_1: phihat(log p / log R) sum plus the phihat(0) correction
-        if A1 is not None:
-            add("S_1a", A1 * lp / pp * phihat1)
-            add("S_1b", A1 * (3.0 * pf + 1.0) * lp / (pp * (q * q)))
-        # S_2: phihat(2 log p / log R) sum plus the phihat(0) correction
-        add("S_2a", A2 * lp / p3 * phihat2)
-        add("S_2b", A2 * (4.0 * pp + 3.0 * pf + 1.0) * lp / (p3 * blk.q3))
-        if model:
-            sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(blk))
-        return sums
-
-    # a term that was not formed sums to 0.0, as its zeros would
-    sums = defaultdict(float, block_sums(block, n, threads))
-    parts = ("main", "sieve")
-    has_aprime = ("S_Aprime", "main") in sums
-    pieces = {"S_Aprime": {k: -2.0 * ph0 * sums["S_Aprime", k] / L
-                           if has_aprime else 0.0 for k in parts}}
-    for name, wa, wb in (("S_0", -2.0 * ph0, 2.0), ("S_1", -2.0, 2.0 * ph0),
-                         ("S_2", -2.0, 2.0 * ph0)):
-        pieces[name] = {k: (wa * sums[name + "a", k]
-                            + wb * sums[name + "b", k]) / L for k in parts}
-
-    # S_Atilde: numerically summed at its own truncation
-    x_last = float(primes[-1]) if n else 5.0
-    if model:
-        at_main, at_sieve = sums["S_Atilde", "main"], 0.0
-        x_at = x_last
-    else:
-        at_main, at_sieve = constants._gamma_atilde_family(entry.spec,
-                                                           atilde_primes)
-    pieces["S_Atilde"] = {"main": -2.0 * ph0 * at_main / L,
-                          "sieve": -2.0 * ph0 * at_sieve / L}
-
+    pieces, x_last, x_at = _prime_pass(
+        entry, prime_limit, terms, piece, lambda s: -2.0 * ph0 * s / L,
+        threads, atilde_primes)
     total = math.fsum(v["main"] + v["sieve"] for v in pieces.values())
 
     # heuristic tail estimate: cubic-moment truncation (reference budget
@@ -463,89 +505,49 @@ def _ceil_exp(x: float):
 LIMIT_PRIME_LIMIT = 10 ** 7
 
 
-def lower_order_limit(fam, threads: int | None = None) -> dict:
+def lower_order_limit(fam) -> dict:
     """The log R -> infinity limit of evaluate_S, piece by piece, as each
     piece's coefficient of 2*phihat(0)/log R: {piece: {"main", "sieve"}}.
 
-    Piece r of S (r = 0, 1, 2) is (eps_r/log R) times
-    2 sum_p Y_r(p) log p phihat(k_r log p/log R) - 2 phihat(0) sum_p
-    Z_r(p) log p, with Y_0 = 2A_0/p^2, Y_1 = A_1/p^2, Y_2 = A_2/p^3, Z_r
-    the phihat(0) corrections of evaluate_S, k = (2, 1, 2) and eps = (+1,
-    -1, -1).  The entry's `lead` writes Y_r = c_r (a + b*[p = 1 mod 3])/p
-    + O(1/p^2) (c = 2, 1, 1), or is None (DomainError before any array is
-    built); the phihat-weighted a/p and b/p sums contribute the main term
-    and a*gamma_pnt (less the p = 2, 3 terms a*gamma_23/2 that the family
-    sums drop) + b*gamma_pnt_13/2.  The remainders Y_r - c_r (a +
-    b*[...])/p and Z_r are O(log p/p^2); they and the prime-counting
-    constants are summed to LIMIT_PRIME_LIMIT.  The sieve parts converge
-    absolutely.  S_A' is evaluate_S's closed-form bad-prime sum (for
-    noncm_3x12t, minus gamma_aprime_3 summed to LIMIT_PRIME_LIMIT), and
-    S_Atilde the same cached cubic-moment sum over the first ATILDE_PRIMES
-    primes (the cusp model sums its closed form to LIMIT_PRIME_LIMIT).
-    As in evaluate_S, the convergent sums share one pass over the table,
-    block by block (_sum.block_sums), so memory is bounded by the block.
+    Piece r of S (r = 0, 1, 2) is (eps/log R)(2 sum_p Y log p phihat(k log
+    p/log R) - 2 phihat(0) sum_p Z log p) with Y, Z, k and eps of
+    _PIECES.  The entry's `lead` writes Y = c (a + b*[p = 1 mod 3])/p +
+    O(1/p^2), or is None (DomainError before any array is built); the
+    phihat-weighted a/p and b/p sums contribute the main term and
+    a*gamma_pnt (less the a log p/p terms of the primes below the pass's
+    range, p = 2, 3 for a family) + b*gamma_pnt_13/2.  The remainders Y -
+    c (a + b*[...])/p and Z are O(log p/p^2); they (in _prime_pass) and
+    the prime-counting constants are summed to LIMIT_PRIME_LIMIT.  The
+    sieve parts converge absolutely.  S_A' is evaluate_S's closed-form
+    bad-prime sum (for noncm_3x12t, minus gamma_aprime_3 summed to
+    LIMIT_PRIME_LIMIT), and S_Atilde the same cached cubic-moment sum over
+    the first ATILDE_PRIMES primes (the cusp model sums its closed form to
+    LIMIT_PRIME_LIMIT).
     """
     entry = _entry(fam)
     if entry.lead is None:
         raise DomainError(f"no prime-number-theorem split for the moments "
                           f"of {entry.name!r}")
-    model = entry is CUSP_MODEL
-    primes = get_table(LIMIT_PRIME_LIMIT).primes
-    lo = 0 if model else int(np.searchsorted(primes, 5))
-
+    lead = dict(zip((row.name for row in _PIECES), entry.lead))
     pnt = gamma_pnt(prime_limit=LIMIT_PRIME_LIMIT).value
     pnt13 = gamma_pnt_ab(1, 3, prime_limit=LIMIT_PRIME_LIMIT).value
-    dropped = 0.0 if model else \
-        0.5 * constants.compute_constant("gamma_23").value
 
-    # (piece, eps, c, d with Y_r = c A_r/p^d, Z_r/Y_r)
-    rows = (("S_0", 1.0, 2.0, 2, lambda b: 1.0 / b.q),
-            ("S_1", -1.0, 1.0, 2, lambda b: (3.0 * b.pf + 1.0) / b.q ** 2),
-            ("S_2", -1.0, 1.0, 3,
-             lambda b: (4.0 * b.pp + 3.0 * b.pf + 1.0) / b.q3))
-
-    def block(start, stop):
-        """Partial sums of every convergent term over one block of primes;
-        a zero column's terms are not formed."""
-        blk = Block(primes[lo + start:lo + stop])
-        lp = blk.lp
-        A0, A1, A2, aprime, hs = entry.moments(blk)
+    def terms(add, blk, rows):
         on13 = (blk.mod(3) == 1).astype(np.float64)
-        sums = {}
-        if aprime is not None:
-            sa = constants.aprime_terms(*aprime, blk)
-            sums["S_Aprime", "main"] = np.sum(sa)
-            if hs is not None:
-                sums["S_Aprime", "sieve"] = np.sum(sa * hs)
-        for (name, _, c, d, z_over_y), A, (a, b) in zip(rows, (A0, A1, A2),
-                                                         entry.lead):
-            if A is None:           # a zero column, whose lead is (0, 0)
-                continue
-            y = c * A / blk.power(d)
+        for row, A, y, z in rows:
+            a, b = lead[row.name]
             # the numerator is exact in float64 while p^2 < 2^53
-            rem = c * (A - (a + b * on13) * blk.power(d - 1)) / blk.power(d)
-            corr = y * z_over_y(blk)
-            sums[name, "main"] = np.sum((rem - corr) * lp)
-            if hs is not None:
-                sums[name, "sieve"] = np.sum((y - corr) * lp * hs)
-        if model:
-            sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(blk))
-        return sums
+            rem = _times(row.c, A - (a + b * on13) * blk.power(row.d - 1))
+            add(row.name, rem * blk.lp / blk.power(row.d) - z, y - z)
 
-    # a term that was not formed sums to 0.0, as its zeros would
-    sums = defaultdict(float, block_sums(block, primes.size - lo, threads))
-    has_aprime = ("S_Aprime", "main") in sums
-    pieces = {"S_Aprime": {k: -sums["S_Aprime", k] if has_aprime else 0.0
-                           for k in ("main", "sieve")}}
-    for (name, eps, c, _, _), (a, b) in zip(rows, entry.lead):
-        main = (c * (a * (pnt - dropped) + b * pnt13 / 2.0)
-                + sums[name, "main"])
-        pieces[name] = {"main": eps * main, "sieve": eps * sums[name, "sieve"]}
+    def piece(row, sums, below):
+        a, b = lead[row.name]
+        # gamma_pnt less the terms of the primes below the pass's range
+        pnt_range = pnt - math.fsum(math.log(p) / p for p in below)
+        main = (row.c * (a * pnt_range + b * pnt13 / 2.0)
+                + sums[row.name, "main"])
+        return {"main": row.eps * main,
+                "sieve": row.eps * sums[row.name, "sieve"]}
 
-    if model:
-        at_main, at_sieve = sums["S_Atilde", "main"], 0.0
-    else:
-        at_main, at_sieve = constants._gamma_atilde_family(
-            entry.spec, ATILDE_PRIMES)
-    pieces["S_Atilde"] = {"main": -at_main, "sieve": -at_sieve}
-    return pieces
+    return _prime_pass(entry, LIMIT_PRIME_LIMIT, terms, piece,
+                       operator.neg)[0]

@@ -362,7 +362,7 @@ LOWER_ORDER_LIMIT_PINS = {
         "{'S_Aprime': {'main': 0.0, 'sieve': 0.0}, "
         "'S_0': {'main': -3.434274902170102, 'sieve': 0.0}, "
         "'S_1': {'main': -0.0, 'sieve': -0.0}, "
-        "'S_2': {'main': 2.5177640982201175, 'sieve': -0.0}, "
+        "'S_2': {'main': 2.517764098220118, 'sieve': -0.0}, "
         "'S_Atilde': {'main': -0.41607137178045794, 'sieve': -0.0}}"),
     "cm_b1_kappa2": (
         "{'S_Aprime': {'main': 0.0, 'sieve': 0.0}, "

@@ -47,3 +47,15 @@ def test_every_library_call_of_the_workloads_runs():
         assert math.isfinite(dec.total)
         assert isinstance(dec.lower_order_coefficient, float)
         assert dec.as_dict()["family"] == "rank1_36t"
+
+
+def test_the_derived_limit_call_runs(monkeypatch):
+    # perfbench/derive.py's call, in its shape, and what it reads of the
+    # result; the cubic-moment sums are stubbed
+    monkeypatch.setattr(constants, "_gamma_atilde_family",
+                        lambda fam, n: (0.0, 0.0))
+    agg = constants.aggregate_lower_order("noncm_3x12t", source="derived")
+    assert agg.family == "noncm_3x12t"
+    assert math.isfinite(agg.aggregate)
+    assert agg.pieces and agg.sieve_pieces
+    assert isinstance(ef.ATILDE_PRIMES, int)
