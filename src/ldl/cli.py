@@ -105,11 +105,11 @@ def _constant_rows(name: str, args) -> list:
     paper_value, _, citation = constants.paper_reference(name)
     kwargs = {"prime_limit": args.prime_limit,
               "first_primes": args.first_primes}
-    if name in ("gamma_pnt",):
+    if name in constants._PNT_NAMES:    # the prime-counting constants
         methods = {"direct": ["integral"], "closed": ["closed_form"],
                    "both": ["closed_form", "integral"]}[args.method]
-        from .primes import gamma_pnt
-        results = [gamma_pnt(method=m, **kwargs) for m in methods]
+        compute = constants._PNT_NAMES[name][0]
+        results = [compute(method=m, **kwargs) for m in methods]
     else:
         results = [constants.compute_constant(name, **kwargs)]
     rows = []

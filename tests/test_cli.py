@@ -92,10 +92,17 @@ def test_family_refuses_a_sieve_with_no_power_free_t(capsys, tmp_path):
 
 
 def test_constants_method_both(capsys):
-    doc = run_json(capsys, "constants", "--name", "gamma_pnt",
-                   "--method", "both", "--prime-limit", "1000000")
-    methods = {r["method"] for r in doc["results"]["rows"]}
-    assert methods == {"closed_form", "integral"}
+    # every prime-counting constant gives its closed form and its integral,
+    # which agree within the sum of their tail bounds
+    for name in ("gamma_pnt", "gamma_pnt_13", "gamma_pnt_14"):
+        doc = run_json(capsys, "constants", "--name", name,
+                       "--method", "both", "--prime-limit", "1000000")
+        closed, integral = doc["results"]["rows"]
+        assert closed["name"] == integral["name"] == name
+        assert (closed["method"], integral["method"]) == \
+            ("closed_form", "integral")
+        assert abs(closed["value"] - integral["value"]) <= \
+            closed["tail_bound"] + integral["tail_bound"]
 
 
 @pytest.mark.parametrize("name", ["gamma_sieve012", "gamma_atilde_3"])
@@ -386,6 +393,12 @@ GOLDEN = [
     (("explicit", "--family", "noncm_3x12t", "--phi",
       "indicator_smooth:0.18", "--logR", "50"),
      "fc969c85c230c728715a24a67abcc867787956421b4b7a1410437049549e4efc"),
+    (("constants", "--name", "gamma_pnt", "--prime-limit", "200000"),
+     "e636b32c9341329095e8bf5ab1f86543a93214b8f625c3b66c3d092a580587bb"),
+    (("constants", "--name", "gamma_pnt_13", "--prime-limit", "100000"),
+     "2dc9ff6dc4c139d8083c7885e9a2a0d3939dc5cb13c11678b4b5b85a1dffdccb"),
+    (("constants", "--name", "gamma_pnt_14", "--prime-limit", "100000"),
+     "ea73913831eb8fd6ec89a2c883547aa2307e2ec0cfd8496edca67ce8c9db3176"),
     (("verify", "--suite", "appendixB"),
      "a488ad5dc81cfc8cc272f79d2ff276f487913510b8c4a5f636cfd623f33beb50"),
     (("family", "--family", "@" + IMPOSTOR, "--prime-limit", "13"),
