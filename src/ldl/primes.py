@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,24 +56,20 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 @dataclass
 class PrimeTable:
-    """Ascending primes up to an inclusive bound, with residue-class views."""
+    """Ascending primes up to an inclusive bound."""
 
     limit: int
     primes: np.ndarray
-    _classes: dict = field(default_factory=dict, repr=False)
 
     def residue_class(self, a: int, b: int) -> np.ndarray:
         """Primes p <= limit with p = a mod b."""
-        key = (a % b, b)
-        if key not in self._classes:
-            # one bool mask, filled a CHUNK at a time through Block.mod
-            # (a full-length primes % b is numpy's slow int64 remainder)
-            on = np.empty(self.primes.size, dtype=bool)
-            for i in range(0, on.size, CHUNK):
-                np.equal(Block(self.primes[i:i + CHUNK]).mod(b), key[0],
-                         out=on[i:i + CHUNK])
-            self._classes[key] = self.primes[on]
-        return self._classes[key]
+        # one bool mask, filled a CHUNK at a time through Block.mod (a
+        # full-length primes % b is numpy's slow int64 remainder)
+        on = np.empty(self.primes.size, dtype=bool)
+        for i in range(0, on.size, CHUNK):
+            np.equal(Block(self.primes[i:i + CHUNK]).mod(b), a % b,
+                     out=on[i:i + CHUNK])
+        return self.primes[on]
 
     def __len__(self) -> int:
         return int(self.primes.size)
