@@ -538,7 +538,8 @@ def lower_order_limit(fam) -> dict:
             a, b = lead[row.name]
             # the numerator is exact in float64 while p^2 < 2^53
             rem = _times(row.c, A - (a + b * on13) * blk.power(row.d - 1))
-            add(row.name, rem * blk.lp / blk.power(row.d) - z, y - z)
+            y -= z
+            add(row.name, rem * blk.lp / blk.power(row.d) - z, y)
 
     def piece(row, sums, below):
         a, b = lead[row.name]
