@@ -13,12 +13,12 @@ sum (one math.fsum of cached terms) are not chunked sums.
 The package's one worker pool lives in ``ordered_map``, which returns
 [fn(x) for x in items] in order.  ``block_sums`` maps a caller's block
 function (terms built and reduced on one chunk, for several columns) over
-the chunks with it.  Three passes use the pool: the evaluate_S blocks
-on thread_count(threads) workers, and the lower_order_limit blocks and
-the non-CM Atilde sub-blocks (families._NonCM.a_tildes) on
-thread_count(None), so LDL_THREADS and not a caller's `threads` sets
-those (the Atilde main-sum cache is shared across calls).  A task that itself calls
-``ordered_map`` runs that map inline, so no pool opens inside a pool.
+the chunks with it.  Three passes use the pool: the evaluate_S blocks on
+thread_count(threads) workers, and the lower_order_limit blocks and the
+non-CM Atilde sub-blocks (families._NonCM.a_tildes) on thread_count(None),
+so LDL_THREADS sets those (the Atilde main-sum cache is shared across
+calls).  A task that itself calls ``ordered_map`` runs that map inline, so
+no pool opens inside a pool.
 LDL_THREADS=1 gives a serial run.  ``pool_peak`` is the most workers one
 pool ran since a caller set it to 1 (the CLI manifest's ``threads``).
 
@@ -114,9 +114,8 @@ def block_sums(block_fn, n: int, threads: int | None = None) -> dict:
 class Block:
     """An ascending int64 block of primes, p_int, and the read-only float64
     quantities its terms share, each formed on first use: pf, lp = log pf,
-    pp = pf * pf, q = pf + 1.0, q3 = q ** 3, power(k) = pf ** k (pf and pp
-    themselves for k = 1, 2, the same bits), mod(n) = p mod n and
-    character(table) = table[p mod len(table)].
+    pp = pf * pf, q = pf + 1.0, q3 = q ** 3, power(k) = pf ** k, mod(n) =
+    p mod n and character(table) = table[p mod len(table)].
 
     power and q3 are numpy's pow, which is not correctly rounded: below
     10^7, pf ** 3 misses the correctly rounded p^3 at 35,520 of the 664,579
@@ -140,8 +139,6 @@ class Block:
     q3 = property(lambda b: b._once("q3", lambda: b.q ** 3))
 
     def power(self, k: int) -> np.ndarray:
-        if k in (1, 2):
-            return self.pf if k == 1 else self.pp
         return self._once(("power", k), lambda: self.pf ** k)
 
     def mod(self, n: int) -> np.ndarray:

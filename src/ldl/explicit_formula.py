@@ -22,10 +22,9 @@ it is about -2.542, while the printed total -2.703 is off by the gap in the
 S_0, S_1 and S_2 pieces built from gamma_0_3, gamma_1_3 and gamma_2_3 (see
 the constants module notes).
 
-Both take their prime sums from one pass, _prime_pass, and read everything
-about the family off one entry: families.entry_of's for a family,
-CUSP_MODEL (the idealized cusp-form average) for the name "cusp_model".
-An entry answers with its moments, `lead`, `rank` and `cap`.
+Both sum over the primes in _prime_pass and read the family off one entry:
+families.entry_of's for a family, CUSP_MODEL (the idealized cusp-form
+average) for "cusp_model"; an entry has moments, `lead`, `rank` and `cap`.
 """
 
 from __future__ import annotations
@@ -310,27 +309,25 @@ def _times(c, x):
 
 def _prime_pass(entry, prime_limit, terms, piece, scale, threads=None,
                 atilde_primes=ATILDE_PRIMES):
-    """The pieces of S for an entry from one pass over its primes up to
+    """The pieces of S for an entry from one pass over its primes to
     prime_limit: p >= 5 for a family (additive reduction at 2 and 3 zeroes
     every term), every prime for the cusp model.
 
-    Each fixed CHUNK block of _sum.block_sums is a _sum.Block, whose shared
-    quantities the moments, sieve weight and terms read.  A block forms
-    y = Y log p and z = Z log p of each moment piece once (_PIECES) and
-    hands the rows (piece, A_r, y, z) to terms(add, blk, rows), which sums
-    its terms by add(key, vec, sieve=vec): vec, and sieve weighted in place
-    by H_sieve.  A column the entry reports as None (the sextic A_1;
-    H_sieve of an unsieved family or the cusp model) forms no terms, which
-    sum to 0.0 as zeros would; each term keeps its operation order, so
-    each sum is bit-identical to the chunked sum of its full-length term.
+    Each CHUNK block of _sum.block_sums is a _sum.Block, shared by its
+    moments, sieve weight and terms.  It forms y = Y log p and z = Z log p
+    of each moment piece once (_PIECES) and passes the rows (piece, A_r, y,
+    z) to terms(add, blk, rows); add(key, vec, sieve=vec) sums vec, and
+    sieve weighted in place by H_sieve.  A column the entry reports as None
+    (the sextic A_1, an unsieved H_sieve) forms no terms, which sum to 0.0
+    as zeros would; every term keeps its operation order, so each sum is
+    bit-identical to the chunked sum of its full-length term vector.
 
     piece(row, sums, below) assembles S_r from the sums and the primes
-    below the range; S_A' (0.0 without a multiplicative bad t) and S_Atilde
-    (the cusp model's closed form over the same primes, or the family's
+    below the range.  S_A' (0.0 without a multiplicative bad t) and S_Atilde
+    (the cusp model's closed form over the same primes, else the family's
     cached sum over its first atilde_primes primes) are scale of their
-    sums.  Returns (pieces, the largest prime summed or 5.0, the largest
-    Atilde prime); a truncation past the entry's cap raises ResourceError
-    before any prime table is built."""
+    sums.  Returns (pieces, largest prime summed or 5.0, largest Atilde
+    prime); ResourceError before any table if either passes the cap."""
     model = entry is CUSP_MODEL
     families.check_cap(entry, prime_limit, "prime_limit")
     if not model:
@@ -356,7 +353,7 @@ def _prime_pass(entry, prime_limit, terms, piece, scale, threads=None,
             add("S_Aprime", constants.aprime_terms(*aprime, blk))
         for row, A in zip(_PIECES, moments):
             if A is not None:
-                pd = blk.power(row.d)
+                pd = blk.pp if row.d == 2 else blk.power(row.d)
                 y = _times(row.c, A) * blk.lp
                 z = (y if row.num is None else
                      _times(row.c, A) * row.num(blk) * blk.lp) \
