@@ -115,7 +115,8 @@ class Block:
     """An ascending int64 block of primes, p_int, and the read-only float64
     quantities its terms share, each formed on first use: pf, lp = log pf,
     pp = pf * pf, q = pf + 1.0, q3 = q ** 3, power(k) = pf ** k, mod(n) =
-    p mod n and character(table) = table[p mod len(table)].
+    p mod n, character(table) = table[p mod len(table)] and, for any other
+    quantity, shared(key, form) = form() under key.
 
     power and q3 are numpy's pow, which is not correctly rounded: below
     10^7, pf ** 3 misses the correctly rounded p^3 at 35,520 of the 664,579
@@ -126,28 +127,28 @@ class Block:
     def __init__(self, p_int: np.ndarray):
         self.p_int, self._memo = p_int, {}
 
-    def _once(self, key, form):
+    def shared(self, key, form):
         if key not in self._memo:
             self._memo[key] = value = form()
             value.flags.writeable = False
         return self._memo[key]
 
-    pf = property(lambda b: b._once("pf", lambda: b.p_int.astype(float)))
-    lp = property(lambda b: b._once("lp", lambda: np.log(b.pf)))
-    pp = property(lambda b: b._once("pp", lambda: b.pf * b.pf))
-    q = property(lambda b: b._once("q", lambda: b.pf + 1.0))
-    q3 = property(lambda b: b._once("q3", lambda: b.q ** 3))
+    pf = property(lambda b: b.shared("pf", lambda: b.p_int.astype(float)))
+    lp = property(lambda b: b.shared("lp", lambda: np.log(b.pf)))
+    pp = property(lambda b: b.shared("pp", lambda: b.pf * b.pf))
+    q = property(lambda b: b.shared("q", lambda: b.pf + 1.0))
+    q3 = property(lambda b: b.shared("q3", lambda: b.q ** 3))
 
     def power(self, k: int) -> np.ndarray:
-        return self._once(("power", k), lambda: self.pf ** k)
+        return self.shared(("power", k), lambda: self.pf ** k)
 
     def mod(self, n: int) -> np.ndarray:
         # numpy divides an int64 array by a scalar several times faster
         # than it takes the remainder
-        return self._once(n, lambda: self.p_int - n * (self.p_int // n))
+        return self.shared(n, lambda: self.p_int - n * (self.p_int // n))
 
     def character(self, table: tuple) -> np.ndarray:
-        return self._once(table, lambda: np.asarray(
+        return self.shared(table, lambda: np.asarray(
             table, dtype=np.float64)[self.mod(len(table))])
 
 

@@ -307,6 +307,17 @@ def _times(c, x):
     return x if c == 1.0 else c * x
 
 
+def _y_z(blk, row, A):
+    """Y log p and Z log p of a moment piece over a block, each in its
+    formula's operation order (y = c A log p/p^d)."""
+    pd = blk.pp if row.d == 2 else blk.power(row.d)
+    y = _times(row.c, A) * blk.lp
+    z = (y if row.num is None else _times(row.c, A) * row.num(blk) * blk.lp) \
+        / (pd * row.den(blk))
+    y /= pd
+    return y, z
+
+
 def _prime_pass(entry, prime_limit, terms, piece, scale, threads=None,
                 atilde_primes=ATILDE_PRIMES):
     """The pieces of S for an entry from one pass over its primes to
@@ -315,9 +326,9 @@ def _prime_pass(entry, prime_limit, terms, piece, scale, threads=None,
 
     Each CHUNK block of _sum.block_sums is a _sum.Block, shared by its
     moments, sieve weight and terms.  It forms y = Y log p and z = Z log p
-    of each moment piece once (_PIECES) and passes the rows (piece, A_r, y,
-    z) to terms(add, blk, rows); add(key, vec, sieve=vec) sums vec, and
-    sieve weighted in place by H_sieve.  A column the entry reports as None
+    of each moment piece once (_PIECES) and passes them to terms(add, blk,
+    piece, A_r, y, z); add(key, vec, sieve=vec) sums vec, and sieve
+    weighted in place by H_sieve.  A column the entry reports as None
     (the sextic A_1, an unsieved H_sieve) forms no terms, which sum to 0.0
     as zeros would; every term keeps its operation order, so each sum is
     bit-identical to the chunked sum of its full-length term vector.
@@ -339,7 +350,7 @@ def _prime_pass(entry, prime_limit, terms, piece, scale, threads=None,
     def block(start, stop):
         blk = Block(primes[lo + start:lo + stop])
         *moments, aprime, hs = entry.moments(blk)
-        sums, rows = {}, []
+        sums = {}
 
         def add(key, vec, sieve=None):
             sums[key, "main"] = np.sum(vec)
@@ -352,15 +363,8 @@ def _prime_pass(entry, prime_limit, terms, piece, scale, threads=None,
         if aprime is not None:
             add("S_Aprime", constants.aprime_terms(*aprime, blk))
         for row, A in zip(_PIECES, moments):
-            if A is not None:
-                pd = blk.pp if row.d == 2 else blk.power(row.d)
-                y = _times(row.c, A) * blk.lp
-                z = (y if row.num is None else
-                     _times(row.c, A) * row.num(blk) * blk.lp) \
-                    / (pd * row.den(blk))
-                y /= pd
-                rows.append((row, A, y, z))
-        terms(add, blk, rows)
+            if A is not None:   # one row's y and z at a time, freed by terms
+                terms(add, blk, row, A, *_y_z(blk, row, A))
         if model:
             sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(blk))
         return sums
@@ -448,16 +452,13 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     support_complete = prime_limit >= required
     ph0 = phi.phihat0
 
-    def terms(add, blk, rows):
-        u, phihat = blk.lp / L, {}
-        for row, _, y, z in rows:
-            if row.k not in phihat:
-                # k log p / log R: scaling by 2 commutes with rounding
-                phihat[row.k] = np.asarray(phi.eval_phihat(
-                    u if row.k == 1 else row.k * u), dtype=np.float64)
-            y *= phihat[row.k]
-            add(row.name + "Y", y)
-            add(row.name + "Z", z)
+    def terms(add, blk, row, A, y, z):
+        # phihat(k log p / log R), once per block and k: scaling by 1 or 2
+        # commutes with rounding
+        y *= blk.shared(("phihat", row.k), lambda: np.asarray(
+            phi.eval_phihat(row.k * (blk.lp / L)), dtype=np.float64))
+        add(row.name + "Y", y)
+        add(row.name + "Z", z)
 
     def piece(row, sums, _):
         w = 2.0 * row.eps
@@ -529,14 +530,13 @@ def lower_order_limit(fam) -> dict:
     pnt = gamma_pnt(prime_limit=LIMIT_PRIME_LIMIT).value
     pnt13 = gamma_pnt_ab(1, 3, prime_limit=LIMIT_PRIME_LIMIT).value
 
-    def terms(add, blk, rows):
-        on13 = (blk.mod(3) == 1).astype(np.float64)
-        for row, A, y, z in rows:
-            a, b = lead[row.name]
-            # the numerator is exact in float64 while p^2 < 2^53
-            rem = _times(row.c, A - (a + b * on13) * blk.power(row.d - 1))
-            y -= z
-            add(row.name, rem * blk.lp / blk.power(row.d) - z, y)
+    def terms(add, blk, row, A, y, z):
+        a, b = lead[row.name]
+        on13 = blk.character((0.0, 1.0, 0.0))      # [p = 1 mod 3]
+        # the numerator is exact in float64 while p^2 < 2^53
+        rem = _times(row.c, A - (a + b * on13) * blk.power(row.d - 1))
+        y -= z
+        add(row.name, rem * blk.lp / blk.power(row.d) - z, y)
 
     def piece(row, sums, below):
         a, b = lead[row.name]
