@@ -30,9 +30,9 @@ average) for "cusp_model"; an entry has moments, `lead`, `rank` and `cap`.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
-import operator
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
