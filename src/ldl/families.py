@@ -41,10 +41,13 @@ Atilde(p) is each entry's a_tildes:
 * ``noncm_3x12t``: an FFT correlation (_correlations), O(p log p) per
   prime, with the weights lambda^3/(p + 1 - a) from a table over
   |a| <= 2 sqrt p.  Consecutive primes are transformed together, one row
-  each, in sub-blocks of at most _CORRELATION_BUDGET elements, and the
-  sub-blocks run on the package's pool (_sum.ordered_map) in prime order.
-* any other family: its traces at every t (_curve_data) from at most five
-  such correlations; its moments are their power sums (_power_sums).
+  each, in sub-blocks of at most _CORRELATION_BUDGET elements.  Each
+  worker of the package's pool (_sum.ordered_map) takes every w-th
+  sub-block and fills all its large temporaries in one _Workspace, which
+  it drops when it returns.
+* any other family: its traces at every t (_curve_data) from one
+  correlation of at most five rows, one per class of A(t), against one
+  Legendre spectrum; its moments are their power sums (_power_sums).
 
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
 simple, and a scan of t mod p^k otherwise; nu_D(d) is their product over
@@ -68,7 +71,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ._sum import Block, ordered_map
+from ._sum import Block, ordered_map, thread_count
 from .errors import DomainError, ResourceError, VerificationError
 from .primes import (CHI_2, CHI_3, CHI_M3, get_table, is_prime,
                      jacobi_symbol, legendre_symbol, legendre_symbols_vec)
@@ -337,9 +340,15 @@ class _NonCM(_Builtin):
                 - blk.pf * blk.character(self.chi_m3))
 
     def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
-        # the sub-blocks are independent: map them on the package's pool
-        rows = ordered_map(_a_tildes_b3, _correlation_blocks(p_int.tolist()))
-        return np.array([a for row in rows for a in row], dtype=np.float64)
+        # the sub-blocks are independent: each worker of the package's pool
+        # takes every w-th one in one workspace, and block i comes back as
+        # the (i // w)-th of share i % w
+        blocks = _correlation_blocks(p_int.tolist())
+        w = max(1, min(thread_count(), len(blocks)))
+        shares = ordered_map(_a_tildes_share,
+                             [blocks[k::w] for k in range(w)])
+        return np.array([a for i in range(len(blocks))
+                         for a in shares[i % w][i // w]], dtype=np.float64)
 
 
 REGISTRY = {e.spec.name: e for e in (
@@ -504,8 +513,9 @@ def reduction_type(fam: FamilySpec, t: int, p: int) -> str:
 def _curve_data(fam: FamilySpec, p: int):
     """(a_values[t], good_mask[t]) for t = 0..p-1: each A(t) = g^k != 0,
     g the least generator, is g^i u^4 with i = k mod e, e = gcd(4, p - 1),
-    u = g^j, 4j = k - i mod p - 1, and (A, B) ~ (A/u^4, B/u^6), so a_t =
-    _correlation(p, g^i)[B/u^6]; A(t) = 0 reads _correlation(p, 0)."""
+    u = g^j, 4j = k - i mod p - 1, and (A, B) ~ (A/u^4, B/u^6), so a_t is
+    the trace at s = B/u^6 of the row of a = g^i (a = 0 where A(t) = 0) of
+    one _correlations over the classes present."""
     t = np.arange(p, dtype=np.int64)
     good = poly_eval_mod(fam.discriminant_poly(), t, p) != 0
     a_vals = np.zeros(p, dtype=np.int64)
@@ -530,9 +540,12 @@ def _curve_data(fam: FamilySpec, p: int):
         j = k // e * pow(4 // e, -1, (p - 1) // e) % ((p - 1) // e)
         c = b_coef * powers[-6 * j % (p - 1)] % p
         cls = np.where(a_coef == 0, e, k % e)
-        for i in np.flatnonzero(np.bincount(cls)).tolist():
+        classes = np.flatnonzero(np.bincount(cls)).tolist()
+        traces = _correlations(
+            [p], [int(powers[i]) if i < e else 0 for i in classes])
+        for row, i in enumerate(classes):
             on = cls == i
-            a_vals[on] = _correlation(p, powers[i] if i < e else 0)[c[on]]
+            a_vals[on] = traces[row][c[on]]
     return a_vals, good
 
 
@@ -879,68 +892,114 @@ def _smooth_length(m: int) -> int:
 _CORRELATION_BUDGET = 1 << 16
 
 
-def _correlations(ps: list, a: int) -> np.ndarray:
+class _Workspace:
+    """The flat buffers of the non-CM kernel, reused from one sub-block to
+    the next so that its large temporaries are allocated, and page-faulted,
+    once per workspace rather than once per sub-block.
+
+    take(name, shape, dtype) is a C-contiguous view of the first elements
+    of the buffer called name; the data of the last view of a name is
+    dead once the name is taken again.  A buffer is made on its first take
+    with room for max(size, the elements asked for) and is made again,
+    larger, only when a take asks for more than it holds; arange(m) is
+    range(m) as int64, from one buffer filled once."""
+
+    def __init__(self, size: int = 0):
+        self.size, self._buffers = size, {}
+
+    def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        need = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < need:
+            buf = self._buffers[name] = np.empty(max(need, self.size), dtype)
+        return buf[:need].reshape(shape)
+
+    def arange(self, m: int) -> np.ndarray:
+        buf = self._buffers.get("arange")
+        if buf is None or buf.size < m:
+            buf = self._buffers["arange"] = np.arange(max(m, self.size))
+        return buf[:m]
+
+
+def _correlations(ps: list, a, ws: _Workspace | None = None) -> np.ndarray:
     """The trace of y^2 = x^3 + ax + s at every s < p in O(p log p), for
-    each p of an ascending list of primes: an int64 array with one row per
-    prime, row r holding -corr[s] at s < p_r and 0 after, where
-    corr[s] = sum_v N[v] chi[(v + s) mod p], N the value histogram of
-    x^3 + ax mod p and chi the Legendre symbol mod p.
+    each p of an ascending list of primes, or, for a list of coefficients
+    a at a list of one prime, for each a at that prime: an int64 array
+    with one row per prime (per a), row r holding -corr[s] at s < p_r and
+    0 after, where corr[s] = sum_v N[v] chi[(v + s) mod p], N the value
+    histogram of x^3 + ax mod p and chi the Legendre symbol mod p.
 
     The circular correlation of length p is taken as a linear one at the
     5-smooth length n >= 2 max(ps) - 1 (an FFT at a prime length costs
     several times more, and a power of two pads up to twice as much), with
     N zero-padded and chi tiled twice: v + s < 2p never wraps around n.
-    Each prime is one row, and one rfft per array and one irfft along the
-    rows transform the whole list, so numpy releases the GIL for the whole
-    batch.  The tiled chi is built directly, -1 off the squares x^2 and
-    x^2 + p.  The values are integers at any n >= 2p - 1, so any rounding
-    slack of 1/4 or more is an error."""
-    rows, top = len(ps), ps[-1]
+    Each histogram is one row, and one rfft per array and one irfft along
+    the rows transform the whole list, so numpy releases the GIL for the
+    whole batch; several a at one prime share one chi spectrum, broadcast
+    against their rows.  The tiled chi is built directly, -1 off the
+    squares x^2 and x^2 + p.  The values are integers at any n >= 2p - 1,
+    so any rounding slack of 1/4 or more is an error.
+
+    The grids and transforms, the returned traces included, are views of
+    ws (a workspace of its own by default)."""
+    ws = _Workspace() if ws is None else ws
+    top = ps[-1]
     n = _smooth_length(2 * top - 1)
     p = np.array(ps, dtype=np.int64)[:, None]
-    x = np.arange(top, dtype=np.int64)
+    coef = np.reshape(a, (-1, 1)) % p
+    rows, primes = len(coef), len(ps)
+    x = ws.arange(top)
     on = np.arange(rows)[:, None]
     # row r takes x < p_r; a column x >= p_r repeats a residue, so it is
     # counted in a spare last bin of the histogram, and the square it
     # marks in chi is a square already (or 0 and p_r, reset to 0 below)
-    past = x >= p
-    x2 = np.multiply(x, x, out=np.empty((rows, top), dtype=np.int64))
+    past = np.greater_equal(x, p, out=ws.take("past", (primes, top), bool))
+    x2 = np.multiply(x, x, out=ws.take("x2", (primes, top), np.int64))
     x2 %= p
-    value = x2 + a % p
+    value = np.add(x2, coef, out=ws.take("value", (rows, top), np.int64))
     value *= x
     value %= p
     value += top * on
-    value[past] = rows * top
-    hist = np.zeros((rows, n))
+    np.copyto(value, rows * top, where=past)
+    hist = ws.take("hist", (rows, n), np.float64)
+    hist[:, top:] = 0.0
     hist[:, :top] = np.bincount(value.ravel(), minlength=rows * top + 1
                                 )[:-1].reshape(rows, top)
-    chi2 = np.zeros((rows, max(n, 2 * top)))
+    # the rfft pads chi's 2 top columns with zeros up to n, or drops the
+    # last one where n = 2 top - 1; the zeros past 2 p_r keep each row the
+    # transform input of a fresh buffer, though no s < p_r reads them
+    chi2 = ws.take("chi", (primes, 2 * top), np.float64)
     for row, q in enumerate(ps):
-        chi2[row, 1:2 * q] = -1.0
-    squares = x2[:, 1:(top + 1) // 2]
-    squares += chi2.shape[1] * on
+        chi2[row, :2 * q] = -1.0
+        chi2[row, 2 * q:] = 0.0
+    # the value grid is spent: its buffer takes the squares, contiguous,
+    # so that numpy scatters through them without a buffer of its own
+    squares = np.add(
+        x2[:, 1:(top + 1) // 2], 2 * top * on[:primes],
+        out=ws.take("value", (primes, (top - 1) // 2), np.int64))
     chi2.ravel()[squares] = 1.0
     squares += p
     chi2.ravel()[squares] = 1.0
     chi2[:, 0] = 0.0
-    chi2[on[:, 0], ps] = 0.0
-    spectrum = np.fft.rfft(hist, axis=1)
+    chi2[on[:primes, 0], ps] = 0.0
+    half = n // 2 + 1
+    spectrum = np.fft.rfft(hist, axis=1, out=ws.take(
+        "spectrum", (rows, half), np.complex128))
     np.conjugate(spectrum, out=spectrum)
-    spectrum *= np.fft.rfft(chi2, n, axis=1)
-    corr = np.fft.irfft(spectrum, n, axis=1)[:, :top]
-    corr[past] = 0.0
-    traces = np.rint(corr)
+    spectrum *= np.fft.rfft(chi2, n, axis=1, out=ws.take(
+        "chi spectrum", (primes, half), np.complex128))
+    # the histogram is spent: its buffer takes the correlation
+    corr = np.fft.irfft(spectrum, n, axis=1, out=hist)[:, :top]
+    np.copyto(corr, 0.0, where=past)
+    traces = np.rint(corr, out=ws.take("rint", (rows, top), np.float64))
     corr -= traces
     bad = np.flatnonzero(np.max(np.abs(corr, out=corr), axis=1) >= 0.25)
     if bad.size:
         raise VerificationError(
-            f"fft correlation not integral at {ps[bad[0]]}")
-    return np.negative(traces, out=traces).astype(np.int64)
-
-
-def _correlation(p: int, a: int) -> np.ndarray:
-    """_correlations on a list of one prime."""
-    return _correlations([p], a)[0]
+            f"fft correlation not integral at {ps[bad[0] % primes]}")
+    out = ws.take("traces", (rows, top), np.int64)
+    np.copyto(out, np.negative(traces, out=traces), casting="unsafe")
+    return out
 
 
 def _correlation_blocks(ps: list) -> list:
@@ -959,21 +1018,26 @@ def _correlation_blocks(ps: list) -> list:
     return blocks
 
 
-def _a_tildes_from_traces(ps: list, traces: np.ndarray) -> list:
+def _a_tildes_from_traces(ps: list, traces: np.ndarray,
+                          ws: _Workspace) -> list:
     """Atilde(p) for noncm_3x12t at each prime of an ascending list, from
-    the traces _correlations(ps, -3) gives.
+    the traces _correlations(ps, -3, ws) gives.
 
     a_t = traces[r, 12t mod p] for the prime p of row r: one correlation
     gives the trace at every t.  A trace outside the Hasse range |a| <= h =
     floor(2 sqrt p) is an error.  The weight lambda^3 / (p + 1 - a) is
     computed once per integer a in [-h, h] (every row's table in one
-    array) and gathered at the good t in t order; each prime's terms are
-    one contiguous run, so every term and the pairwise sum of each run
-    are those of _lambda_cubed_weight over the a_t.
+    array) and gathered at the good t in t order, the j-th good t of row r
+    in column j; each prime's terms are one contiguous run, so every term
+    and the pairwise sum of each run are those of _lambda_cubed_weight
+    over the a_t.  The grids are views of ws, in buffers of _correlations
+    whose data is spent once the traces are formed.
     """
-    p = np.array(ps, dtype=np.int64)
+    rows, top = traces.shape
+    p = np.array(ps, dtype=np.int64)[:, None]
     h = np.array([math.isqrt(4 * q) for q in ps], dtype=np.int64)
-    bad = np.flatnonzero(np.max(np.abs(traces), axis=1) > h)
+    size = np.abs(traces, out=ws.take("value", (rows, top), np.int64))
+    bad = np.flatnonzero(np.max(size, axis=1) > h)
     if bad.size:
         raise VerificationError(
             f"fft trace outside the Hasse range at {ps[bad[0]]}")
@@ -982,23 +1046,43 @@ def _a_tildes_from_traces(ps: list, traces: np.ndarray) -> list:
     zero = np.cumsum(width) - width + h
     weights = _lambda_cubed_terms(
         np.arange(width.sum()) - np.repeat(zero, width), np.repeat(p, width))
-    # t = 0..p_r - 1 in each row in turn; the bad t are the roots of
-    # (6t - 1)(6t + 1), t = 1/6 and -1/6 mod p_r
-    t = np.arange(p.sum()) - np.repeat(np.cumsum(p) - p, p)
-    pt = np.repeat(p, p)
-    index = np.repeat(zero, p) + traces.ravel()[
-        np.repeat(np.arange(len(ps)) * traces.shape[1], p) + 12 * t % pt]
-    inv6 = np.repeat([pow(6, -1, q) for q in ps], p)
-    terms = weights[index[(t != inv6) & (t != pt - inv6)]]
-    ends = np.cumsum(p - 2).tolist()
-    return [float(np.sum(terms[end - q + 2:end]))
-            for q, end in zip(ps, ends)]
+    # the bad t are the roots of (6t - 1)(6t + 1), lo < hi = 1/6 and -1/6
+    # mod p_r in some order; column j takes t = j + [j >= lo] + [j >= hi - 1]
+    inv6 = np.array([pow(6, -1, q) for q in ps], dtype=np.int64)[:, None]
+    lo, hi = np.minimum(inv6, p - inv6), np.maximum(inv6, p - inv6)
+    x = ws.arange(top)
+    t = ws.take("value", (rows, top), np.int64)
+    skip = ws.take("past", (rows, top), bool)
+    np.copyto(t, x)
+    # masked adds, as a bool added to int64 is cast through a buffer
+    np.add(t, 1, out=t, where=np.greater_equal(x, lo, out=skip))
+    np.add(t, 1, out=t, where=np.greater_equal(x, hi - 1, out=skip))
+    t *= 12
+    t %= p
+    t += top * np.arange(rows)[:, None]
+    index = np.take(traces.ravel(), t, mode="clip",
+                    out=ws.take("x2", (rows, top), np.int64))
+    index += zero[:, None]
+    terms = np.take(weights, index, mode="clip",
+                    out=ws.take("hist", (rows, top), np.float64))
+    return [float(np.sum(terms[r, :q - 2])) for r, q in enumerate(ps)]
 
 
-def _a_tildes_b3(ps: list) -> list:
+def _a_tildes_b3(ps: list, ws: _Workspace | None = None) -> list:
     """Atilde(p) for noncm_3x12t at each prime of one sub-block, in
-    O(p log p) each from one batched _correlations."""
-    return _a_tildes_from_traces(ps, _correlations(ps, -3))
+    O(p log p) each from one batched _correlations, in ws (a workspace of
+    its own by default)."""
+    ws = _Workspace() if ws is None else ws
+    return _a_tildes_from_traces(ps, _correlations(ps, -3, ws), ws)
+
+
+def _a_tildes_share(blocks: list) -> list:
+    """_a_tildes_b3 of each sub-block of a list in one workspace, sized
+    for the largest of them: every buffer holds rows x (n + 1) elements
+    of the sub-block with the most."""
+    ws = _Workspace(max((len(b) * (_smooth_length(2 * b[-1] - 1) + 1)
+                         for b in blocks), default=0))
+    return [_a_tildes_b3(block, ws) for block in blocks]
 
 
 def a_tilde(fam: FamilySpec, p: int) -> float:

@@ -7,7 +7,11 @@ over t, and exact integer arithmetic throughout.
 import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -506,27 +510,30 @@ def test_smooth_length_is_the_least_5_smooth_bound():
 @pytest.mark.parametrize("shift,match", [(0.5, "not integral"),
                                          (1.0, "Hasse range")])
 def test_a_tilde_b3_checks_its_correlation(monkeypatch, shift, match):
-    # a non-integral FFT output, which _correlation refuses, then an
+    # a non-integral FFT output, which _correlations refuses, then an
     # integral one whose trace lies just outside the Hasse range
     # |a| <= floor(2 sqrt p), which _a_tilde_b3 refuses
     p = 101
     h = math.isqrt(4 * p)
-    monkeypatch.setattr(
-        np.fft, "irfft",
-        lambda spectrum, n, axis: np.full((len(spectrum), n), -(h + shift)))
+
+    def irfft(spectrum, n, axis, out):
+        out[...] = -(h + shift)
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", irfft)
     with pytest.raises(VerificationError, match=match):
         _a_tilde_b3(p)
     if match == "not integral":
         # the kernel behind every trace table refuses it for any curve
         with pytest.raises(VerificationError, match=match):
-            families._correlation(p, 0)
+            families._correlations([p], 0)
 
 
 def _a_tilde_b3_one_prime(p: int) -> float:
     """Atilde(p) of noncm_3x12t one prime at a time: one correlation at
     the prime's own length, the weight table over the Hasse range, the
     gather in t order, np.delete of the two bad t and one np.sum."""
-    traces = families._correlation(p, -3)
+    traces = families._correlations([p], -3)[0]
     h = math.isqrt(4 * p)
     assert np.max(np.abs(traces)) <= h
     weights = families._lambda_cubed_terms(
@@ -543,8 +550,8 @@ def test_a_sub_block_names_the_prime_that_fails_a_check(monkeypatch):
     real = np.fft.irfft
 
     def spoiled(row, col, value):
-        def irfft(spectrum, n, axis):
-            out = real(spectrum, n, axis=axis)
+        def irfft(spectrum, n, axis, out):
+            out = real(spectrum, n, axis=axis, out=out)
             out[row, col] = value
             return out
         return irfft
@@ -592,6 +599,75 @@ def test_correlation_blocks_cover_the_primes_within_the_budget():
     assert alone and all(len(block) == 1 for block in alone)
     assert len(blocks[0]) > 1
     assert families._correlation_blocks([]) == []
+
+
+def test_a_workspace_leaves_no_stale_data():
+    # one workspace in one thread: a many-row sub-block, a one-row one, a
+    # prime whose length alone passes the budget, so that its buffers
+    # grow, and a small sub-block again; each result is that of a fresh
+    # workspace one prime at a time
+    ws = families._Workspace()
+    many = families._correlation_blocks(
+        [int(q) for q in get_table(3000).primes if q >= 1000])[0]
+    small = families._correlation_blocks(
+        [int(q) for q in get_table(60).primes if q >= 5])[0]
+    big = 32779
+    assert len(many) > 1 and len(small) > 1
+    assert families._smooth_length(2 * big - 1) > \
+        families._CORRELATION_BUDGET
+    for block in (many, [1999], [big], small):
+        assert families._a_tildes_b3(block, ws) == \
+            [_a_tilde_b3_one_prime(p) for p in block], block
+    # the same workspace again: every trace against an O(p) point count,
+    # for one a at many primes, then several a at one prime
+    traces = families._correlations(small, -3, ws)
+    for row, p in enumerate(small):
+        assert traces[row, :p].tolist() == [
+            families._a_for_coefficients(-3, s, p) for s in range(p)]
+        assert not traces[row, p:].any()
+    coefs = [2, 0, 5, -3]
+    traces = families._correlations([53], coefs, ws)
+    assert traces.tolist() == [
+        [families._a_for_coefficients(a, s, 53) for s in range(53)]
+        for a in coefs]
+
+
+def test_noncm_a_tildes_release_their_workspaces(noncm_per_prime):
+    # numpy reports its data buffers to tracemalloc: the workspaces show
+    # while the call runs and are gone once it returns
+    p_int = noncm_per_prime[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        families.REGISTRY["noncm_3x12t"].a_tildes(p_int)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before > 1 << 20
+    assert after - before < 1 << 20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts minor page faults on Linux")
+def test_noncm_a_tildes_fault_their_buffers_in_once():
+    # a fresh process on one thread: the first 1000 primes took about
+    # 95 000 minor page faults when every sub-block allocated its own
+    # temporaries, and take about 1 000 in one workspace
+    code = "\n".join((
+        "import resource",
+        "from ldl import families",
+        "from ldl.primes import first_n_primes",
+        "p_int = first_n_primes(1002).primes[2:]",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "families.REGISTRY['noncm_3x12t'].a_tildes(p_int)",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"))
+    src = str(pathlib.Path(families.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, LDL_THREADS="1",
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(run.stdout) < 15000
 
 
 def test_a_tilde_b3_takes_the_padded_fft_at_every_prime(monkeypatch):
