@@ -15,10 +15,10 @@ The package's one worker pool lives in ``ordered_map``, which returns
 function (terms built and reduced on one chunk, for several columns) over
 the chunks with it.  Three passes use the pool: the evaluate_S blocks on
 thread_count(threads) workers, and the lower_order_limit blocks and the
-non-CM Atilde sub-blocks (families._NonCM.a_tildes) on thread_count(None),
-so LDL_THREADS sets those (the Atilde main-sum cache is shared across
-calls).  A task that itself calls ``ordered_map`` runs that map inline, so
-no pool opens inside a pool.
+non-CM Atilde sub-blocks (families._NonCM.a_tildes, one share of them
+per worker) on thread_count(None), so LDL_THREADS sets those (the Atilde
+main-sum cache is shared across calls).  A task that itself calls
+``ordered_map`` runs that map inline, so no pool opens inside a pool.
 LDL_THREADS=1 gives a serial run.  ``pool_peak`` is the most workers one
 pool ran since a caller set it to 1 (the CLI manifest's ``threads``).
 
@@ -32,7 +32,12 @@ that, and from then on the temporaries are reused from the heap.  With a
 s against 0.25-0.27 s (2 cores, CPython 3.11, numpy 2.4).  The package
 sets no malloc option; keep the sieve mask at 2^24 bytes.  The sieve
 clears and collects that mask in 1 MiB windows, but the windows are
-slices of the one mask, which is still allocated and freed whole.
+slices of the one mask, which is still allocated and freed whole.  The
+non-CM Atilde kernel is out of this coupling: each worker fills the
+large temporaries of its sub-blocks through out= views of one
+families._Workspace, so its only large arrays still allocated per
+sub-block are np.bincount's histogram and pocketfft's own scratch inside
+each transform.
 """
 
 from __future__ import annotations

@@ -1036,8 +1036,8 @@ def _a_tildes_from_traces(ps: list, traces: np.ndarray,
     rows, top = traces.shape
     p = np.array(ps, dtype=np.int64)[:, None]
     h = np.array([math.isqrt(4 * q) for q in ps], dtype=np.int64)
-    size = np.abs(traces, out=ws.take("value", (rows, top), np.int64))
-    bad = np.flatnonzero(np.max(size, axis=1) > h)
+    magnitude = np.abs(traces, out=ws.take("value", (rows, top), np.int64))
+    bad = np.flatnonzero(np.max(magnitude, axis=1) > h)
     if bad.size:
         raise VerificationError(
             f"fft trace outside the Hasse range at {ps[bad[0]]}")
@@ -1078,8 +1078,9 @@ def _a_tildes_b3(ps: list, ws: _Workspace | None = None) -> list:
 
 def _a_tildes_share(blocks: list) -> list:
     """_a_tildes_b3 of each sub-block of a list in one workspace, sized
-    for the largest of them: every buffer holds rows x (n + 1) elements
-    of the sub-block with the most."""
+    for the largest of them: rows x (n + 1) elements of a sub-block bound
+    each of its arrays (the widest, the tiled chi, has 2 top <= n + 1
+    columns), so no buffer grows within the list."""
     ws = _Workspace(max((len(b) * (_smooth_length(2 * b[-1] - 1) + 1)
                          for b in blocks), default=0))
     return [_a_tildes_b3(block, ws) for block in blocks]
