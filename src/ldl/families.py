@@ -40,14 +40,17 @@ Atilde(p) is each entry's a_tildes:
   exact up to INT64_PRIME_LIMIT and raise ResourceError past it.
 * ``noncm_3x12t``: an FFT correlation (_correlations), O(p log p) per
   prime, with the weights lambda^3/(p + 1 - a) from a table over
-  |a| <= 2 sqrt p.  Consecutive primes are transformed together, one row
-  each, in sub-blocks of at most _CORRELATION_BUDGET elements.  Each
-  worker of the package's pool (_sum.ordered_map) takes every w-th
+  |a| <= 2 sqrt p.  x^3 + ax is odd, so the trace at -s is (-1/p) times
+  the trace at s, and only the shifts s < (p + 1)/2 are transformed, at
+  a length of about 3p/2.  Consecutive primes are transformed together,
+  one row each, in sub-blocks of at most _CORRELATION_BUDGET elements.
+  Each worker of the package's pool (_sum.ordered_map) takes every w-th
   sub-block and fills all its large temporaries in one _Workspace, which
   it drops when it returns.
 * any other family: its traces at every t (_curve_data) from one
   correlation of at most five rows, one per class of A(t), against one
-  Legendre spectrum; its moments are their power sums (_power_sums).
+  Legendre spectrum, halved by the same symmetry; its moments are their
+  power sums (_power_sums).
 
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
 simple, and a scan of t mod p^k otherwise; nu_D(d) is their product over
@@ -902,7 +905,7 @@ class _Workspace:
     dead once the name is taken again.  A buffer is made on its first take
     with room for max(size, the elements asked for) and is made again,
     larger, only when a take asks for more than it holds; arange(m) is
-    range(m) as int64, from one buffer filled once."""
+    range(m) as float64, from one buffer filled once."""
 
     def __init__(self, size: int = 0):
         self.size, self._buffers = size, {}
@@ -917,100 +920,143 @@ class _Workspace:
     def arange(self, m: int) -> np.ndarray:
         buf = self._buffers.get("arange")
         if buf is None or buf.size < m:
-            buf = self._buffers["arange"] = np.arange(max(m, self.size))
+            buf = self._buffers["arange"] = np.arange(
+                max(m, self.size), dtype=np.float64)
         return buf[:m]
+
+
+#: the primes below which _exact_mod is exact on every residue grid of
+#: the trace kernel, whose values stay below p^2 + 12p < 2^53
+FLOAT_PRIME_LIMIT = 1 << 26
+
+
+def _exact_mod(v: np.ndarray, p: np.ndarray, scratch: np.ndarray) -> None:
+    """v mod p in place, for integer-valued float64 0 <= v < 2^53 and a
+    float64 column of primes p: the quotient v / p then rounds to the
+    right side of every integer, so v - p floor(v / p) is exact, at about
+    half the cost of an int64 remainder."""
+    q = np.divide(v, p, out=scratch)
+    np.floor(q, out=q)
+    q *= p
+    v -= q
 
 
 def _correlations(ps: list, a, ws: _Workspace | None = None) -> np.ndarray:
     """The trace of y^2 = x^3 + ax + s at every s < p in O(p log p), for
-    each p of an ascending list of primes, or, for a list of coefficients
-    a at a list of one prime, for each a at that prime: an int64 array
-    with one row per prime (per a), row r holding -corr[s] at s < p_r and
-    0 after, where corr[s] = sum_v N[v] chi[(v + s) mod p], N the value
-    histogram of x^3 + ax mod p and chi the Legendre symbol mod p.
+    each p of an ascending list of primes below FLOAT_PRIME_LIMIT, or, for
+    a list of coefficients a at a list of one prime, for each a at that
+    prime: an int64 array with one row per prime (per a), row r holding
+    -corr[s] at s < p_r and 0 after, where corr[s] = sum_v N[v] chi[(v +
+    s) mod p], N the value histogram of x^3 + ax mod p and chi the
+    Legendre symbol mod p.
 
-    The circular correlation of length p is taken as a linear one at the
-    5-smooth length n >= 2 max(ps) - 1 (an FFT at a prime length costs
-    several times more, and a power of two pads up to twice as much), with
-    N zero-padded and chi tiled twice: v + s < 2p never wraps around n.
-    Each histogram is one row, and one rfft per array and one irfft along
-    the rows transform the whole list, so numpy releases the GIL for the
-    whole batch; several a at one prime share one chi spectrum, broadcast
-    against their rows.  The tiled chi is built directly, -1 off the
-    squares x^2 and x^2 + p.  The values are integers at any n >= 2p - 1,
-    so any rounding slack of 1/4 or more is an error.
+    x^3 + ax is odd, so N is even and corr[p - s] = chi(-1) corr[s]: only
+    the shifts s < (p + 1)/2 are transformed, and the rest of each row is
+    its first half reversed, negated where p = 3 (mod 4).  N[v] counts v
+    and -v over 0 < x < (p + 1)/2, and x = 0 once.  The circular
+    correlation at those shifts is taken as a linear one at the 5-smooth
+    length n >= (3 max(ps) - 1)/2 (an FFT at a prime length costs several
+    times more, and a power of two pads up to twice as much), with N
+    zero-padded and -chi tiled over [0, (3p - 1)/2): v + s < (3p - 1)/2
+    never wraps around n.  Each histogram is one row, and one rfft per
+    array and one irfft along the rows transform the whole list, so numpy
+    releases the GIL for the whole batch; several a at one prime share one
+    chi spectrum, broadcast against their rows.  The tiled -chi is built
+    directly, 1 off the squares x^2 and x^2 + p, and the residues are
+    exact float64 arithmetic (_exact_mod).  The correlation is an integer
+    at every shift, so any rounding slack of 1/4 or more is an error.
 
     The grids and transforms, the returned traces included, are views of
     ws (a workspace of its own by default)."""
-    ws = _Workspace() if ws is None else ws
     top = ps[-1]
-    n = _smooth_length(2 * top - 1)
+    if top >= FLOAT_PRIME_LIMIT:
+        raise ResourceError(
+            f"p = {top} is past {FLOAT_PRIME_LIMIT}, where the float64 "
+            "residues of the trace correlation lose exactness")
+    half, width = (top + 1) // 2, (3 * top - 1) // 2
+    n = _smooth_length(width)
     p = np.array(ps, dtype=np.int64)[:, None]
+    pf = p.astype(np.float64)
     coef = np.reshape(a, (-1, 1)) % p
     rows, primes = len(coef), len(ps)
-    x = ws.arange(top)
+    ws = _Workspace(_block_elements(rows, top)) if ws is None else ws
     on = np.arange(rows)[:, None]
-    # row r takes x < p_r; a column x >= p_r repeats a residue, so it is
-    # counted in a spare last bin of the histogram, and the square it
-    # marks in chi is a square already (or 0 and p_r, reset to 0 below)
-    past = np.greater_equal(x, p, out=ws.take("past", (primes, top), bool))
-    x2 = np.multiply(x, x, out=ws.take("x2", (primes, top), np.int64))
-    x2 %= p
-    value = np.add(x2, coef, out=ws.take("value", (rows, top), np.int64))
+    # float64 operands throughout: numpy casts an int64 one through a buffer
+    onf = on.astype(np.float64)
+    x = ws.arange(half)
+    x2 = np.multiply(x, x, out=ws.take("rint", (primes, half), np.float64))
+    _exact_mod(x2, pf, ws.take("chi", (primes, half), np.float64))
+    value = np.add(x2, coef, out=ws.take("hist", (rows, half), np.float64))
     value *= x
-    value %= p
-    value += top * on
-    np.copyto(value, rows * top, where=past)
+    _exact_mod(value, pf, ws.take("chi", (rows, half), np.float64))
+    # row r counts v in bin r (top + 1) + v and -v in bin r (top + 1) +
+    # p_r - v, so that -0 lands in bin p_r, added to bin 0 below; a column
+    # x >= (p_r + 1)/2 repeats a residue up to sign, so it is counted in a
+    # spare last bin, as is x = 0 among the -v
+    stride = top + 1
+    value += stride * onf
+    bins = ws.take("value", (rows, 2, half), np.int64)
+    np.copyto(bins[:, 0], value, casting="unsafe")
+    np.subtract(p + 2 * stride * on, bins[:, 0], out=bins[:, 1])
+    np.copyto(bins, rows * stride, where=np.greater_equal(
+        x, (pf[:, None] + 1.0) / 2.0,
+        out=ws.take("past", (primes, 1, half), bool)))
+    bins[:, 1, 0] = rows * stride
     hist = ws.take("hist", (rows, n), np.float64)
-    hist[:, top:] = 0.0
-    hist[:, :top] = np.bincount(value.ravel(), minlength=rows * top + 1
-                                )[:-1].reshape(rows, top)
-    # the rfft pads chi's 2 top columns with zeros up to n, or drops the
-    # last one where n = 2 top - 1; the zeros past 2 p_r keep each row the
-    # transform input of a fresh buffer, though no s < p_r reads them
-    chi2 = ws.take("chi", (primes, 2 * top), np.float64)
-    for row, q in enumerate(ps):
-        chi2[row, :2 * q] = -1.0
-        chi2[row, 2 * q:] = 0.0
-    # the value grid is spent: its buffer takes the squares, contiguous,
+    hist[:, stride:] = 0.0
+    hist[:, :stride] = np.bincount(bins.ravel(), minlength=rows * stride + 1
+                                   )[:-1].reshape(rows, stride)
+    hist[on, 0] += hist[on, p]
+    hist[on, p] = 0.0
+    # -chi over row r's tile [0, (3 p_r - 1)/2) and 1 after, where no
+    # shift s < (p_r + 1)/2 reads; a square x^2 + p_r past the tile marks
+    # column (3 p_r - 1)/2 instead, in the tail or in a last spare column.
+    # The value grid is spent: its buffer takes the squares, contiguous,
     # so that numpy scatters through them without a buffer of its own
-    squares = np.add(
-        x2[:, 1:(top + 1) // 2], 2 * top * on[:primes],
-        out=ws.take("value", (primes, (top - 1) // 2), np.int64))
-    chi2.ravel()[squares] = 1.0
-    squares += p
-    chi2.ravel()[squares] = 1.0
-    chi2[:, 0] = 0.0
-    chi2[on[:primes, 0], ps] = 0.0
-    half = n // 2 + 1
+    chi = ws.take("chi", (primes, width + 1), np.float64)
+    chi[...] = 1.0
+    x2[:, 1:] += (width + 1) * onf[:primes]
+    squares = ws.take("value", (2, primes, half - 1), np.int64)
+    np.copyto(squares[0], x2[:, 1:], casting="unsafe")
+    np.add(squares[0], p, out=squares[1])
+    np.minimum(squares[1], (3 * p - 1) // 2 + (width + 1) * on[:primes],
+               out=squares[1])
+    chi.ravel()[squares] = -1.0
+    chi[:, 0] = 0.0
+    chi[on[:primes, 0], ps] = 0.0
     spectrum = np.fft.rfft(hist, axis=1, out=ws.take(
-        "spectrum", (rows, half), np.complex128))
+        "spectrum", (rows, n // 2 + 1), np.complex128))
     np.conjugate(spectrum, out=spectrum)
-    spectrum *= np.fft.rfft(chi2, n, axis=1, out=ws.take(
-        "chi spectrum", (primes, half), np.complex128))
+    spectrum *= np.fft.rfft(chi, n, axis=1, out=ws.take(
+        "chi spectrum", (primes, n // 2 + 1), np.complex128))
     # the histogram is spent: its buffer takes the correlation
-    corr = np.fft.irfft(spectrum, n, axis=1, out=hist)[:, :top]
-    np.copyto(corr, 0.0, where=past)
-    traces = np.rint(corr, out=ws.take("rint", (rows, top), np.float64))
+    corr = np.fft.irfft(spectrum, n, axis=1, out=hist)[:, :half]
+    traces = np.rint(corr, out=ws.take("rint", (rows, half), np.float64))
     corr -= traces
     bad = np.flatnonzero(np.max(np.abs(corr, out=corr), axis=1) >= 0.25)
     if bad.size:
         raise VerificationError(
             f"fft correlation not integral at {ps[bad[0] % primes]}")
     out = ws.take("traces", (rows, top), np.int64)
-    np.copyto(out, np.negative(traces, out=traces), casting="unsafe")
+    np.copyto(out[:, :half], traces, casting="unsafe")
+    # trace(p - s) = chi(-1) trace(s) past each row's half, 0 past p
+    for r, q in enumerate(ps * (rows // primes)):
+        h = (q + 1) // 2
+        np.multiply(out[r, h - 1:0:-1], -1 if q % 4 == 3 else 1,
+                    out=out[r, h:q])
+        out[r, q:] = 0
     return out
 
 
 def _correlation_blocks(ps: list) -> list:
     """An ascending list of primes cut into consecutive sub-blocks of at
     most _CORRELATION_BUDGET float64 elements, rows x
-    _smooth_length(2 max - 1); a prime whose length alone exceeds the
-    budget is a sub-block of its own."""
+    _smooth_length((3 max - 1)/2); a prime whose length alone exceeds the
+    budget, any p > 43691, is a sub-block of its own."""
     blocks, n = [], 0
     for p in ps:
-        if 2 * p - 1 > n:       # else n is still the least length for p
-            n = _smooth_length(2 * p - 1)
+        if (3 * p - 1) // 2 > n:    # else n is still the least length for p
+            n = _smooth_length((3 * p - 1) // 2)
         if blocks and (len(blocks[-1]) + 1) * n <= _CORRELATION_BUDGET:
             blocks[-1].append(p)
         else:
@@ -1048,41 +1094,51 @@ def _a_tildes_from_traces(ps: list, traces: np.ndarray,
         np.arange(width.sum()) - np.repeat(zero, width), np.repeat(p, width))
     # the bad t are the roots of (6t - 1)(6t + 1), lo < hi = 1/6 and -1/6
     # mod p_r in some order; column j takes t = j + [j >= lo] + [j >= hi - 1]
-    inv6 = np.array([pow(6, -1, q) for q in ps], dtype=np.int64)[:, None]
-    lo, hi = np.minimum(inv6, p - inv6), np.maximum(inv6, p - inv6)
+    # (float64 columns, as numpy casts an int64 operand through a buffer)
+    pf = p.astype(np.float64)
+    inv6 = np.array([pow(6, -1, q) for q in ps], dtype=np.float64)[:, None]
+    lo, hi = np.minimum(inv6, pf - inv6), np.maximum(inv6, pf - inv6)
     x = ws.arange(top)
-    t = ws.take("value", (rows, top), np.int64)
+    t = ws.take("rint", (rows, top), np.float64)
     skip = ws.take("past", (rows, top), bool)
     np.copyto(t, x)
-    # masked adds, as a bool added to int64 is cast through a buffer
-    np.add(t, 1, out=t, where=np.greater_equal(x, lo, out=skip))
-    np.add(t, 1, out=t, where=np.greater_equal(x, hi - 1, out=skip))
-    t *= 12
-    t %= p
-    t += top * np.arange(rows)[:, None]
-    index = np.take(traces.ravel(), t, mode="clip",
-                    out=ws.take("x2", (rows, top), np.int64))
+    # masked adds, as a bool added to a float64 is cast through a buffer
+    np.add(t, 1.0, out=t, where=np.greater_equal(x, lo, out=skip))
+    np.add(t, 1.0, out=t, where=np.greater_equal(x, hi - 1.0, out=skip))
+    t *= 12.0
+    _exact_mod(t, pf, ws.take("chi", (rows, top), np.float64))
+    t += top * np.arange(rows, dtype=np.float64)[:, None]
+    flat = ws.take("value", (rows, top), np.int64)
+    np.copyto(flat, t, casting="unsafe")
+    index = np.take(traces.ravel(), flat, mode="clip",
+                    out=ws.take("index", (rows, top), np.int64))
     index += zero[:, None]
     terms = np.take(weights, index, mode="clip",
                     out=ws.take("hist", (rows, top), np.float64))
     return [float(np.sum(terms[r, :q - 2])) for r, q in enumerate(ps)]
 
 
+def _block_elements(rows: int, top: int) -> int:
+    """rows x (n + 1), n = _smooth_length((3 top - 1)/2): the elements
+    that bound each array of one _correlations and _a_tildes_from_traces
+    (the widest, the tiled chi, has (3 top + 1)/2 <= n + 1 columns), so
+    that no buffer of a workspace of that size grows."""
+    return rows * (_smooth_length((3 * top - 1) // 2) + 1)
+
+
 def _a_tildes_b3(ps: list, ws: _Workspace | None = None) -> list:
     """Atilde(p) for noncm_3x12t at each prime of one sub-block, in
     O(p log p) each from one batched _correlations, in ws (a workspace of
     its own by default)."""
-    ws = _Workspace() if ws is None else ws
+    ws = _Workspace(_block_elements(len(ps), ps[-1])) if ws is None else ws
     return _a_tildes_from_traces(ps, _correlations(ps, -3, ws), ws)
 
 
 def _a_tildes_share(blocks: list) -> list:
     """_a_tildes_b3 of each sub-block of a list in one workspace, sized
-    for the largest of them: rows x (n + 1) elements of a sub-block bound
-    each of its arrays (the widest, the tiled chi, has 2 top <= n + 1
-    columns), so no buffer grows within the list."""
-    ws = _Workspace(max((len(b) * (_smooth_length(2 * b[-1] - 1) + 1)
-                         for b in blocks), default=0))
+    for the largest of them, so that no buffer grows within the list."""
+    ws = _Workspace(max((_block_elements(len(b), b[-1]) for b in blocks),
+                        default=0))
     return [_a_tildes_b3(block, ws) for block in blocks]
 
 

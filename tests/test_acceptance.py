@@ -10,6 +10,7 @@ pieces as they are and accounts for the gap piece by piece.
 """
 
 import copy
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -217,6 +218,13 @@ def test_noncm_aggregate_and_piece_sum():
     recomputed = constants.aggregate_lower_order(
         "noncm_3x12t", source="computed", allow_mixed_truncations=True)
     assert abs(recomputed.aggregate - (-2.703)) <= 0.01
+    # every bit of the per-prime terms behind it, up to the 5000th prime
+    # (48611), from the cache that recomputation filled
+    ps, terms = constants._atilde_main_terms(
+        families.get_family("noncm_3x12t"), 5000)
+    assert ps.size == 4998
+    assert hashlib.sha256(terms.astype("<f8").tobytes()).hexdigest() == \
+        "9deb8ee3f6426551fef779852b6f0cb1189ec9f73ff020f95cd35d8fd8595a33"
 
 
 def test_derived_pieces_match_cited_where_they_follow_the_expansion():

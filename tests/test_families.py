@@ -477,19 +477,21 @@ def _a_tilde_b3_prime_length(p: int) -> float:
 
 @pytest.mark.slow
 def test_a_tilde_b3_padded_fft_matches_prime_length():
-    # the padded length is the least 5-smooth n >= 2p - 1; a power of two
-    # would double at p = 2^j + 1, so the range covers primes on both sides
-    # of every such step up to 2^13 + 1, and every 5-smooth step between
+    # the padded length is the least 5-smooth n >= (3p - 1)/2; a power of
+    # two would double where (3p - 1)/2 passes 2^j, so the range covers
+    # primes on both sides of every such step up to 2^13, and every
+    # 5-smooth step between
     primes = [int(q) for q in get_table(10 ** 4).primes if q >= 5]
     for p in primes:
         assert _a_tilde_b3(p) == _a_tilde_b3_prime_length(p), p
 
 
-def test_a_tilde_b3_unpadded_where_2p_minus_1_is_5_smooth():
-    # there the 5-smooth length is 2p - 1 itself: no padding slack
+def test_a_tilde_b3_unpadded_where_the_half_length_is_5_smooth():
+    # there the 5-smooth length is (3p - 1)/2 itself: no padding slack
     primes = [p for p in map(int, get_table(10 ** 5).primes)
-              if p >= 5 and families._smooth_length(2 * p - 1) == 2 * p - 1]
-    assert primes[:5] == [5, 13, 23, 41, 113]
+              if p >= 5 and families._smooth_length((3 * p - 1) // 2)
+              == (3 * p - 1) // 2]
+    assert primes[:5] == [7, 11, 17, 43, 67]
     fam = families.get_family("noncm_3x12t")
     for p in primes:
         assert families.a_tilde(fam, p) == _a_tilde_b3_prime_length(p), p
@@ -587,16 +589,19 @@ def test_noncm_a_tildes_match_one_correlation_per_prime(
 
 def test_correlation_blocks_cover_the_primes_within_the_budget():
     budget = families._CORRELATION_BUDGET
-    ps = [int(q) for q in get_table(4 * 10 ** 4).primes if q >= 5]
+    ps = [int(q) for q in get_table(5 * 10 ** 4).primes if q >= 5]
     blocks = families._correlation_blocks(ps)
     assert [p for block in blocks for p in block] == ps
     for block in blocks:
-        n = families._smooth_length(2 * block[-1] - 1)
+        n = families._smooth_length((3 * block[-1] - 1) // 2)
         assert len(block) * n <= budget or len(block) == 1
     # a prime whose length alone passes the budget is a block of its own
     alone = [block for block in blocks
-             if families._smooth_length(2 * block[0] - 1) > budget]
+             if families._smooth_length((3 * block[0] - 1) // 2) > budget]
     assert alone and all(len(block) == 1 for block in alone)
+    # the first is 43711; 43691 transforms at the budget, 65536, itself
+    assert alone[0] == [43711]
+    assert families._smooth_length((3 * 43691 - 1) // 2) == budget
     assert len(blocks[0]) > 1
     assert families._correlation_blocks([]) == []
 
@@ -611,9 +616,9 @@ def test_a_workspace_leaves_no_stale_data():
         [int(q) for q in get_table(3000).primes if q >= 1000])[0]
     small = families._correlation_blocks(
         [int(q) for q in get_table(60).primes if q >= 5])[0]
-    big = 32779
+    big = 43711
     assert len(many) > 1 and len(small) > 1
-    assert families._smooth_length(2 * big - 1) > \
+    assert families._smooth_length((3 * big - 1) // 2) > \
         families._CORRELATION_BUDGET
     for block in (many, [1999], [big], small):
         assert families._a_tildes_b3(block, ws) == \
@@ -668,6 +673,38 @@ def test_noncm_a_tildes_fault_their_buffers_in_once():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert int(run.stdout) < 15000
+
+
+def test_correlation_rows_mirror_their_first_half():
+    # each row is transformed at s < (p + 1)/2 only and mirrored as
+    # trace(-s) = (-1/p) trace(s): p = 103 = 3 (mod 4) negates, 101 does
+    # not, and a = 0 (mod p) gives the CM curves y^2 = x^3 + s
+    for p in (3, 5, 101, 103):
+        coefs = [-3, 0, p, 1, 2, p - 1]
+        traces = families._correlations([p], coefs)
+        assert traces.tolist() == [
+            [families._a_for_coefficients(a, s, p) for s in range(p)]
+            for a in coefs], p
+    ps = [97, 101, 103, 107, 109]
+    traces = families._correlations(ps, 0)
+    for row, p in enumerate(ps):
+        assert traces[row, :p].tolist() == [
+            families._a_for_coefficients(0, s, p) for s in range(p)]
+        assert not traces[row, p:].any()
+
+
+def test_correlations_refuse_primes_past_the_float_residues():
+    limit = families.FLOAT_PRIME_LIMIT
+    with pytest.raises(ResourceError, match=str(limit)):
+        families._correlations([limit + 15], -3)
+
+
+def test_a_tilde_b3_at_the_last_prime_of_twenty_thousand():
+    # 224737, the 20000th prime: n = 337500 = 2^2 3^3 5^5
+    p = int(first_n_primes(20000).primes[-1])
+    assert p == 224737
+    assert families._smooth_length((3 * p - 1) // 2) == 337500
+    assert families._a_tildes_b3([p]) == [_a_tilde_b3_prime_length(p)]
 
 
 def test_a_tilde_b3_takes_the_padded_fft_at_every_prime(monkeypatch):
