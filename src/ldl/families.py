@@ -1077,13 +1077,14 @@ def _a_tildes_from_traces(ps: list, traces: np.ndarray,
     in column j; each prime's terms are one contiguous run, so every term
     and the pairwise sum of each run are those of _lambda_cubed_weight
     over the a_t.  The grids are views of ws, in buffers of _correlations
-    whose data is spent once the traces are formed.
+    whose data is spent once the traces are formed, and the traces
+    themselves are spent.
     """
     rows, top = traces.shape
     p = np.array(ps, dtype=np.int64)[:, None]
     h = np.array([math.isqrt(4 * q) for q in ps], dtype=np.int64)
-    magnitude = np.abs(traces, out=ws.take("value", (rows, top), np.int64))
-    bad = np.flatnonzero(np.max(magnitude, axis=1) > h)
+    bad = np.flatnonzero((np.max(traces, axis=1) > h)
+                         | (np.min(traces, axis=1) < -h))
     if bad.size:
         raise VerificationError(
             f"fft trace outside the Hasse range at {ps[bad[0]]}")
@@ -1099,21 +1100,23 @@ def _a_tildes_from_traces(ps: list, traces: np.ndarray,
     inv6 = np.array([pow(6, -1, q) for q in ps], dtype=np.float64)[:, None]
     lo, hi = np.minimum(inv6, pf - inv6), np.maximum(inv6, pf - inv6)
     x = ws.arange(top)
-    t = ws.take("rint", (rows, top), np.float64)
+    t = ws.take("chi", (rows, top), np.float64)
     skip = ws.take("past", (rows, top), bool)
     np.copyto(t, x)
     # masked adds, as a bool added to a float64 is cast through a buffer
     np.add(t, 1.0, out=t, where=np.greater_equal(x, lo, out=skip))
     np.add(t, 1.0, out=t, where=np.greater_equal(x, hi - 1.0, out=skip))
     t *= 12.0
-    _exact_mod(t, pf, ws.take("chi", (rows, top), np.float64))
+    _exact_mod(t, pf, ws.take("hist", (rows, top), np.float64))
     t += top * np.arange(rows, dtype=np.float64)[:, None]
     flat = ws.take("value", (rows, top), np.int64)
     np.copyto(flat, t, casting="unsafe")
-    index = np.take(traces.ravel(), flat, mode="clip",
-                    out=ws.take("index", (rows, top), np.int64))
-    index += zero[:, None]
-    terms = np.take(weights, index, mode="clip",
+    # the traces are spent: each becomes the index of its weight, and the
+    # weight at every s is gathered, then the one at 12t for each good t
+    traces += zero[:, None]
+    at_s = np.take(weights, traces, mode="clip",
+                   out=ws.take("chi", (rows, top), np.float64))
+    terms = np.take(at_s.ravel(), flat, mode="clip",
                     out=ws.take("hist", (rows, top), np.float64))
     return [float(np.sum(terms[r, :q - 2])) for r, q in enumerate(ps)]
 
