@@ -1010,7 +1010,8 @@ def _correlations(ps: list, a, ws: _Workspace | None = None) -> np.ndarray:
     hist[on, p] = 0.0
     # -chi over row r's tile [0, (3 p_r - 1)/2) and 1 after, where no
     # shift s < (p_r + 1)/2 reads; a square x^2 + p_r past the tile marks
-    # column (3 p_r - 1)/2 instead, in the tail or in a last spare column.
+    # column (3 p_r - 1)/2 instead, in the tail or in a last spare column,
+    # which the rfft drops where n = (3 top - 1)/2 (else it pads with 0).
     # The value grid is spent: its buffer takes the squares, contiguous,
     # so that numpy scatters through them without a buffer of its own
     chi = ws.take("chi", (primes, width + 1), np.float64)
@@ -1033,7 +1034,7 @@ def _correlations(ps: list, a, ws: _Workspace | None = None) -> np.ndarray:
     corr = np.fft.irfft(spectrum, n, axis=1, out=hist)[:, :half]
     traces = np.rint(corr, out=ws.take("rint", (rows, half), np.float64))
     corr -= traces
-    bad = np.flatnonzero(np.max(np.abs(corr, out=corr), axis=1) >= 0.25)
+    bad = np.flatnonzero(np.abs(corr, out=corr).max(axis=1) >= 0.25)
     if bad.size:
         raise VerificationError(
             f"fft correlation not integral at {ps[bad[0] % primes]}")
@@ -1083,8 +1084,7 @@ def _a_tildes_from_traces(ps: list, traces: np.ndarray,
     rows, top = traces.shape
     p = np.array(ps, dtype=np.int64)[:, None]
     h = np.array([math.isqrt(4 * q) for q in ps], dtype=np.int64)
-    bad = np.flatnonzero((np.max(traces, axis=1) > h)
-                         | (np.min(traces, axis=1) < -h))
+    bad = np.flatnonzero((traces.max(axis=1) > h) | (traces.min(axis=1) < -h))
     if bad.size:
         raise VerificationError(
             f"fft trace outside the Hasse range at {ps[bad[0]]}")
