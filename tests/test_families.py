@@ -708,7 +708,7 @@ def test_a_tilde_b3_at_the_last_prime_of_twenty_thousand():
 
 
 def test_a_tilde_b3_takes_the_padded_fft_at_every_prime(monkeypatch):
-    # past 2^16 (padded length 131220 = 2^2 3^8 5); no point count may run
+    # past 2^16 (padded length 98415 = 3^9 5); no point count may run
     def no_point_count(fam, p):
         raise AssertionError("brute-force point count")
 
