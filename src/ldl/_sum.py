@@ -117,10 +117,12 @@ def block_sums(block_fn, n: int, threads: int | None = None) -> dict:
 
 
 class Block:
-    """An ascending int64 block of primes, p_int, and the read-only float64
-    quantities its terms share, each formed on first use: pf, lp = log pf,
-    pp = pf * pf, q = pf + 1.0, q3 = q ** 3, power(k) = pf ** k, mod(n) =
-    p mod n, character(table) = table[p mod len(table)] and, for any other
+    """An ascending block of primes, held as int64 in p_int (a slice of an
+    int32 prime table is converted here, the one place where a table
+    becomes arithmetic), and the read-only float64 quantities its terms
+    share, each formed on first use: pf, lp = log pf, pp = pf * pf,
+    q = pf + 1.0, q3 = q ** 3, power(k) = pf ** k, mod(n) = p mod n,
+    character(table) = table[p mod len(table)] and, for any other
     quantity, shared(key, form) = form() under key.
 
     power and q3 are numpy's pow, which is not correctly rounded: below
@@ -130,7 +132,7 @@ class Block:
     build whose SIMD pow they were taken with (README, Determinism)."""
 
     def __init__(self, p_int: np.ndarray):
-        self.p_int, self._memo = p_int, {}
+        self.p_int, self._memo = np.asarray(p_int, dtype=np.int64), {}
 
     def shared(self, key, form):
         if key not in self._memo:
@@ -166,9 +168,10 @@ def chunked_sum(values: np.ndarray) -> float:
 
 def term_sum(term, p_int: np.ndarray, head: np.ndarray | None = None
              ) -> float:
-    """The chunked sum of term over the int64 primes without a full-length
-    column: term maps the Block of each CHUNK slice to its float64 terms,
-    so the sum has the same bits while memory is bounded by the block.
+    """The chunked sum of term over an ascending array of primes (int32 or
+    int64) without a full-length column: term maps the Block of each CHUNK
+    slice to its float64 terms, so the sum has the same bits while memory
+    is bounded by the block.
 
     With a head of at most CHUNK primes, the sum runs over head followed
     by p_int without joining them: the first block is head topped up from

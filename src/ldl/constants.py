@@ -34,10 +34,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import _literals, families, primes
-from ._sum import CHUNK, term_sum
+from ._sum import CHUNK, Block, term_sum
 from .errors import DomainError, VerificationError
 from .primes import (CHI_3, CHI_M3, ConstantResult, first_n_primes,
-                     get_table)
+                     get_table, prime_index)
 
 
 # --------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def _gamma_sieve012_value(primes: np.ndarray) -> float:
         s2 = np.where(blk.mod(3) == 1, 2 * (pf - 1) ** 2 / blk.q3, 0.0)
         return h_sieve * blk.lp * (s0 - s2)
 
-    return -term_sum(term, primes[int(np.searchsorted(primes, 5)):])
+    return -term_sum(term, primes[prime_index(primes, 5):])
 
 
 @lru_cache(maxsize=256)
@@ -218,12 +218,13 @@ def _atilde_main_terms(fam: families.FamilySpec, prime_count: int) -> tuple:
     numpy's p ** 1.5 and log p differ from Python's in the last bit at
     some primes, and p(p+1)^3 passes 2^63 once p > 55000."""
     p_int = first_n_primes(prime_count).primes
-    p_int = p_int[int(np.searchsorted(p_int, 5)):]
+    p_int = p_int[prime_index(p_int, 5):]
     entry = families.entry_of(fam)
-    ps, terms = [p_int[:0]], [np.zeros(0)]
+    ps, terms = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for i in range(0, p_int.size, CHUNK):
-        at = entry.a_tildes(p_int[i:i + CHUNK])
-        ps.append(p_int[i:i + CHUNK][at != 0])
+        block = Block(p_int[i:i + CHUNK]).p_int
+        at = entry.a_tildes(block)
+        ps.append(block[at != 0])
         terms.append(np.array(
             [a * p ** 1.5 * (p - 1) * math.log(p) / (p * (p + 1) ** 3)
              for p, a in zip(ps[-1].tolist(), at[at != 0].tolist())]))
@@ -282,7 +283,7 @@ def compute_constant(name: str, prime_limit: int | None = None,
     p_int = table.primes
     if spec.residue_class is not None:
         p_int = table.residue_class(*spec.residue_class)
-    p_int = p_int[int(np.searchsorted(p_int, spec.p_min)):]
+    p_int = p_int[prime_index(p_int, spec.p_min):]
 
     value = term_sum(spec.term, p_int)
     return ConstantResult(name, value, kind, trunc,

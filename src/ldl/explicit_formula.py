@@ -41,7 +41,8 @@ import numpy as np
 from . import constants, families
 from ._sum import Block, block_sums
 from .errors import DomainError, IncompleteSumError
-from .primes import first_n_primes, gamma_pnt, gamma_pnt_ab, get_table
+from .primes import (first_n_primes, gamma_pnt, gamma_pnt_ab, get_table,
+                     prime_index)
 
 #: hard cap on the automatically chosen prime truncation
 DEFAULT_PRIME_CAP = 10 ** 9
@@ -345,7 +346,7 @@ def _prime_pass(entry, prime_limit, terms, piece, scale, threads=None,
         x_at = float(first_n_primes(atilde_primes).primes[-1])
         families.check_cap(entry, x_at, "largest Atilde prime")
     primes = get_table(prime_limit).primes
-    lo = 0 if model else int(np.searchsorted(primes, 5))
+    lo = 0 if model else prime_index(primes, 5)
 
     def block(start, stop):
         blk = Block(primes[lo + start:lo + stop])

@@ -77,7 +77,8 @@ import numpy as np
 from ._sum import Block, ordered_map, thread_count
 from .errors import DomainError, ResourceError, VerificationError
 from .primes import (CHI_2, CHI_3, CHI_M3, get_table, is_prime,
-                     jacobi_symbol, legendre_symbol, legendre_symbols_vec)
+                     jacobi_symbol, legendre_symbol, legendre_symbols_vec,
+                     prime_index)
 from .series import poly_mul
 
 _SCAN_LIMIT = 10 ** 6
@@ -833,7 +834,7 @@ def closed_form_table(fam, primes, bad_max: int = 2) -> dict:
                           f"{getattr(fam, 'name', fam)!r}")
     if len(primes) and int(primes[-1]) ** 2 >= 2 ** 53:
         raise DomainError("closed forms are exact only while p^2 < 2^53")
-    blk = Block(np.asarray(primes, dtype=np.int64))
+    blk = Block(primes)
     cols = {(0, "good"): entry.A0(blk), (1, "good"): entry.A1(blk),
             (2, "good"): entry.A2(blk), (0, "bad"): entry.n_bad}
     bad = entry.bad_moments(blk)
@@ -1316,7 +1317,7 @@ def _sieve_block(fam: FamilySpec, blk: Block, k) -> tuple:
     if k is None:
         return 0, None
     p_int, entry = blk.p_int, builtin_entry(fam)
-    first = p_int.size if entry is None else int(np.searchsorted(p_int, 5))
+    first = p_int.size if entry is None else prime_index(p_int, 5)
     nu = entry.n_bad if entry else 0
     if first:
         nu = np.full(p_int.shape, nu, dtype=np.int64)
@@ -1447,7 +1448,7 @@ def rank_bias(fam, X: float) -> float:
     entry = entry_of(fam)
     check_cap(entry, X, "rank-bias X")
     p_int = get_table(int(X)).primes
-    p_int = p_int[p_int >= 5]
+    p_int = p_int[prime_index(p_int, 5):]
     a1 = entry.A1(Block(p_int))
     total = 0.0
     for p, m in zip(p_int.tolist(), [] if a1 is None else a1.tolist()):
@@ -1480,7 +1481,7 @@ def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
     if (p_int.ndim != 1 or np.any(np.diff(p_int) <= 0)
             or not all(map(is_prime, p_int.tolist()))):
         raise DomainError("moment_table needs an ascending block of primes")
-    first = int(np.searchsorted(p_int, 5))
+    first = prime_index(p_int, 5)
     entry = builtin_entry(fam)
     at = entry.a_tildes(p_int[first:]).tolist() if entry else None
     nus, hs = _sieve_block(fam, Block(p_int), sieve_exponent(fam))

@@ -24,18 +24,24 @@ from . import _literals
 from ._sum import CHUNK, Block, term_sum
 from .errors import DomainError, ResourceError
 
-HARD_SIEVE_CAP = 10 ** 10
+#: every table is int32, so the sieve stops at the largest int32
+HARD_SIEVE_CAP = 2 ** 31 - 1
+#: pi(HARD_SIEVE_CAP): first_n_primes refuses a longer table
+PRIMES_BELOW_CAP = 105_097_565
 #: tables up to this limit come from the plain sieve
 _SMALL_LIMIT = 1 << 16
 #: the wheel sieve's mask, one byte per odd number: 2^24 bytes (fewer for
-#: a shorter range), allocated once per call (see the allocator note in _sum)
+#: a shorter range), allocated once per call.  It stays 2^24 bytes however
+#: small the table: freeing it raises glibc's mmap threshold for the block
+#: passes (see the allocator note in _sum)
 _MASK_BYTES = 1 << 24
 #: the mask is cleared and collected in windows of this many odd numbers,
 #: 1 MiB of it, so a window stays in a 2 MiB L2 cache
 _WINDOW = 1 << 20
 #: base primes below this, with more than 128 multiples in a window, clear
 #: them window by window; the larger ones once per segment, which bounds
-#: the Python loop at the sieve cap (7.4e6 passes at 10^10, 2.9e6 unwindowed)
+#: the Python loop at the sieve cap (1.3e6 passes at 2^31 - 1, 3.1e5
+#: unwindowed)
 _WINDOWED_BELOW = _WINDOW >> 7
 #: the wheel primes; their multiples are cleared by copying the pattern
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
@@ -51,12 +57,27 @@ def _simple_sieve(limit: int) -> np.ndarray:
     for i in range(2, math.isqrt(limit) + 1):
         if mask[i]:
             mask[i * i::i] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.flatnonzero(mask).astype(np.int32)
+
+
+def prime_index(primes: np.ndarray, x: int, side: str = "left") -> int:
+    """np.searchsorted(primes, x, side) of an ascending int array, with
+    the key x passed in the array's dtype: a Python int key makes numpy
+    cast the whole array to int64 first.  A key past the dtype's range
+    lies past (or before) every element."""
+    info = np.iinfo(primes.dtype)
+    if x > info.max:
+        return int(primes.size)
+    if x < info.min:
+        return 0
+    return int(np.searchsorted(primes, primes.dtype.type(x), side))
 
 
 @dataclass
 class PrimeTable:
-    """Ascending primes up to an inclusive bound."""
+    """Ascending int32 primes up to an inclusive bound (at most
+    HARD_SIEVE_CAP, so every prime fits); a _sum.Block of a slice holds
+    them as int64 for arithmetic."""
 
     limit: int
     primes: np.ndarray
@@ -105,10 +126,11 @@ def _wheel_sieve(limit: int) -> np.ndarray:
     it is still in cache, so no segment-wide index array is formed.  The
     primes of each window go straight into one table sized by
     Rosser-Schoenfeld, pi(x) < 1.25506 x / log x, which is returned as a
-    slice.  The mask stays 2^24 bytes (see the allocator note in _sum)."""
+    slice.  The table is int32 (limit <= HARD_SIEVE_CAP); the mask stays
+    2^24 bytes (see the allocator note in _sum)."""
     odds = (limit + 1) // 2                   # the odd numbers 1 .. limit
     table = np.empty(int(1.25506 * limit / math.log(limit)) + 2,
-                     dtype=np.int64)
+                     dtype=np.int32)
     table[0] = 2
     count = 1
     pattern = np.gcd(np.arange(1, 4 * _WHEEL_SPAN, 2), _WHEEL_SPAN) == 1
@@ -144,7 +166,8 @@ def _wheel_sieve(limit: int) -> np.ndarray:
 
 def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit; past 2^16 by the segmented wheel sieve, so the
-    memory beyond the table itself stays bounded."""
+    memory beyond the table itself stays bounded.  ResourceError past
+    HARD_SIEVE_CAP, before anything is allocated."""
     if limit < 2:
         raise DomainError(f"sieve limit {limit} yields an empty table")
     if limit > HARD_SIEVE_CAP:
@@ -166,8 +189,7 @@ def get_table(limit: int) -> PrimeTable:
     if _TABLE_CACHE.limit == limit:
         return _TABLE_CACHE
     primes = _TABLE_CACHE.primes
-    cut = int(np.searchsorted(primes, limit, side="right"))
-    return PrimeTable(limit, primes[:cut])
+    return PrimeTable(limit, primes[:prime_index(primes, limit, "right")])
 
 
 def nth_prime_limit(n: int) -> int:
@@ -182,12 +204,16 @@ def nth_prime_limit(n: int) -> int:
 
 
 def first_n_primes(n: int) -> PrimeTable:
-    """The first n primes; DomainError for n < 1."""
+    """The first n primes; DomainError for n < 1, ResourceError past
+    PRIMES_BELOW_CAP, before anything is allocated."""
     if n < 1:
         raise DomainError(f"the prime count must be >= 1, got {n}")
-    table = get_table(nth_prime_limit(n))
-    if len(table) < n:  # bound is proven, this is belt and braces
-        table = get_table(2 * table.limit)
+    if n > PRIMES_BELOW_CAP:
+        raise ResourceError(
+            f"prime count {n} exceeds the {PRIMES_BELOW_CAP} primes below "
+            f"the configured cap {HARD_SIEVE_CAP}")
+    # the bound is proven; at the cap, the table holds PRIMES_BELOW_CAP
+    table = get_table(min(nth_prime_limit(n), HARD_SIEVE_CAP))
     primes = table.primes[:n]
     return PrimeTable(int(primes[-1]), primes)
 
@@ -304,7 +330,7 @@ def theta_error_integral(cls, upper_limit: float,
     else:
         a, b = cls
         primes, phib = table.residue_class(a, b), totient(b)
-    primes = primes[:int(np.searchsorted(primes, top, side="right"))]
+    primes = primes[:prime_index(primes, top, "right")]
 
     def term(blk):
         return blk.lp * (1.0 / blk.pf - 1.0 / upper_limit)
@@ -395,7 +421,7 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
         # log p/(p^2 - p^delta), delta = 1 iff p = 1 mod b
         # the primes dividing b are at most b: the others up to b are the
         # head of the sum, followed by the table past b as it is
-        cut = int(np.searchsorted(table.primes, b, "right"))
+        cut = prime_index(table.primes, b, "right")
         small = table.primes[:cut]
 
         def term(blk):

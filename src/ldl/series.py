@@ -21,6 +21,7 @@ import numpy as np
 
 from ._sum import chunked_sum
 from .errors import DomainError
+from .primes import prime_index
 
 # --------------------------------------------------------------------------
 # dense integer/rational polynomials as coefficient lists (ascending powers)
@@ -165,10 +166,8 @@ def p_ell_sum(ell: int, table, cls="all") -> float:
     primes = table.primes if cls == "all" else table.residue_class(*cls)
     # x < 1/p, so x**ell is exactly 0 (below half the least subnormal) for
     # p > e^(746/ell): only the primes up to there are evaluated, which
-    # skips the long tail of subnormal powers, and the terms keep their
-    # bits (e^40 is past any sieve limit and still fits an int64)
-    k = int(np.searchsorted(primes, int(math.exp(min(746.0 / ell, 40.0))),
-                            "right"))
+    # skips the long tail of subnormal powers, and the terms keep their bits
+    k = prime_index(primes, int(math.exp(746.0 / ell)), "right")
     pf = primes[:k].astype(np.float64)
     x = pf / (pf + 1.0) ** 2
     terms = np.zeros(primes.size)

@@ -80,6 +80,15 @@ def test_constants_truncation_error_omits_the_catalog(capsys):
     assert err == "error: sieve limit 0 yields an empty table\n"
 
 
+@pytest.mark.parametrize("flag,value", [("--prime-limit", "2147483648"),
+                                        ("--first-primes", "105097566")])
+def test_constants_refuse_a_table_past_the_int32_cap(capsys, flag, value):
+    code, out, err = run(capsys, "constants", "--name", "gamma_pnt",
+                         flag, value)
+    assert code == 2 and out == ""
+    assert "cap" in err and "Traceback" not in err
+
+
 def test_family_refuses_a_sieve_with_no_power_free_t(capsys, tmp_path):
     # D = 125(1 + t): nu_D(5^3) = 125 = 5^3
     cfg = tmp_path / "all_bad.json"

@@ -4,7 +4,9 @@ Oracles: sympy's isprime / legendre_symbol / jacobi_symbol, plus classic
 prime-count checkpoints frozen from the literature.
 """
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldl import primes
-from ldl._sum import CHUNK
-from ldl.errors import DomainError
+from ldl import constants, explicit_formula as ef, primes
+from ldl._sum import CHUNK, Block
+from ldl.errors import DomainError, ResourceError
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -157,6 +159,90 @@ def test_get_table_refuses_a_limit_below_two_with_a_table_cached():
     for limit in (1, 0, -3):
         with pytest.raises(DomainError, match="empty table"):
             primes.get_table(limit)
+
+
+#: SHA-256 of the primes <= 10^7 as little-endian int64, pinned from the
+#: int64 table the int32 one replaced
+PRIMES_TO_1E7_SHA256 = (
+    "2ad296d1337aaafbb800643fa0cf7a36badb424747f4b9a112d353f8b6631993")
+
+
+def test_tables_are_int32_and_blocks_int64():
+    for table in (primes.sieve_primes(100), primes.sieve_primes(10 ** 6),
+                  primes.get_table(10 ** 5), primes.first_n_primes(5000)):
+        assert table.primes.dtype == np.int32
+        assert table.residue_class(1, 4).dtype == np.int32
+        assert Block(table.primes[:10]).p_int.dtype == np.int64
+    table = primes.get_table(10 ** 7)
+    digest = hashlib.sha256(table.primes.astype("<i8").tobytes())
+    assert digest.hexdigest() == PRIMES_TO_1E7_SHA256
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_prime_index_is_searchsorted_past_the_dtype_range(side):
+    # 2^31 - 1 is prime, the last entry a table at the cap can hold
+    table = np.array([2, 3, 5, 2 ** 31 - 1], dtype=np.int32)
+    for x in (-2 ** 40, -1, 0, 2, 4, 5, 2 ** 31 - 1, 2 ** 31, 10 ** 30):
+        want = int(np.searchsorted(table.astype(object), x, side))
+        assert primes.prime_index(table, x, side) == want, x
+
+
+def test_the_int32_cap_is_refused_before_anything_is_allocated():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="cap"):
+            primes.sieve_primes(primes.HARD_SIEVE_CAP + 1)
+        with pytest.raises(ResourceError, match="cap"):
+            primes.first_n_primes(primes.PRIMES_BELOW_CAP + 1)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_n_primes_at_the_cap_sieves_no_further(monkeypatch):
+    # Dusart's bound for pi(2^31 - 1) primes lies past the cap itself
+    assert primes.nth_prime_limit(primes.PRIMES_BELOW_CAP) > (
+        primes.HARD_SIEVE_CAP)
+    calls = []
+
+    def refused(limit):
+        calls.append(limit)
+        raise ResourceError("not sieved in a test")
+
+    monkeypatch.setattr(primes, "get_table", refused)
+    with pytest.raises(ResourceError, match="not sieved"):
+        primes.first_n_primes(primes.PRIMES_BELOW_CAP)
+    assert calls == [primes.HARD_SIEVE_CAP]
+
+
+def test_table_sums_copy_no_table(monkeypatch):
+    # a search with a Python int key casts the whole table to int64, twice
+    # its size; a block pass allocates a few block-sized temporaries, about
+    # 4.5 MB at 2^16 primes, so the table is 10^8 (23 MB) to tell them apart
+    monkeypatch.setattr(primes, "_TABLE_CACHE", None)
+    limit = 10 ** 8
+    table = primes.get_table(limit)
+    phi = ef.builtin_test_pair("indicator_smooth:0.18")
+    calls = {
+        "gamma_st_2": lambda: constants.compute_constant(
+            "gamma_st_2", prime_limit=limit),
+        "gamma_pnt": lambda: primes.gamma_pnt(
+            method="integral", prime_limit=limit),
+        "gamma_pnt_13": lambda: primes.gamma_pnt_ab(
+            1, 3, prime_limit=limit),
+        "evaluate_S": lambda: ef.evaluate_S(
+            "cm_b1_kappa2", phi, math.exp(200), prime_limit=limit,
+            threads=1),
+    }
+    for name, call in calls.items():
+        call()                        # its caches, outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.primes.nbytes // 2, name
 
 
 def test_invalid_inputs_raise():
