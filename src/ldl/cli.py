@@ -148,19 +148,20 @@ def _resolve_family(spec: str):
 def _closed_form_failures(fam, prime_limit: int, checks: list) -> list:
     """(p, r, side, brute, closed) wherever a built-in's closed-form moment
     (r, side), for each of `checks` in turn, differs from the power sum of
-    the traces at a prime 5 <= p <= prime_limit, one _power_sums row per
-    prime; none for a family without closed forms."""
+    the traces at every t (the brute-force entry's, never the built-in's
+    own) at a prime 5 <= p <= prime_limit; none without closed forms."""
     if families.builtin_entry(fam) is None:
         return []
     p_int = get_table(prime_limit).primes
     p_int = p_int[prime_index(p_int, 5):]
     r_max = max(r for r, side in checks)
     table = families.closed_form_table(fam, p_int, r_max)
+    sums = families._power_sums(
+        families._BruteForce(fam).trace_histograms(p_int), r_max)
     out = []
     for i, p in enumerate(p_int.tolist()):
-        sums = families._power_sums(families._curve_data(fam, p), r_max)
         for r, side in checks:
-            brute = sums[side == "bad"][r]
+            brute = sums[i][side == "bad"][r]
             if brute != table[r, side][i]:
                 out.append((p, r, side, brute, table[r, side][i]))
     return out

@@ -27,30 +27,29 @@ takes the brute-force entry.
 
 Each per-prime quantity is written once, over an ascending block of
 primes; a_tilde, h_factor and closed_form_moment are views of one prime.
-Atilde(p) is each entry's a_tildes:
+A complete sum over t mod p depends only on the multiset of traces
+a_t(p): each entry's trace_histograms gives, per prime, the traces with
+their numbers of good and of bad t, the moments are their exact power sums
+(_power_sums) and Atilde(p) one recipe over them (_a_tildes).  The traces:
 
 * CM built-ins, O(log p) per prime as int64 array code over a block of
   primes: the trace of each twist y^2 = x^3 + c (resp. y^2 = x^3 - Dx) is
   read off the primary prime pi above p in Z[omega] (resp. Z[i]), found by
   Cornacchia's algorithm, and the sextic (resp. quartic) residue symbol of
   the twist (Ireland & Rosen, *A Classical Introduction to Modern Number
-  Theory*, ch. 18, Thms 18.4 and 18.5), all from the least generator of
-  each prime.  For the quartic pair the number of t in each quartic class
-  comes from the Jacobi sum J(chi, chi) = -chi(-1) pi.  The kernels are
-  exact up to INT64_PRIME_LIMIT and raise ResourceError past it.
+  Theory*, ch. 18, Thms 18.4 and 18.5).  For the quartic pair the number
+  of t in each quartic class comes from the Jacobi sum J(chi, chi) =
+  -chi(-1) pi.  The kernels are exact up to INT64_PRIME_LIMIT and raise
+  ResourceError past it.
 * ``noncm_3x12t``: an FFT correlation (_correlations), O(p log p) per
-  prime, with the weights lambda^3/(p + 1 - a) from a table over
-  |a| <= 2 sqrt p.  x^3 + ax is odd, so the trace at -s is (-1/p) times
-  the trace at s, and only the shifts s < (p + 1)/2 are transformed, at
-  a length of about 3p/2.  Consecutive primes are transformed together,
-  one row each, in sub-blocks of at most _CORRELATION_BUDGET elements.
-  Each worker of the package's pool (_sum.ordered_map) takes every w-th
-  sub-block and fills all its large temporaries in one _Workspace, which
-  it drops when it returns.
+  prime, gives the trace at every s = 12t.  x^3 + ax is odd, so the trace
+  at -s is (-1/p) times the trace at s, and only the shifts s < (p + 1)/2
+  are transformed, at a length of about 3p/2.  Consecutive primes are
+  transformed together, one row each, in sub-blocks of at most
+  _CORRELATION_BUDGET elements, on the package's pool (_map_sub_blocks).
 * any other family: its traces at every t (_curve_data) from one
   correlation of at most five rows, one per class of A(t), against one
-  Legendre spectrum, halved by the same symmetry; its moments are their
-  power sums (_power_sums).
+  Legendre spectrum, halved by the same symmetry.
 
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
 simple, and a scan of t mod p^k otherwise; nu_D(d) is their product over
@@ -222,6 +221,19 @@ class _Builtin:
                 self.bad_moments(blk) if self.has_bad else None,
                 _sieve_block(self.spec, blk, sieve_exponent(self.spec))[1])
 
+    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
+        return _a_tildes(p_int, self.trace_histograms(p_int))
+
+    def class_histograms(self, p_int, on, counts, traces) -> tuple:
+        """The trace histograms of a CM twist family: at the primes `on`
+        the class counts and traces, elsewhere every good t at a = 0; the
+        n_bad additive t at a = 0 in a last column."""
+        out = np.zeros((3, p_int.size, traces.shape[1] + 1), dtype=np.int64)
+        out[0, on, :-1], out[1, on, :-1] = traces, counts
+        out[1, ~on, -1] = p_int[~on] - self.n_bad
+        out[2, :, -1] = self.n_bad
+        return tuple(out)
+
     def A0(self, blk):
         return blk.pf - self.n_bad      # n_bad t with p | Delta(t)
 
@@ -252,26 +264,18 @@ class _Sextic(_Builtin):
         # 2p^2 - 2p on p = 1 mod 3, else 0 (scaling by 2 is exact)
         return 2.0 * (blk.pp - blk.pf) * (blk.mod(3) == 1)
 
-    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
+    def trace_histograms(self, p_int: np.ndarray) -> tuple:
         # y^2 = x^3 + c with c = bb*(6t+1)^kappa: a depends only on the
         # sextic residue class of c, and 6t+1 covers each nonzero residue
-        # once, so c runs over the classes of bb g^(i kappa), i = 0, kappa,
-        # .., 6 - kappa, each (p-1)/(6/kappa) times.  The terms are added
-        # left to right in that order, which is how np.sum adds fewer than
-        # eight (the sum of _lambda_cubed_weight)
+        # once, so c runs over the classes of bb g^i, i = 0, kappa, ..,
+        # 6 - kappa, each (p-1)/(6/kappa) times
         _check_int64(p_int)
-        out = np.zeros(p_int.shape)
         on = p_int % 3 == 1
         p = p_int[on]
-        powers = [i * self.kappa for i in range(0, 6, self.kappa)]
-        terms = _lambda_cubed_terms(
-            _sextic_traces(self.bb, p, _least_generators(p), powers),
-            p[:, None])
-        total = terms[:, 0]
-        for col in terms.T[1:]:
-            total = total + col
-        out[on] = (p - 1) // (6 // self.kappa) * total
-        return out
+        traces = _sextic_traces(self.bb, p, _least_generators(p),
+                                range(0, 6, self.kappa))
+        return self.class_histograms(
+            p_int, on, ((p - 1) // (6 // self.kappa))[:, None], traces)
 
 
 class _Quartic(_Builtin):
@@ -298,25 +302,13 @@ class _Quartic(_Builtin):
         a_sq[mask] = _a_ref_curves(blk.p_int[mask]) ** 2
         return np.where(mask, 2 * blk.pf * (blk.pf - 1.0) - a_sq, 0.0)
 
-    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
+    def trace_histograms(self, p_int: np.ndarray) -> tuple:
         # y^2 = x^3 - c x with c = bb*(36t+6)(36t+5): a depends only on the
-        # quartic residue class of c.  The terms are added from 0.0 in
-        # class order, and lam^3 is Python's power: numpy's differs from it
-        # in the last bit for a few per cent of doubles
+        # quartic residue class of c (_quartic_classes)
         _check_int64(p_int)
-        out = np.zeros(p_int.shape)
         on = p_int % 4 == 1
-        p = p_int[on]
-        counts, traces = _quartic_classes(self.bb, p)
-        lam = traces / np.sqrt(p.astype(np.float64))[:, None]
-        cubes = np.array([x ** 3 for x in lam.ravel().tolist()],
-                         dtype=np.float64).reshape(lam.shape)
-        terms = counts * cubes / (p[:, None] + 1 - traces)
-        total = np.zeros(p.shape)
-        for col in terms.T:
-            total = total + col
-        out[on] = total
-        return out
+        return self.class_histograms(p_int, on,
+                                     *_quartic_classes(self.bb, p_int[on]))
 
 
 class _NonCM(_Builtin):
@@ -343,16 +335,13 @@ class _NonCM(_Builtin):
         return (blk.pp - 2.0 * blk.pf - 2.0
                 - blk.pf * blk.character(self.chi_m3))
 
+    def trace_histograms(self, p_int: np.ndarray) -> tuple:
+        return _stack_histograms(_map_sub_blocks(_noncm_histograms, p_int))
+
     def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
-        # the sub-blocks are independent: each worker of the package's pool
-        # takes every w-th one in one workspace, and block i comes back as
-        # the (i // w)-th of share i % w
-        blocks = _correlation_blocks(p_int.tolist())
-        w = max(1, min(thread_count(), len(blocks)))
-        shares = ordered_map(_a_tildes_share,
-                             [blocks[k::w] for k in range(w)])
-        return np.array([a for i in range(len(blocks))
-                         for a in shares[i % w][i // w]], dtype=np.float64)
+        # each sub-block's histograms are reduced where they are made
+        return np.array([a for part in _map_sub_blocks(_a_tildes_b3, p_int)
+                         for a in part], dtype=np.float64)
 
 
 REGISTRY = {e.spec.name: e for e in (
@@ -382,27 +371,36 @@ class _BruteForce:
     def __init__(self, spec: FamilySpec):
         self.spec, self.name = spec, spec.name
 
-    def moments(self, blk):
+    def trace_histograms(self, p_int: np.ndarray) -> tuple:
+        # one row per prime, over the distinct traces of its table
         rows = []
-        for p in blk.p_int.tolist():
-            good, bad = _power_sums(_curve_data(self.spec, p), 4)
+        for p in p_int.tolist():
+            a_vals, good = _curve_data(self.spec, p)
+            traces, at = np.unique(a_vals, return_inverse=True)
+            rows.append([x[None] for x in (
+                traces, np.bincount(at[good], minlength=traces.size),
+                np.bincount(at[~good], minlength=traces.size))])
+        return _stack_histograms(rows)
+
+    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
+        return _a_tildes(p_int, self.trace_histograms(p_int))
+
+    def moments(self, blk):
+        sums = _power_sums(self.trace_histograms(blk.p_int), 4)
+        for p, (good, bad) in zip(blk.p_int.tolist(), sums):
             # sum a^4 = sum a^2 over the bad t iff each a is -1, 0 or 1
             if bad[4] != bad[2]:
                 raise VerificationError(
                     f"|a_t({p})| > 1 at a bad t of {self.name!r}: the "
                     "closed-form S_A' sum needs a_t(p) in {-1, 0, 1}")
-            rows.append(good[:3] + bad[1:3])
         A0, A1, A2, aprime1, aprime2 = np.asarray(
-            rows, dtype=np.float64).reshape(-1, 5).T
+            [good[:3] + bad[1:3] for good, bad in sums],
+            dtype=np.float64).reshape(-1, 5).T
         return (A0, A1, A2, (aprime1, aprime2),
                 _sieve_block(self.spec, blk, sieve_exponent(self.spec))[1])
 
     def A1(self, blk):
         return self.moments(blk)[1]
-
-    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
-        return np.array([_table_a_tilde(p, _curve_data(self.spec, p))
-                         for p in p_int.tolist()], dtype=np.float64)
 
 
 def entry_of(fam):
@@ -553,30 +551,37 @@ def _curve_data(fam: FamilySpec, p: int):
     return a_vals, good
 
 
-def _power_sums(table, r_max: int) -> tuple:
-    """(good, bad): the exact sums of a_t(p)^r over the good and the bad t
-    mod p for r <= r_max from one _curve_data table, n a^r summed as Python
-    ints over the distinct traces a and their counts n."""
-    a_vals, good = table
-    out = []
-    for mask in (good, ~good):
-        vals, counts = np.unique(a_vals[mask], return_counts=True)
-        pairs = list(zip(vals.tolist(), counts.tolist()))
-        out.append(tuple(sum(n * a ** r for a, n in pairs)
-                         for r in range(r_max + 1)))
-    return tuple(out)
+def _stack_histograms(parts) -> tuple:
+    """The rows of several trace histograms as one, each padded with zero
+    counts to the widest."""
+    width = max([1] + [part[0].shape[1] for part in parts])
+    return tuple(np.concatenate(
+        [np.zeros((0, width), dtype=np.int64)]
+        + [np.pad(part[i], ((0, 0), (0, width - part[i].shape[1])))
+           for part in parts]) for i in range(3))
+
+
+def _power_sums(histograms, r_max: int) -> list:
+    """[(good, bad)] per prime of a block: the exact sums of a_t(p)^r over
+    the good and the bad t mod p for r <= r_max, n a^r summed as Python
+    ints over each row of its trace histograms."""
+    return [tuple(tuple(sum(n * a ** r for a, n in zip(traces, counts) if n)
+                        for r in range(r_max + 1)) for counts in sides)
+            for traces, *sides in zip(*(x.tolist() for x in histograms))]
 
 
 def complete_moment(fam: FamilySpec, p: int, r: int, side: str = "good"):
     """Exact integer sum of a_t(p)^r over t mod p with p good (p not
-    dividing Delta(t)) or bad (p | Delta(t)): a view of _power_sums."""
+    dividing Delta(t)) or bad (p | Delta(t)): _power_sums of the traces at
+    every t (the brute-force entry's histograms)."""
     if not is_prime(p):
         raise DomainError("p must be prime")
     if r < 0:
         raise DomainError("r must be >= 0")
     if side not in ("good", "bad"):
         raise DomainError("side must be 'good' or 'bad'")
-    return _power_sums(_curve_data(fam, p), r)[side == "bad"][r]
+    return _power_sums(_BruteForce(fam).trace_histograms(np.array([p])),
+                       r)[0][side == "bad"][r]
 
 
 # --------------------------------------------------------------------------
@@ -674,9 +679,7 @@ def _least_generators(p: np.ndarray) -> np.ndarray:
     for every odd prime q | p - 1 (_prime_factors): g = 2, 3, ... is tried
     on the primes not yet settled, (g/p) is read off p mod 4g
     (_residue_symbol), and only the non-residues are raised to the powers
-    (p-1)/q, every odd q of every such prime in one _powmod call.  The
-    Atilde terms are summed in the order of the powers of g, so the bits
-    depend on taking the least one."""
+    (p-1)/q, every odd q of every such prime in one _powmod call."""
     factors = _prime_factors(p - 1)
     on = factors > 0
     exps = (p - 1)[:, None] // np.where(on, factors, 1)
@@ -860,20 +863,33 @@ def closed_form_moment(fam, p: int, r: int, side: str = "good") -> int:
 # --------------------------------------------------------------------------
 # the cubic-moment quantity Atilde
 
-def _lambda_cubed_terms(a_vals: np.ndarray, p: int) -> np.ndarray:
-    """lambda^3 / (p + 1 - a) elementwise, lambda = a / sqrt(p); p may be
-    an int or an int64 array that broadcasts against a_vals."""
-    lam = a_vals / np.sqrt(p)
-    return lam ** 3 / (p + 1 - a_vals)
-
-
-def _lambda_cubed_weight(a_vals: np.ndarray, p: int) -> float:
-    return float(np.sum(_lambda_cubed_terms(a_vals, p)))
-
-
-def _table_a_tilde(p: int, table) -> float:
-    """Atilde(p) from a _curve_data table: the good t in t order."""
-    return _lambda_cubed_weight(table[0][table[1]], p)
+def _a_tildes(p_int: np.ndarray, histograms) -> np.ndarray:
+    """Atilde(p) = S / (p * sqrt p) at each prime of a block from its trace
+    histograms, S the math.fsum over the distinct good traces a, n of them
+    (equal traces of a row merged), of the float64 n*a*a*a (exact while
+    |n a^3| < 2^53, at every p below 10^6) over p + 1 - a: the one recipe
+    of every entry's a_tildes.  Only IEEE x, / and sqrt and fsum enter, so
+    the bits depend on the multiset of traces alone: not on the batching,
+    the worker count, the order of the terms or numpy's SIMD dispatch."""
+    traces, good, _ = histograms
+    # a = 0 adds nothing; (row, a) as one key, ascending in row, then in a
+    row, col = np.divmod(np.flatnonzero(good * traces), good.shape[1])
+    a, n = traces[row, col], good[row, col]
+    key = row * (2 * int(np.abs(a).max(initial=0)) + 1) + a
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+    n = np.add.reduceat(n[order], first)
+    row, a = row[order][first], a[order][first].astype(np.float64)
+    pf = p_int.astype(np.float64)
+    terms = (n * a * a * a / (pf[row] + 1.0 - a)).tolist()
+    # one run of terms per prime with any
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    ends = starts[1:].tolist() + [row.size]
+    s = np.zeros(p_int.shape)
+    s[row[starts]] = [math.fsum(terms[lo:hi])
+                      for lo, hi in zip(starts.tolist(), ends)]
+    return s / (pf * np.sqrt(pf))
 
 
 def _smooth_length(m: int) -> int:
@@ -1066,67 +1082,37 @@ def _correlation_blocks(ps: list) -> list:
     return blocks
 
 
-def _a_tildes_from_traces(ps: list, traces: np.ndarray,
-                          ws: _Workspace) -> list:
-    """Atilde(p) for noncm_3x12t at each prime of an ascending list, from
-    the traces _correlations(ps, -3, ws) gives.
-
-    a_t = traces[r, 12t mod p] for the prime p of row r: one correlation
-    gives the trace at every t.  A trace outside the Hasse range |a| <= h =
-    floor(2 sqrt p) is an error.  The weight lambda^3 / (p + 1 - a) is
-    computed once per integer a in [-h, h] (every row's table in one
-    array) and gathered at the good t in t order, the j-th good t of row r
-    in column j; each prime's terms are one contiguous run, so every term
-    and the pairwise sum of each run are those of _lambda_cubed_weight
-    over the a_t.  The grids are views of ws, in buffers of _correlations
-    whose data is spent once the traces are formed, and the traces
-    themselves are spent.
-    """
+def _noncm_histograms(ps: list, ws: _Workspace) -> tuple:
+    """The trace histograms of noncm_3x12t at each prime of an ascending
+    list: a_t is the trace at s = 12t of _correlations(ps, -3, ws), so the
+    bad t, 6t = 1 and -1, are the shifts s = 2 and -2.  A trace outside the
+    Hasse range |a| <= floor(2 sqrt p) is an error.  One bincount over the
+    rows, each offset by its row, less the zero padding past each prime;
+    the traces are spent."""
+    traces = _correlations(ps, -3, ws)
     rows, top = traces.shape
-    p = np.array(ps, dtype=np.int64)[:, None]
     h = np.array([math.isqrt(4 * q) for q in ps], dtype=np.int64)
     bad = np.flatnonzero((traces.max(axis=1) > h) | (traces.min(axis=1) < -h))
     if bad.size:
         raise VerificationError(
             f"fft trace outside the Hasse range at {ps[bad[0]]}")
-    # row r's table holds a = -h_r..h_r from zero[r] = its entry for a = 0
-    width = 2 * h + 1
-    zero = np.cumsum(width) - width + h
-    weights = _lambda_cubed_terms(
-        np.arange(width.sum()) - np.repeat(zero, width), np.repeat(p, width))
-    # the bad t are the roots of (6t - 1)(6t + 1), lo < hi = 1/6 and -1/6
-    # mod p_r in some order; column j takes t = j + [j >= lo] + [j >= hi - 1]
-    # (float64 columns, as numpy casts an int64 operand through a buffer)
-    pf = p.astype(np.float64)
-    inv6 = np.array([pow(6, -1, q) for q in ps], dtype=np.float64)[:, None]
-    lo, hi = np.minimum(inv6, pf - inv6), np.maximum(inv6, pf - inv6)
-    x = ws.arange(top)
-    t = ws.take("chi", (rows, top), np.float64)
-    skip = ws.take("past", (rows, top), bool)
-    np.copyto(t, x)
-    # masked adds, as a bool added to a float64 is cast through a buffer
-    np.add(t, 1.0, out=t, where=np.greater_equal(x, lo, out=skip))
-    np.add(t, 1.0, out=t, where=np.greater_equal(x, hi - 1.0, out=skip))
-    t *= 12.0
-    _exact_mod(t, pf, ws.take("hist", (rows, top), np.float64))
-    t += top * np.arange(rows, dtype=np.float64)[:, None]
-    flat = ws.take("value", (rows, top), np.int64)
-    np.copyto(flat, t, casting="unsafe")
-    # the traces are spent: each becomes the index of its weight, and the
-    # weight at every s is gathered, then the one at 12t for each good t
-    traces += zero[:, None]
-    at_s = np.take(weights, traces, mode="clip",
-                   out=ws.take("chi", (rows, top), np.float64))
-    terms = np.take(at_s.ravel(), flat, mode="clip",
-                    out=ws.take("hist", (rows, top), np.float64))
-    return [float(np.sum(terms[r, :q - 2])) for r, q in enumerate(ps)]
+    h = int(h[-1])
+    on, p = np.arange(rows), np.array(ps, dtype=np.int64)
+    bad = np.zeros((rows, 2 * h + 1), dtype=np.int64)
+    for s in (2, p - 2):
+        np.add.at(bad, (on, traces[on, s] + h), 1)
+    traces += h + (2 * h + 1) * on[:, None]
+    good = np.bincount(traces.ravel(), minlength=bad.size).reshape(bad.shape)
+    good[:, h] -= top - p
+    good -= bad
+    return np.broadcast_to(np.arange(-h, h + 1), bad.shape), good, bad
 
 
 def _block_elements(rows: int, top: int) -> int:
     """rows x (n + 1), n = _smooth_length((3 top - 1)/2): the elements
-    that bound each array of one _correlations and _a_tildes_from_traces
-    (the widest, the tiled chi, has (3 top + 1)/2 <= n + 1 columns), so
-    that no buffer of a workspace of that size grows."""
+    that bound each array of one _correlations (the widest, the tiled chi,
+    has (3 top + 1)/2 <= n + 1 columns), so that no buffer of a workspace
+    of that size grows."""
     return rows * (_smooth_length((3 * top - 1) // 2) + 1)
 
 
@@ -1135,15 +1121,25 @@ def _a_tildes_b3(ps: list, ws: _Workspace | None = None) -> list:
     O(p log p) each from one batched _correlations, in ws (a workspace of
     its own by default)."""
     ws = _Workspace(_block_elements(len(ps), ps[-1])) if ws is None else ws
-    return _a_tildes_from_traces(ps, _correlations(ps, -3, ws), ws)
+    return _a_tildes(np.array(ps, dtype=np.int64),
+                     _noncm_histograms(ps, ws)).tolist()
 
 
-def _a_tildes_share(blocks: list) -> list:
-    """_a_tildes_b3 of each sub-block of a list in one workspace, sized
-    for the largest of them, so that no buffer grows within the list."""
-    ws = _Workspace(max((_block_elements(len(b), b[-1]) for b in blocks),
-                        default=0))
-    return [_a_tildes_b3(block, ws) for block in blocks]
+def _map_sub_blocks(fn, p_int: np.ndarray) -> list:
+    """[fn(ps, ws) for each sub-block ps of an ascending block] on the
+    package's pool: each worker takes every w-th one in one workspace,
+    sized so that no buffer grows, and block i comes back as the
+    (i // w)-th of share i % w."""
+    blocks = _correlation_blocks(p_int.tolist())
+    w = max(1, min(thread_count(), len(blocks)))
+
+    def share(part):
+        ws = _Workspace(max((_block_elements(len(b), b[-1]) for b in part),
+                            default=0))
+        return [fn(b, ws) for b in part]
+
+    shares = ordered_map(share, [blocks[k::w] for k in range(w)])
+    return [shares[i % w][i // w] for i in range(len(blocks))]
 
 
 def a_tilde(fam: FamilySpec, p: int) -> float:
@@ -1472,9 +1468,9 @@ class MomentTable:
 
 def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
     """One MomentTable per prime of an ascending block: nu and H_sieve from
-    one _sieve_block over the block, the moments from one _curve_data table
-    per prime, and Atilde (0.0 below p = 5) from a built-in's one a_tildes
-    call over the primes >= 5, or else from that same table."""
+    one _sieve_block over the block, and the moments and Atilde (0.0 below
+    p = 5) from one trace histogram per prime, the per-t tables' below 5
+    and the entry's trace_histograms from 5 on."""
     if r_max < 0:
         raise DomainError("r_max must be >= 0")
     p_int = np.asarray(primes, dtype=np.int64)
@@ -1482,17 +1478,19 @@ def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
             or not all(map(is_prime, p_int.tolist()))):
         raise DomainError("moment_table needs an ascending block of primes")
     first = prime_index(p_int, 5)
-    entry = builtin_entry(fam)
-    at = entry.a_tildes(p_int[first:]).tolist() if entry else None
+    sums = _power_sums(_BruteForce(fam).trace_histograms(p_int[:first]),
+                       r_max)
+    at, entry = [0.0] * first, entry_of(fam)
+    # 256 primes at a time: a non-CM row holds about 4 sqrt p counts
+    for lo in range(first, p_int.size, 256):
+        ps = p_int[lo:lo + 256]
+        hist = entry.trace_histograms(ps)
+        sums += _power_sums(hist, r_max)
+        at += _a_tildes(ps, hist).tolist()
     nus, hs = _sieve_block(fam, Block(p_int), sieve_exponent(fam))
     nus = np.broadcast_to(nus, p_int.shape).tolist()
     hs = [0.0] * len(nus) if hs is None else hs.tolist()
-    rows = []
-    for i, p in enumerate(p_int.tolist()):
-        table = _curve_data(fam, p)
-        good, bad = _power_sums(table, r_max)
-        a = 0.0 if i < first else (
-            at[i - first] if entry else _table_a_tilde(p, table))
-        rows.append(MomentTable(p=p, moments=good, bad_moments=bad,
-                                a_tilde=a, nu=nus[i], h=(1.0, hs[i])))
-    return rows
+    return [MomentTable(p=p, moments=good, bad_moments=bad, a_tilde=a,
+                        nu=nu, h=(1.0, h))
+            for p, (good, bad), a, nu, h in zip(
+                p_int.tolist(), sums, at, nus, hs)]

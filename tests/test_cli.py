@@ -282,7 +282,7 @@ def test_family_refuses_moments_past_the_digit_limit(capsys, monkeypatch):
     assert doc["results"]["rows"] == []
     doc = run_json(capsys, *MOMENTS_ARGV, "200")
     assert doc["manifest"]["output_checksum"] == \
-        "72f1625466ea6f33923a6552088070c8fb1e4b562f28b82d97a8d445fe9a488a"
+        "60343b8efe45ce35beb23d18b39e7c4592894b987e680f3ca8938e9b42918772"
 
 
 def test_usage_exit_code(capsys):
@@ -368,15 +368,15 @@ IMPOSTOR = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 GOLDEN = [
     (("family", "--family", "cm_b1_kappa2", "--prime-limit", "60"),
-     "ee07ac47edd2f03c32fedd53acaa4c69e8b0bf2c9b063f237ff630f440ea0c73"),
+     "99a3826aed71a3aba3105b619bb762f06cf579a7e10aede0e832812a9c4070fb"),
     (("family", "--family", "cm_b6_kappa1", "--prime-limit", "60"),
-     "bb3f7f1b2d92ec30c115bc839a011d528cf62c7959189c018feaee9da4649434"),
+     "5d74aa0b4ea8b70a9e522c15b73016caf99467d9373a0bf78e0833b15510b8ca"),
     (("family", "--family", "rank1_36t", "--prime-limit", "60"),
-     "712ac86cc125b534ac7e3763bee2c02cd557a3963ef9db84e7249a14b33286bf"),
+     "2cc0c4ad40594621e9ac00c1f5947cbd6d0417374335c531c10fd52052f3794a"),
     (("family", "--family", "rank0_36t", "--prime-limit", "60"),
-     "7b1fcbd17b0dd890b2170e003fcb594770fa93dd604bc0da34425961452603e6"),
+     "89147824e1474ab5ccdad23a0a1aeee9789e8870fe19585f7509fe3a89f7cd5c"),
     (("family", "--family", "noncm_3x12t", "--prime-limit", "60"),
-     "f4e3229afbb8f7b268d82acd64bf4afad31ed90db5af56499840efbf066a5365"),
+     "7940adacf5390677dfc9e87dae07d05b2767ec4466c28cac1744fa0fdbc2f792"),
     (("family", "--family", "cm_b2_kappa2", "--aggregate"),
      "d14253e2201ac6042270dd75c1a542aeaeb6f9dfedec7b08e3333b01d8779a6a"),
     (("family", "--family", "noncm_3x12t", "--aggregate"),
@@ -389,13 +389,13 @@ GOLDEN = [
      "414ecdd7a809753f4df4729c23f8f6e653df5f6537f45973aa1e7000928672f6"),
     (("explicit", "--family", "rank1_36t", "--phi", "indicator_smooth:0.18",
       "--logR", "50"),
-     "1854ec0a1bf3f25b6fcaaeedf3d93793f46270cce5adaa2638e62e968a5caeda"),
+     "7dbfabac9d8ab8e35cefd93c99a37eb9a532d9c4093da6169881e3b06d20e47e"),
     (("explicit", "--family", "rank0_36t", "--phi", "indicator_smooth:0.18",
       "--logR", "50"),
      "77d6742bbf0dce97ca4ba2c5041e7226d65cd6bb87901b35c9e78ba3218d9818"),
     (("explicit", "--family", "cm_b2_kappa2", "--phi", "fejer:0.9",
       "--logR", "25"),
-     "b7d561f9aab0d1a97f7fa5b161ce06088f7acba194989bd33223a677d4713fb3"),
+     "a3d36ad5d17b0c6bba5fb10115e395be381d88c21520e005d402fc2467dce589"),
     (("explicit", "--family", "cusp_model", "--phi", "indicator_smooth:0.18",
       "--logR", "50"),
      "fc0e69d4c1361118e2a5be43af6597579c5b892ad82ad9fd9b54b0a9299eec0f"),

@@ -147,45 +147,46 @@ def test_family_constant_atilde_guards():
 
 
 # family_constant_Atilde at the reference truncation, and the quartic pair
-# also at 10^4 primes, where p(p+1)^3 > 2^63: the values of the scalar
-# per-prime Python path, which the array kernels must keep
+# also at 10^4 primes, where p(p+1)^3 > 2^63: the values of the one Atilde
+# recipe (families._a_tildes), which the array kernels must keep.  The
+# kappa = 1 twists share their Atilde(p), hence their main sums
 ATILDE_GOLDEN = {
     ("cm_b1_kappa1", None, 5000):
         (0.3437308351161087, 1.1989627305232607e-06),
     ("cm_b1_kappa1", 3, 5000):
         (0.3437308351161087, 0.0004456994795144405),
     ("cm_b1_kappa2", None, 5000):
-        (0.4202793119520593, 0.0006985550282537705),
+        (0.4202793119520592, 0.0006985550282537704),
     ("cm_b1_kappa2", 3, 5000):
-        (0.4202793119520593, 0.0006985550282537705),
+        (0.4202793119520592, 0.0006985550282537704),
     ("cm_b2_kappa1", None, 5000):
-        (0.34373083511610864, 1.1989627305232607e-06),
+        (0.3437308351161087, 1.1989627305232607e-06),
     ("cm_b2_kappa1", 3, 5000):
-        (0.34373083511610864, 0.0004456994795144405),
+        (0.3437308351161087, 0.0004456994795144405),
     ("cm_b2_kappa2", None, 5000):
-        (0.5670012015813256, 0.0007609531948510235),
+        (0.5670012015813254, 0.0007609531948510233),
     ("cm_b2_kappa2", 3, 5000):
-        (0.5670012015813256, 0.0007609531948510235),
+        (0.5670012015813254, 0.0007609531948510233),
     ("cm_b3_kappa1", None, 5000):
-        (0.34373083511610864, 1.1989627305232607e-06),
+        (0.3437308351161087, 1.1989627305232607e-06),
     ("cm_b3_kappa1", 3, 5000):
-        (0.34373083511610864, 0.0004456994795144405),
+        (0.3437308351161087, 0.0004456994795144405),
     ("cm_b3_kappa2", None, 5000):
-        (0.14125609533244968, 0.00012454042981463288),
+        (0.1412560953324497, 0.00012454042981463297),
     ("cm_b3_kappa2", 3, 5000):
-        (0.14125609533244968, 0.00012454042981463288),
+        (0.1412560953324497, 0.00012454042981463297),
     ("cm_b6_kappa1", None, 5000):
-        (0.34373083511610864, 1.1989627305232607e-06),
+        (0.3437308351161087, 1.1989627305232607e-06),
     ("cm_b6_kappa1", 3, 5000):
-        (0.34373083511610864, 0.0004456994795144405),
+        (0.3437308351161087, 0.0004456994795144405),
     ("cm_b6_kappa2", None, 5000):
-        (0.26200241686052456, 0.00019885237167886383),
+        (0.2620024168605245, 0.00019885237167886386),
     ("cm_b6_kappa2", 3, 5000):
-        (0.26200241686052456, 0.00019885237167886383),
+        (0.2620024168605245, 0.00019885237167886386),
     ("rank1_36t", None, 5000):
-        (-0.11108445983666038, -0.0013546932132616116),
+        (-0.11108445983666039, -0.0013546932132616118),
     ("rank1_36t", None, 10000):
-        (-0.11108446132604977, -0.0013546932132616116),
+        (-0.11108446132604978, -0.0013546932132616118),
     ("rank0_36t", None, 5000):
         (0.6278389316004817, 0.0064904025105431435),
     ("rank0_36t", None, 10000):
@@ -383,4 +384,4 @@ def test_catalog_results_keep_their_bits(name, method):
 def test_gamma_atilde_3_keeps_its_bits_at_1000_primes():
     # the fast stand-in for the slow 5000-prime golden above
     res = constants.compute_constant("gamma_atilde_3", first_primes=1000)
-    assert res.value == 0.33816082480404813
+    assert res.value == 0.3381608248040482

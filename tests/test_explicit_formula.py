@@ -265,11 +265,11 @@ MULTI_BLOCK_PINS = {
     "cm_b1_kappa1":
         "142ac0343aee2384b8e6e60e08e4d350394d23449e128d1462a5b0f71b6572c4",
     "cm_b1_kappa2":
-        "d4d2f38a62e5aab6ee57545cbd37e292ee274a2ed32bb486b7bd075e5fbf16c6",
+        "7b3ec6b1821df0fac53c07be71d8528bab2a84020bb81b704253fe7625c513e2",
     "noncm_3x12t":
         "fd3ed4298c2dd5e2e388db113b16ce8efa185528d1e68b54ffdde8713958f5cf",
     "rank1_36t":
-        "13e9535305949a39fe9b00f15ccec4e0b6282346aca48a22bf623a8d20294119",
+        "f60f48836b43ab1e0a1682b9c1540e0f9e968252da952a8becb152fc9f4d634e",
 }
 
 
@@ -455,7 +455,7 @@ def test_evaluate_s_custom_family_golden():
                         atilde_primes=30)
     canon = json.dumps(dec.as_dict(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canon.encode()).hexdigest() == (
-        "0f1e6760f43e1020965a584c379d1cd4949a33623b7936369e7b81fdf0f37366")
+        "ea1cf27ffa804cabc59d290de26e7949ce92dc2d6ebfd7f82b29a469f82a37b2")
 
 
 @pytest.mark.parametrize("count", [0, -2])
@@ -587,7 +587,8 @@ def test_block_pass_is_bit_identical_to_full_array_sums(name):
 
 
 # the quartic pair at log R 75 over the whole support of S_1: the values of
-# the scalar per-prime A_2 and Atilde, which the array kernels must keep
+# the scalar per-prime A_2 and of the one Atilde recipe, which the array
+# kernels must keep
 QUARTIC_GOLDEN = {
     "rank1_36t": {
         "pieces": {
@@ -599,8 +600,8 @@ QUARTIC_GOLDEN = {
                     "sieve": -0.00010233720045472509},
             "S_Aprime": {"main": 0.0,
                          "sieve": 0.0},
-            "S_Atilde": {"main": 0.0029622522623109432,
-                         "sieve": 3.612515235364298e-05},
+            "S_Atilde": {"main": 0.0029622522623109437,
+                         "sieve": 3.6125152353642984e-05},
         },
         "total": 0.36176491181511533,
         "tail_bound": 0.000980887252675951,

@@ -4,6 +4,8 @@ Oracles: direct affine point counts over F_p, brute-force enumerations
 over t, and exact integer arithmetic throughout.
 """
 
+import collections
+import decimal
 import hashlib
 import json
 import math
@@ -12,6 +14,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from ldl import families
 from ldl._sum import Block
 from ldl.errors import DomainError, ResourceError, VerificationError
 from ldl.primes import (first_n_primes, get_table, is_prime, legendre_symbol,
-                        legendre_symbols_vec)
+                        legendre_symbols_vec, prime_index)
 from ldl.series import poly_mul
 
 BUILTINS = sorted(families.BUILTIN_FAMILIES)
@@ -131,15 +134,19 @@ IMPOSTOR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
     "impostor_cm_b1_kappa2.json"
 
 
-@pytest.mark.parametrize("name", ["cm_b1_kappa2", "noncm_3x12t", "impostor"])
+@pytest.mark.parametrize("name", ["cm_b1_kappa2", "rank1_36t", "noncm_3x12t",
+                                  "impostor"])
 def test_moment_table_reads_one_trace_table_per_prime(monkeypatch, name):
-    # the impostor config borrows cm_b1_kappa2's name, so it takes the
-    # brute-force entry, whose moments and Atilde read the same table
+    # a built-in reads its trace histograms from p = 5 on, and a per-t
+    # table only at 2 and 3; the impostor config borrows cm_b1_kappa2's
+    # name, so it takes the brute-force entry, whose moments and Atilde
+    # read one table per prime
+    fam, primes = families.get_family("cm_b1_kappa2"), get_table(300).primes
     if name == "impostor":
         fam = families.load_family(json.loads(IMPOSTOR.read_text()))
-        primes = [5, 7, 11, 13]
-    else:
-        fam, primes = families.get_family(name), get_table(300).primes
+        primes = [2, 3, 5, 7, 11, 13]
+    elif name != "cm_b1_kappa2":
+        fam = families.get_family(name)
     calls = []
     curve_data = families._curve_data
 
@@ -149,7 +156,7 @@ def test_moment_table_reads_one_trace_table_per_prime(monkeypatch, name):
 
     monkeypatch.setattr(families, "_curve_data", counted)
     families.moment_table(fam, primes)
-    assert calls == list(primes)
+    assert calls == ([2, 3, 5, 7, 11, 13] if name == "impostor" else [2, 3])
 
 
 # --------------------------------------------------------------------------
@@ -300,18 +307,28 @@ def _quartic_class_index(p: int, g: int) -> np.ndarray:
     return cls
 
 
+def _recipe(p: int, pairs) -> float:
+    """Atilde(p) by the one recipe from (trace, count) pairs of the good t
+    in any order: equal traces merged, each term n*a*a*a/(p + 1 - a) in
+    float64, their math.fsum over p * sqrt(p)."""
+    merged = collections.Counter()
+    for a, n in pairs:
+        merged[int(a)] += int(n)
+    s = math.fsum(float(n) * a * a * a / (p + 1 - a)
+                  for a, n in merged.items())
+    return s / (p * math.sqrt(p))
+
+
 @pytest.mark.parametrize("name", BUILTINS)
 def test_a_tilde_fast_paths_match_brute_force(name):
     """Atilde against point counts; for the CM built-ins also the traces
     and class counts of the array kernels, and Atilde(p) bit for bit
-    against the O(p) construction from point counts, through the block
-    path and the one-prime path, for every prime up to 10^4."""
+    against the recipe over the O(p) point counts, through the block path
+    and the one-prime path, for every prime up to 10^4."""
     fam = families.get_family(name)
     clone = _clone_generic(fam)
     for p in (7, 13, 31, 37):
-        fast = families.a_tilde(fam, p)
-        brute = families.a_tilde(clone, p)
-        assert fast == pytest.approx(brute, rel=1e-10, abs=1e-12)
+        assert families.a_tilde(fam, p) == families.a_tilde(clone, p)
     entry = families.builtin_entry(fam)
     if entry.kind == "noncm":
         return
@@ -329,13 +346,9 @@ def test_a_tilde_fast_paths_match_brute_force(name):
         rows = families._sextic_traces(bb, p_on, np.array(gens), powers)
         for p, g, row in zip(p_on.tolist(), gens, rows.tolist()):
             reps = [bb * pow(g, e, p) % p for e in powers]
-            a_reps = np.array([trace(0, c, p) for c in reps])
-            assert row == a_reps.tolist(), (name, p)
-            if kappa == 1:
-                want = (p - 1) // 6 * families._lambda_cubed_weight(a_reps, p)
-            else:
-                want = (p - 1) // 3 * families._lambda_cubed_weight(
-                    a_reps[[0, 2, 4]], p)
+            a_reps = [trace(0, c, p) for c in reps]
+            assert row == a_reps, (name, p)
+            want = _recipe(p, [(a, (p - 1) // 6) for a in a_reps])
             assert block[p] == want, (name, p)
             assert families.a_tilde(fam, p) == want, (name, p)
     else:
@@ -352,13 +365,79 @@ def test_a_tilde_fast_paths_match_brute_force(name):
             brute = [(int(n), trace(-pow(g, i, p) % p, 0, p))
                      for i, n in enumerate(n_brute)]
             assert list(zip(n_row, a_row)) == brute, (name, p)
-            want = 0.0
-            for n, a in brute:
-                lam = a / math.sqrt(p)
-                want += n * lam ** 3 / (p + 1 - a)
+            want = _recipe(p, [(a, n) for n, a in brute])
             assert block[p] == want, (name, p)
             assert families.a_tilde(fam, p) == want, (name, p)
             assert a1 == trace(p - 1, 0, p)
+
+
+#: primes past 2000 up to the 5000th, 48611: 1, 7 and 11 mod 12, so that
+#: every kind of built-in has nonzero Atilde at several of them
+ORACLE_SAMPLE = [2003, 2017, 4999, 9973, 20011, 30013, 40009, 48611]
+
+
+def _decimal(x: Fraction) -> decimal.Decimal:
+    return decimal.Decimal(x.numerator) / x.denominator
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_tildes_within_their_rounding_of_the_exact_value(name):
+    # Atilde* = S*/p^(3/2), S* = sum n a^3/(p + 1 - a) over the traces at
+    # every good t (_curve_data), as a Fraction, then in 60-digit decimal.
+    # Each term n*a*a*a (exact, |n a^3| < 2^53 here) over p + 1 - a is one
+    # rounding, relative error u = 2^-53, so the terms err by at most u
+    # times M = sum |n a^3/(p + 1 - a)| / p^(3/2); fsum is one more
+    # rounding, of S, and sqrt p, p * sqrt p and S / (p sqrt p) three: to
+    # first order |Atilde - Atilde*| <= u M + 4u |Atilde*|.  2^-52 (M +
+    # 2 |Atilde*|) = 2u M + 4u |Atilde*| holds that with the second-order
+    # terms, which are below u M (M >= |Atilde*|) times 5u
+    p_int = get_table(2000).primes
+    p_int = np.concatenate((p_int[prime_index(p_int, 5):], ORACLE_SAMPLE))
+    assert all(map(is_prime, ORACLE_SAMPLE))
+    fam = families.get_family(name)
+    got = families.REGISTRY[name].a_tildes(p_int).tolist()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for p, at in zip(p_int.tolist(), got):
+            a_vals, good = families._curve_data(fam, p)
+            traces, counts = np.unique(a_vals[good], return_counts=True)
+            terms = [Fraction(n * a ** 3, p + 1 - a)
+                     for a, n in zip(traces.tolist(), counts.tolist())]
+            scale = p * decimal.Decimal(p).sqrt()
+            exact = _decimal(sum(terms)) / scale
+            mass = _decimal(sum(map(abs, terms))) / scale
+            bound = (mass + 2 * abs(exact)) / 2 ** 52
+            assert abs(decimal.Decimal(at) - exact) <= bound, (name, p)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_tilde_is_its_clone_bit_for_bit(name):
+    # the brute-force entry of the same curve reads the same trace multiset
+    # off its per-t tables, so the one recipe gives the same bits
+    fam = families.get_family(name)
+    clone = _clone_generic(fam)
+    for p in (int(q) for q in get_table(300).primes if q >= 5):
+        assert families.a_tilde(fam, p) == families.a_tilde(clone, p), p
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 103, 997])
+def test_trace_squares_meet_birch_identity(p):
+    # sum of a_{a,b}(p)^2 over the pairs (a, b) mod p: (p - 1)^2 (p + 1)
+    # over those with 4a^3 + 27b^2 != 0, and p^2 (p - 1) over all of them
+    # (each of the p - 1 nodal pairs adds 1, the cusp (0, 0) adds 0).  The
+    # a go to _correlations in chunks of at most 2^16 / n rows
+    n = families._smooth_length((3 * p - 1) // 2)
+    rows = max(1, (1 << 16) // n)
+    b = np.arange(p, dtype=np.int64)
+    smooth = total = 0
+    for lo in range(0, p, rows):
+        a = np.arange(lo, min(lo + rows, p), dtype=np.int64)
+        squares = families._correlations([p], a.tolist()) ** 2
+        disc = (4 * a[:, None] ** 3 + 27 * b * b) % p
+        smooth += int(squares[disc != 0].sum())
+        total += int(squares.sum())
+    assert smooth == (p - 1) ** 2 * (p + 1)
+    assert total == p * p * (p - 1)
 
 
 def _least_generator(p: int) -> int:
@@ -472,7 +551,7 @@ def _a_tilde_b3_prime_length(p: int) -> float:
     corr = np.fft.irfft(np.conj(np.fft.rfft(hist)) * np.fft.rfft(chi), p)
     a_vals = -np.rint(corr).astype(np.int64)[12 * x % p]
     good = (6 * x % p + 1) * (6 * x % p - 1) % p != 0
-    return families._lambda_cubed_weight(a_vals[good], p)
+    return _recipe(p, zip(*np.unique(a_vals[good], return_counts=True)))
 
 
 @pytest.mark.slow
@@ -533,16 +612,13 @@ def test_a_tilde_b3_checks_its_correlation(monkeypatch, shift, match):
 
 def _a_tilde_b3_one_prime(p: int) -> float:
     """Atilde(p) of noncm_3x12t one prime at a time: one correlation at
-    the prime's own length, the weight table over the Hasse range, the
-    gather in t order, np.delete of the two bad t and one np.sum."""
+    the prime's own length, its traces at 12t for each good t, and the
+    recipe over them."""
     traces = families._correlations([p], -3)[0]
-    h = math.isqrt(4 * p)
-    assert np.max(np.abs(traces)) <= h
-    weights = families._lambda_cubed_terms(
-        np.arange(-h, h + 1, dtype=np.int64), p)
-    index = (h + traces)[np.arange(0, 12 * p, 12) % p]
+    assert np.max(np.abs(traces)) <= math.isqrt(4 * p)
     inv6 = pow(6, -1, p)
-    return float(np.sum(weights[np.delete(index, [inv6, p - inv6])]))
+    a_vals = np.delete(traces[np.arange(0, 12 * p, 12) % p], [inv6, p - inv6])
+    return _recipe(p, zip(*np.unique(a_vals, return_counts=True)))
 
 
 def test_a_sub_block_names_the_prime_that_fails_a_check(monkeypatch):
@@ -754,28 +830,30 @@ def test_a_tilde_refuses_a_composite_p(name):
 
 
 #: SHA-256 of the float64 bytes of entry.a_tildes over the primes p >= 5
-#: among the first 5000, so that a change of one term by one ulp shows
+#: among the first 5000, so that a change of one term by one ulp shows.
+#: The four kappa = 1 twists share one: bb only permutes their six classes,
+#: so each prime has the same trace multiset
 A_TILDE_PINS = {
     "cm_b1_kappa1":
-        "ed442f8db4a7e86cc0c3ee6bd87b4d65ec0cb500fe735e9ab807c5051b1b14d8",
+        "de2028d5f7b130f8d9ecdedf060411b8186cf8345863638bbb2d1c3290ca5a7d",
     "cm_b1_kappa2":
-        "4f0f70255a0090d4ee92ae60887a6f204c55848e09eefbafe6316a547f2dc142",
+        "a2af45eef13cb35ff26f4dca470cf21e365ae7cd8b8b8494e599acef0567e128",
     "cm_b2_kappa1":
-        "436ded0ea99d00890f3d920f7a634443c50476657a0a2c16d787418ed3fc5d5b",
+        "de2028d5f7b130f8d9ecdedf060411b8186cf8345863638bbb2d1c3290ca5a7d",
     "cm_b2_kappa2":
-        "d413275746154721a7b7723e78763f7b0f643355c61f51fd6b7c94006da56172",
+        "accafc3724e32069f7c4f7e6de37cafe4a849c9ec5c08f1ea920e94d277f7b03",
     "cm_b3_kappa1":
-        "183c505c7d609825c66f5f6d4bb2fb3b409426a2a8737d6479bf6b0273540709",
+        "de2028d5f7b130f8d9ecdedf060411b8186cf8345863638bbb2d1c3290ca5a7d",
     "cm_b3_kappa2":
-        "305e3ca6f1892217fb2f3248cd28574484de083dcbb5d19bcf9a61e6c5ca3479",
+        "668f204b400dd8b4722e8e6a46db964169d9d99b40f2bdb2cd2baadd44dec889",
     "cm_b6_kappa1":
-        "659a8c6b4872da967a91902da5f812feee62dc0a3bae0043fcd558c9aa8a63f7",
+        "de2028d5f7b130f8d9ecdedf060411b8186cf8345863638bbb2d1c3290ca5a7d",
     "cm_b6_kappa2":
-        "2095e8b6c073c62fbd8321a7e98366c5aceed539388de3c0e1bb468f0bbc694f",
+        "83cc4cd1ab65b7c1ed3820e916dc45eeab29eda0da4f6768a06a3030bf6821a3",
     "rank1_36t":
-        "8ab84a4aaa76686c4ccf6adc31e6288065c5359f82b11fef1869273824a867d9",
+        "5953d7d7196f7fb1369b782624a1b36ea4559b6c4de051faf90caed327890650",
     "rank0_36t":
-        "a1d99182abe536126b4ed35dec0f734f201fbd869e5384ae05f0ad03b0f7f2aa",
+        "cdd1221c281b82577682aefaea1a06687e645242baa976ea07f3b79a63e2a9f0",
 }
 
 
@@ -785,6 +863,33 @@ def test_cm_a_tildes_keep_every_bit(name):
     at = families.REGISTRY[name].a_tildes(p[p >= 5])
     assert hashlib.sha256(at.astype("<f8").tobytes()).hexdigest() == \
         A_TILDE_PINS[name]
+
+
+def test_noncm_a_tildes_keep_every_bit():
+    # the same pin over the first 1000 primes, where the FFT kernel is fast
+    p = first_n_primes(1000).primes
+    at = families.REGISTRY["noncm_3x12t"].a_tildes(p[p >= 5])
+    assert hashlib.sha256(at.astype("<f8").tobytes()).hexdigest() == \
+        "e3fd946e598a067e102c09589bb941649dff0ff35ee1521fd766ec8a4c9e3892"
+
+
+def test_a_tilde_pins_hold_on_numpy_avx2_kernels():
+    # the Atilde pins rerun in a child whose numpy takes its AVX2 kernels,
+    # as on a CPU without AVX-512; on such a CPU the child runs the same
+    # kernels as this process.  The variable acts on the child's numpy only
+    here = pathlib.Path(__file__).resolve()
+    src = str(pathlib.Path(families.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here}::test_cm_a_tildes_keep_every_bit",
+         f"{here}::test_noncm_a_tildes_keep_every_bit"],
+        env=env, cwd=here.parents[1], capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-3000:]
+    assert f"{len(A_TILDE_PINS) + 1} passed" in run.stdout
 
 
 # --------------------------------------------------------------------------
