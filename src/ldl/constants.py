@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _literals, families, primes
+from . import families, primes
 from ._sum import CHUNK, Block, term_sum
 from .errors import DomainError, VerificationError
 from .primes import (CHI_3, CHI_M3, ConstantResult, first_n_primes,
@@ -261,7 +261,7 @@ def compute_constant(name: str, prime_limit: int | None = None,
     spec = CATALOG[name]
 
     if name == "gamma_23":
-        value = math.log(2.0) + 2.0 * _literals.LOG_3 / 3.0
+        value = math.log(2.0) + 2.0 * primes.LOG_3 / 3.0
         return ConstantResult(name, value, "prime_count", 2, 0.0,
                               "closed_form")
 

@@ -20,10 +20,10 @@ REGISTRY, of one of three kinds (sextic, quartic, non-CM): it holds the
 FamilySpec, the rank, the Atilde method, the closed forms A_0, A_1, A_2,
 A'_1 and A'_2, written once as arrays over the primes, and n_bad, its
 nu_D(p^k) at every p >= 5.  Any other family gets a brute-force entry,
-capped at BRUTE_FORCE_CAP.  evaluate_S, a_tilde and rank_bias read the
-entry.  A family counts as built-in only when it equals the registered
-FamilySpec in every field, so a config that borrows a built-in's name
-takes the brute-force entry.
+whose cap, BRUTE_FORCE_CAP, only evaluate_S and rank_bias check.
+evaluate_S, a_tilde and rank_bias read the entry.  A family counts as
+built-in only when it equals the registered FamilySpec in every field, so
+a config that borrows a built-in's name takes the brute-force entry.
 
 Each per-prime quantity is written once, over an ascending block of
 primes; a_tilde, h_factor and closed_form_moment are views of one prime.
@@ -67,7 +67,6 @@ import json
 import math
 import pathlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 
@@ -82,8 +81,10 @@ from .series import poly_mul
 
 _SCAN_LIMIT = 10 ** 6
 
-#: the `cap` of a family without closed forms: the largest prime of its
-#: tables, evaluate_S's primes and Atilde truncation and rank_bias's X
+#: the `cap` of a family without closed forms, checked only by evaluate_S
+#: (its prime_limit and largest Atilde prime) and rank_bias (its X); its
+#: other per-t tables (a_tilde, moment_table, complete_moment,
+#: family_constant_Atilde) stop at FLOAT_PRIME_LIMIT
 BRUTE_FORCE_CAP = 5000
 
 
@@ -116,39 +117,6 @@ def _poly_trim(a):
     return tuple(a)
 
 
-def poly_resultant(f, g) -> int:
-    """Resultant of two integer polynomials via the Sylvester matrix."""
-    f, g = list(_poly_trim(f)), list(_poly_trim(g))
-    m, n = len(f) - 1, len(g) - 1
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + f[::-1] + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + g[::-1] + [0] * (size - n - 1 - i))
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if mat[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, size):
-            factor = mat[r][col] * inv
-            if factor:
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    assert det.denominator == 1
-    return int(det)
-
-
 # --------------------------------------------------------------------------
 # family specification
 
@@ -177,23 +145,6 @@ class FamilySpec:
         b2 = poly_mul(self.B_poly, self.B_poly)
         return _poly_trim([-16 * (4 * a + 27 * b) for a, b in
                            zip_longest(a3, b2, fillvalue=0)])
-
-
-def _check_factor_resultants(fam: FamilySpec) -> None:
-    """No prime >= 5 may divide the resultant of two distinct D factors."""
-    for i in range(len(fam.D_factors)):
-        for j in range(i + 1, len(fam.D_factors)):
-            res = abs(poly_resultant(fam.D_factors[i], fam.D_factors[j]))
-            if res == 0:
-                raise VerificationError(
-                    f"{fam.name}: D factors {i},{j} share a root")
-            while res % 2 == 0:
-                res //= 2
-            while res % 3 == 0:
-                res //= 3
-            if res != 1:
-                raise VerificationError(
-                    f"{fam.name}: D factors {i},{j} share a prime >= 5")
 
 
 # --------------------------------------------------------------------------
@@ -349,8 +300,6 @@ REGISTRY = {e.spec.name: e for e in (
     + [_Quartic("rank1_36t", 1, (1,), 1), _Quartic("rank0_36t", 2, CHI_2, 0),
        _NonCM()])}
 BUILTIN_FAMILIES = {name: e.spec for name, e in REGISTRY.items()}
-for _fam in BUILTIN_FAMILIES.values():
-    _check_factor_resultants(_fam)
 
 
 def builtin_entry(fam):
@@ -365,7 +314,8 @@ def builtin_entry(fam):
 
 class _BruteForce:
     """The entry of any family without closed forms: its traces at every
-    t, so no prime it is asked about may pass its cap."""
+    t, so evaluate_S and rank_bias refuse a prime past its cap
+    (check_cap); every other call refuses one from FLOAT_PRIME_LIMIT."""
     rank, lead, cap = 0, None, BRUTE_FORCE_CAP
 
     def __init__(self, spec: FamilySpec):
@@ -517,7 +467,9 @@ def _curve_data(fam: FamilySpec, p: int):
     g the least generator, is g^i u^4 with i = k mod e, e = gcd(4, p - 1),
     u = g^j, 4j = k - i mod p - 1, and (A, B) ~ (A/u^4, B/u^6), so a_t is
     the trace at s = B/u^6 of the row of a = g^i (a = 0 where A(t) = 0) of
-    one _correlations over the classes present."""
+    one _correlations over the classes present.  A p past its limit is
+    refused before any table of length p."""
+    _check_float(p)
     t = np.arange(p, dtype=np.int64)
     good = poly_eval_mod(fam.discriminant_poly(), t, p) != 0
     a_vals = np.zeros(p, dtype=np.int64)
@@ -867,10 +819,13 @@ def _a_tildes(p_int: np.ndarray, histograms) -> np.ndarray:
     """Atilde(p) = S / (p * sqrt p) at each prime of a block from its trace
     histograms, S the math.fsum over the distinct good traces a, n of them
     (equal traces of a row merged), of the float64 n*a*a*a (exact while
-    |n a^3| < 2^53, at every p below 10^6) over p + 1 - a: the one recipe
-    of every entry's a_tildes.  Only IEEE x, / and sqrt and fsum enter, so
-    the bits depend on the multiset of traces alone: not on the batching,
-    the worker count, the order of the terms or numpy's SIMD dispatch."""
+    |n a^3| < 2^53, at every p below 10^6; past that the last product
+    rounds, as at 1 825 217 and 2 150 023, the first such primes of
+    rank1_36t and cm_b1_kappa1, where the tests bound the error) over
+    p + 1 - a: the one recipe of every entry's a_tildes.  Only IEEE x, /
+    and sqrt and fsum enter, so the bits depend on the multiset of traces
+    alone: not on the batching, the worker count, the order of the terms
+    or numpy's SIMD dispatch."""
     traces, good, _ = histograms
     # a = 0 adds nothing; (row, a) as one key, ascending in row, then in a
     row, col = np.divmod(np.flatnonzero(good * traces), good.shape[1])
@@ -947,6 +902,13 @@ class _Workspace:
 FLOAT_PRIME_LIMIT = 1 << 26
 
 
+def _check_float(p: int) -> None:
+    if p >= FLOAT_PRIME_LIMIT:
+        raise ResourceError(
+            f"p = {p} is past {FLOAT_PRIME_LIMIT}, where the float64 "
+            "residues of the trace correlation lose exactness")
+
+
 def _exact_mod(v: np.ndarray, p: np.ndarray, scratch: np.ndarray) -> None:
     """v mod p in place, for integer-valued float64 0 <= v < 2^53 and a
     float64 column of primes p: the quotient v / p then rounds to the
@@ -986,10 +948,7 @@ def _correlations(ps: list, a, ws: _Workspace | None = None) -> np.ndarray:
     The grids and transforms, the returned traces included, are views of
     ws (a workspace of its own by default)."""
     top = ps[-1]
-    if top >= FLOAT_PRIME_LIMIT:
-        raise ResourceError(
-            f"p = {top} is past {FLOAT_PRIME_LIMIT}, where the float64 "
-            "residues of the trace correlation lose exactness")
+    _check_float(top)
     half, width = (top + 1) // 2, (3 * top - 1) // 2
     n = _smooth_length(width)
     p = np.array(ps, dtype=np.int64)[:, None]

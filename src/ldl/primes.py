@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _literals
 from ._sum import CHUNK, Block, term_sum
 from .errors import DomainError, ResourceError
 
@@ -38,6 +37,7 @@ _MASK_BYTES = 1 << 24
 #: the mask is cleared and collected in windows of this many odd numbers,
 #: 1 MiB of it, so a window stays in a 2 MiB L2 cache
 _WINDOW = 1 << 20
+
 #: base primes below this, with more than 128 multiples in a window, clear
 #: them window by window; the larger ones once per segment, which bounds
 #: the Python loop at the sieve cap (1.3e6 passes at 2^31 - 1, 3.1e5
@@ -372,6 +372,20 @@ def _resolve_truncation(prime_limit: int | None, first_primes: int | None,
     return get_table(limit), "prime_limit", limit
 
 
+#: the constants of the closed forms below and of constants' gamma_23 to
+#: 30 significant digits, as strings (tests/test_primes.py checks every
+#: digit against mpmath), and their double roundings
+LITERALS_30 = {
+    "euler_gamma": "0.577215664901532860606512090082",
+    "log_2pi": "1.83787706640934548356065947281",
+    "log_3": "1.09861228866810969139524523692",
+    "gamma_one_third": "2.67893853470774763365569294097",
+    "gamma_one_fourth": "3.62560990822190831193068515587",
+}
+EULER_GAMMA, LOG_2PI, LOG_3, GAMMA_ONE_THIRD, GAMMA_ONE_FOURTH = map(
+    float, LITERALS_30.values())
+
+
 def gamma_pnt(method: str = "closed_form", prime_limit: int | None = None,
               first_primes: int | None = None) -> ConstantResult:
     """The constant gamma_PNT = 1 + int_1^inf E(t)/t^2 dt = -gamma_Euler -
@@ -384,24 +398,22 @@ def gamma_pnt(method: str = "closed_form", prime_limit: int | None = None,
         def term(blk):
             return blk.lp / (blk.pp - blk.pf)
 
-        value = -_literals.EULER_GAMMA - term_sum(term, table.primes)
+        value = -EULER_GAMMA - term_sum(term, table.primes)
         tail = math.log(X) / X
-    elif method in ("direct", "integral"):
+    elif method == "integral":
         value = 1.0 + theta_error_integral("all", X, table)
         # unconditional-ish fluctuation estimate for the dropped tail
         tail = 4.0 * math.log(X) ** 2 / math.sqrt(X)
-        method = "integral"
     else:
         raise DomainError(f"unknown method {method!r}")
     return ConstantResult("gamma_pnt", value, kind, trunc, tail, method)
 
 
 _AB_CLOSED = {
-    (1, 3): lambda: (-2 * _literals.EULER_GAMMA - 4 * _literals.LOG_2PI
-                     + _literals.LOG_3
-                     + 6 * math.log(_literals.GAMMA_ONE_THIRD)),
-    (1, 4): lambda: (-2 * _literals.EULER_GAMMA - 3 * _literals.LOG_2PI
-                     + 4 * math.log(_literals.GAMMA_ONE_FOURTH)),
+    (1, 3): lambda: (-2 * EULER_GAMMA - 4 * LOG_2PI + LOG_3
+                     + 6 * math.log(GAMMA_ONE_THIRD)),
+    (1, 4): lambda: (-2 * EULER_GAMMA - 3 * LOG_2PI
+                     + 4 * math.log(GAMMA_ONE_FOURTH)),
 }
 
 
@@ -431,10 +443,9 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
         value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(
             term, table.primes[cut:], head=small[b % small != 0])
         tail = 2 * math.log(X) / X
-    elif method in ("direct", "integral"):
+    elif method == "integral":
         value = 1.0 + 2.0 * theta_error_integral((a, b), X, table)
         tail = 8.0 * math.log(X) ** 2 / math.sqrt(X)
-        method = "integral"
     else:
         raise DomainError(f"unknown method {method!r}")
     return ConstantResult(name, value, kind, trunc, tail, method)

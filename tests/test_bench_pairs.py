@@ -3,7 +3,10 @@ against a BENCH file it did not write, and on made-up runs."""
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -101,3 +104,28 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     doc = _runs(wide, [v / 10 for v in wide])
     bench_pairs.judge(doc, METRICS, None)
     assert doc["notes"]["tabulate"][0].endswith("within its bound (25%)")
+
+
+def test_machine_records_numpy_simd_dispatch():
+    # the dispatch decides the bits of the pinned sums, so a BENCH file's
+    # Tier-1 counts hold for the targets it records
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+    found = bench_pairs.machine()
+    assert set(found) == {"nproc", "python", "numpy", "numpy_dispatch",
+                          "platform"}
+    assert found["numpy_dispatch"] == [
+        t for t in __cpu_dispatch__ if __cpu_features__[t]]
+    # it is what this process dispatches to, not what the CPU has: with
+    # all but the first target disabled, a child records that one alone
+    if len(found["numpy_dispatch"]) > 1:
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(
+            found["numpy_dispatch"][1:]))
+        out = subprocess.run(
+            [sys.executable, "-c", "import json, sys; sys.path[:0] = "
+             "[sys.argv[1]]; import bench_pairs; "
+             "print(json.dumps(bench_pairs.machine()))",
+             str(ROOT / "tools")], env=env, capture_output=True,
+            text=True, check=True).stdout
+        assert json.loads(out)["numpy_dispatch"] == \
+            found["numpy_dispatch"][:1]

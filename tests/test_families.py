@@ -1,12 +1,13 @@
 """Family data: Fourier coefficients, moments, cubic-moment sums, sieving.
 
 Oracles: direct affine point counts over F_p, brute-force enumerations
-over t, and exact integer arithmetic throughout.
+over t, sympy's resultants, and exact integer arithmetic throughout.
 """
 
 import collections
 import decimal
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -380,20 +382,17 @@ def _decimal(x: Fraction) -> decimal.Decimal:
     return decimal.Decimal(x.numerator) / x.denominator
 
 
-@pytest.mark.parametrize("name", BUILTINS)
-def test_a_tildes_within_their_rounding_of_the_exact_value(name):
+def _check_a_tildes_to_their_rounding(name, p_int, roundings):
     # Atilde* = S*/p^(3/2), S* = sum n a^3/(p + 1 - a) over the traces at
     # every good t (_curve_data), as a Fraction, then in 60-digit decimal.
-    # Each term n*a*a*a (exact, |n a^3| < 2^53 here) over p + 1 - a is one
-    # rounding, relative error u = 2^-53, so the terms err by at most u
-    # times M = sum |n a^3/(p + 1 - a)| / p^(3/2); fsum is one more
-    # rounding, of S, and sqrt p, p * sqrt p and S / (p sqrt p) three: to
-    # first order |Atilde - Atilde*| <= u M + 4u |Atilde*|.  2^-52 (M +
-    # 2 |Atilde*|) = 2u M + 4u |Atilde*| holds that with the second-order
-    # terms, which are below u M (M >= |Atilde*|) times 5u
-    p_int = get_table(2000).primes
-    p_int = np.concatenate((p_int[prime_index(p_int, 5):], ORACLE_SAMPLE))
-    assert all(map(is_prime, ORACLE_SAMPLE))
+    # Each term fl(n*a*a*a)/(p + 1 - a) takes `roundings` roundings of
+    # relative error u = 2^-53 (the products until the last are exact), so
+    # the terms err by at most roundings * u times M = sum |n a^3/(p + 1 -
+    # a)| / p^(3/2); fsum is one more rounding, of S, and sqrt p, p * sqrt
+    # p and S / (p sqrt p) three: to first order |Atilde - Atilde*| <=
+    # roundings * u M + 4u |Atilde*|.  The bound 2^-53 ((roundings + 1) M +
+    # 4 |Atilde*|) holds that with the second-order terms, which are below
+    # u M (M >= |Atilde*|) times 20u
     fam = families.get_family(name)
     got = families.REGISTRY[name].a_tildes(p_int).tolist()
     with decimal.localcontext() as ctx:
@@ -406,8 +405,32 @@ def test_a_tildes_within_their_rounding_of_the_exact_value(name):
             scale = p * decimal.Decimal(p).sqrt()
             exact = _decimal(sum(terms)) / scale
             mass = _decimal(sum(map(abs, terms))) / scale
-            bound = (mass + 2 * abs(exact)) / 2 ** 52
+            bound = ((roundings + 1) * mass + 4 * abs(exact)) / 2 ** 53
             assert abs(decimal.Decimal(at) - exact) <= bound, (name, p)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_tildes_within_their_rounding_of_the_exact_value(name):
+    # |n a^3| < 2^53 at every prime here, so n*a*a*a is exact
+    p_int = get_table(2000).primes
+    p_int = np.concatenate((p_int[prime_index(p_int, 5):], ORACLE_SAMPLE))
+    assert all(map(is_prime, ORACLE_SAMPLE))
+    _check_a_tildes_to_their_rounding(name, p_int, 1)
+
+
+@pytest.mark.parametrize("name, p", [("rank1_36t", 1_825_217),
+                                     ("cm_b1_kappa1", 2_150_023)])
+def test_a_tildes_within_their_rounding_past_the_exact_numerator(name, p):
+    # the first prime of each family where some merged trace has |n a^3|
+    # >= 2^53: fl(n*a*a) is still exact, |n a^2| < 2^53, so the last
+    # product adds the one rounding more per term
+    traces, good, _ = families.REGISTRY[name].trace_histograms(np.array([p]))
+    merged = collections.Counter()
+    for a, n in zip(traces[0].tolist(), good[0].tolist()):
+        merged[a] += n
+    assert max(abs(n * a ** 2) for a, n in merged.items()) < 2 ** 53
+    assert max(abs(n * a ** 3) for a, n in merged.items()) >= 2 ** 53
+    _check_a_tildes_to_their_rounding(name, np.array([p]), 2)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -775,6 +798,24 @@ def test_correlations_refuse_primes_past_the_float_residues():
         families._correlations([limit + 15], -3)
 
 
+def test_per_t_tables_refuse_primes_past_the_float_residues_unallocated():
+    # 67108879, the first prime past the limit: the per-t tables of
+    # complete_moment would hold several int64 grids of length p (0.5 GB
+    # each) before the correlation; the check comes first
+    limit = families.FLOAT_PRIME_LIMIT
+    p = limit + 15
+    assert is_prime(p)
+    fam = families.get_family("noncm_3x12t")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=str(limit)):
+            families.complete_moment(fam, p, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_a_tilde_b3_at_the_last_prime_of_twenty_thousand():
     # 224737, the 20000th prime: n = 337500 = 2^2 3^3 5^5
     p = int(first_n_primes(20000).primes[-1])
@@ -916,7 +957,26 @@ def test_nu_d_matches_brute_root_count():
 
 
 def test_registry_n_bad_is_nu_at_every_prime_from_5():
-    # sieve_weights reads nu_D(p^k) off the entry for p >= 5
+    # sieve_weights reads nu_D(p^k) off the entry for p >= 5.  At every
+    # p >= 5 and every k: each D factor is linear, its leading coefficient
+    # prime to p, so it has one root mod p^k; no two factors share a root
+    # mod p, as p does not divide their resultant (-36 for each quartic
+    # pair, 12 for the non-CM one); so p^k | D(t) makes exactly one factor
+    # vanish mod p^k, and nu_D(p^k) is the number of factors
+    t = sympy.Symbol("t")
+    for entry in families.REGISTRY.values():
+        factors = [sympy.Poly(f[::-1], t) for f in entry.spec.D_factors]
+        assert len(factors) == entry.n_bad, entry.name
+        for f in factors:
+            assert f.degree() == 1, entry.name
+            assert max(sympy.primefactors(f.LC()), default=1) < 5, \
+                entry.name
+        for f, g in itertools.combinations(factors, 2):
+            res = f.resultant(g)
+            assert res != 0, entry.name
+            assert max(sympy.primefactors(res), default=1) < 5, \
+                (entry.name, res)
+    # and the Hensel count itself below 10^4
     p_all = [p for p in get_table(10 ** 4).primes.tolist() if p >= 5]
     for entry in families.REGISTRY.values():
         for p in p_all:

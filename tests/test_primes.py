@@ -1,13 +1,15 @@
 """Prime sieve, multiplicative symbols, and the prime-counting constants.
 
-Oracles: sympy's isprime / legendre_symbol / jacobi_symbol, plus classic
-prime-count checkpoints frozen from the literature.
+Oracles: sympy's isprime / legendre_symbol / jacobi_symbol, mpmath's
+constants for the closed forms' literals, plus classic prime-count
+checkpoints frozen from the literature.
 """
 
 import hashlib
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -146,6 +148,31 @@ def test_gamma_pnt_residue_classes():
     assert r14.value == pytest.approx(-2.224837, abs=1e-5 + r14.tail_bound)
 
 
+#: each literal of the closed forms, to 40 digits
+MPMATH_LITERALS = {
+    "euler_gamma": lambda: mpmath.euler,
+    "log_2pi": lambda: mpmath.log(2 * mpmath.pi),
+    "log_3": lambda: mpmath.log(3),
+    "gamma_one_third": lambda: mpmath.gamma(mpmath.mpf(1) / 3),
+    "gamma_one_fourth": lambda: mpmath.gamma(mpmath.mpf(1) / 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MPMATH_LITERALS))
+def test_literals_are_thirty_correct_digits_and_their_doubles(name):
+    assert set(primes.LITERALS_30) == set(MPMATH_LITERALS)
+    text = primes.LITERALS_30[name]
+    with mpmath.workdps(40):
+        want = MPMATH_LITERALS[name]()
+        # 30 significant digits, within half a unit of the last of them
+        digits = text.replace(".", "").lstrip("0")
+        assert len(digits) == 30, name
+        unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(want)) - 29)
+        assert abs(mpmath.mpf(text) - want) <= unit / 2, name
+        # the module's float is the double nearest the constant
+        assert getattr(primes, name.upper()) == float(want), name
+
+
 def test_constant_result_carries_provenance():
     res = primes.gamma_pnt(prime_limit=10 ** 6)
     row = res.as_dict()
@@ -246,8 +273,12 @@ def test_table_sums_copy_no_table(monkeypatch):
 
 
 def test_invalid_inputs_raise():
-    with pytest.raises(DomainError):
-        primes.gamma_pnt(method="nonsense", prime_limit=10 ** 6)
+    # "direct" is the CLI's name for the integral method, not the library's
+    for method in ("nonsense", "direct"):
+        with pytest.raises(DomainError, match="unknown method"):
+            primes.gamma_pnt(method=method, prime_limit=10 ** 6)
+        with pytest.raises(DomainError, match="unknown method"):
+            primes.gamma_pnt_ab(1, 3, method=method, prime_limit=10 ** 6)
     with pytest.raises(DomainError):
         primes.legendre_symbol(2, 2)
 
