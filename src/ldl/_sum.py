@@ -26,18 +26,20 @@ Allocator coupling: a block's float64 temporaries are CHUNK * 8 = 512 KiB
 each, above glibc's default mmap threshold of 128 KiB, so by default
 every one of them is mmapped and page-faulted afresh in every block.
 glibc raises its dynamic mmap threshold (and its trim threshold with it)
-when a larger mmapped buffer is freed; the prime sieve's 16 MiB mask does
-that, and from then on the temporaries are reused from the heap.  With a
-1 MiB sieve mask, evaluate_S on the cusp model at log R 200 took 0.39-0.45
-s against 0.25-0.27 s (2 cores, CPython 3.11, numpy 2.4).  The package
-sets no malloc option; keep the sieve mask at 2^24 bytes.  The sieve
-clears and collects that mask in 1 MiB windows, but the windows are
-slices of the one mask, which is still allocated and freed whole.  The
-non-CM Atilde kernel is out of this coupling: each worker fills the
-large temporaries of its sub-blocks through out= views of one
-families._Workspace, so its only large arrays still allocated per
-sub-block are np.bincount's histogram and pocketfft's own scratch inside
-each transform.
+when a larger mmapped buffer is freed; the prime sieve's mask does that,
+and from then on the temporaries are reused from the heap.  The mask is
+one byte per odd number up to the limit, at most 16 MiB, so only a limit
+of 2^25 - 1 or more frees a full one: the 10^8 table of gamma_pnt, or the
+e^18 table of `explicit --logR 200` at sigma 0.18.  With a 1 MiB sieve
+mask, evaluate_S on the cusp model at log R 200 took 0.39-0.45 s against
+0.25-0.27 s (2 cores, CPython 3.11, numpy 2.4).  The package sets no
+malloc option; keep the mask's cap at 2^24 bytes.  The sieve clears and
+collects that mask in 1 MiB windows, but the windows are slices of the
+one mask, which is still allocated and freed whole.  The non-CM Atilde
+kernel is out of this coupling: each worker fills the large temporaries
+of its sub-blocks through out= views of one families._Workspace, so its
+only large arrays still allocated per sub-block are np.bincount's
+histogram and pocketfft's own scratch inside each transform.
 """
 
 from __future__ import annotations

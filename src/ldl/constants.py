@@ -300,7 +300,8 @@ def family_constant_Atilde(fam, prime_count: int = 5000,
     members whose own exponent is 6)."""
     if isinstance(fam, str):
         fam = families.get_family(fam)
-    if prime_count < 5000:
+    # an integer before the main-sum cache, which takes 5e3 for 5000
+    if primes._integer(prime_count, "prime_count") < 5000:
         raise DomainError("prime_count must be >= 5000")
     return _gamma_atilde_family(fam, prime_count, sieve_exponent)
 

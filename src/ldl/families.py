@@ -48,8 +48,8 @@ their numbers of good and of bad t, the moments are their exact power sums
   transformed together, one row each, in sub-blocks of at most
   _CORRELATION_BUDGET elements, on the package's pool (_map_sub_blocks).
 * any other family: its traces at every t (_curve_data) from one
-  correlation of at most five rows, one per class of A(t), against one
-  Legendre spectrum, halved by the same symmetry.
+  correlation per class of A(t), at most five, each halved by the same
+  symmetry and read out before the next takes the same workspace.
 
 Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
 simple, and a scan of t mod p^k otherwise; nu_D(d) is their product over
@@ -466,9 +466,9 @@ def _curve_data(fam: FamilySpec, p: int):
     """(a_values[t], good_mask[t]) for t = 0..p-1: each A(t) = g^k != 0,
     g the least generator, is g^i u^4 with i = k mod e, e = gcd(4, p - 1),
     u = g^j, 4j = k - i mod p - 1, and (A, B) ~ (A/u^4, B/u^6), so a_t is
-    the trace at s = B/u^6 of the row of a = g^i (a = 0 where A(t) = 0) of
-    one _correlations over the classes present.  A p past its limit is
-    refused before any table of length p."""
+    the trace at s = B/u^6 of _correlations([p], a) at a = g^i (a = 0
+    where A(t) = 0), one class present at a time in one workspace.  A p
+    past its limit is refused before any table of length p."""
     _check_float(p)
     t = np.arange(p, dtype=np.int64)
     good = poly_eval_mod(fam.discriminant_poly(), t, p) != 0
@@ -495,11 +495,11 @@ def _curve_data(fam: FamilySpec, p: int):
         c = b_coef * powers[-6 * j % (p - 1)] % p
         cls = np.where(a_coef == 0, e, k % e)
         classes = np.flatnonzero(np.bincount(cls)).tolist()
-        traces = _correlations(
-            [p], [int(powers[i]) if i < e else 0 for i in classes])
-        for row, i in enumerate(classes):
+        ws = _Workspace(_block_elements(1, p))
+        for i in classes:
             on = cls == i
-            a_vals[on] = traces[row][c[on]]
+            a_vals[on] = _correlations(
+                [p], int(powers[i]) if i < e else 0, ws)[0][c[on]]
     return a_vals, good
 
 
@@ -868,9 +868,9 @@ _CORRELATION_BUDGET = 1 << 16
 
 
 class _Workspace:
-    """The flat buffers of the non-CM kernel, reused from one sub-block to
-    the next so that its large temporaries are allocated, and page-faulted,
-    once per workspace rather than once per sub-block.
+    """The flat buffers of _correlations, reused from one call to the next
+    (a worker's sub-blocks, a per-t table's classes) so that its large
+    temporaries are allocated, and page-faulted, once per workspace.
 
     take(name, shape, dtype) is a C-contiguous view of the first elements
     of the buffer called name; the data of the last view of a name is
@@ -920,14 +920,12 @@ def _exact_mod(v: np.ndarray, p: np.ndarray, scratch: np.ndarray) -> None:
     v -= q
 
 
-def _correlations(ps: list, a, ws: _Workspace | None = None) -> np.ndarray:
+def _correlations(ps: list, a: int, ws: _Workspace) -> np.ndarray:
     """The trace of y^2 = x^3 + ax + s at every s < p in O(p log p), for
-    each p of an ascending list of primes below FLOAT_PRIME_LIMIT, or, for
-    a list of coefficients a at a list of one prime, for each a at that
-    prime: an int64 array with one row per prime (per a), row r holding
-    -corr[s] at s < p_r and 0 after, where corr[s] = sum_v N[v] chi[(v +
-    s) mod p], N the value histogram of x^3 + ax mod p and chi the
-    Legendre symbol mod p.
+    each p of an ascending list of primes below FLOAT_PRIME_LIMIT: an
+    int64 array with one row per prime, row r holding -corr[s] at s < p_r
+    and 0 after, where corr[s] = sum_v N[v] chi[(v + s) mod p], N the
+    value histogram of x^3 + ax mod p and chi the Legendre symbol mod p.
 
     x^3 + ax is odd, so N is even and corr[p - s] = chi(-1) corr[s]: only
     the shifts s < (p + 1)/2 are transformed, and the rest of each row is
@@ -937,32 +935,29 @@ def _correlations(ps: list, a, ws: _Workspace | None = None) -> np.ndarray:
     length n >= (3 max(ps) - 1)/2 (an FFT at a prime length costs several
     times more, and a power of two pads up to twice as much), with N
     zero-padded and -chi tiled over [0, (3p - 1)/2): v + s < (3p - 1)/2
-    never wraps around n.  Each histogram is one row, and one rfft per
-    array and one irfft along the rows transform the whole list, so numpy
-    releases the GIL for the whole batch; several a at one prime share one
-    chi spectrum, broadcast against their rows.  The tiled -chi is built
+    never wraps around n.  Each prime is one row, and one rfft per array
+    and one irfft along the rows transform the whole list, so numpy
+    releases the GIL for the whole batch.  The tiled -chi is built
     directly, 1 off the squares x^2 and x^2 + p, and the residues are
     exact float64 arithmetic (_exact_mod).  The correlation is an integer
     at every shift, so any rounding slack of 1/4 or more is an error.
 
     The grids and transforms, the returned traces included, are views of
-    ws (a workspace of its own by default)."""
+    ws."""
     top = ps[-1]
     _check_float(top)
     half, width = (top + 1) // 2, (3 * top - 1) // 2
     n = _smooth_length(width)
     p = np.array(ps, dtype=np.int64)[:, None]
     pf = p.astype(np.float64)
-    coef = np.reshape(a, (-1, 1)) % p
-    rows, primes = len(coef), len(ps)
-    ws = _Workspace(_block_elements(rows, top)) if ws is None else ws
+    rows = len(ps)
     on = np.arange(rows)[:, None]
     # float64 operands throughout: numpy casts an int64 one through a buffer
     onf = on.astype(np.float64)
     x = ws.arange(half)
-    x2 = np.multiply(x, x, out=ws.take("rint", (primes, half), np.float64))
-    _exact_mod(x2, pf, ws.take("chi", (primes, half), np.float64))
-    value = np.add(x2, coef, out=ws.take("hist", (rows, half), np.float64))
+    x2 = np.multiply(x, x, out=ws.take("rint", (rows, half), np.float64))
+    _exact_mod(x2, pf, ws.take("chi", (rows, half), np.float64))
+    value = np.add(x2, a % p, out=ws.take("hist", (rows, half), np.float64))
     value *= x
     _exact_mod(value, pf, ws.take("chi", (rows, half), np.float64))
     # row r counts v in bin r (top + 1) + v and -v in bin r (top + 1) +
@@ -976,7 +971,7 @@ def _correlations(ps: list, a, ws: _Workspace | None = None) -> np.ndarray:
     np.subtract(p + 2 * stride * on, bins[:, 0], out=bins[:, 1])
     np.copyto(bins, rows * stride, where=np.greater_equal(
         x, (pf[:, None] + 1.0) / 2.0,
-        out=ws.take("past", (primes, 1, half), bool)))
+        out=ws.take("past", (rows, 1, half), bool)))
     bins[:, 1, 0] = rows * stride
     hist = ws.take("hist", (rows, n), np.float64)
     hist[:, stride:] = 0.0
@@ -990,22 +985,22 @@ def _correlations(ps: list, a, ws: _Workspace | None = None) -> np.ndarray:
     # which the rfft drops where n = (3 top - 1)/2 (else it pads with 0).
     # The value grid is spent: its buffer takes the squares, contiguous,
     # so that numpy scatters through them without a buffer of its own
-    chi = ws.take("chi", (primes, width + 1), np.float64)
+    chi = ws.take("chi", (rows, width + 1), np.float64)
     chi[...] = 1.0
-    x2[:, 1:] += (width + 1) * onf[:primes]
-    squares = ws.take("value", (2, primes, half - 1), np.int64)
+    x2[:, 1:] += (width + 1) * onf
+    squares = ws.take("value", (2, rows, half - 1), np.int64)
     np.copyto(squares[0], x2[:, 1:], casting="unsafe")
     np.add(squares[0], p, out=squares[1])
-    np.minimum(squares[1], (3 * p - 1) // 2 + (width + 1) * on[:primes],
+    np.minimum(squares[1], (3 * p - 1) // 2 + (width + 1) * on,
                out=squares[1])
     chi.ravel()[squares] = -1.0
     chi[:, 0] = 0.0
-    chi[on[:primes, 0], ps] = 0.0
+    chi[on[:, 0], ps] = 0.0
     spectrum = np.fft.rfft(hist, axis=1, out=ws.take(
         "spectrum", (rows, n // 2 + 1), np.complex128))
     np.conjugate(spectrum, out=spectrum)
     spectrum *= np.fft.rfft(chi, n, axis=1, out=ws.take(
-        "chi spectrum", (primes, n // 2 + 1), np.complex128))
+        "chi spectrum", (rows, n // 2 + 1), np.complex128))
     # the histogram is spent: its buffer takes the correlation
     corr = np.fft.irfft(spectrum, n, axis=1, out=hist)[:, :half]
     traces = np.rint(corr, out=ws.take("rint", (rows, half), np.float64))
@@ -1013,11 +1008,11 @@ def _correlations(ps: list, a, ws: _Workspace | None = None) -> np.ndarray:
     bad = np.flatnonzero(np.abs(corr, out=corr).max(axis=1) >= 0.25)
     if bad.size:
         raise VerificationError(
-            f"fft correlation not integral at {ps[bad[0] % primes]}")
+            f"fft correlation not integral at {ps[bad[0]]}")
     out = ws.take("traces", (rows, top), np.int64)
     np.copyto(out[:, :half], traces, casting="unsafe")
     # trace(p - s) = chi(-1) trace(s) past each row's half, 0 past p
-    for r, q in enumerate(ps * (rows // primes)):
+    for r, q in enumerate(ps):
         h = (q + 1) // 2
         np.multiply(out[r, h - 1:0:-1], -1 if q % 4 == 3 else 1,
                     out=out[r, h:q])
@@ -1075,11 +1070,9 @@ def _block_elements(rows: int, top: int) -> int:
     return rows * (_smooth_length((3 * top - 1) // 2) + 1)
 
 
-def _a_tildes_b3(ps: list, ws: _Workspace | None = None) -> list:
+def _a_tildes_b3(ps: list, ws: _Workspace) -> list:
     """Atilde(p) for noncm_3x12t at each prime of one sub-block, in
-    O(p log p) each from one batched _correlations, in ws (a workspace of
-    its own by default)."""
-    ws = _Workspace(_block_elements(len(ps), ps[-1])) if ws is None else ws
+    O(p log p) each from one batched _correlations, in ws."""
     return _a_tildes(np.array(ps, dtype=np.int64),
                      _noncm_histograms(ps, ws)).tolist()
 
@@ -1398,8 +1391,8 @@ def rank_bias(fam, X: float) -> float:
     A_1 is the family's entry's A1 column alone: a built-in's closed form,
     or the power sum of the traces, whose X may not pass BRUTE_FORCE_CAP.
     """
-    if X < 10 ** 3:
-        raise DomainError("X must be >= 1e3")
+    if not 10 ** 3 <= X < math.inf:
+        raise DomainError(f"X must be finite and >= 1e3, got {X}")
     entry = entry_of(fam)
     check_cap(entry, X, "rank-bias X")
     p_int = get_table(int(X)).primes

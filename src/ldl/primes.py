@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,10 @@ HARD_SIEVE_CAP = 2 ** 31 - 1
 PRIMES_BELOW_CAP = 105_097_565
 #: tables up to this limit come from the plain sieve
 _SMALL_LIMIT = 1 << 16
-#: the wheel sieve's mask, one byte per odd number: 2^24 bytes (fewer for
-#: a shorter range), allocated once per call.  It stays 2^24 bytes however
-#: small the table: freeing it raises glibc's mmap threshold for the block
-#: passes (see the allocator note in _sum)
+#: the wheel sieve's mask, one byte per odd number up to the limit and at
+#: most 2^24 bytes, allocated once per call.  Only a limit of 2^25 - 1 or
+#: more frees a full 16 MiB mask, which raises glibc's mmap threshold for
+#: the block passes (see the allocator note in _sum)
 _MASK_BYTES = 1 << 24
 #: the mask is cleared and collected in windows of this many odd numbers,
 #: 1 MiB of it, so a window stays in a 2 MiB L2 cache
@@ -126,8 +127,9 @@ def _wheel_sieve(limit: int) -> np.ndarray:
     it is still in cache, so no segment-wide index array is formed.  The
     primes of each window go straight into one table sized by
     Rosser-Schoenfeld, pi(x) < 1.25506 x / log x, which is returned as a
-    slice.  The table is int32 (limit <= HARD_SIEVE_CAP); the mask stays
-    2^24 bytes (see the allocator note in _sum)."""
+    slice.  The table is int32 (limit <= HARD_SIEVE_CAP); the mask is
+    min(odds, 2^24) bytes, full only from a limit of 2^25 - 1 on (see the
+    allocator note in _sum)."""
     odds = (limit + 1) // 2                   # the odd numbers 1 .. limit
     table = np.empty(int(1.25506 * limit / math.log(limit)) + 2,
                      dtype=np.int32)
@@ -164,10 +166,19 @@ def _wheel_sieve(limit: int) -> np.ndarray:
     return table[:count]
 
 
+def _integer(n, what: str) -> int:
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {n!r}") from None
+
+
 def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit; past 2^16 by the segmented wheel sieve, so the
-    memory beyond the table itself stays bounded.  ResourceError past
-    HARD_SIEVE_CAP, before anything is allocated."""
+    memory beyond the table itself stays bounded.  DomainError for a
+    limit that is not an integer, ResourceError past HARD_SIEVE_CAP, both
+    before anything is allocated."""
+    limit = _integer(limit, "sieve limit")
     if limit < 2:
         raise DomainError(f"sieve limit {limit} yields an empty table")
     if limit > HARD_SIEVE_CAP:
@@ -182,8 +193,10 @@ _TABLE_CACHE: PrimeTable | None = None
 
 
 def get_table(limit: int) -> PrimeTable:
-    """Grow-only cached table, reusing the largest sieve; limit >= 2."""
+    """Grow-only cached table, reusing the largest sieve; limit >= 2, an
+    integer whatever the cache holds."""
     global _TABLE_CACHE
+    limit = _integer(limit, "sieve limit")
     if _TABLE_CACHE is None or not 2 <= limit <= _TABLE_CACHE.limit:
         _TABLE_CACHE = sieve_primes(limit)
     if _TABLE_CACHE.limit == limit:
@@ -204,8 +217,9 @@ def nth_prime_limit(n: int) -> int:
 
 
 def first_n_primes(n: int) -> PrimeTable:
-    """The first n primes; DomainError for n < 1, ResourceError past
-    PRIMES_BELOW_CAP, before anything is allocated."""
+    """The first n primes; DomainError for a non-integer n or n < 1,
+    ResourceError past PRIMES_BELOW_CAP, before anything is allocated."""
+    n = _integer(n, "the prime count")
     if n < 1:
         raise DomainError(f"the prime count must be >= 1, got {n}")
     if n > PRIMES_BELOW_CAP:
@@ -293,19 +307,6 @@ CHI_3 = (0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1)
 CHI_M3 = (0, 1, -1)
 
 
-def totient(b: int) -> int:
-    result, n, p = b, b, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
 # --------------------------------------------------------------------------
 # theta error integrals
 
@@ -329,7 +330,8 @@ def theta_error_integral(cls, upper_limit: float,
         primes, phib = table.primes, 1
     else:
         a, b = cls
-        primes, phib = table.residue_class(a, b), totient(b)
+        primes = table.residue_class(a, b)
+        phib = sum(math.gcd(k, b) == 1 for k in range(1, b + 1))
     primes = primes[:prime_index(primes, top, "right")]
 
     def term(blk):
@@ -390,6 +392,8 @@ def gamma_pnt(method: str = "closed_form", prime_limit: int | None = None,
               first_primes: int | None = None) -> ConstantResult:
     """The constant gamma_PNT = 1 + int_1^inf E(t)/t^2 dt = -gamma_Euler -
     sum_p log p/(p^2 - p)."""
+    if method not in ("closed_form", "integral"):    # before any table
+        raise DomainError(f"unknown method {method!r}")
     table, kind, trunc = _resolve_truncation(prime_limit, first_primes, 10 ** 8)
     if len(table) < 10 ** 4:
         raise DomainError("truncation must cover at least 1e4 primes")
@@ -400,12 +404,10 @@ def gamma_pnt(method: str = "closed_form", prime_limit: int | None = None,
 
         value = -EULER_GAMMA - term_sum(term, table.primes)
         tail = math.log(X) / X
-    elif method == "integral":
+    else:
         value = 1.0 + theta_error_integral("all", X, table)
         # unconditional-ish fluctuation estimate for the dropped tail
         tail = 4.0 * math.log(X) ** 2 / math.sqrt(X)
-    else:
-        raise DomainError(f"unknown method {method!r}")
     return ConstantResult("gamma_pnt", value, kind, trunc, tail, method)
 
 
@@ -424,6 +426,8 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
     p = a mod b, with the transcendental closed form for (1,3) and (1,4)."""
     if (a, b) not in _AB_CLOSED:
         raise DomainError(f"unsupported progression ({a},{b})")
+    if method not in ("closed_form", "integral"):
+        raise DomainError(f"unknown method {method!r}")
     table, kind, trunc = _resolve_truncation(
         prime_limit, first_primes, 67_867_979)  # the 4,000,001st prime
     X = float(table.primes[-1])
@@ -443,10 +447,8 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
         value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(
             term, table.primes[cut:], head=small[b % small != 0])
         tail = 2 * math.log(X) / X
-    elif method == "integral":
+    else:
         value = 1.0 + 2.0 * theta_error_integral((a, b), X, table)
         tail = 8.0 * math.log(X) ** 2 / math.sqrt(X)
-    else:
-        raise DomainError(f"unknown method {method!r}")
     return ConstantResult(name, value, kind, trunc, tail, method)
 

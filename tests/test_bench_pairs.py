@@ -129,3 +129,17 @@ def test_machine_records_numpy_simd_dispatch():
             text=True, check=True).stdout
         assert json.loads(out)["numpy_dispatch"] == \
             found["numpy_dispatch"][:1]
+
+
+def test_tier1_records_the_peak_rss_of_pytest(tmp_path):
+    # a tree whose one test fills about 200 MB: the pass count, and a peak
+    # RSS of the pytest process that holds it
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_fill.py").write_text(
+        "def test_fill():\n"
+        "    block = b'x' * (200 << 20)\n"
+        "    assert len(block) == 200 << 20\n")
+    row = bench_pairs.tier1(tmp_path)
+    assert row["passed"] == 1 and "failed" not in row
+    assert 200 <= row["peak_rss_mb"] < 400
+    assert row["pytest_s"] > 0 and row["summary"].startswith("1 passed")

@@ -420,7 +420,8 @@ def test_a_tildes_within_their_rounding_of_the_exact_value(name):
 
 @pytest.mark.parametrize("name, p", [("rank1_36t", 1_825_217),
                                      ("cm_b1_kappa1", 2_150_023)])
-def test_a_tildes_within_their_rounding_past_the_exact_numerator(name, p):
+def test_a_tildes_within_their_rounding_past_the_exact_numerator(
+        monkeypatch, name, p):
     # the first prime of each family where some merged trace has |n a^3|
     # >= 2^53: fl(n*a*a) is still exact, |n a^2| < 2^53, so the last
     # product adds the one rounding more per term
@@ -430,7 +431,22 @@ def test_a_tildes_within_their_rounding_past_the_exact_numerator(name, p):
         merged[a] += n
     assert max(abs(n * a ** 2) for a, n in merged.items()) < 2 ** 53
     assert max(abs(n * a ** 3) for a, n in merged.items()) >= 2 ** 53
+    # the oracle's per-t table holds one transform at a time: at 1825217,
+    # with five classes of A(t), its traced peak was 1209 MB when they
+    # shared one batched transform, and is about 370 MB
+    peaks, curve_data = [], families._curve_data
+
+    def traced(fam, q):
+        tracemalloc.start()
+        try:
+            return curve_data(fam, q)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(families, "_curve_data", traced)
     _check_a_tildes_to_their_rounding(name, np.array([p]), 2)
+    assert len(peaks) == 1 and peaks[0] < 512 << 20, peaks
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -447,16 +463,14 @@ def test_a_tilde_is_its_clone_bit_for_bit(name):
 def test_trace_squares_meet_birch_identity(p):
     # sum of a_{a,b}(p)^2 over the pairs (a, b) mod p: (p - 1)^2 (p + 1)
     # over those with 4a^3 + 27b^2 != 0, and p^2 (p - 1) over all of them
-    # (each of the p - 1 nodal pairs adds 1, the cusp (0, 0) adds 0).  The
-    # a go to _correlations in chunks of at most 2^16 / n rows
-    n = families._smooth_length((3 * p - 1) // 2)
-    rows = max(1, (1 << 16) // n)
+    # (each of the p - 1 nodal pairs adds 1, the cusp (0, 0) adds 0).  One
+    # _correlations per a, all in one workspace
+    ws = families._Workspace()
     b = np.arange(p, dtype=np.int64)
     smooth = total = 0
-    for lo in range(0, p, rows):
-        a = np.arange(lo, min(lo + rows, p), dtype=np.int64)
-        squares = families._correlations([p], a.tolist()) ** 2
-        disc = (4 * a[:, None] ** 3 + 27 * b * b) % p
+    for a in range(p):
+        squares = families._correlations([p], a, ws)[0] ** 2
+        disc = (4 * a ** 3 + 27 * b * b) % p
         smooth += int(squares[disc != 0].sum())
         total += int(squares.sum())
     assert smooth == (p - 1) ** 2 * (p + 1)
@@ -561,7 +575,7 @@ def test_cm_kernels_refuse_primes_past_the_int64_limit(monkeypatch):
 def _a_tilde_b3(p: int) -> float:
     """Atilde(p) of noncm_3x12t: the batched kernel on a block of one
     prime."""
-    return families._a_tildes_b3([p])[0]
+    return families._a_tildes_b3([p], families._Workspace())[0]
 
 
 def _a_tilde_b3_prime_length(p: int) -> float:
@@ -630,14 +644,14 @@ def test_a_tilde_b3_checks_its_correlation(monkeypatch, shift, match):
     if match == "not integral":
         # the kernel behind every trace table refuses it for any curve
         with pytest.raises(VerificationError, match=match):
-            families._correlations([p], 0)
+            families._correlations([p], 0, families._Workspace())
 
 
 def _a_tilde_b3_one_prime(p: int) -> float:
     """Atilde(p) of noncm_3x12t one prime at a time: one correlation at
     the prime's own length, its traces at 12t for each good t, and the
     recipe over them."""
-    traces = families._correlations([p], -3)[0]
+    traces = families._correlations([p], -3, families._Workspace())[0]
     assert np.max(np.abs(traces)) <= math.isqrt(4 * p)
     inv6 = pow(6, -1, p)
     a_vals = np.delete(traces[np.arange(0, 12 * p, 12) % p], [inv6, p - inv6])
@@ -659,11 +673,11 @@ def test_a_sub_block_names_the_prime_that_fails_a_check(monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", spoiled(1, 5, 0.5))
     with pytest.raises(VerificationError, match="not integral at 103"):
-        families._a_tildes_b3(ps)
+        families._a_tildes_b3(ps, families._Workspace())
     monkeypatch.setattr(np.fft, "irfft",
                         spoiled(2, 7, -(math.isqrt(4 * 107) + 1.0)))
     with pytest.raises(VerificationError, match="Hasse range at 107"):
-        families._a_tildes_b3(ps)
+        families._a_tildes_b3(ps, families._Workspace())
 
 
 @pytest.fixture(scope="module")
@@ -723,17 +737,15 @@ def test_a_workspace_leaves_no_stale_data():
         assert families._a_tildes_b3(block, ws) == \
             [_a_tilde_b3_one_prime(p) for p in block], block
     # the same workspace again: every trace against an O(p) point count,
-    # for one a at many primes, then several a at one prime
+    # for one a at many primes, then one a at a time at one prime
     traces = families._correlations(small, -3, ws)
     for row, p in enumerate(small):
         assert traces[row, :p].tolist() == [
             families._a_for_coefficients(-3, s, p) for s in range(p)]
         assert not traces[row, p:].any()
-    coefs = [2, 0, 5, -3]
-    traces = families._correlations([53], coefs, ws)
-    assert traces.tolist() == [
-        [families._a_for_coefficients(a, s, 53) for s in range(53)]
-        for a in coefs]
+    for a in (2, 0, 5, -3):
+        assert families._correlations([53], a, ws).tolist() == [
+            [families._a_for_coefficients(a, s, 53) for s in range(53)]], a
 
 
 def test_noncm_a_tildes_release_their_workspaces(noncm_per_prime):
@@ -778,14 +790,14 @@ def test_correlation_rows_mirror_their_first_half():
     # each row is transformed at s < (p + 1)/2 only and mirrored as
     # trace(-s) = (-1/p) trace(s): p = 103 = 3 (mod 4) negates, 101 does
     # not, and a = 0 (mod p) gives the CM curves y^2 = x^3 + s
+    ws = families._Workspace()
     for p in (3, 5, 101, 103):
-        coefs = [-3, 0, p, 1, 2, p - 1]
-        traces = families._correlations([p], coefs)
-        assert traces.tolist() == [
-            [families._a_for_coefficients(a, s, p) for s in range(p)]
-            for a in coefs], p
+        for a in (-3, 0, p, 1, 2, p - 1):
+            assert families._correlations([p], a, ws).tolist() == [
+                [families._a_for_coefficients(a, s, p) for s in range(p)]
+            ], (p, a)
     ps = [97, 101, 103, 107, 109]
-    traces = families._correlations(ps, 0)
+    traces = families._correlations(ps, 0, ws)
     for row, p in enumerate(ps):
         assert traces[row, :p].tolist() == [
             families._a_for_coefficients(0, s, p) for s in range(p)]
@@ -795,7 +807,7 @@ def test_correlation_rows_mirror_their_first_half():
 def test_correlations_refuse_primes_past_the_float_residues():
     limit = families.FLOAT_PRIME_LIMIT
     with pytest.raises(ResourceError, match=str(limit)):
-        families._correlations([limit + 15], -3)
+        families._correlations([limit + 15], -3, families._Workspace())
 
 
 def test_per_t_tables_refuse_primes_past_the_float_residues_unallocated():
@@ -821,7 +833,7 @@ def test_a_tilde_b3_at_the_last_prime_of_twenty_thousand():
     p = int(first_n_primes(20000).primes[-1])
     assert p == 224737
     assert families._smooth_length((3 * p - 1) // 2) == 337500
-    assert families._a_tildes_b3([p]) == [_a_tilde_b3_prime_length(p)]
+    assert _a_tilde_b3(p) == _a_tilde_b3_prime_length(p)
 
 
 def test_a_tilde_b3_takes_the_padded_fft_at_every_prime(monkeypatch):

@@ -16,7 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldl import constants, explicit_formula as ef, primes
+from ldl import constants, explicit_formula as ef, families, primes
 from ldl._sum import CHUNK, Block
 from ldl.errors import DomainError, ResourceError
 
@@ -281,6 +281,59 @@ def test_invalid_inputs_raise():
             primes.gamma_pnt_ab(1, 3, method=method, prime_limit=10 ** 6)
     with pytest.raises(DomainError):
         primes.legendre_symbol(2, 2)
+
+
+def test_an_unknown_method_is_refused_before_any_table(monkeypatch):
+    # gamma_pnt(method="direct") sieved to 10^8 before it named the method
+    def no_table(n):
+        raise AssertionError(f"a table of {n} for an unknown method")
+
+    monkeypatch.setattr(primes, "get_table", no_table)
+    monkeypatch.setattr(primes, "first_n_primes", no_table)
+    with pytest.raises(DomainError, match="unknown method"):
+        primes.gamma_pnt(method="direct")
+    with pytest.raises(DomainError, match="unknown method"):
+        primes.gamma_pnt_ab(1, 3, method="direct")
+
+
+#: (call, an accepted value, one that is not an integer, or not finite)
+TRUNCATIONS = {
+    "sieve_primes": (primes.sieve_primes, 10 ** 5, 1e5),
+    "get_table": (primes.get_table, 10 ** 5, 1e5),
+    "first_n_primes": (primes.first_n_primes, 10 ** 3, 1e3),
+    "compute_constant": (lambda n: constants.compute_constant(
+        "gamma_st_2", prime_limit=n), 10 ** 5, 1e5),
+    "gamma_pnt": (lambda n: primes.gamma_pnt(prime_limit=n), 2 * 10 ** 5,
+                  2e5),
+    "family_constant_Atilde": (lambda n: constants.family_constant_Atilde(
+        "cm_b1_kappa1", prime_count=n), 5000, 5e3),
+    "evaluate_S prime_limit": (lambda n: ef.evaluate_S(
+        "cm_b1_kappa1", ef.builtin_test_pair("fejer:0.6"), 1e4,
+        prime_limit=n), 10 ** 5, 1e5),
+    "evaluate_S atilde_primes": (lambda n: ef.evaluate_S(
+        "cm_b1_kappa1", ef.builtin_test_pair("fejer:0.6"), 1e4,
+        atilde_primes=n), 5000, 2.5),
+    "rank_bias nan": (lambda x: families.rank_bias("rank1_36t", x), 1e4,
+                      math.nan),
+    "rank_bias inf": (lambda x: families.rank_bias("rank1_36t", x), 1e4,
+                      math.inf),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", list(TRUNCATIONS))
+def test_a_non_integer_truncation_is_refused_cold_or_warm(monkeypatch,
+                                                          name, warm):
+    # a float limit used to raise TypeError on a cold table cache and to
+    # pass on a warm one; now DomainError either way.  Warm is a table
+    # past every limit here, and the caches of the call with a good value
+    call, good, bad = TRUNCATIONS[name]
+    monkeypatch.setattr(primes, "_TABLE_CACHE", None)
+    if warm:
+        primes.get_table(10 ** 6)
+        call(good)
+    with pytest.raises(DomainError):
+        call(bad)
 
 
 def _plain_eratosthenes(n):

@@ -20,11 +20,11 @@ Python, numpy, the SIMD targets numpy dispatches to, platform); per
 workload every run and, per metric, the medians, the parent's quartiles,
 the pairs the change won and the change in per cent; the claim, judged
 by RULE; notes that hold every median against its bound; and the Tier-1
-pass count and wall time of each tree.  Quartiles are the inclusive ones
-(numpy's linear percentiles).  The runs are written out before anything
-is judged, and a metric missing from a failed run has no summary: a claim
-on it is not met, as is one whose change failed more operations than its
-parent.
+pass count, wall time and peak RSS of each tree.  Quartiles are the
+inclusive ones (numpy's linear percentiles).  The runs are written out
+before anything is judged, and a metric missing from a failed run has no
+summary: a claim on it is not met, as is one whose change failed more
+operations than its parent.
 """
 
 from __future__ import annotations
@@ -163,15 +163,24 @@ def bound_note(name: str, row: dict, metric: dict, parent: list,
 
 
 def tier1(tree: Path) -> dict:
+    """Tier-1 in tree: its pass counts, wall time and the peak RSS of the
+    pytest process, from os.wait4 as perfbench's run_child reads it."""
     t0 = time.perf_counter()
-    res = subprocess.run([sys.executable, *TIER1], cwd=tree,
-                         capture_output=True, text=True,
-                         env=child_env(PYTHONPATH="src"))
+    proc = subprocess.Popen([sys.executable, *TIER1], cwd=tree,
+                            stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, text=True,
+                            env=child_env(PYTHONPATH="src"))
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - t0
-    tail = (res.stdout.strip().splitlines() or [""])[-1]
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.stdout.close()
+    tail = (out.strip().splitlines() or [""])[-1]
     counts = {key: int(n) for n, key in
               re.findall(r"(\d+) (passed|failed|error)", tail)}
-    return {**counts, "pytest_s": round(seconds, 2), "summary": tail}
+    return {**counts, "pytest_s": round(seconds, 2),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
+            "summary": tail}
 
 
 def machine() -> dict:
