@@ -45,13 +45,14 @@ histogram and pocketfft's own scratch inside each transform.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 CHUNK = 1 << 16
 
@@ -59,9 +60,15 @@ CHUNK = 1 << 16
 def thread_count(requested: int | None = None) -> int:
     """Resolve the worker count: the explicit argument, then LDL_THREADS,
     then the number of CPUs this process may use.  DomainError for an
-    explicit count below 1, or for an LDL_THREADS that is set but is not
-    an integer >= 1."""
+    explicit count that is not an integer (operator.index refuses it) or
+    is below 1, or for an LDL_THREADS that is set but is not an integer
+    >= 1."""
     if requested is not None:
+        try:
+            requested = operator.index(requested)
+        except TypeError:
+            raise DomainError(f"thread count must be an integer, got "
+                              f"{requested!r}") from None
         if requested < 1:
             raise DomainError(f"thread count must be >= 1, got {requested}")
         return requested
@@ -121,11 +128,12 @@ def block_sums(block_fn, n: int, threads: int | None = None) -> dict:
 class Block:
     """An ascending block of primes, held as int64 in p_int (a slice of an
     int32 prime table is converted here, the one place where a table
-    becomes arithmetic), and the read-only float64 quantities its terms
-    share, each formed on first use: pf, lp = log pf, pp = pf * pf,
-    q = pf + 1.0, q3 = q ** 3, power(k) = pf ** k, mod(n) = p mod n,
-    character(table) = table[p mod len(table)] and, for any other
-    quantity, shared(key, form) = form() under key.
+    becomes arithmetic; ResourceError for a Python int past int64), and
+    the read-only float64 quantities its terms share, each formed on first
+    use: pf, lp = log pf, pp = pf * pf, q = pf + 1.0, q3 = q ** 3,
+    power(k) = pf ** k, mod(n) = p mod n, character(table) = table[p mod
+    len(table)] and, for any other quantity, shared(key, form) = form()
+    under key.
 
     power and q3 are numpy's pow, which is not correctly rounded: below
     10^7, pf ** 3 misses the correctly rounded p^3 at 35,520 of the 664,579
@@ -134,7 +142,12 @@ class Block:
     build whose SIMD pow they were taken with (README, Determinism)."""
 
     def __init__(self, p_int: np.ndarray):
-        self.p_int, self._memo = np.asarray(p_int, dtype=np.int64), {}
+        try:
+            self.p_int = np.asarray(p_int, dtype=np.int64)
+        except OverflowError:
+            raise ResourceError("a prime past 2^63 - 1 has no int64 block"
+                                ) from None
+        self._memo = {}
 
     def shared(self, key, form):
         if key not in self._memo:

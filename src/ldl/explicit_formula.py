@@ -24,7 +24,14 @@ the constants module notes).
 
 Both sum over the primes in _prime_pass and read the family off one entry:
 families.entry_of's for a family, CUSP_MODEL (the idealized cusp-form
-average) for "cusp_model"; an entry has moments, `lead`, `rank` and `cap`.
+average) for "cusp_model"; an entry has moments, `moment_law`, `lead`,
+`rank` and `cap`.  S_0, S_1, S_2 and S_A' depend on the family only
+through its moments, so _prime_pass keeps the sums of each pass in one
+memo of at most PASS_MEMO_SIZE passes, keyed by (moment law, prime_limit,
+terms key, worker count), the terms key (phi, log R) for evaluate_S and
+("limit", lead) for lower_order_limit.  The sextic twists of one kappa
+share their pass, and a repeated call runs none; S_Atilde stays the
+family's own, from the constants module's cache.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import threading
 import warnings
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
@@ -39,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants, families
-from ._sum import Block, block_sums
+from ._sum import Block, block_sums, thread_count
 from .errors import DomainError, IncompleteSumError
 from .primes import (first_n_primes, gamma_pnt, gamma_pnt_ab, get_table,
                      prime_index)
@@ -270,6 +278,7 @@ class _CuspModel:
 
     name, rank, cap = "cusp_model", 0, math.inf
     lead = ((1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
+    moment_law = property(lambda self: self)
 
     atilde_terms = staticmethod(constants.st_atilde_terms)
 
@@ -319,8 +328,16 @@ def _y_z(blk, row, A):
     return y, z
 
 
-def _prime_pass(entry, prime_limit, terms, piece, scale, threads=None,
-                atilde_primes=ATILDE_PRIMES):
+#: the most passes _prime_pass remembers; past it the oldest is dropped
+PASS_MEMO_SIZE = 64
+
+# (moment law, prime_limit, terms key, workers) -> (block sums, x_last);
+# the lock makes each eviction and insertion one step for concurrent callers
+_PASS_MEMO, _PASS_LOCK = {}, threading.Lock()
+
+
+def _prime_pass(entry, prime_limit, terms, terms_key, piece, scale,
+                threads=None, atilde_primes=ATILDE_PRIMES):
     """The pieces of S for an entry from one pass over its primes to
     prime_limit: p >= 5 for a family (additive reduction at 2 and 3 zeroes
     every term), every prime for the cusp model.
@@ -334,17 +351,54 @@ def _prime_pass(entry, prime_limit, terms, piece, scale, threads=None,
     as zeros would; every term keeps its operation order, so each sum is
     bit-identical to the chunked sum of its full-length term vector.
 
-    piece(row, sums, below) assembles S_r from the sums and the primes
-    below the range.  S_A' (0.0 without a multiplicative bad t) and S_Atilde
-    (the cusp model's closed form over the same primes, else the family's
-    cached sum over its first atilde_primes primes) are scale of their
-    sums.  Returns (pieces, largest prime summed or 5.0, largest Atilde
-    prime); ResourceError before any table if either passes the cap."""
+    The block sums depend only on what the entry's moments(blk) read,
+    its moment_law, and on what terms reads, terms_key, so one memo keeps
+    them with the largest prime summed, under (moment law, prime_limit,
+    terms key, worker count): the sextic twists of one kappa share a pass,
+    and a repeated call does none.  The worker count does not change a
+    bit; it is in the key so that two counts still run two passes.  The
+    memo holds at most PASS_MEMO_SIZE passes, floats only, and drops the
+    oldest first.
+
+    piece(row, sums) assembles S_r from the sums.  S_A' (0.0 without a
+    multiplicative bad t) and S_Atilde (the cusp model's closed form over
+    the same primes, else the family's cached sum over its first
+    atilde_primes primes) are scale of their sums.  Returns (pieces,
+    largest prime summed or 5.0, largest Atilde prime); ResourceError if
+    either passes the cap, and DomainError for a worker count that is
+    not an integer, before the memo and any table."""
     model = entry is CUSP_MODEL
     families.check_cap(entry, prime_limit, "prime_limit")
     if not model:
         x_at = float(first_n_primes(atilde_primes).primes[-1])
         families.check_cap(entry, x_at, "largest Atilde prime")
+    key = (entry.moment_law, prime_limit, terms_key, thread_count(threads))
+    memo = _PASS_MEMO.get(key)
+    if memo is None:
+        memo = _block_pass(entry, prime_limit, terms, key[-1])
+        with _PASS_LOCK:
+            if len(_PASS_MEMO) >= PASS_MEMO_SIZE:
+                del _PASS_MEMO[next(iter(_PASS_MEMO))]
+            _PASS_MEMO[key] = memo
+    # a term that was not formed sums to 0.0, as its zeros would
+    sums, x_last = defaultdict(float, memo[0]), memo[1]
+    pieces = {"S_Aprime": {k: scale(sums["S_Aprime", k])
+                           if ("S_Aprime", "main") in sums else 0.0
+                           for k in _PARTS}}
+    for row in _PIECES:
+        pieces[row.name] = piece(row, sums)
+    if model:
+        atilde, x_at = (sums["S_Atilde", "main"], 0.0), x_last
+    else:
+        atilde = constants._gamma_atilde_family(entry.spec, atilde_primes)
+    pieces["S_Atilde"] = dict(zip(_PARTS, map(scale, atilde)))
+    return pieces, x_last, x_at
+
+
+def _block_pass(entry, prime_limit, terms, workers):
+    """(block sums, largest prime summed or 5.0) of _prime_pass: one pass
+    of _sum.block_sums over the table to prime_limit on `workers`."""
+    model = entry is CUSP_MODEL
     primes = get_table(prime_limit).primes
     lo = 0 if model else prime_index(primes, 5)
 
@@ -370,20 +424,8 @@ def _prime_pass(entry, prime_limit, terms, piece, scale, threads=None,
             sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(blk))
         return sums
 
-    # a term that was not formed sums to 0.0, as its zeros would
-    sums = defaultdict(float, block_sums(block, primes.size - lo, threads))
-    x_last = float(primes[-1]) if primes.size > lo else 5.0
-    pieces = {"S_Aprime": {k: scale(sums["S_Aprime", k])
-                           if ("S_Aprime", "main") in sums else 0.0
-                           for k in _PARTS}}
-    for row in _PIECES:
-        pieces[row.name] = piece(row, sums, primes[:lo])
-    if model:
-        atilde, x_at = (sums["S_Atilde", "main"], 0.0), x_last
-    else:
-        atilde = constants._gamma_atilde_family(entry.spec, atilde_primes)
-    pieces["S_Atilde"] = dict(zip(_PARTS, map(scale, atilde)))
-    return pieces, x_last, x_at
+    return (block_sums(block, primes.size - lo, workers),
+            float(primes[-1]) if primes.size > lo else 5.0)
 
 
 @dataclass(frozen=True)
@@ -436,7 +478,8 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     primes up to families.BRUTE_FORCE_CAP in both truncations; a truncation
     past the cap raises ResourceError before any prime table is built.
     Every prime sum comes from one pass over the table (_prime_pass) on
-    `threads` workers.
+    `threads` workers, or from its memo; DomainError for a `threads` that
+    is not an integer >= 1.
     """
     entry = _entry(fam)
     if not 1.0 < R < math.inf:
@@ -461,14 +504,14 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
         add(row.name + "Y", y)
         add(row.name + "Z", z)
 
-    def piece(row, sums, _):
+    def piece(row, sums):
         w = 2.0 * row.eps
         return {k: (w * sums[row.name + "Y", k]
                     - w * ph0 * sums[row.name + "Z", k]) / L for k in _PARTS}
 
     pieces, x_last, x_at = _prime_pass(
-        entry, prime_limit, terms, piece, lambda s: -2.0 * ph0 * s / L,
-        threads, atilde_primes)
+        entry, prime_limit, terms, (phi, L), piece,
+        lambda s: -2.0 * ph0 * s / L, threads, atilde_primes)
     total = math.fsum(v["main"] + v["sieve"] for v in pieces.values())
 
     # heuristic tail estimate: cubic-moment truncation (reference budget
@@ -481,6 +524,13 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
         # decays only like log p / p and the dropped window [x_last, R^sigma]
         # carries O(1) mass
         tail += 4.0 * entry.rank * max(0.0, sigma - math.log(x_last) / L)
+    if not support_complete:
+        # the S_0 and S_2 terms over (x_last, R^(sigma/2)], which the cap
+        # drops: by Hasse |A_0| <= p and |A_2| <= 4p^2, so |Y| <= 2/p and
+        # 4/p against |phihat| <= phihat(0), and by Mertens the window's
+        # sum of log p/p is about log(R^(sigma/2)/x_last); its Z and sieve
+        # terms are O(log x/x), within the term above
+        tail += (12.0 * ph0 / L) * (L * sigma / 2.0 - math.log(x_last))
 
     main_est = phi.phi0 * (0.5 + entry.rank)
     coeff = (total - main_est) * L / (2.0 * ph0)
@@ -539,14 +589,17 @@ def lower_order_limit(fam) -> dict:
         y -= z
         add(row.name, rem * blk.lp / blk.power(row.d) - z, y)
 
-    def piece(row, sums, below):
+    # gamma_pnt less the terms of the primes below the pass's range
+    below = () if entry is CUSP_MODEL else (2, 3)
+    pnt_range = pnt - math.fsum(math.log(p) / p for p in below)
+
+    def piece(row, sums):
         a, b = lead[row.name]
-        # gamma_pnt less the terms of the primes below the pass's range
-        pnt_range = pnt - math.fsum(math.log(p) / p for p in below)
         main = (row.c * (a * pnt_range + b * pnt13 / 2.0)
                 + sums[row.name, "main"])
         return {"main": row.eps * main,
                 "sieve": row.eps * sums[row.name, "sieve"]}
 
-    return _prime_pass(entry, LIMIT_PRIME_LIMIT, terms, piece,
-                       operator.neg)[0]
+    # terms reads the entry's lead alone, besides its moments
+    return _prime_pass(entry, LIMIT_PRIME_LIMIT, terms, ("limit", entry.lead),
+                       piece, operator.neg)[0]

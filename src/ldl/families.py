@@ -24,6 +24,10 @@ whose cap, BRUTE_FORCE_CAP, only evaluate_S and rank_bias check.
 evaluate_S, a_tilde and rank_bias read the entry.  A family counts as
 built-in only when it equals the registered FamilySpec in every field, so
 a config that borrows a built-in's name takes the brute-force entry.
+Each entry's moment_law is the hashable value its moments read:
+("sextic", kappa) for a sextic twist, whatever its b, the entry itself
+for the other built-ins, and the FamilySpec for a brute-force entry, so
+a borrowed name never shares a built-in's explicit-formula sums.
 
 Each per-prime quantity is written once, over an ascending block of
 primes; a_tilde, h_factor and closed_form_moment are views of one prime.
@@ -154,7 +158,10 @@ class FamilySpec:
 # explicit_formula.lower_order_limit), Atilde(p) method and closed forms,
 # each written once over a _sum.Block of primes p >= 5: A_0, A_1, A_2 over
 # the good t and the bad moments A'_1, A'_2.  Its n_bad is nu_D(p^k) at
-# p >= 5, which _sieve_block turns into H_sieve.
+# p >= 5, which _sieve_block turns into H_sieve.  Its moment_law is a
+# hashable key of what moments(blk) reads: two entries with equal laws
+# have the same columns bit for bit (explicit_formula._prime_pass shares
+# one pass between them).
 
 class _Builtin:
     rank = 0
@@ -162,6 +169,7 @@ class _Builtin:
     cap = INF             # closed forms hold at every prime
 
     name = property(lambda self: self.spec.name)
+    moment_law = property(lambda self: self)
 
     def moments(self, blk):
         """(A_0, A_1, A_2, (A'_1, A'_2) or None without a multiplicative
@@ -197,6 +205,8 @@ class _Sextic(_Builtin):
     additive bad t, and the good a_t vanish off p = 1 mod 3."""
     kind, n_bad = "sextic", 1
     lead = ((1.0, 0.0), (0.0, 0.0), (0.0, 2.0))
+    # the moments read n_bad and k = 6/kappa alone, not bb
+    moment_law = property(lambda self: ("sextic", self.kappa))
 
     def __init__(self, bb: int, kappa: int):
         self.bb, self.kappa = bb, kappa
@@ -320,6 +330,8 @@ class _BruteForce:
 
     def __init__(self, spec: FamilySpec):
         self.spec, self.name = spec, spec.name
+
+    moment_law = property(lambda self: self.spec)
 
     def trace_histograms(self, p_int: np.ndarray) -> tuple:
         # one row per prime, over the distinct traces of its table
@@ -463,44 +475,57 @@ def reduction_type(fam: FamilySpec, t: int, p: int) -> str:
 
 
 def _curve_data(fam: FamilySpec, p: int):
-    """(a_values[t], good_mask[t]) for t = 0..p-1: each A(t) = g^k != 0,
-    g the least generator, is g^i u^4 with i = k mod e, e = gcd(4, p - 1),
-    u = g^j, 4j = k - i mod p - 1, and (A, B) ~ (A/u^4, B/u^6), so a_t is
-    the trace at s = B/u^6 of _correlations([p], a) at a = g^i (a = 0
-    where A(t) = 0), one class present at a time in one workspace.  A p
-    past its limit is refused before any table of length p."""
+    """(a_values[t], good_mask[t]) for t = 0..p-1: a_t is the trace at
+    s = c[t] of _correlations([p], a) at the a of its class
+    (_curve_classes), one class present at a time in one workspace, which
+    is released before the last class's traces are gathered.  A p past
+    its limit is refused before any table of length p."""
     _check_float(p)
-    t = np.arange(p, dtype=np.int64)
-    good = poly_eval_mod(fam.discriminant_poly(), t, p) != 0
+    good = poly_eval_mod(fam.discriminant_poly(),
+                         np.arange(p, dtype=np.int64), p) != 0
     a_vals = np.zeros(p, dtype=np.int64)
     if p not in fam.forced_zero_primes:
         if p == 2:
             raise DomainError(
                 "p = 2 requires a forced-zero designation for this family")
-        a_coef = poly_eval_mod(fam.A_poly, t, p)
-        b_coef = poly_eval_mod(fam.B_poly, t, p)
-        e = math.gcd(4, p - 1)
-        # g^t for t < p - 1, doubling the filled run each pass
-        g = int(_least_generators(np.array([p]))[0])
-        powers = np.ones(p - 1, dtype=np.int64)
-        n = 1
-        while n < p - 1:
-            step = min(n, p - 1 - n)
-            powers[n:n + step] = powers[:step] * pow(g, n, p) % p
-            n *= 2
-        log = np.zeros(p, dtype=np.int64)
-        log[powers] = t[:-1]
-        k = log[a_coef]
-        j = k // e * pow(4 // e, -1, (p - 1) // e) % ((p - 1) // e)
-        c = b_coef * powers[-6 * j % (p - 1)] % p
-        cls = np.where(a_coef == 0, e, k % e)
+        coefficients, cls, c = _curve_classes(fam, p)
         classes = np.flatnonzero(np.bincount(cls)).tolist()
         ws = _Workspace(_block_elements(1, p))
         for i in classes:
+            row = _correlations([p], coefficients[i], ws)[0]
+            if i == classes[-1]:
+                del ws      # the row keeps its own buffer, not the rest
             on = cls == i
-            a_vals[on] = _correlations(
-                [p], int(powers[i]) if i < e else 0, ws)[0][c[on]]
+            a_vals[on] = row[c[on]]
     return a_vals, good
+
+
+def _curve_classes(fam: FamilySpec, p: int) -> tuple:
+    """(coefficients, cls, c) over t = 0..p-1 for _curve_data: each A(t) =
+    g^k != 0, g the least generator, is g^i u^4 with i = k mod e, e =
+    gcd(4, p - 1), u = g^j, 4j = k - i mod p - 1, and (A, B) ~ (A/u^4,
+    B/u^6), so t is in class cls[t] = i, whose coefficient is a = g^i,
+    at the shift c[t] = B/u^6; A(t) = 0 is class e, at a = 0.  Its other
+    tables of length p are freed on return, before any transform."""
+    t = np.arange(p, dtype=np.int64)
+    a_coef = poly_eval_mod(fam.A_poly, t, p)
+    b_coef = poly_eval_mod(fam.B_poly, t, p)
+    e = math.gcd(4, p - 1)
+    # g^t for t < p - 1, doubling the filled run each pass
+    g = int(_least_generators(np.array([p]))[0])
+    powers = np.ones(p - 1, dtype=np.int64)
+    n = 1
+    while n < p - 1:
+        step = min(n, p - 1 - n)
+        powers[n:n + step] = powers[:step] * pow(g, n, p) % p
+        n *= 2
+    log = np.zeros(p, dtype=np.int64)
+    log[powers] = t[:-1]
+    k = log[a_coef]
+    j = k // e * pow(4 // e, -1, (p - 1) // e) % ((p - 1) // e)
+    c = b_coef * powers[-6 * j % (p - 1)] % p
+    cls = np.where(a_coef == 0, e, k % e)
+    return powers[:e].tolist() + [0], cls, c
 
 
 def _stack_histograms(parts) -> tuple:
@@ -1101,7 +1126,7 @@ def a_tilde(fam: FamilySpec, p: int) -> float:
     any other p, as the CM kernels hold only at primes."""
     if p < 5 or not is_prime(p):
         raise DomainError("Atilde requires a prime p >= 5")
-    return float(entry_of(fam).a_tildes(np.array([p], dtype=np.int64))[0])
+    return float(entry_of(fam).a_tildes(Block([p]).p_int)[0])
 
 
 # --------------------------------------------------------------------------

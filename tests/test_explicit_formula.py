@@ -231,6 +231,8 @@ def test_evaluate_s_truncation_guards():
 
 
 def test_evaluate_s_zero_moments_give_pure_main_term(monkeypatch):
+    monkeypatch.setattr(ef, "_PASS_MEMO", {})
+
     def zero_moments(blk):
         z = np.zeros_like(blk.pf)
         return z, z, z, None, z
@@ -329,6 +331,7 @@ class _SumSpy:
 
 @pytest.mark.parametrize("name", FIRST_BLOCK_PINS)
 def test_evaluate_s_first_block_pins(monkeypatch, name):
+    monkeypatch.setattr(ef, "_PASS_MEMO", {})
     first, terms, block_sums = [], _SumSpy(), ef.block_sums
 
     def spy(block_fn, n, threads):
@@ -390,6 +393,105 @@ def test_lower_order_limit_pins(monkeypatch, name):
     monkeypatch.setattr(constants, "_gamma_atilde_family",
                         lambda fam, n: (0.0, 0.0))
     assert repr(ef.lower_order_limit(name)) == LOWER_ORDER_LIMIT_PINS[name]
+
+
+# --------------------------------------------------------------------------
+# the memo of the prime pass
+
+MEMO_ENTRIES = ["cusp_model"] + sorted(families.REGISTRY)
+
+
+def _counted_passes(monkeypatch):
+    """An empty pass memo for the test, and the list that the worker count
+    of each block pass run is appended to."""
+    runs, block_sums = [], ef.block_sums
+
+    def counted(block_fn, n, threads):
+        runs.append(threads)
+        return block_sums(block_fn, n, threads)
+
+    monkeypatch.setattr(ef, "_PASS_MEMO", {})
+    monkeypatch.setattr(ef, "block_sums", counted)
+    return runs
+
+
+def test_evaluate_s_from_the_memo_is_the_fresh_pass(monkeypatch):
+    runs = _counted_passes(monkeypatch)
+    pair, R = ef.builtin_test_pair("indicator_smooth:0.18"), math.exp(120.0)
+
+    def evaluate(name):
+        return repr(ef.evaluate_S(name, pair, R, threads=1,
+                                  atilde_primes=500).as_dict())
+
+    served = {name: evaluate(name) for name in MEMO_ENTRIES}
+    # one pass per moment law: the eight sextic twists take two
+    assert len(runs) == len(MEMO_ENTRIES) - 6
+    for name in MEMO_ENTRIES:
+        ef._PASS_MEMO.clear()
+        assert evaluate(name) == served[name], name
+    assert len(runs) == 2 * len(MEMO_ENTRIES) - 6
+
+
+def test_lower_order_limit_from_the_memo_is_the_fresh_pass(monkeypatch):
+    monkeypatch.setattr(constants, "_gamma_atilde_family",
+                        lambda fam, n: (0.0, 0.0))
+    runs = _counted_passes(monkeypatch)
+    names = [name for name in MEMO_ENTRIES
+             if ef._entry(name).lead is not None]
+    served = {name: repr(ef.lower_order_limit(name)) for name in names}
+    assert len(runs) == len(names) - 6
+    for name in names:
+        ef._PASS_MEMO.clear()
+        assert repr(ef.lower_order_limit(name)) == served[name], name
+    assert len(runs) == 2 * len(names) - 6
+
+
+def test_a_second_worker_count_runs_its_own_pass(monkeypatch):
+    # so the threads 1 and 2 determinism checks compare two passes
+    runs = _counted_passes(monkeypatch)
+    pair = ef.builtin_test_pair("indicator_smooth:0.18")
+    decs = [ef.evaluate_S("cm_b1_kappa2", pair, math.exp(120.0),
+                          threads=threads, atilde_primes=30)
+            for threads in (1, 2, 1)]
+    assert runs == [1, 2]
+    assert len({repr(dec.as_dict()) for dec in decs}) == 1
+
+
+def test_the_memo_keeps_its_bound_and_drops_the_oldest(monkeypatch):
+    runs = _counted_passes(monkeypatch)
+    monkeypatch.setattr(ef, "PASS_MEMO_SIZE", 2)
+    pair = ef.builtin_test_pair("fejer:0.4")
+    for L in (20.0, 21.0, 22.0, 20.0, 22.0):
+        ef.evaluate_S("cusp_model", pair, math.exp(L), threads=1)
+    # log R 20 ran again after log R 22 dropped it; log R 22 was kept
+    assert len(runs) == 4 and len(ef._PASS_MEMO) == 2
+    assert all(isinstance(v, float) for sums, x_last in
+               ef._PASS_MEMO.values() for v in (*sums.values(), x_last))
+
+
+def test_a_borrowed_name_shares_no_pass_with_the_built_in(monkeypatch):
+    # y^2 = x^3 + (6T + 1) under the name cm_b1_kappa2: its moments equal
+    # the built-in's, but its entry is a brute-force one, keyed by its spec
+    runs = _counted_passes(monkeypatch)
+    impostor = families.load_family({
+        "name": "cm_b1_kappa2", "A": [0], "B": [1, 6], "D_factors": [[1, 6]],
+        "k": 3, "forced_zero_primes": [2, 3]})
+    pair = ef.builtin_test_pair("fejer:0.4")
+    for fam in ("cm_b1_kappa2", impostor, impostor):
+        ef.evaluate_S(fam, pair, math.exp(25.0), threads=1, atilde_primes=30)
+    assert len(runs) == 2
+
+
+@pytest.mark.parametrize("name", ["cusp_model", "cm_b1_kappa2"])
+def test_a_capped_truncation_bounds_the_window_it_drops(monkeypatch, name):
+    # R^(sigma/2) = e^13.5 = 729417: the capped sum drops the S_0 and S_2
+    # terms of (9973, 729417], which its tail bound must cover
+    pair, R = ef.builtin_test_pair("fejer:0.9"), math.exp(30.0)
+    full = ef.evaluate_S(name, pair, R, atilde_primes=500)
+    monkeypatch.setattr(ef, "DEFAULT_PRIME_CAP", 10 ** 4)
+    capped = ef.evaluate_S(name, pair, R, atilde_primes=500)
+    assert full.support_complete and not capped.support_complete
+    assert abs(full.total - capped.total) <= capped.tail_bound
 
 
 def test_lower_order_limit_needs_a_prime_number_theorem_split(monkeypatch):

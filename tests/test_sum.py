@@ -103,6 +103,24 @@ def test_thread_count_refuses_a_count_below_one(requested):
         _sum.thread_count(requested)
 
 
+@pytest.mark.parametrize("requested", [1.5, 2.0, "2"])
+def test_thread_count_refuses_a_count_that_is_not_an_integer(requested):
+    with pytest.raises(DomainError, match="thread count must be an integer"):
+        _sum.thread_count(requested)
+
+
+def test_evaluate_s_refuses_a_thread_count_that_is_not_an_integer(
+        monkeypatch):
+    # refused before the pass memo, which keys on the count, and any table
+    def no_work(*args, **kwargs):
+        raise AssertionError("prime table built before the count check")
+
+    monkeypatch.setattr(ef, "get_table", no_work)
+    with pytest.raises(DomainError, match="thread count must be an integer"):
+        ef.evaluate_S("cusp_model", ef.builtin_test_pair("fejer:0.9"),
+                      math.exp(20.0), threads="2")
+
+
 @pytest.mark.parametrize("env", ["abc", "0", "-1", "2.5", ""])
 def test_thread_count_refuses_a_bad_environment_value(monkeypatch, env):
     monkeypatch.setenv("LDL_THREADS", env)
@@ -127,6 +145,7 @@ def test_the_catalog_sums_open_no_pool(monkeypatch):
 
 
 def test_evaluate_s_opens_a_pool_over_several_blocks(monkeypatch):
+    monkeypatch.setattr(ef, "_PASS_MEMO", {})
     opened = []
     real = _sum.ThreadPoolExecutor
 
