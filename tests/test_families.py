@@ -431,11 +431,10 @@ def test_a_tildes_within_their_rounding_past_the_exact_numerator(
         merged[a] += n
     assert max(abs(n * a ** 2) for a, n in merged.items()) < 2 ** 53
     assert max(abs(n * a ** 3) for a, n in merged.items()) >= 2 ** 53
-    # the oracle's per-t table holds one transform at a time, and its
-    # workspace only while a later class needs it: at 1825217, with five
-    # classes of A(t), its traced peak was 1209 MB when they shared one
-    # batched transform; at 2150023 it was 451 MiB with the workspace alive
-    # through the last gather
+    # the oracle's per-t table holds one transform at a time, its class
+    # tables only, and its workspace only while a later class needs it:
+    # a traced peak of about 270 MiB at 1825217 (five classes of A(t))
+    # and 300 MiB at 2150023 (one class)
     peaks, curve_data = [], families._curve_data
 
     def traced(fam, q):
