@@ -45,14 +45,13 @@ histogram and pocketfft's own scratch inside each transform.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, integer
 
 CHUNK = 1 << 16
 
@@ -64,11 +63,7 @@ def thread_count(requested: int | None = None) -> int:
     is below 1, or for an LDL_THREADS that is set but is not an integer
     >= 1."""
     if requested is not None:
-        try:
-            requested = operator.index(requested)
-        except TypeError:
-            raise DomainError(f"thread count must be an integer, got "
-                              f"{requested!r}") from None
+        requested = integer(requested, "thread count")
         if requested < 1:
             raise DomainError(f"thread count must be >= 1, got {requested}")
         return requested

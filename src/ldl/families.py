@@ -77,7 +77,7 @@ from itertools import zip_longest
 import numpy as np
 
 from ._sum import Block, ordered_map, thread_count
-from .errors import DomainError, ResourceError, VerificationError
+from .errors import DomainError, ResourceError, VerificationError, integer
 from .primes import (CHI_2, CHI_3, CHI_M3, get_table, is_prime,
                      jacobi_symbol, legendre_symbol, legendre_symbols_vec,
                      prime_index)
@@ -228,12 +228,13 @@ class _Sextic(_Builtin):
     def trace_histograms(self, p_int: np.ndarray) -> tuple:
         # y^2 = x^3 + c with c = bb*(6t+1)^kappa: a depends only on the
         # sextic residue class of c, and 6t+1 covers each nonzero residue
-        # once, so c runs over the classes of bb g^i, i = 0, kappa, ..,
-        # 6 - kappa, each (p-1)/(6/kappa) times
+        # once, so c runs over the classes of bb w^i, i = 0, kappa, ..,
+        # 6 - kappa, each (p-1)/(6/kappa) times, for any w whose sixth
+        # residue symbol is a primitive sixth root of unity
         _check_int64(p_int)
         on = p_int % 3 == 1
         p = p_int[on]
-        traces = _sextic_traces(self.bb, p, _least_generators(p),
+        traces = _sextic_traces(self.bb, p, _sixth_roots(p),
                                 range(0, 6, self.kappa))
         return self.class_histograms(
             p_int, on, ((p - 1) // (6 // self.kappa))[:, None], traces)
@@ -500,9 +501,19 @@ def _curve_data(fam: FamilySpec, p: int):
     return a_vals, good
 
 
+def _least_generator(p: int) -> int:
+    """The least generator of (Z/p)^* for an odd prime p: g = 2, 3, ...
+    with g^((p-1)/q) != 1 for every prime q | p - 1, the q by trial
+    division (_factorize), a few thousand steps below FLOAT_PRIME_LIMIT."""
+    factors = _factorize(p - 1)
+    return next(g for g in range(2, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+
+
 def _curve_classes(fam: FamilySpec, p: int) -> tuple:
     """(coefficients, cls, c) over t = 0..p-1 for _curve_data: each A(t) =
-    g^k != 0, g the least generator, is g^i u^4 with i = k mod e, e =
+    g^k != 0, g the least generator (_least_generator, a true generator
+    for the discrete-log table), is g^i u^4 with i = k mod e, e =
     gcd(4, p - 1), u = g^j, 4j = k - i mod p - 1, and (A, B) ~ (A/u^4,
     B/u^6), so t is in class cls[t] = i, whose coefficient is a = g^i,
     at the shift c[t] = B/u^6; A(t) = 0 is class e, at a = 0.  Its other
@@ -512,7 +523,7 @@ def _curve_classes(fam: FamilySpec, p: int) -> tuple:
     b_coef = poly_eval_mod(fam.B_poly, t, p)
     e = math.gcd(4, p - 1)
     # g^t for t < p - 1, doubling the filled run each pass
-    g = int(_least_generators(np.array([p]))[0])
+    g = _least_generator(p)
     powers = np.ones(p - 1, dtype=np.int64)
     n = 1
     while n < p - 1:
@@ -553,7 +564,7 @@ def complete_moment(fam: FamilySpec, p: int, r: int, side: str = "good"):
     every t (the brute-force entry's histograms)."""
     if not is_prime(p):
         raise DomainError("p must be prime")
-    if r < 0:
+    if integer(r, "r") < 0:
         raise DomainError("r must be >= 0")
     if side not in ("good", "bad"):
         raise DomainError("side must be 'good' or 'bad'")
@@ -604,34 +615,6 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     return r + ((r + 1) * (r + 1) <= n)
 
 
-def _prime_factors(m: np.ndarray) -> np.ndarray:
-    """The distinct odd prime factors of each m >= 1, one row each in
-    ascending order, padded with 0: trial division of the odd part of m by
-    the odd primes up to its square root, so the scratch memory is
-    O(sqrt(max m)) beside the block."""
-    rest = m // (m & -m)                           # the odd part
-    factors = np.zeros((m.size, 10), dtype=np.int64)   # 3*5*...*31 > 2^32
-    count = np.zeros(m.size, dtype=np.int64)
-    live = np.arange(m.size)
-    top = int(rest.max(initial=4))
-    for q in get_table(math.isqrt(top)).primes[1:].tolist():
-        # a rest below q^2 has no factor below q left: it is 1 or a prime
-        live = live[rest[live] >= q * q]
-        if not live.size:
-            break
-        hit = live[rest[live] % q == 0]
-        if hit.size:
-            factors[hit, count[hit]] = q
-            count[hit] += 1
-        while hit.size:
-            rest[hit] //= q
-            hit = hit[rest[hit] % q == 0]
-    hit = np.flatnonzero(rest > 1)
-    factors[hit, count[hit]] = rest[hit]
-    count[hit] += 1
-    return factors[:, :int(count.max(initial=0))]
-
-
 @lru_cache(maxsize=None)
 def _symbol_table(n: int) -> np.ndarray:
     """The Jacobi symbol (n/r) at r = 0..4n - 1 (0 at even r), built once
@@ -650,30 +633,6 @@ def _residue_symbol(n: int, p: np.ndarray) -> np.ndarray:
     return _symbol_table(n)[p % (4 * n)]
 
 
-def _least_generators(p: np.ndarray) -> np.ndarray:
-    """The least generator of (Z/p)^* for each odd prime p of a block.  g
-    is a generator iff it is a quadratic non-residue and g^((p-1)/q) != 1
-    for every odd prime q | p - 1 (_prime_factors): g = 2, 3, ... is tried
-    on the primes not yet settled, (g/p) is read off p mod 4g
-    (_residue_symbol), and only the non-residues are raised to the powers
-    (p-1)/q, every odd q of every such prime in one _powmod call."""
-    factors = _prime_factors(p - 1)
-    on = factors > 0
-    exps = (p - 1)[:, None] // np.where(on, factors, 1)
-    modulus = np.broadcast_to(p[:, None], on.shape)
-    gen = np.zeros_like(p)
-    todo = np.arange(p.size)
-    g = 1
-    while todo.size:
-        g += 1
-        cand = todo[_residue_symbol(g, p[todo]) == -1]
-        hit = on[cand]
-        hit[hit] = _powmod(g, exps[cand][hit], modulus[cand][hit]) == 1
-        gen[cand[~hit.any(axis=1)]] = g
-        todo = todo[gen[todo] == 0]
-    return gen
-
-
 def _sqrt_minus_one(p: np.ndarray) -> np.ndarray:
     """s with s^2 = -1 mod p for each p = 1 mod 4: n^((p-1)/4) with n the
     least quadratic non-residue, a prime, found by _residue_symbol on the
@@ -688,6 +647,23 @@ def _sqrt_minus_one(p: np.ndarray) -> np.ndarray:
             nonres[todo[hit]] = n
             todo = todo[~hit]
     return _powmod(nonres, (p - 1) // 4, p)
+
+
+def _sixth_roots(p: np.ndarray) -> np.ndarray:
+    """h, a primitive sixth root of unity mod each p = 1 mod 3, as int64:
+    -omega with omega = c^((p-1)/3) != 1, c the least non-cube, a prime
+    (the cubes are a subgroup), tried on the primes not yet settled: two
+    candidates in three pass, so about 1.5 modular powers per prime and
+    no factoring."""
+    omega = np.ones(p.shape, dtype=np.int64)
+    todo = np.arange(p.size)
+    c = 1
+    while todo.size:
+        c += 1
+        if is_prime(c):
+            omega[todo] = _powmod(c, (p[todo] - 1) // 3, p[todo])
+            todo = todo[omega[todo] == 1]
+    return p - omega
 
 
 def _cornacchia(d: int, p: np.ndarray, s: np.ndarray) -> tuple:
@@ -727,22 +703,22 @@ def _a_ref_curves(p: np.ndarray) -> np.ndarray:
 
 
 def _quartic_classes(bb: int, p: np.ndarray) -> tuple:
-    """(N, a), two (n, 4) arrays over primes p = 1 mod 4, g the least
-    generator mod p: N[:, i] counts the t mod p whose c = bb(36t+6)(36t+5)
-    lies in the class g^i (F_p^*)^4, and a[:, i] is the trace of
-    y^2 = x^3 - g^i x.
+    """(N, a), two (n, 4) arrays over primes p = 1 mod 4, r the least
+    quadratic non-residue mod p: N[:, i] counts the t mod p whose
+    c = bb(36t+6)(36t+5) lies in the class r^i (F_p^*)^4, and a[:, i] is
+    the trace of y^2 = x^3 - r^i x.
 
-    With s = g^((p-1)/4) as the root of -1, g^i has quartic index i.  For
-    D with chi(D) = i^m the trace is 2 Re(i^-m pi).  With u = 36t+6,
-    c = bb u(u-1), and sum_u chi(u(u-1)) = chi(-1) J(chi, chi) = -pi gives
-    N = ((p-2) + 2 Re(i^j (-pi)) - i^2j)/4 for the class i^m, where
-    i^j = i^-m chi(bb).
+    With s = r^((p-1)/4) (_sqrt_minus_one) as the root of -1, r^i has
+    quartic index i.  For D with chi(D) = i^m the trace is 2 Re(i^-m pi).
+    With u = 36t+6, c = bb u(u-1), and sum_u chi(u(u-1)) = chi(-1)
+    J(chi, chi) = -pi gives N = ((p-2) + 2 Re(i^j (-pi)) - i^2j)/4 for the
+    class i^m, where i^j = i^-m chi(bb).
     """
-    s = _powmod(_least_generators(p), (p - 1) // 4, p)
+    s = _sqrt_minus_one(p)
     a, b = _gaussian_primes(p, s)
     traces = np.stack((2 * a, 2 * b, -2 * a, -2 * b), axis=1)
     re_minus_pi = np.stack((-2 * a, 2 * b, 2 * a, -2 * b), axis=1)
-    roots = np.stack((np.ones_like(p), s, p - 1, p - s), axis=1)
+    roots = np.stack((np.ones_like(s), s, p - 1, p - s), axis=1)
     hit = roots == _powmod(bb, (p - 1) // 4, p)[:, None]
     if not hit.any(axis=1).all():
         raise VerificationError(f"{bb} has no quartic residue index")
@@ -754,47 +730,53 @@ def _quartic_classes(bb: int, p: np.ndarray) -> tuple:
     return num // 4, traces
 
 
-# the sixth roots of unity u + v*omega: 1, omega, omega^2, -1, -omega,
-# -omega^2
-_SIXTH_U = np.array((1, 0, -1, -1, 0, 1), dtype=np.int64)
-_SIXTH_V = np.array((0, 1, -1, 0, -1, 1), dtype=np.int64)
+# the sixth roots of unity u + v*omega as the powers zeta^k of zeta =
+# -omega^2 = 1 + omega: 1, 1 + omega, omega, -1, omega^2, -omega
+_SIXTH_U = np.array((1, 1, 0, -1, -1, 0), dtype=np.int64)
+_SIXTH_V = np.array((0, 1, 1, 0, -1, -1), dtype=np.int64)
 
 
-def _sextic_traces(bb: int, p: np.ndarray, g: np.ndarray,
+def _times(u, v, a, b) -> tuple:
+    """(u + v omega)(a + b omega) as (re, im), re + im omega."""
+    return u * a - v * b, u * b + v * a - v * b
+
+
+#: k with zeta^k (a + b omega) = 2 mod 3, by (a mod 3, b mod 3): the unit
+#: that makes a prime above p = 1 mod 3 primary (0 where none does, at a
+#: norm divisible by 3)
+_PRIMARY = np.array([[next((k for k in range(6) if [
+    x % 3 for x in _times(_SIXTH_U[k], _SIXTH_V[k], a, b)] == [2, 0]), 0)
+    for b in range(3)] for a in range(3)])
+
+
+def _sextic_traces(bb: int, p: np.ndarray, h: np.ndarray,
                    powers) -> np.ndarray:
-    """a_p of y^2 = x^3 + bb g^e for e in `powers`, an (n, len(powers))
-    array over primes p = 1 mod 3 with generators g: -2 Re(conj(chi) pi)
-    with chi = (4c/pi)_6 and pi = a + b omega the primary prime above p
-    (pi = 2 mod 3) (Ireland & Rosen, Thm 18.4).
+    """a_p of y^2 = x^3 + bb w^e for e in `powers`, an (n, len(powers))
+    array over primes p = 1 mod 3, h a primitive sixth root of unity mod
+    each p (_sixth_roots) and w any residue with w^((p-1)/6) = h:
+    -2 Re(conj(chi) pi) with chi = (4c/pi)_6 and pi = a + b omega the
+    primary prime above p (pi = 2 mod 3) (Ireland & Rosen, Thm 18.4).
 
-    With h = g^((p-1)/6), s = 2 h^2 + 1 is a root of -3; pi = 0 under
-    omega -> (-1 + s)/2, under which the sixth roots of unity have the
-    residues `images`, and chi is read off (4c)^((p-1)/6) among them."""
-    sixth = (p - 1) // 6
-    h = _powmod(g, sixth, p)
-    s = (2 * (h * h % p) + 1) % p
-    x, y = _cornacchia(3, p, s)
+    s = 2 h^2 + 1 is a root of -3, and pi = 0 under omega -> h^2 =
+    (-1 + s)/2, under which zeta^k goes to h^k; one lookup on (a mod 3,
+    b mod 3) (_PRIMARY) makes pi primary, and chi = zeta^(k + e) with h^k
+    = (4 bb)^((p-1)/6)."""
+    x, y = _cornacchia(3, p, (2 * (h * h % p) + 1) % p)
     a, b = x + y, 2 * y                       # sqrt(-3) = 1 + 2 omega
-    for _ in range(6):
-        turn = (a % 3 != 2) | (b % 3 != 0)
-        a, b = np.where(turn, b, a), np.where(turn, b - a, b)  # -omega
+    k = _PRIMARY[a % 3, b % 3]
+    a, b = _times(_SIXTH_U[k], _SIXTH_V[k], a, b)
     if np.any((a % 3 != 2) | (b % 3 != 0)):
         raise VerificationError("no primary associate above p")
-    w = (s - 1) * ((p + 1) // 2) % p
-    images = (_SIXTH_U + _SIXTH_V * w[:, None]) % p[:, None]
-    chi = (_powmod(4 * bb, sixth, p)[:, None]
-           * _powmod(h[:, None], np.asarray(powers), p[:, None])
-           % p[:, None])
-    hit = chi[:, :, None] == images[:, None, :]
-    if not hit.any(axis=2).all():
+    images = np.ones((p.size, 6), dtype=np.int64)
+    for k in range(1, 6):
+        images[:, k] = images[:, k - 1] * h % p
+    hit = images == _powmod(4 * bb, (p - 1) // 6, p)[:, None]
+    if not hit.any(axis=1).all():
         raise VerificationError("sextic residue symbol not a sixth root")
-    idx = hit.argmax(axis=2)
-    u, v = _SIXTH_U[idx], _SIXTH_V[idx]
-    cu, cv = u - v, -v                        # conj(u + v omega)
-    a, b = a[:, None], b[:, None]
-    # (cu + cv omega)(a + b omega) = re + im omega; 2 Re = 2 re - im
-    re = cu * a - cv * b
-    im = cu * b + cv * a - cv * b
+    k = (hit.argmax(axis=1)[:, None] + np.asarray(powers)) % 6
+    u, v = _SIXTH_U[k], _SIXTH_V[k]
+    # (conj(u + v omega))(a + b omega) = re + im omega; 2 Re = 2 re - im
+    re, im = _times(u - v, -v, a[:, None], b[:, None])
     return im - 2 * re
 
 
@@ -832,7 +814,7 @@ def closed_form_moment(fam, p: int, r: int, side: str = "good") -> int:
         raise DomainError("closed forms are registered for primes p >= 5")
     if side not in ("good", "bad"):
         raise DomainError("side must be 'good' or 'bad'")
-    if r < 0 or (side == "good" and r > 2):
+    if integer(r, "r") < 0 or (side == "good" and r > 2):
         raise DomainError(f"no closed form registered for r={r}, {side}")
     return closed_form_table(fam, [p], r if side == "bad" else 0)[r, side][0]
 
@@ -1271,15 +1253,16 @@ def nu_D(fam: FamilySpec, d: int) -> int:
 
 
 def sieve_exponent(fam: FamilySpec, exponent: int | None = None):
-    """The sieve exponent k of H_{D,k}: `exponent` when given (>= 3; it
-    overrides the family's own, to reproduce reference tabulations
-    computed under a different sieving convention), else the family's k;
-    None for an unsieved family."""
+    """The sieve exponent k of H_{D,k}: `exponent` when given (an integer
+    >= 3; it overrides the family's own, to reproduce reference
+    tabulations computed under a different sieving convention), else the
+    family's k; None for an unsieved family."""
     if exponent is None:
         return None if fam.k == INF else int(fam.k)
+    exponent = integer(exponent, "sieve exponent override")
     if exponent < 3:
         raise DomainError("sieve exponent override must be >= 3")
-    return int(exponent)
+    return exponent
 
 
 def _sieve_block(fam: FamilySpec, blk: Block, k) -> tuple:

@@ -222,6 +222,14 @@ def test_sieve_conventions_share_one_atilde_pass(monkeypatch):
     assert own[0] == exp3[0] and own[1] < exp3[1]
 
 
+@pytest.mark.parametrize("exponent", [3.5, "3", 3.0])
+def test_a_non_integer_sieve_exponent_is_refused(exponent):
+    # not truncated to the exponent-3 pair, nor a raw TypeError
+    with pytest.raises(DomainError, match="must be an integer"):
+        constants.family_constant_Atilde("cm_b1_kappa2",
+                                         sieve_exponent=exponent)
+
+
 def test_aggregate_catalog_mode():
     for target, want in constants.AGGREGATE_REFERENCE.items():
         agg = constants.aggregate_lower_order(target)

@@ -214,6 +214,10 @@ def test_complete_moment_domain():
         families.complete_moment(fam, 7, -1)
     with pytest.raises(DomainError):
         families.complete_moment(fam, 7, 0, side="ugly")
+    with pytest.raises(DomainError, match="r must be an integer"):
+        families.complete_moment(fam, 7, 2.5)
+    with pytest.raises(DomainError, match="r must be an integer"):
+        families.closed_form_moment("cm_b1_kappa2", 7, 1.5)
 
 
 def test_closed_form_unregistered_family_raises():
@@ -300,7 +304,8 @@ def test_quadratic_legendre_sum_matches_brute(p, a, b, c):
 # cubic-moment sums
 
 def _quartic_class_index(p: int, g: int) -> np.ndarray:
-    """i with n in g^i (F_p^*)^4 for every residue n (-1 at 0)."""
+    """i with n in g^i (F_p^*)^4 for every residue n (-1 at 0), g a
+    generator of (F_p^*)/(F_p^*)^4."""
     x = np.arange(1, p, dtype=np.int64)
     fourth = np.unique((x * x % p) ** 2 % p)
     cls = np.full(p, -1, dtype=np.int64)
@@ -341,13 +346,15 @@ def test_a_tilde_fast_paths_match_brute_force(name):
     modulus = 3 if entry.kind == "sextic" else 4
     p_on = p_all[p_all % modulus == 1]
     assert all(block[p] == 0.0 for p in p_all[p_all % modulus != 1].tolist())
-    gens = families._least_generators(p_on).tolist()
     if entry.kind == "sextic":
         bb, kappa = entry.bb, entry.kappa
         powers = [i * kappa for i in range(6)]
-        rows = families._sextic_traces(bb, p_on, np.array(gens), powers)
-        for p, g, row in zip(p_on.tolist(), gens, rows.tolist()):
-            reps = [bb * pow(g, e, p) % p for e in powers]
+        roots = families._sixth_roots(p_on)
+        rows = families._sextic_traces(bb, p_on, roots, powers)
+        for p, h, row in zip(p_on.tolist(), roots.tolist(), rows.tolist()):
+            # the classes bb w^e of any w whose (p-1)/6-th power is h
+            w = next(w for w in range(2, p) if pow(w, (p - 1) // 6, p) == h)
+            reps = [bb * pow(w, e, p) % p for e in powers]
             a_reps = [trace(0, c, p) for c in reps]
             assert row == a_reps, (name, p)
             want = _recipe(p, [(a, (p - 1) // 6) for a in a_reps])
@@ -357,14 +364,15 @@ def test_a_tilde_fast_paths_match_brute_force(name):
         bb = entry.bb
         counts, traces = families._quartic_classes(bb, p_on)
         a_ref = families._a_ref_curves(p_on).tolist()
-        for p, g, n_row, a_row, a1 in zip(p_on.tolist(), gens,
-                                          counts.tolist(), traces.tolist(),
-                                          a_ref):
+        for p, n_row, a_row, a1 in zip(p_on.tolist(), counts.tolist(),
+                                       traces.tolist(), a_ref):
+            # the classes r^i of the least quadratic non-residue r
+            r = next(r for r in range(2, p) if legendre_symbol(r, p) == -1)
             t = np.arange(p, dtype=np.int64)
             c = bb * ((36 * t + 6) % p) % p * ((36 * t + 5) % p) % p
-            n_brute = np.bincount(_quartic_class_index(p, g)[c[c != 0]],
+            n_brute = np.bincount(_quartic_class_index(p, r)[c[c != 0]],
                                   minlength=4)
-            brute = [(int(n), trace(-pow(g, i, p) % p, 0, p))
+            brute = [(int(n), trace(-pow(r, i, p) % p, 0, p))
                      for i, n in enumerate(n_brute)]
             assert list(zip(n_row, a_row)) == brute, (name, p)
             want = _recipe(p, [(a, n) for n, a in brute])
@@ -502,18 +510,36 @@ def _primes_below_int64_limit(count: int) -> list:
     return out
 
 
-def test_least_generators_match_a_scalar_search():
-    # every odd prime below 10^4 in one block; the blocks the sextic and
-    # quartic kernels pass it; a block under 64 primes, on the per-element
-    # pow path; one Fermat prime, where p - 1 has no odd factor; no prime;
-    # and the largest primes the int64 kernels admit, where p - 1 has
-    # factors up to about 1.5e9
-    p = get_table(10 ** 4).primes[1:]
-    top = np.array(sorted(_primes_below_int64_limit(3)), dtype=np.int64)
-    for block in (p, p[p % 3 == 1], p[p % 4 == 1], p[500:540],
-                  np.array([65537]), p[:0], top):
-        assert families._least_generators(block).tolist() == \
-            [_least_generator(q) for q in block.tolist()]
+def test_least_generator_matches_a_scalar_search():
+    # every odd prime below 10^4; one Fermat prime, where p - 1 = 2^16; and
+    # a prime just below FLOAT_PRIME_LIMIT, the largest one-prime table
+    top = next(q for q in range(families.FLOAT_PRIME_LIMIT - 1, 0, -2)
+               if is_prime(q))
+    for q in get_table(10 ** 4).primes[1:].tolist() + [65537, top]:
+        assert families._least_generator(q) == _least_generator(q), q
+
+
+def test_roots_of_unity_have_the_orders_the_kernels_assume():
+    # h^6 = 1 with h^2, h^3 != 1 (a primitive sixth root) at every p = 1
+    # mod 3, and s^2 = -1 at every p = 1 mod 4, below 10^5 and at the
+    # largest primes the int64 kernels admit; int32 blocks (a prime
+    # table's slices) and int64 blocks alike, as h*h of an int32 root
+    # would overflow
+    p = get_table(10 ** 5).primes
+    top = _primes_below_int64_limit(40)
+    for block in (p, np.array(top, dtype=np.int64)):
+        for dtype in {block.dtype, np.dtype(np.int64)}:
+            on = block[block % 3 == 1].astype(dtype)
+            h = families._sixth_roots(on)
+            assert h.dtype == np.int64
+            want = [(1, False, False)] * on.size
+            assert [(pow(x, 6, q), pow(x, 2, q) == 1, pow(x, 3, q) == 1)
+                    for x, q in zip(h.tolist(), on.tolist())] == want
+            on = block[block % 4 == 1].astype(dtype)
+            s = families._sqrt_minus_one(on)
+            assert s.dtype == np.int64
+            assert [x * x % q for x, q in zip(s.tolist(), on.tolist())] == \
+                [q - 1 for q in on.tolist()]
 
 
 def test_residue_symbol_is_the_legendre_symbol():
@@ -523,14 +549,6 @@ def test_residue_symbol_is_the_legendre_symbol():
         on = p[p % n != 0]
         assert families._residue_symbol(n, on).tolist() == \
             [legendre_symbol(n, q) for q in on.tolist()], n
-
-
-def test_prime_factors_are_the_distinct_odd_ones():
-    m = np.arange(1, 5000, dtype=np.int64)
-    rows = families._prime_factors(m).tolist()
-    for k, row in zip(m.tolist(), rows):
-        want = [q for q in range(3, k + 1, 2) if k % q == 0 and is_prime(q)]
-        assert row == want + [0] * (len(row) - len(want)), k
 
 
 def test_powmod_is_exact_up_to_the_int64_limit():
@@ -1088,6 +1106,9 @@ def test_h_factor_values_and_overrides():
     assert 0 <= sieve6 < sieve
     with pytest.raises(DomainError):
         families.h_factor(fam, p, exponent=2)
+    # a non-integer override is refused, not truncated to 3
+    with pytest.raises(DomainError, match="must be an integer"):
+        families.h_factor(fam, p, exponent=3.5)
     # unsieved family: no sieve part unless an exponent is forced
     noncm = families.get_family("noncm_3x12t")
     assert families.h_factor(noncm, p) == (1.0, 0.0)
