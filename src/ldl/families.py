@@ -562,7 +562,7 @@ def complete_moment(fam: FamilySpec, p: int, r: int, side: str = "good"):
     """Exact integer sum of a_t(p)^r over t mod p with p good (p not
     dividing Delta(t)) or bad (p | Delta(t)): _power_sums of the traces at
     every t (the brute-force entry's histograms)."""
-    if not is_prime(p):
+    if not is_prime(integer(p, "p")):
         raise DomainError("p must be prime")
     if integer(r, "r") < 0:
         raise DomainError("r must be >= 0")
@@ -741,12 +741,12 @@ def _times(u, v, a, b) -> tuple:
     return u * a - v * b, u * b + v * a - v * b
 
 
-#: k with zeta^k (a + b omega) = 2 mod 3, by (a mod 3, b mod 3): the unit
-#: that makes a prime above p = 1 mod 3 primary (0 where none does, at a
-#: norm divisible by 3)
-_PRIMARY = np.array([[next((k for k in range(6) if [
-    x % 3 for x in _times(_SIXTH_U[k], _SIXTH_V[k], a, b)] == [2, 0]), 0)
-    for b in range(3)] for a in range(3)])
+#: k by (a mod 3, b mod 3) for a + b omega = 2 zeta^-k mod 3, which
+#: zeta^k makes primary (= 2 mod 3); 0 at the three residues of a norm
+#: divisible by 3, which no prime above p = 1 mod 3 has
+_PRIMARY = np.zeros((3, 3), dtype=np.int64)
+_PRIMARY[2 * _SIXTH_U[-np.arange(6)] % 3,
+         2 * _SIXTH_V[-np.arange(6)] % 3] = np.arange(6)
 
 
 def _sextic_traces(bb: int, p: np.ndarray, h: np.ndarray,
@@ -1431,7 +1431,7 @@ def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
     one _sieve_block over the block, and the moments and Atilde (0.0 below
     p = 5) from one trace histogram per prime, the per-t tables' below 5
     and the entry's trace_histograms from 5 on."""
-    if r_max < 0:
+    if integer(r_max, "r_max") < 0:
         raise DomainError("r_max must be >= 0")
     p_int = np.asarray(primes, dtype=np.int64)
     if (p_int.ndim != 1 or np.any(np.diff(p_int) <= 0)

@@ -218,6 +218,10 @@ def test_complete_moment_domain():
         families.complete_moment(fam, 7, 2.5)
     with pytest.raises(DomainError, match="r must be an integer"):
         families.closed_form_moment("cm_b1_kappa2", 7, 1.5)
+    with pytest.raises(DomainError, match="p must be an integer"):
+        families.complete_moment(fam, 7.0, 2)
+    with pytest.raises(DomainError, match="r_max must be an integer"):
+        families.moment_table(fam, [5, 7], r_max=2.5)
 
 
 def test_closed_form_unregistered_family_raises():
