@@ -35,7 +35,7 @@ import numpy as np
 
 from . import families, primes
 from ._sum import CHUNK, Block, term_sum
-from .errors import DomainError, VerificationError
+from .errors import DomainError, VerificationError, integer
 from .primes import (CHI_3, CHI_M3, ConstantResult, first_n_primes,
                      get_table, prime_index)
 
@@ -301,7 +301,7 @@ def family_constant_Atilde(fam, prime_count: int = 5000,
     if isinstance(fam, str):
         fam = families.get_family(fam)
     # an integer before the main-sum cache, which takes 5e3 for 5000
-    if primes._integer(prime_count, "prime_count") < 5000:
+    if integer(prime_count, "prime_count") < 5000:
         raise DomainError("prime_count must be >= 5000")
     return _gamma_atilde_family(fam, prime_count, sieve_exponent)
 

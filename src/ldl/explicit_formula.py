@@ -1,8 +1,8 @@
 """Test functions and numerical assembly of the prime-sum decomposition.
 
 The central object is ``evaluate_S``: given a family, an even test-function
-pair (phi, phihat) with compactly supported phihat, and a scaling R, it
-evaluates the five prime-sum pieces
+pair (phi, phihat) with phihat supported in [-sigma, sigma], and a scaling
+R, it evaluates the five prime-sum pieces
 
     S = S_A' + S_0 + S_1 + S_2 + S_Atilde
 
@@ -28,15 +28,17 @@ average) for "cusp_model"; an entry has moments, `moment_law`, `lead`,
 `rank` and `cap`.  S_0, S_1, S_2 and S_A' depend on the family only
 through its moments, so _prime_pass keeps the sums of each pass in one
 memo of at most PASS_MEMO_SIZE passes, keyed by (moment law, prime_limit,
-terms key, worker count), the terms key (phi, log R) for evaluate_S and
-("limit", lead) for lower_order_limit.  The sextic twists of one kappa
-share their pass, and a repeated call runs none; S_Atilde stays the
-family's own, from the constants module's cache.
+terms key, worker count), the terms key (pair, log R) for evaluate_S and
+("limit", lead) for lower_order_limit.  A pair is a value, its kind and
+its exact sigma, so two pairs built apart but equal share their passes.
+The sextic twists of one kappa share their pass, and a repeated call runs
+none; S_Atilde stays the family's own, from the constants module's cache.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 import threading
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import constants, families
 from ._sum import Block, block_sums, thread_count
-from .errors import DomainError, IncompleteSumError
+from .errors import DomainError, IncompleteSumError, integer
 from .primes import (first_n_primes, gamma_pnt, gamma_pnt_ab, get_table,
                      prime_index)
 
@@ -69,60 +71,68 @@ _RC_FLAT = 0.8
 
 @dataclass(frozen=True)
 class TestFunctionPair:
-    """An even test function phi with phihat supported in [-sigma, sigma]."""
-    name: str
+    """An even test function phi with phihat(0) = 1 and phihat supported in
+    [-sigma, sigma]: a value, one subclass per kind; two pairs are equal,
+    and hash alike, iff their kinds and exact float sigmas agree."""
     sigma: float
-    eval_phi: object
-    eval_phihat: object
-    phi0: float
-    phihat0: float
+    phihat0 = 1.0
+
+    @property
+    def name(self) -> str:
+        return f"{self.kind}:{self.sigma:g}"
 
 
-def _fejer_pair(s: float) -> TestFunctionPair:
-    def phihat(u):
+class _Fejer(TestFunctionPair):
+    kind = "fejer"
+    phi0 = property(lambda self: self.sigma)
+
+    def eval_phihat(self, u):
         u = np.asarray(u, dtype=np.float64)
-        return np.maximum(1.0 - np.abs(u) / s, 0.0)
+        return np.maximum(1.0 - np.abs(u) / self.sigma, 0.0)
 
-    def phi(x):
+    def eval_phi(self, x):
         x = np.asarray(x, dtype=np.float64)
-        return s * np.sinc(s * x) ** 2
-
-    return TestFunctionPair(f"fejer:{s:g}", s, phi, phihat, float(s), 1.0)
+        return self.sigma * np.sinc(self.sigma * x) ** 2
 
 
-def _gaussian_pair(s: float) -> TestFunctionPair:
-    w = s / 4.0
+class _Gaussian(TestFunctionPair):
+    """phihat = exp(-u^2/2w^2) on |u| < sigma, w = sigma/4; phi by
+    Simpson's rule on 4096 intervals, so phi and phi0 are estimates."""
+    kind = "gaussian"
+    phi0 = property(lambda self: 2.0 * float(self._simpson()[1].sum()))
 
-    def phihat(u):
+    def eval_phihat(self, u):
+        s, w = self.sigma, self.sigma / 4.0
         u = np.asarray(u, dtype=np.float64)
         return np.where(np.abs(u) < s, np.exp(-u * u / (2 * w * w)), 0.0)
 
-    # phi(x) = 2 int_0^s exp(-u^2/2w^2) cos(2 pi u x) du, by Simpson's rule
-    n = 4096
-    grid = np.linspace(0.0, s, n + 1)
-    weights = np.full(n + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= (s / n) / 3.0
-    gvals = np.exp(-grid * grid / (2 * w * w)) * weights
+    def _simpson(self):
+        """The nodes of [0, sigma] and phihat times their Simpson weights."""
+        s, w, n = self.sigma, self.sigma / 4.0, 4096
+        grid = np.linspace(0.0, s, n + 1)
+        weights = np.full(n + 1, 2.0)
+        weights[1::2] = 4.0
+        weights[0] = weights[-1] = 1.0
+        weights *= (s / n) / 3.0
+        return grid, np.exp(-grid * grid / (2 * w * w)) * weights
 
-    def phi(x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    def eval_phi(self, x):
+        # phi(x) = 2 int_0^s exp(-u^2/2w^2) cos(2 pi u x) du, in x's shape
+        x = np.asarray(x, dtype=np.float64)
+        grid, gvals = self._simpson()
         out = 2.0 * (np.cos(2 * math.pi * np.outer(x, grid)) @ gvals)
-        return out if out.size > 1 else float(out[0])
-
-    phi0 = 2.0 * float(gvals.sum())
-    return TestFunctionPair(f"gaussian:{s:g}", s, phi, phihat, phi0,
-                            1.0)
+        return out.reshape(x.shape)
 
 
-def _indicator_pair(s: float) -> TestFunctionPair:
+class _Indicator(TestFunctionPair):
     """Raised-cosine flat-top: phihat = 1 on |u| <= 0.8 s, cosine roll-off
     to zero at |u| = s; phi has the classic sinc * raised-cosine closed
     form."""
-    a = _RC_FLAT
+    kind = "indicator"
+    phi0 = property(lambda self: self.sigma * (1 + _RC_FLAT))
 
-    def phihat(u):
+    def eval_phihat(self, u):
+        s, a = self.sigma, _RC_FLAT
         u = np.abs(np.asarray(u, dtype=np.float64))
         out = np.where(u <= a * s, 1.0, 0.0)
         # the cosine only on the roll-off band a s < |u| < s, as a slice
@@ -135,7 +145,8 @@ def _indicator_pair(s: float) -> TestFunctionPair:
                                         / ((1 - a) * s)))
         return out
 
-    def phi(x):
+    def eval_phi(self, x):
+        s, a = self.sigma, _RC_FLAT
         x = np.asarray(x, dtype=np.float64)
         z = 2.0 * s * (1 - a) * x
         denom = 1.0 - z * z
@@ -145,24 +156,17 @@ def _indicator_pair(s: float) -> TestFunctionPair:
         # removable singularity at |2 s (1-a) x| = 1: limit is (pi/4) core
         return np.where(np.abs(denom) < 1e-10, core * math.pi / 4.0, val)
 
-    return TestFunctionPair(f"indicator:{s:g}", s, phi, phihat,
-                            s * (1 + a), 1.0)
 
-
-_PAIR_BUILDERS = {
-    "fejer": _fejer_pair,
-    "fejer_sigma": _fejer_pair,
-    "gaussian": _gaussian_pair,
-    "gaussian_truncated": _gaussian_pair,
-    "indicator": _indicator_pair,
-    "indicator_smooth": _indicator_pair,
-}
+_PAIR_KINDS = {cls.kind: cls for cls in (_Fejer, _Gaussian, _Indicator)}
+_PAIR_ALIASES = {"fejer_sigma": "fejer", "gaussian_truncated": "gaussian",
+                 "indicator_smooth": "indicator"}
 
 
 def builtin_test_pair(name: str, sigma: float | None = None
                       ) -> TestFunctionPair:
     """Construct a built-in pair; `name` may embed the support radius as
-    "fejer:0.9" or "fejer_sigma(0.9)", or pass `sigma` separately."""
+    "fejer:0.9" or "fejer_sigma(0.9)", or pass `sigma` separately, a real
+    number in (0, 4]; an alias names its kind's pair."""
     key = name
     if sigma is None:
         if ":" in name:
@@ -176,12 +180,13 @@ def builtin_test_pair(name: str, sigma: float | None = None
         except ValueError:
             raise DomainError(
                 f"cannot parse support radius from {name!r}") from None
-    if key not in _PAIR_BUILDERS:
-        raise DomainError(f"unknown test-function pair {key!r}; "
-                          f"known: {sorted(set(_PAIR_BUILDERS))}")
-    if not 0 < sigma <= 4:
-        raise DomainError("support radius must be in (0, 4]")
-    return _PAIR_BUILDERS[key](float(sigma))
+    kind = _PAIR_ALIASES.get(key, key)
+    if kind not in _PAIR_KINDS:
+        raise DomainError(f"unknown test-function pair {key!r}; known: "
+                          f"{sorted([*_PAIR_KINDS, *_PAIR_ALIASES])}")
+    if not (isinstance(sigma, numbers.Real) and 0 < sigma <= 4):
+        raise DomainError("support radius must be a number in (0, 4]")
+    return _PAIR_KINDS[kind](float(sigma))
 
 
 # --------------------------------------------------------------------------
@@ -478,8 +483,8 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     primes up to families.BRUTE_FORCE_CAP in both truncations; a truncation
     past the cap raises ResourceError before any prime table is built.
     Every prime sum comes from one pass over the table (_prime_pass) on
-    `threads` workers, or from its memo; DomainError for a `threads` that
-    is not an integer >= 1.
+    `threads` workers, or from its memo; DomainError, before the memo, for
+    a prime_limit that is not an integer or `threads` not an integer >= 1.
     """
     entry = _entry(fam)
     if not 1.0 < R < math.inf:
@@ -489,7 +494,7 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     required = _ceil_exp(L * sigma / 2.0)         # R^(sigma/2)
     if prime_limit is None:
         prime_limit = min(required, DEFAULT_PRIME_CAP)
-    elif prime_limit < required:
+    elif integer(prime_limit, "prime_limit") < required:
         raise IncompleteSumError(
             f"prime_limit {prime_limit} is below the support bound "
             f"R^(sigma/2) = {required}")

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import pathlib
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -810,7 +811,7 @@ def closed_form_moment(fam, p: int, r: int, side: str = "good") -> int:
     """A_r (side "good", r <= 2) or A'_r (side "bad") of a built-in at one
     prime p >= 5: a one-prime closed_form_table.  DomainError otherwise;
     callers fall back to complete_moment."""
-    if p < 5 or not is_prime(p):
+    if integer(p, "p") < 5 or not is_prime(p):
         raise DomainError("closed forms are registered for primes p >= 5")
     if side not in ("good", "bad"):
         raise DomainError("side must be 'good' or 'bad'")
@@ -1106,7 +1107,7 @@ def a_tilde(fam: FamilySpec, p: int) -> float:
     sqrt p): the family's entry's a_tildes on a block of one prime p >= 5
     (see the module docstring for each entry's method); DomainError for
     any other p, as the CM kernels hold only at primes."""
-    if p < 5 or not is_prime(p):
+    if integer(p, "p") < 5 or not is_prime(p):
         raise DomainError("Atilde requires a prime p >= 5")
     return float(entry_of(fam).a_tildes(Block([p]).p_int)[0])
 
@@ -1300,7 +1301,7 @@ def h_factor(fam: FamilySpec, p: int, exponent: int | None = None):
     """H_{D,k}(p) split as (main, sieve) = (1, nu/(p^k - nu)), k =
     sieve_exponent(fam, exponent): sieve_weights on a block of one prime."""
     k = sieve_exponent(fam, exponent)
-    if not is_prime(p):
+    if not is_prime(integer(p, "p")):
         raise DomainError("p must be prime")
     if k is None:
         return (1.0, 0.0)
@@ -1328,7 +1329,7 @@ def _mark_linear_progression(mask: np.ndarray, start: int, a: int, b: int,
 
 def sieve_window(fam: FamilySpec, N: int) -> SieveWindow:
     """Mark t in [N, 2N] whose every D factor is k-power free."""
-    if N < 1:
+    if integer(N, "N") < 1:
         raise DomainError("N must be >= 1")
     if N > 10 ** 7:
         raise ResourceError("window start capped at 1e7")
@@ -1399,8 +1400,8 @@ def rank_bias(fam, X: float) -> float:
     A_1 is the family's entry's A1 column alone: a built-in's closed form,
     or the power sum of the traces, whose X may not pass BRUTE_FORCE_CAP.
     """
-    if not 10 ** 3 <= X < math.inf:
-        raise DomainError(f"X must be finite and >= 1e3, got {X}")
+    if not (isinstance(X, numbers.Real) and 10 ** 3 <= X < math.inf):
+        raise DomainError(f"X must be finite and >= 1e3, got {X!r}")
     entry = entry_of(fam)
     check_cap(entry, X, "rank-bias X")
     p_int = get_table(int(X)).primes

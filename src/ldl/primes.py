@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._sum import CHUNK, Block, term_sum
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, integer
 
 #: every table is int32, so the sieve stops at the largest int32
 HARD_SIEVE_CAP = 2 ** 31 - 1
@@ -166,19 +165,12 @@ def _wheel_sieve(limit: int) -> np.ndarray:
     return table[:count]
 
 
-def _integer(n, what: str) -> int:
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {n!r}") from None
-
-
 def sieve_primes(limit: int) -> PrimeTable:
     """All primes <= limit; past 2^16 by the segmented wheel sieve, so the
     memory beyond the table itself stays bounded.  DomainError for a
     limit that is not an integer, ResourceError past HARD_SIEVE_CAP, both
     before anything is allocated."""
-    limit = _integer(limit, "sieve limit")
+    limit = integer(limit, "sieve limit")
     if limit < 2:
         raise DomainError(f"sieve limit {limit} yields an empty table")
     if limit > HARD_SIEVE_CAP:
@@ -196,7 +188,7 @@ def get_table(limit: int) -> PrimeTable:
     """Grow-only cached table, reusing the largest sieve; limit >= 2, an
     integer whatever the cache holds."""
     global _TABLE_CACHE
-    limit = _integer(limit, "sieve limit")
+    limit = integer(limit, "sieve limit")
     if _TABLE_CACHE is None or not 2 <= limit <= _TABLE_CACHE.limit:
         _TABLE_CACHE = sieve_primes(limit)
     if _TABLE_CACHE.limit == limit:
@@ -219,7 +211,7 @@ def nth_prime_limit(n: int) -> int:
 def first_n_primes(n: int) -> PrimeTable:
     """The first n primes; DomainError for a non-integer n or n < 1,
     ResourceError past PRIMES_BELOW_CAP, before anything is allocated."""
-    n = _integer(n, "the prime count")
+    n = integer(n, "the prime count")
     if n < 1:
         raise DomainError(f"the prime count must be >= 1, got {n}")
     if n > PRIMES_BELOW_CAP:

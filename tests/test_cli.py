@@ -402,6 +402,12 @@ GOLDEN = [
     (("explicit", "--family", "noncm_3x12t", "--phi",
       "indicator_smooth:0.18", "--logR", "50"),
      "fc969c85c230c728715a24a67abcc867787956421b4b7a1410437049549e4efc"),
+    (("explicit", "--family", "cusp_model", "--phi", "gaussian_truncated:0.5",
+      "--logR", "30"),
+     "00ab2a678b4832bde9218f0f0875832f3f380a9b73de6050929d4724313cb9a8"),
+    (("explicit", "--family", "cm_b1_kappa2", "--phi", "gaussian:0.7",
+      "--logR", "40"),
+     "0caa156cc4b674ff2ed156091c40300f941d67b2a6034da005a038af056fe050"),
     (("constants", "--name", "gamma_pnt", "--prime-limit", "200000"),
      "e636b32c9341329095e8bf5ab1f86543a93214b8f625c3b66c3d092a580587bb"),
     (("constants", "--name", "gamma_pnt_13", "--prime-limit", "100000"),

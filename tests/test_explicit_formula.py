@@ -74,6 +74,11 @@ def test_pair_evenness(name):
     assert np.allclose(pair.eval_phi(xs), pair.eval_phi(-xs), rtol=1e-12)
     us = np.array([0.05, 0.3, 0.55])
     assert np.allclose(pair.eval_phihat(us), pair.eval_phihat(-us))
+    # phi and phihat keep their argument's shape
+    for shape in [(), (1,), (4,), (2, 2)]:
+        x = np.full(shape, 0.37)
+        assert np.shape(pair.eval_phi(x)) == shape
+        assert np.shape(pair.eval_phihat(x)) == shape
 
 
 @pytest.mark.parametrize("name", PAIR_NAMES)
@@ -98,10 +103,24 @@ def test_pair_name_parsing():
     b = ef.builtin_test_pair("fejer_sigma(0.9)")
     c = ef.builtin_test_pair("fejer", sigma=0.9)
     assert a.sigma == b.sigma == c.sigma == 0.9
+    # a pair is a value: the three spellings build one pair
+    assert a == b == c and hash(a) == hash(b) == hash(c)
     for bad in ("fejer", "fejer:zebra", "mystery:0.5", "fejer:0",
                 "fejer:4.5"):
         with pytest.raises(DomainError):
             ef.builtin_test_pair(bad)
+    with pytest.raises(DomainError):
+        ef.builtin_test_pair("fejer", sigma="0.5")
+
+
+def test_pairs_of_one_sigma_and_two_kinds_differ():
+    kinds = [ef.builtin_test_pair(kind, sigma=0.9)
+             for kind in ("fejer", "gaussian", "indicator")]
+    assert len(set(kinds)) == 3
+    assert [p.name for p in kinds] == ["fejer:0.9", "gaussian:0.9",
+                                       "indicator:0.9"]
+    assert ef.builtin_test_pair("indicator_smooth:0.18").name == \
+        "indicator:0.18"
 
 
 # --------------------------------------------------------------------------
@@ -455,6 +474,26 @@ def test_a_second_worker_count_runs_its_own_pass(monkeypatch):
             for threads in (1, 2, 1)]
     assert runs == [1, 2]
     assert len({repr(dec.as_dict()) for dec in decs}) == 1
+
+
+def test_separately_built_equal_pairs_share_one_pass(monkeypatch):
+    runs = _counted_passes(monkeypatch)
+    decs = [ef.evaluate_S("cusp_model", ef.builtin_test_pair(name),
+                          math.exp(20.0), threads=1)
+            for name in ("fejer:0.4", "fejer_sigma(0.4)")]
+    assert len(runs) == 1 and len(ef._PASS_MEMO) == 1
+    assert repr(decs[0].as_dict()) == repr(decs[1].as_dict())
+
+
+def test_pairs_of_one_name_but_two_sigmas_run_two_passes(monkeypatch):
+    # both print as fejer:0.123457; the memo keys on the exact sigma
+    runs = _counted_passes(monkeypatch)
+    pairs = [ef.builtin_test_pair("fejer", sigma=s)
+             for s in (0.1234567, 0.1234568)]
+    assert pairs[0].name == pairs[1].name == "fejer:0.123457"
+    for pair in pairs:
+        ef.evaluate_S("cusp_model", pair, math.exp(20.0), threads=1)
+    assert len(runs) == 2
 
 
 def test_the_memo_keeps_its_bound_and_drops_the_oldest(monkeypatch):

@@ -987,9 +987,11 @@ def test_noncm_a_tildes_keep_every_bit():
 
 
 def test_a_tilde_pins_hold_on_numpy_avx2_kernels():
-    # the Atilde pins rerun in a child whose numpy takes its AVX2 kernels,
-    # as on a CPU without AVX-512; on such a CPU the child runs the same
-    # kernels as this process.  The variable acts on the child's numpy only
+    # the Atilde pins and the explicit golden envelopes rerun in a child
+    # whose numpy takes its AVX2 kernels, as on a CPU without AVX-512; on
+    # such a CPU the child runs the same kernels as this process.  The
+    # variable acts on the child's numpy only.  The noncm_3x12t envelope
+    # is left out: its cold Atilde takes seconds there
     here = pathlib.Path(__file__).resolve()
     src = str(pathlib.Path(families.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
@@ -999,10 +1001,13 @@ def test_a_tilde_pins_hold_on_numpy_avx2_kernels():
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{here}::test_cm_a_tildes_keep_every_bit",
-         f"{here}::test_noncm_a_tildes_keep_every_bit"],
+         f"{here}::test_noncm_a_tildes_keep_every_bit",
+         f"{here.parent / 'test_cli.py'}::test_golden_envelope",
+         "-k", "keep_every_bit or explicit and not noncm_3x12t"],
         env=env, cwd=here.parents[1], capture_output=True, text=True)
     assert run.returncode == 0, run.stdout[-3000:]
-    assert f"{len(A_TILDE_PINS) + 1} passed" in run.stdout
+    # the seven explicit envelopes but noncm_3x12t's
+    assert f"{len(A_TILDE_PINS) + 1 + 7} passed" in run.stdout
 
 
 # --------------------------------------------------------------------------
@@ -1182,6 +1187,22 @@ def test_rank_bias_refuses_custom_family_past_the_cap(monkeypatch):
     monkeypatch.setattr(families, "_curve_data", no_point_count)
     with pytest.raises(ResourceError):
         families.rank_bias(clone, 10 ** 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: families.sieve_window(fam, 10.5),
+    lambda fam: families.rank_bias(fam, "1000"),
+    lambda fam: families.closed_form_moment(fam, 7.0, 2),
+    lambda fam: families.a_tilde(fam, 7.0),
+    lambda fam: families.h_factor(fam, 7.0),
+], ids=["sieve_window", "rank_bias", "closed_form_moment", "a_tilde",
+        "h_factor"])
+def test_a_float_or_string_argument_is_refused(call):
+    # a window start or prime that is not an integer, and a rank-bias X
+    # that is not a number, are DomainErrors, never a raw TypeError or an
+    # answer for the integer they round to
+    with pytest.raises(DomainError):
+        call(families.get_family("cm_b1_kappa2"))
 
 
 # --------------------------------------------------------------------------
