@@ -24,22 +24,17 @@ pool ran since a caller set it to 1 (the CLI manifest's ``threads``).
 
 Allocator coupling: a block's float64 temporaries are CHUNK * 8 = 512 KiB
 each, above glibc's default mmap threshold of 128 KiB, so by default
-every one of them is mmapped and page-faulted afresh in every block.
-glibc raises its dynamic mmap threshold (and its trim threshold with it)
-when a larger mmapped buffer is freed; the prime sieve's mask does that,
-and from then on the temporaries are reused from the heap.  The mask is
-one byte per odd number up to the limit, at most 16 MiB, so only a limit
-of 2^25 - 1 or more frees a full one: the 10^8 table of gamma_pnt, or the
-e^18 table of `explicit --logR 200` at sigma 0.18.  With a 1 MiB sieve
-mask, evaluate_S on the cusp model at log R 200 took 0.39-0.45 s against
-0.25-0.27 s (2 cores, CPython 3.11, numpy 2.4).  The package sets no
-malloc option; keep the mask's cap at 2^24 bytes.  The sieve clears and
-collects that mask in 1 MiB windows, but the windows are slices of the
-one mask, which is still allocated and freed whole.  The non-CM Atilde
-kernel is out of this coupling: each worker fills the large temporaries
-of its sub-blocks through out= views of one families._Workspace, so its
-only large arrays still allocated per sub-block are np.bincount's
-histogram and pocketfft's own scratch inside each transform.
+every one of them would be mmapped and page-faulted afresh in every
+block.  glibc raises its dynamic mmap threshold to the size of a larger
+mmapped buffer when that buffer is freed, and its trim threshold to twice
+that.  So this module, once per process at import, allocates and frees
+one untouched 2^24-byte buffer (``_raise_mmap_threshold``): no page of it
+is touched, and from then on every temporary below 16 MiB comes from the
+heap and is reused, whatever the process sieved.  That covers the
+temporaries of ``block_sums`` and ``term_sum`` and pocketfft's scratch
+inside the non-CM Atilde transforms, whose other large arrays each worker
+fills through out= views of one families._Workspace.  The package sets
+no malloc option.
 """
 
 from __future__ import annotations
@@ -54,6 +49,15 @@ import numpy as np
 from .errors import DomainError, ResourceError, integer
 
 CHUNK = 1 << 16
+
+
+def _raise_mmap_threshold() -> None:
+    """Allocate and free one untouched 2^24-byte buffer, which raises
+    glibc's dynamic mmap and trim thresholds (see the allocator note)."""
+    np.empty(1 << 24, dtype=np.uint8)
+
+
+_raise_mmap_threshold()
 
 
 def thread_count(requested: int | None = None) -> int:

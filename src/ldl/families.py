@@ -1245,7 +1245,7 @@ def nu_D(fam: FamilySpec, d: int) -> int:
     """#{t mod d : D(t) = 0 mod d} for D the product of the D factors: by
     the Chinese remainder theorem, the product of _nu_prime_power over the
     prime powers of d."""
-    if d < 1:
+    if integer(d, "d") < 1:
         raise DomainError("d must be >= 1")
     total = 1
     for p, e in _factorize(d).items():
@@ -1377,6 +1377,7 @@ def sieve_density(fam: FamilySpec, prime_limit: int = 10 ** 3) -> float:
 def quadratic_legendre_sum(a: int, b: int, c: int, p: int) -> int:
     """sum_t legendre(a t^2 + b t + c, p): (p-1)(a/p) if p | b^2 - 4ac,
     else -(a/p)."""
+    a, b, c, p = (integer(x, name) for x, name in zip((a, b, c, p), "abcp"))
     if p <= 2 or not is_prime(p):
         raise DomainError("p must be an odd prime")
     if a % p == 0 and b % p == 0:

@@ -29,19 +29,13 @@ HARD_SIEVE_CAP = 2 ** 31 - 1
 PRIMES_BELOW_CAP = 105_097_565
 #: tables up to this limit come from the plain sieve
 _SMALL_LIMIT = 1 << 16
-#: the wheel sieve's mask, one byte per odd number up to the limit and at
-#: most 2^24 bytes, allocated once per call.  Only a limit of 2^25 - 1 or
-#: more frees a full 16 MiB mask, which raises glibc's mmap threshold for
-#: the block passes (see the allocator note in _sum)
-_MASK_BYTES = 1 << 24
-#: the mask is cleared and collected in windows of this many odd numbers,
-#: 1 MiB of it, so a window stays in a 2 MiB L2 cache
+#: the wheel sieve's one window, one byte per odd number: 1 MiB, so it
+#: stays in a 2 MiB L2 cache while it is cleared and collected
 _WINDOW = 1 << 20
-
 #: base primes below this, with more than 128 multiples in a window, clear
-#: them window by window; the larger ones once per segment, which bounds
-#: the Python loop at the sieve cap (1.3e6 passes at 2^31 - 1, 3.1e5
-#: unwindowed)
+#: them by one slice each, which bounds the Python loop (1.05e6 slices at
+#: the sieve cap); the larger ones clear theirs all together, by one
+#: fancy-index assignment per window
 _WINDOWED_BELOW = _WINDOW >> 7
 #: the wheel primes; their multiples are cleared by copying the pattern
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
@@ -96,39 +90,53 @@ class PrimeTable:
         return int(self.primes.size)
 
 
-def _clear(seg: np.ndarray, lo: int, base: list, nxt: list,
-           start: int, stop: int) -> None:
-    """Clear from seg, the mask indices lo .. lo + seg.size - 1, the odd
-    multiples of base[start:stop], each from its saved index in nxt, and
-    advance each saved index to its first multiple past seg."""
-    hi = lo + seg.size
-    for i in range(start, stop):
+def _clear(win: np.ndarray, lo: int, base: list, nxt: list) -> None:
+    """Clear from win, the mask indices lo .. lo + win.size - 1, the odd
+    multiples of each base prime, from its saved index in nxt, and
+    advance each saved index to its first multiple past win."""
+    hi = lo + win.size
+    for i, q in enumerate(base):
         j = nxt[i]
         if j < hi:
-            q = base[i]
-            seg[j - lo::q] = False
+            win[j - lo::q] = False
             nxt[i] = j - (j - hi) // q * q    # the first multiple >= hi
+
+
+def _clear_together(win: np.ndarray, lo: int, base: np.ndarray,
+                    nxt: np.ndarray) -> None:
+    """_clear for int64 arrays of base primes and their saved indices, by
+    one fancy-index assignment.  Its indices are the cumulative sum of
+    np.repeat of the primes, one run of steps per prime, where each run's
+    first step goes from the previous run's last index to the run's own
+    first one."""
+    hi = lo + win.size
+    runs = np.maximum(-((nxt - hi) // base), 0)   # the multiples below hi
+    on = runs > 0
+    step, runs, start = base[on], runs[on], nxt[on] - lo
+    nxt[on] += runs * step
+    if runs.size:
+        steps = np.repeat(step, runs)
+        last = start + (runs - 1) * step
+        steps[np.cumsum(runs) - runs] = start - np.append(0, last[:-1])
+        win[np.cumsum(steps)] = False
 
 
 def _wheel_sieve(limit: int) -> np.ndarray:
     """Primes <= limit by an odd-only segmented sieve of Eratosthenes with
     a 3*5*7*11*13 wheel (Bays & Hudson, BIT 17, 1977).
 
-    Mask index j stands for the odd number 2j + 1.  The one mask holds a
-    segment of up to _MASK_BYTES odd numbers.  Each segment starts as the
-    wheel pattern, which is periodic in j with period _WHEEL_SPAN, so it
-    is filled from a two-span pattern by doubling slice copies.  The base
-    primes q > 13 then clear their odd multiples from q^2 on, each resuming
-    at the multiple saved from the previous pass: those from
-    _WINDOWED_BELOW on once over the whole segment, then the smaller ones
-    window by window.  A window is _WINDOW odd numbers, a cache-sized
-    slice of the mask, and is collected right after it is cleared, while
-    it is still in cache, so no segment-wide index array is formed.  The
-    primes of each window go straight into one table sized by
-    Rosser-Schoenfeld, pi(x) < 1.25506 x / log x, which is returned as a
-    slice.  The table is int32 (limit <= HARD_SIEVE_CAP); the mask is
-    min(odds, 2^24) bytes, full only from a limit of 2^25 - 1 on (see the
-    allocator note in _sum)."""
+    Mask index j stands for the odd number 2j + 1.  The one mask is a
+    window of _WINDOW odd numbers, 1 MiB, sieved and collected in turn.
+    Each window starts as the wheel pattern, which is periodic in j with
+    period _WHEEL_SPAN, so it is filled from a two-span pattern by
+    doubling slice copies.  The base primes q > 13 then clear their odd
+    multiples from q^2 on, each resuming at the multiple saved from the
+    previous window: those below _WINDOWED_BELOW one slice each, the
+    larger ones all together (_clear_together).  The primes of each window
+    go straight into one table sized by Rosser-Schoenfeld, pi(x) <
+    1.25506 x / log x, which is returned as a slice.  The table is int32
+    (limit <= HARD_SIEVE_CAP); beside it the sieve holds the window and
+    the window's indices."""
     odds = (limit + 1) // 2                   # the odd numbers 1 .. limit
     table = np.empty(int(1.25506 * limit / math.log(limit)) + 2,
                      dtype=np.int32)
@@ -137,37 +145,37 @@ def _wheel_sieve(limit: int) -> np.ndarray:
     pattern = np.gcd(np.arange(1, 4 * _WHEEL_SPAN, 2), _WHEEL_SPAN) == 1
     base = [int(q) for q in _simple_sieve(math.isqrt(limit))
             if q > _WHEEL_PRIMES[-1]]
-    nxt = [(q * q) // 2 for q in base]        # index of q^2
     small = bisect.bisect_left(base, _WINDOWED_BELOW)
-    mask = np.empty(min(odds, _MASK_BYTES), dtype=bool)
+    base, large = base[:small], np.array(base[small:], dtype=np.int64)
+    nxt = [(q * q) // 2 for q in base]        # index of q^2
+    large_nxt = large * large // 2
+    mask = np.empty(min(odds, _WINDOW), dtype=bool)
     for lo in range(0, odds, mask.size):
-        seg = mask[:min(mask.size, odds - lo)]
-        first = min(_WHEEL_SPAN, seg.size)
+        win = mask[:min(mask.size, odds - lo)]
+        first = min(_WHEEL_SPAN, win.size)
         offset = lo % _WHEEL_SPAN
-        seg[:first] = pattern[offset:offset + first]
+        win[:first] = pattern[offset:offset + first]
         filled = first
-        while filled < seg.size:
-            step = min(filled, seg.size - filled)
-            seg[filled:filled + step] = seg[:step]
+        while filled < win.size:
+            step = min(filled, win.size - filled)
+            win[filled:filled + step] = win[:step]
             filled += step
         if lo == 0:
-            seg[0] = False                    # 1
-            seg[[q // 2 for q in _WHEEL_PRIMES]] = True
-        _clear(seg, lo, base, nxt, small, len(base))
-        for w in range(0, seg.size, _WINDOW):
-            win = seg[w:w + _WINDOW]
-            _clear(win, lo + w, base, nxt, 0, small)
-            idx = np.flatnonzero(win)
-            out = table[count:count + idx.size]
-            np.multiply(idx, 2, out=out)
-            out += 2 * (lo + w) + 1
-            count += idx.size
+            win[0] = False                    # 1
+            win[[q // 2 for q in _WHEEL_PRIMES]] = True
+        _clear(win, lo, base, nxt)
+        _clear_together(win, lo, large, large_nxt)
+        idx = np.flatnonzero(win)
+        out = table[count:count + idx.size]
+        np.multiply(idx, 2, out=out)
+        out += 2 * lo + 1
+        count += idx.size
     return table[:count]
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= limit; past 2^16 by the segmented wheel sieve, so the
-    memory beyond the table itself stays bounded.  DomainError for a
+    """All primes <= limit; past 2^16 by the segmented wheel sieve, which
+    holds one 1 MiB window beside the table.  DomainError for a
     limit that is not an integer, ResourceError past HARD_SIEVE_CAP, both
     before anything is allocated."""
     limit = integer(limit, "sieve limit")
@@ -231,6 +239,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17)  # deterministic below 3.3e14
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin below 3.3e14; DomainError for an n
+    that is not an integer."""
+    n = integer(n, "n")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17):
@@ -255,6 +266,7 @@ def is_prime(n: int) -> bool:
 
 def legendre_symbol(a: int, p: int) -> int:
     """(a/p) for odd prime p: 0 if p|a, +1 for nonzero squares, -1 otherwise."""
+    a, p = integer(a, "a"), integer(p, "p")
     if p == 2 or p < 2:
         raise DomainError(f"legendre_symbol needs an odd prime, got {p}")
     a %= p
@@ -265,6 +277,7 @@ def legendre_symbol(a: int, p: int) -> int:
 
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1."""
+    a, n = integer(a, "a"), integer(n, "n")
     if n <= 0 or n % 2 == 0:
         raise DomainError(f"jacobi_symbol needs odd positive n, got {n}")
     a %= n

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -113,7 +114,11 @@ def test_machine_records_numpy_simd_dispatch():
                                                __cpu_features__)
     found = bench_pairs.machine()
     assert set(found) == {"nproc", "python", "numpy", "numpy_dispatch",
-                          "platform"}
+                          "libc", "bytecode", "platform"}
+    # a peak RSS holds for the malloc and the bytecode it was measured with
+    assert found["libc"] == " ".join(platform.libc_ver())
+    assert found["bytecode"] == "cold: PYTHONDONTWRITEBYTECODE=1"
+    assert bench_pairs.child_env()["PYTHONDONTWRITEBYTECODE"] == "1"
     assert found["numpy_dispatch"] == [
         t for t in __cpu_dispatch__ if __cpu_features__[t]]
     # it is what this process dispatches to, not what the CPU has: with

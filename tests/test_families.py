@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from ldl import families
 from ldl._sum import CHUNK, Block
 from ldl.errors import DomainError, ResourceError, VerificationError
-from ldl.primes import (first_n_primes, get_table, is_prime, legendre_symbol,
-                        legendre_symbols_vec, prime_index)
+from ldl.primes import (first_n_primes, get_table, is_prime, jacobi_symbol,
+                        legendre_symbol, legendre_symbols_vec, prime_index)
 from ldl.series import poly_mul
 
 BUILTINS = sorted(families.BUILTIN_FAMILIES)
@@ -823,17 +823,15 @@ def test_noncm_a_tildes_release_their_workspaces(noncm_per_prime):
     assert after - before < 1 << 20
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_minflt counts minor page faults on Linux")
-def test_noncm_a_tildes_fault_their_buffers_in_once():
-    # a fresh process on one thread: the first 1000 primes took about
-    # 95 000 minor page faults when every sub-block allocated its own
-    # temporaries, and take about 1 000 in one workspace
+def _a_tildes_minor_faults(primes_expr: str) -> int:
+    """The minor page faults of the non-CM a_tildes of the primes
+    primes_expr, an expression in get_table, in a fresh process on one
+    thread."""
     code = "\n".join((
         "import resource",
         "from ldl import families",
-        "from ldl.primes import first_n_primes",
-        "p_int = first_n_primes(1002).primes[2:]",
+        "from ldl.primes import get_table",
+        f"p_int = {primes_expr}",
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
         "families.REGISTRY['noncm_3x12t'].a_tildes(p_int)",
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"))
@@ -843,7 +841,26 @@ def test_noncm_a_tildes_fault_their_buffers_in_once():
                PYTHONPATH=src if not path else src + os.pathsep + path)
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert int(run.stdout) < 15000
+    return int(run.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts minor page faults on Linux")
+def test_noncm_a_tildes_fault_their_buffers_in_once():
+    # the first 1000 primes took about 95 000 minor page faults when every
+    # sub-block allocated its own temporaries, and take about 1 000 in one
+    # workspace
+    assert _a_tildes_minor_faults("get_table(7933).primes[2:]") < 15000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_minflt counts minor page faults on Linux")
+def test_noncm_a_tildes_reuse_the_transforms_scratch():
+    # from 43 711 on each sub-block is one prime, whose transforms take
+    # pocketfft scratch past glibc's default mmap threshold: these 50 took
+    # about 35 600 minor faults when each transform mmapped it afresh, and
+    # take about 1 200 with _sum's raised threshold
+    assert _a_tildes_minor_faults("get_table(44207).primes[-50:]") < 5000
 
 
 def test_correlation_rows_mirror_their_first_half():
@@ -1195,12 +1212,18 @@ def test_rank_bias_refuses_custom_family_past_the_cap(monkeypatch):
     lambda fam: families.closed_form_moment(fam, 7.0, 2),
     lambda fam: families.a_tilde(fam, 7.0),
     lambda fam: families.h_factor(fam, 7.0),
+    lambda fam: families.nu_D(fam, 25.0),
+    lambda fam: families.quadratic_legendre_sum(1, 2, 3, 7.0),
+    lambda fam: is_prime(7.0),
+    lambda fam: legendre_symbol(2, 7.0),
+    lambda fam: jacobi_symbol(2, 7.0),
 ], ids=["sieve_window", "rank_bias", "closed_form_moment", "a_tilde",
-        "h_factor"])
+        "h_factor", "nu_D", "quadratic_legendre_sum", "is_prime",
+        "legendre_symbol", "jacobi_symbol"])
 def test_a_float_or_string_argument_is_refused(call):
-    # a window start or prime that is not an integer, and a rank-bias X
-    # that is not a number, are DomainErrors, never a raw TypeError or an
-    # answer for the integer they round to
+    # a window start, prime or modulus that is not an integer, and a
+    # rank-bias X that is not a number, are DomainErrors, never a raw
+    # TypeError or an answer for the integer they round to
     with pytest.raises(DomainError):
         call(families.get_family("cm_b1_kappa2"))
 

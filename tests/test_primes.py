@@ -194,6 +194,19 @@ PRIMES_TO_1E7_SHA256 = (
     "2ad296d1337aaafbb800643fa0cf7a36badb424747f4b9a112d353f8b6631993")
 
 
+def test_the_sieve_holds_one_window_beside_its_table():
+    # past the table, which is allocated at its Rosser-Schoenfeld size and
+    # returned as a slice, the sieve holds a 1 MiB window and the window's
+    # indices; a 16 MiB segment mask alone would break the bound
+    tracemalloc.start()
+    try:
+        table = primes.sieve_primes(10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.primes.base.nbytes < 4 << 20
+
+
 def test_tables_are_int32_and_blocks_int64():
     for table in (primes.sieve_primes(100), primes.sieve_primes(10 ** 6),
                   primes.get_table(10 ** 5), primes.first_n_primes(5000)):
@@ -353,8 +366,8 @@ def test_sieve_matches_plain_eratosthenes_below_300():
 
 
 SPAN = 3 * 5 * 7 * 11 * 13       # the wheel's period
-SEGMENT = 1 << 25                # the integers one wheel-sieve segment spans
-WINDOW = 1 << 21                 # the integers one window of a segment spans
+SEGMENT = 1 << 25                # the integers 16 sieve windows span
+WINDOW = 1 << 21                 # the integers one sieve window spans
 
 
 @pytest.fixture(scope="module")
@@ -366,8 +379,8 @@ def _edges():
     out = [(1 << 16) + d for d in (-1, 0, 1)]          # the plain-sieve cutoff
     out += [k * SPAN + d for k in (1, 4, 5, 7, 4469) for d in (-1, 0, 1)]
     out += [k * SEGMENT + d for k in (1, 2) for d in (-1, 0, 1)]
-    # the first window, the last of the first segment and the first of the
-    # second; 16 * WINDOW +- 1 are the segment edges above
+    # the first window and the 15th to 17th; 16 * WINDOW +- 1 are the
+    # SEGMENT edges above
     out += [k * WINDOW + d for k in (1, 15, 17) for d in (-1, 1)]
     # q^2 starts the marking of each base prime q > 13
     out += [q * q + d for q in (257, 4099, 5791, 8191) for d in (-1, 0, 1)]
@@ -385,8 +398,9 @@ def test_sieve_matches_plain_eratosthenes_at_the_edges(n, reference_primes):
 @pytest.mark.parametrize("n", [257 ** 2 + 1, 17 * WINDOW + 1, 2 * SEGMENT + 1])
 def test_sieve_clears_large_base_primes_per_segment(n, reference_primes,
                                                     monkeypatch):
-    # the base primes from 8192 on square past the reference range, so the
-    # segment-wide clearing is checked with the cutoff lowered to 257
+    # the base primes from 8192 on square past the reference range, so
+    # their clearing all together, window by window, is checked with the
+    # cutoff lowered to 257
     monkeypatch.setattr(primes, "_WINDOWED_BELOW", 257)
     want = reference_primes[:np.searchsorted(reference_primes, n, "right")]
     assert np.array_equal(primes.sieve_primes(n).primes, want)

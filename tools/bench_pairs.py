@@ -16,15 +16,15 @@ through the seeds the two directories swap names, so a bias of the
 directory falls on both sides alike.  Last, Tier-1 runs once in each tree.
 
 The JSON written has the schema of the BENCH files: the machine (nproc,
-Python, numpy, the SIMD targets numpy dispatches to, platform); per
-workload every run and, per metric, the medians, the parent's quartiles,
-the pairs the change won and the change in per cent; the claim, judged
-by RULE; notes that hold every median against its bound; and the Tier-1
-pass count, wall time and peak RSS of each tree.  Quartiles are the
-inclusive ones (numpy's linear percentiles).  The runs are written out
-before anything is judged, and a metric missing from a failed run has no
-summary: a claim on it is not met, as is one whose change failed more
-operations than its parent.
+Python, numpy, the SIMD targets numpy dispatches to, the C library, the
+cold bytecode, platform); per workload every run and, per metric, the
+medians, the parent's quartiles, the pairs the change won and the change
+in per cent; the claim, judged by RULE; notes that hold every median
+against its bound; and the Tier-1 pass count, wall time and peak RSS of
+each tree.  Quartiles are the inclusive ones (numpy's linear
+percentiles).  The runs are written out before anything is judged, and
+a metric missing from a failed run has no summary: a claim on it is not
+met, as is one whose change failed more operations than its parent.
 """
 
 from __future__ import annotations
@@ -185,7 +185,9 @@ def tier1(tree: Path) -> dict:
 
 def machine() -> dict:
     """nproc, Python, numpy and the SIMD targets its dispatch uses here
-    (which decide the bits the Tier-1 pins hold), and the platform."""
+    (which decide the bits the Tier-1 pins hold), the C library (whose
+    malloc decides the peak RSS), the children's cold bytecode (compiling
+    the package adds to their peak RSS) and the platform."""
     import numpy
     from numpy._core._multiarray_umath import (__cpu_dispatch__,
                                                __cpu_features__)
@@ -195,6 +197,9 @@ def machine() -> dict:
             "numpy": numpy.__version__,
             "numpy_dispatch": [t for t in __cpu_dispatch__
                                if __cpu_features__[t]],
+            "libc": " ".join(platform.libc_ver()),
+            # child_env: fresh exports, no bytecode written
+            "bytecode": "cold: PYTHONDONTWRITEBYTECODE=1",
             "platform": platform.platform()}
 
 
