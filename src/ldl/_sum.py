@@ -11,7 +11,8 @@ second core.  families.rank_bias (a sequential loop) and the Atilde main
 sum (one math.fsum of cached terms) are not chunked sums.
 
 The package's one worker pool lives in ``ordered_map``, which returns
-[fn(x) for x in items] in order.  ``block_sums`` maps a caller's block
+[fn(x) for x in items] in order; the caller is one of its workers, beside
+workers - 1 helper threads.  ``block_sums`` maps a caller's block
 function (terms built and reduced on one chunk, for several columns) over
 the chunks with it.  Three passes use the pool: the evaluate_S blocks on
 thread_count(threads) workers, and the lower_order_limit blocks and the
@@ -34,7 +35,11 @@ heap and is reused, whatever the process sieved.  That covers the
 temporaries of ``block_sums`` and ``term_sum`` and pocketfft's scratch
 inside the non-CM Atilde transforms, whose other large arrays each worker
 fills through out= views of one families._Workspace.  The package sets
-no malloc option.
+no malloc option.  Each thread that allocates takes a glibc arena of its
+own, and under the raised trim threshold every arena keeps a block's
+working set (6-10 MB) resident.  So a w-worker map runs on the caller and
+w - 1 helpers and touches w arenas, not w + 1: a process that runs passes
+both inline and on two workers keeps two working sets, not three.
 """
 
 from __future__ import annotations
@@ -95,10 +100,15 @@ def _mark_worker() -> None:
 
 
 def ordered_map(fn, items, threads: int | None = None) -> list:
-    """[fn(x) for x in items], in order, on thread_count(threads) workers.
+    """[fn(x) for x in items], in order, on thread_count(threads) workers:
+    the caller and workers - 1 helper threads, which take the items' indices
+    from one shared iterator.
 
     Inline for one worker, for at most one item, and inside a worker of
-    this pool; an exception raised by fn reaches the caller."""
+    this pool.  After an exception raised by fn no worker starts another
+    item, and the caller re-raises it once every helper has stopped.  A
+    w-worker map touches w malloc arenas, the caller's among them (see the
+    allocator note)."""
     global pool_peak
     items = list(items)
     threads = thread_count(threads)
@@ -106,9 +116,35 @@ def ordered_map(fn, items, threads: int | None = None) -> list:
         return [fn(x) for x in items]
     workers = min(threads, len(items))
     pool_peak = max(pool_peak, workers)
-    with ThreadPoolExecutor(max_workers=workers,
+    results = [None] * len(items)
+    indices = iter(range(len(items)))
+    take = threading.Lock()
+    failed = threading.Event()
+
+    def run() -> None:
+        while not failed.is_set():
+            with take:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException:
+                failed.set()
+                raise
+
+    with ThreadPoolExecutor(max_workers=workers - 1,
                             initializer=_mark_worker) as pool:
-        return list(pool.map(fn, items))
+        helpers = [pool.submit(run) for _ in range(workers - 1)]
+        previous = getattr(_worker, "active", False)
+        _worker.active = True
+        try:
+            run()
+        finally:
+            _worker.active = previous
+    for helper in helpers:
+        helper.result()
+    return results
 
 
 def block_sums(block_fn, n: int, threads: int | None = None) -> dict:

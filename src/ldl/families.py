@@ -855,9 +855,11 @@ def _a_tildes(p_int: np.ndarray, histograms) -> np.ndarray:
     return s / (pf * np.sqrt(pf))
 
 
+@lru_cache(maxsize=4096)
 def _smooth_length(m: int) -> int:
     """The least 5-smooth n = 2^i 3^j 5^k >= m, a length that numpy's FFT
-    factors into radix-2, -3 and -5 passes."""
+    factors into radix-2, -3 and -5 passes.  Memoized: the cutting, the
+    workspace and the transform of one sub-block each ask for its length."""
     best = 1 << max(m - 1, 0).bit_length()
     odd5 = 1
     while odd5 < best:

@@ -119,6 +119,58 @@ def test_ordered_map_opens_no_pool_inside_a_worker(monkeypatch):
     assert seen == [threading.main_thread().name]
 
 
+def _meet_on_two_threads(barrier, ran):
+    """An item function whose first two items wait for each other, so
+    they run at once on two threads; every item records its thread."""
+    def item(i):
+        ran[i] = threading.get_ident()
+        if i < 2:
+            barrier.wait()
+        return i
+    return item
+
+
+def test_ordered_map_runs_items_on_the_caller():
+    # a two-worker map has the caller and one helper: the two items that
+    # wait for each other run on both, so one of them runs on the caller
+    barrier, ran = threading.Barrier(2, timeout=30), {}
+    assert _sum.ordered_map(_meet_on_two_threads(barrier, ran), range(6),
+                            2) == list(range(6))
+    assert threading.get_ident() in {ran[0], ran[1]}
+    assert ran[0] != ran[1]
+
+
+def test_ordered_map_raises_an_error_of_the_callers_item():
+    barrier, ran = threading.Barrier(2, timeout=30), {}
+    meet = _meet_on_two_threads(barrier, ran)
+
+    def check(i):
+        meet(i)
+        if threading.get_ident() == caller:
+            raise VerificationError(f"bad item {i} on the caller")
+        return i
+
+    caller = threading.get_ident()
+    with pytest.raises(VerificationError, match="on the caller"):
+        _sum.ordered_map(check, range(6), 2)
+    assert not getattr(_sum._worker, "active", False)
+
+
+def test_ordered_map_starts_no_item_after_a_failure():
+    started = []
+
+    def check(i):
+        started.append(i)
+        if i == 0:
+            raise VerificationError("bad item 0")
+        time.sleep(0.01)
+        return i
+
+    with pytest.raises(VerificationError, match="bad item 0"):
+        _sum.ordered_map(check, range(40), 2)
+    assert len(started) < 40
+
+
 def test_thread_count_defaults_to_the_usable_cpus(monkeypatch):
     monkeypatch.delenv("LDL_THREADS", raising=False)
     want = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -189,4 +241,5 @@ def test_evaluate_s_opens_a_pool_over_several_blocks(monkeypatch):
     pair = ef.builtin_test_pair("indicator_smooth:0.18")
     ef.evaluate_S("cusp_model", pair, math.exp(50.0), threads=2,
                   prime_limit=10 ** 6)
-    assert opened == [2]
+    # one helper thread beside the caller, which is the second worker
+    assert opened == [1]
