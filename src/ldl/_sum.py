@@ -44,6 +44,7 @@ both inline and on two workers keeps two working sets, not three.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -161,9 +162,9 @@ def block_sums(block_fn, n: int, threads: int | None = None) -> dict:
 
 
 class Block:
-    """An ascending block of primes, held as int64 in p_int (a slice of an
-    int32 prime table is converted here, the one place where a table
-    becomes arithmetic; ResourceError for a Python int past int64), and
+    """An ascending block of primes, held as int64 in p_int (a decoded
+    PrimeTable block is int64 already, an int32 array is converted here;
+    ResourceError for a Python int past int64), and
     the read-only float64 quantities its terms share, each formed on first
     use: pf, lp = log pf, pp = pf * pf, q = pf + 1.0, q3 = q ** 3,
     power(k) = pf ** k, mod(n) = p mod n, character(table) = table[p mod
@@ -216,18 +217,43 @@ def chunked_sum(values: np.ndarray) -> float:
                      for i in range(0, values.size, CHUNK))
 
 
-def term_sum(term, p_int: np.ndarray, head: np.ndarray | None = None
-             ) -> float:
-    """The chunked sum of term over an ascending array of primes (int32 or
-    int64) without a full-length column: term maps the Block of each CHUNK
-    slice to its float64 terms, so the sum has the same bits while memory
-    is bounded by the block.
+def chunks(pieces):
+    """The primes of an iterable of ascending int arrays, joined in order
+    and cut into consecutive CHUNK blocks, the last possibly shorter: a
+    block inside one piece is a view of it, one that spans pieces is
+    copied into a new int64 array."""
+    buf, fill = None, 0
+    for piece in pieces:
+        i = 0
+        if fill:                              # top the open block up
+            i = min(CHUNK - fill, piece.size)
+            buf[fill:fill + i] = piece[:i]
+            fill += i
+            if fill < CHUNK:
+                continue
+            yield buf
+            fill = 0
+        while piece.size - i >= CHUNK:
+            yield piece[i:i + CHUNK]
+            i += CHUNK
+        if i < piece.size:
+            buf = np.empty(CHUNK, dtype=np.int64)
+            fill = piece.size - i
+            buf[:fill] = piece[i:]
+    if fill:
+        yield buf[:fill]
 
-    With a head of at most CHUNK primes, the sum runs over head followed
-    by p_int without joining them: the first block is head topped up from
-    p_int, and every later block is a view of p_int."""
-    head = p_int[:0] if head is None else head
-    top = CHUNK - head.size
-    blocks = [np.concatenate((head, p_int[:top]))]
-    blocks += [p_int[i:i + CHUNK] for i in range(top, p_int.size, CHUNK)]
-    return math.fsum(np.sum(term(Block(blk))) for blk in blocks if blk.size)
+
+def term_sum(term, primes, head: np.ndarray | None = None) -> float:
+    """The chunked sum of term over ascending primes without a full-length
+    column: term maps the Block of each CHUNK block to its float64 terms,
+    so the sum has the same bits while memory is bounded by the block.
+
+    primes is an int array (int32 or int64) or an iterable of them, such
+    as PrimeTable.blocks, joined in order (chunks).  With a head of at
+    most CHUNK primes, the sum runs over head followed by primes without
+    joining them: the first block is head topped up from primes."""
+    pieces = (primes,) if isinstance(primes, np.ndarray) else primes
+    if head is not None:
+        pieces = itertools.chain((head,), pieces)
+    return math.fsum(np.sum(term(Block(blk))) for blk in chunks(pieces))

@@ -34,10 +34,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import families, primes
-from ._sum import CHUNK, Block, term_sum
+from ._sum import term_sum
 from .errors import DomainError, VerificationError, integer
 from .primes import (CHI_3, CHI_M3, ConstantResult, first_n_primes,
-                     get_table, prime_index)
+                     get_table)
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def paper_reference(name: str) -> tuple:
                       + ", ".join(catalog_names()))
 
 
-def _gamma_sieve012_value(primes: np.ndarray) -> float:
+def _gamma_sieve012_value(table: primes.PrimeTable) -> float:
     """Sieve-weighted r in {0,1,2} contribution for the k=3 sieve with one
     root per prime (nu = 1 for p >= 5): the S_0 pieces add
     2(p-1)/(p(p+1)) per prime, the S_2 pieces subtract 2(p-1)^2/(p+1)^3
@@ -203,7 +203,7 @@ def _gamma_sieve012_value(primes: np.ndarray) -> float:
         s2 = np.where(blk.mod(3) == 1, 2 * (pf - 1) ** 2 / blk.q3, 0.0)
         return h_sieve * blk.lp * (s0 - s2)
 
-    return -term_sum(term, primes[prime_index(primes, 5):])
+    return -term_sum(term, table.blocks(table.index(5)))
 
 
 @lru_cache(maxsize=256)
@@ -217,12 +217,10 @@ def _atilde_main_terms(fam: families.FamilySpec, prime_count: int) -> tuple:
     The weight is Python float arithmetic per prime, on lists of one block:
     numpy's p ** 1.5 and log p differ from Python's in the last bit at
     some primes, and p(p+1)^3 passes 2^63 once p > 55000."""
-    p_int = first_n_primes(prime_count).primes
-    p_int = p_int[prime_index(p_int, 5):]
+    table = first_n_primes(prime_count)
     entry = families.entry_of(fam)
     ps, terms = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for i in range(0, p_int.size, CHUNK):
-        block = Block(p_int[i:i + CHUNK]).p_int
+    for block in table.blocks(table.index(5)):
         at = entry.a_tildes(block)
         ps.append(block[at != 0])
         terms.append(np.array(
@@ -268,10 +266,10 @@ def compute_constant(name: str, prime_limit: int | None = None,
     if first_primes is None and prime_limit is None:
         first_primes = spec.default_first_primes
     table, kind, trunc = primes._resolve_truncation(prime_limit, first_primes)
-    x_last = float(table.primes[-1])
+    x_last = float(table.last)
 
     if name == "gamma_sieve012":
-        value = _gamma_sieve012_value(table.primes)
+        value = _gamma_sieve012_value(table)
         return ConstantResult(name, value, kind, trunc, 1e-12, "direct_sum")
 
     if name == "gamma_atilde_3":
@@ -280,12 +278,14 @@ def compute_constant(name: str, prime_limit: int | None = None,
         return ConstantResult(name, value, kind, trunc,
                               _tail_bound(spec, x_last), "direct_sum")
 
-    p_int = table.primes
-    if spec.residue_class is not None:
-        p_int = table.residue_class(*spec.residue_class)
-    p_int = p_int[prime_index(p_int, spec.p_min):]
-
-    value = term_sum(spec.term, p_int)
+    # the class primes from p_min on are the class's among the table's
+    # primes from p_min on, in the same CHUNK blocks of class primes
+    start = table.index(spec.p_min)
+    if spec.residue_class is None:
+        blocks = table.blocks(start)
+    else:
+        blocks = table.residue_blocks(*spec.residue_class, start)
+    value = term_sum(spec.term, blocks)
     return ConstantResult(name, value, kind, trunc,
                           _tail_bound(spec, x_last), "direct_sum")
 

@@ -51,8 +51,7 @@ import numpy as np
 from . import constants, families
 from ._sum import Block, block_sums, thread_count
 from .errors import DomainError, IncompleteSumError, integer
-from .primes import (first_n_primes, gamma_pnt, gamma_pnt_ab, get_table,
-                     prime_index)
+from .primes import first_n_primes, gamma_pnt, gamma_pnt_ab, get_table
 
 #: hard cap on the automatically chosen prime truncation
 DEFAULT_PRIME_CAP = 10 ** 9
@@ -133,14 +132,23 @@ class _Indicator(TestFunctionPair):
 
     def eval_phihat(self, u):
         s, a = self.sigma, _RC_FLAT
-        u = np.abs(np.asarray(u, dtype=np.float64))
-        out = np.where(u <= a * s, 1.0, 0.0)
-        # the cosine only on the roll-off band a s < |u| < s, as a slice
-        # where the band is one run (as over ascending primes)
-        band = (u > a * s) & (u < s)
-        run = np.flatnonzero(band)
-        if u.ndim == 1 and run.size and run[-1] - run[0] < run.size:
-            band = slice(run[0], run[-1] + 1)
+        u = np.asarray(u, dtype=np.float64)
+        if u.ndim == 1 and u.size and u[0] >= 0 and np.all(u[:-1] <= u[1:]):
+            # ascending from 0 on, as k log p / L over a block: the flat
+            # part and the roll-off band a s < u < s are two cuts
+            flat = np.searchsorted(u, a * s, "right")
+            band = slice(flat, np.searchsorted(u, s, "left"))
+            out = np.zeros(u.size)
+            out[:flat] = 1.0
+        else:
+            u = np.abs(u)
+            out = np.where(u <= a * s, 1.0, 0.0)
+            # the cosine only on the roll-off band a s < |u| < s, as a
+            # slice where the band is one run
+            band = (u > a * s) & (u < s)
+            run = np.flatnonzero(band)
+            if u.ndim == 1 and run.size and run[-1] - run[0] < run.size:
+                band = slice(run[0], run[-1] + 1)
         out[band] = 0.5 * (1.0 + np.cos(math.pi * (u[band] - a * s)
                                         / ((1 - a) * s)))
         return out
@@ -375,7 +383,7 @@ def _prime_pass(entry, prime_limit, terms, terms_key, piece, scale,
     model = entry is CUSP_MODEL
     families.check_cap(entry, prime_limit, "prime_limit")
     if not model:
-        x_at = float(first_n_primes(atilde_primes).primes[-1])
+        x_at = float(first_n_primes(atilde_primes).last)
         families.check_cap(entry, x_at, "largest Atilde prime")
     key = (entry.moment_law, prime_limit, terms_key, thread_count(threads))
     memo = _PASS_MEMO.get(key)
@@ -404,11 +412,11 @@ def _block_pass(entry, prime_limit, terms, workers):
     """(block sums, largest prime summed or 5.0) of _prime_pass: one pass
     of _sum.block_sums over the table to prime_limit on `workers`."""
     model = entry is CUSP_MODEL
-    primes = get_table(prime_limit).primes
-    lo = 0 if model else prime_index(primes, 5)
+    table = get_table(prime_limit)
+    lo = 0 if model else table.index(5)
 
     def block(start, stop):
-        blk = Block(primes[lo + start:lo + stop])
+        blk = Block(table.decode(lo + start, lo + stop))
         *moments, aprime, hs = entry.moments(blk)
         sums = {}
 
@@ -429,8 +437,8 @@ def _block_pass(entry, prime_limit, terms, workers):
             sums["S_Atilde", "main"] = np.sum(entry.atilde_terms(blk))
         return sums
 
-    return (block_sums(block, primes.size - lo, workers),
-            float(primes[-1]) if primes.size > lo else 5.0)
+    return (block_sums(block, len(table) - lo, workers),
+            float(table.last) if len(table) > lo else 5.0)
 
 
 @dataclass(frozen=True)

@@ -1407,13 +1407,13 @@ def rank_bias(fam, X: float) -> float:
         raise DomainError(f"X must be finite and >= 1e3, got {X!r}")
     entry = entry_of(fam)
     check_cap(entry, X, "rank-bias X")
-    p_int = get_table(int(X)).primes
-    p_int = p_int[prime_index(p_int, 5):]
-    a1 = entry.A1(Block(p_int))
+    table = get_table(int(X))
     total = 0.0
-    for p, m in zip(p_int.tolist(), [] if a1 is None else a1.tolist()):
-        if m:
-            total -= m / p * math.log(p)
+    for p_int in table.blocks(table.index(5)):   # one sequential sum
+        a1 = entry.A1(Block(p_int))
+        for p, m in zip(p_int.tolist(), [] if a1 is None else a1.tolist()):
+            if m:
+                total -= m / p * math.log(p)
     return total / X
 
 

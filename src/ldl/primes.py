@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sum import CHUNK, Block, term_sum
+from ._sum import CHUNK, Block, chunks, term_sum
 from .errors import DomainError, ResourceError, integer
 
-#: every table is int32, so the sieve stops at the largest int32
+#: every prime below the cap fits int32, the dtype of PrimeTable.primes,
+#: and every gap below it is at most 288, so its half-gaps fit one byte
 HARD_SIEVE_CAP = 2 ** 31 - 1
 #: pi(HARD_SIEVE_CAP): first_n_primes refuses a longer table
 PRIMES_BELOW_CAP = 105_097_565
@@ -40,6 +41,9 @@ _WINDOWED_BELOW = _WINDOW >> 7
 #: the wheel primes; their multiples are cleared by copying the pattern
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL_SPAN = math.prod(_WHEEL_PRIMES)
+#: a table holds the exact prime at every index that is a multiple of
+#: this, so a block decodes from at most this many half-gaps before it
+_ANCHOR_STRIDE = 1 << 10
 
 
 # --------------------------------------------------------------------------
@@ -67,27 +71,137 @@ def prime_index(primes: np.ndarray, x: int, side: str = "left") -> int:
     return int(np.searchsorted(primes, primes.dtype.type(x), side))
 
 
-@dataclass
 class PrimeTable:
-    """Ascending int32 primes up to an inclusive bound (at most
-    HARD_SIEVE_CAP, so every prime fits); a _sum.Block of a slice holds
-    them as int64 for arithmetic."""
+    """The ascending primes up to an inclusive bound limit (at most
+    HARD_SIEVE_CAP), one byte each.
 
-    limit: int
-    primes: np.ndarray
+    With j = floor(p / 2), so that p = 2j + 1 for every odd prime (the
+    sieve's mask index), the table holds the uint8 steps of j from 0: 1
+    for p_0 = 2 and 0 for p_1 = 3 (both have j = 1), then the half-gaps
+    (p_i - p_(i-1)) / 2.  Beside them it holds, as int64 anchors, the
+    exact prime at every index that is a multiple of _ANCHOR_STRIDE.
+    decode rebuilds any run of primes as int64 by one cumulative sum of
+    the steps from the anchor at or below it, which is what a
+    _sum.Block holds.  A byte holds every half-gap below the cap: the
+    largest gap below 2^31 is 288, after 1,453,168,141, and the first gap
+    past 510 comes only after 3e11 (Oliveira e Silva, Herzog and Pardi,
+    Math. Comp. 83, 2014).
 
-    def residue_class(self, a: int, b: int) -> np.ndarray:
-        """Primes p <= limit with p = a mod b."""
-        # one bool mask, filled a CHUNK at a time through Block.mod (a
-        # full-length primes % b is numpy's slow int64 remainder)
-        on = np.empty(self.primes.size, dtype=bool)
-        for i in range(0, on.size, CHUNK):
-            np.equal(Block(self.primes[i:i + CHUNK]).mod(b), a % b,
-                     out=on[i:i + CHUNK])
-        return self.primes[on]
+    Large sums read the table one CHUNK block at a time (blocks,
+    residue_blocks); primes and residue_class collect new int32 arrays,
+    for tests and small callers."""
+
+    def __init__(self, limit: int, steps: np.ndarray, anchors: np.ndarray):
+        self.limit, self._steps, self._anchors = limit, steps, anchors
 
     def __len__(self) -> int:
-        return int(self.primes.size)
+        return int(self._steps.size)
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the buffers the table holds: the whole allocation
+        of its steps and its anchors, shared with a sub-table or not."""
+        return sum((a if a.base is None else a.base).nbytes
+                   for a in (self._steps, self._anchors))
+
+    def decode(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The primes of indices start .. stop - 1 (by default to the end)
+        as a new int64 array (or a view of one)."""
+        stop = len(self) if stop is None else stop
+        if start >= stop:
+            return np.empty(0, dtype=np.int64)
+        lo = start - start % _ANCHOR_STRIDE
+        p = self._steps[lo:stop].astype(np.int64)
+        p *= 2
+        p[0] = self._anchors[lo // _ANCHOR_STRIDE] | 1    # 2j + 1, 3 for 2
+        np.cumsum(p, out=p)
+        if lo == 0:
+            p[0] = 2
+        return p[start - lo:]
+
+    def blocks(self, start: int = 0, stop: int | None = None,
+               first: int = CHUNK):
+        """decode over the indices start .. stop - 1 in consecutive
+        blocks: the first of `first` primes, each later one of CHUNK, the
+        last possibly shorter."""
+        stop = len(self) if stop is None else stop
+        while start < stop:
+            end = min(start + first, stop)
+            yield self.decode(start, end)
+            start, first = end, CHUNK
+
+    def residue_blocks(self, a: int, b: int, start: int = 0,
+                       stop: int | None = None):
+        """The primes p = a mod b among the indices start .. stop - 1, in
+        consecutive CHUNK blocks of them, the last possibly shorter:
+        filtered out of the decoded blocks one at a time, so no class
+        array and no table-length mask is built."""
+        return chunks(blk[Block(blk).mod(b) == a % b]
+                      for blk in self.blocks(start, stop))
+
+    def index(self, x: int, side: str = "left") -> int:
+        """prime_index(self.primes, x, side), from the anchors and one
+        stride of steps."""
+        k = prime_index(self._anchors, x, side)
+        if k == 0:
+            return 0
+        lo = (k - 1) * _ANCHOR_STRIDE
+        stride = self.decode(lo, min(lo + _ANCHOR_STRIDE, len(self)))
+        return lo + prime_index(stride, x, side)
+
+    @property
+    def last(self) -> int:
+        """The largest prime of the table."""
+        return int(self.decode(len(self) - 1)[0])
+
+    def take(self, n: int, limit: int | None = None) -> PrimeTable:
+        """The first n >= 1 primes, on this table's buffers, as the table
+        to limit (by default their largest prime)."""
+        table = PrimeTable(limit, self._steps[:n],
+                           self._anchors[:-(-n // _ANCHOR_STRIDE)])
+        if limit is None:
+            table.limit = table.last
+        return table
+
+    @property
+    def primes(self) -> np.ndarray:
+        """The table as a new int32 array."""
+        out = np.empty(len(self), dtype=np.int32)
+        for start, blk in zip(range(0, out.size, CHUNK), self.blocks()):
+            out[start:start + blk.size] = blk
+        return out
+
+    def residue_class(self, a: int, b: int) -> np.ndarray:
+        """Primes p <= limit with p = a mod b, as a new int32 array."""
+        blocks = [np.empty(0, dtype=np.int64), *self.residue_blocks(a, b)]
+        return np.concatenate(blocks).astype(np.int32)
+
+
+def _encode(limit: int, odd_j) -> PrimeTable:
+    """The table to limit of 2 and the odd primes 2j + 1, for the
+    ascending int j of each array that odd_j yields in turn, in one step
+    buffer sized by Rosser-Schoenfeld, pi(x) < 1.25506 x / log x, and
+    returned as a slice of it.  ResourceError for a half-gap past 255."""
+    steps = np.empty(int(1.25506 * limit / math.log(limit)) + 2,
+                     dtype=np.uint8)
+    steps[0] = 1                              # j = 1 for p_0 = 2
+    anchors, count, prev = [2], 1, 1
+    for j in odd_j:
+        if not j.size:
+            continue
+        out = steps[count:count + j.size]
+        np.subtract(j[:1], prev, out=out[:1], casting="unsafe")
+        np.subtract(j[1:], j[:-1], out=out[1:], casting="unsafe")
+        # a step past 255 wraps, which takes a multiple of 256 off the sum
+        if int(out.sum(dtype=np.int64)) != int(j[-1]) - prev:
+            raise ResourceError("a prime gap past 510 does not fit the "
+                                "table's one byte per prime")
+        anchors += (2 * j[-count % _ANCHOR_STRIDE::_ANCHOR_STRIDE] + 1
+                    ).tolist()
+        count += j.size
+        prev = int(j[-1])
+    return PrimeTable(limit, steps[:count],
+                      np.array(anchors, dtype=np.int64))
 
 
 def _clear(win: np.ndarray, lo: int, base: list, nxt: list) -> None:
@@ -121,27 +235,19 @@ def _clear_together(win: np.ndarray, lo: int, base: np.ndarray,
         win[np.cumsum(steps)] = False
 
 
-def _wheel_sieve(limit: int) -> np.ndarray:
-    """Primes <= limit by an odd-only segmented sieve of Eratosthenes with
-    a 3*5*7*11*13 wheel (Bays & Hudson, BIT 17, 1977).
+def _wheel_sieve(limit: int):
+    """The mask indices j of the odd primes 2j + 1 <= limit, one ascending
+    int64 array per window, by an odd-only segmented sieve of Eratosthenes
+    with a 3*5*7*11*13 wheel (Bays & Hudson, BIT 17, 1977).
 
-    Mask index j stands for the odd number 2j + 1.  The one mask is a
-    window of _WINDOW odd numbers, 1 MiB, sieved and collected in turn.
-    Each window starts as the wheel pattern, which is periodic in j with
-    period _WHEEL_SPAN, so it is filled from a two-span pattern by
-    doubling slice copies.  The base primes q > 13 then clear their odd
-    multiples from q^2 on, each resuming at the multiple saved from the
-    previous window: those below _WINDOWED_BELOW one slice each, the
-    larger ones all together (_clear_together).  The primes of each window
-    go straight into one table sized by Rosser-Schoenfeld, pi(x) <
-    1.25506 x / log x, which is returned as a slice.  The table is int32
-    (limit <= HARD_SIEVE_CAP); beside it the sieve holds the window and
-    the window's indices."""
+    The one mask is a window of _WINDOW odd numbers, 1 MiB, sieved and
+    collected in turn.  Each window starts as the wheel pattern, which is
+    periodic in j with period _WHEEL_SPAN, so it is filled from a two-span
+    pattern by doubling slice copies.  The base primes q > 13 then clear
+    their odd multiples from q^2 on, each resuming at the multiple saved
+    from the previous window: those below _WINDOWED_BELOW one slice each,
+    the larger ones all together (_clear_together)."""
     odds = (limit + 1) // 2                   # the odd numbers 1 .. limit
-    table = np.empty(int(1.25506 * limit / math.log(limit)) + 2,
-                     dtype=np.int32)
-    table[0] = 2
-    count = 1
     pattern = np.gcd(np.arange(1, 4 * _WHEEL_SPAN, 2), _WHEEL_SPAN) == 1
     base = [int(q) for q in _simple_sieve(math.isqrt(limit))
             if q > _WHEEL_PRIMES[-1]]
@@ -166,16 +272,14 @@ def _wheel_sieve(limit: int) -> np.ndarray:
         _clear(win, lo, base, nxt)
         _clear_together(win, lo, large, large_nxt)
         idx = np.flatnonzero(win)
-        out = table[count:count + idx.size]
-        np.multiply(idx, 2, out=out)
-        out += 2 * lo + 1
-        count += idx.size
-    return table[:count]
+        idx += lo
+        yield idx
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= limit; past 2^16 by the segmented wheel sieve, which
-    holds one 1 MiB window beside the table.  DomainError for a
+    """All primes <= limit; past 2^16 by the segmented wheel sieve, whose
+    windows are encoded into the table one at a time, so the sieve holds
+    one 1 MiB window and its indices beside the table.  DomainError for a
     limit that is not an integer, ResourceError past HARD_SIEVE_CAP, both
     before anything is allocated."""
     limit = integer(limit, "sieve limit")
@@ -185,8 +289,8 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise ResourceError(
             f"sieve limit {limit} exceeds the configured cap {HARD_SIEVE_CAP}")
     if limit <= _SMALL_LIMIT:
-        return PrimeTable(limit, _simple_sieve(limit))
-    return PrimeTable(limit, _wheel_sieve(limit))
+        return _encode(limit, [_simple_sieve(limit)[1:] // 2])
+    return _encode(limit, _wheel_sieve(limit))
 
 
 _TABLE_CACHE: PrimeTable | None = None
@@ -201,8 +305,7 @@ def get_table(limit: int) -> PrimeTable:
         _TABLE_CACHE = sieve_primes(limit)
     if _TABLE_CACHE.limit == limit:
         return _TABLE_CACHE
-    primes = _TABLE_CACHE.primes
-    return PrimeTable(limit, primes[:prime_index(primes, limit, "right")])
+    return _TABLE_CACHE.take(_TABLE_CACHE.index(limit, "right"), limit)
 
 
 def nth_prime_limit(n: int) -> int:
@@ -227,9 +330,7 @@ def first_n_primes(n: int) -> PrimeTable:
             f"prime count {n} exceeds the {PRIMES_BELOW_CAP} primes below "
             f"the configured cap {HARD_SIEVE_CAP}")
     # the bound is proven; at the cap, the table holds PRIMES_BELOW_CAP
-    table = get_table(min(nth_prime_limit(n), HARD_SIEVE_CAP))
-    primes = table.primes[:n]
-    return PrimeTable(int(primes[-1]), primes)
+    return get_table(min(nth_prime_limit(n), HARD_SIEVE_CAP)).take(n)
 
 
 # --------------------------------------------------------------------------
@@ -331,13 +432,13 @@ def theta_error_integral(cls, upper_limit: float,
     if table.limit < top:
         raise DomainError(
             f"prime table (limit {table.limit}) does not cover X={upper_limit}")
+    stop = table.index(top, "right")
     if cls == "all":
-        primes, phib = table.primes, 1
+        primes, phib = table.blocks(0, stop), 1
     else:
         a, b = cls
-        primes = table.residue_class(a, b)
+        primes = table.residue_blocks(a, b, 0, stop)
         phib = sum(math.gcd(k, b) == 1 for k in range(1, b + 1))
-    primes = primes[:prime_index(primes, top, "right")]
 
     def term(blk):
         return blk.lp * (1.0 / blk.pf - 1.0 / upper_limit)
@@ -402,12 +503,12 @@ def gamma_pnt(method: str = "closed_form", prime_limit: int | None = None,
     table, kind, trunc = _resolve_truncation(prime_limit, first_primes, 10 ** 8)
     if len(table) < 10 ** 4:
         raise DomainError("truncation must cover at least 1e4 primes")
-    X = float(table.primes[-1])
+    X = float(table.last)
     if method == "closed_form":
         def term(blk):
             return blk.lp / (blk.pp - blk.pf)
 
-        value = -EULER_GAMMA - term_sum(term, table.primes)
+        value = -EULER_GAMMA - term_sum(term, table.blocks())
         tail = math.log(X) / X
     else:
         value = 1.0 + theta_error_integral("all", X, table)
@@ -435,22 +536,24 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
         raise DomainError(f"unknown method {method!r}")
     table, kind, trunc = _resolve_truncation(
         prime_limit, first_primes, 67_867_979)  # the 4,000,001st prime
-    X = float(table.primes[-1])
+    X = float(table.last)
     name = f"gamma_pnt_{a}{b}"
     if method == "closed_form":
         # transcendental part minus 2 sum over the primes prime to b of
         # log p/(p^2 - p^delta), delta = 1 iff p = 1 mod b
         # the primes dividing b are at most b: the others up to b are the
-        # head of the sum, followed by the table past b as it is
-        cut = prime_index(table.primes, b, "right")
-        small = table.primes[:cut]
+        # head of the sum, followed by the table past b as it is, its
+        # first block the head's top-up
+        cut = table.index(b, "right")
+        small = table.decode(0, cut)
+        head = small[b % small != 0]
 
         def term(blk):
             return blk.lp / np.where(blk.mod(b) == 1, blk.pp - blk.pf,
                                      blk.pp - 1.0)
 
         value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(
-            term, table.primes[cut:], head=small[b % small != 0])
+            term, table.blocks(cut, first=CHUNK - head.size), head=head)
         tail = 2 * math.log(X) / X
     else:
         value = 1.0 + 2.0 * theta_error_integral((a, b), X, table)

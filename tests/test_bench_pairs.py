@@ -69,12 +69,32 @@ def test_a_clear_gain_is_met_and_within_its_bound():
     assert doc["notes"]["tabulate"][0].endswith("within its bound (25%)")
 
 
+def test_a_claim_records_whether_its_gain_passes_the_bound():
+    # a 40 % gain clears the 25 % bound; a 9.5 % one is met by the rule
+    # (10 of 10 pairs, past the parent's spread) but inside a 10 % bound
+    doc = _runs(PARENT, CHANGE)
+    bench_pairs.judge(doc, METRICS, "tabulate:cm_s")
+    assert doc["claim"]["met"] is True and doc["claim"]["past_bound"] is True
+    tight = {"cm_s": dict(METRICS["cm_s"], bound=0.1)}
+    doc = _runs(PARENT, [v * 0.905 for v in PARENT])
+    bench_pairs.judge(doc, tight, "tabulate:cm_s")
+    assert doc["claim"]["met"] is True
+    assert doc["claim"]["past_bound"] is False
+    # higher-is-better gains count upwards; no summary is never past
+    higher = dict(METRICS["cm_s"], better="higher")
+    row = bench_pairs.summarize(PARENT, [v * 1.3 for v in PARENT], False)
+    assert bench_pairs.past_bound(row, higher) is True
+    assert bench_pairs.past_bound(row, METRICS["cm_s"]) is False
+    assert bench_pairs.past_bound(None, METRICS["cm_s"]) is False
+
+
 def test_a_failed_run_leaves_the_metric_unsummarized_and_the_claim_unmet():
     doc = _runs(PARENT, CHANGE[:-1] + [None])
     bench_pairs.judge(doc, METRICS, "tabulate:cm_s")
     block = doc["workloads"]["tabulate"]
     assert block["summary"] == {} and doc["notes"]["tabulate"] == []
     assert doc["claim"]["met"] is False
+    assert doc["claim"]["past_bound"] is False
     assert doc["claim"]["failed_ops"]["change"] is None
     assert "change_median" not in doc["claim"]
     assert len(block["runs"]["change"]) == len(bench_pairs.SEEDS)

@@ -67,6 +67,24 @@ def test_indicator_phihat_is_the_raised_cosine_bit_for_bit():
                 _raised_cosine(u, s).tobytes()
 
 
+def test_indicator_phihat_cuts_an_ascending_grid_at_its_edges():
+    # an ascending grid from 0 on takes two searchsorted cuts, any other
+    # the masks; both are the full-grid formula bit for bit
+    pair = ef.builtin_test_pair("indicator_smooth:0.18")
+    s, a = 0.18, ef._RC_FLAT
+    edges = [a * s, np.nextafter(a * s, 1.0), np.nextafter(a * s, 0.0), s,
+             np.nextafter(s, 0.0), np.nextafter(s, 1.0)]
+    grid = np.unique(np.concatenate([np.linspace(0.0, 0.3, 30001), edges]))
+    for u in (grid, grid[grid > 0.15], grid[:1], np.repeat(grid, 2),
+              np.concatenate([[-0.0], grid[1:]])):
+        got = np.asarray(pair.eval_phihat(u))
+        assert got.tobytes() == _raised_cosine(u, s).tobytes()
+        assert got.tobytes() == pair.eval_phihat(u[None, :])[0].tobytes()
+    descending = grid[::-1].copy()
+    assert pair.eval_phihat(descending).tobytes() == \
+        _raised_cosine(descending, s).tobytes()
+
+
 @pytest.mark.parametrize("name", PAIR_NAMES)
 def test_pair_evenness(name):
     pair = ef.builtin_test_pair(name)

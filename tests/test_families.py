@@ -1189,6 +1189,22 @@ def test_rank_bias_reads_a1_alone(monkeypatch):
     assert families.rank_bias("rank0_36t", 10 ** 5) == -0.0016372568133086113
 
 
+def test_rank_bias_is_one_sequential_sum_over_its_blocks():
+    # X = 10^6 holds two CHUNK blocks of primes; the sum over them, block
+    # by block, keeps the bits of the one over the whole table's A_1
+    for name, pinned in (("rank1_36t", 0.9966668838434533),
+                         ("rank0_36t", -0.0015337072267116645)):
+        p_int = get_table(10 ** 6).primes
+        p_int = p_int[prime_index(p_int, 5):]
+        assert p_int.size > CHUNK
+        a1 = families.entry_of(name).A1(Block(p_int))
+        total = 0.0
+        for p, m in zip(p_int.tolist(), a1.tolist()):
+            if m:
+                total -= m / p * math.log(p)
+        assert families.rank_bias(name, 10 ** 6) == total / 10 ** 6 == pinned
+
+
 def test_rank_bias_custom_family_takes_the_point_counts():
     clone = _clone_generic(families.get_family("rank1_36t"))
     assert families.rank_bias(clone, 1000) == \

@@ -16,7 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldl import constants, explicit_formula as ef, families, primes
+from ldl import _sum, constants, explicit_formula as ef, families, primes
 from ldl._sum import CHUNK, Block
 from ldl.errors import DomainError, ResourceError
 
@@ -195,16 +195,16 @@ PRIMES_TO_1E7_SHA256 = (
 
 
 def test_the_sieve_holds_one_window_beside_its_table():
-    # past the table, which is allocated at its Rosser-Schoenfeld size and
-    # returned as a slice, the sieve holds a 1 MiB window and the window's
-    # indices; a 16 MiB segment mask alone would break the bound
+    # past the table, whose steps are allocated at their Rosser-Schoenfeld
+    # size and returned as a slice, the sieve holds a 1 MiB window and the
+    # window's indices; a 16 MiB segment mask alone would break the bound
     tracemalloc.start()
     try:
         table = primes.sieve_primes(10 ** 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - table.primes.base.nbytes < 4 << 20
+    assert peak - table.nbytes < 4 << 20
 
 
 def test_tables_are_int32_and_blocks_int64():
@@ -266,10 +266,14 @@ def test_table_sums_copy_no_table(monkeypatch):
     calls = {
         "gamma_st_2": lambda: constants.compute_constant(
             "gamma_st_2", prime_limit=limit),
+        "gamma_cm2_13": lambda: constants.compute_constant(
+            "gamma_cm2_13", prime_limit=limit),
         "gamma_pnt": lambda: primes.gamma_pnt(
             method="integral", prime_limit=limit),
         "gamma_pnt_13": lambda: primes.gamma_pnt_ab(
             1, 3, prime_limit=limit),
+        "gamma_pnt_13 integral": lambda: primes.gamma_pnt_ab(
+            1, 3, method="integral", prime_limit=limit),
         "evaluate_S": lambda: ef.evaluate_S(
             "cm_b1_kappa2", phi, math.exp(200), prime_limit=limit,
             threads=1),
@@ -418,3 +422,129 @@ def test_theta_error_integral_at_a_non_integer_x():
     assert got == pytest.approx(want, abs=1e-9)
     with pytest.raises(DomainError):
         primes.theta_error_integral("all", 10 ** 6 + 1, table)
+
+
+# --------------------------------------------------------------------------
+# the one-byte table: its steps, anchors, decoder and value search
+
+@pytest.fixture(scope="module")
+def reference_tables():
+    """{limit: (table, its primes as int64)} at 10^6 and 10^7, the primes
+    checked against the textbook sieve and the pinned hash."""
+    out = {}
+    for limit in (10 ** 6, 10 ** 7):
+        table = primes.sieve_primes(limit)
+        ref = table.primes.astype(np.int64)
+        out[limit] = table, ref
+    assert np.array_equal(out[10 ** 6][1], _plain_eratosthenes(10 ** 6))
+    digest = hashlib.sha256(out[10 ** 7][1].astype("<i8").tobytes())
+    assert digest.hexdigest() == PRIMES_TO_1E7_SHA256
+    return out
+
+
+def _cuts(n):
+    stride = primes._ANCHOR_STRIDE
+    return [(0, 0), (0, 1), (1, 2), (0, CHUNK), (2, CHUNK + 2),
+            (stride - 1, stride + 1), (stride, 3 * stride),
+            (CHUNK - 1, 2 * CHUNK + 5), (n - CHUNK // 2, n), (n - 1, n),
+            (n, n)]
+
+
+@pytest.mark.parametrize("limit", [10 ** 6, 10 ** 7])
+def test_decoded_blocks_are_the_primes_as_int64(limit, reference_tables,
+                                                 monkeypatch):
+    table, ref = reference_tables[limit]
+    n = len(table)
+    for start, stop in _cuts(n):
+        got = table.decode(start, stop)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref[start:stop]), (start, stop)
+    # the blocks of the sums: from offset 0 and 2 (p >= 5), a term_sum
+    # head's short first block, and a short last block
+    for start, first in [(0, CHUNK), (2, CHUNK), (2, CHUNK - 1),
+                         (n - CHUNK - 7, CHUNK)]:
+        blocks = list(table.blocks(start, first=first))
+        assert [b.size for b in blocks[:1]] == [min(first, n - start)]
+        assert all(b.size == CHUNK for b in blocks[1:-1])
+        assert np.array_equal(np.concatenate(blocks), ref[start:])
+    # the sub-tables of get_table and first_n_primes share its buffers
+    monkeypatch.setattr(primes, "_TABLE_CACHE", table)
+    for sub in (primes.get_table(limit // 3),
+                primes.first_n_primes(CHUNK + 3)):
+        m = len(sub)
+        assert sub.nbytes == table.nbytes
+        assert sub.last == ref[m - 1] <= sub.limit
+        assert np.array_equal(np.concatenate(list(sub.blocks(2))), ref[2:m])
+        assert np.array_equal(sub.primes, ref[:m])
+
+
+def test_term_sum_over_decoded_blocks_keeps_its_bits(reference_tables):
+    table, ref = reference_tables[10 ** 7]
+
+    def term(blk):
+        return blk.lp / (blk.pp - blk.pf)
+
+    head = ref[:1]
+    assert _sum.term_sum(term, table.blocks(2)) == \
+        _sum.term_sum(term, ref[2:].astype(np.int32))
+    assert _sum.term_sum(term, table.blocks(2, first=CHUNK - 1),
+                         head=head) == \
+        _sum.term_sum(term, np.concatenate((head, ref[2:])))
+
+
+_INDEX_TABLE = primes.sieve_primes(10 ** 6)
+_INDEX_REF = _INDEX_TABLE.primes.astype(object)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(min_value=-5, max_value=10 ** 6 + 5),
+                 st.integers(min_value=-2 ** 70, max_value=2 ** 70)),
+       st.sampled_from(["left", "right"]),
+       st.sampled_from([len(_INDEX_TABLE), 1, 2, 3, 1025, 40_000]))
+def test_table_index_is_searchsorted_on_the_primes(x, side, n):
+    # keys inside the table, on its primes and past int64 either way
+    table = _INDEX_TABLE.take(n)
+    want = int(np.searchsorted(_INDEX_REF[:n], x, side))
+    assert table.index(x, side) == want
+
+
+def test_the_encoder_refuses_a_half_gap_past_a_byte():
+    # j = 1, 2, 257: the steps 0, 1 and 255 fit; 258 makes one of 256
+    table = primes._encode(600, [np.array([1, 2, 257])])
+    assert table.primes.tolist() == [2, 3, 5, 515]
+    with pytest.raises(ResourceError, match="one byte"):
+        primes._encode(600, [np.array([1, 2, 258])])
+    with pytest.raises(ResourceError, match="one byte"):
+        primes._encode(10 ** 6, [np.array([1, 2, 3]), np.array([259])])
+
+
+def test_a_table_holds_at_most_one_and_a_quarter_bytes_per_prime():
+    # steps at their Rosser-Schoenfeld size plus the anchors; the int32
+    # table took 4 bytes per prime, 23 MB at 10^8
+    table = primes.sieve_primes(10 ** 8)
+    assert len(table) == 5761455
+    assert table.nbytes <= 1.25 * len(table)
+    assert table.nbytes <= 7.5e6
+
+
+@pytest.mark.parametrize("a, b", [(1, 3), (1, 4), (3, 4)])
+def test_a_streamed_class_sums_as_its_array(a, b):
+    # the class blocks are cut from the class primes, as from the array:
+    # class sizes about CHUNK and 2 CHUNK, from 2 and from 5 on
+    big = primes.sieve_primes(6 * 10 ** 6)
+    ref = big.primes.astype(np.int64)
+    cls = ref[ref % b == a % b]
+
+    def term(blk):
+        return blk.lp * (1.0 / blk.pf - 1e-7)
+
+    for size in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3):
+        table = big.take(int(np.searchsorted(ref, cls[size - 1])) + 1)
+        assert np.array_equal(table.residue_class(a, b), cls[:size])
+        for p_min in (2, 5):
+            start = table.index(p_min)
+            got = _sum.term_sum(term, table.residue_blocks(a, b, start))
+            want = cls[:size][np.searchsorted(cls[:size], p_min):]
+            assert got == _sum.term_sum(term, want.astype(np.int32))
+            sizes = [blk.size for blk in table.residue_blocks(a, b, start)]
+            assert sizes[:-1] == [CHUNK] * (len(sizes) - 1)

@@ -19,9 +19,9 @@ The JSON written has the schema of the BENCH files: the machine (nproc,
 Python, numpy, the SIMD targets numpy dispatches to, the C library, the
 cold bytecode, platform); per workload every run and, per metric, the
 medians, the parent's quartiles, the pairs the change won and the change
-in per cent; the claim, judged by RULE; notes that hold every median
-against its bound; and the Tier-1 pass count, wall time and peak RSS of
-each tree.  Quartiles are the inclusive ones (numpy's linear
+in per cent; the claim, judged by RULE, and whether its median gain
+is past the metric's bound; notes that hold every median against its
+bound; and the Tier-1 pass count, wall time and peak RSS of each tree.  Quartiles are the inclusive ones (numpy's linear
 percentiles).  The runs are written out before anything is judged, and
 a metric missing from a failed run has no summary: a claim on it is not
 met, as is one whose change failed more operations than its parent.
@@ -137,6 +137,19 @@ def claim_met(row: dict | None, lower_better: bool, failed: dict) -> bool:
             and (gap if lower_better else -gap) > q3 - q1)
 
 
+def past_bound(row: dict | None, metric: dict) -> bool:
+    """Whether the change's median gain, relative to the parent's median,
+    is larger than the metric's bound: a claim within the bound cannot be
+    told from noise the bound allows.  False for a metric without a
+    summary."""
+    if row is None:
+        return False
+    gain = row["parent_median"] - row["change_median"]
+    if metric["better"] != "lower":
+        gain = -gain
+    return gain / abs(row["parent_median"]) > metric["bound"]
+
+
 def bound_note(name: str, row: dict, metric: dict, parent: list,
                change: list) -> str:
     """The medians, the pairs won, and the change's median held against
@@ -226,7 +239,8 @@ def judge(doc: dict, metrics: dict, claim: str | None) -> None:
                if row},
             "failed_ops": failed_ops(block["failed"]),
             "met": claim_met(row, metrics[name]["better"] == "lower",
-                             block["failed"])}
+                             block["failed"]),
+            "past_bound": past_bound(row, metrics[name])}
 
 
 def main() -> int:
