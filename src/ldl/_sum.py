@@ -7,8 +7,11 @@ its bits do not depend on which thread reduced which block.
 ``chunked_sum`` (one precomputed column) and ``term_sum`` (one column
 built per ``Block``, which holds what a chunk's terms share) reduce their
 blocks inline: the catalog constants' terms are too light to gain from a
-second core.  families.rank_bias (a sequential loop) and the Atilde main
-sum (one math.fsum of cached terms) are not chunked sums.
+second core.  ``term_sum`` takes its primes as an array or as pieces,
+such as a PrimeTable's decoded blocks, which ``chunks`` cuts into the same
+CHUNK blocks as the joined array.  families.rank_bias (a sequential loop
+over the blocks) and the Atilde main sum (one math.fsum of cached terms)
+are not chunked sums.
 
 The package's one worker pool lives in ``ordered_map``, which returns
 [fn(x) for x in items] in order; the caller is one of its workers, beside

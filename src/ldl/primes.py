@@ -10,6 +10,12 @@ slowly-converging "direct" definition through the theta error integral
 
 and a fast closed form; both are exposed and cross-checked.  The integral is
 evaluated exactly (theta is a step function), never by quadrature.
+
+A PrimeTable holds one byte per prime: the half-gaps between consecutive
+primes, with the exact prime every _ANCHOR_STRIDE = 256 indices (see
+PrimeTable).  The large sums over a table (these constants, the catalog
+constants, the explicit formula's pass and rank_bias) decode it one CHUNK
+block of int64 primes at a time, so none holds an array of its length.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL_SPAN = math.prod(_WHEEL_PRIMES)
 #: a table holds the exact prime at every index that is a multiple of
 #: this, so a block decodes from at most this many half-gaps before it
-_ANCHOR_STRIDE = 1 << 10
+_ANCHOR_STRIDE = 1 << 8
 
 
 # --------------------------------------------------------------------------
@@ -104,7 +110,7 @@ class PrimeTable:
         return sum((a if a.base is None else a.base).nbytes
                    for a in (self._steps, self._anchors))
 
-    def decode(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+    def decode(self, start: int, stop: int | None = None) -> np.ndarray:
         """The primes of indices start .. stop - 1 (by default to the end)
         as a new int64 array (or a view of one)."""
         stop = len(self) if stop is None else stop
@@ -114,7 +120,7 @@ class PrimeTable:
         p = self._steps[lo:stop].astype(np.int64)
         p *= 2
         p[0] = self._anchors[lo // _ANCHOR_STRIDE] | 1    # 2j + 1, 3 for 2
-        np.cumsum(p, out=p)
+        np.add.accumulate(p, out=p)
         if lo == 0:
             p[0] = 2
         return p[start - lo:]
@@ -142,12 +148,12 @@ class PrimeTable:
     def index(self, x: int, side: str = "left") -> int:
         """prime_index(self.primes, x, side), from the anchors and one
         stride of steps."""
-        k = prime_index(self._anchors, x, side)
-        if k == 0:
-            return 0
-        lo = (k - 1) * _ANCHOR_STRIDE
+        if x < 2 or x > HARD_SIEVE_CAP:       # past int64 too
+            return 0 if x < 2 else len(self)
+        k = int(np.searchsorted(self._anchors, x, side))
+        lo = max(k - 1, 0) * _ANCHOR_STRIDE
         stride = self.decode(lo, min(lo + _ANCHOR_STRIDE, len(self)))
-        return lo + prime_index(stride, x, side)
+        return lo + int(np.searchsorted(stride, x, side))
 
     @property
     def last(self) -> int:
@@ -179,13 +185,15 @@ class PrimeTable:
 
 def _encode(limit: int, odd_j) -> PrimeTable:
     """The table to limit of 2 and the odd primes 2j + 1, for the
-    ascending int j of each array that odd_j yields in turn, in one step
-    buffer sized by Rosser-Schoenfeld, pi(x) < 1.25506 x / log x, and
-    returned as a slice of it.  ResourceError for a half-gap past 255."""
+    ascending int j of each array that odd_j yields in turn.  Its steps
+    are sized by Rosser-Schoenfeld, pi(x) < 1.25506 x / log x, and its
+    anchors by the steps; both are returned as slices.  ResourceError for
+    a half-gap past 255."""
     steps = np.empty(int(1.25506 * limit / math.log(limit)) + 2,
                      dtype=np.uint8)
-    steps[0] = 1                              # j = 1 for p_0 = 2
-    anchors, count, prev = [2], 1, 1
+    anchors = np.empty(steps.size // _ANCHOR_STRIDE + 1, dtype=np.int64)
+    steps[0], anchors[0] = 1, 2               # j = 1 for p_0 = 2
+    count, prev = 1, 1
     for j in odd_j:
         if not j.size:
             continue
@@ -196,12 +204,15 @@ def _encode(limit: int, odd_j) -> PrimeTable:
         if int(out.sum(dtype=np.int64)) != int(j[-1]) - prev:
             raise ResourceError("a prime gap past 510 does not fit the "
                                 "table's one byte per prime")
-        anchors += (2 * j[-count % _ANCHOR_STRIDE::_ANCHOR_STRIDE] + 1
-                    ).tolist()
+        first = -count % _ANCHOR_STRIDE       # the first anchored index
+        at = j[first::_ANCHOR_STRIDE]
+        k = (count + first) // _ANCHOR_STRIDE
+        np.multiply(at, 2, out=anchors[k:k + at.size])
+        anchors[k:k + at.size] += 1
         count += j.size
         prev = int(j[-1])
     return PrimeTable(limit, steps[:count],
-                      np.array(anchors, dtype=np.int64))
+                      anchors[:-(-count // _ANCHOR_STRIDE)])
 
 
 def _clear(win: np.ndarray, lo: int, base: list, nxt: list) -> None:
