@@ -133,11 +133,11 @@ class _Indicator(TestFunctionPair):
     def eval_phihat(self, u):
         s, a = self.sigma, _RC_FLAT
         u = np.asarray(u, dtype=np.float64)
-        if u.ndim == 1 and u.size and u[0] >= 0 and np.all(u[:-1] <= u[1:]):
+        if u.ndim == 1 and u.size and u[0] >= 0 and (u[:-1] <= u[1:]).all():
             # ascending from 0 on, as k log p / L over a block: the flat
             # part and the roll-off band a s < u < s are two cuts
-            flat = np.searchsorted(u, a * s, "right")
-            band = slice(flat, np.searchsorted(u, s, "left"))
+            flat = u.searchsorted(a * s, "right")
+            band = slice(flat, u.searchsorted(s, "left"))
             out = np.zeros(u.size)
             out[:flat] = 1.0
         else:

@@ -150,10 +150,10 @@ class PrimeTable:
         stride of steps."""
         if x < 2 or x > HARD_SIEVE_CAP:       # past int64 too
             return 0 if x < 2 else len(self)
-        k = int(np.searchsorted(self._anchors, x, side))
+        k = int(self._anchors.searchsorted(x, side))
         lo = max(k - 1, 0) * _ANCHOR_STRIDE
         stride = self.decode(lo, min(lo + _ANCHOR_STRIDE, len(self)))
-        return lo + int(np.searchsorted(stride, x, side))
+        return lo + int(stride.searchsorted(x, side))
 
     @property
     def last(self) -> int:
@@ -207,8 +207,7 @@ def _encode(limit: int, odd_j) -> PrimeTable:
         first = -count % _ANCHOR_STRIDE       # the first anchored index
         at = j[first::_ANCHOR_STRIDE]
         k = (count + first) // _ANCHOR_STRIDE
-        np.multiply(at, 2, out=anchors[k:k + at.size])
-        anchors[k:k + at.size] += 1
+        anchors[k:k + at.size] = 2 * at + 1
         count += j.size
         prev = int(j[-1])
     return PrimeTable(limit, steps[:count],
