@@ -204,7 +204,7 @@ def _encode(limit: int, odd_j) -> PrimeTable:
         if int(out.sum(dtype=np.int64)) != int(j[-1]) - prev:
             raise ResourceError("a prime gap past 510 does not fit the "
                                 "table's one byte per prime")
-        first = -count % _ANCHOR_STRIDE       # the first anchored index
+        first = -count % _ANCHOR_STRIDE       # its first anchor, less count
         at = j[first::_ANCHOR_STRIDE]
         k = (count + first) // _ANCHOR_STRIDE
         anchors[k:k + at.size] = 2 * at + 1
