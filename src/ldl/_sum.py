@@ -4,14 +4,15 @@ A chunked prime sum cuts its terms, in ascending prime order, into fixed
 CHUNK-size blocks, reduces each block (numpy pairwise summation, single
 threaded and order-stable) and combines the partials with math.fsum, so
 its bits do not depend on which thread reduced which block.
-``chunked_sum`` (one precomputed column) and ``term_sum`` (one column
-built per ``Block``, which holds what a chunk's terms share) reduce their
-blocks inline: the catalog constants' terms are too light to gain from a
-second core.  ``term_sum`` takes its primes as an array or as pieces,
-such as a PrimeTable's decoded blocks, which ``chunks`` cuts into the same
-CHUNK blocks as the joined array.  families.rank_bias (a sequential loop
-over the blocks) and the Atilde main sum (one math.fsum of cached terms)
-are not chunked sums.
+``term_sum`` builds one column per ``Block``, which holds what a chunk's
+terms share, and reduces the blocks inline: the catalog constants' terms
+are too light to gain from a second core.  Every prime array of the
+package is int64, a PrimeTable's decoded blocks or a slice of them, and
+``chunks`` is the one place that cuts CHUNK blocks: ``term_sum`` takes
+its primes as pieces, such as a table's blocks after a short head, and
+``chunks`` cuts them into the CHUNK blocks of the joined array.
+families.rank_bias (a sequential loop over the blocks) and the Atilde
+main sum (one math.fsum of cached terms) are not chunked sums.
 
 The package's one worker pool lives in ``ordered_map``, which returns
 [fn(x) for x in items] in order; the caller is one of its workers, beside
@@ -47,7 +48,6 @@ both inline and on two workers keeps two working sets, not three.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -166,13 +166,12 @@ def block_sums(block_fn, n: int, threads: int | None = None) -> dict:
 
 class Block:
     """An ascending block of primes, held as int64 in p_int (a decoded
-    PrimeTable block is int64 already, an int32 array is converted here;
-    ResourceError for a Python int past int64), and
-    the read-only float64 quantities its terms share, each formed on first
-    use: pf, lp = log pf, pp = pf * pf, q = pf + 1.0, q3 = q ** 3,
-    power(k) = pf ** k, mod(n) = p mod n, character(table) = table[p mod
-    len(table)] and, for any other quantity, shared(key, form) = form()
-    under key.
+    PrimeTable block is int64 already; ResourceError for a Python int past
+    int64), and the read-only float64 quantities its terms share, each
+    formed on first use: pf, lp = log pf, pp = pf * pf, q = pf + 1.0,
+    q3 = q ** 3, power(k) = pf ** k, mod(n) = p mod n, character(table) =
+    table[p mod len(table)] and, for any other quantity, shared(key, form)
+    = form() under key.
 
     power and q3 are numpy's pow, which is not correctly rounded: below
     10^7, pf ** 3 misses the correctly rounded p^3 at 35,520 of the 664,579
@@ -213,6 +212,7 @@ class Block:
             table, dtype=np.float64)[self.mod(len(table))])
 
 
+# no package sum calls chunked_sum; the perfbench tracer wraps it by name
 def chunked_sum(values: np.ndarray) -> float:
     """Deterministic sum of a 1-d float array over fixed CHUNK blocks."""
     values = np.ascontiguousarray(values, dtype=np.float64)
@@ -247,16 +247,10 @@ def chunks(pieces):
         yield buf[:fill]
 
 
-def term_sum(term, primes, head: np.ndarray | None = None) -> float:
-    """The chunked sum of term over ascending primes without a full-length
+def term_sum(term, pieces) -> float:
+    """The chunked sum of term over the ascending primes of pieces, an
+    iterable of int arrays joined in order (chunks), without a full-length
     column: term maps the Block of each CHUNK block to its float64 terms,
-    so the sum has the same bits while memory is bounded by the block.
-
-    primes is an int array (int32 or int64) or an iterable of them, such
-    as PrimeTable.blocks, joined in order (chunks).  With a head of at
-    most CHUNK primes, the sum runs over head followed by primes without
-    joining them: the first block is head topped up from primes."""
-    pieces = (primes,) if isinstance(primes, np.ndarray) else primes
-    if head is not None:
-        pieces = itertools.chain((head,), pieces)
+    so the sum has the bits of the joined column's while memory is bounded
+    by the block."""
     return math.fsum(np.sum(term(Block(blk))) for blk in chunks(pieces))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import __version__, _sum, constants, explicit_formula, families, series
 from .errors import (DomainError, IncompleteSumError, ResourceError,
                      VerificationError)
-from .primes import get_table, prime_index
+from .primes import get_table
 
 SCHEMA = "ldl/1"
 
@@ -152,8 +152,8 @@ def _closed_form_failures(fam, prime_limit: int, checks: list) -> list:
     own) at a prime 5 <= p <= prime_limit; none without closed forms."""
     if families.builtin_entry(fam) is None:
         return []
-    p_int = get_table(prime_limit).primes
-    p_int = p_int[prime_index(p_int, 5):]
+    table = get_table(prime_limit)
+    p_int = table.decode(table.index(5))
     r_max = max(r for r, side in checks)
     table = families.closed_form_table(fam, p_int, r_max)
     sums = families._power_sums(
@@ -203,8 +203,8 @@ def cmd_family(args, argv) -> int:
         _emit(payload, args, argv, t0, digest, {})
         return EXIT_OK
 
-    primes = get_table(prime_limit).primes
-    primes = primes[prime_index(primes, 5):]
+    table = get_table(prime_limit)
+    primes = table.decode(table.index(5))
     # |A_r| <= p isqrt(4p)^r (Hasse): refuse moments that could pass the
     # int-to-str digit limit (0, or none before 3.10.7: no limit)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

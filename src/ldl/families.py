@@ -80,8 +80,7 @@ import numpy as np
 from ._sum import Block, ordered_map, thread_count
 from .errors import DomainError, ResourceError, VerificationError, integer
 from .primes import (CHI_2, CHI_3, CHI_M3, get_table, is_prime,
-                     jacobi_symbol, legendre_symbol, legendre_symbols_vec,
-                     prime_index)
+                     jacobi_symbol, legendre_symbol, legendre_symbols_vec)
 from .series import poly_mul
 
 _SCAN_LIMIT = 10 ** 6
@@ -1276,7 +1275,7 @@ def _sieve_block(fam: FamilySpec, blk: Block, k) -> tuple:
     if k is None:
         return 0, None
     p_int, entry = blk.p_int, builtin_entry(fam)
-    first = p_int.size if entry is None else prime_index(p_int, 5)
+    first = p_int.size if entry is None else int(p_int.searchsorted(5))
     nu = entry.n_bad if entry else 0
     if first:
         nu = np.full(p_int.shape, nu, dtype=np.int64)
@@ -1437,11 +1436,15 @@ def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
     and the entry's trace_histograms from 5 on."""
     if integer(r_max, "r_max") < 0:
         raise DomainError("r_max must be >= 0")
-    p_int = np.asarray(primes, dtype=np.int64)
+    p_int = np.asarray(primes)
+    if p_int.size and p_int.dtype.kind not in "iu":
+        raise DomainError(f"moment_table needs integer primes, got "
+                          f"{p_int.dtype} entries")
+    p_int = p_int.astype(np.int64)
     if (p_int.ndim != 1 or np.any(np.diff(p_int) <= 0)
             or not all(map(is_prime, p_int.tolist()))):
         raise DomainError("moment_table needs an ascending block of primes")
-    first = prime_index(p_int, 5)
+    first = int(p_int.searchsorted(5))
     sums = _power_sums(_BruteForce(fam).trace_histograms(p_int[:first]),
                        r_max)
     at, entry = [0.0] * first, entry_of(fam)

@@ -21,7 +21,9 @@ block of int64 primes at a time, so none holds an array of its length.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +31,9 @@ import numpy as np
 from ._sum import CHUNK, Block, chunks, term_sum
 from .errors import DomainError, ResourceError, integer
 
-#: every prime below the cap fits int32, the dtype of PrimeTable.primes,
-#: and every gap below it is at most 288, so its half-gaps fit one byte
+#: a resource cap: a table to it takes 6.3-6.5 s and a 142 MB peak
+#: (README), and every gap below it is at most 288, so its half-gaps fit
+#: one byte
 HARD_SIEVE_CAP = 2 ** 31 - 1
 #: pi(HARD_SIEVE_CAP): first_n_primes refuses a longer table
 PRIMES_BELOW_CAP = 105_097_565
@@ -61,20 +64,7 @@ def _simple_sieve(limit: int) -> np.ndarray:
     for i in range(2, math.isqrt(limit) + 1):
         if mask[i]:
             mask[i * i::i] = False
-    return np.flatnonzero(mask).astype(np.int32)
-
-
-def prime_index(primes: np.ndarray, x: int, side: str = "left") -> int:
-    """np.searchsorted(primes, x, side) of an ascending int array, with
-    the key x passed in the array's dtype: a Python int key makes numpy
-    cast the whole array to int64 first.  A key past the dtype's range
-    lies past (or before) every element."""
-    info = np.iinfo(primes.dtype)
-    if x > info.max:
-        return int(primes.size)
-    if x < info.min:
-        return 0
-    return int(np.searchsorted(primes, primes.dtype.type(x), side))
+    return np.flatnonzero(mask)
 
 
 class PrimeTable:
@@ -94,8 +84,8 @@ class PrimeTable:
     Math. Comp. 83, 2014).
 
     Large sums read the table one CHUNK block at a time (blocks,
-    residue_blocks); primes and residue_class collect new int32 arrays,
-    for tests and small callers."""
+    residue_blocks); primes decodes it whole, for tests and small
+    callers."""
 
     def __init__(self, limit: int, steps: np.ndarray, anchors: np.ndarray):
         self.limit, self._steps, self._anchors = limit, steps, anchors
@@ -125,29 +115,28 @@ class PrimeTable:
             p[0] = 2
         return p[start - lo:]
 
-    def blocks(self, start: int = 0, stop: int | None = None,
-               first: int = CHUNK):
+    def blocks(self, start: int = 0, stop: int | None = None):
         """decode over the indices start .. stop - 1 in consecutive
-        blocks: the first of `first` primes, each later one of CHUNK, the
-        last possibly shorter."""
+        blocks of CHUNK primes, the last possibly shorter."""
         stop = len(self) if stop is None else stop
-        while start < stop:
-            end = min(start + first, stop)
-            yield self.decode(start, end)
-            start, first = end, CHUNK
+        for lo in range(start, stop, CHUNK):
+            yield self.decode(lo, min(lo + CHUNK, stop))
 
     def residue_blocks(self, a: int, b: int, start: int = 0,
                        stop: int | None = None):
         """The primes p = a mod b among the indices start .. stop - 1, in
         consecutive CHUNK blocks of them, the last possibly shorter:
         filtered out of the decoded blocks one at a time, so no class
-        array and no table-length mask is built."""
+        array and no table-length mask is built.  DomainError for a
+        modulus b that is not an integer >= 1."""
+        if integer(b, "the modulus") < 1:
+            raise DomainError(f"the modulus must be >= 1, got {b}")
         return chunks(blk[Block(blk).mod(b) == a % b]
                       for blk in self.blocks(start, stop))
 
     def index(self, x: int, side: str = "left") -> int:
-        """prime_index(self.primes, x, side), from the anchors and one
-        stride of steps."""
+        """np.searchsorted(self.primes, x, side) for any int x, from the
+        anchors and one decoded stride."""
         if x < 2 or x > HARD_SIEVE_CAP:       # past int64 too
             return 0 if x < 2 else len(self)
         k = int(self._anchors.searchsorted(x, side))
@@ -171,16 +160,8 @@ class PrimeTable:
 
     @property
     def primes(self) -> np.ndarray:
-        """The table as a new int32 array."""
-        out = np.empty(len(self), dtype=np.int32)
-        for start, blk in zip(range(0, out.size, CHUNK), self.blocks()):
-            out[start:start + blk.size] = blk
-        return out
-
-    def residue_class(self, a: int, b: int) -> np.ndarray:
-        """Primes p <= limit with p = a mod b, as a new int32 array."""
-        blocks = [np.empty(0, dtype=np.int64), *self.residue_blocks(a, b)]
-        return np.concatenate(blocks).astype(np.int32)
+        """The table decoded whole, as a new int64 array."""
+        return self.decode(0)
 
 
 def _encode(limit: int, odd_j) -> PrimeTable:
@@ -432,10 +413,13 @@ def theta_error_integral(cls, upper_limit: float,
 
     theta is a step function, so integrating by parts over each step gives
     the finite closed form  sum_{p<=X} log p (1/p - 1/X) - log X / phi(b)
-    (phi(b) = 1 in the all-primes case).
+    (phi(b) = 1 in the all-primes case).  DomainError for an X that is
+    not a finite real >= 2.
     """
-    if upper_limit < 2:
-        raise DomainError("upper_limit must be >= 2")
+    if not (isinstance(upper_limit, numbers.Real)
+            and 2 <= upper_limit < math.inf):
+        raise DomainError(
+            f"upper_limit must be finite and >= 2, got {upper_limit!r}")
     top = math.floor(upper_limit)             # the primes <= X are <= floor X
     if table is None:
         table = get_table(top)
@@ -552,8 +536,8 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
         # transcendental part minus 2 sum over the primes prime to b of
         # log p/(p^2 - p^delta), delta = 1 iff p = 1 mod b
         # the primes dividing b are at most b: the others up to b are the
-        # head of the sum, followed by the table past b as it is, its
-        # first block the head's top-up
+        # head of the sum, followed by the table past b, which chunks cuts
+        # as the joined primes
         cut = table.index(b, "right")
         small = table.decode(0, cut)
         head = small[b % small != 0]
@@ -563,7 +547,7 @@ def gamma_pnt_ab(a: int, b: int, method: str = "closed_form",
                                      blk.pp - 1.0)
 
         value = _AB_CLOSED[(a, b)]() - 2.0 * term_sum(
-            term, table.blocks(cut, first=CHUNK - head.size), head=head)
+            term, itertools.chain((head,), table.blocks(cut)))
         tail = 2 * math.log(X) / X
     else:
         value = 1.0 + 2.0 * theta_error_integral((a, b), X, table)

@@ -19,9 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._sum import chunked_sum
+from ._sum import term_sum
 from .errors import DomainError
-from .primes import prime_index
 
 # --------------------------------------------------------------------------
 # dense integer/rational polynomials as coefficient lists (ascending powers)
@@ -163,16 +162,20 @@ def p_ell_sum(ell: int, table, cls="all") -> float:
     restricted to a residue class; p runs over the supplied table."""
     if ell < 2:
         raise DomainError("ell must be >= 2")
-    primes = table.primes if cls == "all" else table.residue_class(*cls)
     # x < 1/p, so x**ell is exactly 0 (below half the least subnormal) for
     # p > e^(746/ell): only the primes up to there are evaluated, which
     # skips the long tail of subnormal powers, and the terms keep their bits
-    k = prime_index(primes, int(math.exp(746.0 / ell)), "right")
-    pf = primes[:k].astype(np.float64)
-    x = pf / (pf + 1.0) ** 2
-    terms = np.zeros(primes.size)
-    terms[:k] = (pf - 1.0) * np.log(pf) / (pf + 1.0) * x ** ell
-    return chunked_sum(terms)
+    cut = math.exp(746.0 / ell)
+
+    def term(blk):
+        pf = blk.pf[:blk.pf.searchsorted(cut, "right")]
+        x = pf / (pf + 1.0) ** 2
+        terms = np.zeros(blk.pf.size)
+        terms[:pf.size] = (pf - 1.0) * np.log(pf) / (pf + 1.0) * x ** ell
+        return terms
+
+    blocks = table.blocks() if cls == "all" else table.residue_blocks(*cls)
+    return term_sum(term, blocks)
 
 
 # --------------------------------------------------------------------------

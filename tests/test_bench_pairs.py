@@ -168,3 +168,20 @@ def test_tier1_records_the_peak_rss_of_pytest(tmp_path):
     assert row["passed"] == 1 and "failed" not in row
     assert 200 <= row["peak_rss_mb"] < 400
     assert row["pytest_s"] > 0 and row["summary"].startswith("1 passed")
+
+
+def test_lines_counts_the_package_and_tests_as_wc_does(tmp_path):
+    # a last line without a newline is not counted, as wc -l counts; files
+    # outside the patterns, a subpackage's among them, are not
+    files = {"src/ldl/a.py": "x = 1\ny = 2\n", "src/ldl/b.py": "z = 3",
+             "src/ldl/sub/c.py": "w = 4\n", "tests/test_a.py": "\n\n\n",
+             "tools/t.py": "v = 5\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert bench_pairs.lines(tmp_path) == {"src/ldl/*.py": 2,
+                                           "tests/*.py": 3}
+    for pattern, count in bench_pairs.lines(ROOT).items():
+        wc = subprocess.run(f"cat {pattern} | wc -l", shell=True, cwd=ROOT,
+                            capture_output=True, text=True, check=True)
+        assert int(wc.stdout) == count, pattern

@@ -27,7 +27,7 @@ from ldl import families
 from ldl._sum import CHUNK, Block
 from ldl.errors import DomainError, ResourceError, VerificationError
 from ldl.primes import (first_n_primes, get_table, is_prime, jacobi_symbol,
-                        legendre_symbol, legendre_symbols_vec, prime_index)
+                        legendre_symbol, legendre_symbols_vec)
 from ldl.series import poly_mul
 
 BUILTINS = sorted(families.BUILTIN_FAMILIES)
@@ -425,7 +425,7 @@ def _check_a_tildes_to_their_rounding(name, p_int, roundings):
 def test_a_tildes_within_their_rounding_of_the_exact_value(name):
     # |n a^3| < 2^53 at every prime here, so n*a*a*a is exact
     p_int = get_table(2000).primes
-    p_int = np.concatenate((p_int[prime_index(p_int, 5):], ORACLE_SAMPLE))
+    p_int = np.concatenate((p_int[p_int.searchsorted(5):], ORACLE_SAMPLE))
     assert all(map(is_prime, ORACLE_SAMPLE))
     _check_a_tildes_to_their_rounding(name, p_int, 1)
 
@@ -526,24 +526,21 @@ def test_least_generator_matches_a_scalar_search():
 def test_roots_of_unity_have_the_orders_the_kernels_assume():
     # h^6 = 1 with h^2, h^3 != 1 (a primitive sixth root) at every p = 1
     # mod 3, and s^2 = -1 at every p = 1 mod 4, below 10^5 and at the
-    # largest primes the int64 kernels admit; int32 blocks (a prime
-    # table's slices) and int64 blocks alike, as h*h of an int32 root
-    # would overflow
+    # largest primes the int64 kernels admit
     p = get_table(10 ** 5).primes
     top = _primes_below_int64_limit(40)
     for block in (p, np.array(top, dtype=np.int64)):
-        for dtype in {block.dtype, np.dtype(np.int64)}:
-            on = block[block % 3 == 1].astype(dtype)
-            h = families._sixth_roots(on)
-            assert h.dtype == np.int64
-            want = [(1, False, False)] * on.size
-            assert [(pow(x, 6, q), pow(x, 2, q) == 1, pow(x, 3, q) == 1)
-                    for x, q in zip(h.tolist(), on.tolist())] == want
-            on = block[block % 4 == 1].astype(dtype)
-            s = families._sqrt_minus_one(on)
-            assert s.dtype == np.int64
-            assert [x * x % q for x, q in zip(s.tolist(), on.tolist())] == \
-                [q - 1 for q in on.tolist()]
+        on = block[block % 3 == 1]
+        h = families._sixth_roots(on)
+        assert h.dtype == np.int64
+        want = [(1, False, False)] * on.size
+        assert [(pow(x, 6, q), pow(x, 2, q) == 1, pow(x, 3, q) == 1)
+                for x, q in zip(h.tolist(), on.tolist())] == want
+        on = block[block % 4 == 1]
+        s = families._sqrt_minus_one(on)
+        assert s.dtype == np.int64
+        assert [x * x % q for x, q in zip(s.tolist(), on.tolist())] == \
+            [q - 1 for q in on.tolist()]
 
 
 def test_residue_symbol_is_the_legendre_symbol():
@@ -619,7 +616,7 @@ def test_entries_of_one_moment_law_have_the_same_moment_columns():
     # explicit_formula shares one prime pass between the entries of a law:
     # the sextic twists of one kappa, whatever their b
     table = get_table(12 * 10 ** 6).primes
-    lo, hi = prime_index(table, 5), prime_index(table, 10 ** 7)
+    lo, hi = table.searchsorted(5), table.searchsorted(10 ** 7)
     blocks = [table[lo:lo + CHUNK], table[lo + CHUNK:lo + 2 * CHUNK],
               table[hi:hi + CHUNK]]
     laws = collections.defaultdict(list)
@@ -1195,7 +1192,7 @@ def test_rank_bias_is_one_sequential_sum_over_its_blocks():
     for name, pinned in (("rank1_36t", 0.9966668838434533),
                          ("rank0_36t", -0.0015337072267116645)):
         p_int = get_table(10 ** 6).primes
-        p_int = p_int[prime_index(p_int, 5):]
+        p_int = p_int[p_int.searchsorted(5):]
         assert p_int.size > CHUNK
         a1 = families.entry_of(name).A1(Block(p_int))
         total = 0.0
@@ -1229,12 +1226,15 @@ def test_rank_bias_refuses_custom_family_past_the_cap(monkeypatch):
     lambda fam: families.a_tilde(fam, 7.0),
     lambda fam: families.h_factor(fam, 7.0),
     lambda fam: families.nu_D(fam, 25.0),
+    lambda fam: families.moment_table(fam, [5.5]),
+    lambda fam: families.moment_table(fam, [7.0]),
     lambda fam: families.quadratic_legendre_sum(1, 2, 3, 7.0),
     lambda fam: is_prime(7.0),
     lambda fam: legendre_symbol(2, 7.0),
     lambda fam: jacobi_symbol(2, 7.0),
 ], ids=["sieve_window", "rank_bias", "closed_form_moment", "a_tilde",
-        "h_factor", "nu_D", "quadratic_legendre_sum", "is_prime",
+        "h_factor", "nu_D", "moment_table_5.5", "moment_table_7.0",
+        "quadratic_legendre_sum", "is_prime",
         "legendre_symbol", "jacobi_symbol"])
 def test_a_float_or_string_argument_is_refused(call):
     # a window start, prime or modulus that is not an integer, and a

@@ -6,6 +6,7 @@ checkpoints frozen from the literature.
 """
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -17,8 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldl import _sum, constants, explicit_formula as ef, families, primes
-from ldl._sum import CHUNK, Block
+from ldl._sum import CHUNK
 from ldl.errors import DomainError, ResourceError
+
+def _class(table, a, b):
+    """The primes p = a mod b of a table, joined from its class blocks."""
+    return np.concatenate([np.empty(0, dtype=np.int64),
+                           *table.residue_blocks(a, b)])
+
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -35,7 +42,7 @@ def test_prime_counting_checkpoints():
     # pi(10^4) = 1229, pi(10^6) = 78498 and pi(10^8) = 5761455
     assert primes.sieve_primes(10 ** 4).primes.size == 1229
     assert primes.sieve_primes(10 ** 6).primes.size == 78498
-    assert primes.sieve_primes(10 ** 8).primes.size == 5761455
+    assert len(primes.sieve_primes(10 ** 8)) == 5761455
 
 
 def test_first_n_primes():
@@ -65,7 +72,7 @@ def test_get_table_is_grow_only():
 def test_residue_class_matches_the_remainder(a, b):
     table = primes.sieve_primes(10 ** 6)          # 78498 primes, two CHUNKs
     assert table.primes.size > CHUNK
-    assert np.array_equal(table.residue_class(a, b),
+    assert np.array_equal(_class(table, a, b),
                           table.primes[table.primes % b == a % b])
 
 
@@ -91,8 +98,7 @@ def test_first_n_primes_sieves_once(monkeypatch):
 
 def test_residue_class_partition():
     table = primes.get_table(10 ** 4)
-    r1 = table.residue_class(1, 4)
-    r3 = table.residue_class(3, 4)
+    r1, r3 = _class(table, 1, 4), _class(table, 3, 4)
     assert np.all(r1 % 4 == 1)
     assert np.all(r3 % 4 == 3)
     assert r1.size + r3.size == table.primes.size - 1  # all but p = 2
@@ -189,7 +195,7 @@ def test_get_table_refuses_a_limit_below_two_with_a_table_cached():
 
 
 #: SHA-256 of the primes <= 10^7 as little-endian int64, pinned from the
-#: int64 table the int32 one replaced
+#: int64 table of the package's first sieve
 PRIMES_TO_1E7_SHA256 = (
     "2ad296d1337aaafbb800643fa0cf7a36badb424747f4b9a112d353f8b6631993")
 
@@ -207,24 +213,16 @@ def test_the_sieve_holds_one_window_beside_its_table():
     assert peak - table.nbytes < 4 << 20
 
 
-def test_tables_are_int32_and_blocks_int64():
+def test_tables_and_blocks_are_int64():
     for table in (primes.sieve_primes(100), primes.sieve_primes(10 ** 6),
                   primes.get_table(10 ** 5), primes.first_n_primes(5000)):
-        assert table.primes.dtype == np.int32
-        assert table.residue_class(1, 4).dtype == np.int32
-        assert Block(table.primes[:10]).p_int.dtype == np.int64
+        assert table.primes.dtype == np.int64
+        for blk in itertools.chain(table.blocks(2),
+                                   table.residue_blocks(1, 4)):
+            assert blk.dtype == np.int64
     table = primes.get_table(10 ** 7)
     digest = hashlib.sha256(table.primes.astype("<i8").tobytes())
     assert digest.hexdigest() == PRIMES_TO_1E7_SHA256
-
-
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_prime_index_is_searchsorted_past_the_dtype_range(side):
-    # 2^31 - 1 is prime, the last entry a table at the cap can hold
-    table = np.array([2, 3, 5, 2 ** 31 - 1], dtype=np.int32)
-    for x in (-2 ** 40, -1, 0, 2, 4, 5, 2 ** 31 - 1, 2 ** 31, 10 ** 30):
-        want = int(np.searchsorted(table.astype(object), x, side))
-        assert primes.prime_index(table, x, side) == want, x
 
 
 def test_the_int32_cap_is_refused_before_anything_is_allocated():
@@ -256,9 +254,9 @@ def test_first_n_primes_at_the_cap_sieves_no_further(monkeypatch):
 
 
 def test_table_sums_copy_no_table(monkeypatch):
-    # a search with a Python int key casts the whole table to int64, twice
-    # its size; a block pass allocates a few block-sized temporaries, about
-    # 4.5 MB at 2^16 primes, so the table is 10^8 (23 MB) to tell them apart
+    # a block pass allocates a few block-sized temporaries, about 4.5 MB at
+    # 2^16 primes, where a table-length column takes 8 bytes a prime; the
+    # bound is 2 bytes a prime at 10^8 (11.5 MB) to tell them apart
     monkeypatch.setattr(primes, "_TABLE_CACHE", None)
     limit = 10 ** 8
     table = primes.get_table(limit)
@@ -286,7 +284,7 @@ def test_table_sums_copy_no_table(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < table.primes.nbytes // 2, name
+        assert peak < 2 * len(table), name
 
 
 def test_invalid_inputs_raise():
@@ -298,6 +296,17 @@ def test_invalid_inputs_raise():
             primes.gamma_pnt_ab(1, 3, method=method, prime_limit=10 ** 6)
     with pytest.raises(DomainError):
         primes.legendre_symbol(2, 2)
+    # an X that is not a finite real, and a modulus below 1: never a raw
+    # ValueError, OverflowError or ZeroDivisionError
+    for X in (math.nan, math.inf, "100"):
+        with pytest.raises(DomainError, match="upper_limit"):
+            primes.theta_error_integral("all", X)
+    table = primes.get_table(100)
+    for b in (0, -3, 4.0):
+        with pytest.raises(DomainError, match="modulus"):
+            primes.theta_error_integral((1, b), 100.0)
+        with pytest.raises(DomainError, match="modulus"):
+            table.residue_blocks(1, b)
 
 
 def test_an_unknown_method_is_refused_before_any_table(monkeypatch):
@@ -434,8 +443,7 @@ def reference_tables():
     out = {}
     for limit in (10 ** 6, 10 ** 7):
         table = primes.sieve_primes(limit)
-        ref = table.primes.astype(np.int64)
-        out[limit] = table, ref
+        out[limit] = table, table.primes
     assert np.array_equal(out[10 ** 6][1], _plain_eratosthenes(10 ** 6))
     digest = hashlib.sha256(out[10 ** 7][1].astype("<i8").tobytes())
     assert digest.hexdigest() == PRIMES_TO_1E7_SHA256
@@ -459,14 +467,19 @@ def test_decoded_blocks_are_the_primes_as_int64(limit, reference_tables,
         got = table.decode(start, stop)
         assert got.dtype == np.int64
         assert np.array_equal(got, ref[start:stop]), (start, stop)
-    # the blocks of the sums: from offset 0 and 2 (p >= 5), a term_sum
-    # head's short first block, and a short last block
-    for start, first in [(0, CHUNK), (2, CHUNK), (2, CHUNK - 1),
-                         (n - CHUNK - 7, CHUNK)]:
-        blocks = list(table.blocks(start, first=first))
-        assert [b.size for b in blocks[:1]] == [min(first, n - start)]
+    # the blocks of the sums: from offset 0 and 2 (p >= 5), after a head
+    # of one prime, which chunks tops up to a full first block, and with
+    # a short last block
+    none = ref[:0]
+    for start, head in [(0, none), (2, none), (2, ref[:1]),
+                        (n - CHUNK - 7, none)]:
+        blocks = list(_sum.chunks(itertools.chain((head,),
+                                                  table.blocks(start))))
+        assert [b.size for b in blocks[:1]] == [
+            min(CHUNK, head.size + n - start)]
         assert all(b.size == CHUNK for b in blocks[1:-1])
-        assert np.array_equal(np.concatenate(blocks), ref[start:])
+        assert np.array_equal(np.concatenate(blocks),
+                              np.concatenate((head, ref[start:])))
     # the sub-tables of get_table and first_n_primes share its buffers
     monkeypatch.setattr(primes, "_TABLE_CACHE", table)
     for sub in (primes.get_table(limit // 3),
@@ -486,10 +499,9 @@ def test_term_sum_over_decoded_blocks_keeps_its_bits(reference_tables):
 
     head = ref[:1]
     assert _sum.term_sum(term, table.blocks(2)) == \
-        _sum.term_sum(term, ref[2:].astype(np.int32))
-    assert _sum.term_sum(term, table.blocks(2, first=CHUNK - 1),
-                         head=head) == \
-        _sum.term_sum(term, np.concatenate((head, ref[2:])))
+        _sum.term_sum(term, [ref[2:]])
+    assert _sum.term_sum(term, itertools.chain((head,), table.blocks(2))) \
+        == _sum.term_sum(term, [np.concatenate((head, ref[2:]))])
 
 
 _INDEX_TABLE = primes.sieve_primes(10 ** 6)
@@ -519,8 +531,8 @@ def test_the_encoder_refuses_a_half_gap_past_a_byte():
 
 
 def test_a_table_holds_at_most_one_and_a_quarter_bytes_per_prime():
-    # steps at their Rosser-Schoenfeld size plus the anchors; the int32
-    # table took 4 bytes per prime, 23 MB at 10^8
+    # steps at their Rosser-Schoenfeld size plus the anchors, where the
+    # decoded primes take 8 bytes each, 46 MB at 10^8
     table = primes.sieve_primes(10 ** 8)
     assert len(table) == 5761455
     assert table.nbytes <= 1.25 * len(table)
@@ -532,7 +544,7 @@ def test_a_streamed_class_sums_as_its_array(a, b):
     # the class blocks are cut from the class primes, as from the array:
     # class sizes about CHUNK and 2 CHUNK, from 2 and from 5 on
     big = primes.sieve_primes(6 * 10 ** 6)
-    ref = big.primes.astype(np.int64)
+    ref = big.primes
     cls = ref[ref % b == a % b]
 
     def term(blk):
@@ -540,11 +552,11 @@ def test_a_streamed_class_sums_as_its_array(a, b):
 
     for size in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3):
         table = big.take(int(np.searchsorted(ref, cls[size - 1])) + 1)
-        assert np.array_equal(table.residue_class(a, b), cls[:size])
+        assert np.array_equal(_class(table, a, b), cls[:size])
         for p_min in (2, 5):
             start = table.index(p_min)
             got = _sum.term_sum(term, table.residue_blocks(a, b, start))
             want = cls[:size][np.searchsorted(cls[:size], p_min):]
-            assert got == _sum.term_sum(term, want.astype(np.int32))
+            assert got == _sum.term_sum(term, [want])
             sizes = [blk.size for blk in table.residue_blocks(a, b, start)]
             assert sizes[:-1] == [CHUNK] * (len(sizes) - 1)

@@ -5,6 +5,7 @@ closed forms re-derived independently inside the tests.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -153,11 +154,26 @@ def test_p_ell_sum_equals_the_full_column_sum(ell):
     x = pf / (pf + 1.0) ** 2
     column = (pf - 1.0) * np.log(pf) / (pf + 1.0) * x ** ell
     assert series.p_ell_sum(ell, table) == chunked_sum(column)
-    for cls in ((1, 3), (2, 3)):
-        p = table.residue_class(*cls).astype(np.float64)
+    for a, b in ((1, 3), (2, 3), (1, 4), (3, 4)):
+        p = table.primes[table.primes % b == a].astype(np.float64)
         x = p / (p + 1.0) ** 2
         column = (p - 1.0) * np.log(p) / (p + 1.0) * x ** ell
-        assert series.p_ell_sum(ell, table, cls=cls) == chunked_sum(column)
+        assert series.p_ell_sum(ell, table, cls=(a, b)) == \
+            chunked_sum(column)
+
+
+def test_p_ell_sum_streams_the_table():
+    # a block of terms at a time: a column of the 664,579 primes below
+    # 10^7 takes 5.3 MB, and the sum built several
+    table = get_table(10 ** 7)
+    series.p_ell_sum(2, table)
+    tracemalloc.start()
+    try:
+        series.p_ell_sum(2, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 def test_hecke_power_expansion_reconstructs_powers():

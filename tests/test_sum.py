@@ -68,7 +68,7 @@ def test_block_passes_reuse_their_temporaries_after_a_small_sieve():
 @pytest.mark.parametrize("head,rest", [(3, 2 * _sum.CHUNK + 5), (0, 10),
                                        (2, _sum.CHUNK - 2), (1, 0), (0, 0)])
 def test_term_sum_with_a_head_is_the_sum_of_the_joined_primes(head, rest):
-    # the head tops the first block up from the rest, so the blocks, and
+    # chunks tops the head's block up from the rest, so the blocks, and
     # with them the bits of the sum, are those of the joined array
     p_int = primes.first_n_primes(head + rest + 1).primes
     heads, tail = p_int[:head], p_int[head + 1:head + 1 + rest]
@@ -76,8 +76,8 @@ def test_term_sum_with_a_head_is_the_sum_of_the_joined_primes(head, rest):
     def term(blk):
         return blk.lp / (blk.pp - 1.0)
 
-    assert _sum.term_sum(term, tail, head=heads) == _sum.term_sum(
-        term, np.concatenate((heads, tail)))
+    assert _sum.term_sum(term, (heads, tail)) == \
+        _sum.term_sum(term, [np.concatenate((heads, tail))])
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

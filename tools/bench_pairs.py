@@ -21,10 +21,12 @@ cold bytecode, platform); per workload every run and, per metric, the
 medians, the parent's quartiles, the pairs the change won and the change
 in per cent; the claim, judged by RULE, and whether its median gain
 is past the metric's bound; notes that hold every median against its
-bound; and the Tier-1 pass count, wall time and peak RSS of each tree.  Quartiles are the inclusive ones (numpy's linear
-percentiles).  The runs are written out before anything is judged, and
-a metric missing from a failed run has no summary: a claim on it is not
-met, as is one whose change failed more operations than its parent.
+bound; and the Tier-1 pass count, wall time and peak RSS of each tree,
+beside its line counts of src/ldl/*.py and tests/*.py.  Quartiles are
+the inclusive ones (numpy's linear percentiles).  The runs are written
+out before anything is judged, and a metric missing from a failed run
+has no summary: a claim on it is not met, as is one whose change failed
+more operations than its parent.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from pathlib import Path
 RULE = ("change better in at least 9 of 10 pairs, and the median gap "
         "larger than the parent's interquartile range")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+SIZED = ("src/ldl/*.py", "tests/*.py")
 SIDES = ("parent", "change")
 SEEDS = range(21, 31)
 MIN_PAIRS = 10
@@ -196,6 +199,14 @@ def tier1(tree: Path) -> dict:
             "summary": tail}
 
 
+def lines(tree: Path) -> dict:
+    """The lines of the files of each SIZED pattern in tree, as
+    `cat PATTERN | wc -l` counts them."""
+    return {pattern: sum(path.read_bytes().count(b"\n")
+                         for path in tree.glob(pattern))
+            for pattern in SIZED}
+
+
 def machine() -> dict:
     """nproc, Python, numpy and the SIMD targets its dispatch uses here
     (which decide the bits the Tier-1 pins hold), the C library (whose
@@ -285,7 +296,9 @@ def main() -> int:
                            for side in SIDES},
                 "runs": runs[w]}
             doc["notes"][w] = []
-        tier1_rows = {side: tier1(work / where[side]) for side in SIDES}
+        tier1_rows = {side: {**tier1(work / where[side]),
+                             "lines": lines(work / where[side])}
+                      for side in SIDES}
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
