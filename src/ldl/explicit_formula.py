@@ -201,9 +201,10 @@ def builtin_test_pair(name: str, sigma: float | None = None
 # digamma and the conductor term
 
 def digamma(x: float) -> float:
-    """psi(x) for x > 0 by recurrence + asymptotic series (12+ digits)."""
-    if x <= 0:
-        raise DomainError("digamma implemented for x > 0 only")
+    """psi(x) for a finite x > 0 by recurrence + asymptotic series (12+
+    digits)."""
+    if not 0 < x < math.inf:
+        raise DomainError("digamma implemented for finite x > 0 only")
     acc = 0.0
     while x < 12.0:
         acc -= 1.0 / x
@@ -224,8 +225,8 @@ def conductor_weight(k: int) -> float:
 def conductor_term(k: int, N: float, R: float,
                    phi: TestFunctionPair) -> float:
     """phihat(0) (log N + A(k)) / log R."""
-    if N <= 0 or R <= 1:
-        raise DomainError("need N > 0 and R > 1")
+    if not (0 < N < math.inf and 1 < R < math.inf):
+        raise DomainError("need finite N > 0 and R > 1")
     return phi.phihat0 * (math.log(N) + conductor_weight(k)) / math.log(R)
 
 
@@ -234,9 +235,12 @@ def conductor_term(k: int, N: float, R: float,
 
 def m3_remainder(lam: float, p: int) -> float:
     """Closed form of sum_{m>=3} [(alpha/sqrt p)^m + (beta/sqrt p)^m] with
-    alpha+beta = lam*sqrt(p), alpha*beta = p, |lam| <= 2."""
-    if abs(lam) > 2:
-        raise DomainError("|lambda| must be <= 2")
+    alpha+beta = lam*sqrt(p), alpha*beta = p, for a finite |lam| <= 2 and
+    an integer p >= 2."""
+    if not abs(lam) <= 2:
+        raise DomainError("|lambda| must be finite and <= 2")
+    if integer(p, "p") < 2:
+        raise DomainError("p must be >= 2")
     sp = math.sqrt(p)
     return (lam ** 3 * sp - lam ** 2 - 3 * lam * sp + 2) / \
         (p * (p + 1 - lam * sp))

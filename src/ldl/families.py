@@ -34,7 +34,12 @@ primes; a_tilde, h_factor and closed_form_moment are views of one prime.
 A complete sum over t mod p depends only on the multiset of traces
 a_t(p): each entry's trace_histograms gives, per prime, the traces with
 their numbers of good and of bad t, the moments are their exact power sums
-(_power_sums) and Atilde(p) one recipe over them (_a_tildes).  The traces:
+(_power_sums) and Atilde(p) one recipe over them (_a_tildes).  No row
+lists a nonzero trace twice: a non-CM row has one column per a in [-h, h],
+a brute-force row is one np.unique, and the class traces of a CM row are
+distinct, since two equal ones would force p = n^2, 2n^2 or 3n^2 (a sextic
+row's lie among +-(2a - b), +-(a + b), +-(2b - a) with pi = a + b omega, a
+quartic row's are +-2a and +-2b with a^2 + b^2 = p).  The traces:
 
 * CM built-ins, O(log p) per prime as int64 array code over a block of
   primes: the trace of each twist y^2 = x^3 + c (resp. y^2 = x^3 - Dx) is
@@ -55,9 +60,11 @@ their numbers of good and of bad t, the moments are their exact power sums
   correlation per class of A(t), at most five, each halved by the same
   symmetry and read out before the next takes the same workspace.
 
-Root counts nu_D(p^k) use Hensel lifting whenever the roots of D mod p are
-simple, and a scan of t mod p^k otherwise; nu_D(d) is their product over
-the prime powers of d, and _sieve_block reads a built-in's n_bad instead.
+Root counts nu_D(p^k) count the distinct roots of D mod p once, as the
+degree of gcd(D, x^p - x) over F_p, for any degree and any p, and lift them
+by Hensel whenever they are simple; otherwise they scan t mod p^k.  nu_D(d)
+is their product over the prime powers of d, and _sieve_block reads a
+built-in's n_bad instead.
 The sieve part of H_{D,k}(p) is _sieve_block's float64 nu/(p^k - nu) over
 a _sum.Block of primes; sieve_weights and every consumer read it.
 
@@ -345,8 +352,7 @@ class _BruteForce:
                 np.bincount(at[~good], minlength=traces.size))])
         return _stack_histograms(rows)
 
-    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
-        return _a_tildes(p_int, self.trace_histograms(p_int))
+    a_tildes = _Builtin.a_tildes
 
     def moments(self, blk):
         sums = _power_sums(self.trace_histograms(blk.p_int), 4)
@@ -440,7 +446,11 @@ def read_config(path) -> bytes:
 # Fourier coefficients and reduction type
 
 def a_t_p(fam: FamilySpec, t: int, p: int) -> int:
-    """a_t(p) = -sum_x legendre(x^3 + A(t)x + B(t), p), for all t."""
+    """a_t(p) = -sum_x legendre(x^3 + A(t)x + B(t), p), for all integers
+    t; DomainError unless p is a prime."""
+    t = integer(t, "t")
+    if not is_prime(integer(p, "p")):
+        raise DomainError(f"a_t(p) needs a prime p, got {p}")
     if p in fam.forced_zero_primes:
         return 0
     if p == 2:
@@ -459,9 +469,10 @@ def _a_for_coefficients(a: int, b: int, p: int) -> int:
 
 
 def reduction_type(fam: FamilySpec, t: int, p: int) -> str:
-    """good / additive / split / nonsplit at p (p >= 5, minimal t)."""
-    if p < 5:
-        raise DomainError("reduction classification requires p >= 5")
+    """good / additive / split / nonsplit at a prime p >= 5 (minimal t)."""
+    t = integer(t, "t")
+    if integer(p, "p") < 5 or not is_prime(p):
+        raise DomainError("reduction classification requires a prime p >= 5")
     if poly_eval_mod(fam.discriminant_poly(), t % p, p) != 0:
         return "good"
     a = a_t_p(fam, t, p)
@@ -824,25 +835,19 @@ def closed_form_moment(fam, p: int, r: int, side: str = "good") -> int:
 
 def _a_tildes(p_int: np.ndarray, histograms) -> np.ndarray:
     """Atilde(p) = S / (p * sqrt p) at each prime of a block from its trace
-    histograms, S the math.fsum over the distinct good traces a, n of them
-    (equal traces of a row merged), of the float64 n*a*a*a (exact while
-    |n a^3| < 2^53, at every p below 10^6; past that the last product
-    rounds, as at 1 825 217 and 2 150 023, the first such primes of
-    rank1_36t and cm_b1_kappa1, where the tests bound the error) over
-    p + 1 - a: the one recipe of every entry's a_tildes.  Only IEEE x, /
+    histograms, S the math.fsum over the good traces a, n of them (no row
+    lists a nonzero a twice; see the module docstring), of the float64
+    n*a*a*a (exact while |n a^3| < 2^53, at every p below 10^6; past that
+    the last product rounds, as at 1 825 217 and 2 150 023, the first such
+    primes of rank1_36t and cm_b1_kappa1, where the tests bound the error)
+    over p + 1 - a: the one recipe of every entry's a_tildes.  Only IEEE x, /
     and sqrt and fsum enter, so the bits depend on the multiset of traces
     alone: not on the batching, the worker count, the order of the terms
     or numpy's SIMD dispatch."""
     traces, good, _ = histograms
-    # a = 0 adds nothing; (row, a) as one key, ascending in row, then in a
+    # a = 0 adds nothing; the terms in row order
     row, col = np.divmod(np.flatnonzero(good * traces), good.shape[1])
-    a, n = traces[row, col], good[row, col]
-    key = row * (2 * int(np.abs(a).max(initial=0)) + 1) + a
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
-    n = np.add.reduceat(n[order], first)
-    row, a = row[order][first], a[order][first].astype(np.float64)
+    a, n = traces[row, col].astype(np.float64), good[row, col]
     pf = p_int.astype(np.float64)
     terms = (n * a * a * a / (pf[row] + 1.0 - a)).tolist()
     # one run of terms per prime with any
@@ -1146,57 +1151,46 @@ def _factorize(d: int) -> dict:
     return out
 
 
-def _factor_roots_mod_p(coeffs, p: int) -> list:
-    """Roots mod p of one D factor (degree <= 2 solved directly)."""
-    c = [x % p for x in coeffs]
-    deg = max((i for i, x in enumerate(c) if x), default=0)
-    if deg == 0:
-        return []
-    if deg == 1:
-        if c[1] % p == 0:
-            return []
-        return [(-c[0] * pow(c[1], -1, p)) % p]
-    if deg == 2 and p > 2:
-        a, b, cc = c[2], c[1], c[0]
-        disc = (b * b - 4 * a * cc) % p
-        ls = legendre_symbol(disc, p)
-        if ls == -1:
-            return []
-        inv2a = pow(2 * a, -1, p)
-        if ls == 0:
-            return [(-b) * inv2a % p]
-        s = _sqrt_mod_p(disc, p)
-        return sorted({(-b + s) * inv2a % p, (-b - s) * inv2a % p})
-    if p <= _SCAN_LIMIT:
-        t = np.arange(p, dtype=np.int64)
-        return list(np.nonzero(poly_eval_mod(coeffs, t, p) == 0)[0])
-    raise ResourceError(f"cannot solve degree-{deg} factor mod {p}")
+def _mod_p(poly, p: int) -> list:
+    """An integer polynomial mod p, without trailing zeros ([] for 0)."""
+    out = [c % p for c in poly]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _sqrt_mod_p(n: int, p: int) -> int:
-    """Tonelli-Shanks square root mod an odd prime."""
-    n %= p
-    if n == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre_symbol(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+def _poly_rem(a: list, b: list, p: int) -> list:
+    """a mod b over F_p, for a nonzero b without trailing zeros."""
+    a, inv = list(a), pow(b[-1], -1, p)
+    for i in range(len(a) - len(b), -1, -1):
+        q = a[i + len(b) - 1] * inv % p
+        for j, c in enumerate(b):
+            a[i + j] = (a[i + j] - q * c) % p
+    return _mod_p(a[:len(b) - 1], p)
+
+
+def _poly_gcd(a: list, b: list, p: int) -> list:
+    """A gcd of a and b over F_p (a unit multiple of the monic one)."""
+    while b:
+        a, b = b, _poly_rem(a, b, p)
+    return a
+
+
+def _root_gcd(g: list, p: int) -> list:
+    """gcd(g, x^p - x) over F_p for a nonzero g: a unit times the product
+    of x - r over the distinct roots r of g mod p, so its degree counts
+    them.  x^p mod g by square and multiply (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, ch. 14); a g of degree <= 1 is its own."""
+    if len(g) <= 2:
+        return g
+    h = [1]
+    for bit in bin(p)[2:]:
+        h = _poly_rem(poly_mul(h, h), g, p)
+        if bit == "1":
+            h = _poly_rem([0] + h, g, p)
+    h += [0] * (2 - len(h))
+    h[1] -= 1
+    return _poly_gcd(g, _mod_p(h, p), p)
 
 
 def _scan_root_count(factors, d: int) -> int:
@@ -1213,10 +1207,11 @@ def _nu_prime_power(fam: FamilySpec, p: int, e: int) -> int:
 
     Each D factor is p^c times a factor that does not vanish mod p, so
     v_p(D(t)) = C + v_p(G(t)) with C the summed exponents c and G the
-    product of the reduced factors.  A simple root of G mod p lifts
-    uniquely to every p^j (Hensel), so when all roots are simple the count
-    is p^C times the number of roots mod p; otherwise G is scanned mod
-    p^(e-C), within _SCAN_LIMIT.
+    product of the reduced factors.  The distinct roots of G mod p number
+    deg gcd(G, x^p - x) over F_p (_root_gcd), whatever the degrees and p.
+    A simple root lifts uniquely to every p^j (Hensel), so when that gcd
+    is coprime to G' mod p the count is p^C times its degree; otherwise G
+    is scanned mod p^(e-C), within _SCAN_LIMIT.
     """
     content, reduced = 0, []
     for fac in fam.D_factors:
@@ -1232,10 +1227,10 @@ def _nu_prime_power(fam: FamilySpec, p: int, e: int) -> int:
     g_poly = [1]
     for fac in reduced:
         g_poly = poly_mul(g_poly, fac)
-    deriv = [i * c for i, c in enumerate(g_poly)][1:]
-    roots = {int(r) for fac in reduced for r in _factor_roots_mod_p(fac, p)}
-    if all(poly_eval_mod(deriv, r, p) for r in roots):
-        return p ** content * len(roots)
+    roots = _root_gcd(_mod_p(g_poly, p), p)
+    deriv = _mod_p([i * c for i, c in enumerate(g_poly)][1:], p)
+    if len(_poly_gcd(roots, deriv, p)) == 1:
+        return p ** content * (len(roots) - 1)
     if p ** e > _SCAN_LIMIT:
         raise ResourceError(
             f"non-simple root of D mod {p}: scan range exceeded")

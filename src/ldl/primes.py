@@ -357,14 +357,12 @@ def is_prime(n: int) -> bool:
 
 
 def legendre_symbol(a: int, p: int) -> int:
-    """(a/p) for odd prime p: 0 if p|a, +1 for nonzero squares, -1 otherwise."""
-    a, p = integer(a, "a"), integer(p, "p")
-    if p == 2 or p < 2:
+    """(a/p) for an odd prime p: 0 if p|a, +1 for nonzero squares, -1
+    otherwise; the Jacobi symbol, which equals it there.  DomainError for
+    any other p."""
+    if integer(p, "p") == 2 or not is_prime(p):
         raise DomainError(f"legendre_symbol needs an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+    return jacobi_symbol(a, p)
 
 
 def jacobi_symbol(a: int, n: int) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._sum import term_sum
-from .errors import DomainError
+from .errors import DomainError, integer
 
 # --------------------------------------------------------------------------
 # dense integer/rational polynomials as coefficient lists (ascending powers)
@@ -45,7 +45,7 @@ def central_binomial(n: int) -> int:
 
 def moment_sequence(kind: str, ell: int) -> int:
     """The 2*ell-th moment: Catalan for semicircle, binom(2l,l) for CM."""
-    if ell < 0:
+    if integer(ell, "ell") < 0:
         raise DomainError("ell must be >= 0")
     if kind == "sato_tate":
         return catalan(ell)
@@ -55,18 +55,14 @@ def moment_sequence(kind: str, ell: int) -> int:
 
 
 def eulerian_row(r: int) -> list[int]:
-    """Eulerian numbers <r,0>..<r,r> by the standard recurrence."""
+    """Eulerian numbers <r,0>..<r,r>, each by its closed form
+    <r,m> = sum_{j<=m} (-1)^j C(r+1, j) (m+1-j)^r (Graham, Knuth and
+    Patashnik, *Concrete Mathematics*, eq. 6.38), as Python ints."""
+    r = integer(r, "r")
     if r < 0:
         raise DomainError("r must be >= 0")
-    row = [1]
-    for n in range(1, r + 1):
-        new = [0] * (n + 1)
-        for j in range(n + 1):
-            left = row[j] if j < len(row) else 0
-            up = row[j - 1] if j >= 1 else 0
-            new[j] = (j + 1) * left + (n - j) * up
-        row = new
-    return row
+    return [sum((-1) ** j * math.comb(r + 1, j) * (m + 1 - j) ** r
+                for j in range(m + 1)) for m in range(r + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -78,7 +74,7 @@ def polylog_neg(r: int, x):
     For r >= 1 this is the Eulerian closed form
     sum_j <r,j> x^(r-j) / (1-x)^(r+1); r = 0 is the geometric series.
     """
-    if r < 0:
+    if integer(r, "r") < 0:
         raise DomainError("r must be >= 0 (use polylog of negative order)")
     xv = Fraction(x) if isinstance(x, (Fraction, int)) else x
     if abs(xv) >= 1:
@@ -111,7 +107,7 @@ def polylog_identity_check(ell: int, x: Fraction,
     """Exact check of both finite polylog combinations against their
     closed forms; `perturb` scales the right sides by (1+perturb) for
     negative-control tests."""
-    if ell < 1 or ell > 6:
+    if not 1 <= integer(ell, "ell") <= 6:
         raise DomainError("ell must be in 1..6")
     x = Fraction(x)
     if abs(x) >= 1:
@@ -183,29 +179,11 @@ def p_ell_sum(ell: int, table, cls="all") -> float:
 
 def hecke_power_expansion(r: int) -> list[int]:
     """Integer coefficients [b_{r,r}, b_{r,r-2}, ...] with
-    lambda^r = sum_k b_{r,r-2k} lambda(p^{r-2k}).
-
-    Obtained by inverting lambda(p^{m+1}) = lambda lambda(p^m) -
-    lambda(p^{m-1}): the lambda(p^m) are monic degree-m polynomials in
-    lambda (Chebyshev-like), so back-substitution is exact.
+    lambda^r = sum_k b_{r,r-2k} lambda(p^{r-2k}): the ballot numbers
+    b_{r,r-2k} = C(r, k) - C(r, k-1), the multiplicity of Sym^{r-2k} in the
+    r-th tensor power of the standard representation of SU(2).
     """
-    if not 0 <= r <= 30:
+    if not 0 <= integer(r, "r") <= 30:
         raise DomainError("r must be in 0..30")
-    # u[m] = lambda(p^m) as a polynomial in lambda, ascending coefficients
-    u = [[1], [0, 1]]
-    for m in range(1, r):
-        nxt = [0] + u[m]
-        nxt = [a - b for a, b in
-               zip(nxt, u[m - 1] + [0] * (len(nxt) - len(u[m - 1])))]
-        u.append(nxt)
-    target = [0] * r + [1]
-    coeffs = {}
-    for m in range(r, -1, -1):
-        c = target[m] if m < len(target) else 0
-        if c:
-            coeffs[m] = c
-            um = u[m] + [0] * (len(target) - len(u[m]))
-            target = [t - c * v for t, v in zip(target, um)]
-    if any(target):
-        raise AssertionError("hecke expansion back-substitution failed")
-    return [coeffs.get(r - 2 * k, 0) for k in range(r // 2 + 1)]
+    return [math.comb(r, k) - math.comb(r, k - 1) if k else 1
+            for k in range(r // 2 + 1)]

@@ -153,8 +153,9 @@ def test_digamma_matches_mpmath(x):
 
 
 def test_digamma_domain():
-    with pytest.raises(DomainError):
-        ef.digamma(0.0)
+    for x in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ef.digamma(x)
 
 
 def test_conductor_weight():
@@ -170,10 +171,10 @@ def test_conductor_term():
     got = ef.conductor_term(2, 100.0, math.exp(10.0), pair)
     want = pair.phihat0 * (math.log(100.0) + ef.conductor_weight(2)) / 10.0
     assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(DomainError):
-        ef.conductor_term(2, -1.0, math.e, pair)
-    with pytest.raises(DomainError):
-        ef.conductor_term(2, 10.0, 0.5, pair)
+    for n, r in ((-1.0, math.e), (10.0, 0.5), (math.nan, 10.0),
+                 (math.inf, 10.0), (11.0, math.inf), (11.0, math.nan)):
+        with pytest.raises(DomainError):
+            ef.conductor_term(2, n, r, pair)
 
 
 # --------------------------------------------------------------------------
@@ -205,8 +206,11 @@ def test_phihat0_integrands_rebuild_m3_remainder(lam, p):
 
 
 def test_m3_domain():
-    with pytest.raises(DomainError):
-        ef.m3_remainder(2.5, 7)
+    # |lambda| <= 2 finite, p an integer >= 2
+    for lam, p in ((2.5, 7), (math.nan, 5), (math.inf, 5), (0.5, 0),
+                   (0.5, -1), (0.5, 1), (0.5, 7.0)):
+        with pytest.raises(DomainError):
+            ef.m3_remainder(lam, p)
 
 
 # --------------------------------------------------------------------------

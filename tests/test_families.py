@@ -472,6 +472,24 @@ def test_a_tilde_is_its_clone_bit_for_bit(name):
         assert families.a_tilde(fam, p) == families.a_tilde(clone, p), p
 
 
+@pytest.mark.parametrize("name", BUILTINS + ["custom"])
+def test_no_histogram_row_lists_a_nonzero_trace_twice(name):
+    # the contract _a_tildes relies on, as it merges no equal traces: the
+    # first 20 000 primes from 5 (1 500 for the FFT kernel, 300 for the
+    # per-t tables of a custom family)
+    if name == "custom":
+        entry = families.entry_of(families.load_family(
+            {"name": "custom", "A": [1, 2], "B": [3, 0, 1],
+             "D_factors": [[1, 2], [3, 0, 1]], "k": 3}))
+    else:
+        entry = families.REGISTRY[name]
+    n = {"custom": 300, "noncm_3x12t": 1500}.get(name, 20000)
+    p_int = first_n_primes(n + 2).decode(2)
+    traces = np.sort(entry.trace_histograms(p_int)[0], axis=1)
+    twice = (traces[:, 1:] == traces[:, :-1]) & (traces[:, 1:] != 0)
+    assert not twice.any()
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 103, 997])
 def test_trace_squares_meet_birch_identity(p):
     # sum of a_{a,b}(p)^2 over the pairs (a, b) mod p: (p - 1)^2 (p + 1)
@@ -1117,6 +1135,39 @@ def test_nu_d_counts_factors_divisible_by_p():
         families.h_factor(double, 101)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-50, 50), min_size=1, max_size=5),
+                min_size=1, max_size=3),
+       st.sampled_from([p for p in range(200) if is_prime(p)]),
+       st.integers(1, 3))
+def test_nu_root_count_is_the_scan_on_drawn_factors(factors, p, e):
+    # the one root count over F_p, deg gcd(G, x^p - x), with its Hensel
+    # lift or its scan, against the scan of t mod p^e: factors of degree
+    # up to 4, with double, shared and no roots mod p
+    assume(p ** e <= 10 ** 6)
+    fam = families.FamilySpec(name="drawn", A_poly=(1,), B_poly=(0, 1),
+                              D_factors=tuple(map(tuple, factors)), k=3)
+    assert families._nu_prime_power(fam, p, e) == \
+        families._scan_root_count(fam.D_factors, p ** e)
+
+
+def test_nu_counts_cubic_roots_past_the_scan_range():
+    # no degree or size limit for simple roots: two cubic factors at the
+    # 32 primes in (10^6, 10^6 + 400), against sympy's count of the
+    # distinct linear factors of their product mod p
+    fam = families.load_family({"name": "cubics", "A": [1], "B": [0, 1],
+                                "D_factors": [[-2, 0, 0, 1], [5, 1, 0, 3]],
+                                "k": 3})
+    t = sympy.Symbol("t")
+    product = (t ** 3 - 2) * (3 * t ** 3 + t + 5)
+    primes = [p for p in range(10 ** 6, 10 ** 6 + 400) if is_prime(p)]
+    assert len(primes) == 32
+    for p in primes:
+        factors = sympy.Poly(product, t, modulus=p).factor_list()[1]
+        want = sum(1 for f, _ in factors if f.degree() == 1)
+        assert families._nu_prime_power(fam, p, 3) == want, p
+
+
 def test_h_factor_values_and_overrides():
     fam = families.get_family("cm_b1_kappa2")  # k = 3
     p = 7
@@ -1232,14 +1283,21 @@ def test_rank_bias_refuses_custom_family_past_the_cap(monkeypatch):
     lambda fam: is_prime(7.0),
     lambda fam: legendre_symbol(2, 7.0),
     lambda fam: jacobi_symbol(2, 7.0),
+    lambda fam: families.a_t_p(fam, 1.5, 7),
+    lambda fam: families.reduction_type(fam, 1, 7.0),
+    lambda fam: families.a_t_p(fam, 1, 9),
+    lambda fam: families.reduction_type(fam, 1, 9),
+    lambda fam: legendre_symbol(3, 9),
 ], ids=["sieve_window", "rank_bias", "closed_form_moment", "a_tilde",
         "h_factor", "nu_D", "moment_table_5.5", "moment_table_7.0",
         "quadratic_legendre_sum", "is_prime",
-        "legendre_symbol", "jacobi_symbol"])
+        "legendre_symbol", "jacobi_symbol", "a_t_p", "reduction_type",
+        "a_t_p_mod_9", "reduction_type_mod_9", "legendre_symbol_mod_9"])
 def test_a_float_or_string_argument_is_refused(call):
-    # a window start, prime or modulus that is not an integer, and a
-    # rank-bias X that is not a number, are DomainErrors, never a raw
-    # TypeError or an answer for the integer they round to
+    # a window start, t, prime or modulus that is not an integer, a prime
+    # that is composite, and a rank-bias X that is not a number, are
+    # DomainErrors, never a raw TypeError or an answer for the integer
+    # they round to or for the composite
     with pytest.raises(DomainError):
         call(families.get_family("cm_b1_kappa2"))
 

@@ -45,6 +45,27 @@ def test_eulerian_rows():
     assert series.eulerian_row(4) == [1, 11, 11, 1, 0]
     for r in range(1, 9):
         assert sum(series.eulerian_row(r)) == math.factorial(r)
+    # the closed form against the triangle recurrence
+    # <n,j> = (j+1)<n-1,j> + (n-j)<n-1,j-1>
+    row = [1]
+    for r in range(40):
+        assert series.eulerian_row(r) == row, r
+        row = [(j + 1) * (row[j] if j < len(row) else 0)
+               + (r + 1 - j) * (row[j - 1] if j else 0)
+               for j in range(r + 2)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: series.hecke_power_expansion(2.5),
+    lambda: series.eulerian_row(2.5),
+    lambda: series.moment_sequence("cm", 2.5),
+    lambda: series.polylog_neg(1.5, 0.5),
+    lambda: series.polylog_identity_check(1.5, 0.25),
+], ids=["hecke_power_expansion", "eulerian_row", "moment_sequence",
+        "polylog_neg", "polylog_identity_check"])
+def test_a_non_integer_order_is_refused(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_polylog_neg_exact_small_orders():
