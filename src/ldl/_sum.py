@@ -20,9 +20,9 @@ workers - 1 helper threads.  ``block_sums`` maps a caller's block
 function (terms built and reduced on one chunk, for several columns) over
 the chunks with it.  Three passes use the pool: the evaluate_S blocks on
 thread_count(threads) workers, and the lower_order_limit blocks and the
-non-CM Atilde sub-blocks (families._NonCM.a_tildes, one share of them
-per worker) on thread_count(None), so LDL_THREADS sets those (the Atilde
-main-sum cache is shared across calls).  A task that itself calls
+non-CM Atilde sub-blocks (families._NonCM.a_tildes) on
+thread_count(None), so LDL_THREADS sets those (the Atilde main-sum cache
+is shared across calls).  A task that itself calls
 ``ordered_map`` runs that map inline, so no pool opens inside a pool.
 LDL_THREADS=1 gives a serial run.  ``pool_peak`` is the most workers one
 pool ran since a caller set it to 1 (the CLI manifest's ``threads``).
@@ -35,10 +35,10 @@ mmapped buffer when that buffer is freed, and its trim threshold to twice
 that.  So this module, once per process at import, allocates and frees
 one untouched 2^24-byte buffer (``_raise_mmap_threshold``): no page of it
 is touched, and from then on every temporary below 16 MiB comes from the
-heap and is reused, whatever the process sieved.  That covers the
-temporaries of ``block_sums`` and ``term_sum`` and pocketfft's scratch
-inside the non-CM Atilde transforms, whose other large arrays each worker
-fills through out= views of one families._Workspace.  The package sets
+heap and is reused, whatever the process sieved.  This is the package's
+one memory-reuse rule: it covers the temporaries of ``block_sums`` and
+``term_sum`` and every array of the non-CM Atilde transforms
+(families._correlations), pocketfft's scratch included.  The package sets
 no malloc option.  Each thread that allocates takes a glibc arena of its
 own, and under the raised trim threshold every arena keeps a block's
 working set (6-10 MB) resident.  So a w-worker map runs on the caller and

@@ -145,28 +145,6 @@ def _resolve_family(spec: str):
     return families.load_family(data), hashlib.sha256(data).hexdigest()
 
 
-def _closed_form_failures(fam, prime_limit: int, checks: list) -> list:
-    """(p, r, side, brute, closed) wherever a built-in's closed-form moment
-    (r, side), for each of `checks` in turn, differs from the power sum of
-    the traces at every t (the brute-force entry's, never the built-in's
-    own) at a prime 5 <= p <= prime_limit; none without closed forms."""
-    if families.builtin_entry(fam) is None:
-        return []
-    table = get_table(prime_limit)
-    p_int = table.decode(table.index(5))
-    r_max = max(r for r, side in checks)
-    table = families.closed_form_table(fam, p_int, r_max)
-    sums = families._power_sums(
-        families._BruteForce(fam).trace_histograms(p_int), r_max)
-    out = []
-    for i, p in enumerate(p_int.tolist()):
-        for r, side in checks:
-            brute = sums[i][side == "bad"][r]
-            if brute != table[r, side][i]:
-                out.append((p, r, side, brute, table[r, side][i]))
-    return out
-
-
 def _prime_limit(args, default: int) -> int:
     """--prime-limit, or `default` when it is absent; DomainError below 2."""
     if args.prime_limit is not None and args.prime_limit < 2:
@@ -182,8 +160,8 @@ def cmd_family(args, argv) -> int:
     if args.verify_closed_forms:
         checks = [(r, side) for r in range(3) for side in ("good", "bad")]
         failures = [dict(zip(("p", "r", "side", "brute", "closed"), row))
-                    for row in _closed_form_failures(fam, prime_limit,
-                                                     checks)]
+                    for row in families.closed_form_failures(
+                        fam, prime_limit, checks)]
         payload = {"family": fam.name, "checked_up_to": prime_limit,
                    "failures": failures}
         _emit(payload, args, argv, t0, digest,
@@ -293,8 +271,8 @@ def _suite_appendix_b(prime_limit: int) -> list:
     for name, entry in sorted(families.REGISTRY.items()):
         checks = [(r, "good") for r in range(3)]
         checks += [(m, "bad") for m in range(7 if entry.has_bad else 3)]
-        for p, r, side, _, _ in _closed_form_failures(entry.spec, prime_limit,
-                                                      checks):
+        for p, r, side, _, _ in families.closed_form_failures(
+                entry.spec, prime_limit, checks):
             fails.append({"check": "closed_form_moment",
                           "detail": f"{name}, p={p}, r={r}, {side}"})
     rng = random.Random(1187)

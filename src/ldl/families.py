@@ -55,10 +55,14 @@ quartic row's are +-2a and +-2b with a^2 + b^2 = p).  The traces:
   at -s is (-1/p) times the trace at s, and only the shifts s < (p + 1)/2
   are transformed, at a length of about 3p/2.  Consecutive primes are
   transformed together, one row each, in sub-blocks of at most
-  _CORRELATION_BUDGET elements, on the package's pool (_map_sub_blocks).
+  _CORRELATION_BUDGET elements (_correlation_blocks), mapped in order on
+  the package's pool (_sum.ordered_map).  The kernel's arrays are plain
+  numpy temporaries: _sum's raised mmap threshold serves each of them,
+  and pocketfft's scratch, from the heap, which is the package's one
+  memory-reuse rule.
 * any other family: its traces at every t (_curve_data) from one
   correlation per class of A(t), at most five, each halved by the same
-  symmetry and read out before the next takes the same workspace.
+  symmetry and read out before the next is transformed.
 
 Root counts nu_D(p^k) count the distinct roots of D mod p once, as the
 degree of gcd(D, x^p - x) over F_p, for any degree and any p, and lift them
@@ -84,7 +88,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from ._sum import Block, ordered_map, thread_count
+from ._sum import Block, ordered_map
 from .errors import DomainError, ResourceError, VerificationError, integer
 from .primes import (CHI_2, CHI_3, CHI_M3, get_table, is_prime,
                      jacobi_symbol, legendre_symbol, legendre_symbols_vec)
@@ -148,6 +152,8 @@ class FamilySpec:
         disc = self.discriminant_poly()
         if all(c == 0 for c in disc):
             raise DomainError("discriminant is identically zero")
+        if not all(any(fac) for fac in self.D_factors):
+            raise DomainError("a D factor is identically zero")
         if not (self.k == INF or (self.k == int(self.k) and self.k >= 3)):
             raise DomainError("sieve exponent k must be >= 3 or infinite")
 
@@ -305,12 +311,13 @@ class _NonCM(_Builtin):
                 - blk.pf * blk.character(self.chi_m3))
 
     def trace_histograms(self, p_int: np.ndarray) -> tuple:
-        return _stack_histograms(_map_sub_blocks(_noncm_histograms, p_int))
+        return _stack_histograms(ordered_map(
+            _noncm_histograms, _correlation_blocks(p_int.tolist())))
 
     def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
         # each sub-block's histograms are reduced where they are made
-        return np.array([a for part in _map_sub_blocks(_a_tildes_b3, p_int)
-                         for a in part], dtype=np.float64)
+        parts = ordered_map(_a_tildes_b3, _correlation_blocks(p_int.tolist()))
+        return np.array([a for part in parts for a in part], dtype=np.float64)
 
 
 REGISTRY = {e.spec.name: e for e in (
@@ -489,9 +496,8 @@ def reduction_type(fam: FamilySpec, t: int, p: int) -> str:
 def _curve_data(fam: FamilySpec, p: int):
     """(a_values[t], good_mask[t]) for t = 0..p-1: a_t is the trace at
     s = c[t] of _correlations([p], a) at the a of its class
-    (_curve_classes), one class present at a time in one workspace, which
-    is released before the last class's traces are gathered.  A p past
-    its limit is refused before any table of length p."""
+    (_curve_classes), one class transformed at a time.  A p past its
+    limit is refused before any table of length p."""
     _check_float(p)
     good = poly_eval_mod(fam.discriminant_poly(),
                          np.arange(p, dtype=np.int64), p) != 0
@@ -501,12 +507,8 @@ def _curve_data(fam: FamilySpec, p: int):
             raise DomainError(
                 "p = 2 requires a forced-zero designation for this family")
         coefficients, cls, c = _curve_classes(fam, p)
-        classes = np.flatnonzero(np.bincount(cls)).tolist()
-        ws = _Workspace(_block_elements(1, p))
-        for i in classes:
-            row = _correlations([p], coefficients[i], ws)[0]
-            if i == classes[-1]:
-                del ws      # the row keeps its own buffer, not the rest
+        for i in np.flatnonzero(np.bincount(cls)).tolist():
+            row = _correlations([p], coefficients[i])[0]
             on = cls == i
             a_vals[on] = row[c[on]]
     return a_vals, good
@@ -830,6 +832,27 @@ def closed_form_moment(fam, p: int, r: int, side: str = "good") -> int:
     return closed_form_table(fam, [p], r if side == "bad" else 0)[r, side][0]
 
 
+def closed_form_failures(fam, prime_limit: int, checks: list) -> list:
+    """(p, r, side, brute, closed) wherever a built-in's closed-form moment
+    (r, side), for each of `checks` in turn, differs from the power sum of
+    the traces at every t (the brute-force entry's, never the built-in's
+    own) at a prime 5 <= p <= prime_limit; none without closed forms."""
+    if builtin_entry(fam) is None:
+        return []
+    table = get_table(prime_limit)
+    p_int = table.decode(table.index(5))
+    r_max = max(r for r, side in checks)
+    table = closed_form_table(fam, p_int, r_max)
+    sums = _power_sums(_BruteForce(fam).trace_histograms(p_int), r_max)
+    out = []
+    for i, p in enumerate(p_int.tolist()):
+        for r, side in checks:
+            brute = sums[i][side == "bad"][r]
+            if brute != table[r, side][i]:
+                out.append((p, r, side, brute, table[r, side][i]))
+    return out
+
+
 # --------------------------------------------------------------------------
 # the cubic-moment quantity Atilde
 
@@ -862,8 +885,8 @@ def _a_tildes(p_int: np.ndarray, histograms) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def _smooth_length(m: int) -> int:
     """The least 5-smooth n = 2^i 3^j 5^k >= m, a length that numpy's FFT
-    factors into radix-2, -3 and -5 passes.  Memoized: the cutting, the
-    workspace and the transform of one sub-block each ask for its length."""
+    factors into radix-2, -3 and -5 passes.  Memoized: the cutting and the
+    transform of one sub-block each ask for its length."""
     best = 1 << max(m - 1, 0).bit_length()
     odd5 = 1
     while odd5 < best:
@@ -881,36 +904,6 @@ def _smooth_length(m: int) -> int:
 _CORRELATION_BUDGET = 1 << 16
 
 
-class _Workspace:
-    """The flat buffers of _correlations, reused from one call to the next
-    (a worker's sub-blocks, a per-t table's classes) so that its large
-    temporaries are allocated, and page-faulted, once per workspace.
-
-    take(name, shape, dtype) is a C-contiguous view of the first elements
-    of the buffer called name; the data of the last view of a name is
-    dead once the name is taken again.  A buffer is made on its first take
-    with room for max(size, the elements asked for) and is made again,
-    larger, only when a take asks for more than it holds; arange(m) is
-    range(m) as float64, from one buffer filled once."""
-
-    def __init__(self, size: int = 0):
-        self.size, self._buffers = size, {}
-
-    def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        need = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < need:
-            buf = self._buffers[name] = np.empty(max(need, self.size), dtype)
-        return buf[:need].reshape(shape)
-
-    def arange(self, m: int) -> np.ndarray:
-        buf = self._buffers.get("arange")
-        if buf is None or buf.size < m:
-            buf = self._buffers["arange"] = np.arange(
-                max(m, self.size), dtype=np.float64)
-        return buf[:m]
-
-
 #: the primes below which _exact_mod is exact on every residue grid of
 #: the trace kernel, whose values stay below p^2 + 12p < 2^53
 FLOAT_PRIME_LIMIT = 1 << 26
@@ -923,18 +916,15 @@ def _check_float(p: int) -> None:
             "residues of the trace correlation lose exactness")
 
 
-def _exact_mod(v: np.ndarray, p: np.ndarray, scratch: np.ndarray) -> None:
-    """v mod p in place, for integer-valued float64 0 <= v < 2^53 and a
-    float64 column of primes p: the quotient v / p then rounds to the
-    right side of every integer, so v - p floor(v / p) is exact, at about
-    half the cost of an int64 remainder."""
-    q = np.divide(v, p, out=scratch)
-    np.floor(q, out=q)
-    q *= p
-    v -= q
+def _exact_mod(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """v mod p, for integer-valued float64 0 <= v < 2^53 and a float64
+    column of primes p: the quotient v / p then rounds to the right side of
+    every integer, so v - p floor(v / p) is exact, at about half the cost
+    of an int64 remainder."""
+    return v - p * np.floor(v / p)
 
 
-def _correlations(ps: list, a: int, ws: _Workspace) -> np.ndarray:
+def _correlations(ps: list, a: int) -> np.ndarray:
     """The trace of y^2 = x^3 + ax + s at every s < p in O(p log p), for
     each p of an ascending list of primes below FLOAT_PRIME_LIMIT: an
     int64 array with one row per prime, row r holding -corr[s] at s < p_r
@@ -954,10 +944,7 @@ def _correlations(ps: list, a: int, ws: _Workspace) -> np.ndarray:
     releases the GIL for the whole batch.  The tiled -chi is built
     directly, 1 off the squares x^2 and x^2 + p, and the residues are
     exact float64 arithmetic (_exact_mod).  The correlation is an integer
-    at every shift, so any rounding slack of 1/4 or more is an error.
-
-    The grids and transforms, the returned traces included, are views of
-    ws."""
+    at every shift, so any rounding slack of 1/4 or more is an error."""
     top = ps[-1]
     _check_float(top)
     half, width = (top + 1) // 2, (3 * top - 1) // 2
@@ -968,27 +955,19 @@ def _correlations(ps: list, a: int, ws: _Workspace) -> np.ndarray:
     on = np.arange(rows)[:, None]
     # float64 operands throughout: numpy casts an int64 one through a buffer
     onf = on.astype(np.float64)
-    x = ws.arange(half)
-    x2 = np.multiply(x, x, out=ws.take("rint", (rows, half), np.float64))
-    _exact_mod(x2, pf, ws.take("chi", (rows, half), np.float64))
-    value = np.add(x2, a % p, out=ws.take("hist", (rows, half), np.float64))
-    value *= x
-    _exact_mod(value, pf, ws.take("chi", (rows, half), np.float64))
+    x = np.arange(half, dtype=np.float64)
+    x2 = _exact_mod(x * x, pf)
+    value = _exact_mod((x2 + a % p) * x, pf)
     # row r counts v in bin r (top + 1) + v and -v in bin r (top + 1) +
     # p_r - v, so that -0 lands in bin p_r, added to bin 0 below; a column
     # x >= (p_r + 1)/2 repeats a residue up to sign, so it is counted in a
     # spare last bin, as is x = 0 among the -v
     stride = top + 1
-    value += stride * onf
-    bins = ws.take("value", (rows, 2, half), np.int64)
-    np.copyto(bins[:, 0], value, casting="unsafe")
-    np.subtract(p + 2 * stride * on, bins[:, 0], out=bins[:, 1])
-    np.copyto(bins, rows * stride, where=np.greater_equal(
-        x, (pf[:, None] + 1.0) / 2.0,
-        out=ws.take("past", (rows, 1, half), bool)))
+    value = (value + stride * onf).astype(np.int64)
+    bins = np.stack((value, p + 2 * stride * on - value), axis=1)
+    np.copyto(bins, rows * stride, where=x >= (pf[:, None] + 1.0) / 2.0)
     bins[:, 1, 0] = rows * stride
-    hist = ws.take("hist", (rows, n), np.float64)
-    hist[:, stride:] = 0.0
+    hist = np.zeros((rows, n))
     hist[:, :stride] = np.bincount(bins.ravel(), minlength=rows * stride + 1
                                    )[:-1].reshape(rows, stride)
     hist[on, 0] += hist[on, p]
@@ -997,33 +976,25 @@ def _correlations(ps: list, a: int, ws: _Workspace) -> np.ndarray:
     # shift s < (p_r + 1)/2 reads; a square x^2 + p_r past the tile marks
     # column (3 p_r - 1)/2 instead, in the tail or in a last spare column,
     # which the rfft drops where n = (3 top - 1)/2 (else it pads with 0).
-    # The value grid is spent: its buffer takes the squares, contiguous,
-    # so that numpy scatters through them without a buffer of its own
-    chi = ws.take("chi", (rows, width + 1), np.float64)
-    chi[...] = 1.0
-    x2[:, 1:] += (width + 1) * onf
-    squares = ws.take("value", (2, rows, half - 1), np.int64)
-    np.copyto(squares[0], x2[:, 1:], casting="unsafe")
-    np.add(squares[0], p, out=squares[1])
-    np.minimum(squares[1], (3 * p - 1) // 2 + (width + 1) * on,
-               out=squares[1])
+    # The squares are one contiguous int64 array, so that numpy scatters
+    # through them without a buffer of its own
+    chi = np.ones((rows, width + 1))
+    x2 = (x2[:, 1:] + (width + 1) * onf).astype(np.int64)
+    squares = np.stack((x2, np.minimum(x2 + p, (3 * p - 1) // 2
+                                       + (width + 1) * on)))
     chi.ravel()[squares] = -1.0
     chi[:, 0] = 0.0
     chi[on[:, 0], ps] = 0.0
-    spectrum = np.fft.rfft(hist, axis=1, out=ws.take(
-        "spectrum", (rows, n // 2 + 1), np.complex128))
-    np.conjugate(spectrum, out=spectrum)
-    spectrum *= np.fft.rfft(chi, n, axis=1, out=ws.take(
-        "chi spectrum", (rows, n // 2 + 1), np.complex128))
-    # the histogram is spent: its buffer takes the correlation
-    corr = np.fft.irfft(spectrum, n, axis=1, out=hist)[:, :half]
-    traces = np.rint(corr, out=ws.take("rint", (rows, half), np.float64))
+    spectrum = np.conjugate(np.fft.rfft(hist, axis=1))
+    spectrum *= np.fft.rfft(chi, n, axis=1)
+    corr = np.fft.irfft(spectrum, n, axis=1)[:, :half]
+    traces = np.rint(corr)
     corr -= traces
     bad = np.flatnonzero(np.abs(corr, out=corr).max(axis=1) >= 0.25)
     if bad.size:
         raise VerificationError(
             f"fft correlation not integral at {ps[bad[0]]}")
-    out = ws.take("traces", (rows, top), np.int64)
+    out = np.empty((rows, top), dtype=np.int64)
     np.copyto(out[:, :half], traces, casting="unsafe")
     # trace(p - s) = chi(-1) trace(s) past each row's half, 0 past p
     for r, q in enumerate(ps):
@@ -1050,14 +1021,14 @@ def _correlation_blocks(ps: list) -> list:
     return blocks
 
 
-def _noncm_histograms(ps: list, ws: _Workspace) -> tuple:
+def _noncm_histograms(ps: list) -> tuple:
     """The trace histograms of noncm_3x12t at each prime of an ascending
-    list: a_t is the trace at s = 12t of _correlations(ps, -3, ws), so the
+    list: a_t is the trace at s = 12t of _correlations(ps, -3), so the
     bad t, 6t = 1 and -1, are the shifts s = 2 and -2.  A trace outside the
     Hasse range |a| <= floor(2 sqrt p) is an error.  One bincount over the
     rows, each offset by its row, less the zero padding past each prime;
     the traces are spent."""
-    traces = _correlations(ps, -3, ws)
+    traces = _correlations(ps, -3)
     rows, top = traces.shape
     h = np.array([math.isqrt(4 * q) for q in ps], dtype=np.int64)
     bad = np.flatnonzero((traces.max(axis=1) > h) | (traces.min(axis=1) < -h))
@@ -1076,36 +1047,11 @@ def _noncm_histograms(ps: list, ws: _Workspace) -> tuple:
     return np.broadcast_to(np.arange(-h, h + 1), bad.shape), good, bad
 
 
-def _block_elements(rows: int, top: int) -> int:
-    """rows x (n + 1), n = _smooth_length((3 top - 1)/2): the elements
-    that bound each array of one _correlations (the widest, the tiled chi,
-    has (3 top + 1)/2 <= n + 1 columns), so that no buffer of a workspace
-    of that size grows."""
-    return rows * (_smooth_length((3 * top - 1) // 2) + 1)
-
-
-def _a_tildes_b3(ps: list, ws: _Workspace) -> list:
+def _a_tildes_b3(ps: list) -> list:
     """Atilde(p) for noncm_3x12t at each prime of one sub-block, in
-    O(p log p) each from one batched _correlations, in ws."""
+    O(p log p) each from one batched _correlations."""
     return _a_tildes(np.array(ps, dtype=np.int64),
-                     _noncm_histograms(ps, ws)).tolist()
-
-
-def _map_sub_blocks(fn, p_int: np.ndarray) -> list:
-    """[fn(ps, ws) for each sub-block ps of an ascending block] on the
-    package's pool: each worker takes every w-th one in one workspace,
-    sized so that no buffer grows, and block i comes back as the
-    (i // w)-th of share i % w."""
-    blocks = _correlation_blocks(p_int.tolist())
-    w = max(1, min(thread_count(), len(blocks)))
-
-    def share(part):
-        ws = _Workspace(max((_block_elements(len(b), b[-1]) for b in part),
-                            default=0))
-        return [fn(b, ws) for b in part]
-
-    shares = ordered_map(share, [blocks[k::w] for k in range(w)])
-    return [shares[i % w][i // w] for i in range(len(blocks))]
+                     _noncm_histograms(ps)).tolist()
 
 
 def a_tilde(fam: FamilySpec, p: int) -> float:
@@ -1121,9 +1067,19 @@ def a_tilde(fam: FamilySpec, p: int) -> float:
 # --------------------------------------------------------------------------
 # nu_D, H_{D,k}, and power-free sieving
 
+def _integer_root(m: int, e: int) -> int:
+    """floor(m^(1/e)) for integers m, e >= 1, by Newton's method from
+    above, exact at any size."""
+    x = 1 << -(-m.bit_length() // e)
+    while (y := ((e - 1) * x + m // x ** (e - 1)) // e) < x:
+        x = y
+    return x
+
+
 def _factorize(d: int) -> dict:
     """Prime factorization by trial division up to 10^5; past that, the
-    cofactor must be a prime power."""
+    cofactor must be a prime power, its root taken in integers; else
+    ResourceError."""
     out = {}
     m = d
     for q in (2, 3, 5, 7, 11, 13):
@@ -1138,15 +1094,11 @@ def _factorize(d: int) -> dict:
         q += 2
     if m > 1:
         for e in range(6, 0, -1):
-            root = round(m ** (1.0 / e))
-            for cand in (root - 1, root, root + 1):
-                if cand > 1 and cand ** e == m and is_prime(cand):
-                    out[cand] = out.get(cand, 0) + e
-                    m = 1
-                    break
-            if m == 1:
+            root = _integer_root(m, e)
+            if root ** e == m and is_prime(root):
+                out[root] = e
                 break
-        if m > 1:
+        else:
             raise ResourceError(f"cannot factor {d} for nu_D")
     return out
 
@@ -1215,8 +1167,6 @@ def _nu_prime_power(fam: FamilySpec, p: int, e: int) -> int:
     """
     content, reduced = 0, []
     for fac in fam.D_factors:
-        if not any(fac):
-            return p ** e
         while all(c % p == 0 for c in fac):
             fac = tuple(c // p for c in fac)
             content += 1

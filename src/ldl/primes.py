@@ -327,16 +327,19 @@ def first_n_primes(n: int) -> PrimeTable:
 # --------------------------------------------------------------------------
 # primality / symbols
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17)  # deterministic below 3.3e14
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # first 13
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below 3.3e14; DomainError for an n
-    that is not an integer."""
+    """Miller-Rabin to the first 13 primes as bases: deterministic below
+    psi_13 = 3317044064679887385961981, the least strong pseudoprime to
+    all of them (Sorenson & Webster, Math. Comp. 86, 2017), and a strong
+    probable-prime test past it.  DomainError for an n that is not an
+    integer."""
     n = integer(n, "n")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0

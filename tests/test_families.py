@@ -443,10 +443,9 @@ def test_a_tildes_within_their_rounding_past_the_exact_numerator(
         merged[a] += n
     assert max(abs(n * a ** 2) for a, n in merged.items()) < 2 ** 53
     assert max(abs(n * a ** 3) for a, n in merged.items()) >= 2 ** 53
-    # the oracle's per-t table holds one transform at a time, its class
-    # tables only, and its workspace only while a later class needs it:
-    # a traced peak of about 270 MiB at 1825217 (five classes of A(t))
-    # and 300 MiB at 2150023 (one class)
+    # the oracle's per-t table holds one transform at a time and its class
+    # tables only: a traced peak of about 213 MiB at 1825217 (five classes
+    # of A(t)) and 232 MiB at 2150023 (one class)
     peaks, curve_data = [], families._curve_data
 
     def traced(fam, q):
@@ -495,12 +494,11 @@ def test_trace_squares_meet_birch_identity(p):
     # sum of a_{a,b}(p)^2 over the pairs (a, b) mod p: (p - 1)^2 (p + 1)
     # over those with 4a^3 + 27b^2 != 0, and p^2 (p - 1) over all of them
     # (each of the p - 1 nodal pairs adds 1, the cusp (0, 0) adds 0).  One
-    # _correlations per a, all in one workspace
-    ws = families._Workspace()
+    # _correlations per a
     b = np.arange(p, dtype=np.int64)
     smooth = total = 0
     for a in range(p):
-        squares = families._correlations([p], a, ws)[0] ** 2
+        squares = families._correlations([p], a)[0] ** 2
         disc = (4 * a ** 3 + 27 * b * b) % p
         smooth += int(squares[disc != 0].sum())
         total += int(squares.sum())
@@ -650,7 +648,7 @@ def test_entries_of_one_moment_law_have_the_same_moment_columns():
 def _a_tilde_b3(p: int) -> float:
     """Atilde(p) of noncm_3x12t: the batched kernel on a block of one
     prime."""
-    return families._a_tildes_b3([p], families._Workspace())[0]
+    return families._a_tildes_b3([p])[0]
 
 
 def _a_tilde_b3_prime_length(p: int) -> float:
@@ -709,9 +707,8 @@ def test_a_tilde_b3_checks_its_correlation(monkeypatch, shift, match):
     p = 101
     h = math.isqrt(4 * p)
 
-    def irfft(spectrum, n, axis, out):
-        out[...] = -(h + shift)
-        return out
+    def irfft(spectrum, n, axis, out=None):
+        return np.full((spectrum.shape[0], n), -(h + shift))
 
     monkeypatch.setattr(np.fft, "irfft", irfft)
     with pytest.raises(VerificationError, match=match):
@@ -719,14 +716,14 @@ def test_a_tilde_b3_checks_its_correlation(monkeypatch, shift, match):
     if match == "not integral":
         # the kernel behind every trace table refuses it for any curve
         with pytest.raises(VerificationError, match=match):
-            families._correlations([p], 0, families._Workspace())
+            families._correlations([p], 0)
 
 
 def _a_tilde_b3_one_prime(p: int) -> float:
     """Atilde(p) of noncm_3x12t one prime at a time: one correlation at
     the prime's own length, its traces at 12t for each good t, and the
     recipe over them."""
-    traces = families._correlations([p], -3, families._Workspace())[0]
+    traces = families._correlations([p], -3)[0]
     assert np.max(np.abs(traces)) <= math.isqrt(4 * p)
     inv6 = pow(6, -1, p)
     a_vals = np.delete(traces[np.arange(0, 12 * p, 12) % p], [inv6, p - inv6])
@@ -740,7 +737,7 @@ def test_a_sub_block_names_the_prime_that_fails_a_check(monkeypatch):
     real = np.fft.irfft
 
     def spoiled(row, col, value):
-        def irfft(spectrum, n, axis, out):
+        def irfft(spectrum, n, axis, out=None):
             out = real(spectrum, n, axis=axis, out=out)
             out[row, col] = value
             return out
@@ -748,11 +745,11 @@ def test_a_sub_block_names_the_prime_that_fails_a_check(monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", spoiled(1, 5, 0.5))
     with pytest.raises(VerificationError, match="not integral at 103"):
-        families._a_tildes_b3(ps, families._Workspace())
+        families._a_tildes_b3(ps)
     monkeypatch.setattr(np.fft, "irfft",
                         spoiled(2, 7, -(math.isqrt(4 * 107) + 1.0)))
     with pytest.raises(VerificationError, match="Hasse range at 107"):
-        families._a_tildes_b3(ps, families._Workspace())
+        families._a_tildes_b3(ps)
 
 
 @pytest.fixture(scope="module")
@@ -794,12 +791,10 @@ def test_correlation_blocks_cover_the_primes_within_the_budget():
     assert families._correlation_blocks([]) == []
 
 
-def test_a_workspace_leaves_no_stale_data():
-    # one workspace in one thread: a many-row sub-block, a one-row one, a
-    # prime whose length alone passes the budget, so that its buffers
-    # grow, and a small sub-block again; each result is that of a fresh
-    # workspace one prime at a time
-    ws = families._Workspace()
+def test_consecutive_sub_blocks_of_different_shapes_match_one_prime():
+    # consecutive sub-blocks in one thread: a many-row one, a one-row one,
+    # a prime whose length alone passes the budget, and a small one again;
+    # each result is that of one transform per prime at its own length
     many = families._correlation_blocks(
         [int(q) for q in get_table(3000).primes if q >= 1000])[0]
     small = families._correlation_blocks(
@@ -809,23 +804,23 @@ def test_a_workspace_leaves_no_stale_data():
     assert families._smooth_length((3 * big - 1) // 2) > \
         families._CORRELATION_BUDGET
     for block in (many, [1999], [big], small):
-        assert families._a_tildes_b3(block, ws) == \
+        assert families._a_tildes_b3(block) == \
             [_a_tilde_b3_one_prime(p) for p in block], block
-    # the same workspace again: every trace against an O(p) point count,
-    # for one a at many primes, then one a at a time at one prime
-    traces = families._correlations(small, -3, ws)
+    # then every trace against an O(p) point count, for one a at many
+    # primes, then one a at a time at one prime
+    traces = families._correlations(small, -3)
     for row, p in enumerate(small):
         assert traces[row, :p].tolist() == [
             families._a_for_coefficients(-3, s, p) for s in range(p)]
         assert not traces[row, p:].any()
     for a in (2, 0, 5, -3):
-        assert families._correlations([53], a, ws).tolist() == [
+        assert families._correlations([53], a).tolist() == [
             [families._a_for_coefficients(a, s, 53) for s in range(53)]], a
 
 
-def test_noncm_a_tildes_release_their_workspaces(noncm_per_prime):
-    # numpy reports its data buffers to tracemalloc: the workspaces show
-    # while the call runs and are gone once it returns
+def test_noncm_a_tildes_release_their_arrays(noncm_per_prime):
+    # numpy reports its data buffers to tracemalloc: the kernel's arrays
+    # show while the call runs and are gone once it returns
     p_int = noncm_per_prime[0]
     tracemalloc.start()
     try:
@@ -863,8 +858,8 @@ def _a_tildes_minor_faults(primes_expr: str) -> int:
                     reason="ru_minflt counts minor page faults on Linux")
 def test_noncm_a_tildes_fault_their_buffers_in_once():
     # the first 1000 primes took about 95 000 minor page faults when every
-    # sub-block allocated its own temporaries, and take about 1 000 in one
-    # workspace
+    # sub-block's temporaries were mmapped afresh, and take about 900 with
+    # _sum's raised mmap threshold serving them from the heap
     assert _a_tildes_minor_faults("get_table(7933).primes[2:]") < 15000
 
 
@@ -882,14 +877,13 @@ def test_correlation_rows_mirror_their_first_half():
     # each row is transformed at s < (p + 1)/2 only and mirrored as
     # trace(-s) = (-1/p) trace(s): p = 103 = 3 (mod 4) negates, 101 does
     # not, and a = 0 (mod p) gives the CM curves y^2 = x^3 + s
-    ws = families._Workspace()
     for p in (3, 5, 101, 103):
         for a in (-3, 0, p, 1, 2, p - 1):
-            assert families._correlations([p], a, ws).tolist() == [
+            assert families._correlations([p], a).tolist() == [
                 [families._a_for_coefficients(a, s, p) for s in range(p)]
             ], (p, a)
     ps = [97, 101, 103, 107, 109]
-    traces = families._correlations(ps, 0, ws)
+    traces = families._correlations(ps, 0)
     for row, p in enumerate(ps):
         assert traces[row, :p].tolist() == [
             families._a_for_coefficients(0, s, p) for s in range(p)]
@@ -899,7 +893,7 @@ def test_correlation_rows_mirror_their_first_half():
 def test_correlations_refuse_primes_past_the_float_residues():
     limit = families.FLOAT_PRIME_LIMIT
     with pytest.raises(ResourceError, match=str(limit)):
-        families._correlations([limit + 15], -3, families._Workspace())
+        families._correlations([limit + 15], -3)
 
 
 def test_per_t_tables_refuse_primes_past_the_float_residues_unallocated():
@@ -1135,9 +1129,23 @@ def test_nu_d_counts_factors_divisible_by_p():
         families.h_factor(double, 101)
 
 
+def test_nu_d_roots_a_cofactor_past_the_float_range_in_integers():
+    # the cofactor left by trial division is the Mersenne prime 2^1279 - 1
+    # or its square, both past the float range; 6t + 1 has no root mod 3
+    # and one simple root mod 7 and mod the prime
+    fam = families.get_family("cm_b1_kappa2")
+    m = 2 ** 1279 - 1
+    assert families.nu_D(fam, 3 * m) == 0
+    assert families.nu_D(fam, 7 * m) == 1
+    assert families.nu_D(fam, m ** 2) == 1
+    # a cofactor that is no prime power is refused, not overflowed
+    with pytest.raises(ResourceError, match="cannot factor"):
+        families.nu_D(fam, 10 ** 400 + 1)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.integers(-50, 50), min_size=1, max_size=5),
-                min_size=1, max_size=3),
+@given(st.lists(st.lists(st.integers(-50, 50), min_size=1, max_size=5)
+                .filter(any), min_size=1, max_size=3),
        st.sampled_from([p for p in range(200) if is_prime(p)]),
        st.integers(1, 3))
 def test_nu_root_count_is_the_scan_on_drawn_factors(factors, p, e):
@@ -1206,6 +1214,19 @@ def test_sieve_window_invariants():
         families.sieve_window(fam, 0)
     with pytest.raises(ResourceError):
         families.sieve_window(fam, 10 ** 7 + 1)
+
+
+def test_sieve_window_of_a_quadratic_factor_is_the_cube_free_test():
+    # D = t^2 + 3, k = 3: every t of [500, 1000] against a direct test that
+    # no prime q has q^3 | D(t); 7^3 divides D(649) and D(723)
+    fam = families.load_family({"name": "square", "A": [1], "B": [0, 1],
+                                "D_factors": [[3, 0, 1]], "k": 3})
+    win = families.sieve_window(fam, 500)
+    qs = [int(q) for q in get_table(100).primes]
+    want = [all((t * t + 3) % q ** 3 for q in qs) for t in range(500, 1001)]
+    assert win.good_t.tolist() == want
+    assert win.W == sum(want) < len(want)
+    assert not win.good_t[649 - 500] and not win.good_t[723 - 500]
 
 
 def test_unsieved_family_keeps_everything():
@@ -1341,11 +1362,14 @@ _GOOD_CONFIG = {"name": "custom", "A": [0], "B": [2, 6],
     {**_GOOD_CONFIG, "k": 3.7},
     {**_GOOD_CONFIG, "k": 6.0},
     {**_GOOD_CONFIG, "forced_zero_primes": [2.5]},
+    {**_GOOD_CONFIG, "D_factors": [[0]]},
+    {**_GOOD_CONFIG, "D_factors": [[]]},
     "missing.json",
     "malformed.json",
     "list.json",
 ], ids=["A float", "B string", "D bool", "k fraction", "k float",
-        "forced float", "missing file", "malformed JSON", "JSON list"])
+        "forced float", "D zero", "D empty", "missing file",
+        "malformed JSON", "JSON list"])
 def test_load_family_accepts_only_integer_configs(tmp_path, source):
     # a config that would load as a different curve, or no config at all,
     # is a DomainError from load_family itself

@@ -110,6 +110,22 @@ def test_is_prime_matches_sympy(n):
     assert primes.is_prime(n) == sympy.isprime(n)
 
 
+@pytest.mark.parametrize("n, factor", [
+    (341550071728321, 10670053),
+    (3825123056546413051, 149491),
+    (318665857834031151167461, 399165290221),
+])
+def test_is_prime_refuses_strong_pseudoprimes_to_the_bases_up_to_17(
+        n, factor):
+    # psi_7, psi_9 and psi_12, the least strong pseudoprimes to the first
+    # 7, 9 and 12 primes as bases: each passes every base up to 17, and
+    # the first 13 primes as bases catch all three
+    assert n % factor == 0 and 1 < factor < n
+    assert not primes.is_prime(n)
+    with pytest.raises(DomainError):
+        primes.legendre_symbol(2, n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
        st.sampled_from(SOME_ODD_PRIMES))
