@@ -1218,7 +1218,8 @@ def test_sieve_window_invariants():
 
 def test_sieve_window_of_a_quadratic_factor_is_the_cube_free_test():
     # D = t^2 + 3, k = 3: every t of [500, 1000] against a direct test that
-    # no prime q has q^3 | D(t); 7^3 divides D(649) and D(723)
+    # no prime q has q^3 | D(t), where D(t) <= D(1000) < 101^3 bounds q;
+    # 7^3 divides D(649) and D(723)
     fam = families.load_family({"name": "square", "A": [1], "B": [0, 1],
                                 "D_factors": [[3, 0, 1]], "k": 3})
     win = families.sieve_window(fam, 500)
