@@ -68,7 +68,9 @@ Root counts nu_D(p^k) count the distinct roots of D mod p once, as the
 degree of gcd(D, x^p - x) over F_p, for any degree and any p, and lift them
 by Hensel whenever they are simple; otherwise they scan t mod p^k.  nu_D(d)
 is their product over the prime powers of d, and _sieve_block reads a
-built-in's n_bad instead.
+built-in's n_bad instead.  sieve_window takes each D factor f = p^c g at
+each prime p up to the k-th root of f's bound on the window, scans t mod
+p for the roots of g and tests their lifts mod p^(k-c) exactly.
 The sieve part of H_{D,k}(p) is _sieve_block's float64 nu/(p^k - nu) over
 a _sum.Block of primes; sieve_weights and every consumer read it.
 
@@ -1154,6 +1156,14 @@ def _scan_root_count(factors, d: int) -> int:
     return int(np.count_nonzero(prod == 0))
 
 
+def _strip_content(fac, p: int) -> tuple:
+    """(c, g) with fac = p^c g, g nonzero mod p (fac is not zero)."""
+    c = 0
+    while all(a % p == 0 for a in fac):
+        fac, c = tuple(a // p for a in fac), c + 1
+    return c, fac
+
+
 def _nu_prime_power(fam: FamilySpec, p: int, e: int) -> int:
     """nu_D(p^e) for a prime p.
 
@@ -1165,12 +1175,8 @@ def _nu_prime_power(fam: FamilySpec, p: int, e: int) -> int:
     is coprime to G' mod p the count is p^C times its degree; otherwise G
     is scanned mod p^(e-C), within _SCAN_LIMIT.
     """
-    content, reduced = 0, []
-    for fac in fam.D_factors:
-        while all(c % p == 0 for c in fac):
-            fac = tuple(c // p for c in fac)
-            content += 1
-        reduced.append(fac)
+    stripped = [_strip_content(fac, p) for fac in fam.D_factors]
+    content, reduced = sum(c for c, _ in stripped), [g for _, g in stripped]
     if e <= content:
         return p ** e
     e -= content
@@ -1261,53 +1267,46 @@ class SieveWindow:
     W: int
 
 
-def _mark_linear_progression(mask: np.ndarray, start: int, a: int, b: int,
-                             m: int) -> None:
-    """Clear mask entries where a*t + b = 0 mod m, t = start..start+len-1."""
-    g = math.gcd(a, m)
-    if b % g != 0:
+def _clear_roots(good, N: int, fac, p: int, k: int, dtype) -> None:
+    """Clear the t of the window with p^k | fac(t) = p^c g(t): each root r
+    of g mod p has its lifts t = r mod p in [r, r + p^(k-c)) tested in
+    dtype, and each lift with p^(k-c) | g(t) clears its class."""
+    c, g = _strip_content(fac, p)
+    if c >= k:
+        good[:] = False
         return
-    mm = m // g
-    root = (-(b // g) * pow((a // g) % mm, -1, mm)) % mm if mm > 1 else 0
-    first = (root - start) % mm
-    mask[first::mm] = False
+    m, t = p ** (k - c), np.arange(N, N + min(p, good.size))
+    for r in t[poly_eval_mod(g, t, p) == 0].tolist():
+        lifts = np.arange(r, min(r + m, 2 * N + 1), p, dtype=dtype)
+        for h in lifts[poly_eval(g, lifts) % m == 0].tolist():
+            good[h - N::m] = False
 
 
 def sieve_window(fam: FamilySpec, N: int) -> SieveWindow:
-    """Mark t in [N, 2N] whose every D factor is k-power free."""
+    """Mark t in [N, 2N] at which no D factor f has p^k | f(t), a zero
+    included.  |f| <= B = sum |c_i| (2N)^i there, so _clear_roots runs at
+    each prime p <= B^(1/k) + 1 (2 for a zero), in int64 if B < 2^63.
+    Factors are tested one by one, nu_D counts D's roots: sieve_density."""
     if integer(N, "N") < 1:
         raise DomainError("N must be >= 1")
     if N > 10 ** 7:
         raise ResourceError("window start capped at 1e7")
-    size = N + 1
-    good = np.ones(size, dtype=bool)
-    if fam.k == INF:
-        return SieveWindow(N=N, good_t=good, W=size)
-    k = int(fam.k)
-    for fac in fam.D_factors:
-        deg = len(fac) - 1
-        max_abs = max(abs(poly_eval(fac, N)), abs(poly_eval(fac, 2 * N)), 1)
-        d_max = int(round(max_abs ** (1.0 / k))) + 1
-        if deg == 1:
-            a, b = fac[1], fac[0]
-            for d in range(2, d_max + 1):
-                _mark_linear_progression(good, N, a, b, d ** k)
-        else:
-            for i in range(size):
-                if not good[i]:
-                    continue
-                v = abs(poly_eval(fac, N + i))
-                d = 2
-                while d ** k <= v:
-                    if v % d ** k == 0:
-                        good[i] = False
-                        break
-                    d += 1
+    good = np.ones(N + 1, dtype=bool)
+    k = sieve_exponent(fam)
+    for fac in fam.D_factors if k else ():
+        bound = sum(abs(c) * (2 * N) ** i for i, c in enumerate(fac))
+        dtype = np.int64 if bound < 2 ** 63 else object
+        for p in filter(is_prime, range(2, _integer_root(bound, k) + 2)):
+            if not good.any():
+                break
+            _clear_roots(good, N, fac, p, k, dtype)
     return SieveWindow(N=N, good_t=good, W=int(np.count_nonzero(good)))
 
 
 def sieve_density(fam: FamilySpec, prime_limit: int = 10 ** 3) -> float:
-    """Euler product prod_p (1 - nu_D(p^k)/p^k), the limiting W/N."""
+    """prod_p (1 - nu_D(p^k)/p^k) over p <= prime_limit: the limiting W/N
+    of sieve_window if no two D factors share a root mod p (t (t + 5) with
+    k = 3 has nu_D(125) = 10, where the window clears 2 classes mod 125)."""
     if fam.k == INF:
         return 1.0
     k = int(fam.k)

@@ -1237,6 +1237,94 @@ def test_unsieved_family_keeps_everything():
     assert families.sieve_density(fam) == 1.0
 
 
+def _window_oracle(factors, k: int, N: int) -> np.ndarray:
+    """The direct test of every t in [N, 2N]: a factor value that is zero,
+    or divisible by q^k for a prime q up to the k-th root of the factor's
+    bound sum |c_i| (2N)^i on the window, drops t.  Python ints, exact."""
+    good = np.ones(N + 1, dtype=bool)
+    for fac in factors:
+        bound = sum(abs(c) * (2 * N) ** i for i, c in enumerate(fac))
+        qs = [q for q in range(2, int(bound ** (1 / k)) + 2)
+              if is_prime(q) and q ** k <= bound]
+        for i in range(N + 1):
+            v = families.poly_eval(fac, N + i)
+            if v == 0 or any(v % q ** k == 0 for q in qs):
+                good[i] = False
+    return good
+
+
+def _drawn_family(factors, k: int):
+    return families.FamilySpec(name="drawn", A_poly=(1,), B_poly=(0, 1),
+                               D_factors=tuple(map(tuple, factors)), k=k)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(st.integers(-30, 30), min_size=1, max_size=4)
+                .filter(any), min_size=1, max_size=2),
+       st.sampled_from([3, 4]), st.integers(1, 300))
+def test_sieve_window_is_the_direct_test_on_drawn_factors(factors, k, N):
+    # one root rule for every degree, against the direct test: 1-2 factors
+    # of degree 0-3, with contents, shared, double and integer roots
+    win = families.sieve_window(_drawn_family(factors, k), N)
+    assert win.good_t.tolist() == _window_oracle(factors, k, N).tolist()
+    assert win.W == int(win.good_t.sum())
+
+
+def test_sieve_window_clears_a_zero_of_any_degree():
+    # D(1) = 0 is divisible by every p^k: t = 1 leaves the window [1, 2]
+    # for t^2 - 1 (the trial-division loop kept it) as for t - 1
+    for factor in ([-1, 0, 1], [-1, 1]):
+        fam = _drawn_family([factor], 3)
+        assert families.sieve_window(fam, 1).good_t.tolist() == [False, True]
+
+
+def test_sieve_window_is_exact_past_int64():
+    # 10^18 t^4 + 3 with k = 6 and 10^30 t^2 + 3 with k = 40 bound their
+    # values past 2^63 at N = 50, so Horner runs in Python ints; t = 0 mod
+    # 3 is a double root of both mod 3, tested mod 3^6 and 3^40
+    for factor, k in (((3, 0, 0, 0, 10 ** 18), 6), ((3, 0, 10 ** 30), 40)):
+        win = families.sieve_window(_drawn_family([factor], k), 50)
+        assert win.good_t.tolist() == \
+            _window_oracle([factor], k, 50).tolist()
+    # a content p^k clears the window at once, however large the bound
+    win = families.sieve_window(_drawn_family([(0, 0, 8 * 10 ** 40)], 3),
+                                10 ** 7)
+    assert win.W == 0
+
+
+def test_sieve_window_of_a_quadratic_factor_at_scale():
+    # D = t^2 + 3, k = 3, over [3e4, 6e4]: against q^3 | D(t) for every
+    # prime q <= 1533, the cube root of the bound (6e4)^2 + 3
+    N = 3 * 10 ** 4
+    fam = _drawn_family([(3, 0, 1)], 3)
+    win = families.sieve_window(fam, N)
+    t = np.arange(N, 2 * N + 1, dtype=np.int64)
+    vals = t * t + 3
+    want = np.ones(N + 1, dtype=bool)
+    for q in get_table(1533).primes.tolist():
+        want &= vals % q ** 3 != 0
+    assert (win.good_t == want).all()
+    assert win.W == int(want.sum()) == 29788
+
+
+def test_sieve_window_tests_each_factor_where_nu_d_counts_the_product():
+    # D = t (t + 5), k = 3: the factors share the root 0 mod 5, so nu_D
+    # counts 10 classes mod 125 where the window clears the 2 of one
+    # factor; at every other p their roots are distinct.  The window's
+    # density is sieve_density times the p = 5 ratio, within three
+    # standard errors of a sample of its size, and past ten without it
+    fam = _drawn_family([(0, 1), (5, 1)], 3)
+    assert families.nu_D(fam, 125) == 10
+    N = 10 ** 5
+    win = families.sieve_window(fam, N)
+    density = win.W / (N + 1)
+    euler = families.sieve_density(fam)
+    assert round(density, 4) == 0.677 and round(euler, 4) == 0.6329
+    sigma = math.sqrt(density * (1 - density) / (N + 1))
+    assert abs(density - euler * (1 - 2 / 125) / (1 - 10 / 125)) < 3 * sigma
+    assert abs(density - euler) > 10 * sigma
+
+
 # --------------------------------------------------------------------------
 # rank bias
 
