@@ -1309,8 +1309,8 @@ def test_sieve_window_of_a_quadratic_factor_at_scale():
 
 def test_sieve_window_tests_each_factor_where_nu_d_counts_the_product():
     # D = t (t + 5), k = 3: the factors share the root 0 mod 5, so nu_D
-    # counts 10 classes mod 125 where the window clears the 2 of one
-    # factor; at every other p their roots are distinct.  The window's
+    # counts 10 classes mod 125 where the window clears 2, one root of
+    # each factor; at every other p their roots are distinct.  The window's
     # density is sieve_density times the p = 5 ratio, within three
     # standard errors of a sample of its size, and past ten without it
     fam = _drawn_family([(0, 1), (5, 1)], 3)
