@@ -20,10 +20,10 @@ workers - 1 helper threads.  ``block_sums`` maps a caller's block
 function (terms built and reduced on one chunk, for several columns) over
 the chunks with it.  Three passes use the pool: the evaluate_S blocks on
 thread_count(threads) workers, and the lower_order_limit blocks and the
-non-CM Atilde sub-blocks (families._NonCM.a_tildes) on
-thread_count(None), so LDL_THREADS sets those (the Atilde main-sum cache
-is shared across calls).  A task that itself calls
-``ordered_map`` runs that map inline, so no pool opens inside a pool.
+non-CM trace sub-blocks (families._histogram_map) on thread_count(None),
+so LDL_THREADS sets those (the Atilde main-sum cache is shared across
+calls).  A task that itself calls ``ordered_map`` runs that map inline,
+so no pool opens inside a pool.
 LDL_THREADS=1 gives a serial run.  ``pool_peak`` is the most workers one
 pool ran since a caller set it to 1 (the CLI manifest's ``threads``).
 
@@ -37,7 +37,7 @@ one untouched 2^24-byte buffer (``_raise_mmap_threshold``): no page of it
 is touched, and from then on every temporary below 16 MiB comes from the
 heap and is reused, whatever the process sieved.  This is the package's
 one memory-reuse rule: it covers the temporaries of ``block_sums`` and
-``term_sum`` and every array of the non-CM Atilde transforms
+``term_sum`` and every array of the non-CM trace transforms
 (families._correlations), pocketfft's scratch included.  The package sets
 no malloc option.  Each thread that allocates takes a glibc arena of its
 own, and under the raised trim threshold every arena keeps a block's

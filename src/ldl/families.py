@@ -17,62 +17,62 @@ Built-in families:
 
 Every family has one entry, found by entry_of.  A built-in's is in
 REGISTRY, of one of three kinds (sextic, quartic, non-CM): it holds the
-FamilySpec, the rank, the Atilde method, the closed forms A_0, A_1, A_2,
-A'_1 and A'_2, written once as arrays over the primes, and n_bad, its
-nu_D(p^k) at every p >= 5.  Any other family gets a brute-force entry,
-whose cap, BRUTE_FORCE_CAP, only evaluate_S and rank_bias check.
-evaluate_S, a_tilde and rank_bias read the entry.  A family counts as
-built-in only when it equals the registered FamilySpec in every field, so
-a config that borrows a built-in's name takes the brute-force entry.
-Each entry's moment_law is the hashable value its moments read:
-("sextic", kappa) for a sextic twist, whatever its b, the entry itself
-for the other built-ins, and the FamilySpec for a brute-force entry, so
-a borrowed name never shares a built-in's explicit-formula sums.
+FamilySpec, the rank, `lead` (explicit_formula.lower_order_limit), the
+Atilde method, the closed forms A_0, A_1, A_2, A'_1 and A'_2, written once
+over a _sum.Block of primes p >= 5, and n_bad, its nu_D(p^k) at every
+p >= 5, which _sieve_block turns into H_sieve.  Any other family gets a
+brute-force entry, whose cap, BRUTE_FORCE_CAP, only evaluate_S and
+rank_bias check.  A family counts as built-in only when it equals the
+registered FamilySpec in every field, so a config that borrows a built-in's
+name takes the brute-force entry.  Each entry's moment_law is the hashable
+value its moments read: ("sextic", kappa) for a sextic twist, whatever its
+b, the entry itself for the other built-ins, and the FamilySpec for a
+brute-force entry.  Entries of one law have the same columns bit for bit,
+and explicit_formula._prime_pass shares one pass between them.
 
-Each per-prime quantity is written once, over an ascending block of
-primes; a_tilde, h_factor and closed_form_moment are views of one prime.
-A complete sum over t mod p depends only on the multiset of traces
-a_t(p): each entry's trace_histograms gives, per prime, the traces with
-their numbers of good and of bad t, the moments are their exact power sums
-(_power_sums) and Atilde(p) one recipe over them (_a_tildes).  No row
-lists a nonzero trace twice: a non-CM row has one column per a in [-h, h],
-a brute-force row is one np.unique, and the class traces of a CM row are
-distinct, since two equal ones would force p = n^2, 2n^2 or 3n^2 (a sextic
-row's lie among +-(2a - b), +-(a + b), +-(2b - a) with pi = a + b omega, a
-quartic row's are +-2a and +-2b with a^2 + b^2 = p).  The traces:
+Each per-prime quantity is written once, over an ascending block of primes;
+a_tilde, h_factor and closed_form_moment are views of one prime.  A
+complete sum over t mod p depends only on the multiset of traces a_t(p).
+Each entry cuts a block into sub-blocks (sub_blocks), and its
+trace_histograms gives, per prime of one sub-block, the traces with their
+numbers of good and of bad t.  Every consumer reads them through
+_histogram_map, one sub-block at a time, in order, on the entry's workers:
+the moments are their exact power sums (_power_sums) and Atilde(p) one
+recipe over them (_a_tildes).  No row lists a nonzero trace twice: a non-CM
+row has one column per a in [-h, h], a brute-force row is one np.unique,
+and the class traces of a CM row are distinct, since two equal ones would
+force p = n^2, 2n^2 or 3n^2 (a sextic row's lie among +-(2a - b),
++-(a + b), +-(2b - a) with pi = a + b omega, a quartic row's are +-2a and
++-2b with a^2 + b^2 = p).  The traces:
 
-* CM built-ins, O(log p) per prime as int64 array code over a block of
-  primes: the trace of each twist y^2 = x^3 + c (resp. y^2 = x^3 - Dx) is
-  read off the primary prime pi above p in Z[omega] (resp. Z[i]), found by
-  Cornacchia's algorithm, and the sextic (resp. quartic) residue symbol of
-  the twist (Ireland & Rosen, *A Classical Introduction to Modern Number
-  Theory*, ch. 18, Thms 18.4 and 18.5).  For the quartic pair the number
-  of t in each quartic class comes from the Jacobi sum J(chi, chi) =
-  -chi(-1) pi.  The kernels are exact up to INT64_PRIME_LIMIT and raise
-  ResourceError past it.
+* CM built-ins, O(log p) per prime as int64 array code over the whole
+  block, one sub-block: the trace of each twist y^2 = x^3 + c (resp. y^2 =
+  x^3 - Dx) is read off the primary prime pi above p in Z[omega] (resp.
+  Z[i]), found by Cornacchia's algorithm, and the sextic (resp. quartic)
+  residue symbol of the twist (Ireland & Rosen, *A Classical Introduction
+  to Modern Number Theory*, ch. 18, Thms 18.4 and 18.5).  For the quartic
+  pair the number of t in each quartic class comes from the Jacobi sum
+  J(chi, chi) = -chi(-1) pi.  The kernels are exact up to INT64_PRIME_LIMIT
+  and raise ResourceError past it.
 * ``noncm_3x12t``: an FFT correlation (_correlations), O(p log p) per
   prime, gives the trace at every s = 12t.  x^3 + ax is odd, so the trace
   at -s is (-1/p) times the trace at s, and only the shifts s < (p + 1)/2
-  are transformed, at a length of about 3p/2.  Consecutive primes are
-  transformed together, one row each, in sub-blocks of at most
-  _CORRELATION_BUDGET elements (_correlation_blocks), mapped in order on
-  the package's pool (_sum.ordered_map).  The kernel's arrays are plain
-  numpy temporaries: _sum's raised mmap threshold serves each of them,
-  and pocketfft's scratch, from the heap, which is the package's one
-  memory-reuse rule.
+  are transformed, at a length of about 3p/2.  A sub-block is consecutive
+  primes of at most _CORRELATION_BUDGET elements (_correlation_blocks),
+  transformed together, one row each, on the package's pool.  _sum's raised
+  mmap threshold serves its arrays and pocketfft's scratch from the heap,
+  the package's one memory-reuse rule.
 * any other family: its traces at every t (_curve_data) from one
   correlation per class of A(t), at most five, each halved by the same
-  symmetry and read out before the next is transformed.
+  symmetry and read out before the next is transformed, over the same
+  sub-blocks on one worker, as its many small numpy calls hold the GIL.
 
-Root counts nu_D(p^k) count the distinct roots of D mod p once, as the
-degree of gcd(D, x^p - x) over F_p, for any degree and any p, and lift them
-by Hensel whenever they are simple; otherwise they scan t mod p^k.  nu_D(d)
-is their product over the prime powers of d, and _sieve_block reads a
-built-in's n_bad instead.  sieve_window takes each D factor f = p^c g at
-each prime p up to the k-th root of f's bound on the window, scans t mod
-p for the roots of g and tests their lifts mod p^(k-c) exactly.
-The sieve part of H_{D,k}(p) is _sieve_block's float64 nu/(p^k - nu) over
-a _sum.Block of primes; sieve_weights and every consumer read it.
+Root counts nu_D(p^k) count the distinct roots of D mod p as the degree of
+gcd(D, x^p - x) over F_p and lift simple ones by Hensel, else scan t mod
+p^k; _sieve_block reads a built-in's n_bad instead, and its float64 ratio
+nu/(p^k - nu) over a _sum.Block is the sieve part of H_{D,k}(p) that every
+consumer reads.  sieve_window clears each D factor's roots mod p and tests
+their lifts exactly, at each p up to a root of its bound.
 
 Every closed form registered here is cross-checked against those power
 sums, and the traces against point counts, for all primes up to 300.
@@ -97,6 +97,9 @@ from .primes import (CHI_2, CHI_3, CHI_M3, get_table, is_prime,
 from .series import poly_mul
 
 _SCAN_LIMIT = 10 ** 6
+
+#: the primes sieve_window may scan to: an estimated 8 s at N = 10^7
+_WINDOW_ROOT_LIMIT = 10 ** 5
 
 #: the `cap` of a family without closed forms, checked only by evaluate_S
 #: (its prime_limit and largest Atilde prime) and rank_bias (its X); its
@@ -167,21 +170,13 @@ class FamilySpec:
 
 
 # --------------------------------------------------------------------------
-# the built-in registry
-#
-# One entry per built-in holds its FamilySpec, rank, `lead` (see
-# explicit_formula.lower_order_limit), Atilde(p) method and closed forms,
-# each written once over a _sum.Block of primes p >= 5: A_0, A_1, A_2 over
-# the good t and the bad moments A'_1, A'_2.  Its n_bad is nu_D(p^k) at
-# p >= 5, which _sieve_block turns into H_sieve.  Its moment_law is a
-# hashable key of what moments(blk) reads: two entries with equal laws
-# have the same columns bit for bit (explicit_formula._prime_pass shares
-# one pass between them).
+# the built-in registry (see the module docstring)
 
 class _Builtin:
     rank = 0
     has_bad = False       # some bad t has multiplicative reduction
     cap = INF             # closed forms hold at every prime
+    threads = None        # workers of its sub-blocks: the pool's
 
     name = property(lambda self: self.spec.name)
     moment_law = property(lambda self: self)
@@ -195,8 +190,11 @@ class _Builtin:
                 self.bad_moments(blk) if self.has_bad else None,
                 _sieve_block(self.spec, blk, sieve_exponent(self.spec))[1])
 
+    def sub_blocks(self, p_int: np.ndarray) -> list:
+        return [p_int]
+
     def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
-        return _a_tildes(p_int, self.trace_histograms(p_int))
+        return np.array(_histogram_map(self, p_int, _a_tildes), dtype=float)
 
     def class_histograms(self, p_int, on, counts, traces) -> tuple:
         """The trace histograms of a CM twist family: at the primes `on`
@@ -312,14 +310,35 @@ class _NonCM(_Builtin):
         return (blk.pp - 2.0 * blk.pf - 2.0
                 - blk.pf * blk.character(self.chi_m3))
 
-    def trace_histograms(self, p_int: np.ndarray) -> tuple:
-        return _stack_histograms(ordered_map(
-            _noncm_histograms, _correlation_blocks(p_int.tolist())))
+    def sub_blocks(self, p_int: np.ndarray) -> list:
+        return [np.array(ps, dtype=np.int64)
+                for ps in _correlation_blocks(p_int.tolist())]
 
-    def a_tildes(self, p_int: np.ndarray) -> np.ndarray:
-        # each sub-block's histograms are reduced where they are made
-        parts = ordered_map(_a_tildes_b3, _correlation_blocks(p_int.tolist()))
-        return np.array([a for part in parts for a in part], dtype=np.float64)
+    def trace_histograms(self, p_int: np.ndarray) -> tuple:
+        """a_t is the trace at s = 12t of _correlations(ps, -3), so the bad
+        t, 6t = 1 and -1, are the shifts s = 2 and -2.  A trace outside the
+        Hasse range |a| <= floor(2 sqrt p) is an error.  One bincount over
+        the rows, each offset by its row, less the zero padding past each
+        prime; the traces are spent."""
+        ps = p_int.tolist()
+        traces = _correlations(ps, -3)
+        rows, top = traces.shape
+        h = np.array([math.isqrt(4 * q) for q in ps], dtype=np.int64)
+        bad = np.flatnonzero((traces.max(axis=1) > h)
+                            | (traces.min(axis=1) < -h))
+        if bad.size:
+            raise VerificationError(
+                f"fft trace outside the Hasse range at {ps[bad[0]]}")
+        h, on = int(h[-1]), np.arange(rows)
+        bad = np.zeros((rows, 2 * h + 1), dtype=np.int64)
+        for s in (2, p_int - 2):
+            np.add.at(bad, (on, traces[on, s] + h), 1)
+        traces += h + (2 * h + 1) * on[:, None]
+        good = np.bincount(traces.ravel(), minlength=bad.size).reshape(
+            bad.shape)
+        good[:, h] -= top - p_int
+        good -= bad
+        return np.broadcast_to(np.arange(-h, h + 1), bad.shape), good, bad
 
 
 REGISTRY = {e.spec.name: e for e in (
@@ -343,7 +362,7 @@ class _BruteForce:
     """The entry of any family without closed forms: its traces at every
     t, so evaluate_S and rank_bias refuse a prime past its cap
     (check_cap); every other call refuses one from FLOAT_PRIME_LIMIT."""
-    rank, lead, cap = 0, None, BRUTE_FORCE_CAP
+    rank, lead, cap, threads = 0, None, BRUTE_FORCE_CAP, 1
 
     def __init__(self, spec: FamilySpec):
         self.spec, self.name = spec, spec.name
@@ -351,20 +370,25 @@ class _BruteForce:
     moment_law = property(lambda self: self.spec)
 
     def trace_histograms(self, p_int: np.ndarray) -> tuple:
-        # one row per prime, over the distinct traces of its table
+        # one row per prime, over the distinct traces of its table, padded
+        # with zero counts to the widest
         rows = []
         for p in p_int.tolist():
             a_vals, good = _curve_data(self.spec, p)
             traces, at = np.unique(a_vals, return_inverse=True)
-            rows.append([x[None] for x in (
+            rows.append(np.stack((
                 traces, np.bincount(at[good], minlength=traces.size),
-                np.bincount(at[~good], minlength=traces.size))])
-        return _stack_histograms(rows)
+                np.bincount(at[~good], minlength=traces.size))))
+        out = np.zeros((3, len(rows), max([1] + [r.shape[1] for r in rows])),
+                       dtype=np.int64)
+        for i, row in enumerate(rows):
+            out[:, i, :row.shape[1]] = row
+        return tuple(out)
 
-    a_tildes = _Builtin.a_tildes
+    sub_blocks, a_tildes = _NonCM.sub_blocks, _Builtin.a_tildes
 
     def moments(self, blk):
-        sums = _power_sums(self.trace_histograms(blk.p_int), 4)
+        sums = _histogram_map(self, blk.p_int, lambda ps, h: _power_sums(h, 4))
         for p, (good, bad) in zip(blk.p_int.tolist(), sums):
             # sum a^4 = sum a^2 over the bad t iff each a is -1, 0 or 1
             if bad[4] != bad[2]:
@@ -554,23 +578,30 @@ def _curve_classes(fam: FamilySpec, p: int) -> tuple:
     return powers[:e].tolist() + [0], cls, c
 
 
-def _stack_histograms(parts) -> tuple:
-    """The rows of several trace histograms as one, each padded with zero
-    counts to the widest."""
-    width = max([1] + [part[0].shape[1] for part in parts])
-    return tuple(np.concatenate(
-        [np.zeros((0, width), dtype=np.int64)]
-        + [np.pad(part[i], ((0, 0), (0, width - part[i].shape[1])))
-           for part in parts]) for i in range(3))
+def _histogram_map(entry, p_int: np.ndarray, reduce) -> list:
+    """reduce(ps, entry.trace_histograms(ps)), a sequence over ps, for each
+    sub-block ps of entry.sub_blocks(p_int) in order on entry.threads
+    workers (_sum.ordered_map), joined: every consumer's path to traces."""
+    parts = ordered_map(lambda ps: reduce(ps, entry.trace_histograms(ps)),
+                        entry.sub_blocks(p_int), entry.threads)
+    return [x for part in parts for x in part]
 
 
 def _power_sums(histograms, r_max: int) -> list:
-    """[(good, bad)] per prime of a block: the exact sums of a_t(p)^r over
-    the good and the bad t mod p for r <= r_max, n a^r summed as Python
-    ints over each row of its trace histograms."""
-    return [tuple(tuple(sum(n * a ** r for a, n in zip(traces, counts) if n)
-                        for r in range(r_max + 1)) for counts in sides)
-            for traces, *sides in zip(*(x.tolist() for x in histograms))]
+    """[(good, bad)] per prime of a sub-block: the exact sums of n a^r over
+    each row's good and bad counts for r <= r_max, in int64 while no row's
+    sum of |n a^r| can reach 2^63, then in Python ints (object arrays)."""
+    traces, *sides = histograms
+    top, out = int(np.abs(traces).max(initial=0)), []
+    for term in sides:
+        size, sums = int(term.sum(axis=1).max(initial=0)), []
+        for r in range(1, r_max + 2):
+            sums.append(term.sum(axis=1).tolist())
+            if size * top ** r >= 2 ** 63:
+                term = term.astype(object)
+            term = term * traces
+        out.append(zip(*sums))
+    return list(zip(*out))
 
 
 def complete_moment(fam: FamilySpec, p: int, r: int, side: str = "good"):
@@ -583,8 +614,8 @@ def complete_moment(fam: FamilySpec, p: int, r: int, side: str = "good"):
         raise DomainError("r must be >= 0")
     if side not in ("good", "bad"):
         raise DomainError("side must be 'good' or 'bad'")
-    return _power_sums(_BruteForce(fam).trace_histograms(np.array([p])),
-                       r)[0][side == "bad"][r]
+    return _histogram_map(_BruteForce(fam), np.array([p]),
+                          lambda ps, h: _power_sums(h, r))[0][side == "bad"][r]
 
 
 # --------------------------------------------------------------------------
@@ -845,30 +876,27 @@ def closed_form_failures(fam, prime_limit: int, checks: list) -> list:
     p_int = table.decode(table.index(5))
     r_max = max(r for r, side in checks)
     table = closed_form_table(fam, p_int, r_max)
-    sums = _power_sums(_BruteForce(fam).trace_histograms(p_int), r_max)
-    out = []
-    for i, p in enumerate(p_int.tolist()):
-        for r, side in checks:
-            brute = sums[i][side == "bad"][r]
-            if brute != table[r, side][i]:
-                out.append((p, r, side, brute, table[r, side][i]))
-    return out
+    sums = _histogram_map(_BruteForce(entry_of(fam).spec), p_int,
+                          lambda ps, h: _power_sums(h, r_max))
+    return [(p, r, side, sums[i][side == "bad"][r], table[r, side][i])
+            for i, p in enumerate(p_int.tolist()) for r, side in checks
+            if sums[i][side == "bad"][r] != table[r, side][i]]
 
 
 # --------------------------------------------------------------------------
 # the cubic-moment quantity Atilde
 
-def _a_tildes(p_int: np.ndarray, histograms) -> np.ndarray:
-    """Atilde(p) = S / (p * sqrt p) at each prime of a block from its trace
-    histograms, S the math.fsum over the good traces a, n of them (no row
-    lists a nonzero a twice; see the module docstring), of the float64
-    n*a*a*a (exact while |n a^3| < 2^53, at every p below 10^6; past that
-    the last product rounds, as at 1 825 217 and 2 150 023, the first such
-    primes of rank1_36t and cm_b1_kappa1, where the tests bound the error)
-    over p + 1 - a: the one recipe of every entry's a_tildes.  Only IEEE x, /
-    and sqrt and fsum enter, so the bits depend on the multiset of traces
-    alone: not on the batching, the worker count, the order of the terms
-    or numpy's SIMD dispatch."""
+def _a_tildes(p_int: np.ndarray, histograms) -> list:
+    """Atilde(p) = S / (p * sqrt p) at each prime of a sub-block from its
+    trace histograms, S the math.fsum over the good traces a, n of them
+    (no row lists a nonzero a twice; see the module docstring), of the
+    float64 n*a*a*a (exact while |n a^3| < 2^53, at every p below 10^6;
+    past that the last product rounds, as at 1 825 217 and 2 150 023, the
+    first such primes of rank1_36t and cm_b1_kappa1, where the tests bound
+    the error) over p + 1 - a: the one recipe of a_tildes and moment_table.
+    Only IEEE x, / and sqrt and fsum enter, so the bits depend on the
+    multiset of traces alone: not on the batching, the worker count, the
+    order of the terms or numpy's SIMD dispatch."""
     traces, good, _ = histograms
     # a = 0 adds nothing; the terms in row order
     row, col = np.divmod(np.flatnonzero(good * traces), good.shape[1])
@@ -881,7 +909,7 @@ def _a_tildes(p_int: np.ndarray, histograms) -> np.ndarray:
     s = np.zeros(p_int.shape)
     s[row[starts]] = [math.fsum(terms[lo:hi])
                       for lo, hi in zip(starts.tolist(), ends)]
-    return s / (pf * np.sqrt(pf))
+    return (s / (pf * np.sqrt(pf))).tolist()
 
 
 @lru_cache(maxsize=4096)
@@ -901,8 +929,8 @@ def _smooth_length(m: int) -> int:
     return best
 
 
-#: the float64 elements (rows x FFT length) of one sub-block of primes in
-#: _NonCM.a_tildes: the size of each batched transform
+#: the float64 elements (rows x FFT length) of one non-CM or brute-force
+#: sub-block: the size of each batched non-CM transform
 _CORRELATION_BUDGET = 1 << 16
 
 
@@ -1021,39 +1049,6 @@ def _correlation_blocks(ps: list) -> list:
         else:
             blocks.append([p])
     return blocks
-
-
-def _noncm_histograms(ps: list) -> tuple:
-    """The trace histograms of noncm_3x12t at each prime of an ascending
-    list: a_t is the trace at s = 12t of _correlations(ps, -3), so the
-    bad t, 6t = 1 and -1, are the shifts s = 2 and -2.  A trace outside the
-    Hasse range |a| <= floor(2 sqrt p) is an error.  One bincount over the
-    rows, each offset by its row, less the zero padding past each prime;
-    the traces are spent."""
-    traces = _correlations(ps, -3)
-    rows, top = traces.shape
-    h = np.array([math.isqrt(4 * q) for q in ps], dtype=np.int64)
-    bad = np.flatnonzero((traces.max(axis=1) > h) | (traces.min(axis=1) < -h))
-    if bad.size:
-        raise VerificationError(
-            f"fft trace outside the Hasse range at {ps[bad[0]]}")
-    h = int(h[-1])
-    on, p = np.arange(rows), np.array(ps, dtype=np.int64)
-    bad = np.zeros((rows, 2 * h + 1), dtype=np.int64)
-    for s in (2, p - 2):
-        np.add.at(bad, (on, traces[on, s] + h), 1)
-    traces += h + (2 * h + 1) * on[:, None]
-    good = np.bincount(traces.ravel(), minlength=bad.size).reshape(bad.shape)
-    good[:, h] -= top - p
-    good -= bad
-    return np.broadcast_to(np.arange(-h, h + 1), bad.shape), good, bad
-
-
-def _a_tildes_b3(ps: list) -> list:
-    """Atilde(p) for noncm_3x12t at each prime of one sub-block, in
-    O(p log p) each from one batched _correlations."""
-    return _a_tildes(np.array(ps, dtype=np.int64),
-                     _noncm_histograms(ps)).tolist()
 
 
 def a_tilde(fam: FamilySpec, p: int) -> float:
@@ -1286,7 +1281,9 @@ def sieve_window(fam: FamilySpec, N: int) -> SieveWindow:
     """Mark t in [N, 2N] at which no D factor f has p^k | f(t), a zero
     included.  |f| <= B = sum |c_i| (2N)^i there, so _clear_roots runs at
     each prime p <= B^(1/k) + 1 (2 for a zero), in int64 if B < 2^63.
-    Factors are tested one by one, nu_D counts D's roots: sieve_density."""
+    ResourceError where B^(1/k) passes _WINDOW_ROOT_LIMIT, unless an m^k
+    below it divides f's content, which clears the window.  Factors are
+    tested one by one, nu_D counts D's roots: sieve_density."""
     if integer(N, "N") < 1:
         raise DomainError("N must be >= 1")
     if N > 10 ** 7:
@@ -1296,7 +1293,12 @@ def sieve_window(fam: FamilySpec, N: int) -> SieveWindow:
     for fac in fam.D_factors if k else ():
         bound = sum(abs(c) * (2 * N) ** i for i, c in enumerate(fac))
         dtype = np.int64 if bound < 2 ** 63 else object
-        for p in filter(is_prime, range(2, _integer_root(bound, k) + 2)):
+        root, content = _integer_root(bound, k), math.gcd(*fac)
+        if root > _WINDOW_ROOT_LIMIT and good.any() and all(content % m ** k
+                for m in range(2, min(content + 1, _WINDOW_ROOT_LIMIT))):
+            raise ResourceError(f"sieve_window would scan to {root} for the "
+                                f"D factor {fac}, past {_WINDOW_ROOT_LIMIT}")
+        for p in filter(is_prime, range(2, root + 2)):
             if not good.any():
                 break
             _clear_roots(good, N, fac, p, k, dtype)
@@ -1373,11 +1375,11 @@ class MomentTable:
     h: tuple                  # (main, sieve) parts of H_{D,k}(p)
 
 
-def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
-    """One MomentTable per prime of an ascending block: nu and H_sieve from
-    one _sieve_block over the block, and the moments and Atilde (0.0 below
-    p = 5) from one trace histogram per prime, the per-t tables' below 5
-    and the entry's trace_histograms from 5 on."""
+def moment_table(fam, primes, r_max: int = 8) -> list:
+    """One MomentTable per prime of an ascending block, for a FamilySpec or
+    a built-in's name: nu and H_sieve from one _sieve_block, the moments
+    and Atilde (0.0 below p = 5) from one trace histogram per prime
+    (_histogram_map), the per-t tables' below 5 and the entry's from 5 on."""
     if integer(r_max, "r_max") < 0:
         raise DomainError("r_max must be >= 0")
     p_int = np.asarray(primes)
@@ -1388,20 +1390,17 @@ def moment_table(fam: FamilySpec, primes, r_max: int = 8) -> list:
     if (p_int.ndim != 1 or np.any(np.diff(p_int) <= 0)
             or not all(map(is_prime, p_int.tolist()))):
         raise DomainError("moment_table needs an ascending block of primes")
-    first = int(p_int.searchsorted(5))
-    sums = _power_sums(_BruteForce(fam).trace_histograms(p_int[:first]),
-                       r_max)
-    at, entry = [0.0] * first, entry_of(fam)
-    # 256 primes at a time: a non-CM row holds about 4 sqrt p counts
-    for lo in range(first, p_int.size, 256):
-        ps = p_int[lo:lo + 256]
-        hist = entry.trace_histograms(ps)
-        sums += _power_sums(hist, r_max)
-        at += _a_tildes(ps, hist).tolist()
+    def reduce(ps, h):
+        return list(zip(_power_sums(h, r_max), _a_tildes(ps, h)))
+
+    entry = entry_of(fam)
+    fam, first = entry.spec, int(p_int.searchsorted(5))
+    rows = (_histogram_map(_BruteForce(fam), p_int[:first], reduce)
+            + _histogram_map(entry, p_int[first:], reduce))
     nus, hs = _sieve_block(fam, Block(p_int), sieve_exponent(fam))
     nus = np.broadcast_to(nus, p_int.shape).tolist()
     hs = [0.0] * len(nus) if hs is None else hs.tolist()
-    return [MomentTable(p=p, moments=good, bad_moments=bad, a_tilde=a,
-                        nu=nu, h=(1.0, h))
-            for p, (good, bad), a, nu, h in zip(
-                p_int.tolist(), sums, at, nus, hs)]
+    return [MomentTable(p=p, moments=good, bad_moments=bad,
+                        a_tilde=a if p >= 5 else 0.0, nu=nu, h=(1.0, h))
+            for p, ((good, bad), a), nu, h in zip(
+                p_int.tolist(), rows, nus, hs)]

@@ -230,6 +230,25 @@ def test_closed_form_unregistered_family_raises():
         families.closed_form_moment(clone, 7, 0)
 
 
+@pytest.mark.parametrize("name", ["noncm_3x12t", "clone"])
+def test_power_sums_are_the_python_int_sums(name):
+    # the loop over Python ints as the reference: int64 serves while no
+    # row's sum of |n a^r| can reach 2^63, object arrays from there on,
+    # here from r = 6 at the primes near 40 000
+    fam = families.get_family("noncm_3x12t")
+    if name == "clone":
+        fam = _clone_generic(fam)
+    entry = families.entry_of(fam)
+    ps = np.array([39983, 39989, 40009])
+    histograms = entry.trace_histograms(ps)
+    got = families._power_sums(histograms, 9)
+    want = [tuple(tuple(sum(n * a ** r for a, n in zip(traces, counts))
+                        for r in range(10)) for counts in sides)
+            for traces, *sides in zip(*(x.tolist() for x in histograms))]
+    assert got == want
+    assert max(abs(m) for good, _ in got for m in good) > 2 ** 63
+
+
 def test_moment_table_consistent_with_complete_moment():
     fam = families.get_family("noncm_3x12t")
     [mt] = families.moment_table(fam, [13], r_max=4)
@@ -274,6 +293,65 @@ def test_moment_table_refusals():
         with pytest.raises(DomainError):
             families.moment_table(fam, primes)
     assert families.moment_table(fam, []) == []
+
+
+def test_moment_table_holds_one_sub_block_of_histograms_at_a_time(
+        monkeypatch):
+    # numpy reports its buffers to tracemalloc: over the 2263 primes up to
+    # 20011 the table traced a peak of 14.1 MiB when it stacked the
+    # histograms of 256 primes at a time, and about 4.5 MiB (7.6 MiB on
+    # two threads) when each sub-block is reduced where it is made
+    monkeypatch.setenv("LDL_THREADS", "1")
+    fam = families.get_family("noncm_3x12t")
+    primes = get_table(20011).primes
+    tracemalloc.start()
+    try:
+        rows = families.moment_table(fam, primes, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == primes.size == 2263
+    assert peak < 8 << 20, peak
+
+
+def test_histogram_consumers_read_the_same_rows_on_one_or_two_threads(
+        monkeypatch):
+    # the primes up to 2000 span 8 sub-blocks, mapped in prime order: on
+    # the pool for the non-CM kernel, on one worker for the per-t tables
+    # that closed_form_failures reads
+    primes = get_table(2000).primes
+    fam = families.get_family("noncm_3x12t")
+    entry = families.entry_of(fam)
+    assert len(entry.sub_blocks(primes[primes >= 5])) == 8
+    checks = [(r, "good") for r in range(3)] + [(m, "bad") for m in range(7)]
+    rows = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LDL_THREADS", threads)
+        rows[threads] = (families.moment_table(fam, primes, 4),
+                         families.closed_form_failures(fam, 2000, checks))
+    assert rows["1"] == rows["2"]
+    assert rows["1"][1] == []
+
+
+def test_moment_table_and_closed_form_failures_take_a_name():
+    # as a_tilde and closed_form_moment do: the name of a built-in
+    fam = families.get_family("noncm_3x12t")
+    assert families.moment_table("noncm_3x12t", [2, 3, 13]) == \
+        families.moment_table(fam, [2, 3, 13])
+    assert families.closed_form_failures(
+        "noncm_3x12t", 50, [(2, "good")]) == []
+
+
+def test_closed_form_failures_name_each_prime_that_fails(monkeypatch):
+    # an A_1 one too large at every prime, beside an A_2 that holds
+    entry = families.REGISTRY["noncm_3x12t"]
+    a1 = entry.A1
+    monkeypatch.setattr(entry, "A1", lambda blk: a1(blk) + 1.0)
+    brute = [families.complete_moment(entry.spec, p, 1)
+             for p in (5, 7, 11, 13)]
+    assert families.closed_form_failures(
+        entry.spec, 13, [(1, "good"), (2, "good")]) == [
+        (p, 1, "good", b, b + 1) for p, b in zip((5, 7, 11, 13), brute)]
 
 
 @pytest.mark.parametrize("name", ["noncm_3x12t", "clone"])
@@ -484,9 +562,16 @@ def test_no_histogram_row_lists_a_nonzero_trace_twice(name):
         entry = families.REGISTRY[name]
     n = {"custom": 300, "noncm_3x12t": 1500}.get(name, 20000)
     p_int = first_n_primes(n + 2).decode(2)
-    traces = np.sort(entry.trace_histograms(p_int)[0], axis=1)
-    twice = (traces[:, 1:] == traces[:, :-1]) & (traces[:, 1:] != 0)
-    assert not twice.any()
+
+    def twice(ps, histograms):
+        # the rows of one sub-block, as every consumer reads them
+        traces = np.sort(histograms[0], axis=1)
+        return ((traces[:, 1:] == traces[:, :-1])
+                & (traces[:, 1:] != 0)).any(axis=1)
+
+    twice = families._histogram_map(entry, p_int, twice)
+    assert len(twice) == n
+    assert not any(twice)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 103, 997])
@@ -645,10 +730,18 @@ def test_entries_of_one_moment_law_have_the_same_moment_columns():
             assert all(col == cols[0] for col in cols[1:])
 
 
+def _a_tildes_b3(ps: list) -> list:
+    """Atilde(p) of noncm_3x12t at each prime of one sub-block: the recipe
+    over the histograms of one batched _correlations."""
+    p_int = np.array(ps, dtype=np.int64)
+    entry = families.REGISTRY["noncm_3x12t"]
+    return families._a_tildes(p_int, entry.trace_histograms(p_int))
+
+
 def _a_tilde_b3(p: int) -> float:
     """Atilde(p) of noncm_3x12t: the batched kernel on a block of one
     prime."""
-    return families._a_tildes_b3([p])[0]
+    return _a_tildes_b3([p])[0]
 
 
 def _a_tilde_b3_prime_length(p: int) -> float:
@@ -745,11 +838,11 @@ def test_a_sub_block_names_the_prime_that_fails_a_check(monkeypatch):
 
     monkeypatch.setattr(np.fft, "irfft", spoiled(1, 5, 0.5))
     with pytest.raises(VerificationError, match="not integral at 103"):
-        families._a_tildes_b3(ps)
+        _a_tildes_b3(ps)
     monkeypatch.setattr(np.fft, "irfft",
                         spoiled(2, 7, -(math.isqrt(4 * 107) + 1.0)))
     with pytest.raises(VerificationError, match="Hasse range at 107"):
-        families._a_tildes_b3(ps)
+        _a_tildes_b3(ps)
 
 
 @pytest.fixture(scope="module")
@@ -804,7 +897,7 @@ def test_consecutive_sub_blocks_of_different_shapes_match_one_prime():
     assert families._smooth_length((3 * big - 1) // 2) > \
         families._CORRELATION_BUDGET
     for block in (many, [1999], [big], small):
-        assert families._a_tildes_b3(block) == \
+        assert _a_tildes_b3(block) == \
             [_a_tilde_b3_one_prime(p) for p in block], block
     # then every trace against an O(p) point count, for one a at many
     # primes, then one a at a time at one prime
@@ -1290,6 +1383,18 @@ def test_sieve_window_is_exact_past_int64():
     win = families.sieve_window(_drawn_family([(0, 0, 8 * 10 ** 40)], 3),
                                 10 ** 7)
     assert win.W == 0
+
+
+def test_sieve_window_refuses_a_bound_it_cannot_scan():
+    # 1 + 10^40 t^10, k = 3, at N = 10^6: the cube root of the bound is
+    # about 2.2 10^34 and no prime clears the window; it ran without end
+    # before the refusal.  A content 8 10^40 still clears it at p = 2
+    fam = _drawn_family([(1,) + (0,) * 9 + (10 ** 40,)], 3)
+    with pytest.raises(ResourceError, match="past 100000"):
+        families.sieve_window(fam, 10 ** 6)
+    fam = _drawn_family([(0, 0, 8 * 10 ** 40), (1,) + (0,) * 9 + (10 ** 40,)],
+                        3)
+    assert families.sieve_window(fam, 10 ** 6).W == 0
 
 
 def test_sieve_window_of_a_quadratic_factor_at_scale():
