@@ -102,24 +102,21 @@ def _to_text(payload: dict) -> str:
 # constants
 
 def _constant_rows(name: str, args) -> list:
-    paper_value, _, citation = constants.paper_reference(name)
-    kwargs = {"prime_limit": args.prime_limit,
-              "first_primes": args.first_primes}
-    if name in constants._PNT_NAMES:    # the prime-counting constants
-        methods = {"direct": ["integral"], "closed": ["closed_form"],
-                   "both": ["closed_form", "integral"]}[args.method]
-        compute = constants._PNT_NAMES[name][0]
-        results = [compute(method=m, **kwargs) for m in methods]
-    else:
-        results = [constants.compute_constant(name, **kwargs)]
+    """One row per method --method picks among an entry's two; an entry
+    with one method gives one row for any --method."""
+    entry = constants.catalog_entry(name)
+    wanted = {"direct": ["integral"], "closed": ["closed_form"],
+              "both": ["closed_form", "integral"]}[args.method]
     rows = []
-    for res in results:
+    for m in [m for m in entry.methods
+              if len(entry.methods) == 1 or m in wanted]:
+        res = entry.run(m, args.prime_limit, args.first_primes)
         row = res.as_dict()
         row["truncation"] = f"{res.truncation_kind}:{res.truncation}"
         row.pop("truncation_kind", None)
-        row["paper_value"], row["paper_citation"] = paper_value, citation
-        if paper_value is not None:
-            row["delta_vs_paper"] = res.value - paper_value
+        row["paper_value"] = entry.paper_value
+        row["paper_citation"] = entry.paper_citation
+        row["delta_vs_paper"] = res.value - entry.paper_value
         rows.append(row)
     return rows
 

@@ -1,9 +1,11 @@
 """Catalog of the named prime-sum constants and per-family aggregates.
 
-Each catalog entry knows its summand, residue-class restriction, default
-truncation, reference value and tolerance, so reproduction runs can replay
-the reference truncations exactly instead of chasing fully converged
-values.  The aggregate assembly combines the catalog values into the
+CATALOG is the one registry of named constants.  Each entry knows its
+summand, reference value and tolerance, and computes itself, so runs can
+replay the reference truncations exactly: _prime_sum builds the entries
+that sum a term over a residue class of primes, and gamma_23,
+gamma_atilde_3 and the prime-counting constants carry their own
+computation.  The aggregate assembly combines the catalog values into the
 lower-order coefficient (of 2*phihat(0)/log R) for the built-in families
 and for the cusp-form model.
 
@@ -45,27 +47,42 @@ from .primes import (CHI_3, CHI_M3, ConstantResult, first_n_primes,
 
 @dataclass(frozen=True)
 class ConstantSpec:
+    """A catalog entry: run(method, prime_limit, first_primes) gives its
+    ConstantResult by one of its `methods`, the first by default, and
+    refuses a truncation the prime tables refuse before it computes."""
     name: str
     summand: str                      # human-readable description
-    residue_class: tuple | None      # (a, b) or None
-    p_min: int
-    default_first_primes: int
-    paper_value: float | None
+    paper_value: float
     paper_tolerance: float
-    paper_citation: str
-    decay_power: int                  # summand = O(log p / p^decay_power)
-    decay_coeff: float
-    # maps a _sum.Block of primes to their float64 terms
-    term: object = field(default=None, repr=False, compare=False)
+    run: object = field(repr=False, compare=False)
+    methods: tuple = ("direct_sum",)
+    paper_citation = property(lambda self: f"ref:{self.name}")
 
 
-def _tail_bound(spec: ConstantSpec, x_last: float) -> float:
-    d, c = spec.decay_power, spec.decay_coeff
-    if d < 2:
-        return math.inf
-    lx = math.log(x_last)
-    return c * (lx / ((d - 1) * x_last ** (d - 1))
-                + 1.0 / ((d - 1) ** 2 * x_last ** (d - 1)))
+def _decay(d: int, c: float):
+    """The tail bound past x of a summand c log p / p^d, d >= 2: the
+    integral of c log t / t^d over t > x."""
+    return lambda x: c * (math.log(x) / ((d - 1) * x ** (d - 1))
+                          + 1.0 / ((d - 1) ** 2 * x ** (d - 1)))
+
+
+def _prime_sum(name, summand, value, tolerance, default_count, tail, term,
+               residue_class=None, p_min=2) -> ConstantSpec:
+    """The entry of sum_p term(p) (term maps a _sum.Block to float64 terms)
+    over the primes from p_min, of residue_class (a, b) if one is given, by
+    default the first default_count, with tail bound tail(last prime)."""
+    def run(method, prime_limit, first_primes):
+        table, kind, trunc = primes._resolve_truncation(
+            prime_limit, first_primes, default_count=default_count)
+        # the class primes from p_min on are the class's among the table's
+        # primes from p_min on, in the same CHUNK blocks of class primes
+        start = table.index(p_min)
+        blocks = (table.blocks(start) if residue_class is None
+                  else table.residue_blocks(*residue_class, start))
+        return ConstantResult(name, term_sum(term, blocks), kind, trunc,
+                              tail(float(table.last)), "direct_sum")
+
+    return ConstantSpec(name, summand, value, tolerance, run)
 
 
 def aprime_terms(a1, a2, b) -> np.ndarray:
@@ -92,118 +109,133 @@ def _gamma_2_3_terms(b):
     return num * b.lp / (p3 * b.q3)
 
 
-def _catalog() -> dict:
-    entries = [
-        ConstantSpec(
-            "gamma_st_0", "sum_p 2 log p / (p(p+1))", None, 2, 10 ** 6,
-            0.7691106216, 1e-8, "ref:gamma_st_0", 2, 2.0,
-            lambda b: 2.0 * b.lp / (b.pf * b.q)),
-        ConstantSpec(
-            "gamma_st_2", "sum_p (4p^2+3p+1) log p / (p(p+1)^3)", None, 2,
-            4 * 10 ** 6, 1.1851820642, 1e-6, "ref:gamma_st_2", 2, 4.0,
-            lambda b: (4 * b.pp + 3 * b.pf + 1) * b.lp / (b.pf * b.q3)),
-        ConstantSpec(
-            "gamma_st_atilde", "sum_p (2p+1)(p-1) log p / (p(p+1)^3)",
-            None, 2, 10 ** 6, 0.4160714430, 1e-8, "ref:gamma_st_atilde",
-            2, 2.0, st_atilde_terms),
-        ConstantSpec(
-            "gamma_cm_13", "sum_{p=1(3)} 2(3p+1) log p / (p+1)^3",
-            (1, 3), 2, 10 ** 6, 0.38184489, 1e-7, "ref:gamma_cm_13", 2, 6.0,
-            lambda b: 2 * (3 * b.pf + 1) * b.lp / b.q3),
-        ConstantSpec(
-            "gamma_cm_14", "sum_{p=1(4)} 2(3p+1) log p / (p+1)^3",
-            (1, 4), 2, 10 ** 6, 0.46633061, 1e-7, "ref:gamma_cm_14", 2, 6.0,
-            lambda b: 2 * (3 * b.pf + 1) * b.lp / b.q3),
-        ConstantSpec(
-            "gamma_cm0_ge5", "sum_{p>=5} 4 log p / (p(p+1))", None, 5,
-            10 ** 6, 0.709919, 1e-6, "ref:gamma_cm0_ge5", 2, 4.0,
-            lambda b: 4.0 * b.lp / (b.pf * b.q)),
-        ConstantSpec(
-            "gamma_23", "2 log 2 / 2 + 2 log 3 / 3 (the dropped p=2,3 "
-            "terms)", None, 2, 2, 1.4255554, 1e-6, "ref:gamma_23", 99, 0.0,
-            None),
-        ConstantSpec(
-            "gamma_cm2_13", "sum_{p=1(3)} 2(5p^2+2p+1) log p / (p(p+1)^3)",
-            (1, 3), 2, 4 * 10 ** 6, 0.6412881898, 1e-6, "ref:gamma_cm2_13",
-            2, 10.0,
-            lambda b: 2 * (5 * b.pp + 2 * b.pf + 1) * b.lp / (b.pf * b.q3)),
-        ConstantSpec(
-            "gamma_sieve012", "r<=2 sieve terms of the k=3 once-ramified "
-            "quadratic-twist sieve", None, 5, 10 ** 4, -0.004288, 2e-6,
-            "ref:gamma_sieve012", 4, 4.0, None),
-        ConstantSpec(
-            "gamma_aprime_3",
-            "2[sum_{p>=5} log p/(p^3-p) + sum_{1(12)} log p/(p^2-1) - "
-            "sum_{5(12)} log p/(p^2-1)]", None, 5, 10 ** 6, -0.082971426,
-            1e-7, "ref:gamma_aprime_3", 2, 4.0,
-            lambda b: aprime_terms(
-                *families.REGISTRY["noncm_3x12t"].bad_moments(b), b)),
-        ConstantSpec(
-            "gamma_0_3", "sum_{p>=5} (2p-1) log p / (p^2(p+1)) "
-            "(half the printed summand; see module notes)", None, 5,
-            10 ** 6, 0.331539448, 4e-3, "ref:gamma_0_3", 2, 2.0,
-            lambda b: (2 * b.pf - 1) * b.lp / (b.pp * b.q)),
-        ConstantSpec(
-            "gamma_1_3", "sum_{p>=5} [(3/p)+(-3/p)] (p-1) log p / "
-            "(p^2(p+1)^2)", None, 5, 10 ** 6, -0.013643784, 1e-8,
-            "ref:gamma_1_3", 3, 2.0,
-            lambda b: (b.character(CHI_3) + b.character(CHI_M3))
-                * (b.pf - 1) * b.lp / (b.pp * b.q ** 2)),
-        ConstantSpec(
-            "gamma_2_3", "sum_{p>=5} ((2-chi)p^4 - (13+7chi)p^3 - "
-            "(25+6chi)p^2 - (16+2chi)p - 4) log p / (p^3(p+1)^3), "
-            "chi = (-3/p)", None, 5, 10 ** 6, 0.085627, 1e-5,
-            "ref:gamma_2_3", 2, 3.0, _gamma_2_3_terms),
-        ConstantSpec(
-            "gamma_atilde_3", "sum_p Atilde(p) p^(3/2)(p-1) log p / "
-            "(p(p+1)^3) for the non-CM family", None, 5, 5000, 0.3369,
-            1e-2, "ref:gamma_atilde_3", 2, 8.0, None),
-    ]
-    return {e.name: e for e in entries}
+def _gamma_23(method, prime_limit, first_primes) -> ConstantResult:
+    """2 log 2 / 2 + 2 log 3 / 3 in closed form.  Its truncation is
+    resolved only to refuse what every entry refuses."""
+    primes._resolve_truncation(prime_limit, first_primes, default_count=2)
+    return ConstantResult("gamma_23", math.log(2.0) + 2.0 * primes.LOG_3 / 3.0,
+                          "prime_count", 2, 0.0, "closed_form")
 
 
-CATALOG = _catalog()
+def _sieve012_terms(blk):
+    """Minus the sieve-weighted r in {0,1,2} contribution for the k=3 sieve
+    with one root per prime (nu = 1 for p >= 5): the S_0 pieces add
+    2(p-1)/(p(p+1)) per prime, the S_2 pieces subtract 2(p-1)^2/(p+1)^3
+    on p = 1 mod 3, everything weighted by H_sieve = 1/(p^3 - 1)."""
+    pf = blk.pf
+    h_sieve = 1.0 / (blk.power(3) - 1.0)
+    s0 = 2 * (pf - 1) / (pf * blk.q)
+    s2 = np.where(blk.mod(3) == 1, 2 * (pf - 1) ** 2 / blk.q3, 0.0)
+    return -h_sieve * blk.lp * (s0 - s2)
 
-# constants owned by the prime module but exposed through the same catalog
-_PNT_NAMES = {
-    "gamma_pnt": (lambda **kw: primes.gamma_pnt(**kw), -1.33258, 1e-5,
-                  "ref:gamma_pnt"),
-    "gamma_pnt_13": (lambda **kw: primes.gamma_pnt_ab(1, 3, **kw),
-                     -2.375494, 1e-6, "ref:gamma_pnt_13"),
-    "gamma_pnt_14": (lambda **kw: primes.gamma_pnt_ab(1, 4, **kw),
-                     -2.224837, 1e-6, "ref:gamma_pnt_14"),
-}
+
+def _gamma_atilde_3(method, prime_limit, first_primes) -> ConstantResult:
+    """The non-CM family's cubic-moment main sum (_gamma_atilde_family)."""
+    table, kind, trunc = primes._resolve_truncation(
+        prime_limit, first_primes, default_count=5000)
+    value, _ = _gamma_atilde_family(families.get_family("noncm_3x12t"),
+                                    len(table))
+    return ConstantResult("gamma_atilde_3", value, kind, trunc,
+                          _decay(2, 8.0)(float(table.last)), "direct_sum")
+
+
+_PNT_METHODS = ("closed_form", "integral")
+
+#: the one registry of named constants, in the order of catalog_names()
+#: (the rows of `ldl constants --name all`): the sums by name, then the
+#: prime-counting constants by name
+CATALOG = {e.name: e for e in (
+    _prime_sum(
+        "gamma_0_3", "sum_{p>=5} (2p-1) log p / (p^2(p+1)) "
+        "(half the printed summand; see module notes)", 0.331539448, 4e-3,
+        10 ** 6, _decay(2, 2.0),
+        lambda b: (2 * b.pf - 1) * b.lp / (b.pp * b.q), p_min=5),
+    _prime_sum(
+        "gamma_1_3", "sum_{p>=5} [(3/p)+(-3/p)] (p-1) log p / "
+        "(p^2(p+1)^2)", -0.013643784, 1e-8, 10 ** 6, _decay(3, 2.0),
+        lambda b: (b.character(CHI_3) + b.character(CHI_M3))
+        * (b.pf - 1) * b.lp / (b.pp * b.q ** 2), p_min=5),
+    ConstantSpec(
+        "gamma_23", "2 log 2 / 2 + 2 log 3 / 3 (the dropped p=2,3 terms)",
+        1.4255554, 1e-6, _gamma_23, ("closed_form",)),
+    _prime_sum(
+        "gamma_2_3", "sum_{p>=5} ((2-chi)p^4 - (13+7chi)p^3 - "
+        "(25+6chi)p^2 - (16+2chi)p - 4) log p / (p^3(p+1)^3), "
+        "chi = (-3/p)", 0.085627, 1e-5, 10 ** 6, _decay(2, 3.0),
+        _gamma_2_3_terms, p_min=5),
+    _prime_sum(
+        "gamma_aprime_3",
+        "2[sum_{p>=5} log p/(p^3-p) + sum_{1(12)} log p/(p^2-1) - "
+        "sum_{5(12)} log p/(p^2-1)]", -0.082971426, 1e-7, 10 ** 6,
+        _decay(2, 4.0), lambda b: aprime_terms(
+            *families.REGISTRY["noncm_3x12t"].bad_moments(b), b), p_min=5),
+    ConstantSpec(
+        "gamma_atilde_3", "sum_p Atilde(p) p^(3/2)(p-1) log p / "
+        "(p(p+1)^3) for the non-CM family", 0.3369, 1e-2, _gamma_atilde_3),
+    _prime_sum(
+        "gamma_cm0_ge5", "sum_{p>=5} 4 log p / (p(p+1))", 0.709919, 1e-6,
+        10 ** 6, _decay(2, 4.0), lambda b: 4.0 * b.lp / (b.pf * b.q),
+        p_min=5),
+    _prime_sum(
+        "gamma_cm2_13", "sum_{p=1(3)} 2(5p^2+2p+1) log p / (p(p+1)^3)",
+        0.6412881898, 1e-6, 4 * 10 ** 6, _decay(2, 10.0),
+        lambda b: 2 * (5 * b.pp + 2 * b.pf + 1) * b.lp / (b.pf * b.q3),
+        (1, 3)),
+    _prime_sum(
+        "gamma_cm_13", "sum_{p=1(3)} 2(3p+1) log p / (p+1)^3", 0.38184489,
+        1e-7, 10 ** 6, _decay(2, 6.0),
+        lambda b: 2 * (3 * b.pf + 1) * b.lp / b.q3, (1, 3)),
+    _prime_sum(
+        "gamma_cm_14", "sum_{p=1(4)} 2(3p+1) log p / (p+1)^3", 0.46633061,
+        1e-7, 10 ** 6, _decay(2, 6.0),
+        lambda b: 2 * (3 * b.pf + 1) * b.lp / b.q3, (1, 4)),
+    _prime_sum(
+        "gamma_sieve012", "r<=2 sieve terms of the k=3 once-ramified "
+        "quadratic-twist sieve", -0.004288, 2e-6, 10 ** 4, lambda x: 1e-12,
+        _sieve012_terms, p_min=5),
+    _prime_sum(
+        "gamma_st_0", "sum_p 2 log p / (p(p+1))", 0.7691106216, 1e-8,
+        10 ** 6, _decay(2, 2.0), lambda b: 2.0 * b.lp / (b.pf * b.q)),
+    _prime_sum(
+        "gamma_st_2", "sum_p (4p^2+3p+1) log p / (p(p+1)^3)", 1.1851820642,
+        1e-6, 4 * 10 ** 6, _decay(2, 4.0),
+        lambda b: (4 * b.pp + 3 * b.pf + 1) * b.lp / (b.pf * b.q3)),
+    _prime_sum(
+        "gamma_st_atilde", "sum_p (2p+1)(p-1) log p / (p(p+1)^3)",
+        0.4160714430, 1e-8, 10 ** 6, _decay(2, 2.0), st_atilde_terms),
+    # the prime module's functions are looked up at call time, where a
+    # tracer that wraps module attributes sees them
+    ConstantSpec(
+        "gamma_pnt", "1 + int_1^inf E(t)/t^2 dt = -gamma_Euler - "
+        "sum_p log p/(p^2 - p)", -1.33258, 1e-5,
+        lambda *a: primes.gamma_pnt(*a), _PNT_METHODS),
+    ConstantSpec(
+        "gamma_pnt_13", "1 + int_1^inf 2 E_{1,3}(t)/t^2 dt, p = 1 mod 3",
+        -2.375494, 1e-6, lambda *a: primes.gamma_pnt_ab(1, 3, *a),
+        _PNT_METHODS),
+    ConstantSpec(
+        "gamma_pnt_14", "1 + int_1^inf 2 E_{1,4}(t)/t^2 dt, p = 1 mod 4",
+        -2.224837, 1e-6, lambda *a: primes.gamma_pnt_ab(1, 4, *a),
+        _PNT_METHODS),
+)}
 
 
 def catalog_names() -> list[str]:
-    return sorted(CATALOG) + sorted(_PNT_NAMES)
+    return list(CATALOG)
+
+
+def catalog_entry(name: str) -> ConstantSpec:
+    """The catalog entry of a name; DomainError for an unknown one."""
+    if name not in CATALOG:
+        raise DomainError(f"unknown constant {name!r}; known constants: "
+                          + ", ".join(CATALOG))
+    return CATALOG[name]
 
 
 def paper_reference(name: str) -> tuple:
     """(paper_value, tolerance, citation) for a catalog name."""
-    if name in CATALOG:
-        e = CATALOG[name]
-        return e.paper_value, e.paper_tolerance, e.paper_citation
-    if name in _PNT_NAMES:
-        _, val, tol, cite = _PNT_NAMES[name]
-        return val, tol, cite
-    raise DomainError(f"unknown constant {name!r}; known constants: "
-                      + ", ".join(catalog_names()))
-
-
-def _gamma_sieve012_value(table: primes.PrimeTable) -> float:
-    """Sieve-weighted r in {0,1,2} contribution for the k=3 sieve with one
-    root per prime (nu = 1 for p >= 5): the S_0 pieces add
-    2(p-1)/(p(p+1)) per prime, the S_2 pieces subtract 2(p-1)^2/(p+1)^3
-    on p = 1 mod 3, everything weighted by H_sieve = 1/(p^3 - 1)."""
-    def term(blk):
-        pf = blk.pf
-        h_sieve = 1.0 / (blk.power(3) - 1.0)
-        s0 = 2 * (pf - 1) / (pf * blk.q)
-        s2 = np.where(blk.mod(3) == 1, 2 * (pf - 1) ** 2 / blk.q3, 0.0)
-        return h_sieve * blk.lp * (s0 - s2)
-
-    return -term_sum(term, table.blocks(table.index(5)))
+    e = catalog_entry(name)
+    return e.paper_value, e.paper_tolerance, e.paper_citation
 
 
 @lru_cache(maxsize=256)
@@ -249,45 +281,10 @@ def _gamma_atilde_family(fam: families.FamilySpec, prime_count: int,
 
 def compute_constant(name: str, prime_limit: int | None = None,
                      first_primes: int | None = None) -> ConstantResult:
-    """Compute a catalog constant, carrying truncation provenance."""
-    if prime_limit is not None and first_primes is not None:
-        raise DomainError("specify prime_limit or first_primes, not both")
-    if name in _PNT_NAMES:
-        fn = _PNT_NAMES[name][0]
-        return fn(prime_limit=prime_limit, first_primes=first_primes)
-    paper_reference(name)             # DomainError for an unknown name
-    spec = CATALOG[name]
-
-    if name == "gamma_23":
-        value = math.log(2.0) + 2.0 * primes.LOG_3 / 3.0
-        return ConstantResult(name, value, "prime_count", 2, 0.0,
-                              "closed_form")
-
-    if first_primes is None and prime_limit is None:
-        first_primes = spec.default_first_primes
-    table, kind, trunc = primes._resolve_truncation(prime_limit, first_primes)
-    x_last = float(table.last)
-
-    if name == "gamma_sieve012":
-        value = _gamma_sieve012_value(table)
-        return ConstantResult(name, value, kind, trunc, 1e-12, "direct_sum")
-
-    if name == "gamma_atilde_3":
-        fam = families.get_family("noncm_3x12t")
-        value, _ = _gamma_atilde_family(fam, len(table))
-        return ConstantResult(name, value, kind, trunc,
-                              _tail_bound(spec, x_last), "direct_sum")
-
-    # the class primes from p_min on are the class's among the table's
-    # primes from p_min on, in the same CHUNK blocks of class primes
-    start = table.index(spec.p_min)
-    if spec.residue_class is None:
-        blocks = table.blocks(start)
-    else:
-        blocks = table.residue_blocks(*spec.residue_class, start)
-    value = term_sum(spec.term, blocks)
-    return ConstantResult(name, value, kind, trunc,
-                          _tail_bound(spec, x_last), "direct_sum")
+    """A catalog constant by its entry's default method, carrying
+    truncation provenance."""
+    entry = catalog_entry(name)
+    return entry.run(entry.methods[0], prime_limit, first_primes)
 
 
 def family_constant_Atilde(fam, prime_count: int = 5000,

@@ -386,8 +386,9 @@ def _prime_pass(entry, prime_limit, terms, terms_key, piece, scale,
     not an integer, before the memo and any table."""
     model = entry is CUSP_MODEL
     families.check_cap(entry, prime_limit, "prime_limit")
+    # the model sums no Atilde prime, but refuses atilde_primes as a family
+    x_at = float(first_n_primes(atilde_primes).last)
     if not model:
-        x_at = float(first_n_primes(atilde_primes).last)
         families.check_cap(entry, x_at, "largest Atilde prime")
     key = (entry.moment_law, prime_limit, terms_key, thread_count(threads))
     memo = _PASS_MEMO.get(key)
@@ -496,7 +497,8 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     past the cap raises ResourceError before any prime table is built.
     Every prime sum comes from one pass over the table (_prime_pass) on
     `threads` workers, or from its memo; DomainError, before the memo, for
-    a prime_limit that is not an integer or `threads` not an integer >= 1.
+    a prime_limit that is not an integer, or `threads` or atilde_primes not
+    an integer >= 1 (for every family and the cusp model).
     """
     entry = _entry(fam)
     if not 1.0 < R < math.inf:

@@ -38,12 +38,12 @@ trace_histograms gives, per prime of one sub-block, the traces with their
 numbers of good and of bad t.  Every consumer reads them through
 _histogram_map, one sub-block at a time, in order, on the entry's workers:
 the moments are their exact power sums (_power_sums) and Atilde(p) one
-recipe over them (_a_tildes).  No row lists a nonzero trace twice: a non-CM
-row has one column per a in [-h, h], a brute-force row is one np.unique,
-and the class traces of a CM row are distinct, since two equal ones would
-force p = n^2, 2n^2 or 3n^2 (a sextic row's lie among +-(2a - b),
-+-(a + b), +-(2b - a) with pi = a + b omega, a quartic row's are +-2a and
-+-2b with a^2 + b^2 = p).  The traces:
+recipe over them (_a_tildes).  No row lists a nonzero trace twice: a
+bincount row (_bin_traces, from the non-CM or brute-force traces at every
+t) has one column per a in [-h, h], and the class traces of a CM row are
+distinct, since two equal ones would force p = n^2, 2n^2 or 3n^2 (a
+sextic row's lie among +-(2a - b), +-(a + b), +-(2b - a) with pi = a + b
+omega, a quartic row's are +-2a and +-2b with a^2 + b^2 = p).  The traces:
 
 * CM built-ins, O(log p) per prime as int64 array code over the whole
   block, one sub-block: the trace of each twist y^2 = x^3 + c (resp. y^2 =
@@ -315,30 +315,12 @@ class _NonCM(_Builtin):
                 for ps in _correlation_blocks(p_int.tolist())]
 
     def trace_histograms(self, p_int: np.ndarray) -> tuple:
-        """a_t is the trace at s = 12t of _correlations(ps, -3), so the bad
-        t, 6t = 1 and -1, are the shifts s = 2 and -2.  A trace outside the
-        Hasse range |a| <= floor(2 sqrt p) is an error.  One bincount over
-        the rows, each offset by its row, less the zero padding past each
-        prime; the traces are spent."""
-        ps = p_int.tolist()
-        traces = _correlations(ps, -3)
-        rows, top = traces.shape
-        h = np.array([math.isqrt(4 * q) for q in ps], dtype=np.int64)
-        bad = np.flatnonzero((traces.max(axis=1) > h)
-                            | (traces.min(axis=1) < -h))
-        if bad.size:
-            raise VerificationError(
-                f"fft trace outside the Hasse range at {ps[bad[0]]}")
-        h, on = int(h[-1]), np.arange(rows)
-        bad = np.zeros((rows, 2 * h + 1), dtype=np.int64)
-        for s in (2, p_int - 2):
-            np.add.at(bad, (on, traces[on, s] + h), 1)
-        traces += h + (2 * h + 1) * on[:, None]
-        good = np.bincount(traces.ravel(), minlength=bad.size).reshape(
-            bad.shape)
-        good[:, h] -= top - p_int
-        good -= bad
-        return np.broadcast_to(np.arange(-h, h + 1), bad.shape), good, bad
+        # a_t is the trace at s = 12t of _correlations(ps, -3), so the bad
+        # t, 6t = 1 and -1, are the shifts s = 2 and -2
+        on = np.arange(p_int.size)
+        return _bin_traces(p_int, _correlations(p_int.tolist(), -3), (
+            np.tile(on, 2), np.concatenate((np.full_like(p_int, 2),
+                                            p_int - 2))))
 
 
 REGISTRY = {e.spec.name: e for e in (
@@ -370,20 +352,15 @@ class _BruteForce:
     moment_law = property(lambda self: self.spec)
 
     def trace_histograms(self, p_int: np.ndarray) -> tuple:
-        # one row per prime, over the distinct traces of its table, padded
-        # with zero counts to the widest
-        rows = []
-        for p in p_int.tolist():
-            a_vals, good = _curve_data(self.spec, p)
-            traces, at = np.unique(a_vals, return_inverse=True)
-            rows.append(np.stack((
-                traces, np.bincount(at[good], minlength=traces.size),
-                np.bincount(at[~good], minlength=traces.size))))
-        out = np.zeros((3, len(rows), max([1] + [r.shape[1] for r in rows])),
-                       dtype=np.int64)
-        for i, row in enumerate(rows):
-            out[:, i, :row.shape[1]] = row
-        return tuple(out)
+        # the traces at every t of each prime, one row each, and its bad t;
+        # a p past the limit is refused before the table
+        _check_float(int(p_int[-1]))
+        traces = np.zeros((p_int.size, int(p_int[-1])), dtype=np.int64)
+        bad = np.zeros(traces.shape, dtype=bool)
+        for i, p in enumerate(p_int.tolist()):
+            traces[i, :p], good = _curve_data(self.spec, p)
+            bad[i, :p] = ~good
+        return _bin_traces(p_int, traces, np.nonzero(bad))
 
     sub_blocks, a_tildes = _NonCM.sub_blocks, _Builtin.a_tildes
 
@@ -585,6 +562,28 @@ def _histogram_map(entry, p_int: np.ndarray, reduce) -> list:
     parts = ordered_map(lambda ps: reduce(ps, entry.trace_histograms(ps)),
                         entry.sub_blocks(p_int), entry.threads)
     return [x for part in parts for x in part]
+
+
+def _bin_traces(p_int: np.ndarray, traces: np.ndarray, bad) -> tuple:
+    """The trace histograms of a sub-block p_int from `traces`, one int64
+    row per prime with its trace at each t < p and 0 past it, and `bad`,
+    the (rows, columns) of its bad t: one bincount over the rows, each
+    offset by its row, in one column per a in [-h, h], h = floor(2 sqrt(max
+    p)).  A trace outside the Hasse range |a| <= floor(2 sqrt p) is an
+    error.  The table is spent."""
+    rows, top = traces.shape
+    h = np.array([math.isqrt(4 * q) for q in p_int.tolist()])
+    out = np.flatnonzero((traces.max(axis=1) > h) | (traces.min(axis=1) < -h))
+    if out.size:
+        raise VerificationError(
+            f"trace outside the Hasse range at {p_int[out[0]]}")
+    h = int(h[-1])
+    traces += h + (2 * h + 1) * np.arange(rows)[:, None]
+    good, bad = (np.bincount(x, minlength=rows * (2 * h + 1)).reshape(
+        rows, 2 * h + 1) for x in (traces.ravel(), traces[bad]))
+    good[:, h] -= top - p_int
+    good -= bad
+    return np.broadcast_to(np.arange(-h, h + 1), bad.shape), good, bad
 
 
 def _power_sums(histograms, r_max: int) -> list:
@@ -869,8 +868,9 @@ def closed_form_failures(fam, prime_limit: int, checks: list) -> list:
     """(p, r, side, brute, closed) wherever a built-in's closed-form moment
     (r, side), for each of `checks` in turn, differs from the power sum of
     the traces at every t (the brute-force entry's, never the built-in's
-    own) at a prime 5 <= p <= prime_limit; none without closed forms."""
-    if builtin_entry(fam) is None:
+    own) at a prime 5 <= p <= prime_limit; none without closed forms or
+    without checks."""
+    if builtin_entry(fam) is None or not checks:
         return []
     table = get_table(prime_limit)
     p_int = table.decode(table.index(5))

@@ -463,11 +463,14 @@ class ConstantResult:
 
 
 def _resolve_truncation(prime_limit: int | None, first_primes: int | None,
-                        default_limit: int | None = None) -> tuple:
+                        default_limit: int | None = None,
+                        default_count: int | None = None) -> tuple:
     """(table, kind, truncation): the first first_primes primes, or those
-    up to prime_limit, else up to default_limit."""
+    up to prime_limit, else the first default_count, else to default_limit."""
     if prime_limit is not None and first_primes is not None:
         raise DomainError("specify prime_limit or first_primes, not both")
+    if prime_limit is None and first_primes is None:
+        first_primes = default_count
     if first_primes is not None:
         table = first_n_primes(first_primes)
         return table, "prime_count", first_primes

@@ -64,7 +64,7 @@ def test_constants_usage_errors(capsys):
 
 @pytest.mark.parametrize("name,count", [
     ("gamma_cm_13", "0"), ("gamma_pnt", "0"), ("gamma_atilde_3", "0"),
-    ("all", "0"), ("gamma_cm_13", "-3")])
+    ("all", "0"), ("gamma_cm_13", "-3"), ("gamma_23", "-3")])
 def test_constants_refuse_a_prime_count_below_one(capsys, name, count):
     code, out, err = run(capsys, "constants", "--name", name,
                          "--first-primes", count)
@@ -72,12 +72,28 @@ def test_constants_refuse_a_prime_count_below_one(capsys, name, count):
     assert "prime count" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["direct", "closed", "both"])
+def test_constants_method_picks_among_two_methods_only(capsys, method):
+    rows = run_json(capsys, "constants", "--name", "gamma_st_0",
+                    "--first-primes", "100", "--method", method,
+                    )["results"]["rows"]
+    assert [r["method"] for r in rows] == ["direct_sum"]
+    rows = run_json(capsys, "constants", "--name", "gamma_pnt_14",
+                    "--prime-limit", "200000", "--method", method,
+                    )["results"]["rows"]
+    assert [r["method"] for r in rows] == {
+        "direct": ["integral"], "closed": ["closed_form"],
+        "both": ["closed_form", "integral"]}[method]
+
+
 def test_constants_truncation_error_omits_the_catalog(capsys):
-    code, out, err = run(capsys, "constants", "--name", "gamma_pnt",
-                         "--prime-limit", "0")
-    assert code == 2 and out == ""
-    # the sieve's message, also once a table is cached
-    assert err == "error: sieve limit 0 yields an empty table\n"
+    # gamma_23, a closed form, refuses it as every entry does
+    for name in ("gamma_pnt", "gamma_23"):
+        code, out, err = run(capsys, "constants", "--name", name,
+                             "--prime-limit", "0")
+        assert code == 2 and out == ""
+        # the sieve's message, also once a table is cached
+        assert err == "error: sieve limit 0 yields an empty table\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--prime-limit", "2147483648"),

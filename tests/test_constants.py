@@ -84,10 +84,13 @@ def test_catalog_constants_match_plain_python_oracle(name):
 
 
 def test_gamma_23_exact():
-    res = constants.compute_constant("gamma_23")
-    assert res.value == pytest.approx(math.log(2) + 2 * math.log(3) / 3,
-                                      rel=1e-15)
-    assert res.method == "closed_form"
+    # the sum over the first two primes at any truncation it takes
+    for kwargs in ({}, {"first_primes": 1}, {"prime_limit": 1000}):
+        res = constants.compute_constant("gamma_23", **kwargs)
+        assert res.value == pytest.approx(
+            math.log(2) + 2 * math.log(3) / 3, rel=1e-15)
+        assert res.method == "closed_form"
+        assert (res.truncation_kind, res.truncation) == ("prime_count", 2)
 
 
 def test_gamma_atilde_3_matches_generic_brute_force():
@@ -134,6 +137,26 @@ def test_compute_constant_argument_errors():
         with pytest.raises(DomainError):
             constants.compute_constant(name, prime_limit=100,
                                        first_primes=100)
+
+
+@pytest.mark.parametrize("name", constants.catalog_names())
+def test_every_entry_refuses_a_bad_truncation(name):
+    # gamma_23, a closed form, refuses what every entry refuses
+    for kwargs in ({"first_primes": 0}, {"first_primes": -3},
+                   {"prime_limit": 0}, {"prime_limit": "x"}):
+        with pytest.raises(DomainError):
+            constants.compute_constant(name, **kwargs)
+
+
+def test_the_catalog_is_the_one_registry():
+    # the sums by name, then the prime-counting constants by name; only
+    # these have two methods, and every reference cites its own name
+    names = constants.catalog_names()
+    two = [n for n in names if len(constants.CATALOG[n].methods) == 2]
+    assert names == sorted(set(names) - set(two)) + sorted(two)
+    assert two == ["gamma_pnt", "gamma_pnt_13", "gamma_pnt_14"]
+    for name in names:
+        assert constants.paper_reference(name)[2] == f"ref:{name}"
 
 
 def test_exact_cancellation_and_negative_control():

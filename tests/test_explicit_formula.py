@@ -621,12 +621,19 @@ def test_evaluate_s_custom_family_golden():
         "ea1cf27ffa804cabc59d290de26e7949ce92dc2d6ebfd7f82b29a469f82a37b2")
 
 
-@pytest.mark.parametrize("count", [0, -2])
-def test_evaluate_s_refuses_an_atilde_truncation_below_one(count):
+@pytest.mark.parametrize("count", [0, -2, 2.5])
+def test_evaluate_s_refuses_an_atilde_truncation_below_one(monkeypatch,
+                                                           count):
+    # or one that is not an integer; the cusp model sums no Atilde prime,
+    # but refuses what a family refuses, before any pass
+    def no_pass(*args):
+        raise AssertionError("pass started before the check")
+
+    monkeypatch.setattr(ef, "_block_pass", no_pass)
     pair = ef.builtin_test_pair("fejer:0.4")
-    with pytest.raises(DomainError, match="prime count"):
-        ef.evaluate_S("cm_b1_kappa2", pair, math.exp(25.0),
-                      atilde_primes=count)
+    for fam in ("cm_b1_kappa2", "cusp_model"):
+        with pytest.raises(DomainError, match="prime count"):
+            ef.evaluate_S(fam, pair, math.exp(25.0), atilde_primes=count)
 
 
 def test_evaluate_s_custom_family_refuses_uncapped_atilde(monkeypatch):

@@ -342,6 +342,27 @@ def test_moment_table_and_closed_form_failures_take_a_name():
         "noncm_3x12t", 50, [(2, "good")]) == []
 
 
+def test_closed_form_failures_with_no_checks_finds_none():
+    assert families.closed_form_failures("noncm_3x12t", 50, []) == []
+
+
+def test_a_per_t_table_refuses_a_trace_past_the_hasse_range(monkeypatch):
+    # a custom family's traces at every t go through the same check as
+    # the non-CM correlation: |a| <= floor(2 sqrt p), here spoiled at 13
+    curve_data = families._curve_data
+
+    def spoiled(fam, p):
+        a_vals, good = curve_data(fam, p)
+        if p == 13:
+            a_vals[1] = math.isqrt(4 * p) + 1
+        return a_vals, good
+
+    monkeypatch.setattr(families, "_curve_data", spoiled)
+    fam = _clone_generic(families.get_family("noncm_3x12t"))
+    with pytest.raises(VerificationError, match="Hasse range at 13"):
+        families.moment_table(fam, [5, 7, 11, 13])
+
+
 def test_closed_form_failures_name_each_prime_that_fails(monkeypatch):
     # an A_1 one too large at every prime, beside an A_2 that holds
     entry = families.REGISTRY["noncm_3x12t"]
