@@ -122,10 +122,9 @@ def _sieve012_terms(blk):
     with one root per prime (nu = 1 for p >= 5): the S_0 pieces add
     2(p-1)/(p(p+1)) per prime, the S_2 pieces subtract 2(p-1)^2/(p+1)^3
     on p = 1 mod 3, everything weighted by H_sieve = 1/(p^3 - 1)."""
-    pf = blk.pf
     h_sieve = 1.0 / (blk.power(3) - 1.0)
-    s0 = 2 * (pf - 1) / (pf * blk.q)
-    s2 = np.where(blk.mod(3) == 1, 2 * (pf - 1) ** 2 / blk.q3, 0.0)
+    s0 = 2 * (blk.pf - 1) / (blk.pf * blk.q)
+    s2 = np.where(blk.mod(3) == 1, 2 * (blk.pf - 1) ** 2 / blk.q3, 0.0)
     return -h_sieve * blk.lp * (s0 - s2)
 
 

@@ -386,10 +386,12 @@ def _prime_pass(entry, prime_limit, terms, terms_key, piece, scale,
     not an integer, before the memo and any table."""
     model = entry is CUSP_MODEL
     families.check_cap(entry, prime_limit, "prime_limit")
-    # the model sums no Atilde prime, but refuses atilde_primes as a family
-    x_at = float(first_n_primes(atilde_primes).last)
     if not model:
+        x_at = float(first_n_primes(atilde_primes).last)
         families.check_cap(entry, x_at, "largest Atilde prime")
+    elif integer(atilde_primes, "the prime count") < 1:
+        # as a family refuses it, though the model sums no Atilde prime
+        raise DomainError(f"the prime count must be >= 1, got {atilde_primes}")
     key = (entry.moment_law, prime_limit, terms_key, thread_count(threads))
     memo = _PASS_MEMO.get(key)
     if memo is None:
@@ -497,8 +499,7 @@ def evaluate_S(fam, phi: TestFunctionPair, R: float,
     past the cap raises ResourceError before any prime table is built.
     Every prime sum comes from one pass over the table (_prime_pass) on
     `threads` workers, or from its memo; DomainError, before the memo, for
-    a prime_limit that is not an integer, or `threads` or atilde_primes not
-    an integer >= 1 (for every family and the cusp model).
+    a non-integer prime_limit, or threads or atilde_primes not an int >= 1.
     """
     entry = _entry(fam)
     if not 1.0 < R < math.inf:

@@ -352,8 +352,7 @@ class _BruteForce:
     moment_law = property(lambda self: self.spec)
 
     def trace_histograms(self, p_int: np.ndarray) -> tuple:
-        # the traces at every t of each prime, one row each, and its bad t;
-        # a p past the limit is refused before the table
+        # one row of traces per prime, refused past the limit before it
         _check_float(int(p_int[-1]))
         traces = np.zeros((p_int.size, int(p_int[-1])), dtype=np.int64)
         bad = np.zeros(traces.shape, dtype=bool)
