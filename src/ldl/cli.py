@@ -152,8 +152,14 @@ def _prime_limit(args, default: int) -> int:
 def cmd_family(args, argv) -> int:
     t0 = time.time()
     prime_limit = _prime_limit(args, 100)
-    fam, digest = _resolve_family(args.family)
+    if args.aggregate and not args.verify_closed_forms:
+        # a key of the aggregate registry: an "@path" config names none
+        agg = constants.aggregate_lower_order(args.family)
+        _emit({**asdict(agg), "source": "reference catalog values"},
+              args, argv, t0)
+        return EXIT_OK
 
+    fam, digest = _resolve_family(args.family)
     if args.verify_closed_forms:
         checks = [(r, side) for r in range(3) for side in ("good", "bad")]
         failures = [dict(zip(("p", "r", "side", "brute", "closed"), row))
@@ -164,19 +170,6 @@ def cmd_family(args, argv) -> int:
         _emit(payload, args, argv, t0, digest,
               {"prime_limit": prime_limit})
         return EXIT_OK if not failures else EXIT_VERIFY
-
-    if args.aggregate:
-        if families.builtin_entry(fam) is None:
-            raise DomainError(
-                f"aggregates are registered for the built-in families "
-                f"only; {fam.name!r} is a custom config")
-        agg = constants.aggregate_lower_order(fam.name)
-        payload = {"family": agg.family, "pieces": agg.pieces,
-                   "sieve_pieces": agg.sieve_pieces,
-                   "aggregate": agg.aggregate,
-                   "source": "reference catalog values"}
-        _emit(payload, args, argv, t0, digest, {})
-        return EXIT_OK
 
     table = get_table(prime_limit)
     primes = table.decode(table.index(5))

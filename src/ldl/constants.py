@@ -1,13 +1,13 @@
 """Catalog of the named prime-sum constants and per-family aggregates.
 
-CATALOG is the one registry of named constants.  Each entry knows its
+Two registries.  CATALOG holds the named constants: each entry knows its
 summand, reference value and tolerance, and computes itself, so runs can
-replay the reference truncations exactly: _prime_sum builds the entries
-that sum a term over a residue class of primes, and gamma_23,
-gamma_atilde_3 and the prime-counting constants carry their own
-computation.  The aggregate assembly combines the catalog values into the
-lower-order coefficient (of 2*phihat(0)/log R) for the built-in families
-and for the cusp-form model.
+replay the reference truncations exactly (_prime_sum builds the entries
+that sum a term over a residue class of primes; gamma_23, gamma_atilde_3
+and the prime-counting constants carry their own computation).
+AGGREGATES holds the lower-order coefficient (of 2*phihat(0)/log R) of
+the cusp-form model and of the built-in families with printed values:
+a printed total and pieces, each a signed sum of catalog constants.
 
 Known caveats, preserved deliberately:
 
@@ -305,24 +305,47 @@ def family_constant_Atilde(fam, prime_count: int = 5000,
 # --------------------------------------------------------------------------
 # per-family aggregates
 
-# reference values for the family cubic-moment constants (first 5000 primes,
-# error at most .0367) and their sieve companions (error <= 1e-15)
-ATILDE_REFERENCE = {
-    "cm_b1_kappa1": (0.3437, 0.000446),
-    "cm_b1_kappa2": (0.4203, 0.000699),
-    "cm_b2_kappa2": (0.5670, 0.000761),
-    "cm_b3_kappa2": (0.1413, 0.000125),
-    "cm_b6_kappa2": (0.2620, 0.000199),
-}
+@dataclass(frozen=True)
+class Aggregate:
+    """A printed total, and pieces and sieve pieces, each a signed sum
+    ((coefficient, name), ...) of catalog constants or of the cubic-moment
+    pair "atilde" and "atilde_sieve", whose reference values (first 5000
+    primes, errors at most .0367 and 1e-15) a sextic twist carries."""
+    total: float
+    pieces: dict
+    sieve_pieces: dict = field(default_factory=dict)
+    atilde: tuple = ()
 
-AGGREGATE_REFERENCE = {
-    "cusp_model": -1.33258,
-    "cm_b1_kappa1": -2.124,
-    "cm_b1_kappa2": -2.201,
-    "cm_b2_kappa2": -2.347,
-    "cm_b3_kappa2": -1.921,
-    "cm_b6_kappa2": -2.042,
-    "noncm_3x12t": -2.703,
+
+def _sextic(total: float, atilde: float, atilde_sieve: float) -> Aggregate:
+    return Aggregate(
+        total,
+        {"S_0": ((2, "gamma_pnt"), (-1, "gamma_cm0_ge5"), (-1, "gamma_23")),
+         "S_1": (), "S_2": ((-1, "gamma_pnt_13"), (1, "gamma_cm2_13")),
+         "S_Aprime": (), "S_Atilde": ((-1, "atilde"),)},
+        {"S_012_sieve": ((-1, "gamma_sieve012"),),
+         "S_Atilde_sieve": ((-1, "atilde_sieve"),)}, (atilde, atilde_sieve))
+
+
+#: the one registry of aggregate targets
+AGGREGATES = {
+    "cusp_model": Aggregate(
+        -1.33258,
+        {"S_0": ((2, "gamma_pnt"), (-1, "gamma_st_0")), "S_1": (),
+         "S_2": ((-1, "gamma_pnt"), (1, "gamma_st_2")), "S_Aprime": (),
+         "S_Atilde": ((-1, "gamma_st_atilde"),)}),
+    "cm_b1_kappa1": _sextic(-2.124, 0.3437, 0.000446),
+    "cm_b1_kappa2": _sextic(-2.201, 0.4203, 0.000699),
+    "cm_b2_kappa2": _sextic(-2.347, 0.5670, 0.000761),
+    "cm_b3_kappa2": _sextic(-1.921, 0.1413, 0.000125),
+    "cm_b6_kappa2": _sextic(-2.042, 0.2620, 0.000199),
+    "noncm_3x12t": Aggregate(
+        -2.703,
+        {"S_0": ((-1, "gamma_0_3"), (-1, "gamma_23"), (2, "gamma_pnt")),
+         "S_1": ((-1, "gamma_1_3"),),
+         "S_2": ((-1, "gamma_2_3"), (0.5, "gamma_23"), (-1, "gamma_pnt")),
+         "S_Aprime": ((-1, "gamma_aprime_3"),),
+         "S_Atilde": ((-1, "gamma_atilde_3"),)}),
 }
 
 
@@ -338,99 +361,71 @@ class FamilyLowerOrder:
                 + math.fsum(self.sieve_pieces.values()))
 
 
-def _derived_lower_order(target: str) -> FamilyLowerOrder:
-    # explicit_formula imports this module, so import it at call time
-    from .explicit_formula import lower_order_limit
-    limit = lower_order_limit(target)
-    pieces = {k: v["main"] for k, v in limit.items()}
-    sieve = {f"{k}_sieve": v["sieve"] for k, v in limit.items()}
+def aggregate_lower_order(target: str, source: str = "catalog",
+                          allow_mixed_truncations: bool = False
+                          ) -> FamilyLowerOrder:
+    """Lower-order coefficient of 2*phihat(0)/log R for a target of
+    AGGREGATES, with the per-piece breakdown retained.
+
+    source="catalog" assembles the record from the reference values;
+    source="computed" from the constants recomputed, each once, which
+    mixes the reference truncations (a million primes for most sums, four
+    million for two, 5000 for the cubic-moment sums), so it must be
+    acknowledged via allow_mixed_truncations=True.
+
+    source="derived" takes each piece as the log R -> infinity limit of the
+    evaluate_S decomposition (explicit_formula.lower_order_limit), with the
+    sieve parts under the family's own H weight, one "<piece>_sieve" entry
+    per piece: the coefficient evaluate_S converges to.  It agrees with the
+    cited pieces but for noncm_3x12t's S_0, S_1 and S_2 (module notes).
+    Its block pass runs on LDL_THREADS workers, else one per CPU.
+    """
+    if source not in ("catalog", "computed", "derived"):
+        raise DomainError("source must be 'catalog', 'computed' or 'derived'")
+    if not isinstance(target, str) or target not in AGGREGATES:
+        raise DomainError(f"no aggregate registered for {target!r}; "
+                          f"supported: {sorted(AGGREGATES)}")
+    if source == "computed" and not allow_mixed_truncations:
+        raise VerificationError(
+            "computed mode mixes the reference truncations (1e6 / 4e6 / "
+            "5000 primes); pass allow_mixed_truncations=True to accept")
+    if source == "derived":
+        # explicit_formula imports this module, so import it at call time
+        from .explicit_formula import lower_order_limit
+        limit = lower_order_limit(target)
+        pieces = {k: v["main"] for k, v in limit.items()}
+        sieve = {f"{k}_sieve": v["sieve"] for k, v in limit.items()}
+    else:
+        pieces, sieve = _cited_pieces(target, source)
     return FamilyLowerOrder(
         target, pieces, sieve,
         math.fsum(pieces.values()) + math.fsum(sieve.values()))
 
 
-def aggregate_lower_order(target: str, source: str = "catalog",
-                          allow_mixed_truncations: bool = False
-                          ) -> FamilyLowerOrder:
-    """Lower-order coefficient of 2*phihat(0)/log R for a built-in family
-    or the cusp-form model, with the per-piece breakdown retained.
+def _cited_pieces(target: str, source: str) -> tuple[dict, dict]:
+    """(pieces, sieve pieces) of the target's record, each constant read
+    once, from the catalog or, source="computed", recomputed."""
+    record, values = AGGREGATES[target], {}
+    if record.atilde:
+        # the reference bracket uses the exponent-3 sieve weight for every
+        # member, including kappa = 1 (see family_constant_Atilde)
+        values["atilde"], values["atilde_sieve"] = (
+            record.atilde if source == "catalog"
+            else family_constant_Atilde(target, sieve_exponent=3))
 
-    source="catalog" uses the reference values at their stated truncations;
-    source="computed" recomputes every piece (which mixes the reference
-    truncations -- a million primes for most sums, four million for two of
-    them, 5000 for the cubic-moment sums -- so it must be acknowledged via
-    allow_mixed_truncations=True).  Both assemble the cited constants.
+    def fold(terms) -> float:
+        # from 0.0, left to right, as the cited expressions round: not sum
+        acc = 0.0
+        for a, name in terms:
+            if name not in values:
+                values[name] = (CATALOG[name].paper_value
+                                if source == "catalog"
+                                else compute_constant(name).value)
+            acc += a * values[name]
+        return acc
 
-    source="derived" takes each piece as the log R -> infinity limit of
-    the evaluate_S decomposition (explicit_formula.lower_order_limit), with
-    the sieve parts under the family's own H weight, one "<piece>_sieve"
-    entry per piece.  It is the coefficient evaluate_S converges to.  For
-    the CM families and the cusp model its S_0, S_1, S_2 and S_A' agree
-    with the catalog pieces to the rounding of the cited constants; for
-    noncm_3x12t the S_0, S_1 and S_2 pieces built from gamma_0_3,
-    gamma_1_3 and gamma_2_3 differ, and the derived aggregate is about
-    -2.542 against the printed -2.703.  Its block pass runs on
-    LDL_THREADS workers, else one per CPU.
-    """
-    if source not in ("catalog", "computed", "derived"):
-        raise DomainError("source must be 'catalog', 'computed' or 'derived'")
-    if target not in AGGREGATE_REFERENCE:
-        raise DomainError(
-            f"no aggregate registered for {target!r}; supported: "
-            f"{sorted(AGGREGATE_REFERENCE)}")
-    if source == "derived":
-        return _derived_lower_order(target)
-    if source == "computed" and not allow_mixed_truncations:
-        raise VerificationError(
-            "computed mode mixes the reference truncations (1e6 / 4e6 / "
-            "5000 primes); pass allow_mixed_truncations=True to accept")
-
-    def c(name):
-        if source == "catalog":
-            return paper_reference(name)[0]
-        return compute_constant(name).value
-
-    if target == "cusp_model":
-        pieces = {
-            "S_0": 2 * c("gamma_pnt") - c("gamma_st_0"),
-            "S_1": 0.0,
-            "S_2": -c("gamma_pnt") + c("gamma_st_2"),
-            "S_Aprime": 0.0,
-            "S_Atilde": -c("gamma_st_atilde"),
-        }
-        return FamilyLowerOrder("cusp_model", pieces, {},
-                                math.fsum(pieces.values()))
-
-    if families.REGISTRY[target].kind == "sextic":
-        if source == "catalog":
-            at_main, at_sieve = ATILDE_REFERENCE[target]
-        else:
-            # the reference bracket uses the exponent-3 sieve weight for
-            # every member, including kappa = 1 (see module notes)
-            at_main, at_sieve = family_constant_Atilde(target,
-                                                       sieve_exponent=3)
-        pieces = {
-            "S_0": 2 * c("gamma_pnt") - c("gamma_cm0_ge5") - c("gamma_23"),
-            "S_1": 0.0,
-            "S_2": -c("gamma_pnt_13") + c("gamma_cm2_13"),
-            "S_Aprime": 0.0,
-            "S_Atilde": -at_main,
-        }
-        sieve = {"S_012_sieve": -c("gamma_sieve012"),
-                 "S_Atilde_sieve": -at_sieve}
-        return FamilyLowerOrder(
-            target, pieces, sieve,
-            math.fsum(pieces.values()) + math.fsum(sieve.values()))
-
-    # the remaining target, noncm_3x12t
-    pieces = {
-        "S_0": -(c("gamma_0_3") + c("gamma_23")) + 2 * c("gamma_pnt"),
-        "S_1": -c("gamma_1_3"),
-        "S_2": -(c("gamma_2_3") - 0.5 * c("gamma_23") + c("gamma_pnt")),
-        "S_Aprime": -c("gamma_aprime_3"),
-        "S_Atilde": -c("gamma_atilde_3"),
-    }
-    return FamilyLowerOrder(target, pieces, {}, math.fsum(pieces.values()))
+    return ({k: fold(t) for k, t in record.pieces.items()},
+            {k: fold(t) for k, t in record.sieve_pieces.items()})
 
 
 # --------------------------------------------------------------------------

@@ -233,14 +233,18 @@ def conductor_term(k: int, N: float, R: float,
 # --------------------------------------------------------------------------
 # geometric-series remainder (the m >= 3 tail for a single form)
 
-def m3_remainder(lam: float, p: int) -> float:
-    """Closed form of sum_{m>=3} [(alpha/sqrt p)^m + (beta/sqrt p)^m] with
-    alpha+beta = lam*sqrt(p), alpha*beta = p, for a finite |lam| <= 2 and
-    an integer p >= 2."""
+def _check_lam_p(lam: float, p: int) -> None:
     if not abs(lam) <= 2:
         raise DomainError("|lambda| must be finite and <= 2")
     if integer(p, "p") < 2:
         raise DomainError("p must be >= 2")
+
+
+def m3_remainder(lam: float, p: int) -> float:
+    """Closed form of sum_{m>=3} [(alpha/sqrt p)^m + (beta/sqrt p)^m] with
+    alpha+beta = lam*sqrt(p), alpha*beta = p, for a finite |lam| <= 2 and
+    an integer p >= 2."""
+    _check_lam_p(lam, p)
     sp = math.sqrt(p)
     return (lam ** 3 * sp - lam ** 2 - 3 * lam * sp + 2) / \
         (p * (p + 1 - lam * sp))
@@ -249,7 +253,11 @@ def m3_remainder(lam: float, p: int) -> float:
 def m3_direct(lam: float, p: int, terms: int = 60) -> float:
     """Direct summation oracle companion: the normalized power sums
     y_m = (alpha^m + beta^m)/p^{m/2} satisfy y_m = lam y_{m-1} - y_{m-2}
-    with y_0 = 2, y_1 = lam; the remainder is sum_{m>=3} y_m / p^{m/2}."""
+    with y_0 = 2, y_1 = lam; the remainder is sum_{m=3}^{terms} y_m /
+    p^{m/2}, for an integer terms >= 3 and (lam, p) as m3_remainder."""
+    _check_lam_p(lam, p)
+    if integer(terms, "terms") < 3:
+        raise DomainError("terms must be >= 3")
     y0, y1 = 2.0, lam
     total = 0.0
     for m in range(2, terms + 1):

@@ -414,9 +414,12 @@ def theta_error_integral(cls, upper_limit: float,
 
     theta is a step function, so integrating by parts over each step gives
     the finite closed form  sum_{p<=X} log p (1/p - 1/X) - log X / phi(b)
-    (phi(b) = 1 in the all-primes case).  DomainError for an X that is
-    not a finite real >= 2.
+    (phi(b) = 1 in the all-primes case).  DomainError for a cls not
+    "all" or an integer pair (a, b), or an X not a finite real >= 2.
     """
+    if not (isinstance(cls, (tuple, list)) and len(cls) == 2
+            or cls == "all"):
+        raise DomainError(f"cls must be 'all' or a pair (a, b), got {cls!r}")
     if not (isinstance(upper_limit, numbers.Real)
             and 2 <= upper_limit < math.inf):
         raise DomainError(
@@ -431,7 +434,7 @@ def theta_error_integral(cls, upper_limit: float,
     if cls == "all":
         primes, phib = table.blocks(0, stop), 1
     else:
-        a, b = cls
+        a, b = integer(cls[0], "the residue"), cls[1]
         primes = table.residue_blocks(a, b, 0, stop)
         phib = sum(math.gcd(k, b) == 1 for k in range(1, b + 1))
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from ldl import cli, explicit_formula as ef, families
+from ldl import cli, constants, explicit_formula as ef, families
 
 
 def run(capsys, *argv):
@@ -147,6 +147,27 @@ def test_family_aggregate(capsys):
     assert res["aggregate"] == pytest.approx(-2.201, abs=5e-3)
     assert set(res["pieces"]) == {"S_0", "S_1", "S_2", "S_Aprime",
                                   "S_Atilde"}
+
+
+def test_family_aggregate_takes_what_the_library_takes(capsys):
+    # the cusp model has an aggregate but is no family
+    agg = constants.aggregate_lower_order("cusp_model")
+    res = run_json(capsys, "family", "--family", "cusp_model",
+                   "--aggregate")["results"]
+    assert (res["family"], res["pieces"], res["sieve_pieces"],
+            res["aggregate"]) == ("cusp_model", agg.pieces, {},
+                                  agg.aggregate)
+    # a family, or a config, with no registered aggregate
+    for family in ("cm_b2_kappa1", "rank1_36t", "@" + IMPOSTOR):
+        code, out, err = run(capsys, "family", "--family", family,
+                             "--aggregate")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "no aggregate registered" in err
+    # --verify-closed-forms wins over --aggregate
+    res = run_json(capsys, "family", "--family", "cm_b1_kappa2",
+                   "--aggregate", "--verify-closed-forms",
+                   "--prime-limit", "30")["results"]
+    assert res["failures"] == [] and "aggregate" not in res
 
 
 def test_family_rows(capsys):

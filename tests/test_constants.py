@@ -254,9 +254,9 @@ def test_a_non_integer_sieve_exponent_is_refused(exponent):
 
 
 def test_aggregate_catalog_mode():
-    for target, want in constants.AGGREGATE_REFERENCE.items():
+    for target, record in constants.AGGREGATES.items():
         agg = constants.aggregate_lower_order(target)
-        assert agg.aggregate == pytest.approx(want, abs=5e-3)
+        assert agg.aggregate == pytest.approx(record.total, abs=5e-3)
         assert agg.piece_sum() == pytest.approx(agg.aggregate, abs=1e-12)
         assert set(agg.pieces) == {"S_0", "S_1", "S_2", "S_Aprime",
                                    "S_Atilde"}
@@ -283,13 +283,114 @@ def test_aggregate_computed_mode_guard(monkeypatch):
     # the acceptance suite
     monkeypatch.setattr(constants, "_gamma_atilde_family",
                         lambda fam, n: (0.0, 0.0))
-    for target in constants.AGGREGATE_REFERENCE:
+    for target in constants.AGGREGATES:
         agg = constants.aggregate_lower_order(target, source="derived")
         assert set(agg.pieces) == {"S_0", "S_1", "S_2", "S_Aprime",
                                    "S_Atilde"}
         assert agg.piece_sum() == pytest.approx(agg.aggregate, abs=1e-12)
     with pytest.raises(DomainError):
         constants.aggregate_lower_order("rank1_36t", source="derived")
+
+
+def test_aggregate_target_must_be_a_name():
+    # not a raw TypeError from the registry lookup
+    for target in (["x"], None, 3):
+        with pytest.raises(DomainError, match="no aggregate registered"):
+            constants.aggregate_lower_order(target)
+
+
+# float.hex of every piece, sieve piece and total of the cited
+# aggregates, recorded from the three hand-written recipes the registry
+# replaced: (pieces, sieve pieces, total).  An int has no .hex(), so a
+# piece must also stay a float.
+AGGREGATE_BITS = {
+    ("cusp_model", "catalog"): (
+        {"S_0": "-0x1.b7962e02b15b1p+1", "S_1": "0x0.0p+0",
+         "S_2": "0x1.424606fe6c9a2p+1", "S_Aprime": "0x0.0p+0",
+         "S_Atilde": "-0x1.aa0ea1e1f0282p-2"},
+        {},
+        "-0x1.5523f681058bep+0"),
+    ("cm_b1_kappa1", "catalog"): (
+        {"S_0": "-0x1.333d9811035d8p+2", "S_1": "0x0.0p+0",
+         "S_2": "0x1.8225eb362c527p+1", "S_Aprime": "0x0.0p+0",
+         "S_Atilde": "-0x1.5ff2e48e8a71ep-2"},
+        {"S_012_sieve": "0x1.1904b3c3e74b0p-8",
+         "S_Atilde_sieve": "-0x1.d3aa369fcf3dcp-12"},
+        "-0x1.0fd5bc757ec1ap+1"),
+    ("cm_b1_kappa2", "catalog"): (
+        {"S_0": "-0x1.333d9811035d8p+2", "S_1": "0x0.0p+0",
+         "S_2": "0x1.8225eb362c527p+1", "S_Aprime": "0x0.0p+0",
+         "S_Atilde": "-0x1.ae631f8a0902ep-2"},
+        {"S_012_sieve": "0x1.1904b3c3e74b0p-8",
+         "S_Atilde_sieve": "-0x1.6e7a311e85fd0p-11"},
+        "-0x1.19ac0e264b7dbp+1"),
+    ("cm_b2_kappa2", "catalog"): (
+        {"S_0": "-0x1.333d9811035d8p+2", "S_1": "0x0.0p+0",
+         "S_2": "0x1.8225eb362c527p+1", "S_Aprime": "0x0.0p+0",
+         "S_Atilde": "-0x1.224dd2f1a9fbep-1"},
+        {"S_012_sieve": "0x1.1904b3c3e74b0p-8",
+         "S_Atilde_sieve": "-0x1.8efbb0e5e6794p-11"},
+        "-0x1.2c75270971524p+1"),
+    ("cm_b3_kappa2", "catalog"): (
+        {"S_0": "-0x1.333d9811035d8p+2", "S_1": "0x0.0p+0",
+         "S_2": "0x1.8225eb362c527p+1", "S_Aprime": "0x0.0p+0",
+         "S_Atilde": "-0x1.2161e4f765fd9p-3"},
+        {"S_012_sieve": "0x1.1904b3c3e74b0p-8",
+         "S_Atilde_sieve": "-0x1.0624dd2f1a9fcp-13"},
+        "-0x1.ebc5f2e9c7226p+0"),
+    ("cm_b6_kappa2", "catalog"): (
+        {"S_0": "-0x1.333d9811035d8p+2", "S_1": "0x0.0p+0",
+         "S_2": "0x1.8225eb362c527p+1", "S_Aprime": "0x0.0p+0",
+         "S_Atilde": "-0x1.0c49ba5e353f8p-2"},
+        {"S_012_sieve": "0x1.1904b3c3e74b0p-8",
+         "S_Atilde_sieve": "-0x1.a1554fbdad752p-13"},
+        "-0x1.05587f32fe139p+1"),
+    ("noncm_3x12t", "catalog"): (
+        {"S_0": "-0x1.1b063932af326p+2", "S_1": "0x1.bf145b096e9c5p-7",
+         "S_2": "0x1.f5b0e9417799ap+0", "S_Aprime": "0x1.53d9d892c27ebp-4",
+         "S_Atilde": "-0x1.58fc504816f00p-2"},
+        {},
+        "-0x1.59f5a4ae05f36p+1"),
+    ("cm_b1_kappa2", "computed"): (
+        {"S_0": "-0x1.333dab1222a08p+2", "S_1": "0x0.0p+0",
+         "S_2": "0x1.8225f16a6b03fp+1", "S_Aprime": "0x0.0p+0",
+         "S_Atilde": "-0x1.ae5db33013f19p-2"},
+        {"S_012_sieve": "0x1.190a21aeabea2p-8",
+         "S_Atilde_sieve": "-0x1.6e3e7801a6bbcp-11"},
+        "-0x1.19ab79f6857fbp+1"),
+    ("cusp_model", "computed"): (
+        {"S_0": "-0x1.b7965405dc16ap+1", "S_1": "0x0.0p+0",
+         "S_2": "0x1.42461bac2fa38p+1", "S_Aprime": "0x0.0p+0",
+         "S_Atilde": "-0x1.aa0ea1db9e9c5p-2"},
+        {},
+        "-0x1.5524192a408d5p+0"),
+}
+
+
+@pytest.mark.parametrize("target,source", list(AGGREGATE_BITS),
+                         ids=lambda v: v)
+def test_aggregate_bits(target, source):
+    agg = constants.aggregate_lower_order(target, source=source,
+                                          allow_mixed_truncations=True)
+    pieces, sieve, total = AGGREGATE_BITS[target, source]
+    assert {k: v.hex() for k, v in agg.pieces.items()} == pieces
+    assert {k: v.hex() for k, v in agg.sieve_pieces.items()} == sieve
+    assert agg.aggregate.hex() == total
+
+
+def test_computed_mode_reads_each_constant_once(monkeypatch):
+    # the cusp model's S_0 and S_2 both cite gamma_pnt
+    calls, compute = [], constants.compute_constant
+
+    def counted(name, *args, **kwargs):
+        calls.append(name)
+        return compute(name, *args, **kwargs)
+
+    monkeypatch.setattr(constants, "compute_constant", counted)
+    constants.aggregate_lower_order("cusp_model", source="computed",
+                                    allow_mixed_truncations=True)
+    assert sorted(calls) == ["gamma_pnt", "gamma_st_0", "gamma_st_2",
+                             "gamma_st_atilde"]
 
 
 def test_prime_limit_truncates_the_first_prime_sums():

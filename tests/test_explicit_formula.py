@@ -211,6 +211,16 @@ def test_m3_domain():
                    (0.5, -1), (0.5, 1), (0.5, 7.0)):
         with pytest.raises(DomainError):
             ef.m3_remainder(lam, p)
+        with pytest.raises(DomainError):
+            ef.m3_direct(lam, p)
+
+
+def test_m3_direct_term_count_domain():
+    # the remainder starts at m = 3: fewer terms sum nothing
+    for terms in (2, 0, -1, 3.0, "60"):
+        with pytest.raises(DomainError, match="terms"):
+            ef.m3_direct(0.5, 7, terms)
+    assert ef.m3_direct(0.5, 7, 3) == (0.5 ** 3 - 3 * 0.5) / 7 ** 1.5
 
 
 # --------------------------------------------------------------------------

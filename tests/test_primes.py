@@ -325,6 +325,14 @@ def test_invalid_inputs_raise():
             table.residue_blocks(1, b)
 
 
+def test_theta_error_integral_refuses_a_bad_class():
+    # a class that is neither "all" nor a pair of integers: not a raw
+    # unpacking ValueError, nor an empty sum for a non-integer residue
+    for cls in ("foo", "al", (1,), (1, 3, 5), None, 3, (1.5, 3), ("a", 3)):
+        with pytest.raises(DomainError, match="cls|residue"):
+            primes.theta_error_integral(cls, 100.0)
+
+
 def test_an_unknown_method_is_refused_before_any_table(monkeypatch):
     # gamma_pnt(method="direct") sieved to 10^8 before it named the method
     def no_table(n):
