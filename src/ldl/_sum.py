@@ -3,8 +3,13 @@
 A chunked prime sum cuts its terms, in ascending prime order, into fixed
 CHUNK-size blocks, reduces each block (numpy pairwise summation, single
 threaded and order-stable) and combines the partials with math.fsum, so
-its bits do not depend on which thread reduced which block.
-``term_sum`` builds one column per ``Block``, which holds what a chunk's
+its bits do not depend on which thread reduced which block.  CHUNK is
+the summation unit; LEAF is the evaluation unit.  numpy's pairwise sum
+splits n terms at a fixed point, so a block's terms are built and summed
+on the leaves of that tree, at most LEAF terms each, and the leaf sums
+are added back up it (``_pairwise``): each block's partial keeps the bits
+of np.sum over its full column.
+``term_sum`` builds one column per ``Block``, which holds what a leaf's
 terms share, and reduces the blocks inline: the catalog constants' terms
 are too light to gain from a second core.  Every prime array of the
 package is int64, a PrimeTable's decoded blocks or a slice of them, and
@@ -17,8 +22,8 @@ main sum (one math.fsum of cached terms) are not chunked sums.
 The package's one worker pool lives in ``ordered_map``, which returns
 [fn(x) for x in items] in order; the caller is one of its workers, beside
 workers - 1 helper threads.  ``block_sums`` maps a caller's block
-function (terms built and reduced on one chunk, for several columns) over
-the chunks with it.  Three passes use the pool: the evaluate_S blocks on
+function (terms built and reduced on one leaf of a chunk, for several
+columns) over the chunks with it.  Three passes use the pool: the evaluate_S blocks on
 thread_count(threads) workers, and the lower_order_limit blocks and the
 non-CM trace sub-blocks (families._histogram_map) on thread_count(None),
 so LDL_THREADS sets those (the Atilde main-sum cache is shared across
@@ -27,10 +32,10 @@ so no pool opens inside a pool.
 LDL_THREADS=1 gives a serial run.  ``pool_peak`` is the most workers one
 pool ran since a caller set it to 1 (the CLI manifest's ``threads``).
 
-Allocator coupling: a block's float64 temporaries are CHUNK * 8 = 512 KiB
+Allocator coupling: a leaf's float64 temporaries are LEAF * 8 = 256 KiB
 each, above glibc's default mmap threshold of 128 KiB, so by default
 every one of them would be mmapped and page-faulted afresh in every
-block.  glibc raises its dynamic mmap threshold to the size of a larger
+leaf.  glibc raises its dynamic mmap threshold to the size of a larger
 mmapped buffer when that buffer is freed, and its trim threshold to twice
 that.  So this module, once per process at import, allocates and frees
 one untouched 2^24-byte buffer (``_raise_mmap_threshold``): no page of it
@@ -40,10 +45,11 @@ one memory-reuse rule: it covers the temporaries of ``block_sums`` and
 ``term_sum`` and every array of the non-CM trace transforms
 (families._correlations), pocketfft's scratch included.  The package sets
 no malloc option.  Each thread that allocates takes a glibc arena of its
-own, and under the raised trim threshold every arena keeps a block's
-working set (6-10 MB) resident.  So a w-worker map runs on the caller and
-w - 1 helpers and touches w arenas, not w + 1: a process that runs passes
-both inline and on two workers keeps two working sets, not three.
+own, and under the raised trim threshold every arena keeps one leaf's
+working set (3-5 MB, half a block's) resident.  So a w-worker map runs
+on the caller and w - 1 helpers and touches w arenas, not w + 1: a
+process that runs passes both inline and on two workers keeps two
+working sets, not three.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ import numpy as np
 from .errors import DomainError, ResourceError, integer
 
 CHUNK = 1 << 16
+#: the evaluation unit: a block's terms are built LEAF at a time (_pairwise)
+LEAF = 1 << 15
 
 
 def _raise_mmap_threshold() -> None:
@@ -151,16 +159,36 @@ def ordered_map(fn, items, threads: int | None = None) -> list:
     return results
 
 
+def _pairwise(leaf_fn, start: int, stop: int) -> dict:
+    """The dict leaf_fn(start, stop) of np.sum over range(start, stop) of
+    each of its columns, evaluated on the leaves of numpy's own pairwise
+    tree: numpy sums n > 128 terms as the sum of its first half = n // 2 -
+    (n // 2) % 8 and of the rest, recursively (Higham, Accuracy and
+    Stability of Numerical Algorithms, 4.2).  So the range is cut there
+    until a piece holds at most LEAF terms, leaf_fn runs once per piece,
+    and the leaf sums are added back up the same tree: every column keeps
+    the bits of np.sum over the whole range."""
+    n = stop - start
+    if n <= LEAF:
+        return leaf_fn(start, stop)
+    mid = start + n // 2 - (n // 2) % 8
+    left, right = _pairwise(leaf_fn, start, mid), _pairwise(leaf_fn, mid, stop)
+    return {key: left[key] + right[key] for key in left}
+
+
 def block_sums(block_fn, n: int, threads: int | None = None) -> dict:
     """Reduce block_fn over the fixed CHUNK blocks of range(n), through
     ordered_map.
 
-    block_fn(start, stop) returns a dict of the partial sums of one block
-    (np.sum over the block, the same keys for every block); the result maps
-    each key to math.fsum of its partials.  An empty range is one empty
-    block, so every column still comes back (as 0.0)."""
-    rows = ordered_map(lambda start: block_fn(start, min(start + CHUNK, n)),
-                       range(0, max(n, 1), CHUNK), threads)
+    block_fn(start, stop) returns a dict of np.sum over range(start, stop)
+    of its columns (the same keys for every call); each block's partials
+    come from it on the leaves of the block's pairwise tree (_pairwise),
+    so block_fn sees at most LEAF terms at a time, and the result maps
+    each key to math.fsum of the blocks' partials.  An empty range is one
+    empty block, so every column still comes back (as 0.0)."""
+    rows = ordered_map(
+        lambda start: _pairwise(block_fn, start, min(start + CHUNK, n)),
+        range(0, max(n, 1), CHUNK), threads)
     return {key: math.fsum(row[key] for row in rows) for key in rows[0]}
 
 
@@ -250,7 +278,12 @@ def chunks(pieces):
 def term_sum(term, pieces) -> float:
     """The chunked sum of term over the ascending primes of pieces, an
     iterable of int arrays joined in order (chunks), without a full-length
-    column: term maps the Block of each CHUNK block to its float64 terms,
+    column: term maps a Block of primes to its float64 terms, and runs on
+    the Block of each leaf of a CHUNK block's pairwise tree (_pairwise),
     so the sum has the bits of the joined column's while memory is bounded
-    by the block."""
-    return math.fsum(np.sum(term(Block(blk))) for blk in chunks(pieces))
+    by the leaf."""
+    def block_sum(blk):
+        return _pairwise(lambda lo, hi: {0: np.sum(term(Block(blk[lo:hi])))},
+                         0, blk.size)[0]
+
+    return math.fsum(map(block_sum, chunks(pieces)))

@@ -45,6 +45,7 @@ import threading
 import warnings
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -361,14 +362,22 @@ PASS_MEMO_SIZE = 64
 _PASS_MEMO, _PASS_LOCK = {}, threading.Lock()
 
 
+@lru_cache(maxsize=256)
+def _last_prime(count: int) -> float:
+    """The largest of the first count primes; first_n_primes refuses a
+    count below 1 or past the cap, and a refusal is not cached."""
+    return float(first_n_primes(count).last)
+
+
 def _prime_pass(entry, prime_limit, terms, terms_key, piece, scale,
                 threads=None, atilde_primes=ATILDE_PRIMES):
     """The pieces of S for an entry from one pass over its primes to
     prime_limit: p >= 5 for a family (additive reduction at 2 and 3 zeroes
     every term), every prime for the cusp model.
 
-    Each CHUNK block of _sum.block_sums is a _sum.Block, shared by its
-    moments, sieve weight and terms.  It forms y = Y log p and z = Z log p
+    _sum.block_sums hands the pass the leaves of each CHUNK block's
+    pairwise tree, at most LEAF primes each, and each leaf is a _sum.Block,
+    shared by its moments, sieve weight and terms.  It forms y = Y log p and z = Z log p
     of each moment piece once (_PIECES) and passes them to terms(add, blk,
     piece, A_r, y, z); add(key, vec, sieve=vec) sums vec, and sieve
     weighted in place by H_sieve.  A column the entry reports as None
@@ -388,16 +397,18 @@ def _prime_pass(entry, prime_limit, terms, terms_key, piece, scale,
     piece(row, sums) assembles S_r from the sums.  S_A' (0.0 without a
     multiplicative bad t) and S_Atilde (the cusp model's closed form over
     the same primes, else the family's cached sum over its first
-    atilde_primes primes) are scale of their sums.  Returns (pieces,
-    largest prime summed or 5.0, largest Atilde prime); ResourceError if
-    either passes the cap, and DomainError for a worker count that is
-    not an integer, before the memo and any table."""
+    atilde_primes primes) are scale of their sums; the largest Atilde
+    prime is cached by its count (_last_prime), so a memo hit reads no
+    table.  Returns (pieces, largest prime summed or 5.0, largest Atilde
+    prime); ResourceError if either passes the cap, and DomainError for a
+    worker count that is not an integer, before the memo and any table."""
     model = entry is CUSP_MODEL
     families.check_cap(entry, prime_limit, "prime_limit")
+    count = integer(atilde_primes, "the prime count")
     if not model:
-        x_at = float(first_n_primes(atilde_primes).last)
+        x_at = _last_prime(count)
         families.check_cap(entry, x_at, "largest Atilde prime")
-    elif integer(atilde_primes, "the prime count") < 1:
+    elif count < 1:
         # as a family refuses it, though the model sums no Atilde prime
         raise DomainError(f"the prime count must be >= 1, got {atilde_primes}")
     key = (entry.moment_law, prime_limit, terms_key, thread_count(threads))

@@ -16,7 +16,7 @@ Built-in families:
   infinite).
 
 Every family has one entry, found by entry_of.  A built-in's is in
-REGISTRY, of one of three kinds (sextic, quartic, non-CM): it holds the
+REGISTRY, of one of three classes (_Sextic, _Quartic, _NonCM): it holds the
 FamilySpec, the rank, `lead` (explicit_formula.lower_order_limit), the
 Atilde method, the closed forms A_0, A_1, A_2, A'_1 and A'_2, written once
 over a _sum.Block of primes p >= 5, and n_bad, its nu_D(p^k) at every
@@ -216,7 +216,7 @@ class _Builtin:
 class _Sextic(_Builtin):
     """y^2 = x^3 + bb(6T+1)^kappa, CM by Q(sqrt-3), k = 6/kappa: one
     additive bad t, and the good a_t vanish off p = 1 mod 3."""
-    kind, n_bad = "sextic", 1
+    n_bad = 1
     lead = ((1.0, 0.0), (0.0, 0.0), (0.0, 2.0))
     # the moments read n_bad and k = 6/kappa alone, not bb
     moment_law = property(lambda self: ("sextic", self.kappa))
@@ -256,7 +256,7 @@ class _Sextic(_Builtin):
 class _Quartic(_Builtin):
     """y^2 = x^3 - d^2 (36T+6)(36T+5) x, CM by Q(i), k = 3: two additive bad
     t, and the good a_t vanish off p = 1 mod 4; `twist` tabulates (d/p)."""
-    kind, n_bad = "quartic", 2
+    n_bad = 2
     lead = None           # A_1 and A_2 live on p = 1 mod 4
 
     def __init__(self, name: str, d: int, twist: tuple, rank: int):
@@ -289,7 +289,7 @@ class _Quartic(_Builtin):
 class _NonCM(_Builtin):
     """y^2 = x^3 - 3x + 12T, globally minimal, unsieved: its bad t, 6t = 1
     and 6t = -1, are multiplicative with a_t(p) = (3/p) and (-3/p)."""
-    kind, n_bad, has_bad = "noncm", 2, True
+    n_bad, has_bad = 2, True
     lead = ((1.0, 0.0), (0.0, 0.0), (1.0, 0.0))
     spec = FamilySpec(
         name="noncm_3x12t", A_poly=(-3,), B_poly=(0, 12),

@@ -408,6 +408,23 @@ CHI_M3 = (0, 1, -1)
 # --------------------------------------------------------------------------
 # theta error integrals
 
+#: the largest modulus theta_error_integral takes: phi(b) comes from trial
+#: division up to sqrt(b), at most 5e5 divisors
+MODULUS_LIMIT = 10 ** 12
+
+
+def _totient(b: int) -> int:
+    """Euler's phi(b) for an int b >= 1, from the prime factors of b,
+    found by trial division up to sqrt(b)."""
+    phi, d = b, 2
+    while d * d <= b:
+        if b % d == 0:
+            phi -= phi // d
+            while b % d == 0:
+                b //= d
+        d += 1 if d == 2 else 2
+    return phi - phi // b if b > 1 else phi
+
 def theta_error_integral(cls, upper_limit: float,
                          table: PrimeTable | None = None) -> float:
     """int_1^X E(t)/t^2 dt, exactly, for E = theta - t or its AP analogue.
@@ -415,7 +432,9 @@ def theta_error_integral(cls, upper_limit: float,
     theta is a step function, so integrating by parts over each step gives
     the finite closed form  sum_{p<=X} log p (1/p - 1/X) - log X / phi(b)
     (phi(b) = 1 in the all-primes case).  DomainError for a cls not
-    "all" or an integer pair (a, b), or an X not a finite real >= 2.
+    "all" or an integer pair (a, b), a modulus b below 1, or an X not a
+    finite real >= 2; ResourceError for b past MODULUS_LIMIT.  Both come
+    before any table.
     """
     if not (isinstance(cls, (tuple, list)) and len(cls) == 2
             or cls == "all"):
@@ -424,6 +443,13 @@ def theta_error_integral(cls, upper_limit: float,
             and 2 <= upper_limit < math.inf):
         raise DomainError(
             f"upper_limit must be finite and >= 2, got {upper_limit!r}")
+    if cls != "all":
+        a, b = integer(cls[0], "the residue"), integer(cls[1], "the modulus")
+        if b < 1:
+            raise DomainError(f"the modulus must be >= 1, got {b}")
+        if b > MODULUS_LIMIT:
+            raise ResourceError(f"the modulus {b} is past the limit "
+                                f"{MODULUS_LIMIT}")
     top = math.floor(upper_limit)             # the primes <= X are <= floor X
     if table is None:
         table = get_table(top)
@@ -434,9 +460,7 @@ def theta_error_integral(cls, upper_limit: float,
     if cls == "all":
         primes, phib = table.blocks(0, stop), 1
     else:
-        a, b = integer(cls[0], "the residue"), cls[1]
-        primes = table.residue_blocks(a, b, 0, stop)
-        phib = sum(math.gcd(k, b) == 1 for k in range(1, b + 1))
+        primes, phib = table.residue_blocks(a, b, 0, stop), _totient(b)
 
     def term(blk):
         return blk.lp * (1.0 / blk.pf - 1.0 / upper_limit)

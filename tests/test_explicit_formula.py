@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldl import constants, explicit_formula as ef, families
+from ldl import _sum, constants, explicit_formula as ef, families
 from ldl._sum import CHUNK, Block
 from ldl.errors import (DomainError, IncompleteSumError, ResourceError,
                         VerificationError)
@@ -349,7 +349,9 @@ def test_evaluate_s_multi_block_pins(name):
 # the term arrays they were summed from.  The sums absorb most ulp-sized
 # term moves (pf * pf * pf for the block's p^3 leaves them unchanged); the
 # arrays do not.  The keys are left out, so that a renamed column keeps
-# its pin.
+# its pin.  The block is evaluated on its leaves (_sum._pairwise): its
+# sums are the leaves' added up the pairwise tree, and each term array is
+# its leaves' joined in order.
 FIRST_BLOCK_PINS = {
     "cusp_model": (
         "63bd246c7f343c6b578ded76c41d8fd5bcdce91fd2dd2f8670f57985c8afe2a0",
@@ -367,7 +369,7 @@ FIRST_BLOCK_PINS = {
 
 
 class _SumSpy:
-    """numpy, except that sum records the SHA-256 of the array it sums."""
+    """numpy, except that sum records a copy of the array it sums."""
 
     def __init__(self):
         self.seen = []
@@ -376,36 +378,43 @@ class _SumSpy:
         return getattr(np, name)
 
     def sum(self, vec):
-        self.seen.append(hashlib.sha256(vec.tobytes()).hexdigest())
+        self.seen.append(vec.copy())
         return np.sum(vec)
 
 
 @pytest.mark.parametrize("name", FIRST_BLOCK_PINS)
 def test_evaluate_s_first_block_pins(monkeypatch, name):
     monkeypatch.setattr(ef, "_PASS_MEMO", {})
-    first, terms, block_sums = [], _SumSpy(), ef.block_sums
+    leaves, block_sums = {}, ef.block_sums
 
     def spy(block_fn, n, threads):
         assert CHUNK < n <= 2 * CHUNK
 
         def recorded(start, stop):
-            if start:
+            if start >= CHUNK:
                 return block_fn(start, stop)
+            terms = _SumSpy()
             with monkeypatch.context() as m:
                 m.setattr(ef, "np", terms)
-                first.append(block_fn(start, stop))
-            return first[-1]
+                sums = block_fn(start, stop)
+            leaves[start] = sums, terms.seen
+            return sums
         return block_sums(recorded, n, threads)
 
     monkeypatch.setattr(ef, "block_sums", spy)
     ef.evaluate_S(name, ef.builtin_test_pair("indicator_smooth:0.18"),
                   math.exp(155.0), threads=1, atilde_primes=30)
-    (sums,) = first
-    assert len(terms.seen) == len(sums)
+    assert len(leaves) > 1
+    sums = _sum._pairwise(lambda lo, hi: leaves[lo][0], 0, CHUNK)
+    arrays = [np.concatenate(column) for column in
+              zip(*(leaves[lo][1] for lo in sorted(leaves)))]
+    assert len(arrays) == len(sums)
+    assert sum(a.size for a in arrays) == CHUNK * len(sums)
     digests = tuple(hashlib.sha256("\n".join(sorted(rows)).encode()
                                    ).hexdigest()
                     for rows in ([float(v).hex() for v in sums.values()],
-                                 terms.seen))
+                                 [hashlib.sha256(a.tobytes()).hexdigest()
+                                  for a in arrays]))
     assert digests == FIRST_BLOCK_PINS[name]
 
 
@@ -481,6 +490,22 @@ def test_evaluate_s_from_the_memo_is_the_fresh_pass(monkeypatch):
         ef._PASS_MEMO.clear()
         assert evaluate(name) == served[name], name
     assert len(runs) == 2 * len(MEMO_ENTRIES) - 6
+
+
+def test_evaluate_s_from_the_memo_reads_no_prime_table(monkeypatch):
+    # the largest Atilde prime is cached by its count, so a memo hit of a
+    # family builds and decodes no table
+    pair = ef.builtin_test_pair("fejer:0.4")
+    served = ef.evaluate_S("cm_b1_kappa2", pair, math.exp(25.0),
+                           atilde_primes=31)
+
+    def no_table(n):
+        raise AssertionError(f"a prime table of {n} on a memo hit")
+
+    monkeypatch.setattr(ef, "first_n_primes", no_table)
+    monkeypatch.setattr(ef, "get_table", no_table)
+    assert ef.evaluate_S("cm_b1_kappa2", pair, math.exp(25.0),
+                         atilde_primes=31) == served
 
 
 def test_lower_order_limit_from_the_memo_is_the_fresh_pass(monkeypatch):

@@ -440,16 +440,17 @@ def test_a_tilde_fast_paths_match_brute_force(name):
     for p in (7, 13, 31, 37):
         assert families.a_tilde(fam, p) == families.a_tilde(clone, p)
     entry = families.builtin_entry(fam)
-    if entry.kind == "noncm":
+    if isinstance(entry, families._NonCM):
         return
     trace = families._a_for_coefficients
     p_all = get_table(10 ** 4).primes
     p_all = p_all[p_all >= 5]
     block = dict(zip(p_all.tolist(), entry.a_tildes(p_all).tolist()))
-    modulus = 3 if entry.kind == "sextic" else 4
+    sextic = isinstance(entry, families._Sextic)
+    modulus = 3 if sextic else 4
     p_on = p_all[p_all % modulus == 1]
     assert all(block[p] == 0.0 for p in p_all[p_all % modulus != 1].tolist())
-    if entry.kind == "sextic":
+    if sextic:
         bb, kappa = entry.bb, entry.kappa
         powers = [i * kappa for i in range(6)]
         roots = families._sixth_roots(p_on)
@@ -700,10 +701,10 @@ def test_cm_kernels_refuse_primes_past_the_int64_limit(monkeypatch):
 
     monkeypatch.setattr(families, "get_table", no_sieve)
     for entry in families.REGISTRY.values():
-        if entry.kind in ("sextic", "quartic"):
+        if isinstance(entry, (families._Sextic, families._Quartic)):
             with pytest.raises(ResourceError, match="int64"):
                 families.a_tilde(entry.spec, p)
-        if entry.kind == "quartic":
+        if isinstance(entry, families._Quartic):
             with pytest.raises(ResourceError, match="int64"):
                 entry.A2(Block(np.array([p])))
         # H_sieve needs no int64 residue arithmetic: its float64
@@ -1053,7 +1054,8 @@ def test_builtin_name_on_another_curve_takes_brute_force():
         "D_factors": [[1, 6]], "k": 3, "forced_zero_primes": [2, 3]})
     assert families.builtin_entry(fam) is None
     entry = families.builtin_entry("cm_b1_kappa2")
-    assert (entry.kind, entry.bb, entry.kappa) == ("sextic", 1, 2)
+    assert isinstance(entry, families._Sextic)
+    assert (entry.bb, entry.kappa) == (1, 2)
     p = 13
     want = 0.0
     for t in range(p):
@@ -1127,11 +1129,12 @@ def test_noncm_a_tildes_keep_every_bit():
 
 
 def test_a_tilde_pins_hold_on_numpy_avx2_kernels():
-    # the Atilde pins and the explicit golden envelopes rerun in a child
-    # whose numpy takes its AVX2 kernels, as on a CPU without AVX-512; on
-    # such a CPU the child runs the same kernels as this process.  The
-    # variable acts on the child's numpy only.  The noncm_3x12t envelope
-    # is left out: its cold Atilde takes seconds there
+    # the Atilde pins, the explicit golden envelopes and the leaf tree's
+    # identity with np.sum rerun in a child whose numpy takes its AVX2
+    # kernels, as on a CPU without AVX-512; on such a CPU the child runs
+    # the same kernels as this process.  The variable acts on the child's
+    # numpy only.  The noncm_3x12t envelope is left out: its cold Atilde
+    # takes seconds there
     here = pathlib.Path(__file__).resolve()
     src = str(pathlib.Path(families.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
@@ -1143,11 +1146,13 @@ def test_a_tilde_pins_hold_on_numpy_avx2_kernels():
          f"{here}::test_cm_a_tildes_keep_every_bit",
          f"{here}::test_noncm_a_tildes_keep_every_bit",
          f"{here.parent / 'test_cli.py'}::test_golden_envelope",
+         f"{here.parent / 'test_sum.py'}"
+         "::test_leaf_sums_keep_every_bit_of_each_chunk_column",
          "-k", "keep_every_bit or explicit and not noncm_3x12t"],
         env=env, cwd=here.parents[1], capture_output=True, text=True)
     assert run.returncode == 0, run.stdout[-3000:]
-    # the seven explicit envelopes but noncm_3x12t's
-    assert f"{len(A_TILDE_PINS) + 1 + 7} passed" in run.stdout
+    # the seven explicit envelopes but noncm_3x12t's, and the leaf tree
+    assert f"{len(A_TILDE_PINS) + 1 + 7 + 1} passed" in run.stdout
 
 
 # --------------------------------------------------------------------------

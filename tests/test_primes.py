@@ -8,6 +8,7 @@ checkpoints frozen from the literature.
 import hashlib
 import itertools
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -331,6 +332,32 @@ def test_theta_error_integral_refuses_a_bad_class():
     for cls in ("foo", "al", (1,), (1, 3, 5), None, 3, (1.5, 3), ("a", 3)):
         with pytest.raises(DomainError, match="cls|residue"):
             primes.theta_error_integral(cls, 100.0)
+
+
+def test_totient_is_the_gcd_count():
+    for b in range(1, 2001):
+        assert primes._totient(b) == \
+            sum(math.gcd(k, b) == 1 for k in range(1, b + 1)), b
+
+
+def test_theta_error_integral_takes_a_modulus_near_10_12(monkeypatch):
+    # phi(b) comes from the factors of b, so a prime modulus near 10^12
+    # answers within a second, where a count of the k <= b prime to b
+    # would run for days; no prime <= 100 is 1 mod b
+    b = 999_999_999_989
+    assert primes.is_prime(b) and b <= primes.MODULUS_LIMIT
+    start = time.perf_counter()
+    got = primes.theta_error_integral((1, b), 100.0)
+    assert time.perf_counter() - start < 1.0
+    assert got == -math.log(100.0) / (b - 1)
+
+    def no_table(limit):
+        raise AssertionError(f"a table to {limit} for a refused modulus")
+
+    monkeypatch.setattr(primes, "get_table", no_table)
+    for b in (primes.MODULUS_LIMIT + 1, 10 ** 30):
+        with pytest.raises(ResourceError, match="modulus"):
+            primes.theta_error_integral((1, b), 100.0)
 
 
 def test_an_unknown_method_is_refused_before_any_table(monkeypatch):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,9 +41,9 @@ def test_block_sums_of_an_empty_range():
                     reason="ru_minflt counts minor page faults on Linux")
 def test_block_passes_reuse_their_temporaries_after_a_small_sieve():
     # a 2 * 10^6 sieve frees no 16 MiB buffer, so only the threshold that
-    # _sum raises at import lets a second pass reuse its 512 KiB block
+    # _sum raises at import lets a second pass reuse its 256 KiB leaf
     # temporaries from the heap; with the threshold left to the sieve,
-    # every pass took 3 139 minor faults
+    # every pass took 3 139 minor faults (on 512 KiB block temporaries)
     code = "\n".join((
         "import math, resource",
         "from ldl import explicit_formula as ef",
@@ -78,6 +79,67 @@ def test_term_sum_with_a_head_is_the_sum_of_the_joined_primes(head, rest):
 
     assert _sum.term_sum(term, (heads, tail)) == \
         _sum.term_sum(term, [np.concatenate((heads, tail))])
+
+
+#: a last block longer than LEAF, not a multiple of 8, whose half
+#: n // 2 is not one either, so its tree cuts below n // 2
+LEAF_TREE_SIZE = 2 * _sum.CHUNK + 50_013
+
+
+def test_leaf_sums_keep_every_bit_of_each_chunk_column():
+    # block_sums and term_sum evaluate a CHUNK block on the leaves of
+    # numpy's pairwise tree, and each block's partial is still np.sum of
+    # its full column; a leaf cut at n // 2 instead rounds differently
+    n = LEAF_TREE_SIZE
+    rest = n % _sum.CHUNK
+    assert rest > _sum.LEAF and rest % 8 and (rest // 2) % 8
+    p_int = primes.first_n_primes(n).primes
+
+    def term(blk):
+        return blk.lp / blk.pf
+
+    column = term(_sum.Block(p_int))
+    sizes = []
+    for start in range(0, n, _sum.CHUNK):
+        stop = min(start + _sum.CHUNK, n)
+        want = np.sum(column[start:stop])
+
+        def block_fn(lo, hi, start=start):
+            sizes.append(hi - lo)
+            return {"x": np.sum(column[start + lo:start + hi])}
+
+        # one block, so block_sums' math.fsum is its partial alone
+        assert _sum.block_sums(block_fn, stop - start, 1)["x"] == want
+        assert _sum.term_sum(term, [p_int[start:stop]]) == want
+    assert max(sizes) <= _sum.LEAF and sum(sizes) == n and len(sizes) == 6
+    want = math.fsum(np.sum(column[s:s + _sum.CHUNK])
+                     for s in range(0, n, _sum.CHUNK))
+    assert _sum.term_sum(term, [p_int]) == want
+    assert _sum.block_sums(lambda lo, hi: {"x": np.sum(column[lo:hi])},
+                           n, 2)["x"] == want
+
+
+def test_a_prime_pass_holds_one_leaf_of_terms_at_a_time(monkeypatch):
+    # three blocks of primes on one worker: the traced peak is one leaf's
+    # columns, 4.0 MiB, where a whole block's took 8.0 MiB
+    monkeypatch.setattr(ef, "_PASS_MEMO", {})
+    pair, limit = ef.builtin_test_pair("indicator_smooth:0.18"), 2 * 10 ** 6
+    assert len(primes.get_table(limit)) > 2 * _sum.CHUNK
+
+    def run():
+        return ef.evaluate_S("cm_b1_kappa1", pair, math.exp(160.0),
+                             prime_limit=limit, threads=1, atilde_primes=30)
+
+    want = run()                         # the tables and Atilde cached
+    ef._PASS_MEMO.clear()
+    tracemalloc.start()
+    try:
+        got = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 6 * 2 ** 20
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
