@@ -23,12 +23,13 @@ The package's one worker pool lives in ``ordered_map``, which returns
 [fn(x) for x in items] in order; the caller is one of its workers, beside
 workers - 1 helper threads.  ``block_sums`` maps a caller's block
 function (terms built and reduced on one leaf of a chunk, for several
-columns) over the chunks with it.  Three passes use the pool: the evaluate_S blocks on
-thread_count(threads) workers, and the lower_order_limit blocks and the
-non-CM trace sub-blocks (families._histogram_map) on thread_count(None),
-so LDL_THREADS sets those (the Atilde main-sum cache is shared across
-calls).  A task that itself calls ``ordered_map`` runs that map inline,
-so no pool opens inside a pool.
+columns) over the chunks with it.  Three passes use the pool: the
+evaluate_S blocks on thread_count(threads) workers, and the
+lower_order_limit blocks and the non-CM trace sub-blocks
+(families._histogram_map) on thread_count(None), so LDL_THREADS sets
+those (the Atilde main-sum cache is shared across calls).  A task that
+itself calls ``ordered_map`` runs that map inline, so no pool opens
+inside a pool.
 LDL_THREADS=1 gives a serial run.  ``pool_peak`` is the most workers one
 pool ran since a caller set it to 1 (the CLI manifest's ``threads``).
 

@@ -376,14 +376,15 @@ def _prime_pass(entry, prime_limit, terms, terms_key, piece, scale,
     every term), every prime for the cusp model.
 
     _sum.block_sums hands the pass the leaves of each CHUNK block's
-    pairwise tree, at most LEAF primes each, and each leaf is a _sum.Block,
-    shared by its moments, sieve weight and terms.  It forms y = Y log p and z = Z log p
-    of each moment piece once (_PIECES) and passes them to terms(add, blk,
-    piece, A_r, y, z); add(key, vec, sieve=vec) sums vec, and sieve
-    weighted in place by H_sieve.  A column the entry reports as None
-    (the sextic A_1, an unsieved H_sieve) forms no terms, which sum to 0.0
-    as zeros would; every term keeps its operation order, so each sum is
-    bit-identical to the chunked sum of its full-length term vector.
+    pairwise tree, at most LEAF primes each, and each leaf is a
+    _sum.Block, shared by its moments, sieve weight and terms.  It forms
+    y = Y log p and z = Z log p of each moment piece once (_PIECES) and
+    passes them to terms(add, blk, piece, A_r, y, z); add(key, vec,
+    sieve=vec) sums vec, and sieve weighted in place by H_sieve.  A
+    column the entry reports as None (the sextic A_1, an unsieved
+    H_sieve) forms no terms, which sum to 0.0 as zeros would; every term
+    keeps its operation order, so each sum is bit-identical to the
+    chunked sum of its full-length term vector.
 
     The block sums depend only on what the entry's moments(blk) read,
     its moment_law, and on what terms reads, terms_key, so one memo keeps

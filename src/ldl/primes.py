@@ -425,6 +425,7 @@ def _totient(b: int) -> int:
         d += 1 if d == 2 else 2
     return phi - phi // b if b > 1 else phi
 
+
 def theta_error_integral(cls, upper_limit: float,
                          table: PrimeTable | None = None) -> float:
     """int_1^X E(t)/t^2 dt, exactly, for E = theta - t or its AP analogue.
