@@ -161,14 +161,12 @@ def ordered_map(fn, items, threads: int | None = None) -> list:
 
 
 def _pairwise(leaf_fn, start: int, stop: int) -> dict:
-    """The dict leaf_fn(start, stop) of np.sum over range(start, stop) of
-    each of its columns, evaluated on the leaves of numpy's own pairwise
-    tree: numpy sums n > 128 terms as the sum of its first half = n // 2 -
-    (n // 2) % 8 and of the rest, recursively (Higham, Accuracy and
-    Stability of Numerical Algorithms, 4.2).  So the range is cut there
-    until a piece holds at most LEAF terms, leaf_fn runs once per piece,
-    and the leaf sums are added back up the same tree: every column keeps
-    the bits of np.sum over the whole range."""
+    """leaf_fn(start, stop), a dict of np.sum of columns over the range,
+    on the leaves of numpy's pairwise tree: numpy sums n > 128 terms as
+    the sums of the first n // 2 - (n // 2) % 8 and of the rest (Higham,
+    Accuracy and Stability of Numerical Algorithms, 4.2), so the range is
+    cut there down to LEAF terms and the leaf sums are added back up the
+    tree, which keeps the bits of np.sum over the whole range."""
     n = stop - start
     if n <= LEAF:
         return leaf_fn(start, stop)
@@ -182,11 +180,10 @@ def block_sums(block_fn, n: int, threads: int | None = None) -> dict:
     ordered_map.
 
     block_fn(start, stop) returns a dict of np.sum over range(start, stop)
-    of its columns (the same keys for every call); each block's partials
-    come from it on the leaves of the block's pairwise tree (_pairwise),
-    so block_fn sees at most LEAF terms at a time, and the result maps
-    each key to math.fsum of the blocks' partials.  An empty range is one
-    empty block, so every column still comes back (as 0.0)."""
+    of its columns (the same keys for every call), on at most LEAF terms:
+    it runs on the leaves of each block (_pairwise).  The result maps each
+    key to math.fsum of the blocks' partials.  An empty range is one empty
+    block, so every column still comes back (as 0.0)."""
     rows = ordered_map(
         lambda start: _pairwise(block_fn, start, min(start + CHUNK, n)),
         range(0, max(n, 1), CHUNK), threads)

@@ -364,8 +364,8 @@ _PASS_MEMO, _PASS_LOCK = {}, threading.Lock()
 
 @lru_cache(maxsize=256)
 def _last_prime(count: int) -> float:
-    """The largest of the first count primes; first_n_primes refuses a
-    count below 1 or past the cap, and a refusal is not cached."""
+    """The largest of the first count >= 1 primes; first_n_primes refuses
+    a count past the cap, and a refusal is not cached."""
     return float(first_n_primes(count).last)
 
 
@@ -405,13 +405,13 @@ def _prime_pass(entry, prime_limit, terms, terms_key, piece, scale,
     worker count that is not an integer, before the memo and any table."""
     model = entry is CUSP_MODEL
     families.check_cap(entry, prime_limit, "prime_limit")
+    # the model sums no Atilde prime, but refuses what a family refuses
     count = integer(atilde_primes, "the prime count")
+    if count < 1:
+        raise DomainError(f"the prime count must be >= 1, got {count}")
     if not model:
         x_at = _last_prime(count)
         families.check_cap(entry, x_at, "largest Atilde prime")
-    elif count < 1:
-        # as a family refuses it, though the model sums no Atilde prime
-        raise DomainError(f"the prime count must be >= 1, got {atilde_primes}")
     key = (entry.moment_law, prime_limit, terms_key, thread_count(threads))
     memo = _PASS_MEMO.get(key)
     if memo is None:
