@@ -81,16 +81,13 @@ def test_term_sum_with_a_head_is_the_sum_of_the_joined_primes(head, rest):
         _sum.term_sum(term, [np.concatenate((heads, tail))])
 
 
-#: a last block longer than LEAF, not a multiple of 8, whose half
-#: n // 2 is not one either, so its tree cuts below n // 2
-LEAF_TREE_SIZE = 2 * _sum.CHUNK + 50_013
-
-
 def test_leaf_sums_keep_every_bit_of_each_chunk_column():
     # block_sums and term_sum evaluate a CHUNK block on the leaves of
     # numpy's pairwise tree, and each block's partial is still np.sum of
-    # its full column; a leaf cut at n // 2 instead rounds differently
-    n = LEAF_TREE_SIZE
+    # its full column.  The last block is longer than LEAF and not a
+    # multiple of 8, and its n // 2 is not one either, so its tree cuts
+    # below n // 2: a leaf cut at n // 2 instead rounds differently
+    n = 2 * _sum.CHUNK + 50_013
     rest = n % _sum.CHUNK
     assert rest > _sum.LEAF and rest % 8 and (rest // 2) % 8
     p_int = primes.first_n_primes(n).primes
