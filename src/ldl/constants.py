@@ -239,10 +239,12 @@ def paper_reference(name: str) -> tuple:
 
 @lru_cache(maxsize=256)
 def _atilde_main_terms(fam: families.FamilySpec, prime_count: int) -> tuple:
-    """(primes, terms), two read-only arrays (int64 and float64) over the
-    first prime_count primes at which Atilde(p) != 0: the terms Atilde(p)
-    p^(3/2) (p-1) log p / (p(p+1)^3) of the cubic-moment main sum.  The one
-    cache of the Atilde layer; every H_sieve weight is applied afterwards.
+    """(primes, terms, sums): two read-only arrays (int64 and float64) over
+    the first prime_count primes at which Atilde(p) != 0, the terms
+    Atilde(p) p^(3/2) (p-1) log p / (p(p+1)^3) of the cubic-moment main
+    sum, and a dict that _gamma_atilde_family fills with its (main, sieve)
+    pair under each sieve exponent it is asked for.  The one cache of the
+    Atilde layer, so a repeated call weights no term again.
 
     Atilde and the terms are built one CHUNK block of primes at a time.
     The weight is Python float arithmetic per prime, on lists of one block:
@@ -260,7 +262,7 @@ def _atilde_main_terms(fam: families.FamilySpec, prime_count: int) -> tuple:
     ps, terms = np.concatenate(ps), np.concatenate(terms)
     ps.setflags(write=False)
     terms.setflags(write=False)
-    return ps, terms
+    return ps, terms, {}
 
 
 def _gamma_atilde_family(fam: families.FamilySpec, prime_count: int,
@@ -269,13 +271,16 @@ def _gamma_atilde_family(fam: families.FamilySpec, prime_count: int,
     """(main, sieve) cubic-moment constants over the first prime_count
     primes: sum_p Atilde(p) p^(3/2) (p-1) log p / (p(p+1)^3), and the same
     with the extra H_sieve weight (families.sieve_weights), under the
-    family's own sieve exponent or `sieve_exponent`.  Both are math.fsum,
-    exact before the one rounding, so the order of the terms does not
-    matter."""
-    ps, terms = _atilde_main_terms(fam, prime_count)
+    family's own sieve exponent or `sieve_exponent`, from the cache of
+    _atilde_main_terms after the first call with that exponent.  Both are
+    math.fsum, exact before the one rounding, so the order of the terms
+    does not matter."""
+    ps, terms, sums = _atilde_main_terms(fam, prime_count)
     k = families.sieve_exponent(fam, sieve_exponent)
-    return math.fsum(terms), math.fsum(
-        terms * families.sieve_weights(fam, ps, k))
+    if k not in sums:
+        sums[k] = math.fsum(terms), math.fsum(
+            terms * families.sieve_weights(fam, ps, k))
+    return sums[k]
 
 
 def compute_constant(name: str, prime_limit: int | None = None,

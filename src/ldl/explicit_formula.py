@@ -31,8 +31,9 @@ memo of at most PASS_MEMO_SIZE passes, keyed by (moment law, prime_limit,
 terms key, worker count), the terms key (pair, log R) for evaluate_S and
 ("limit", lead) for lower_order_limit.  A pair is a value, its kind and
 its exact sigma, so two pairs built apart but equal share their passes.
-The sextic twists of one kappa share their pass, and a repeated call runs
-none; S_Atilde stays the family's own, from the constants module's cache.
+The eight sextic twists share one pass, which sums the sieve part at both
+of their exponents, k = 3 and k = 6, and a repeated call runs none;
+S_Atilde stays the family's own, from the constants module's cache.
 """
 
 from __future__ import annotations
@@ -380,20 +381,22 @@ def _prime_pass(entry, prime_limit, terms, terms_key, piece, scale,
     _sum.Block, shared by its moments, sieve weight and terms.  It forms
     y = Y log p and z = Z log p of each moment piece once (_PIECES) and
     passes them to terms(add, blk, piece, A_r, y, z); add(key, vec,
-    sieve=vec) sums vec, and sieve weighted in place by H_sieve.  A
-    column the entry reports as None (the sextic A_1, an unsieved
-    H_sieve) forms no terms, which sum to 0.0 as zeros would; every term
-    keeps its operation order, so each sum is bit-identical to the
-    chunked sum of its full-length term vector.
+    sieve=vec) sums vec as (key, "main"), and sieve weighted by H_sieve
+    at each sieve exponent k of the moment law as (key, ("sieve", k)),
+    the last product in place.  A column the entry reports as None (the
+    sextic A_1, an unsieved H_sieve) forms no terms, which sum to 0.0 as
+    zeros would; every term keeps its operation order, so each sum is
+    bit-identical to the chunked sum of its full-length term vector.
 
     The block sums depend only on what the entry's moments(blk) read,
     its moment_law, and on what terms reads, terms_key, so one memo keeps
     them with the largest prime summed, under (moment law, prime_limit,
-    terms key, worker count): the sextic twists of one kappa share a pass,
-    and a repeated call does none.  The worker count does not change a
-    bit; it is in the key so that two counts still run two passes.  The
-    memo holds at most PASS_MEMO_SIZE passes, floats only, and drops the
-    oldest first.
+    terms key, worker count): the eight sextic twists share a pass, each
+    reading the sieve sums of its own exponent (families.sieve_exponent)
+    as its sieve part, and a repeated call does none.  The worker count
+    does not change a bit; it is in the key so that two counts still run
+    two passes.  The memo holds at most PASS_MEMO_SIZE passes, floats
+    only, and drops the oldest first.
 
     piece(row, sums) assembles S_r from the sums.  S_A' (0.0 without a
     multiplicative bad t) and S_Atilde (the cusp model's closed form over
@@ -420,8 +423,13 @@ def _prime_pass(entry, prime_limit, terms, terms_key, piece, scale,
             if len(_PASS_MEMO) >= PASS_MEMO_SIZE:
                 del _PASS_MEMO[next(iter(_PASS_MEMO))]
             _PASS_MEMO[key] = memo
-    # a term that was not formed sums to 0.0, as its zeros would
-    sums, x_last = defaultdict(float, memo[0]), memo[1]
+    # the entry's own sieve exponent's sums are its sieve part; a term that
+    # was not formed sums to 0.0, as its zeros would
+    own = None if model else families.sieve_exponent(entry.spec)
+    parts = {"main": "main", ("sieve", own): "sieve"}
+    sums, x_last = defaultdict(float, {
+        (key, parts[part]): v for (key, part), v in memo[0].items()
+        if part in parts}), memo[1]
     pieces = {"S_Aprime": {k: scale(sums["S_Aprime", k])
                            if ("S_Aprime", "main") in sums else 0.0
                            for k in _PARTS}}
@@ -449,10 +457,12 @@ def _block_pass(entry, prime_limit, terms, workers):
 
         def add(key, vec, sieve=None):
             sums[key, "main"] = np.sum(vec)
-            if hs is not None:
-                sieve = vec if sieve is None else sieve
-                sieve *= hs
-                sums[key, "sieve"] = np.sum(sieve)
+            sieve = vec if sieve is None else sieve
+            for i, (k, h) in enumerate(hs or ()):
+                # the last weight in place: a product has the same bits
+                # in place or into a copy
+                sums[key, ("sieve", k)] = np.sum(np.multiply(
+                    sieve, h, out=sieve if i == len(hs) - 1 else None))
 
         # S_A': sum_p sum_m A'_m H log p / p^(m+1)
         if aprime is not None:

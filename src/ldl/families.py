@@ -25,10 +25,13 @@ brute-force entry, whose cap, BRUTE_FORCE_CAP, only evaluate_S and
 rank_bias check.  A family counts as built-in only when it equals the
 registered FamilySpec in every field, so a config that borrows a built-in's
 name takes the brute-force entry.  Each entry's moment_law is the hashable
-value its moments read: ("sextic", kappa) for a sextic twist, whatever its
-b, the entry itself for the other built-ins, and the FamilySpec for a
-brute-force entry.  Entries of one law have the same columns bit for bit,
-and explicit_formula._prime_pass shares one pass between them.
+value its moments read: "sextic" for every sextic twist, whatever its b
+and kappa, the entry itself for the other built-ins, and the FamilySpec
+for a brute-force entry.  Its moments carry H_sieve at each sieve exponent
+of the law (sieve_exponents): k = 3 and k = 6 for the sextic law, from the
+kappas the registry builds, and the family's own k for every other.
+Entries of one law have the same columns bit for bit, and
+explicit_formula._prime_pass shares one pass between them.
 
 Each per-prime quantity is written once, over an ascending block of primes;
 a_tilde, h_factor and closed_form_moment are views of one prime.  A
@@ -172,6 +175,20 @@ class FamilySpec:
 # --------------------------------------------------------------------------
 # the built-in registry (see the module docstring)
 
+def _own_exponents(entry) -> tuple:
+    """The sieve exponents of an entry's moment law: its family's own k,
+    none for an unsieved family."""
+    k = sieve_exponent(entry.spec)
+    return () if k is None else (k,)
+
+
+def _sieve_columns(entry, blk):
+    """H_sieve of entry.moments(blk): one (k, nu/(p^k - nu)) pair per
+    sieve exponent k of its moment law, ascending, or None for none."""
+    return tuple((k, _sieve_block(entry.spec, blk, k)[1])
+                 for k in entry.sieve_exponents) or None
+
+
 class _Builtin:
     rank = 0
     has_bad = False       # some bad t has multiplicative reduction
@@ -180,15 +197,16 @@ class _Builtin:
 
     name = property(lambda self: self.spec.name)
     moment_law = property(lambda self: self)
+    sieve_exponents = property(_own_exponents)
 
     def moments(self, blk):
         """(A_0, A_1, A_2, (A'_1, A'_2) or None without a multiplicative
-        bad t, H_sieve) over a Block; None for a column that is identically
-        zero (A_1 of the sextic twists, with `lead` (0, 0), and H_sieve of
-        an unsieved family)."""
+        bad t, H_sieve) over a Block, H_sieve as _sieve_columns; None for a
+        column that is identically zero (A_1 of the sextic twists, with
+        `lead` (0, 0), and H_sieve of an unsieved family)."""
         return (self.A0(blk), self.A1(blk), self.A2(blk),
                 self.bad_moments(blk) if self.has_bad else None,
-                _sieve_block(self.spec, blk, sieve_exponent(self.spec))[1])
+                _sieve_columns(self, blk))
 
     def sub_blocks(self, p_int: np.ndarray) -> list:
         return [p_int]
@@ -213,13 +231,19 @@ class _Builtin:
         return 0.0, 0.0                 # a_t(p) = 0 at an additive bad t
 
 
+#: the kappas of the sextic built-ins
+_KAPPAS = (1, 2)
+
+
 class _Sextic(_Builtin):
     """y^2 = x^3 + bb(6T+1)^kappa, CM by Q(sqrt-3), k = 6/kappa: one
     additive bad t, and the good a_t vanish off p = 1 mod 3."""
     n_bad = 1
     lead = ((1.0, 0.0), (0.0, 0.0), (0.0, 2.0))
-    # the moments read n_bad and k = 6/kappa alone, not bb
-    moment_law = property(lambda self: ("sextic", self.kappa))
+    # the moments read n_bad alone, not bb or kappa, and H_sieve at every
+    # k = 6/kappa the registry builds: one law for all eight twists
+    moment_law = "sextic"
+    sieve_exponents = tuple(sorted({6 // kappa for kappa in _KAPPAS}))
 
     def __init__(self, bb: int, kappa: int):
         self.bb, self.kappa = bb, kappa
@@ -324,7 +348,7 @@ class _NonCM(_Builtin):
 
 
 REGISTRY = {e.spec.name: e for e in (
-    [_Sextic(bb, kappa) for bb in (1, 2, 3, 6) for kappa in (1, 2)]
+    [_Sextic(bb, kappa) for bb in (1, 2, 3, 6) for kappa in _KAPPAS]
     + [_Quartic("rank1_36t", 1, (1,), 1), _Quartic("rank0_36t", 2, CHI_2, 0),
        _NonCM()])}
 BUILTIN_FAMILIES = {name: e.spec for name, e in REGISTRY.items()}
@@ -350,6 +374,7 @@ class _BruteForce:
         self.spec, self.name = spec, spec.name
 
     moment_law = property(lambda self: self.spec)
+    sieve_exponents = property(_own_exponents)
 
     def trace_histograms(self, p_int: np.ndarray) -> tuple:
         # one row of traces per prime, refused past the limit before it
@@ -374,8 +399,7 @@ class _BruteForce:
         A0, A1, A2, aprime1, aprime2 = np.asarray(
             [good[:3] + bad[1:3] for good, bad in sums],
             dtype=np.float64).reshape(-1, 5).T
-        return (A0, A1, A2, (aprime1, aprime2),
-                _sieve_block(self.spec, blk, sieve_exponent(self.spec))[1])
+        return A0, A1, A2, (aprime1, aprime2), _sieve_columns(self, blk)
 
     def A1(self, blk):
         return self.moments(blk)[1]
@@ -1263,16 +1287,26 @@ class SieveWindow:
 
 def _clear_roots(good, N: int, fac, p: int, k: int, dtype) -> None:
     """Clear the t of the window with p^k | fac(t) = p^c g(t): each root r
-    of g mod p has its lifts t = r mod p in [r, r + p^(k-c)) tested in
-    dtype, and each lift with p^(k-c) | g(t) clears its class."""
+    of g mod p lifts to the roots of g mod m = p^(k-c), and each clears
+    its class.  A simple root (g'(r) != 0 mod p) has one lift, found by
+    Newton's iteration in Python ints (Hensel); a repeated one has its
+    lifts t = r mod p in [r, r + m) tested in dtype."""
     c, g = _strip_content(fac, p)
     if c >= k:
         good[:] = False
         return
     m, t = p ** (k - c), np.arange(N, N + min(p, good.size))
+    deriv = [i * a for i, a in enumerate(g)][1:]
     for r in t[poly_eval_mod(g, t, p) == 0].tolist():
-        lifts = np.arange(r, min(r + m, 2 * N + 1), p, dtype=dtype)
-        for h in lifts[poly_eval(g, lifts) % m == 0].tolist():
+        if poly_eval_mod(deriv, r, p):
+            x = r
+            while v := poly_eval_mod(g, x, m):
+                x = (x - v * pow(poly_eval_mod(deriv, x, m), -1, m)) % m
+            lifts = [r + (x - r) % m]
+        else:
+            lifts = np.arange(r, min(r + m, 2 * N + 1), p, dtype=dtype)
+            lifts = lifts[poly_eval(g, lifts) % m == 0].tolist()
+        for h in lifts:
             good[h - N::m] = False
 
 

@@ -220,7 +220,7 @@ def test_noncm_aggregate_and_piece_sum():
     assert abs(recomputed.aggregate - (-2.703)) <= 0.01
     # every bit of the per-prime terms behind it, up to the 5000th prime
     # (48611), from the cache that recomputation filled
-    ps, terms = constants._atilde_main_terms(
+    ps, terms, _ = constants._atilde_main_terms(
         families.get_family("noncm_3x12t"), 5000)
     assert ps.size == 4998
     assert hashlib.sha256(terms.astype("<f8").tobytes()).hexdigest() == \

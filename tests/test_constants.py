@@ -226,7 +226,7 @@ def test_family_constant_atilde_keeps_its_bits(name, exponent, count):
 
 def test_atilde_main_terms_are_read_only_arrays():
     fam = families.get_family("cm_b1_kappa2")
-    ps, terms = constants._atilde_main_terms(fam, 200)
+    ps, terms, _ = constants._atilde_main_terms(fam, 200)
     assert ps.dtype == np.int64 and terms.dtype == np.float64
     assert ps.shape == terms.shape and ps.size > 0
     assert not ps.flags.writeable and not terms.flags.writeable

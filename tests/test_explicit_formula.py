@@ -286,7 +286,7 @@ def test_evaluate_s_zero_moments_give_pure_main_term(monkeypatch):
 
     def zero_moments(blk):
         z = np.zeros_like(blk.pf)
-        return z, z, z, None, z
+        return z, z, z, None, ((6, z),)
 
     monkeypatch.setattr(families.REGISTRY["cm_b1_kappa1"], "moments",
                         zero_moments)
@@ -409,10 +409,17 @@ def test_evaluate_s_first_block_pins(monkeypatch, name):
     arrays = [np.concatenate(column) for column in
               zip(*(leaves[lo][1] for lo in sorted(leaves)))]
     assert len(arrays) == len(sums)
+    # the family's own columns, in the order they were summed: a shared
+    # pass also sums the sieve parts of its law's other exponents
+    own = {"main", ("sieve", None if name == "cusp_model" else
+                    families.sieve_exponent(families.get_family(name)))}
+    kept = [part in own for _, part in sums]
+    sums = [v for v, keep in zip(sums.values(), kept) if keep]
+    arrays = [a for a, keep in zip(arrays, kept) if keep]
     assert sum(a.size for a in arrays) == CHUNK * len(sums)
     digests = tuple(hashlib.sha256("\n".join(sorted(rows)).encode()
                                    ).hexdigest()
-                    for rows in ([float(v).hex() for v in sums.values()],
+                    for rows in ([float(v).hex() for v in sums],
                                  [hashlib.sha256(a.tobytes()).hexdigest()
                                   for a in arrays]))
     assert digests == FIRST_BLOCK_PINS[name]
@@ -484,28 +491,36 @@ def test_evaluate_s_from_the_memo_is_the_fresh_pass(monkeypatch):
                                   atilde_primes=500).as_dict())
 
     served = {name: evaluate(name) for name in MEMO_ENTRIES}
-    # one pass per moment law: the eight sextic twists take two
-    assert len(runs) == len(MEMO_ENTRIES) - 6
+    # one pass per moment law: the eight sextic twists take one
+    assert len(runs) == len(MEMO_ENTRIES) - 7
     for name in MEMO_ENTRIES:
         ef._PASS_MEMO.clear()
         assert evaluate(name) == served[name], name
-    assert len(runs) == 2 * len(MEMO_ENTRIES) - 6
+    assert len(runs) == 2 * len(MEMO_ENTRIES) - 7
 
 
 def test_evaluate_s_from_the_memo_reads_no_prime_table(monkeypatch):
     # the largest Atilde prime is cached by its count, so a memo hit of a
-    # family builds and decodes no table
+    # family builds and decodes no table; its Atilde pair is cached with
+    # the terms, so it weights no term by H_sieve either
     pair = ef.builtin_test_pair("fejer:0.4")
     served = ef.evaluate_S("cm_b1_kappa2", pair, math.exp(25.0),
                            atilde_primes=31)
+    weighted, sieve_weights = [], families.sieve_weights
 
     def no_table(n):
         raise AssertionError(f"a prime table of {n} on a memo hit")
 
+    def spy(*args):
+        weighted.append(args)
+        return sieve_weights(*args)
+
     monkeypatch.setattr(ef, "first_n_primes", no_table)
     monkeypatch.setattr(ef, "get_table", no_table)
+    monkeypatch.setattr(families, "sieve_weights", spy)
     assert ef.evaluate_S("cm_b1_kappa2", pair, math.exp(25.0),
                          atilde_primes=31) == served
+    assert weighted == []
 
 
 def test_lower_order_limit_from_the_memo_is_the_fresh_pass(monkeypatch):
@@ -515,11 +530,34 @@ def test_lower_order_limit_from_the_memo_is_the_fresh_pass(monkeypatch):
     names = [name for name in MEMO_ENTRIES
              if ef._entry(name).lead is not None]
     served = {name: repr(ef.lower_order_limit(name)) for name in names}
-    assert len(runs) == len(names) - 6
+    assert len(runs) == len(names) - 7
     for name in names:
         ef._PASS_MEMO.clear()
         assert repr(ef.lower_order_limit(name)) == served[name], name
-    assert len(runs) == 2 * len(names) - 6
+    assert len(runs) == 2 * len(names) - 7
+
+
+SEXTIC = [name for name, entry in sorted(families.REGISTRY.items())
+          if entry.moment_law == "sextic"]
+
+
+def test_the_sextic_twists_of_both_kappas_share_one_pass(monkeypatch):
+    # kappa changes only the sieve exponent, and the shared pass sums the
+    # sieve part at both; each twist reads its own
+    runs = _counted_passes(monkeypatch)
+    pair, R = ef.builtin_test_pair("indicator_smooth:0.18"), math.exp(120.0)
+
+    def evaluate(name):
+        return repr(ef.evaluate_S(name, pair, R, threads=1,
+                                  atilde_primes=30).as_dict())
+
+    served = {name: evaluate(name)
+              for name in ("cm_b1_kappa2", "cm_b1_kappa1", *SEXTIC)}
+    assert len(SEXTIC) == 8 and runs == [1]
+    for name in SEXTIC:
+        ef._PASS_MEMO.clear()
+        assert evaluate(name) == served[name], name
+    assert len(runs) == 1 + len(SEXTIC)
 
 
 def test_a_second_worker_count_runs_its_own_pass(monkeypatch):
@@ -624,14 +662,16 @@ def test_evaluate_s_brute_path_matches_vectorized():
 
 
 def _moments(entry, p_int, pf):
-    """An entry's moments by name, with has_bad for its bad moments; a
-    column the entry reports as identically zero (None) as zeros."""
+    """An entry's moments by name, with has_bad for its bad moments and
+    hs the H_sieve of its family's own exponent; a column the entry
+    reports as identically zero (None) as zeros."""
     A0, A1, A2, aprime, hs = entry.moments(Block(p_int))
     zero = np.zeros_like(pf)
     Aprime1, Aprime2 = aprime or (None, None)
     return SimpleNamespace(A0=A0, A1=zero if A1 is None else A1, A2=A2,
                            Aprime1=Aprime1, Aprime2=Aprime2,
-                           hs=zero if hs is None else hs,
+                           hs=zero if hs is None else
+                           dict(hs)[families.sieve_exponent(entry.spec)],
                            has_bad=aprime is not None)
 
 

@@ -737,7 +737,8 @@ def _column_bits(col):
 
 def test_entries_of_one_moment_law_have_the_same_moment_columns():
     # explicit_formula shares one prime pass between the entries of a law:
-    # the sextic twists of one kappa, whatever their b
+    # the eight sextic twists, whatever their b and kappa, with H_sieve at
+    # both of their sieve exponents
     table = get_table(12 * 10 ** 6).primes
     lo, hi = table.searchsorted(5), table.searchsorted(10 ** 7)
     blocks = [table[lo:lo + CHUNK], table[lo + CHUNK:lo + 2 * CHUNK],
@@ -745,7 +746,9 @@ def test_entries_of_one_moment_law_have_the_same_moment_columns():
     laws = collections.defaultdict(list)
     for entry in families.REGISTRY.values():
         laws[entry.moment_law].append(entry)
-    assert sorted(map(len, laws.values())) == [1, 1, 1, 4, 4]
+    assert sorted(map(len, laws.values())) == [1, 1, 1, 8]
+    assert [k for k, _ in families.REGISTRY["cm_b1_kappa1"].moments(
+        Block(blocks[0]))[-1]] == [3, 6]
     for entries in laws.values():
         for p_int in blocks:
             cols = [_column_bits(e.moments(Block(p_int))) for e in entries]
@@ -1436,6 +1439,34 @@ def test_sieve_window_of_a_quadratic_factor_at_scale():
         want &= vals % q ** 3 != 0
     assert (win.good_t == want).all()
     assert win.W == int(want.sum()) == 29788
+
+
+def _scan_clear_roots(good, N: int, fac, p: int, k: int, dtype) -> None:
+    """The lift scan of every root mod p, simple ones included: the
+    reference for the Newton lift of families._clear_roots."""
+    c, g = families._strip_content(fac, p)
+    if c >= k:
+        good[:] = False
+        return
+    m, t = p ** (k - c), np.arange(N, N + min(p, good.size))
+    for r in t[families.poly_eval_mod(g, t, p) == 0].tolist():
+        lifts = np.arange(r, min(r + m, 2 * N + 1), p, dtype=dtype)
+        for h in lifts[families.poly_eval(g, lifts) % m == 0].tolist():
+            good[h - N::m] = False
+
+
+@pytest.mark.parametrize("N", [10 ** 3, 10 ** 5, 10 ** 7])
+def test_sieve_window_lifts_simple_roots_as_the_scan_does(monkeypatch, N):
+    # every built-in, and D = t (t + 5) with k = 3, whose factors share
+    # the root 0 mod 5
+    for fam in [*families.BUILTIN_FAMILIES.values(),
+                _drawn_family([(0, 1), (5, 1)], 3)]:
+        newton = families.sieve_window(fam, N)
+        with monkeypatch.context() as m:
+            m.setattr(families, "_clear_roots", _scan_clear_roots)
+            scan = families.sieve_window(fam, N)
+        assert np.array_equal(newton.good_t, scan.good_t), fam.name
+        assert newton.W == scan.W
 
 
 def test_sieve_window_tests_each_factor_where_nu_d_counts_the_product():
