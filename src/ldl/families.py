@@ -74,8 +74,9 @@ Root counts nu_D(p^k) count the distinct roots of D mod p as the degree of
 gcd(D, x^p - x) over F_p and lift simple ones by Hensel, else scan t mod
 p^k; _sieve_block reads a built-in's n_bad instead, and its float64 ratio
 nu/(p^k - nu) over a _sum.Block is the sieve part of H_{D,k}(p) that every
-consumer reads.  sieve_window clears each D factor's roots mod p and tests
-their lifts exactly, at each p up to a root of its bound.
+consumer reads.  sieve_window clears each D factor's roots mod p and
+their exact lifts (Newton's for a simple root, a scan for a repeated
+one), at each p up to a root of its bound.
 
 Every closed form registered here is cross-checked against those power
 sums, and the traces against point counts, for all primes up to 300.
