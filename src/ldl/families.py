@@ -74,9 +74,8 @@ Root counts nu_D(p^k) count the distinct roots of D mod p as the degree of
 gcd(D, x^p - x) over F_p and lift simple ones by Hensel, else scan t mod
 p^k; _sieve_block reads a built-in's n_bad instead, and its float64 ratio
 nu/(p^k - nu) over a _sum.Block is the sieve part of H_{D,k}(p) that every
-consumer reads.  sieve_window clears each D factor's roots mod p and
-their exact lifts (Newton's for a simple root, a scan for a repeated
-one), at each p up to a root of its bound.
+consumer reads.  sieve_window clears each D factor's roots mod p and tests
+their lifts exactly, at each p up to a root of its bound.
 
 Every closed form registered here is cross-checked against those power
 sums, and the traces against point counts, for all primes up to 300.
@@ -1288,26 +1287,16 @@ class SieveWindow:
 
 def _clear_roots(good, N: int, fac, p: int, k: int, dtype) -> None:
     """Clear the t of the window with p^k | fac(t) = p^c g(t): each root r
-    of g mod p lifts to the roots of g mod m = p^(k-c), and each clears
-    its class.  A simple root (g'(r) != 0 mod p) has one lift, found by
-    Newton's iteration in Python ints (Hensel); a repeated one has its
-    lifts t = r mod p in [r, r + m) tested in dtype."""
+    of g mod p has its lifts t = r mod p in [r, r + p^(k-c)) tested in
+    dtype, and each lift with p^(k-c) | g(t) clears its class."""
     c, g = _strip_content(fac, p)
     if c >= k:
         good[:] = False
         return
     m, t = p ** (k - c), np.arange(N, N + min(p, good.size))
-    deriv = [i * a for i, a in enumerate(g)][1:]
     for r in t[poly_eval_mod(g, t, p) == 0].tolist():
-        if poly_eval_mod(deriv, r, p):
-            x = r
-            while v := poly_eval_mod(g, x, m):
-                x = (x - v * pow(poly_eval_mod(deriv, x, m), -1, m)) % m
-            lifts = [r + (x - r) % m]
-        else:
-            lifts = np.arange(r, min(r + m, 2 * N + 1), p, dtype=dtype)
-            lifts = lifts[poly_eval(g, lifts) % m == 0].tolist()
-        for h in lifts:
+        lifts = np.arange(r, min(r + m, 2 * N + 1), p, dtype=dtype)
+        for h in lifts[poly_eval(g, lifts) % m == 0].tolist():
             good[h - N::m] = False
 
 

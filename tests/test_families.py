@@ -1441,34 +1441,6 @@ def test_sieve_window_of_a_quadratic_factor_at_scale():
     assert win.W == int(want.sum()) == 29788
 
 
-def _scan_clear_roots(good, N: int, fac, p: int, k: int, dtype) -> None:
-    """The lift scan of every root mod p, simple ones included: the
-    reference for the Newton lift of families._clear_roots."""
-    c, g = families._strip_content(fac, p)
-    if c >= k:
-        good[:] = False
-        return
-    m, t = p ** (k - c), np.arange(N, N + min(p, good.size))
-    for r in t[families.poly_eval_mod(g, t, p) == 0].tolist():
-        lifts = np.arange(r, min(r + m, 2 * N + 1), p, dtype=dtype)
-        for h in lifts[families.poly_eval(g, lifts) % m == 0].tolist():
-            good[h - N::m] = False
-
-
-@pytest.mark.parametrize("N", [10 ** 3, 10 ** 5, 10 ** 7])
-def test_sieve_window_lifts_simple_roots_as_the_scan_does(monkeypatch, N):
-    # every built-in, and D = t (t + 5) with k = 3, whose factors share
-    # the root 0 mod 5
-    for fam in [*families.BUILTIN_FAMILIES.values(),
-                _drawn_family([(0, 1), (5, 1)], 3)]:
-        newton = families.sieve_window(fam, N)
-        with monkeypatch.context() as m:
-            m.setattr(families, "_clear_roots", _scan_clear_roots)
-            scan = families.sieve_window(fam, N)
-        assert np.array_equal(newton.good_t, scan.good_t), fam.name
-        assert newton.W == scan.W
-
-
 def test_sieve_window_tests_each_factor_where_nu_d_counts_the_product():
     # D = t (t + 5), k = 3: the factors share the root 0 mod 5, so nu_D
     # counts 10 classes mod 125 where the window clears 2, one root of
